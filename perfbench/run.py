@@ -13,10 +13,13 @@ two rounds). A round is
    checksum must equal the first;
 3. for workloads whose build is short, extra builds for ``setup_s``.
 
-With ``--trace 0`` the last line of standard output is a JSON object with
-the end-to-end metrics; with ``--trace 1`` graphabm's layer boundaries are
-wrapped in spans and it holds the per-layer metrics instead. Every figure
-and the spans go to ``perfbench/out/``. README.md defines the metrics.
+Every timed window is scaled to a reference machine speed by a calibration
+kernel timed just before and after it (``speed.py``); the raw times are
+kept in the detail file. With ``--trace 0`` the last line of standard
+output is a JSON object with the end-to-end metrics; with ``--trace 1``
+graphabm's layer boundaries are wrapped in spans and it holds the
+per-layer metrics instead. Every figure and the spans go to
+``perfbench/out/``. README.md defines the metrics.
 """
 
 from __future__ import annotations
@@ -36,11 +39,16 @@ from time import perf_counter
 sys.dont_write_bytecode = True  # leave no caches in the checkout
 
 import checks  # noqa: E402
+import speed  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
 
+# Timed metrics and the reference kernel time each is scaled to: the
+# kernels around two-worker steps run on both vCPUs (speed.kernel_pair).
+TIMED = {"setup_s": speed.REFERENCE_S, "step_s": speed.REFERENCE_S,
+         "step_s_w2": speed.REFERENCE_PAIR_S, "run_s": speed.REFERENCE_S}
 UNITS = {"setup_s": "s", "step_s": "s", "step_s_w2": "s", "run_s": "s",
          "peak_rss_mb": "MB"}
 
@@ -60,10 +68,18 @@ def load_graphabm():
 
 
 def model_run(wl, inputs, seed, workers, tracer, metrics, capture):
-    """One whole run; returns its timings and outputs, dropping the model."""
+    """One whole run; returns its timed windows and outputs, dropping the model.
+
+    The speed kernel (``speed.py``) runs before the build, after it, at the
+    end of every ``on_step`` and after the checksum, so every window has a
+    kernel time just before and just after it. At two workers the kernels
+    between steps run on both vCPUs at once. Kernel time inside the run is
+    left out of ``run_s``.
+    """
     from graphabm import run
 
-    marks, rows, snaps = [], [], []
+    step_kernel = speed.kernel_pair if workers > 1 else speed.kernel
+    marks, kernels, rows, snaps = [], [], [], []
 
     def on_step(sim):
         marks.append(perf_counter())
@@ -71,63 +87,77 @@ def model_run(wl, inputs, seed, workers, tracer, metrics, capture):
             rows.append(wl.step_metrics(sim, rows, inputs))
         if capture:
             snaps.append(wl.snapshot(sim))
+        kernels.append(step_kernel())
         marks.append(perf_counter())
 
     tracer.begin_run(f"w{workers}", wl.transitions)
     gc.collect()  # every build starts from the same collector state
+    k0 = speed.kernel()
     t0 = perf_counter()
     with tracer.span("setup"):
         sim, program = wl.build(inputs, seed, tracer)
     t1 = perf_counter()
+    k1 = speed.kernel()
     program = [(tracer.transition(fn), spec) for fn, spec in program]
     run(sim, wl.steps, program, workers=workers, on_step=on_step)
     checksum = sim.state_checksum()
     t2 = perf_counter()
+    k2 = speed.kernel()
     if tracer.enabled and workers == 1 and not tracer.storage:
         tracer.record_storage(sim)
     del sim, program
+    # step i runs between the end of on_step(i-1) and the start of on_step(i)
+    steps = [(marks[2 * i] - marks[2 * i - 1], kernels[i - 1], kernels[i])
+             for i in range(1, wl.steps)]
     return {
-        "setup_s": t1 - t0,
-        "run_s": t2 - t0,
-        # step i runs between the end of on_step(i-1) and the start of on_step(i)
-        "steps": [marks[2 * i] - marks[2 * i - 1] for i in range(1, wl.steps)],
+        "setup": (t1 - t0, k0, k1),
+        "steps": steps,
+        "run": (t2 - t0 - k1 - sum(kernels), k0, k1, *kernels, k2),
         "checksum": checksum,
         "rows": rows,
         "snaps": snaps,
     }
 
 
-def one_round(wl, inputs, seed, tracer, first, samples, failures):
+def one_round(wl, inputs, seed, tracer, first, windows, samples, failures):
     a = model_run(wl, inputs, seed, 1, tracer, metrics=True, capture=True)
     if first:
         samples["peak_rss_mb"].append(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     gc.collect()
     failures += wl.check_run(inputs, a["rows"], a["snaps"], full=first)
-    extra_setups(wl, inputs, seed, tracer, samples)
+    extra_setups(wl, inputs, seed, tracer, windows)
     b = model_run(wl, inputs, seed, 2, tracer, metrics=False, capture=False)
     failures += checks.check_same_checksum(a["checksum"], b["checksum"])
-    extra_setups(wl, inputs, seed, tracer, samples)
-    samples["setup_s"] += [a["setup_s"], b["setup_s"]]
-    samples["run_s"].append(a["run_s"])
-    samples["step_s"] += a["steps"]
-    samples["step_s_w2"] += b["steps"]
+    extra_setups(wl, inputs, seed, tracer, windows)
+    windows["setup_s"] += [a["setup"], b["setup"]]
+    windows["run_s"].append(a["run"])
+    windows["step_s"] += a["steps"]
+    windows["step_s_w2"] += b["steps"]
     samples["new_infections"] += [r.get("new_infections", 0) for r in a["rows"][1:]]
     # builds, steps and checksums of both runs, and the extra builds
     return 2 * (1 + wl.steps + 1 + wl.extra_setups)
 
 
-def extra_setups(wl, inputs, seed, tracer, samples):
-    """Builds that only feed ``setup_s``, for workloads whose build is short."""
+def extra_setups(wl, inputs, seed, tracer, windows):
+    """Builds that only feed ``setup_s``, for workloads whose build is short;
+    the speed kernel runs before and after the batch."""
+    if not wl.extra_setups:
+        return
+    raws = []
+    gc.collect()
+    k0 = speed.kernel()
     for _ in range(wl.extra_setups):
         tracer.begin_run("setup", 1)
         gc.collect()
         t0 = perf_counter()
         with tracer.span("setup"):
             sim, _program = wl.build(inputs, seed, tracer)
-        samples["setup_s"].append(perf_counter() - t0)
+        raws.append(perf_counter() - t0)
         del sim, _program
     gc.collect()
+    k1 = speed.kernel()
+    windows["setup_s"] += [(raw, k0, k1) for raw in raws]
 
 
 def main(argv=None) -> int:
@@ -152,8 +182,9 @@ def main(argv=None) -> int:
     inputs = wl.make_inputs(args.seed)
     failures: list[str] = list(wl.extra_checks(args.seed))
     tracer = Tracer() if args.trace else NullTracer()
-    samples = {name: [] for name in UNITS}
-    samples["new_infections"] = []
+    samples = {"peak_rss_mb": [], "new_infections": []}
+    windows = {name: [] for name in TIMED}
+    speed.kernel()  # first call pays the page faults of its arrays
     attempted = rounds = 0
     start = perf_counter()
     if tracer.enabled:
@@ -162,7 +193,7 @@ def main(argv=None) -> int:
         while True:
             r0 = perf_counter()
             attempted += one_round(wl, inputs, args.seed, tracer, rounds == 0,
-                                   samples, failures)
+                                   windows, samples, failures)
             rounds += 1
             now = perf_counter()
             if rounds >= 2 and (now - start) + (now - r0) > args.seconds:
@@ -175,7 +206,9 @@ def main(argv=None) -> int:
         if tracer.enabled:
             tracer.uninstall()
 
-    end_to_end = {name: statistics.median(samples[name]) for name in UNITS}
+    end_to_end = {name: speed.at_reference(windows[name], ref)
+                  for name, ref in TIMED.items()}
+    end_to_end["peak_rss_mb"] = statistics.median(samples["peak_rss_mb"])
     for msg in failures:
         print(f"check failed: {msg}", file=sys.stderr)
     if tracer.enabled:
@@ -198,7 +231,10 @@ def main(argv=None) -> int:
     detail = {
         "workload": wl.name, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "rounds": rounds, "wall_s": perf_counter() - start,
-        "end_to_end": end_to_end, "samples": samples, "failures": failures,
+        "end_to_end": end_to_end,
+        "raw_median": {name: statistics.median(w[0] for w in windows[name])
+                       for name in TIMED},
+        "samples": samples, "windows": windows, "failures": failures,
         "result": result,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "graphabm": graphabm.__version__,
