@@ -58,11 +58,12 @@ from .spatial import (
     move_to,
 )
 from .storage import EdgeRecord
-from .view import NeighborhoodView
+from .view import AgentBatch, NeighborhoodView
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "AgentBatch",
     "AgentTypeDecl",
     "CheckConfig",
     "ContractViolation",

@@ -13,6 +13,19 @@ types) or is a no-op otherwise. Additional agents and edges are created
 through the view. Because every function sees only time-t data and write
 effects are merged by producing-agent id, the outcome is independent of
 the order in which agents execute and of the worker count.
+
+A batch transition (``TransitionSpec(batch=True)``) has the signature
+``fn(batch, params, globals) -> columns`` and runs once per chunk of a
+worker's agents instead of once per agent. The :class:`~graphabm.view.AgentBatch`
+gathers every agent's neighbourhood at once over the read containers' CSR
+index; ``columns`` holds one array per state field, aligned with
+``batch.slots``. A chunk holds whole agents of one type and partition and
+at most ``BATCH_EDGE_LIMIT`` incoming edges (an agent with more gets a
+chunk of its own). A batch writes exactly its callable agent types and
+re-adds every agent it runs. Both forms share the task list, the payload
+format and the merge, so results do not depend on which form or chunking
+produced them as long as each agent's value is computed from its own
+segment of the gathered arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import TypeNotWritable, UsageError
+from .ids import PART_BITS
 from .schema import AgentTypeInfo
 from .sim import Simulation
 from .storage import (
@@ -33,7 +47,11 @@ from .storage import (
     make_shard,
     validate_endpoints,
 )
-from .view import NeighborhoodView
+from .view import AgentBatch, NeighborhoodView
+
+# Most incoming edges (summed over the readable list edge types) one batch
+# chunk may hold: it bounds the transition's temporaries per call.
+BATCH_EDGE_LIMIT = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -46,12 +64,15 @@ class TransitionSpec:
     others pass through untouched.
     ``keep_existing``: written types whose current contents are retained,
     with the transition only adding new instances.
+    ``batch``: the function takes an :class:`~graphabm.view.AgentBatch`
+    per chunk of agents and returns state columns (see the module notes).
     """
 
     callable_types: tuple[str, ...]
     read_types: tuple[str, ...] = ()
     write_types: tuple[str, ...] = ()
     keep_existing: tuple[str, ...] = ()
+    batch: bool = False
 
     def __post_init__(self):
         for attr in ("callable_types", "read_types", "write_types", "keep_existing"):
@@ -118,6 +139,14 @@ class RuntimeSpec:
                     f"immortal agent type {info.name!r} is written without "
                     "keep_existing but has no transition to re-create it"
                 )
+        if spec.batch and (
+            self.written_edge or spec.keep_existing
+            or set(self.written_agent) != set(self.callable_tags)
+        ):
+            raise UsageError(
+                "a batch transition writes exactly its callable agent types: "
+                "no edge types, no other agent types, no keep_existing"
+            )
 
         cfg = sim.checks
         self.check_single_edge = cfg.check_single_edge()
@@ -142,9 +171,30 @@ class StagedCommit:
 def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                shuffle=None) -> dict:
     """Run ``fn`` over this worker's agents; return its write shard."""
-    schema = sim.schema
     sink = ViolationSink(rt.mode, sim.step)
+    read_containers = {
+        name: sim._edges[etag] for name, etag in rt.readable_edges.items()
+    }
+    tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
+    if rt.spec.batch:
+        agents = _run_batches(sim, fn, rt, read_containers, tasks, shuffle)
+        new, shards = {}, {}
+    else:
+        agents, new, shards = _run_agents(
+            sim, fn, rt, read_containers, tasks, shuffle, sink, worker
+        )
+    return {
+        "worker": worker,
+        "agents": agents,
+        "new": new,
+        "edges": shards,
+        "reports": sink.reports,
+    }
 
+
+def _run_agents(sim, fn, rt, read_containers, tasks, shuffle, sink, worker):
+    """The per-agent path: one ``fn(view, ...)`` call per agent."""
+    schema = sim.schema
     shards = {}
     writers = {}
     for etag, _keep in rt.written_edge.items():
@@ -156,9 +206,6 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
         )
         writers[info.name] = (adder, info.has_state, len(info.decl.state_layout))
 
-    read_containers = {
-        name: sim._edges[etag] for name, etag in rt.readable_edges.items()
-    }
     view = NeighborhoodView(sim, rt, read_containers, writers, worker)
     params = sim.params
     glob = rt.globals
@@ -166,7 +213,7 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
     # (tag, part) -> ([slots], [state tuples]) of agents re-added by their own fn
     returns: dict = {}
 
-    tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
+    tasks = [(tag, part, slots.tolist()) for tag, part, slots in tasks]
     if shuffle is not None:
         flat = [(tag, part, slot) for tag, part, slots in tasks for slot in slots]
         shuffle.shuffle(flat)
@@ -208,43 +255,96 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
             rec[0].append(slot)
             rec[1].append(ret)
 
-    agents_payload = {}
-    for (tag, part), (slots, rets) in returns.items():
-        info = schema.agent_types[tag]
-        cols = list(zip(*rets)) if rets else [[] for _ in info.field_names]
-        agents_payload[(tag, part)] = {
-            "slots": np.asarray(slots, dtype=np.int64),
-            "fields": {
-                name: np.asarray(col, dtype=dt)
-                for name, dt, col in zip(info.field_names, info.dtypes, cols)
-            },
-        }
+    agents = {
+        (tag, part): _state_payload(
+            schema.agent_types[tag], slots,
+            list(zip(*rets)) if rets else None,
+        )
+        for (tag, part), (slots, rets) in returns.items()
+    }
 
-    new_payload = {}
+    new = {}
     for tag, alloc in view._alloc.items():
-        info = schema.agent_types[tag]
         slots, states = alloc[2], alloc[3]
-        cols = list(zip(*states)) if states else [[] for _ in info.field_names]
-        new_payload[tag] = {
-            "slots": np.asarray(slots, dtype=np.int64),
-            "fields": {
-                name: np.asarray(col, dtype=dt)
-                for name, dt, col in zip(info.field_names, info.dtypes, cols)
-            },
-            "n_popped": alloc[4] - len(alloc[1]),
-        }
+        new[tag] = _state_payload(
+            schema.agent_types[tag], slots,
+            list(zip(*states)) if states else None,
+        )
+        new[tag]["n_popped"] = alloc[4] - len(alloc[1])
+    return agents, new, shards
 
+
+def _run_batches(sim, fn, rt, read_containers, tasks, shuffle) -> dict:
+    """The batch path: one ``fn(batch, ...)`` call per chunk of agents."""
+    schema = sim.schema
+    params = sim.params
+    glob = rt.globals
+    lists = [c for c in read_containers.values() if hasattr(c, "bounds")]
+    out = {}
+    for tag, part, slots in tasks:
+        info = schema.agent_types[tag]
+        seg = sim._segments[tag][part]
+        if shuffle is not None:
+            slots = shuffle.permutation(slots)
+        comp = (tag << PART_BITS) | part
+        edges = np.zeros(slots.size, dtype=np.int64)
+        for c in lists:
+            starts, ends = c.bounds(comp, slots)
+            edges += ends - starts
+        done, cols = [], []
+        for chunk in _chunks(slots, edges, BATCH_EDGE_LIMIT):
+            ret = fn(AgentBatch(sim, rt, read_containers, tag, part, seg, chunk),
+                     params, glob)
+            if ret is None or len(ret) != len(info.field_names):
+                got = "None" if ret is None else f"{len(ret)} arrays"
+                raise UsageError(
+                    f"agent type {info.name!r} takes {len(info.field_names)} "
+                    f"state fields, one array each; got {got}"
+                )
+            arrays = []
+            for name, dt, col in zip(info.field_names, info.dtypes, ret):
+                arr = np.asarray(col, dtype=dt)
+                if arr.shape != chunk.shape:
+                    raise UsageError(
+                        f"field {name!r} of agent type {info.name!r}: expected "
+                        f"{chunk.size} values, got an array of shape {arr.shape}"
+                    )
+                arrays.append(arr)
+            done.append(chunk)
+            cols.append(arrays)
+        out[(tag, part)] = _state_payload(
+            info, np.concatenate(done), [np.concatenate(c) for c in zip(*cols)]
+        )
+    return out
+
+
+def _chunks(slots: np.ndarray, edges: np.ndarray, limit: int):
+    """Split ``slots`` into runs of whole agents holding at most ``limit``
+    edges in total; an agent with more than ``limit`` edges runs alone."""
+    total = np.cumsum(edges)
+    start = 0
+    while start < slots.size:
+        before = int(total[start] - edges[start])
+        stop = max(int(np.searchsorted(total, before + limit, side="right")), start + 1)
+        yield slots[start:stop]
+        start = stop
+
+
+def _state_payload(info: AgentTypeInfo, slots, cols) -> dict:
+    """Slots and per-field columns cast to the declared dtypes."""
+    if cols is None:
+        cols = [[] for _ in info.field_names]
     return {
-        "worker": worker,
-        "agents": agents_payload,
-        "new": new_payload,
-        "edges": shards,
-        "reports": sink.reports,
+        "slots": np.asarray(slots, dtype=np.int64),
+        "fields": {
+            name: np.asarray(col, dtype=dt)
+            for name, dt, col in zip(info.field_names, info.dtypes, cols)
+        },
     }
 
 
 def _agent_tasks(sim, rt, partition, worker, nworkers):
-    """(tag, part, slot list) work items in ascending agent-id order."""
+    """(tag, part, slot array) work items in ascending agent-id order."""
     tasks = []
     for tag in rt.callable_tags:
         for part in sorted(sim._segments[tag]):
@@ -254,7 +354,7 @@ def _agent_tasks(sim, rt, partition, worker, nworkers):
                 owners = partition.worker_for_slots(tag, part, slots)
                 slots = slots[owners == worker]
             if slots.size:
-                tasks.append((tag, part, slots.tolist()))
+                tasks.append((tag, part, slots))
     return tasks
 
 

@@ -220,7 +220,7 @@ def epi_day(model: EpiModel, workers: int = 1) -> None:
 
 
 def infected_count(sim: Simulation) -> int:
-    return sim.aggregate(PERSON, lambda s: 1 if s[0] == Status.INFECTED else 0, "sum")
+    return int(np.count_nonzero(sim.field_array(PERSON, "status") == Status.INFECTED))
 
 
 def epi_metrics(sim: Simulation, prev_infected: int) -> dict:

@@ -8,6 +8,10 @@ includes a self-loop so the agent's own opinion is always in the average.
 The visibility edge type is declared Stateless + SingleType by default
 (only source ids are stored); ``hints=False`` registers it with no hints,
 which stores full edge records and must produce bit-identical dynamics.
+
+The step runs as a batch transition (``hk_transition``, one call per chunk
+of agents). The per-agent form ``hk_agent_transition`` with
+``HK_AGENT_SPEC`` computes bit-equal opinions and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -34,32 +38,65 @@ class HKConfig:
     hints: bool = True
 
 
-def hk_step(view, epsilon) -> float:
-    """One agent's updated opinion: the mean over visible opinions within
-    the confidence bound (the self-loop keeps the set nonempty).
+# Both forms of the step average with np.add.reduceat: its sum of a segment
+# depends only on the segment's values, not on where the segment sits in a
+# larger array, so the per-agent and the batch form (at any chunking) give
+# bit-equal means. ndarray.mean() sums in another order and can differ by
+# an ulp. The float mean of near-identical values can round one ulp outside
+# their range, so it is clamped to the hull of the averaged set; the
+# exact-arithmetic mean always lies inside it.
 
-    The float mean of near-identical values can round one ulp outside
-    their range, so it is clamped to the hull of the averaged set; the
-    exact-arithmetic mean always lies inside it.
-    """
+
+def _no_close_opinion(aid: int) -> ValueError:
+    return ValueError(
+        f"agent {aid:#x} sees no opinion within epsilon (it has no incoming "
+        "edges or a negative epsilon)"
+    )
+
+
+def hk_agent_step(view, epsilon) -> float:
+    """One agent's updated opinion: the mean over visible opinions within
+    the confidence bound (the self-loop keeps the set nonempty)."""
     visible = view.neighbor_field(EDGE, "opinion")
     own = view.field("opinion")
     close = visible[np.abs(visible - own) <= epsilon]
-    mean = close.mean()
-    lo = close.min()
-    if mean < lo:
-        return lo
-    hi = close.max()
-    if mean > hi:
-        return hi
-    return mean
+    if not close.size:
+        raise _no_close_opinion(view.agent_id)
+    mean = np.add.reduceat(close, [0])[0] / close.size
+    return np.minimum(np.maximum(mean, close.min()), close.max())
 
 
-def hk_transition(view, params, _globals):
-    return (hk_step(view, params["epsilon"]),)
+def hk_agent_transition(view, params, _globals):
+    """The per-agent form of :func:`hk_transition`, kept as its oracle."""
+    return (hk_agent_step(view, params["epsilon"]),)
+
+
+def hk_transition(batch, params, _globals):
+    """Updated opinions of a chunk of agents, each as in :func:`hk_agent_step`."""
+    visible, indptr = batch.neighbor_field(EDGE, "opinion")
+    gap = visible - np.repeat(batch.field("opinion"), np.diff(indptr))
+    np.abs(gap, out=gap)
+    close = np.flatnonzero(gap <= params["epsilon"])
+    starts = np.searchsorted(close, indptr)  # per-agent runs in ``close``
+    counts = np.diff(starts)
+    if not counts.all():
+        raise _no_close_opinion(int(batch.ids[np.argmin(counts)]))
+    values = visible[close]
+    starts = starts[:-1]
+    mean = np.add.reduceat(values, starts) / counts
+    lo = np.minimum.reduceat(values, starts)
+    hi = np.maximum.reduceat(values, starts)
+    return (np.minimum(np.maximum(mean, lo), hi),)
 
 
 HK_SPEC = TransitionSpec(
+    callable_types=(AGENT,),
+    read_types=(EDGE, AGENT),
+    write_types=(AGENT,),
+    batch=True,
+)
+
+HK_AGENT_SPEC = TransitionSpec(
     callable_types=(AGENT,),
     read_types=(EDGE, AGENT),
     write_types=(AGENT,),
@@ -117,8 +154,8 @@ def cluster_count(values: np.ndarray, tol: float = 1e-9) -> int:
 def hk_metrics(sim: Simulation) -> dict:
     ops = opinions(sim)
     return {
-        "min": sim.aggregate(AGENT, lambda s: s[0], "min"),
-        "max": sim.aggregate(AGENT, lambda s: s[0], "max"),
+        "min": ops.min(),
+        "max": ops.max(),
         "mean": sim.aggregate(AGENT, lambda s: s[0], "sum") / ops.size,
         "clusters": cluster_count(ops),
     }

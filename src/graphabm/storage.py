@@ -29,6 +29,7 @@ from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
 _U64 = np.uint64
 _EMPTY_U64 = np.empty(0, dtype=_U64)
 _EMPTY_IDX = np.empty(0, dtype=np.intp)
+_NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a composite without edges
 
 # Initial byte length of an existence bitmap bucket; grows on demand.
 _EB_BUCKET_START = 1 << 12
@@ -503,15 +504,35 @@ def _is_nondecreasing(a: np.ndarray) -> bool:
     return a.size < 2 or bool(np.all(a[1:] >= a[:-1]))
 
 
+def _build_indptr(targets: np.ndarray) -> dict[int, np.ndarray]:
+    """Per target composite, slot-indexed run starts into sorted ``targets``."""
+    out = {}
+    lo, n = 0, targets.size
+    while lo < n:
+        comp = int(targets[lo]) >> COMP_SHIFT
+        base = comp << COMP_SHIFT
+        end_key = base + (1 << COMP_SHIFT)
+        hi = n if end_key >= 1 << 64 else int(np.searchsorted(targets, _U64(end_key)))
+        top = int(targets[hi - 1]) & INDEX_MASK
+        keys = _U64(base) + np.arange(top + 2, dtype=_U64)
+        out[comp] = np.searchsorted(targets[lo:hi], keys) + lo
+        lo = hi
+    return out
+
+
 class ListEdgeRead:
-    """CSR-style read container for the three list plans.
+    """CSR read container for the three list plans.
 
     Arrays are sorted by target; per-target runs are ordered by producing
-    agent. ``index`` maps a target id to its (start, end) run.
+    agent. ``indptr`` maps each target (type tag, partition) composite to
+    an int64 array indexed by local slot: the edges of slot ``s`` sit at
+    positions ``indptr[comp][s]:indptr[comp][s + 1]``. A slot past the end
+    of its array, such as an agent created after the container was built,
+    has no edges.
     """
 
     __slots__ = (
-        "info", "targets", "sources", "states", "index",
+        "info", "targets", "sources", "states", "indptr",
         "sources_local", "single_source_comp",
     )
 
@@ -520,8 +541,7 @@ class ListEdgeRead:
         self.targets = targets
         self.sources = sources
         self.states = states
-        self.index: dict[int, tuple[int, int]] = {}
-        self._build_index()
+        self.indptr = _build_indptr(targets)
         self.sources_local = None
         self.single_source_comp = None
         if sources is not None and sources.size:
@@ -530,14 +550,6 @@ class ListEdgeRead:
             if np.all(comps == first):
                 self.single_source_comp = int(first)
                 self.sources_local = (sources & _U64(INDEX_MASK)).astype(np.intp)
-
-    def _build_index(self):
-        t = self.targets
-        if not t.size:
-            return
-        starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-        ends = np.r_[starts[1:], t.size]
-        self.index = dict(zip(t[starts].tolist(), zip(starts.tolist(), ends.tolist())))
 
     # -- queries -------------------------------------------------------------
 
@@ -548,41 +560,49 @@ class ListEdgeRead:
     def n_stored(self) -> int:
         return int(self.targets.size)
 
-    def slice_for(self, aid: int):
-        return self.index.get(aid)
+    def span(self, aid: int) -> tuple[int, int]:
+        """(start, end) positions of one target's edges; (0, 0) if none."""
+        ptr = self.indptr.get(aid >> COMP_SHIFT)
+        slot = aid & INDEX_MASK
+        if ptr is None or slot + 1 >= ptr.size:
+            return 0, 0
+        return int(ptr[slot]), int(ptr[slot + 1])
+
+    def bounds(self, comp: int, slots: np.ndarray):
+        """Per-slot (starts, ends) edge positions of targets in one composite;
+        a slot without edges gets an empty run."""
+        ptr = self.indptr.get(comp, _NO_RUNS)
+        last = ptr.size - 1
+        return ptr[np.minimum(slots, last)], ptr[np.minimum(slots + 1, last)]
 
     def has_for(self, aid: int) -> bool:
-        return aid in self.index
+        lo, hi = self.span(aid)
+        return hi > lo
 
     def count_for(self, aid: int) -> int:
-        sl = self.index.get(aid)
-        return 0 if sl is None else sl[1] - sl[0]
+        lo, hi = self.span(aid)
+        return hi - lo
 
     def sources_for(self, aid: int) -> np.ndarray:
         if self.sources is None:
             raise HintViolation(
                 f"edge type {self.info.name!r} does not store source ids (IGNORE_FROM)"
             )
-        sl = self.index.get(aid)
-        return _EMPTY_U64 if sl is None else self.sources[sl[0]: sl[1]]
+        lo, hi = self.span(aid)
+        return self.sources[lo:hi]
 
     def states_for(self, aid: int) -> list:
         if self.info.stateless:
             raise HintViolation(
                 f"edge type {self.info.name!r} is STATELESS; edges carry no state"
             )
-        sl = self.index.get(aid)
-        if sl is None:
-            return []
+        lo, hi = self.span(aid)
         if self.states is None:
-            return [()] * (sl[1] - sl[0])
-        return self.states[sl[0]: sl[1]]
+            return [()] * (hi - lo)
+        return self.states[lo:hi]
 
     def records_for(self, aid: int) -> list[EdgeRecord]:
-        sl = self.index.get(aid)
-        if sl is None:
-            return []
-        lo, hi = sl
+        lo, hi = self.span(aid)
         name = self.info.name
         srcs = self.sources
         sts = self.states

@@ -1,13 +1,17 @@
-"""The 1-neighborhood handed to a transition function.
+"""What a transition function may observe and write.
 
-A view exposes exactly what an agent may observe at time t: its own state,
-its incoming edges (per readable edge type), and the time-t states of the
-agents at those edges' sources. Write effects (new agents, new edges) go
-into the executing worker's private shard; they become visible only after
-the step commits.
+A :class:`NeighborhoodView` exposes exactly what one agent may observe at
+time t: its own state, its incoming edges (per readable edge type), and the
+time-t states of the agents at those edges' sources. Write effects (new
+agents, new edges) go into the executing worker's private shard; they
+become visible only after the step commits. One view object is reused for
+every agent a worker executes; the engine rebinds it per agent, so
+transition functions must not retain it.
 
-One view object is reused for every agent a worker executes; the engine
-rebinds it per agent, so transition functions must not retain it.
+An :class:`AgentBatch` is the array-at-a-time counterpart handed to batch
+transitions: a chunk of agents of one type and partition, with gathers
+that return every agent's neighbourhood at once in CSR form. Both pass the
+same read checks.
 """
 
 from __future__ import annotations
@@ -18,7 +22,70 @@ from .errors import HintViolation, TypeNotReadable, TypeNotWritable, UnknownName
 from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id
 
 
-class NeighborhoodView:
+class _Reads:
+    """Read checks and source-state gathers shared by view and batch.
+
+    Subclasses hold ``_sim``, ``_rt`` and ``_read`` (edge type name ->
+    read container).
+    """
+
+    __slots__ = ()
+
+    def _container(self, edge_type: str):
+        c = self._read.get(edge_type)
+        if c is None:
+            raise TypeNotReadable(
+                f"edge type {edge_type!r} is not in this transition's read set"
+            )
+        return c
+
+    def _check_agent_readable(self, tag: int):
+        rt = self._rt
+        if not rt.all_agents_readable and tag not in rt.readable_agent_tags:
+            name = self._sim.schema.agent_types[tag].name
+            raise TypeNotReadable(
+                f"agent type {name!r} is not in this transition's read set"
+            )
+
+    def _source_readable(self, edge_type: str):
+        """The container of an edge type whose source state may be read."""
+        c = self._container(edge_type)
+        if not c.info.source_state_readable:
+            raise HintViolation(
+                f"edge type {edge_type!r} forbids reading source-agent state"
+            )
+        return c
+
+    def _source_column(self, comp: int, field: str) -> np.ndarray:
+        """One field of the agents in a (tag, partition) composite."""
+        tag, part = comp >> PART_BITS, comp & PART_MASK
+        self._check_agent_readable(tag)
+        seg = self._sim._segments[tag][part]
+        try:
+            return seg.fields[field]
+        except KeyError:
+            raise UnknownName(
+                f"agent type {self._sim.schema.agent_types[tag].name!r} "
+                f"has no field {field!r}"
+            ) from None
+
+    def _gather(self, sources: np.ndarray, field: str) -> np.ndarray:
+        """One field of the agents with the given ids, in id-array order."""
+        if not sources.size:
+            return np.empty(0)
+        comps = sources >> np.uint64(COMP_SHIFT)
+        locals_ = (sources & np.uint64(INDEX_MASK)).astype(np.intp)
+        out = None
+        for comp in np.unique(comps):
+            arr = self._source_column(int(comp), field)
+            sel = comps == comp
+            if out is None:
+                out = np.empty(sources.size, dtype=arr.dtype)
+            out[sel] = arr[locals_[sel]]
+        return out
+
+
+class NeighborhoodView(_Reads):
     __slots__ = (
         "_sim", "_rt", "_worker", "_read", "_writers", "_alloc", "_step",
         "_tag", "_part", "_seg", "_fields", "_field_list",
@@ -73,14 +140,6 @@ class NeighborhoodView:
 
     # -- incoming edges --------------------------------------------------------
 
-    def _container(self, edge_type: str):
-        c = self._read.get(edge_type)
-        if c is None:
-            raise TypeNotReadable(
-                f"edge type {edge_type!r} is not in this transition's read set"
-            )
-        return c
-
     def edges(self, edge_type: str) -> list:
         """Incoming edge records, in producing-agent order."""
         return self._container(edge_type).records_for(self._aid)
@@ -99,14 +158,6 @@ class NeighborhoodView:
         return self._container(edge_type).has_for(self._aid)
 
     # -- source agent state ------------------------------------------------------
-
-    def _check_agent_readable(self, tag: int):
-        rt = self._rt
-        if not rt.all_agents_readable and tag not in rt.readable_agent_tags:
-            name = self._sim.schema.agent_types[tag].name
-            raise TypeNotReadable(
-                f"agent type {name!r} is not in this transition's read set"
-            )
 
     def source_state(self, record) -> tuple:
         """Time-t state of the agent at an edge record's source."""
@@ -137,58 +188,17 @@ class NeighborhoodView:
         """
         cached = self._gather_cache.get((edge_type, field))
         if cached is not None:
-            arr, locals_, index = cached
-            sl = index.get(self._aid)
-            if sl is None:
-                return arr[:0]
-            return arr[locals_[sl[0]: sl[1]]]
-        c = self._container(edge_type)
-        if not c.info.source_state_readable:
-            raise HintViolation(
-                f"edge type {edge_type!r} forbids reading source-agent state"
-            )
+            arr, locals_, c = cached
+            lo, hi = c.span(self._aid)
+            return arr[locals_[lo:hi]]
+        c = self._source_readable(edge_type)
         comp = getattr(c, "single_source_comp", None)
-        if comp is not None:
-            tag, part = comp >> PART_BITS, comp & PART_MASK
-            self._check_agent_readable(tag)
-            seg = self._sim._segments[tag][part]
-            try:
-                arr = seg.fields[field]
-            except KeyError:
-                raise UnknownName(
-                    f"agent type {self._sim.schema.agent_types[tag].name!r} "
-                    f"has no field {field!r}"
-                ) from None
-            self._gather_cache[(edge_type, field)] = (arr, c.sources_local, c.index)
-            sl = c.index.get(self._aid)
-            if sl is None:
-                return arr[:0]
-            return arr[c.sources_local[sl[0]: sl[1]]]
-        return self._gather_general(c, field)
-
-    def _gather_general(self, c, field: str) -> np.ndarray:
-        sources = c.sources_for(self._aid)
-        if not sources.size:
-            return np.empty(0)
-        comps = sources >> np.uint64(COMP_SHIFT)
-        locals_ = (sources & np.uint64(INDEX_MASK)).astype(np.intp)
-        out = None
-        for comp in np.unique(comps):
-            tag, part = int(comp) >> PART_BITS, int(comp) & PART_MASK
-            self._check_agent_readable(tag)
-            seg = self._sim._segments[tag][part]
-            try:
-                arr = seg.fields[field]
-            except KeyError:
-                raise UnknownName(
-                    f"agent type {self._sim.schema.agent_types[tag].name!r} "
-                    f"has no field {field!r}"
-                ) from None
-            sel = comps == comp
-            if out is None:
-                out = np.empty(sources.size, dtype=arr.dtype)
-            out[sel] = arr[locals_[sel]]
-        return out
+        if comp is None:
+            return self._gather(c.sources_for(self._aid), field)
+        arr = self._source_column(comp, field)
+        self._gather_cache[(edge_type, field)] = (arr, c.sources_local, c)
+        lo, hi = c.span(self._aid)
+        return arr[c.sources_local[lo:hi]]
 
     # -- write effects ----------------------------------------------------------
 
@@ -262,3 +272,61 @@ class NeighborhoodView:
                 )
             )
         return r
+
+
+class AgentBatch(_Reads):
+    """A chunk of agents of one type and partition for a batch transition.
+
+    ``slots`` holds the agents' local slots and ``ids`` their agent ids;
+    the arrays a batch transition returns align with them. All reads see
+    time-t data.
+    """
+
+    __slots__ = ("_sim", "_rt", "_read", "_seg", "_comp", "slots")
+
+    def __init__(self, sim, rt, read_containers, tag: int, part: int, seg, slots):
+        self._sim = sim
+        self._rt = rt
+        self._read = read_containers
+        self._seg = seg
+        self._comp = (tag << PART_BITS) | part
+        self.slots = slots
+
+    @property
+    def ids(self) -> np.ndarray:
+        return np.uint64(self._comp << COMP_SHIFT) + self.slots.astype(np.uint64)
+
+    def field(self, name: str) -> np.ndarray:
+        """The agents' own values of one state field."""
+        try:
+            arr = self._seg.fields[name]
+        except KeyError:
+            raise UnknownName(f"agent has no field {name!r}") from None
+        return arr[self.slots]
+
+    def neighbor_field(self, edge_type: str, field: str):
+        """One state field of the source agents of every agent's incoming edges.
+
+        Returns ``(values, indptr)``: agent ``i``'s values are
+        ``values[indptr[i]:indptr[i + 1]]``, in producing-agent order, the
+        same values ``NeighborhoodView.neighbor_field`` gives that agent.
+        """
+        c = self._source_readable(edge_type)
+        if not hasattr(c, "bounds"):
+            raise UsageError(
+                f"edge type {edge_type!r} ({c.plan.name}) has no CSR index; "
+                "read it from a per-agent transition"
+            )
+        slots = self.slots
+        starts, ends = c.bounds(self._comp, slots)
+        counts = ends - starts
+        indptr = np.zeros(slots.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        if slots.size and np.array_equal(starts[1:], ends[:-1]):
+            pos = slice(int(starts[0]), int(ends[-1]))  # one run of edges
+        else:
+            pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        comp = c.single_source_comp
+        if comp is None:
+            return self._gather(c.sources[pos], field), indptr
+        return self._source_column(comp, field)[c.sources_local[pos]], indptr

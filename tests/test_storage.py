@@ -12,6 +12,7 @@ from graphabm import (
     Schema,
     Simulation,
 )
+from graphabm.ids import COMP_SHIFT
 from graphabm.storage import build_read_container, make_shard
 
 from test_schema import all_hint_sets, is_legal
@@ -74,6 +75,67 @@ class TestListContainers:
             ra = sim_a.edge_container("E").records_for(t)
             rb = sim_b.edge_container("E").records_for(t)
             assert ra == rb
+
+
+class TestCsrIndex:
+    """The slot-indexed ``indptr`` of list containers."""
+
+    def _container(self):
+        sim = build_sim(EdgeTypeDecl("E", (("w", "float64"),)))
+        sim.add_edge("E", 0, 1, (1.0,))
+        sim.add_edge("E", 3, 2, (2.0,))
+        sim.add_edge("E", 3, 4, (3.0,))
+        sim.commit_initial()
+        return sim.edge_container("E")
+
+    @staticmethod
+    def assert_no_edges(c, aid):
+        assert not c.has_for(aid)
+        assert c.count_for(aid) == 0
+        assert c.sources_for(aid).tolist() == []
+        assert c.states_for(aid) == []
+        assert c.records_for(aid) == []
+
+    def test_target_without_edges_between_targets_with_edges(self):
+        c = self._container()
+        for aid in (1, 2):
+            self.assert_no_edges(c, aid)
+        assert c.sources_for(3).tolist() == [2, 4]
+        assert c.states_for(3) == [(2.0,), (3.0,)]
+
+    def test_slot_past_the_end_of_indptr(self):
+        c = self._container()
+        (ptr,) = c.indptr.values()
+        assert ptr.size == 5  # slots 0..3 and the closing entry
+        for aid in (4, 7, (1 << 30) + 5):
+            self.assert_no_edges(c, aid)
+        starts, ends = c.bounds(0, np.array([3, 9, 0]))
+        assert (ends - starts).tolist() == [2, 0, 1]
+        assert starts[[0, 2]].tolist() == [1, 0]
+        starts, ends = c.bounds(5, np.array([0, 1]))  # composite without edges
+        assert (ends - starts).tolist() == [0, 0]
+
+    def test_targets_spanning_two_agent_types(self):
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("A", (), immortal=True))
+        schema.register_agent_type(AgentTypeDecl("B", (), immortal=True))
+        schema.register_edge_type(EdgeTypeDecl("E", hints=Hint.STATELESS))
+        sim = Simulation(schema)
+        a = sim.add_agents("A", 3)
+        b = sim.add_agents("B", 2)
+        sim.add_edges("E", np.r_[b[1], a[2], b[1], a[0]], np.r_[a[0], b[0], a[1], a[2]])
+        sim.commit_initial()
+        c = sim.edge_container("E")
+        assert len(c.indptr) == 2
+        assert c.sources_for(int(a[0])).tolist() == [int(a[2])]
+        assert c.sources_for(int(a[2])).tolist() == [int(b[0])]
+        assert c.sources_for(int(b[1])).tolist() == [int(a[0]), int(a[1])]
+        for aid in (a[1], b[0]):
+            assert not c.has_for(int(aid))
+            assert c.count_for(int(aid)) == 0
+        comp_b = int(b[0]) >> COMP_SHIFT
+        starts, ends = c.bounds(comp_b, np.array([1, 0]))
+        assert (ends - starts).tolist() == [2, 0]
 
 
 class TestPlanRestrictions:
