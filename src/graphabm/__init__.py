@@ -38,7 +38,6 @@ from .parallel import (
     cut_edge_counts,
     cut_fraction,
     ghost_table,
-    parallel_apply,
     partition_graph,
 )
 from .schema import (
@@ -105,7 +104,6 @@ __all__ = [
     "ghost_table",
     "local_index",
     "move_to",
-    "parallel_apply",
     "partition_graph",
     "partition_of",
     "run",

@@ -204,7 +204,7 @@ def _run_agents(sim, fn, rt, read_containers, tasks, shuffle, sink, worker):
         adder = make_checked_adder(
             shard, info, sink, rt.check_single_edge, rt.check_single_type
         )
-        writers[info.name] = (adder, info.has_state, len(info.decl.state_layout))
+        writers[info.name] = (adder, info)
 
     view = NeighborhoodView(sim, rt, read_containers, writers, worker)
     params = sim.params
@@ -432,7 +432,11 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
                 seg.free.extend(freed.tolist())
         staged_segments[tag] = new_parts
 
-    exists_fn = sim._exists_lookup_staged(staged_segments)
+    segments = [staged_segments.get(tag, parts) for tag, parts in enumerate(sim._segments)]
+
+    def exists_fn(ids):
+        return sim._grouped_lookup(ids, sim._allocated, segments)
+
     staged_edges = {}
     for etag, kept in rt.written_edge.items():
         info = schema.edge_types[etag]

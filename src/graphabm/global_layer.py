@@ -113,8 +113,4 @@ def aggregate(sim, type_name: str, map_fn=None, reduce: str = "sum"):
         )
     if map_fn is None:
         raise ValueError("map_fn is required for sum/min/max")
-    if info.plan is EdgePlan.SINGLE_FULL_EDGE:
-        values = [map_fn(container.entries[t][1]) for t in sorted(container.entries)]
-    else:
-        values = list(map(map_fn, container.states))
-    return _fold(values, reduce)
+    return _fold(list(map(map_fn, container.state_tuples())), reduce)

@@ -7,6 +7,8 @@ cheap to pass around and to store in numpy ``uint64`` arrays.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import IndexOverflow
 
 TYPE_BITS = 8
@@ -55,3 +57,25 @@ def split_id(aid: int) -> tuple[int, int, int]:
         (aid >> INDEX_BITS) & PART_MASK,
         aid & INDEX_MASK,
     )
+
+
+def group_by_comp(ids: np.ndarray) -> list[tuple[int, slice | np.ndarray, np.ndarray]]:
+    """Split a uint64 id array by its (tag, partition) composite.
+
+    Returns one ``(comp, sel, slots)`` per composite, ascending: ``ids[sel]``
+    are the ids of composite ``comp`` and ``slots`` their local indices
+    (int64). When every id shares one composite, ``sel`` is ``slice(None)``
+    and the split costs a min/max pass, with no sort and no mask.
+    """
+    if not ids.size:
+        return []
+    slots = (ids & np.uint64(INDEX_MASK)).view(np.int64)
+    lo = int(ids.min()) >> COMP_SHIFT
+    if lo == int(ids.max()) >> COMP_SHIFT:
+        return [(lo, slice(None), slots)]
+    comps = ids >> np.uint64(COMP_SHIFT)
+    out = []
+    for comp in np.unique(comps).tolist():
+        sel = comps == comp
+        out.append((comp, sel, slots[sel]))
+    return out

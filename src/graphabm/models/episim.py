@@ -210,15 +210,6 @@ def day_program(model: EpiModel):
     ]
 
 
-def epi_day(model: EpiModel, workers: int = 1) -> None:
-    """Advance the epidemic by one day: visits, spread, status update."""
-    from ..engine import apply_transition, finalize_step
-
-    for fn, spec in day_program(model):
-        apply_transition(model.sim, fn, spec, workers=workers)
-        finalize_step(model.sim)
-
-
 def infected_count(sim: Simulation) -> int:
     return int(np.count_nonzero(sim.field_array(PERSON, "status") == Status.INFECTED))
 

@@ -96,8 +96,3 @@ class Cliques:
                 targets.append(np.full(seen.size, vertex, dtype=_U64))
                 sources.append(seen)
         return np.concatenate(targets), np.concatenate(sources)
-
-
-def build_topology(topology, n: int):
-    targets, sources = topology.build(n)
-    return targets, sources

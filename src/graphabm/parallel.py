@@ -28,7 +28,7 @@ import numpy as np
 
 from . import engine
 from .errors import UsageError
-from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS
+from .ids import COMP_SHIFT, PART_BITS, PART_MASK, group_by_comp
 
 _U64 = np.uint64
 
@@ -57,20 +57,10 @@ class Partition:
         out[in_range] = m[slots[in_range]]
         return out
 
-    def worker_of(self, aid: int) -> int:
-        tag = aid >> (PART_BITS + COMP_SHIFT)
-        part = (aid >> COMP_SHIFT) & ((1 << PART_BITS) - 1)
-        return int(self.worker_for_slots(tag, part, np.array([aid & INDEX_MASK]))[0])
-
     def worker_for_ids(self, ids: np.ndarray) -> np.ndarray:
         out = np.empty(ids.size, dtype=np.int32)
-        comps = ids >> _U64(COMP_SHIFT)
-        idxs = (ids & _U64(INDEX_MASK)).astype(np.intp)
-        for comp in np.unique(comps):
-            tag = int(comp) >> PART_BITS
-            part = int(comp) & ((1 << PART_BITS) - 1)
-            sel = comps == comp
-            out[sel] = self.worker_for_slots(tag, part, idxs[sel])
+        for comp, sel, slots in group_by_comp(ids):
+            out[sel] = self.worker_for_slots(comp >> PART_BITS, comp & PART_MASK, slots)
         return out
 
 
@@ -323,15 +313,3 @@ def fork_payloads(sim, fn, rt, partition, workers: int) -> list:
     if error is not None:
         raise error
     return payloads
-
-
-def parallel_apply(sim, fn, spec, workers: int, partition: Partition | None = None,
-                   strategy: str = "contiguous") -> None:
-    """Apply one transition across ``workers`` workers and stage the result.
-
-    Bit-identical to ``apply_transition`` with one worker. Call
-    ``finalize_step`` to commit.
-    """
-    if partition is None and workers > 1:
-        partition = partition_graph(sim, workers, strategy)
-    engine.apply_transition(sim, fn, spec, workers=workers, partition=partition)

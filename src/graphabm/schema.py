@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateName, IllegalHintCombination, TooManyTypes, UnknownName
+from .errors import DuplicateName, IllegalHintCombination, TooManyTypes, UnknownName, UsageError
 from .ids import MAX_AGENT_TYPES
 
 
@@ -172,6 +172,8 @@ class EdgeTypeInfo:
     stateless: bool
     source_state_readable: bool
     single_type_tag: int | None
+    field_names: tuple[str, ...]
+    dtypes: tuple[np.dtype, ...]
 
     @property
     def name(self) -> str:
@@ -180,6 +182,19 @@ class EdgeTypeInfo:
     @property
     def hints(self) -> Hint:
         return self.decl.hints
+
+    def stored_state(self, state) -> tuple | None:
+        """One edge's ``state`` as this type keeps it until the merge casts
+        it: a tuple of the layout's arity, or None when no state is kept."""
+        if not self.has_state:
+            return None
+        st = tuple(state)
+        if len(st) != len(self.field_names):
+            raise UsageError(
+                f"edge type {self.name!r} takes {len(self.field_names)} "
+                f"state fields, got {len(st)}"
+            )
+        return st
 
 
 class Schema:
@@ -250,6 +265,8 @@ class Schema:
                 and Hint.IGNORE_SOURCE_STATE not in decl.hints
             ),
             single_type_tag=st_tag,
+            field_names=tuple(f for f, _ in decl.state_layout),
+            dtypes=tuple(dtype_for(k) for _, k in decl.state_layout),
         )
         self.edge_types.append(info)
         self._by_name[decl.name] = info

@@ -26,13 +26,12 @@ from .errors import (
     UnknownName,
     UsageError,
 )
-from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, agent_id
+from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id, group_by_comp
 from .schema import Schema
 from .storage import (
     AgentSegment,
     build_read_container,
     checked_extend,
-    empty_read_container,
     make_checked_adder,
     make_shard,
     plan_specialized_adder,
@@ -61,7 +60,7 @@ class Simulation:
         self._segments: list[dict[int, AgentSegment]] = [
             {} for _ in schema.agent_types
         ]
-        self._edges = [empty_read_container(info) for info in schema.edge_types]
+        self._edges = [build_read_container(info, []) for info in schema.edge_types]
 
         self._init_sink = ViolationSink(self.checks.mode, step=0)
         self._init_shards = [make_shard(info) for info in schema.edge_types]
@@ -143,21 +142,31 @@ class Simulation:
         """Add one edge during initialization (stored under its target)."""
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)
-        st = self._normalize_state(info, state)
+        st = info.stored_state(state)
         self._init_adders[info.tag](int(target), int(source), st, 0)
 
     def add_edges(self, edge_type: str, targets, sources=None, states=None) -> None:
-        """Bulk-add edges during initialization."""
+        """Bulk-add edges during initialization.
+
+        ``sources`` and ``states``, when given, hold one entry per target.
+        """
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)
         if info.has_source and sources is None:
             raise UsageError(f"edge type {edge_type!r} stores sources; pass them")
         if info.has_state and states is None:
             raise UsageError(f"edge type {edge_type!r} stores states; pass them")
+        for name, given in (("sources", sources), ("states", states)):
+            if given is not None and len(given) != len(targets):
+                raise UsageError(
+                    f"edge type {edge_type!r}: {len(given)} {name} for "
+                    f"{len(targets)} targets"
+                )
         checked_extend(
             self._init_shards[info.tag], info, self._init_sink,
             self.checks.check_single_edge(), self.checks.check_single_type(),
-            targets, sources, states if info.has_state else None,
+            targets, sources,
+            [info.stored_state(st) for st in states] if info.has_state else None,
         )
 
     def edge_adder(self, edge_type: str):
@@ -173,7 +182,7 @@ class Simulation:
         info = self.schema.edge_type(edge_type)
         adder = self._init_adders[info.tag]
         shard = self._init_shards[info.tag]
-        if getattr(adder, "__self__", None) is shard:  # no checks wrapper active
+        if adder == shard.add:  # no checks wrapper active
             parts = (
                 sorted(self._segments[info.single_type_tag])
                 if info.single_type_tag is not None
@@ -181,18 +190,6 @@ class Simulation:
             )
             return plan_specialized_adder(shard, info, parts or [])
         return adder
-
-    @staticmethod
-    def _normalize_state(info, state):
-        if not info.has_state:
-            return None
-        st = tuple(state)
-        if len(st) != len(info.decl.state_layout):
-            raise UsageError(
-                f"edge type {info.name!r} takes {len(info.decl.state_layout)} "
-                f"state fields, got {len(st)}"
-            )
-        return st
 
     def commit_initial(self) -> None:
         """Seal the initial graph; runs implicitly before the first step."""
@@ -313,21 +310,21 @@ class Simulation:
 
     # -- id-array lookups ------------------------------------------------
 
-    def _grouped_lookup(self, ids: np.ndarray, check) -> np.ndarray:
+    def _grouped_lookup(self, ids: np.ndarray, check, segments) -> np.ndarray:
+        """``check(seg, slots)`` per (type, partition) composite of ``ids``,
+        against ``segments`` (tag -> {partition -> AgentSegment}); ids of a
+        missing segment map to False."""
         out = np.zeros(ids.size, dtype=bool)
-        comps = ids >> _U64(COMP_SHIFT)
-        idxs = (ids & _U64(INDEX_MASK)).astype(np.intp)
-        for comp in np.unique(comps):
-            tag = int(comp) >> PART_BITS
-            part = int(comp) & ((1 << PART_BITS) - 1)
-            if tag >= len(self._segments):
-                continue
-            seg = self._segments[tag].get(part)
-            if seg is None:
-                continue
-            sel = comps == comp
-            out[sel] = check(seg, idxs[sel])
+        for comp, sel, slots in group_by_comp(ids):
+            tag = comp >> PART_BITS
+            seg = segments[tag].get(comp & PART_MASK) if tag < len(segments) else None
+            if seg is not None:
+                out[sel] = check(seg, slots)
         return out
+
+    @staticmethod
+    def _allocated(seg, slots) -> np.ndarray:
+        return slots < seg.count
 
     def _alive_lookup(self, ids: np.ndarray) -> np.ndarray:
         def check(seg, idx):
@@ -337,34 +334,10 @@ class Simulation:
                 sub = idx[ok]
                 ok[np.flatnonzero(ok)] = seg.alive[sub]
             return ok
-        return self._grouped_lookup(ids, check)
+        return self._grouped_lookup(ids, check, self._segments)
 
     def _exists_lookup(self, ids: np.ndarray) -> np.ndarray:
-        return self._grouped_lookup(ids, lambda seg, idx: idx < seg.count)
-
-    def _exists_lookup_staged(self, staged_segments: dict):
-        """Existence lookup that sees staged segment replacements."""
-
-        def lookup(ids: np.ndarray) -> np.ndarray:
-            out = np.zeros(ids.size, dtype=bool)
-            comps = ids >> _U64(COMP_SHIFT)
-            idxs = (ids & _U64(INDEX_MASK)).astype(np.intp)
-            for comp in np.unique(comps):
-                tag = int(comp) >> PART_BITS
-                part = int(comp) & ((1 << PART_BITS) - 1)
-                if tag >= len(self._segments):
-                    continue
-                parts = staged_segments.get(tag)
-                seg = parts.get(part) if parts is not None else None
-                if seg is None and tag not in staged_segments:
-                    seg = self._segments[tag].get(part)
-                if seg is None:
-                    continue
-                sel = comps == comp
-                out[sel] = idxs[sel] < seg.count
-            return out
-
-        return lookup
+        return self._grouped_lookup(ids, self._allocated, self._segments)
 
     # ------------------------------------------------------------------
     # Checksum

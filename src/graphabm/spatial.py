@@ -133,7 +133,9 @@ def connect_raster_neighbors(sim, raster: RasterMap, edge_type: str,
                              periodic: bool = False) -> int:
     """Add one directed edge per ordered pair of adjacent cells.
 
-    Both directions are present. Returns the number of edges added.
+    Both directions are present. Returns the number of edges added. The
+    edges carry no state, so an edge type that stores states is rejected
+    with ``UsageError``.
     """
     pairs = neighbor_pairs(raster.dims, topology, periodic)
     if not pairs:
@@ -141,9 +143,7 @@ def connect_raster_neighbors(sim, raster: RasterMap, edge_type: str,
     # Edge direction: source is the neighbor, target the cell reading it.
     targets = raster.ids[np.array([a for a, _ in pairs], dtype=np.intp)]
     sources = raster.ids[np.array([b for _, b in pairs], dtype=np.intp)]
-    info = sim.schema.edge_type(edge_type)
-    states = [()] * len(pairs) if info.has_state else None
-    sim.add_edges(edge_type, targets, sources, states)
+    sim.add_edges(edge_type, targets, sources)
     return len(pairs)
 
 

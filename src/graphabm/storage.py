@@ -7,6 +7,17 @@ appends into its own write shard; at commit the shards are merged into an
 immutable read container whose shape is chosen by the edge type's storage
 plan.
 
+One CSR (compressed sparse row) container, :class:`ListEdgeRead`, serves
+four plans: FULL_EDGE_LIST, SOURCE_ONLY_LIST, STATE_ONLY_LIST and
+SINGLE_FULL_EDGE. It holds sorted targets, optional source ids and
+optional state columns, one numpy array per declared field, as
+:class:`AgentSegment` holds agent fields. COUNT_ONLY keeps per-target
+counts and EXISTENCE_BIT one presence bit per target. Write shards keep
+edge states as the tuples the model passed; :func:`build_read_container`
+casts each field once per merge with ``np.asarray(values, dtype)``, the
+rule agent fields follow, and a value that does not cast raises
+:class:`~graphabm.errors.UsageError`.
+
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
 concatenated shards by producer and then by target, so every per-target
@@ -22,13 +33,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .checks import ViolationSink
-from .errors import ContractViolation, HintViolation, IndexOverflow
-from .ids import COMP_SHIFT, INDEX_MASK, MAX_INDEX, PART_BITS
+from .errors import ContractViolation, HintViolation, IndexOverflow, UsageError
+from .ids import COMP_SHIFT, INDEX_MASK, MAX_INDEX, PART_BITS, group_by_comp
 from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
 
 _U64 = np.uint64
 _EMPTY_U64 = np.empty(0, dtype=_U64)
-_EMPTY_IDX = np.empty(0, dtype=np.intp)
 _NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a composite without edges
 
 # Initial byte length of an existence bitmap bucket; grows on demand.
@@ -154,110 +164,70 @@ class AgentSegment:
 # ---------------------------------------------------------------------------
 
 
-class FullEdgeShard:
-    plan = EdgePlan.FULL_EDGE_LIST
-
-    __slots__ = ("targets", "sources", "states", "producers")
-
-    def __init__(self, record_producers: bool = False):
-        self.targets = array.array("Q")
-        self.sources = array.array("Q")
-        self.states: list = []
-        self.producers = array.array("Q") if record_producers else None
-
-    def add(self, target, source, state=None, producer=0):
-        self.targets.append(target)
-        self.sources.append(source)
-        self.states.append(state)
-        p = self.producers
-        if p is not None:
-            p.append(producer)
-
-    def extend(self, targets, sources, states=None, producer=0):
-        n = len(targets)
-        self.targets.frombytes(np.ascontiguousarray(targets, dtype=_U64).tobytes())
-        self.sources.frombytes(np.ascontiguousarray(sources, dtype=_U64).tobytes())
-        self.states.extend(states if states is not None else [None] * n)
-        if self.producers is not None:
-            self.producers.extend([producer] * n)
-
-    def __len__(self):
-        return len(self.targets)
+def _u64_bytes(values) -> np.ndarray:
+    """The bytes of ``values`` as uint64, without a copy when they already are."""
+    return np.ascontiguousarray(values, dtype=_U64).view(np.uint8)
 
 
-class SourceOnlyShard:
-    plan = EdgePlan.SOURCE_ONLY_LIST
+class ListShard:
+    """Write shard of the list plans and COUNT_ONLY: parallel columns.
 
-    __slots__ = ("targets", "sources", "producers")
-    states = None
+    ``sources``, ``states`` (the models' state tuples, cast at the merge)
+    and ``producers`` exist only when the plan stores them or the caller
+    records producing agents; COUNT_ONLY keeps targets alone. ``add``
+    appends once to each present column.
+    """
 
-    def __init__(self, record_producers: bool = False):
-        self.targets = array.array("Q")
-        self.sources = array.array("Q")
-        self.producers = array.array("Q") if record_producers else None
+    __slots__ = ("targets", "sources", "states", "producers", "add")
 
-    def add(self, target, source, state=None, producer=0):
-        self.targets.append(target)
-        self.sources.append(source)
-        p = self.producers
-        if p is not None:
-            p.append(producer)
+    def __init__(self, info: EdgeTypeInfo, record_producers: bool = False):
+        self._bind(
+            array.array("Q"),
+            array.array("Q") if info.has_source else None,
+            [] if info.has_state else None,
+            array.array("Q")
+            if record_producers and info.plan is not EdgePlan.COUNT_ONLY
+            else None,
+        )
 
-    def extend(self, targets, sources, states=None, producer=0):
-        self.targets.frombytes(np.ascontiguousarray(targets, dtype=_U64).tobytes())
-        self.sources.frombytes(np.ascontiguousarray(sources, dtype=_U64).tobytes())
-        if self.producers is not None:
-            self.producers.extend([producer] * len(targets))
+    def _bind(self, targets, sources, states, producers):
+        self.targets, self.sources = targets, sources
+        self.states, self.producers = states, producers
+        # The appends of the present columns are looked up once: ``add`` is
+        # the per-edge write path, and a targets-only shard skips the tests.
+        t = targets.append
+        s = None if sources is None else sources.append
+        st = None if states is None else states.append
+        p = None if producers is None else producers.append
 
-    def __len__(self):
-        return len(self.targets)
+        def add(target, source=0, state=None, producer=0):
+            t(target)
+            if s is not None:
+                s(source)
+            if st is not None:
+                st(state)
+            if p is not None:
+                p(producer)
 
+        def add_target(target, source=0, state=None, producer=0):
+            t(target)
 
-class StateOnlyShard:
-    plan = EdgePlan.STATE_ONLY_LIST
+        self.add = add if s or st or p else add_target
 
-    __slots__ = ("targets", "states", "producers")
-    sources = None
+    def __getstate__(self):
+        return self.targets, self.sources, self.states, self.producers
 
-    def __init__(self, record_producers: bool = False):
-        self.targets = array.array("Q")
-        self.states: list = []
-        self.producers = array.array("Q") if record_producers else None
-
-    def add(self, target, source, state=None, producer=0):
-        self.targets.append(target)
-        self.states.append(state)
-        p = self.producers
-        if p is not None:
-            p.append(producer)
-
-    def extend(self, targets, sources, states=None, producer=0):
-        n = len(targets)
-        self.targets.frombytes(np.ascontiguousarray(targets, dtype=_U64).tobytes())
-        self.states.extend(states if states is not None else [None] * n)
-        if self.producers is not None:
-            self.producers.extend([producer] * n)
-
-    def __len__(self):
-        return len(self.targets)
-
-
-class CountShard:
-    plan = EdgePlan.COUNT_ONLY
-
-    __slots__ = ("targets",)
-    sources = None
-    states = None
-    producers = None
-
-    def __init__(self, record_producers: bool = False):
-        self.targets = array.array("Q")
-
-    def add(self, target, source=0, state=None, producer=0):
-        self.targets.append(target)
+    def __setstate__(self, columns):
+        self._bind(*columns)
 
     def extend(self, targets, sources=None, states=None, producer=0):
-        self.targets.frombytes(np.ascontiguousarray(targets, dtype=_U64).tobytes())
+        self.targets.frombytes(_u64_bytes(targets))
+        if self.sources is not None:
+            self.sources.frombytes(_u64_bytes(sources))
+        if self.states is not None:
+            self.states.extend(states)
+        if self.producers is not None:
+            self.producers.extend([producer] * len(targets))
 
     def __len__(self):
         return len(self.targets)
@@ -271,11 +241,9 @@ class ExistenceShard:
     path (mask, set bit).
     """
 
-    plan = EdgePlan.EXISTENCE_BIT
-
     __slots__ = ("buckets", "_comp", "_bits")
 
-    def __init__(self, record_producers: bool = False):
+    def __init__(self):
         self.buckets: dict[int, bytearray] = {}
         self._comp = -1
         self._bits: bytearray | None = None
@@ -333,21 +301,17 @@ class ExistenceShard:
 
     def extend(self, targets, sources=None, states=None, producer=0):
         targets = np.ascontiguousarray(targets, dtype=_U64)
-        comps = targets >> _U64(COMP_SHIFT)
-        idxs = (targets & _U64(INDEX_MASK)).astype(np.intp)
-        for comp in np.unique(comps):
-            sel = idxs[comps == comp]
-            top = int(sel.max()) + 1
-            key = int(comp)
-            bucket = self.buckets.get(key)
+        for comp, _, slots in group_by_comp(targets):
+            top = int(slots.max()) + 1
+            bucket = self.buckets.get(comp)
             if bucket is None:
-                bucket = self.buckets[key] = bytearray(max(_EB_BUCKET_START, top))
+                bucket = self.buckets[comp] = bytearray(max(_EB_BUCKET_START, top))
             elif top > len(bucket):
                 bucket.extend(b"\x00" * (top - len(bucket)))
             view = np.frombuffer(bucket, dtype=np.uint8)
             # bytearray buffers are writable through frombuffer views
             view.flags.writeable = True
-            view[sel] = 1
+            view[slots] = 1
 
     def __len__(self):
         return sum(int(np.count_nonzero(np.frombuffer(b, dtype=np.uint8))) for b in self.buckets.values())
@@ -356,11 +320,9 @@ class ExistenceShard:
 class SingleEdgeShard:
     """At most one edge per target: a target-keyed mapping."""
 
-    plan = EdgePlan.SINGLE_FULL_EDGE
-
     __slots__ = ("entries",)
 
-    def __init__(self, record_producers: bool = False):
+    def __init__(self):
         # target -> (producer, source, state); later adds overwrite.
         self.entries: dict[int, tuple] = {}
 
@@ -381,18 +343,12 @@ class SingleEdgeShard:
         return len(self.entries)
 
 
-_SHARD_CLASSES = {
-    EdgePlan.FULL_EDGE_LIST: FullEdgeShard,
-    EdgePlan.SOURCE_ONLY_LIST: SourceOnlyShard,
-    EdgePlan.STATE_ONLY_LIST: StateOnlyShard,
-    EdgePlan.COUNT_ONLY: CountShard,
-    EdgePlan.EXISTENCE_BIT: ExistenceShard,
-    EdgePlan.SINGLE_FULL_EDGE: SingleEdgeShard,
-}
-
-
 def make_shard(info: EdgeTypeInfo, record_producers: bool = False):
-    return _SHARD_CLASSES[info.plan](record_producers)
+    if info.plan is EdgePlan.EXISTENCE_BIT:
+        return ExistenceShard()
+    if info.plan is EdgePlan.SINGLE_FULL_EDGE:
+        return SingleEdgeShard()
+    return ListShard(info, record_producers)
 
 
 def plan_specialized_adder(shard, info: EdgeTypeInfo, target_parts):
@@ -504,6 +460,36 @@ def _is_nondecreasing(a: np.ndarray) -> bool:
     return a.size < 2 or bool(np.all(a[1:] >= a[:-1]))
 
 
+def _take(column, idx):
+    """``column[idx]`` of a column, or of each column in a tuple of state
+    columns; None stays None."""
+    if isinstance(column, tuple):
+        return tuple(c[idx] for c in column)
+    return None if column is None else column[idx]
+
+
+def _cat(first, second):
+    """``first`` followed by ``second``, for columns as in :func:`_take`."""
+    if isinstance(first, tuple):
+        return tuple(np.concatenate(pair) for pair in zip(first, second))
+    return None if first is None else np.concatenate([first, second])
+
+
+def _state_columns(info: EdgeTypeInfo, states: list) -> tuple:
+    """State tuples as one column per field, cast to the declared dtypes."""
+    columns = list(zip(*states)) or [()] * len(info.field_names)
+    out = []
+    for name, dt, values in zip(info.field_names, info.dtypes, columns):
+        try:
+            out.append(np.asarray(values, dtype=dt))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(
+                f"edge type {info.name!r}, field {name!r}: a value does not "
+                f"cast to {dt}: {exc}"
+            ) from None
+    return tuple(out)
+
+
 def _build_indptr(targets: np.ndarray) -> dict[int, np.ndarray]:
     """Per target composite, slot-indexed run starts into sorted ``targets``."""
     out = {}
@@ -521,14 +507,17 @@ def _build_indptr(targets: np.ndarray) -> dict[int, np.ndarray]:
 
 
 class ListEdgeRead:
-    """CSR read container for the three list plans.
+    """CSR read container of the three list plans and SINGLE_FULL_EDGE.
 
-    Arrays are sorted by target; per-target runs are ordered by producing
-    agent. ``indptr`` maps each target (type tag, partition) composite to
-    an int64 array indexed by local slot: the edges of slot ``s`` sit at
-    positions ``indptr[comp][s]:indptr[comp][s + 1]``. A slot past the end
-    of its array, such as an agent created after the container was built,
-    has no edges.
+    ``targets`` is sorted; ``sources`` (uint64) is None when the plan drops
+    source ids, and ``states`` is None or a tuple of numpy columns, one per
+    declared field. Per-target runs are ordered by producing agent; a
+    SINGLE_FULL_EDGE container holds at most one edge per target.
+    ``indptr`` maps each target (type tag, partition) composite to an int64
+    array indexed by local slot: the edges of slot ``s`` sit at positions
+    ``indptr[comp][s]:indptr[comp][s + 1]``. A slot past the end of its
+    array, such as an agent created after the container was built, has no
+    edges.
     """
 
     __slots__ = (
@@ -544,12 +533,10 @@ class ListEdgeRead:
         self.indptr = _build_indptr(targets)
         self.sources_local = None
         self.single_source_comp = None
-        if sources is not None and sources.size:
-            comps = sources >> _U64(COMP_SHIFT)
-            first = comps[0]
-            if np.all(comps == first):
-                self.single_source_comp = int(first)
-                self.sources_local = (sources & _U64(INDEX_MASK)).astype(np.intp)
+        if sources is not None:
+            groups = group_by_comp(sources)
+            if len(groups) == 1:
+                self.single_source_comp, _, self.sources_local = groups[0]
 
     # -- queries -------------------------------------------------------------
 
@@ -580,6 +567,11 @@ class ListEdgeRead:
         return hi > lo
 
     def count_for(self, aid: int) -> int:
+        if self.info.plan is EdgePlan.SINGLE_FULL_EDGE:
+            raise HintViolation(
+                f"edge type {self.info.name!r} holds at most one edge per target; "
+                "use has_edge"
+            )
         lo, hi = self.span(aid)
         return hi - lo
 
@@ -596,27 +588,23 @@ class ListEdgeRead:
             raise HintViolation(
                 f"edge type {self.info.name!r} is STATELESS; edges carry no state"
             )
-        lo, hi = self.span(aid)
+        return self.state_tuples(*self.span(aid))
+
+    def state_tuples(self, lo: int = 0, hi: int | None = None) -> list:
+        """States of the edges at positions ``lo:hi`` (all by default), in
+        target order, as tuples of Python scalars."""
+        hi = self.targets.size if hi is None else hi
         if self.states is None:
             return [()] * (hi - lo)
-        return self.states[lo:hi]
+        return list(zip(*(c[lo:hi].tolist() for c in self.states)))
 
     def records_for(self, aid: int) -> list[EdgeRecord]:
         lo, hi = self.span(aid)
+        none = [None] * (hi - lo)
+        sources = none if self.sources is None else self.sources[lo:hi].tolist()
+        states = none if self.info.stateless else self.state_tuples(lo, hi)
         name = self.info.name
-        srcs = self.sources
-        sts = self.states
-        default_state = None if self.info.stateless else ()
-        out = []
-        for k in range(lo, hi):
-            out.append(
-                EdgeRecord(
-                    int(srcs[k]) if srcs is not None else None,
-                    sts[k] if sts is not None else default_state,
-                    name,
-                )
-            )
-        return out
+        return [EdgeRecord(src, st, name) for src, st in zip(sources, states)]
 
     def edge_endpoints(self):
         if self.sources is None:
@@ -635,10 +623,7 @@ class ListEdgeRead:
             return self
         idx = np.flatnonzero(keep)
         return ListEdgeRead(
-            self.info,
-            self.targets[idx],
-            self.sources[idx] if self.sources is not None else None,
-            [self.states[i] for i in idx.tolist()] if self.states is not None else None,
+            self.info, self.targets[idx], _take(self.sources, idx), _take(self.states, idx)
         )
 
     def checksum_update(self, h):
@@ -646,7 +631,9 @@ class ListEdgeRead:
         if self.sources is not None:
             h.update(self.sources.tobytes())
         if self.states is not None:
-            h.update(repr(self.states).encode())
+            for name, column in zip(self.info.field_names, self.states):
+                h.update(name.encode())
+                h.update(column.tobytes())
 
 
 class CountEdgeRead:
@@ -768,108 +755,6 @@ class ExistenceEdgeRead:
             h.update(np.flatnonzero(self.buckets[comp]).astype(np.int64).tobytes())
 
 
-class SingleEdgeRead:
-    __slots__ = ("info", "entries")
-
-    def __init__(self, info: EdgeTypeInfo, entries: dict[int, tuple]):
-        self.info = info
-        self.entries = entries  # target -> (source | None, state | None)
-
-    @property
-    def plan(self):
-        return self.info.plan
-
-    def n_stored(self) -> int:
-        return len(self.entries)
-
-    def has_for(self, aid: int) -> bool:
-        return aid in self.entries
-
-    def count_for(self, aid: int):
-        raise HintViolation(
-            f"edge type {self.info.name!r} holds at most one edge per target; "
-            "use has_edge"
-        )
-
-    def sources_for(self, aid: int) -> np.ndarray:
-        if not self.info.has_source:
-            raise HintViolation(
-                f"edge type {self.info.name!r} does not store source ids (IGNORE_FROM)"
-            )
-        e = self.entries.get(aid)
-        return _EMPTY_U64 if e is None else np.array([e[0]], dtype=_U64)
-
-    def states_for(self, aid: int) -> list:
-        if self.info.stateless:
-            raise HintViolation(
-                f"edge type {self.info.name!r} is STATELESS; edges carry no state"
-            )
-        e = self.entries.get(aid)
-        if e is None:
-            return []
-        return [e[1] if self.info.has_state else ()]
-
-    def records_for(self, aid: int) -> list[EdgeRecord]:
-        e = self.entries.get(aid)
-        if e is None:
-            return []
-        source = e[0] if self.info.has_source else None
-        if self.info.stateless:
-            state = None
-        else:
-            state = e[1] if self.info.has_state else ()
-        return [EdgeRecord(source, state, self.info.name)]
-
-    def edge_endpoints(self):
-        if not self.info.has_source:
-            return None
-        if not self.entries:
-            return _EMPTY_U64, _EMPTY_U64
-        items = sorted(self.entries.items())
-        targets = np.array([t for t, _ in items], dtype=_U64)
-        sources = np.array([e[0] for _, e in items], dtype=_U64)
-        return targets, sources
-
-    def filtered(self, alive_fn) -> "SingleEdgeRead":
-        if not self.entries:
-            return self
-        items = list(self.entries.items())
-        ids = np.array([t for t, _ in items], dtype=_U64)
-        keep = alive_fn(ids)
-        if self.info.has_source:
-            keep &= alive_fn(np.array([e[0] for _, e in items], dtype=_U64))
-        if bool(keep.all()):
-            return self
-        return SingleEdgeRead(
-            self.info, {t: e for (t, e), k in zip(items, keep.tolist()) if k}
-        )
-
-    def checksum_update(self, h):
-        for t in sorted(self.entries):
-            e = self.entries[t]
-            h.update(t.to_bytes(8, "little"))
-            if self.info.has_source:
-                h.update(int(e[0]).to_bytes(8, "little"))
-            if self.info.has_state:
-                h.update(repr(e[1]).encode())
-
-
-def empty_read_container(info: EdgeTypeInfo):
-    plan = info.plan
-    if plan is EdgePlan.COUNT_ONLY:
-        return CountEdgeRead(info, {})
-    if plan is EdgePlan.EXISTENCE_BIT:
-        return ExistenceEdgeRead(info, {})
-    if plan is EdgePlan.SINGLE_FULL_EDGE:
-        return SingleEdgeRead(info, {})
-    return ListEdgeRead(
-        info,
-        _EMPTY_U64,
-        _EMPTY_U64 if info.has_source else None,
-        [] if info.has_state else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Merge: shards (+ optional carryover) -> read container
 # ---------------------------------------------------------------------------
@@ -878,25 +763,23 @@ def empty_read_container(info: EdgeTypeInfo):
 def _merge_list_shards(info: EdgeTypeInfo, shards: list):
     """Concatenate shards in worker order, then order by producer."""
     targets = _concat_u64([s.targets for s in shards])
-    if not targets.size:
-        return targets, None, None
     sources = _concat_u64([s.sources for s in shards]) if info.has_source else None
     states = None
     if info.has_state:
-        states = []
-        for s in shards:
-            states.extend(s.states)
-    have_producers = all(s.producers is not None for s in shards)
-    if have_producers:
+        states = _state_columns(info, [st for s in shards for st in s.states])
+    if all(s.producers is not None for s in shards):
         producers = _concat_u64([s.producers for s in shards])
         if not _is_nondecreasing(producers):
             order = np.argsort(producers, kind="stable")
-            targets = targets[order]
-            if sources is not None:
-                sources = sources[order]
-            if states is not None:
-                states = [states[i] for i in order.tolist()]
+            targets, sources, states = targets[order], _take(sources, order), _take(states, order)
     return targets, sources, states
+
+
+def _target_sorted(info: EdgeTypeInfo, targets, sources, states) -> ListEdgeRead:
+    if not _is_nondecreasing(targets):
+        order = np.argsort(targets, kind="stable")
+        targets, sources, states = targets[order], _take(sources, order), _take(states, order)
+    return ListEdgeRead(info, targets, sources, states)
 
 
 def build_list_read(
@@ -906,18 +789,9 @@ def build_list_read(
     if carryover is not None and carryover.targets.size:
         # Existing edges precede this step's additions within each target.
         targets = np.concatenate([carryover.targets, targets])
-        if sources is not None:
-            sources = np.concatenate([carryover.sources, sources])
-        if states is not None:
-            states = carryover.states + states
-    if targets.size and not _is_nondecreasing(targets):
-        order = np.argsort(targets, kind="stable")
-        targets = targets[order]
-        if sources is not None:
-            sources = sources[order]
-        if states is not None:
-            states = [states[i] for i in order.tolist()]
-    return ListEdgeRead(info, targets, sources, states)
+        sources = _cat(carryover.sources, sources)
+        states = _cat(carryover.states, states)
+    return _target_sorted(info, targets, sources, states)
 
 
 def build_count_read(
@@ -968,9 +842,9 @@ def build_existence_read(
 def build_single_read(
     info: EdgeTypeInfo,
     shards: list,
-    carryover: SingleEdgeRead | None,
+    carryover: ListEdgeRead | None,
     sink: ViolationSink | None,
-) -> SingleEdgeRead:
+) -> ListEdgeRead:
     # Later producers win; carryover counts as earliest.
     staged: dict[int, tuple] = {}
     for shard in shards:
@@ -985,15 +859,24 @@ def build_single_read(
                 if producer < prev[0]:
                     continue
             staged[target] = (producer, source, state)
-    entries: dict[int, tuple] = dict(carryover.entries) if carryover is not None else {}
-    for target, (producer, source, state) in staged.items():
-        if sink is not None and target in entries:
-            sink.report(
-                "single_edge", info.name, target, producer,
-                "SINGLE_EDGE target already had a retained edge",
-            )
-        entries[target] = (source, state if info.has_state else None)
-    return SingleEdgeRead(info, entries)
+    entries = staged.values()
+    targets = np.array(list(staged), dtype=_U64)
+    sources = np.array([e[1] for e in entries], dtype=_U64) if info.has_source else None
+    states = _state_columns(info, [e[2] for e in entries]) if info.has_state else None
+    if carryover is not None and carryover.targets.size:
+        if sink is not None:
+            retained = set(carryover.targets.tolist())
+            for target, (producer, _, _) in staged.items():
+                if target in retained:
+                    sink.report(
+                        "single_edge", info.name, target, producer,
+                        "SINGLE_EDGE target already had a retained edge",
+                    )
+        kept = np.flatnonzero(~np.isin(carryover.targets, targets))
+        targets = np.concatenate([carryover.targets[kept], targets])
+        sources = _cat(_take(carryover.sources, kept), sources)
+        states = _cat(_take(carryover.states, kept), states)
+    return _target_sorted(info, targets, sources, states)
 
 
 def build_read_container(
@@ -1003,6 +886,8 @@ def build_read_container(
     sink: ViolationSink | None = None,
     check_single_edge: bool = False,
 ):
+    """Merge write shards, after ``carryover``'s edges, into a read container;
+    with no shards and no carryover, the type's empty container."""
     merge_sink = sink if check_single_edge else None
     plan = info.plan
     if plan is EdgePlan.COUNT_ONLY:
@@ -1027,18 +912,12 @@ def validate_endpoints(container, exists_fn):
             arrays.append(container.sources)
     elif isinstance(container, CountEdgeRead):
         arrays = [np.fromiter(container.counts.keys(), dtype=_U64, count=len(container.counts))]
-    elif isinstance(container, ExistenceEdgeRead):
+    else:
         arrays = []
         for comp, bucket in container.buckets.items():
             idx = np.flatnonzero(bucket)
             if idx.size:
                 arrays.append(_U64(comp << COMP_SHIFT) + idx.astype(_U64))
-    else:
-        endpoints = container.edge_endpoints()
-        if endpoints is None:
-            arrays = [np.fromiter(container.entries.keys(), dtype=_U64, count=len(container.entries))]
-        else:
-            arrays = [a for a in endpoints]
     for arr in arrays:
         if not arr.size:
             continue

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HintViolation, TypeNotReadable, TypeNotWritable, UnknownName, UsageError
-from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id
+from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id, group_by_comp
+from .schema import EdgePlan
 
 
 class _Reads:
@@ -73,15 +74,12 @@ class _Reads:
         """One field of the agents with the given ids, in id-array order."""
         if not sources.size:
             return np.empty(0)
-        comps = sources >> np.uint64(COMP_SHIFT)
-        locals_ = (sources & np.uint64(INDEX_MASK)).astype(np.intp)
         out = None
-        for comp in np.unique(comps):
-            arr = self._source_column(int(comp), field)
-            sel = comps == comp
+        for comp, sel, slots in group_by_comp(sources):
+            arr = self._source_column(comp, field)
             if out is None:
                 out = np.empty(sources.size, dtype=arr.dtype)
-            out[sel] = arr[locals_[sel]]
+            out[sel] = arr[slots]
         return out
 
 
@@ -97,7 +95,7 @@ class NeighborhoodView(_Reads):
         self._rt = rt
         self._worker = worker
         self._read = read_containers  # name -> read container
-        self._writers = writers       # name -> (adder, has_state, arity)
+        self._writers = writers       # name -> (adder, EdgeTypeInfo)
         self._alloc: dict[int, list] = {}
         self._step = sim.step
         self._gather_cache: dict = {}
@@ -242,17 +240,9 @@ class NeighborhoodView(_Reads):
             raise TypeNotWritable(
                 f"edge type {edge_type!r} is not in this transition's write set"
             )
-        adder, has_state, arity = w
-        if has_state:
-            st = tuple(state)
-            if len(st) != arity:
-                raise UsageError(
-                    f"edge type {edge_type!r} takes {arity} state fields, "
-                    f"got {len(st)}"
-                )
-        else:
-            st = None
-        adder(target, self._aid if source is None else source, st, self._aid)
+        adder, info = w
+        adder(target, self._aid if source is None else source,
+              info.stored_state(state), self._aid)
 
     # -- randomness ---------------------------------------------------------------
 
@@ -312,9 +302,9 @@ class AgentBatch(_Reads):
         same values ``NeighborhoodView.neighbor_field`` gives that agent.
         """
         c = self._source_readable(edge_type)
-        if not hasattr(c, "bounds"):
+        if not hasattr(c, "bounds") or c.plan is EdgePlan.SINGLE_FULL_EDGE:
             raise UsageError(
-                f"edge type {edge_type!r} ({c.plan.name}) has no CSR index; "
+                f"edge type {edge_type!r} ({c.plan.name}) has no batch gather; "
                 "read it from a per-agent transition"
             )
         slots = self.slots

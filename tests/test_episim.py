@@ -169,14 +169,15 @@ class TestStatusStorage:
 
 class TestDayComposite:
     def test_epi_day_advances_one_day(self):
-        from graphabm.models.episim import build_epi, epi_day
+        from graphabm import run
+        from graphabm.models.episim import build_epi, day_program
 
         schedule = ((0, 0, 0, 100), (1, 0, 50, 150))
         model = build_epi(EpiConfig(
             persons=2, locations=1, theta=1.0, seed=0,
             schedule=schedule, initial_infected=(0,),
         ))
-        epi_day(model)
+        run(model.sim, 1, day_program(model))
         status = model.sim.field_array("Person", "status")
         assert status.tolist() == [1, 1]
         assert model.sim.step == 3  # three transitions per day

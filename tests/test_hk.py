@@ -3,13 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphabm import EdgePlan
+from graphabm import EdgePlan, run
 from graphabm.models.hk import (
+    AGENT,
     EDGE,
     HKConfig,
     build_hk,
     cluster_count,
     hk_metrics,
+    hk_program,
     hk_run,
     opinions,
 )
@@ -152,3 +154,13 @@ class TestTopologies:
         assert cluster_count(np.array([0.1, 0.1 + 5e-10, 0.9])) == 2
         assert cluster_count(np.array([0.1, 0.1 + 5e-9, 0.9])) == 3
         assert cluster_count(np.array([])) == 0
+
+
+class TestMetrics:
+    def test_mean_is_bit_equal_to_the_agent_fold(self):
+        cfg = HKConfig(n=500, epsilon=0.1, topology=Regular(10), seed=4)
+        sim = build_hk(cfg)
+        for _ in range(3):
+            run(sim, 1, hk_program())
+            expected = sim.aggregate(AGENT, lambda s: s[0], "sum") / cfg.n
+            assert hk_metrics(sim)["mean"] == expected

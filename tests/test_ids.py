@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from graphabm import IndexOverflow, agent_id, local_index, partition_of, split_id, type_tag
-from graphabm.ids import MAX_INDEX, MAX_PARTITIONS, TYPE_MASK
+from graphabm.ids import (
+    COMP_SHIFT,
+    MAX_INDEX,
+    MAX_PARTITIONS,
+    PART_BITS,
+    TYPE_MASK,
+    group_by_comp,
+)
 
 
 @given(
@@ -44,3 +52,25 @@ def test_fits_64_bits():
 def test_out_of_range_rejected(tag, part, index):
     with pytest.raises(IndexOverflow):
         agent_id(tag, part, index)
+
+
+class TestGroupByComp:
+    def test_empty_array(self):
+        assert group_by_comp(np.empty(0, dtype=np.uint64)) == []
+
+    def test_one_composite_takes_no_mask(self):
+        ids = np.array([agent_id(3, 2, i) for i in (7, 0, 5)], dtype=np.uint64)
+        ((comp, sel, slots),) = group_by_comp(ids)
+        assert comp == (3 << PART_BITS) | 2
+        assert sel == slice(None)
+        assert slots.tolist() == [7, 0, 5]
+
+    def test_two_types_and_two_partitions(self):
+        triples = [(1, 0, 4), (0, 1, 2), (1, 0, 9), (0, 0, 3), (0, 1, 6), (1, 0, 4)]
+        ids = np.array([agent_id(*t) for t in triples], dtype=np.uint64)
+        groups = group_by_comp(ids)
+        assert [comp for comp, _, _ in groups] == [0, 1, 1 << PART_BITS]
+        for comp, sel, slots in groups:
+            expected = [i for tag, part, i in triples if (tag << PART_BITS) | part == comp]
+            assert slots.tolist() == expected
+            assert (ids[sel] >> np.uint64(COMP_SHIFT)).tolist() == [comp] * len(expected)

@@ -10,11 +10,11 @@ from graphabm import (
     Schema,
     Simulation,
     TransitionSpec,
+    apply_transition,
     cut_edge_counts,
     cut_fraction,
     finalize_step,
     ghost_table,
-    parallel_apply,
     partition_graph,
     split_id,
 )
@@ -88,7 +88,7 @@ class TestCutMetrics:
         sim = plain_sim(n, (targets, sources))
         p = partition_graph(sim, 4, "contiguous")
         # exhaustive oracle over all stored edges
-        owners = np.array([p.worker_of(i) for i in range(n)])
+        owners = p.worker_for_ids(np.arange(n, dtype=np.uint64))
         cut = sum(
             1 for t, s in zip(targets.tolist(), sources.tolist())
             if owners[t] != owners[s]
@@ -167,7 +167,8 @@ class TestParallelExecution:
         expected = None
         for w in (1, 2, 4):
             sim = plain_sim(9)
-            parallel_apply(sim, emit, spec, workers=w, strategy="round_robin")
+            apply_transition(sim, emit, spec, workers=w,
+                             partition=partition_graph(sim, w, "round_robin"))
             finalize_step(sim)
             got = sim.edge_container("E").sources_for(0).tolist()
             assert got == sorted(got)
@@ -191,9 +192,11 @@ class TestParallelExecution:
 
         spec = TransitionSpec(callable_types=("P",), write_types=("P",))
         with pytest.raises(RuntimeError, match="remote failure"):
-            parallel_apply(sim, boom, spec, workers=2)
+            apply_transition(sim, boom, spec, workers=2,
+                             partition=partition_graph(sim, 2))
         # engine remains usable
-        parallel_apply(sim, lambda v, p, g: v.state, spec, workers=2)
+        apply_transition(sim, lambda v, p, g: v.state, spec, workers=2,
+                         partition=partition_graph(sim, 2))
         finalize_step(sim)
         assert sim.step == 1
 
@@ -210,7 +213,7 @@ class TestParallelExecution:
             return view.state
 
         spec = TransitionSpec(callable_types=("P",), write_types=("P",))
-        parallel_apply(sim, spawn, spec, workers=2)
+        apply_transition(sim, spawn, spec, workers=2, partition=partition_graph(sim, 2))
         finalize_step(sim)
         parts = sorted(split_id(int(i))[1] for i in sim.agent_ids("P").tolist())
         assert parts == [0, 0, 0, 0, 0, 0, 1, 1]

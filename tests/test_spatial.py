@@ -143,6 +143,15 @@ class TestNeighborEdges:
         raster2 = add_raster(sim2, "world", (10, 10), "Cell")
         assert connect_raster_neighbors(sim2, raster2, "Neighbor", "von_neumann", True) == 400
 
+    def test_edge_type_with_state_is_rejected(self):
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("Cell", (), immortal=True))
+        schema.register_edge_type(EdgeTypeDecl("Weighted", (("w", "float64"),)))
+        sim = Simulation(schema)
+        raster = add_raster(sim, "world", (2, 2), "Cell")
+        with pytest.raises(UsageError):
+            connect_raster_neighbors(sim, raster, "Weighted")
+
     def test_moore_center_cell_has_8_incoming(self):
         sim = grid_sim()
         raster = add_raster(sim, "world", (3, 3), "Cell")

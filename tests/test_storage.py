@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from graphabm import (
     HintViolation,
     Schema,
     Simulation,
+    TransitionSpec,
+    UsageError,
+    apply_transition,
+    finalize_step,
 )
 from graphabm.ids import COMP_SHIFT
 from graphabm.storage import build_read_container, make_shard
@@ -316,3 +322,104 @@ class TestDeterministicMerge:
         s1.add(3)
         merged = build_read_container(info, [s0, s1])
         assert merged.count_for(3) == 3
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+TYPED_PLANS = {
+    EdgePlan.FULL_EDGE_LIST: Hint.NONE,
+    EdgePlan.STATE_ONLY_LIST: Hint.IGNORE_FROM,
+    EdgePlan.SINGLE_FULL_EDGE: Hint.SINGLE_EDGE,
+}
+ONE_SPELLINGS = [1, np.int64(1), 1.0, True, "1", Level.HIGH]
+WRITE_PATHS = [("add_edge", 1), ("add_edges", 1), ("view", 1), ("view", 2)]
+
+
+def typed_sim(plan, value, path, workers=1):
+    """Edges 0 <- 1 and 2 <- 3 with state (value, 0.5) for an (int64,
+    float64) layout, written through one of the three write paths."""
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("A", (), immortal=True))
+    schema.register_edge_type(
+        EdgeTypeDecl("E", (("k", "int64"), ("w", "float64")), hints=TYPED_PLANS[plan])
+    )
+    sim = Simulation(schema)
+    ids = sim.add_agents("A", 4)
+    state = (value, 0.5)
+    if path == "add_edge":
+        for t in (0, 2):
+            sim.add_edge("E", int(ids[t]), int(ids[t + 1]), state)
+    elif path == "add_edges":
+        sim.add_edges("E", ids[[0, 2]], ids[[1, 3]], [state, state])
+    sim.commit_initial()
+    if path == "view":
+        def emit(view, params, g):
+            if view.agent_id % 2 == 0:
+                view.add_edge("E", view.agent_id, state, source=view.agent_id + 1)
+
+        spec = TransitionSpec(callable_types=("A",), write_types=("E",))
+        apply_transition(sim, emit, spec, workers=workers)
+        finalize_step(sim)
+    return sim
+
+
+class TestTypedEdgeStates:
+    """Edge state fields are cast to their declared dtypes at the merge."""
+
+    @pytest.mark.parametrize("plan", list(TYPED_PLANS), ids=lambda p: p.value)
+    def test_spellings_of_one_give_one_checksum_per_plan(self, plan):
+        sums = set()
+        for path, workers in WRITE_PATHS:
+            for value in ONE_SPELLINGS:
+                sim = typed_sim(plan, value, path, workers)
+                sums.add(sim.state_checksum())
+                (state,) = sim.edge_container("E").states_for(0)
+                assert state == (1, 0.5)
+                assert [type(v) for v in state] == [int, float]
+        assert len(sums) == 1
+
+    @pytest.mark.parametrize("plan", list(TYPED_PLANS), ids=lambda p: p.value)
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_value_that_does_not_cast_raises_usage_error(self, plan, value):
+        for path in ("add_edge", "add_edges"):
+            with pytest.raises(UsageError, match="'E', field 'k'"):
+                typed_sim(plan, value, path)
+        for workers in (1, 2):
+            sim = typed_sim(plan, 1, "add_edge")
+            spec = TransitionSpec(callable_types=("A",), write_types=("E",))
+            with pytest.raises(UsageError, match="'E', field 'k'"):
+                apply_transition(
+                    sim, lambda v, p, g: v.add_edge("E", v.agent_id, (value, 0.5)),
+                    spec, workers=workers,
+                )
+            assert sim._staged is None
+
+    def test_bulk_add_rejects_sources_or_states_of_another_length(self):
+        sim = build_sim(EdgeTypeDecl("E", (("w", "float64"),)))
+        with pytest.raises(UsageError):
+            sim.add_edges("E", np.array([0, 1], dtype=np.uint64),
+                          np.array([2], dtype=np.uint64), [(1.0,), (2.0,)])
+        with pytest.raises(UsageError):
+            sim.add_edges("E", np.array([0, 1], dtype=np.uint64),
+                          np.array([2, 3], dtype=np.uint64), [(1.0,)])
+
+    @pytest.mark.parametrize("state", [(1,), (1, 2, 3)])
+    def test_bulk_add_rejects_states_of_the_wrong_arity(self, state):
+        sim = build_sim(EdgeTypeDecl("E", (("a", "int64"), ("b", "int64"))))
+        with pytest.raises(UsageError):
+            sim.add_edges("E", np.array([0, 1], dtype=np.uint64),
+                          np.array([2, 3], dtype=np.uint64), [(1, 2), state])
+
+    def test_kept_list_type_keeps_sources_and_states_through_an_empty_step(self):
+        sim = build_sim(EdgeTypeDecl("E", (("k", "int64"),)))
+        sim.add_edge("E", 0, 1, (5,))
+        spec = TransitionSpec(callable_types=("A",), write_types=("E",),
+                              keep_existing=("E",))
+        apply_transition(sim, lambda v, p, g: None, spec)
+        finalize_step(sim)
+        c = sim.edge_container("E")
+        assert c.sources_for(0).tolist() == [1]
+        assert c.states_for(0) == [(5,)]
