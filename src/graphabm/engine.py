@@ -38,11 +38,12 @@ import numpy as np
 from .checks import ViolationSink
 from .errors import TypeNotWritable, UsageError
 from .ids import PART_BITS
-from .schema import AgentTypeInfo
+from .schema import AgentTypeInfo, EdgePlan
 from .sim import Simulation
 from .storage import (
     AgentSegment,
     build_read_container,
+    cast_columns,
     make_checked_adder,
     make_shard,
     validate_endpoints,
@@ -279,7 +280,7 @@ def _run_batches(sim, fn, rt, read_containers, tasks, shuffle) -> dict:
     schema = sim.schema
     params = sim.params
     glob = rt.globals
-    lists = [c for c in read_containers.values() if hasattr(c, "bounds")]
+    lists = [c for c in read_containers.values() if c.plan is not EdgePlan.EXISTENCE_BIT]
     out = {}
     for tag, part, slots in tasks:
         info = schema.agent_types[tag]
@@ -301,15 +302,13 @@ def _run_batches(sim, fn, rt, read_containers, tasks, shuffle) -> dict:
                     f"agent type {info.name!r} takes {len(info.field_names)} "
                     f"state fields, one array each; got {got}"
                 )
-            arrays = []
-            for name, dt, col in zip(info.field_names, info.dtypes, ret):
-                arr = np.asarray(col, dtype=dt)
+            arrays = cast_columns(info, ret)
+            for name, arr in zip(info.field_names, arrays):
                 if arr.shape != chunk.shape:
                     raise UsageError(
                         f"field {name!r} of agent type {info.name!r}: expected "
                         f"{chunk.size} values, got an array of shape {arr.shape}"
                     )
-                arrays.append(arr)
             done.append(chunk)
             cols.append(arrays)
         out[(tag, part)] = _state_payload(
@@ -336,10 +335,7 @@ def _state_payload(info: AgentTypeInfo, slots, cols) -> dict:
         cols = [[] for _ in info.field_names]
     return {
         "slots": np.asarray(slots, dtype=np.int64),
-        "fields": {
-            name: np.asarray(col, dtype=dt)
-            for name, dt, col in zip(info.field_names, info.dtypes, cols)
-        },
+        "fields": dict(zip(info.field_names, cast_columns(info, cols))),
     }
 
 

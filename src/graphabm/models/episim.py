@@ -41,6 +41,12 @@ class Status(enum.IntEnum):
     INFECTED = 1
 
 
+# Plain ints for the per-person compare: an np.int64 == IntEnum compare
+# costs microseconds, an np.int64 == int one tens of nanoseconds.
+_SUSCEPTIBLE = int(Status.SUSCEPTIBLE)
+_INFECTED = (int(Status.INFECTED),)
+
+
 @dataclass(frozen=True)
 class EpiConfig:
     persons: int
@@ -191,8 +197,8 @@ def day_program(model: EpiModel):
 
     def update_status(view, params, _globals):
         status = view.field("status")
-        if status == Status.SUSCEPTIBLE and view.has_edge(INFECTION):
-            return (int(Status.INFECTED),)
+        if status == _SUSCEPTIBLE and view.has_edge(INFECTION):
+            return _INFECTED
         return (status,)
 
     return [

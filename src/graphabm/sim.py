@@ -31,6 +31,7 @@ from .schema import Schema
 from .storage import (
     AgentSegment,
     build_read_container,
+    cast_columns,
     checked_extend,
     make_checked_adder,
     make_shard,
@@ -101,11 +102,13 @@ class Simulation:
                 f"agent type {type_name!r} takes {len(info.field_names)} "
                 f"state fields, got {len(state)}"
             )
+        columns = cast_columns(info, [(value,) for value in state])
         seg = self._segments[info.tag].get(0)
         if seg is None:
             seg = self._segments[info.tag][0] = AgentSegment(info)
         slot = seg.allocate()
-        seg.set_state(slot, state)
+        for arr, column in zip(seg.fields.values(), columns):
+            arr[slot] = column[0]
         return agent_id(info.tag, 0, slot)
 
     def add_agents(self, type_name: str, n: int, fields: dict | None = None) -> np.ndarray:
@@ -122,15 +125,16 @@ class Simulation:
                 f"agent type {type_name!r} requires exactly fields "
                 f"{list(info.field_names)}"
             )
+        columns = cast_columns(info, [fields[name] for name in info.field_names])
+        for name, arr in zip(info.field_names, columns):
+            if arr.shape != (n,):
+                raise UsageError(f"field {name!r} must have shape ({n},)")
         seg = self._segments[info.tag].get(0)
         if seg is None:
             seg = self._segments[info.tag][0] = AgentSegment(info)
         start = seg.count
         seg.ensure_capacity(start + n)
-        for name, values in fields.items():
-            arr = np.asarray(values)
-            if arr.shape != (n,):
-                raise UsageError(f"field {name!r} must have shape ({n},)")
+        for name, arr in zip(info.field_names, columns):
             seg.fields[name][start: start + n] = arr
         if seg.alive is not None:
             seg.alive[start: start + n] = True

@@ -7,16 +7,16 @@ appends into its own write shard; at commit the shards are merged into an
 immutable read container whose shape is chosen by the edge type's storage
 plan.
 
-One CSR (compressed sparse row) container, :class:`ListEdgeRead`, serves
-four plans: FULL_EDGE_LIST, SOURCE_ONLY_LIST, STATE_ONLY_LIST and
-SINGLE_FULL_EDGE. It holds sorted targets, optional source ids and
-optional state columns, one numpy array per declared field, as
-:class:`AgentSegment` holds agent fields. COUNT_ONLY keeps per-target
-counts and EXISTENCE_BIT one presence bit per target. Write shards keep
-edge states as the tuples the model passed; :func:`build_read_container`
-casts each field once per merge with ``np.asarray(values, dtype)``, the
-rule agent fields follow, and a value that does not cast raises
-:class:`~graphabm.errors.UsageError`.
+Edges take one of two shapes. A CSR (compressed sparse row) container,
+:class:`ListEdgeRead`, serves every plan but EXISTENCE_BIT: it holds
+sorted targets, optional source ids and optional state columns, one numpy
+array per declared field, as :class:`AgentSegment` holds agent fields.
+COUNT_ONLY keeps the targets alone and reads counts off the index;
+SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
+one presence bit per target. Write shards keep edge states as the tuples
+the model passed; the merge casts each field once with
+:func:`cast_columns`, the cast every agent write path uses too, and a
+value that does not cast raises :class:`~graphabm.errors.UsageError`.
 
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
@@ -55,6 +55,34 @@ class EdgeRecord(NamedTuple):
     source: int | None
     state: tuple | None
     edge_type: str
+
+
+def cast_columns(info: AgentTypeInfo | EdgeTypeInfo, columns) -> tuple:
+    """``columns``, one sequence of values per declared field of an agent or
+    edge type, as numpy arrays of the declared dtypes.
+
+    A value that does not cast raises :class:`UsageError` naming the type
+    and field, and so does None, which numpy would store as NaN or False.
+    """
+    kind = "agent" if isinstance(info, AgentTypeInfo) else "edge"
+    out = []
+    for name, dt, values in zip(info.field_names, info.dtypes, columns):
+        try:
+            if _holds_none(values):
+                raise TypeError("None is not a value")
+            out.append(np.asarray(values, dtype=dt))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(
+                f"{kind} type {info.name!r}, field {name!r}: a value does not "
+                f"cast to {dt}: {exc}"
+            ) from None
+    return tuple(out)
+
+
+def _holds_none(values) -> bool:
+    if isinstance(values, np.ndarray):
+        return values.dtype == object and any(v is None for v in values.flat)
+    return isinstance(values, (list, tuple)) and any(v is None for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +144,6 @@ class AgentSegment:
             self.alive[slot] = True
         return slot
 
-    def set_state(self, slot: int, state: tuple):
-        for value, arr in zip(state, self.fields.values()):
-            arr[slot] = value
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -170,7 +194,7 @@ def _u64_bytes(values) -> np.ndarray:
 
 
 class ListShard:
-    """Write shard of the list plans and COUNT_ONLY: parallel columns.
+    """Write shard of every plan but EXISTENCE_BIT: parallel columns.
 
     ``sources``, ``states`` (the models' state tuples, cast at the merge)
     and ``producers`` exist only when the plan stores them or the caller
@@ -317,37 +341,9 @@ class ExistenceShard:
         return sum(int(np.count_nonzero(np.frombuffer(b, dtype=np.uint8))) for b in self.buckets.values())
 
 
-class SingleEdgeShard:
-    """At most one edge per target: a target-keyed mapping."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        # target -> (producer, source, state); later adds overwrite.
-        self.entries: dict[int, tuple] = {}
-
-    def add(self, target, source=0, state=None, producer=0):
-        self.entries[target] = (producer, source, state)
-
-    def has(self, target) -> bool:
-        return target in self.entries
-
-    def extend(self, targets, sources=None, states=None, producer=0):
-        n = len(targets)
-        sources = sources if sources is not None else [0] * n
-        states = states if states is not None else [None] * n
-        for t, s, st in zip(targets, sources, states):
-            self.entries[int(t)] = (producer, int(s), st)
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def make_shard(info: EdgeTypeInfo, record_producers: bool = False):
     if info.plan is EdgePlan.EXISTENCE_BIT:
         return ExistenceShard()
-    if info.plan is EdgePlan.SINGLE_FULL_EDGE:
-        return SingleEdgeShard()
     return ListShard(info, record_producers)
 
 
@@ -376,12 +372,14 @@ def make_checked_adder(
     check_single_edge: bool,
     check_single_type: bool,
 ) -> Callable:
-    """Wrap a shard's add with the contract checks that apply to its type."""
+    """Wrap a shard's add with the contract checks that apply to its type.
+
+    SINGLE_EDGE is checked here only for EXISTENCE_BIT, whose merge (an OR
+    of bitmaps) cannot see a duplicate within one shard; the merge of a
+    SINGLE_FULL_EDGE type sees every edge and checks it there.
+    """
     st_tag = info.single_type_tag if check_single_type else None
-    se = check_single_edge and info.plan in (
-        EdgePlan.EXISTENCE_BIT,
-        EdgePlan.SINGLE_FULL_EDGE,
-    )
+    se = check_single_edge and info.plan is EdgePlan.EXISTENCE_BIT
     if st_tag is None and not se:
         return shard.add
     name = info.name
@@ -423,7 +421,7 @@ def checked_extend(
                 "single_type", info.name, int(targets_arr[bad[0]]), producer,
                 f"edge targets an agent of the wrong type (expected tag {info.single_type_tag})",
             )
-    if check_single_edge and info.plan in (EdgePlan.EXISTENCE_BIT, EdgePlan.SINGLE_FULL_EDGE):
+    if check_single_edge and info.plan is EdgePlan.EXISTENCE_BIT:
         uniq, counts = np.unique(targets_arr, return_counts=True)
         dup = np.flatnonzero(counts > 1)
         if dup.size:
@@ -475,21 +473,6 @@ def _cat(first, second):
     return None if first is None else np.concatenate([first, second])
 
 
-def _state_columns(info: EdgeTypeInfo, states: list) -> tuple:
-    """State tuples as one column per field, cast to the declared dtypes."""
-    columns = list(zip(*states)) or [()] * len(info.field_names)
-    out = []
-    for name, dt, values in zip(info.field_names, info.dtypes, columns):
-        try:
-            out.append(np.asarray(values, dtype=dt))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(
-                f"edge type {info.name!r}, field {name!r}: a value does not "
-                f"cast to {dt}: {exc}"
-            ) from None
-    return tuple(out)
-
-
 def _build_indptr(targets: np.ndarray) -> dict[int, np.ndarray]:
     """Per target composite, slot-indexed run starts into sorted ``targets``."""
     out = {}
@@ -507,12 +490,13 @@ def _build_indptr(targets: np.ndarray) -> dict[int, np.ndarray]:
 
 
 class ListEdgeRead:
-    """CSR read container of the three list plans and SINGLE_FULL_EDGE.
+    """CSR read container of every plan but EXISTENCE_BIT.
 
     ``targets`` is sorted; ``sources`` (uint64) is None when the plan drops
     source ids, and ``states`` is None or a tuple of numpy columns, one per
     declared field. Per-target runs are ordered by producing agent; a
-    SINGLE_FULL_EDGE container holds at most one edge per target.
+    SINGLE_FULL_EDGE container holds at most one edge per target, and a
+    COUNT_ONLY one only targets, so it answers counts and presence alone.
     ``indptr`` maps each target (type tag, partition) composite to an int64
     array indexed by local slot: the edges of slot ``s`` sit at positions
     ``indptr[comp][s]:indptr[comp][s + 1]``. A slot past the end of its
@@ -553,7 +537,7 @@ class ListEdgeRead:
         slot = aid & INDEX_MASK
         if ptr is None or slot + 1 >= ptr.size:
             return 0, 0
-        return int(ptr[slot]), int(ptr[slot + 1])
+        return ptr.item(slot), ptr.item(slot + 1)
 
     def bounds(self, comp: int, slots: np.ndarray):
         """Per-slot (starts, ends) edge positions of targets in one composite;
@@ -599,6 +583,11 @@ class ListEdgeRead:
         return list(zip(*(c[lo:hi].tolist() for c in self.states)))
 
     def records_for(self, aid: int) -> list[EdgeRecord]:
+        if self.info.plan is EdgePlan.COUNT_ONLY:
+            raise HintViolation(
+                f"edge type {self.info.name!r} stores only per-target counts; "
+                "edge records are not retrievable"
+            )
         lo, hi = self.span(aid)
         none = [None] * (hi - lo)
         sources = none if self.sources is None else self.sources[lo:hi].tolist()
@@ -634,58 +623,6 @@ class ListEdgeRead:
             for name, column in zip(self.info.field_names, self.states):
                 h.update(name.encode())
                 h.update(column.tobytes())
-
-
-class CountEdgeRead:
-    __slots__ = ("info", "counts")
-
-    def __init__(self, info: EdgeTypeInfo, counts: dict[int, int]):
-        self.info = info
-        self.counts = counts
-
-    @property
-    def plan(self):
-        return self.info.plan
-
-    def n_stored(self) -> int:
-        return sum(self.counts.values())
-
-    def has_for(self, aid: int) -> bool:
-        return aid in self.counts
-
-    def count_for(self, aid: int) -> int:
-        return self.counts.get(aid, 0)
-
-    def sources_for(self, aid: int):
-        raise HintViolation(
-            f"edge type {self.info.name!r} stores only per-target counts"
-        )
-
-    states_for = sources_for
-
-    def records_for(self, aid: int):
-        raise HintViolation(
-            f"edge type {self.info.name!r} stores only per-target counts; "
-            "edge records are not retrievable"
-        )
-
-    def edge_endpoints(self):
-        return None
-
-    def filtered(self, alive_fn) -> "CountEdgeRead":
-        if not self.counts:
-            return self
-        ids = np.fromiter(self.counts.keys(), dtype=_U64, count=len(self.counts))
-        keep = alive_fn(ids)
-        if bool(keep.all()):
-            return self
-        kept = set(ids[keep].tolist())
-        return CountEdgeRead(self.info, {k: v for k, v in self.counts.items() if k in kept})
-
-    def checksum_update(self, h):
-        for k in sorted(self.counts):
-            h.update(k.to_bytes(8, "little"))
-            h.update(self.counts[k].to_bytes(8, "little"))
 
 
 class ExistenceEdgeRead:
@@ -760,50 +697,43 @@ class ExistenceEdgeRead:
 # ---------------------------------------------------------------------------
 
 
-def _merge_list_shards(info: EdgeTypeInfo, shards: list):
-    """Concatenate shards in worker order, then order by producer."""
+def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
+    """``carryover``'s edges, then the shards' edges concatenated in worker
+    order and ordered by producer.
+
+    Returns targets, sources, states, the producers of the shards' edges
+    (None unless every shard records them) and the number of carried-over
+    edges.
+    """
     targets = _concat_u64([s.targets for s in shards])
     sources = _concat_u64([s.sources for s in shards]) if info.has_source else None
-    states = None
+    states = producers = None
     if info.has_state:
-        states = _state_columns(info, [st for s in shards for st in s.states])
+        columns = list(zip(*(st for s in shards for st in s.states)))
+        states = cast_columns(info, columns or [()] * len(info.field_names))
     if all(s.producers is not None for s in shards):
         producers = _concat_u64([s.producers for s in shards])
         if not _is_nondecreasing(producers):
             order = np.argsort(producers, kind="stable")
             targets, sources, states = targets[order], _take(sources, order), _take(states, order)
-    return targets, sources, states
-
-
-def _target_sorted(info: EdgeTypeInfo, targets, sources, states) -> ListEdgeRead:
-    if not _is_nondecreasing(targets):
-        order = np.argsort(targets, kind="stable")
-        targets, sources, states = targets[order], _take(sources, order), _take(states, order)
-    return ListEdgeRead(info, targets, sources, states)
+            producers = producers[order]
+    retained = 0
+    if carryover is not None and carryover.targets.size:
+        retained = carryover.targets.size
+        targets = np.concatenate([carryover.targets, targets])
+        sources = _cat(carryover.sources, sources)
+        states = _cat(carryover.states, states)
+    return targets, sources, states, producers, retained
 
 
 def build_list_read(
     info: EdgeTypeInfo, shards: list, carryover: ListEdgeRead | None
 ) -> ListEdgeRead:
-    targets, sources, states = _merge_list_shards(info, shards)
-    if carryover is not None and carryover.targets.size:
-        # Existing edges precede this step's additions within each target.
-        targets = np.concatenate([carryover.targets, targets])
-        sources = _cat(carryover.sources, sources)
-        states = _cat(carryover.states, states)
-    return _target_sorted(info, targets, sources, states)
-
-
-def build_count_read(
-    info: EdgeTypeInfo, shards: list, carryover: CountEdgeRead | None
-) -> CountEdgeRead:
-    counts: dict[int, int] = dict(carryover.counts) if carryover is not None else {}
-    targets = _concat_u64([s.targets for s in shards])
-    if targets.size:
-        uniq, cnts = np.unique(targets, return_counts=True)
-        for t, c in zip(uniq.tolist(), cnts.tolist()):
-            counts[t] = counts.get(t, 0) + c
-    return CountEdgeRead(info, counts)
+    targets, sources, states, _, _ = _merge_list_shards(info, shards, carryover)
+    if not _is_nondecreasing(targets):
+        order = np.argsort(targets, kind="stable")
+        targets, sources, states = targets[order], _take(sources, order), _take(states, order)
+    return ListEdgeRead(info, targets, sources, states)
 
 
 def build_existence_read(
@@ -845,38 +775,32 @@ def build_single_read(
     carryover: ListEdgeRead | None,
     sink: ViolationSink | None,
 ) -> ListEdgeRead:
-    # Later producers win; carryover counts as earliest.
-    staged: dict[int, tuple] = {}
-    for shard in shards:
-        for target, (producer, source, state) in shard.entries.items():
-            prev = staged.get(target)
-            if prev is not None:
-                if sink is not None:
-                    sink.report(
-                        "single_edge", info.name, target, producer,
-                        "SINGLE_EDGE target received edges from multiple workers",
-                    )
-                if producer < prev[0]:
-                    continue
-            staged[target] = (producer, source, state)
-    entries = staged.values()
-    targets = np.array(list(staged), dtype=_U64)
-    sources = np.array([e[1] for e in entries], dtype=_U64) if info.has_source else None
-    states = _state_columns(info, [e[2] for e in entries]) if info.has_state else None
-    if carryover is not None and carryover.targets.size:
-        if sink is not None:
-            retained = set(carryover.targets.tolist())
-            for target, (producer, _, _) in staged.items():
-                if target in retained:
-                    sink.report(
-                        "single_edge", info.name, target, producer,
-                        "SINGLE_EDGE target already had a retained edge",
-                    )
-        kept = np.flatnonzero(~np.isin(carryover.targets, targets))
-        targets = np.concatenate([carryover.targets[kept], targets])
-        sources = _cat(_take(carryover.sources, kept), sources)
-        states = _cat(_take(carryover.states, kept), states)
-    return _target_sorted(info, targets, sources, states)
+    """Keep each target's last edge: the highest producer's last add wins,
+    and a retained edge counts as earliest.
+
+    The merge sees every edge of every shard, so it is where SINGLE_EDGE is
+    checked: with a ``sink``, each edge beyond a target's first is
+    reported, in target order.
+    """
+    targets, sources, states, producers, retained = _merge_list_shards(
+        info, shards, carryover
+    )
+    order = np.argsort(targets, kind="stable")
+    targets = targets[order]
+    superseded = np.zeros(targets.size, dtype=bool)
+    superseded[:-1] = targets[1:] == targets[:-1]
+    if sink is not None:
+        for i in np.flatnonzero(superseded).tolist():
+            later = int(order[i + 1]) - retained
+            sink.report(
+                "single_edge", info.name, int(targets[i]),
+                0 if producers is None else int(producers[later]),
+                "SINGLE_EDGE target already had a retained edge"
+                if order[i] < retained
+                else "second edge added to a SINGLE_EDGE target",
+            )
+    kept = order[~superseded]
+    return ListEdgeRead(info, targets[~superseded], _take(sources, kept), _take(states, kept))
 
 
 def build_read_container(
@@ -888,14 +812,11 @@ def build_read_container(
 ):
     """Merge write shards, after ``carryover``'s edges, into a read container;
     with no shards and no carryover, the type's empty container."""
-    merge_sink = sink if check_single_edge else None
-    plan = info.plan
-    if plan is EdgePlan.COUNT_ONLY:
-        return build_count_read(info, shards, carryover)
-    if plan is EdgePlan.EXISTENCE_BIT:
-        return build_existence_read(info, shards, carryover, merge_sink)
-    if plan is EdgePlan.SINGLE_FULL_EDGE:
-        return build_single_read(info, shards, carryover, merge_sink)
+    sink = sink if check_single_edge else None
+    if info.plan is EdgePlan.EXISTENCE_BIT:
+        return build_existence_read(info, shards, carryover, sink)
+    if info.plan is EdgePlan.SINGLE_FULL_EDGE:
+        return build_single_read(info, shards, carryover, sink)
     return build_list_read(info, shards, carryover)
 
 
@@ -906,18 +827,16 @@ def validate_endpoints(container, exists_fn):
     dead or alive). Dangling *references* are a model bug and fail fast;
     dead endpoints are handled separately by the post-step edge sweep.
     """
-    if isinstance(container, ListEdgeRead):
-        arrays = [container.targets]
-        if container.sources is not None:
-            arrays.append(container.sources)
-    elif isinstance(container, CountEdgeRead):
-        arrays = [np.fromiter(container.counts.keys(), dtype=_U64, count=len(container.counts))]
-    else:
+    if container.plan is EdgePlan.EXISTENCE_BIT:
         arrays = []
         for comp, bucket in container.buckets.items():
             idx = np.flatnonzero(bucket)
             if idx.size:
                 arrays.append(_U64(comp << COMP_SHIFT) + idx.astype(_U64))
+    else:
+        arrays = [container.targets]
+        if container.sources is not None:
+            arrays.append(container.sources)
     for arr in arrays:
         if not arr.size:
             continue

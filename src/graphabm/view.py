@@ -190,7 +190,7 @@ class NeighborhoodView(_Reads):
             lo, hi = c.span(self._aid)
             return arr[locals_[lo:hi]]
         c = self._source_readable(edge_type)
-        comp = getattr(c, "single_source_comp", None)
+        comp = c.single_source_comp
         if comp is None:
             return self._gather(c.sources_for(self._aid), field)
         arr = self._source_column(comp, field)
@@ -302,7 +302,7 @@ class AgentBatch(_Reads):
         same values ``NeighborhoodView.neighbor_field`` gives that agent.
         """
         c = self._source_readable(edge_type)
-        if not hasattr(c, "bounds") or c.plan is EdgePlan.SINGLE_FULL_EDGE:
+        if c.plan is EdgePlan.SINGLE_FULL_EDGE:
             raise UsageError(
                 f"edge type {edge_type!r} ({c.plan.name}) has no batch gather; "
                 "read it from a per-agent transition"

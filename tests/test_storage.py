@@ -7,6 +7,7 @@ import pytest
 
 from graphabm import (
     AgentTypeDecl,
+    ContractViolation,
     EdgePlan,
     EdgeTypeDecl,
     Hint,
@@ -17,6 +18,8 @@ from graphabm import (
     UsageError,
     apply_transition,
     finalize_step,
+    partition_graph,
+    split_id,
 )
 from graphabm.ids import COMP_SHIFT
 from graphabm.storage import build_read_container, make_shard
@@ -284,6 +287,143 @@ class TestObservationalEquivalence:
         assert actual == expected
 
 
+# (workers, partition strategy, or "shuffle" for a shuffled single worker)
+TRANSITION_RUNS = [
+    (1, None), (1, "shuffle"), (2, "contiguous"), (2, "round_robin"), (4, "round_robin"),
+]
+
+
+def transition_sim(decl, initial, emitted, n, workers=1, how=None, checks="on"):
+    """``initial`` (target, source, state) edges added before the first step,
+    then the ``emitted`` edges (producer -> [(target, state)], in add order)
+    added by a per-agent transition that keeps the existing edges."""
+    sim = build_sim(decl, n_agents=n, checks=checks)
+    for t, s, st in initial:
+        sim.add_edge("E", t, s, st)
+    sim.commit_initial()
+
+    def emit(view, params, g):
+        for t, st in emitted.get(view.agent_id, ()):
+            view.add_edge("E", t, st)
+
+    spec = TransitionSpec(callable_types=("A",), write_types=("E",), keep_existing=("E",))
+    if how == "shuffle":
+        apply_transition(sim, emit, spec, shuffle=np.random.default_rng(5))
+    else:
+        partition = partition_graph(sim, workers, how) if workers > 1 else None
+        apply_transition(sim, emit, spec, workers=workers, partition=partition)
+    finalize_step(sim)
+    return sim
+
+
+class TestObservationalEquivalenceThroughTransitions:
+    """The hint-equivalence oracle through a per-agent transition's merge,
+    with carryover, at 1, 2 and 4 workers and in shuffled order."""
+
+    @pytest.mark.parametrize("hints", [h for h in all_hint_sets() if is_legal(h)],
+                             ids=lambda h: str(h))
+    def test_hinted_matches_full(self, hints):
+        from graphabm.schema import storage_plan_for
+
+        plan = storage_plan_for(hints)
+        rng = np.random.default_rng(int(hints.value) + 31)
+        n = 12
+        used_targets = set()
+        initial, emitted = [], {}
+        for k in range(36):
+            t = int(rng.integers(0, n))
+            if Hint.SINGLE_EDGE in hints:
+                if t in used_targets:
+                    continue
+                used_targets.add(t)
+            s, st = int(rng.integers(0, n)), (float(rng.random()),)
+            if k < 8:
+                initial.append((t, s, st))
+            else:
+                emitted.setdefault(s, []).append((t, st))
+
+        layout = (("w", "float64"),)
+        full = transition_sim(EdgeTypeDecl("E", layout), initial, emitted, n)
+        expected = reference_queries(full.edge_container("E"), hints, plan, range(n))
+        decl = EdgeTypeDecl(
+            "E", layout, hints=hints,
+            single_type_target="A" if Hint.SINGLE_TYPE in hints else None,
+        )
+        sums = set()
+        for workers, how in TRANSITION_RUNS:
+            hinted = transition_sim(decl, initial, emitted, n, workers, how)
+            actual = hinted_queries(hinted.edge_container("E"), hints, plan, range(n))
+            assert actual == expected, (workers, how)
+            sums.add(hinted.state_checksum())
+        assert len(sums) == 1
+
+
+class TestSingleFullEdgeDuplicates:
+    """SINGLE_EDGE breaches of a SINGLE_FULL_EDGE type are found by the merge,
+    the one place that sees every edge of every shard."""
+
+    DECL = EdgeTypeDecl("E", (("w", "float64"),), hints=Hint.SINGLE_EDGE)
+    RETAINED = [(3, 4, (0.25,)), (4, 4, (0.75,))]
+    EMITTED = {
+        1: [(0, (1.0,)), (0, (1.5,))],  # twice to one target from one agent
+        2: [(5, (2.0,))],
+        6: [(0, (6.0,)), (3, (6.5,))],  # target 0 from the other half; 3 is retained
+        7: [(5, (7.0,))],
+    }
+
+    def test_warn_mode_reports_each_edge_beyond_a_targets_first(self):
+        outcomes = set()
+        for workers, how in TRANSITION_RUNS + [(4, "contiguous")]:
+            sim = transition_sim(self.DECL, self.RETAINED, self.EMITTED, 8,
+                                 workers, how, checks="warn")
+            reports = [(v.kind, v.target, v.producer) for v in sim.check_reports]
+            # target 0: three staged edges; 5: two; 3: one on a retained edge
+            assert reports == [
+                ("single_edge", 0, 1), ("single_edge", 0, 6),
+                ("single_edge", 3, 6), ("single_edge", 5, 7),
+            ], (workers, how)
+            c = sim.edge_container("E")
+            kept = [(c.sources_for(t).tolist(), c.states_for(t)) for t in range(8)]
+            # the highest producer's last add wins; a retained edge counts as earliest
+            assert kept == [
+                ([6], [(6.0,)]), ([], []), ([], []), ([6], [(6.5,)]),
+                ([4], [(0.75,)]), ([7], [(7.0,)]), ([], []), ([], []),
+            ], (workers, how)
+            outcomes.add(sim.state_checksum())
+        assert len(outcomes) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_mode_raises_and_stages_nothing(self, workers):
+        with pytest.raises(ContractViolation, match="SINGLE_EDGE"):
+            transition_sim(self.DECL, self.RETAINED, self.EMITTED, 8, workers,
+                           "contiguous" if workers > 1 else None)
+        sim = build_sim(self.DECL)
+        spec = TransitionSpec(callable_types=("A",), write_types=("E",))
+        with pytest.raises(ContractViolation):
+            apply_transition(sim, lambda v, p, g: v.add_edge("E", 0, (1.0,)), spec,
+                             workers=workers)
+        assert sim._staged is None
+
+    def test_initial_duplicates_are_reported_at_commit(self):
+        sim = build_sim(self.DECL, checks="warn")
+        sim.add_edge("E", 0, 1, (1.0,))
+        sim.add_edge("E", 0, 2, (2.0,))
+        sim.add_edges("E", np.array([3, 3, 3], dtype=np.uint64),
+                      np.array([4, 5, 6], dtype=np.uint64), [(3.0,), (4.0,), (5.0,)])
+        sim.commit_initial()
+        assert [(v.kind, v.target) for v in sim.check_reports] == [
+            ("single_edge", 0), ("single_edge", 3), ("single_edge", 3),
+        ]
+        c = sim.edge_container("E")
+        assert c.records_for(0)[0].source == 2
+        assert c.records_for(3)[0].state == (5.0,)
+        sim = build_sim(self.DECL)
+        sim.add_edge("E", 0, 1, (1.0,))
+        sim.add_edge("E", 0, 2, (2.0,))
+        with pytest.raises(ContractViolation):
+            sim.commit_initial()
+
+
 class TestDeterministicMerge:
     def _schema_info(self, hints=Hint.NONE):
         schema = Schema()
@@ -338,17 +478,17 @@ ONE_SPELLINGS = [1, np.int64(1), 1.0, True, "1", Level.HIGH]
 WRITE_PATHS = [("add_edge", 1), ("add_edges", 1), ("view", 1), ("view", 2)]
 
 
-def typed_sim(plan, value, path, workers=1):
-    """Edges 0 <- 1 and 2 <- 3 with state (value, 0.5) for an (int64,
-    float64) layout, written through one of the three write paths."""
+def typed_sim(plan, value, path, workers=1,
+              layout=(("k", "int64"), ("w", "float64")), state=None):
+    """Edges 0 <- 1 and 2 <- 3 with state ``state``, by default (value, 0.5)
+    for an (int64, float64) layout, written through one of the three write
+    paths."""
     schema = Schema()
     schema.register_agent_type(AgentTypeDecl("A", (), immortal=True))
-    schema.register_edge_type(
-        EdgeTypeDecl("E", (("k", "int64"), ("w", "float64")), hints=TYPED_PLANS[plan])
-    )
+    schema.register_edge_type(EdgeTypeDecl("E", layout, hints=TYPED_PLANS[plan]))
     sim = Simulation(schema)
     ids = sim.add_agents("A", 4)
-    state = (value, 0.5)
+    state = (value, 0.5) if state is None else state
     if path == "add_edge":
         for t in (0, 2):
             sim.add_edge("E", int(ids[t]), int(ids[t + 1]), state)
@@ -397,6 +537,15 @@ class TestTypedEdgeStates:
                 )
             assert sim._staged is None
 
+    @pytest.mark.parametrize("plan", list(TYPED_PLANS), ids=lambda p: p.value)
+    @pytest.mark.parametrize("field", ["w", "b"])
+    def test_none_in_float_or_bool_field_raises_usage_error(self, plan, field):
+        layout = (("w", "float64"), ("b", "bool"))
+        state = (None, True) if field == "w" else (0.5, None)
+        for path, workers in WRITE_PATHS:
+            with pytest.raises(UsageError, match=f"'E', field '{field}'"):
+                typed_sim(plan, None, path, workers, layout=layout, state=state)
+
     def test_bulk_add_rejects_sources_or_states_of_another_length(self):
         sim = build_sim(EdgeTypeDecl("E", (("w", "float64"),)))
         with pytest.raises(UsageError):
@@ -423,3 +572,73 @@ class TestTypedEdgeStates:
         c = sim.edge_container("E")
         assert c.sources_for(0).tolist() == [1]
         assert c.states_for(0) == [(5,)]
+
+
+AGENT_LAYOUT = (("x", "float64"), ("b", "bool"), ("i", "int64"))
+NONE_STATES = {"x": (None, True, 1), "b": (0.5, None, 1), "i": (0.5, True, None)}
+
+
+def agent_sim(immortal=False):
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("T", AGENT_LAYOUT, immortal=immortal))
+    sim = Simulation(schema)
+    sim.add_agents("T", 4, {"x": np.zeros(4), "b": np.ones(4, dtype=bool),
+                            "i": np.arange(4)})
+    return sim
+
+
+class TestTypedAgentStates:
+    """None in an agent field raises on every write path, as in an edge
+    field, instead of being stored as NaN or False."""
+
+    @pytest.mark.parametrize("field", list(NONE_STATES))
+    def test_initial_adds_reject_none(self, field):
+        sim = agent_sim()
+        with pytest.raises(UsageError, match=f"'T', field '{field}'"):
+            sim.add_agent("T", *NONE_STATES[field])
+        columns = {name: [value] * 2
+                   for (name, _), value in zip(AGENT_LAYOUT, NONE_STATES[field])}
+        with pytest.raises(UsageError, match=f"'T', field '{field}'"):
+            sim.add_agents("T", 2, columns)
+        assert sim.n_alive("T") == 4
+
+    @pytest.mark.parametrize("field", list(NONE_STATES))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_transition_writes_reject_none(self, field, workers):
+        state = NONE_STATES[field]
+        spec = TransitionSpec(callable_types=("T",), write_types=("T",))
+        for fn in (
+            lambda v, p, g: state,
+            lambda v, p, g: (v.add_agent("T", *state), v.state)[1],
+        ):
+            sim = agent_sim()
+            with pytest.raises(UsageError, match=f"'T', field '{field}'"):
+                apply_transition(sim, fn, spec, workers=workers)
+            assert sim._staged is None
+
+    @pytest.mark.parametrize("field", list(NONE_STATES))
+    def test_batch_columns_reject_none(self, field):
+        def fn(batch, params, g):
+            return [[None] * batch.slots.size if name == field else batch.field(name)
+                    for name, _ in AGENT_LAYOUT]
+
+        sim = agent_sim(immortal=True)
+        spec = TransitionSpec(callable_types=("T",), write_types=("T",), batch=True)
+        with pytest.raises(UsageError, match=f"'T', field '{field}'"):
+            apply_transition(sim, fn, spec)
+        assert sim._staged is None
+
+    @pytest.mark.parametrize("immortal", [True, False])
+    def test_failed_add_agent_leaves_the_population_unchanged(self, immortal):
+        schema = Schema()
+        schema.register_agent_type(
+            AgentTypeDecl("A", (("x", "float64"), ("i", "int64")), immortal=immortal)
+        )
+        sim = Simulation(schema)
+        sim.add_agent("A", 1.5, 7)
+        with pytest.raises(UsageError, match="'A', field 'i'"):
+            sim.add_agent("A", 2.5, None)
+        assert sim.n_alive("A") == 1
+        assert split_id(sim.add_agent("A", 3.5, 8))[2] == 1
+        assert sim.field_array("A", "i").tolist() == [7, 8]
+        assert sim.field_array("A", "x").tolist() == [1.5, 3.5]
