@@ -21,10 +21,12 @@ gathers every agent's neighbourhood at once over the read containers' CSR
 index; ``columns`` holds one array per state field, aligned with
 ``batch.slots``. A chunk holds whole agents of one type and partition and
 at most ``BATCH_EDGE_LIMIT`` incoming edges (an agent with more gets a
-chunk of its own). A batch writes exactly its callable agent types and
-re-adds every agent it runs. Both forms share the task list, the payload
-format and the merge, so results do not depend on which form or chunking
-produced them as long as each agent's value is computed from its own
+chunk of its own). A batch may write edge types, through
+``batch.add_edges``, and agent types it calls, re-adding every agent it
+runs of those; for a callable type it does not write it returns None. Both
+forms share the task list, the payload format, the write shards and the
+merge, so results do not depend on which form or chunking produced them as
+long as each agent's values, edges and draws are computed from its own
 segment of the gathered arrays.
 """
 
@@ -66,7 +68,8 @@ class TransitionSpec:
     ``keep_existing``: written types whose current contents are retained,
     with the transition only adding new instances.
     ``batch``: the function takes an :class:`~graphabm.view.AgentBatch`
-    per chunk of agents and returns state columns (see the module notes).
+    per chunk of agents and returns state columns, or None when it does not
+    write the chunk's agent type (see the module notes).
     """
 
     callable_types: tuple[str, ...]
@@ -141,12 +144,11 @@ class RuntimeSpec:
                     "keep_existing but has no transition to re-create it"
                 )
         if spec.batch and (
-            self.written_edge or spec.keep_existing
-            or set(self.written_agent) != set(self.callable_tags)
+            spec.keep_existing or not set(self.written_agent) <= set(self.callable_tags)
         ):
             raise UsageError(
-                "a batch transition writes exactly its callable agent types: "
-                "no edge types, no other agent types, no keep_existing"
+                "a batch transition writes edge types and agent types it calls "
+                "only, and no keep_existing"
             )
 
         cfg = sim.checks
@@ -178,8 +180,8 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
     }
     tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
     if rt.spec.batch:
-        agents = _run_batches(sim, fn, rt, read_containers, tasks, shuffle)
-        new, shards = {}, {}
+        agents, shards = _run_batches(sim, fn, rt, read_containers, tasks, shuffle, sink)
+        new = {}
     else:
         agents, new, shards = _run_agents(
             sim, fn, rt, read_containers, tasks, shuffle, sink, worker
@@ -275,16 +277,23 @@ def _run_agents(sim, fn, rt, read_containers, tasks, shuffle, sink, worker):
     return agents, new, shards
 
 
-def _run_batches(sim, fn, rt, read_containers, tasks, shuffle) -> dict:
+def _run_batches(sim, fn, rt, read_containers, tasks, shuffle, sink):
     """The batch path: one ``fn(batch, ...)`` call per chunk of agents."""
     schema = sim.schema
     params = sim.params
     glob = rt.globals
     lists = [c for c in read_containers.values() if c.plan is not EdgePlan.EXISTENCE_BIT]
+    shards = {
+        etag: make_shard(schema.edge_types[etag], record_producers=True)
+        for etag in rt.written_edge
+    }
+    writers = {schema.edge_types[etag].name: (shard, schema.edge_types[etag])
+               for etag, shard in shards.items()}
     out = {}
     for tag, part, slots in tasks:
         info = schema.agent_types[tag]
         seg = sim._segments[tag][part]
+        writes_self = tag in rt.written_agent
         if shuffle is not None:
             slots = shuffle.permutation(slots)
         comp = (tag << PART_BITS) | part
@@ -294,8 +303,16 @@ def _run_batches(sim, fn, rt, read_containers, tasks, shuffle) -> dict:
             edges += ends - starts
         done, cols = [], []
         for chunk in _chunks(slots, edges, BATCH_EDGE_LIMIT):
-            ret = fn(AgentBatch(sim, rt, read_containers, tag, part, seg, chunk),
-                     params, glob)
+            batch = AgentBatch(sim, rt, read_containers, writers, sink,
+                               tag, part, seg, chunk)
+            ret = fn(batch, params, glob)
+            if not writes_self:
+                if ret is not None:
+                    raise TypeNotWritable(
+                        f"agent type {info.name!r} is not in this transition's "
+                        "write set but its function returned states"
+                    )
+                continue
             if ret is None or len(ret) != len(info.field_names):
                 got = "None" if ret is None else f"{len(ret)} arrays"
                 raise UsageError(
@@ -311,10 +328,11 @@ def _run_batches(sim, fn, rt, read_containers, tasks, shuffle) -> dict:
                     )
             done.append(chunk)
             cols.append(arrays)
-        out[(tag, part)] = _state_payload(
-            info, np.concatenate(done), [np.concatenate(c) for c in zip(*cols)]
-        )
-    return out
+        if writes_self:
+            out[(tag, part)] = _state_payload(
+                info, np.concatenate(done), [np.concatenate(c) for c in zip(*cols)]
+            )
+    return out, shards
 
 
 def _chunks(slots: np.ndarray, edges: np.ndarray, limit: int):

@@ -5,21 +5,32 @@ three transitions:
 
 1. persons emit Visit edges (person -> location) carrying their visit
    interval;
-2. locations read the visits, pair susceptible with infectious visitors
+2. locations read the visits, pair susceptible with infectious visits
    whose intervals overlap (closed intervals), and emit an Infection edge
-   (location -> person) for each transmission, drawn per infectious
-   contact with probability theta from the location's random stream;
+   (location -> person) for each susceptible visit infected;
 3. persons that received an Infection edge become infectious.
+
+Transmission takes one draw per overlapping (susceptible visit, infectious
+visit) pair from the location's random stream, and a visit is infected
+when any of its draws falls below theta. A location's pairs are drawn in
+(susceptible id, start, end; infector id, start, end) order, every pair
+whatever the earlier draws gave, so a location's draws can be taken in
+bulk.
 
 Status updates are synchronous: a person infected on day d transmits from
 day d+1 on. The ever-infected set is therefore non-decreasing, and with
 theta = 1 it reaches the transitive co-presence closure of the seed set.
+
+:func:`day_program` runs the day as batch transitions, one call per chunk
+of agents; :func:`day_program_agents` runs the per-agent forms, which give
+bit-equal results and serve as their oracle.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +55,7 @@ class Status(enum.IntEnum):
 # Plain ints for the per-person compare: an np.int64 == IntEnum compare
 # costs microseconds, an np.int64 == int one tens of nanoseconds.
 _SUSCEPTIBLE = int(Status.SUSCEPTIBLE)
-_INFECTED = (int(Status.INFECTED),)
+_INFECTED = int(Status.INFECTED)
 
 
 @dataclass(frozen=True)
@@ -93,10 +104,17 @@ def intervals_overlap(a_start, a_end, b_start, b_end) -> bool:
 
 @dataclass
 class EpiModel:
+    """A built epidemic and its daily schedule as a CSR over persons: the
+    visits of person ``p`` (local index) sit at ``visit_ptr[p]:visit_ptr[p
+    + 1]`` of the location id, start and end columns, in schedule order."""
+
     sim: Simulation
     person_base: int
     location_base: int
-    visits_by_person: tuple  # person local idx -> tuple of (loc, start, end)
+    visit_ptr: np.ndarray
+    visit_location: np.ndarray
+    visit_start: np.ndarray
+    visit_end: np.ndarray
 
     def person_id(self, p: int) -> int:
         return self.person_base + p
@@ -137,83 +155,157 @@ def build_epi(config: EpiConfig, checks="on") -> EpiModel:
     person_ids = sim.add_agents(PERSON, config.persons, {"status": status0})
     location_ids = sim.add_agents(LOCATION, config.locations, {})
 
-    visits: list[list] = [[] for _ in range(config.persons)]
-    for p, loc, start, end in schedule:
-        if not 0 <= p < config.persons:
-            raise UsageError(f"schedule person {p} out of range")
-        if not 0 <= loc < config.locations:
-            raise UsageError(f"schedule location {loc} out of range")
-        if end < start:
-            raise UsageError(f"schedule visit ends before it starts: {(p, loc, start, end)}")
-        visits[p].append((int(location_ids[loc]), start, end))
+    if not set(map(len, schedule)) <= {4}:
+        raise UsageError("schedule rows are (person, location, start, end)")
+    rows = np.fromiter(itertools.chain.from_iterable(schedule), dtype=np.int64,
+                       count=4 * len(schedule)).reshape(-1, 4)
+    p, loc, start, end = rows.T
+    bad = (p < 0) | (p >= config.persons) | (loc < 0) | (loc >= config.locations)
+    bad |= end < start
+    if bad.any():
+        row = tuple(rows[np.argmax(bad)].tolist())
+        if not 0 <= row[0] < config.persons:
+            raise UsageError(f"schedule person {row[0]} out of range")
+        if not 0 <= row[1] < config.locations:
+            raise UsageError(f"schedule location {row[1]} out of range")
+        raise UsageError(f"schedule visit ends before it starts: {row}")
+    order = np.argsort(p, kind="stable")
+    visit_ptr = np.zeros(config.persons + 1, dtype=np.int64)
+    np.cumsum(np.bincount(p, minlength=config.persons), out=visit_ptr[1:])
     sim.commit_initial()
     return EpiModel(
         sim=sim,
         person_base=int(person_ids[0]) if config.persons else 0,
         location_base=int(location_ids[0]) if config.locations else 0,
-        visits_by_person=tuple(tuple(v) for v in visits),
+        visit_ptr=visit_ptr,
+        visit_location=location_ids[loc[order]],
+        visit_start=start[order],
+        visit_end=end[order],
     )
 
 
-def day_program(model: EpiModel):
-    visits_by_person = model.visits_by_person
-    person_base = model.person_base
-
-    def emit_visits(view, params, _globals):
-        for loc_id, start, end in visits_by_person[view.agent_id - person_base]:
-            view.add_edge(VISIT, loc_id, (start, end))
+def spread(batch, params, _globals):
+    """Infection edges from a chunk of locations, one per susceptible visit
+    infected; each location's draws as :func:`spread_agent` takes them."""
+    theta = params["theta"]
+    if theta <= 0.0:
         return None
+    sources, (start, end), indptr = batch.edges(VISIT)
+    status, _ = batch.neighbor_field(VISIT, "status")
+    n = batch.slots.size
+    loc = np.repeat(np.arange(n), np.diff(indptr))  # chunk position per visit
+    infectious = status == _INFECTED
+    s = np.flatnonzero(~infectious)
+    i = np.flatnonzero(infectious)
+    s = s[np.lexsort((end[s], start[s], sources[s], loc[s]))]
+    i = i[np.lexsort((end[i], start[i], sources[i], loc[i]))]
+    # Pair each susceptible visit with its location's infectious visits:
+    # (location, susceptible, infectious) order, sum over locations of |S|·|I|.
+    n_inf = np.bincount(loc[i], minlength=n)
+    per_s = n_inf[loc[s]]
+    pair_s = np.repeat(np.arange(s.size), per_s)
+    first_i = np.cumsum(n_inf) - n_inf
+    pair_i = i[np.arange(pair_s.size)
+               + np.repeat(first_i[loc[s]] - (np.cumsum(per_s) - per_s), per_s)]
+    sv = s[pair_s]
+    pair_s = pair_s[(start[sv] <= end[pair_i]) & (start[pair_i] <= end[sv])]
+    draws = batch.random(np.bincount(loc[s[pair_s]], minlength=n))
+    hit = np.zeros(s.size, dtype=bool)
+    hit[pair_s[draws < theta]] = True
+    infected = s[hit]
+    batch.add_edges(INFECTION, sources[infected], agents=loc[infected])
+    return None
 
-    def spread(view, params, _globals):
-        theta = params["theta"]
-        if theta <= 0.0:
-            return None
-        infectious = []
-        susceptible = []
-        for record in view.edges(VISIT):
-            status = view.source_state(record)[0]
-            start, end = record.state
-            if status == Status.INFECTED:
-                infectious.append((record.source, start, end))
-            else:
-                susceptible.append((record.source, start, end))
-        if not infectious or not susceptible:
-            return None
-        rng = None
-        # Deterministic contact order: by susceptible id, then infector id.
-        for sid, s_start, s_end in sorted(susceptible):
-            for iid, i_start, i_end in sorted(infectious):
-                if not intervals_overlap(s_start, s_end, i_start, i_end):
-                    continue
-                if theta >= 1.0:
-                    view.add_edge(INFECTION, sid)
-                    break
-                if rng is None:
-                    rng = view.rng
-                if rng.random() < theta:
-                    view.add_edge(INFECTION, sid)
-                    break
+
+def update_status(batch, params, _globals):
+    """Susceptible persons with an Infection edge become infectious."""
+    status = batch.field("status")
+    return (np.where((status == _SUSCEPTIBLE) & batch.has(INFECTION), _INFECTED, status),)
+
+
+def spread_agent(view, params, _globals):
+    """The per-agent form of :func:`spread`, kept as its oracle."""
+    theta = params["theta"]
+    if theta <= 0.0:
         return None
+    infectious = []
+    susceptible = []
+    for record in view.edges(VISIT):
+        status = view.source_state(record)[0]
+        start, end = record.state
+        if status == _INFECTED:
+            infectious.append((record.source, start, end))
+        else:
+            susceptible.append((record.source, start, end))
+    if not infectious or not susceptible:
+        return None
+    infectious.sort()
+    rng = view.rng
+    for sid, s_start, s_end in sorted(susceptible):
+        draws = [rng.random() for _iid, i_start, i_end in infectious
+                 if intervals_overlap(s_start, s_end, i_start, i_end)]
+        if any(d < theta for d in draws):
+            view.add_edge(INFECTION, sid)
+    return None
 
-    def update_status(view, params, _globals):
-        status = view.field("status")
-        if status == _SUSCEPTIBLE and view.has_edge(INFECTION):
-            return _INFECTED
-        return (status,)
 
+def update_status_agent(view, params, _globals):
+    """The per-agent form of :func:`update_status`, kept as its oracle."""
+    status = view.field("status")
+    if status == _SUSCEPTIBLE and view.has_edge(INFECTION):
+        return (_INFECTED,)
+    return (status,)
+
+
+def _day(emit, spread_fn, update, batch: bool) -> list:
     return [
-        (emit_visits, TransitionSpec(
-            callable_types=(PERSON,), write_types=(VISIT,),
+        (emit, TransitionSpec(
+            callable_types=(PERSON,), write_types=(VISIT,), batch=batch,
         )),
-        (spread, TransitionSpec(
+        (spread_fn, TransitionSpec(
             callable_types=(LOCATION,), read_types=(VISIT, PERSON),
-            write_types=(INFECTION,),
+            write_types=(INFECTION,), batch=batch,
         )),
-        (update_status, TransitionSpec(
+        (update, TransitionSpec(
             callable_types=(PERSON,), read_types=(INFECTION,),
-            write_types=(PERSON,),
+            write_types=(PERSON,), batch=batch,
         )),
     ]
+
+
+def day_program(model: EpiModel) -> list:
+    """The day's three transitions as batch transitions."""
+    ptr, location = model.visit_ptr, model.visit_location
+    start, end = model.visit_start, model.visit_end
+    first = model.person_base & INDEX_MASK
+
+    def emit_visits(batch, params, _globals):
+        p = batch.slots - first
+        lo, counts = ptr[p], ptr[p + 1] - ptr[p]
+        agents = np.repeat(np.arange(p.size), counts)
+        pos = np.arange(agents.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        batch.add_edges(VISIT, location[pos], agents=agents,
+                        states=(start[pos], end[pos]))
+        return None
+
+    return _day(emit_visits, spread, update_status, batch=True)
+
+
+def day_program_agents(model: EpiModel) -> list:
+    """The per-agent forms of :func:`day_program`, kept as its oracle."""
+    ptr, location, start, end = (
+        a.tolist() for a in (model.visit_ptr, model.visit_location,
+                             model.visit_start, model.visit_end)
+    )
+    base = model.person_base
+
+    def emit_visits_agent(view, params, _globals):
+        p = view.agent_id - base
+        for k in range(ptr[p], ptr[p + 1]):
+            view.add_edge(VISIT, location[k], (start[k], end[k]))
+        return None
+
+    return _day(emit_visits_agent, spread_agent, update_status_agent, batch=False)
 
 
 def infected_count(sim: Simulation) -> int:

@@ -32,7 +32,7 @@ from .storage import (
     AgentSegment,
     build_read_container,
     cast_columns,
-    checked_extend,
+    edge_breaches,
     make_checked_adder,
     make_shard,
     plan_specialized_adder,
@@ -166,12 +166,15 @@ class Simulation:
                     f"edge type {edge_type!r}: {len(given)} {name} for "
                     f"{len(targets)} targets"
                 )
-        checked_extend(
-            self._init_shards[info.tag], info, self._init_sink,
-            self.checks.check_single_edge(), self.checks.check_single_type(),
-            targets, sources,
-            [info.stored_state(st) for st in states] if info.has_state else None,
-        )
+        columns = None
+        if info.has_state:
+            rows = [info.stored_state(st) for st in states]
+            columns = list(zip(*rows)) or [()] * len(info.field_names)
+        targets = np.ascontiguousarray(targets, dtype=_U64)
+        shard = self._init_shards[info.tag]
+        edge_breaches(shard, info, self._init_sink, self.checks.check_single_edge(),
+                      self.checks.check_single_type(), targets)
+        shard.extend(targets, sources, columns)
 
     def edge_adder(self, edge_type: str):
         """The bound low-level add for an edge type during initialization.

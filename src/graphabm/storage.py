@@ -13,10 +13,11 @@ sorted targets, optional source ids and optional state columns, one numpy
 array per declared field, as :class:`AgentSegment` holds agent fields.
 COUNT_ONLY keeps the targets alone and reads counts off the index;
 SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
-one presence bit per target. Write shards keep edge states as the tuples
-the model passed; the merge casts each field once with
-:func:`cast_columns`, the cast every agent write path uses too, and a
-value that does not cast raises :class:`~graphabm.errors.UsageError`.
+one presence bit per target. Write shards keep edge states as the model
+passed them, per-edge tuples or the columns of a bulk add; the merge casts
+each field once with :func:`cast_columns`, the cast every agent write path
+uses too, and a value that does not cast raises
+:class:`~graphabm.errors.UsageError`.
 
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
@@ -193,13 +194,21 @@ def _u64_bytes(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=_U64).view(np.uint8)
 
 
+class _Columns(tuple):
+    """The state columns of a bulk add, one sequence per field, as one
+    entry of a :class:`ListShard`'s ``states`` among per-edge tuples."""
+
+    __slots__ = ()
+
+
 class ListShard:
     """Write shard of every plan but EXISTENCE_BIT: parallel columns.
 
-    ``sources``, ``states`` (the models' state tuples, cast at the merge)
-    and ``producers`` exist only when the plan stores them or the caller
-    records producing agents; COUNT_ONLY keeps targets alone. ``add``
-    appends once to each present column.
+    ``sources``, ``states`` and ``producers`` exist only when the plan
+    stores them or the caller records producing agents; COUNT_ONLY keeps
+    targets alone. ``add`` appends once to each present column, a state
+    tuple to ``states``; ``extend`` appends arrays, and its state columns
+    as one :class:`_Columns` entry. The merge casts both.
     """
 
     __slots__ = ("targets", "sources", "states", "producers", "add")
@@ -244,14 +253,18 @@ class ListShard:
     def __setstate__(self, columns):
         self._bind(*columns)
 
-    def extend(self, targets, sources=None, states=None, producer=0):
+    def extend(self, targets, sources=None, states=None, producers=0):
+        """Append edges: ``states`` holds one column per field and
+        ``producers`` one producer per edge or one for all."""
         self.targets.frombytes(_u64_bytes(targets))
         if self.sources is not None:
             self.sources.frombytes(_u64_bytes(sources))
         if self.states is not None:
-            self.states.extend(states)
+            self.states.append(_Columns(states))
         if self.producers is not None:
-            self.producers.extend([producer] * len(targets))
+            self.producers.frombytes(
+                _u64_bytes(np.broadcast_to(np.asarray(producers, dtype=_U64), (len(targets),)))
+            )
 
     def __len__(self):
         return len(self.targets)
@@ -323,7 +336,7 @@ class ExistenceShard:
         idx = target & INDEX_MASK
         return idx < len(bucket) and bucket[idx] != 0
 
-    def extend(self, targets, sources=None, states=None, producer=0):
+    def extend(self, targets, sources=None, states=None, producers=0):
         targets = np.ascontiguousarray(targets, dtype=_U64)
         for comp, _, slots in group_by_comp(targets):
             top = int(slots.max()) + 1
@@ -401,42 +414,46 @@ def make_checked_adder(
     return add
 
 
-def checked_extend(
+def edge_breaches(
     shard,
     info: EdgeTypeInfo,
     sink: ViolationSink,
     check_single_edge: bool,
     check_single_type: bool,
-    targets,
-    sources=None,
-    states=None,
-    producer=0,
-):
-    """Bulk add with vectorized contract checks."""
-    targets_arr = np.ascontiguousarray(targets, dtype=_U64)
+    targets: np.ndarray,
+    producers=0,
+) -> None:
+    """Report what :func:`make_checked_adder`'s adder reports for adding
+    ``targets`` (uint64) in order to ``shard``: one report per offending
+    edge, tested with array ops. ``producers`` holds edge ``i``'s producer
+    at ``i``, or is one producer for all."""
+
+    def producer(i):
+        return int(producers[i] if np.ndim(producers) else producers)
+
     if check_single_type and info.single_type_tag is not None:
-        bad = np.flatnonzero((targets_arr >> _U64(56)) != _U64(info.single_type_tag))
-        if bad.size:
+        tag = info.single_type_tag
+        for i in np.flatnonzero((targets >> _U64(56)) != _U64(tag)).tolist():
             sink.report(
-                "single_type", info.name, int(targets_arr[bad[0]]), producer,
-                f"edge targets an agent of the wrong type (expected tag {info.single_type_tag})",
+                "single_type", info.name, int(targets[i]), producer(i),
+                f"edge targets an agent of the wrong type (expected tag {tag})",
             )
-    if check_single_edge and info.plan is EdgePlan.EXISTENCE_BIT:
-        uniq, counts = np.unique(targets_arr, return_counts=True)
-        dup = np.flatnonzero(counts > 1)
-        if dup.size:
+    if check_single_edge and info.plan is EdgePlan.EXISTENCE_BIT and targets.size:
+        _, first = np.unique(targets, return_index=True)
+        again = np.ones(targets.size, dtype=bool)
+        again[first] = False
+        positions = np.arange(targets.size)
+        for comp, sel, slots in group_by_comp(targets):
+            bucket = shard.buckets.get(comp)
+            if bucket is not None:  # targets an earlier add already set
+                bits = np.frombuffer(bucket, dtype=np.uint8)
+                inside = slots < bits.size
+                again[positions[sel][inside][bits[slots[inside]] != 0]] = True
+        for i in np.flatnonzero(again).tolist():
             sink.report(
-                "single_edge", info.name, int(uniq[dup[0]]), producer,
+                "single_edge", info.name, int(targets[i]), producer(i),
                 "second edge added to a SINGLE_EDGE target",
             )
-        for t in uniq.tolist():
-            if shard.has(t):
-                sink.report(
-                    "single_edge", info.name, t, producer,
-                    "second edge added to a SINGLE_EDGE target",
-                )
-                break
-    shard.extend(targets_arr, sources, states, producer)
 
 
 # ---------------------------------------------------------------------------
@@ -546,18 +563,41 @@ class ListEdgeRead:
         last = ptr.size - 1
         return ptr[np.minimum(slots, last)], ptr[np.minimum(slots + 1, last)]
 
+    def runs(self, comp: int, slots: np.ndarray):
+        """``(pos, indptr)``: the positions of the edges of targets ``slots``
+        of one composite, slot after slot, and each slot's run in them."""
+        starts, ends = self.bounds(comp, slots)
+        counts = ends - starts
+        indptr = np.zeros(slots.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        if slots.size and np.array_equal(starts[1:], ends[:-1]):
+            return slice(int(starts[0]), int(ends[-1])), indptr  # one run of edges
+        return np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts), indptr
+
     def has_for(self, aid: int) -> bool:
         lo, hi = self.span(aid)
         return hi > lo
 
-    def count_for(self, aid: int) -> int:
+    def has_for_slots(self, comp: int, slots: np.ndarray) -> np.ndarray:
+        starts, ends = self.bounds(comp, slots)
+        return ends > starts
+
+    def _require_counts(self):
         if self.info.plan is EdgePlan.SINGLE_FULL_EDGE:
             raise HintViolation(
                 f"edge type {self.info.name!r} holds at most one edge per target; "
                 "use has_edge"
             )
+
+    def count_for(self, aid: int) -> int:
+        self._require_counts()
         lo, hi = self.span(aid)
         return hi - lo
+
+    def count_for_slots(self, comp: int, slots: np.ndarray) -> np.ndarray:
+        self._require_counts()
+        starts, ends = self.bounds(comp, slots)
+        return ends - starts
 
     def sources_for(self, aid: int) -> np.ndarray:
         if self.sources is None:
@@ -582,12 +622,26 @@ class ListEdgeRead:
             return [()] * (hi - lo)
         return list(zip(*(c[lo:hi].tolist() for c in self.states)))
 
-    def records_for(self, aid: int) -> list[EdgeRecord]:
+    def _require_records(self):
         if self.info.plan is EdgePlan.COUNT_ONLY:
             raise HintViolation(
                 f"edge type {self.info.name!r} stores only per-target counts; "
                 "edge records are not retrievable"
             )
+
+    def records_for_slots(self, comp: int, slots: np.ndarray):
+        """``(sources, states, indptr)`` of the edges of targets ``slots``
+        of one composite, as :meth:`runs` orders them; ``sources`` is None
+        without source ids, ``states`` (one column per field) when
+        STATELESS."""
+        self._require_records()
+        pos, indptr = self.runs(comp, slots)
+        sources = None if self.sources is None else self.sources[pos]
+        states = None if self.info.stateless else tuple(c[pos] for c in self.states or ())
+        return sources, states, indptr
+
+    def records_for(self, aid: int) -> list[EdgeRecord]:
+        self._require_records()
         lo, hi = self.span(aid)
         none = [None] * (hi - lo)
         sources = none if self.sources is None else self.sources[lo:hi].tolist()
@@ -646,7 +700,15 @@ class ExistenceEdgeRead:
         idx = aid & INDEX_MASK
         return idx < bucket.size and bucket[idx] != 0
 
-    def count_for(self, aid: int):
+    def has_for_slots(self, comp: int, slots: np.ndarray) -> np.ndarray:
+        out = np.zeros(slots.size, dtype=bool)
+        bucket = self.buckets.get(comp)
+        if bucket is not None:
+            inside = slots < bucket.size
+            out[inside] = bucket[slots[inside]] != 0
+        return out
+
+    def count_for(self, *_):
         raise HintViolation(
             f"edge type {self.info.name!r} stores only an existence bit; "
             "edge multiplicity is not retrievable"
@@ -659,11 +721,14 @@ class ExistenceEdgeRead:
 
     states_for = sources_for
 
-    def records_for(self, aid: int):
+    def records_for(self, *_):
         raise HintViolation(
             f"edge type {self.info.name!r} stores only an existence bit; "
             "edge records are not retrievable"
         )
+
+    count_for_slots = count_for
+    records_for_slots = records_for
 
     def edge_endpoints(self):
         return None
@@ -697,6 +762,28 @@ class ExistenceEdgeRead:
 # ---------------------------------------------------------------------------
 
 
+def _merge_states(info: EdgeTypeInfo, shards: list) -> tuple:
+    """The shards' state columns, cast, in write order: runs of per-edge
+    tuples become columns and bulk-added columns are kept as they are."""
+    groups, rows = [], []
+    for entry in (e for s in shards for e in s.states):
+        if isinstance(entry, _Columns):
+            if rows:
+                groups.append(list(zip(*rows)))
+                rows = []
+            groups.append(entry)
+        else:
+            rows.append(entry)
+    if rows:
+        groups.append(list(zip(*rows)))
+    cast = [cast_columns(info, g) for g in groups]
+    if not cast:
+        return cast_columns(info, [()] * len(info.field_names))
+    if len(cast) == 1:
+        return cast[0]
+    return tuple(np.concatenate(columns) for columns in zip(*cast))
+
+
 def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
     """``carryover``'s edges, then the shards' edges concatenated in worker
     order and ordered by producer.
@@ -709,8 +796,7 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
     sources = _concat_u64([s.sources for s in shards]) if info.has_source else None
     states = producers = None
     if info.has_state:
-        columns = list(zip(*(st for s in shards for st in s.states)))
-        states = cast_columns(info, columns or [()] * len(info.field_names))
+        states = _merge_states(info, shards)
     if all(s.producers is not None for s in shards):
         producers = _concat_u64([s.producers for s in shards])
         if not _is_nondecreasing(producers):

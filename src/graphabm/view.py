@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import HintViolation, TypeNotReadable, TypeNotWritable, UnknownName, UsageError
 from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id, group_by_comp
-from .schema import EdgePlan
+from .philox import agent_draws, agent_generator
+from .storage import cast_columns, edge_breaches
 
 
 class _Reads:
@@ -255,12 +256,7 @@ class NeighborhoodView(_Reads):
         """
         r = self._rng
         if r is None:
-            r = self._rng = np.random.Generator(
-                np.random.Philox(
-                    counter=[self._step, 0, 0, 0],
-                    key=[self._sim.seed, self._aid],
-                )
-            )
+            r = self._rng = agent_generator(self._sim.seed, self._step, self._aid)
         return r
 
 
@@ -268,23 +264,32 @@ class AgentBatch(_Reads):
     """A chunk of agents of one type and partition for a batch transition.
 
     ``slots`` holds the agents' local slots and ``ids`` their agent ids;
-    the arrays a batch transition returns align with them. All reads see
-    time-t data.
+    the arrays a batch transition returns, and the per-agent arrays its
+    reads return and its writes take, align with them. All reads see time-t
+    data; arrays a read returns may share memory with the store and must
+    not be modified.
     """
 
-    __slots__ = ("_sim", "_rt", "_read", "_seg", "_comp", "slots")
+    __slots__ = ("_sim", "_rt", "_read", "_writers", "_sink", "_seg", "_comp",
+                 "_ids", "slots")
 
-    def __init__(self, sim, rt, read_containers, tag: int, part: int, seg, slots):
+    def __init__(self, sim, rt, read_containers, writers, sink,
+                 tag: int, part: int, seg, slots):
         self._sim = sim
         self._rt = rt
         self._read = read_containers
+        self._writers = writers  # name -> (shard, EdgeTypeInfo)
+        self._sink = sink
         self._seg = seg
         self._comp = (tag << PART_BITS) | part
         self.slots = slots
+        self._ids = None
 
     @property
     def ids(self) -> np.ndarray:
-        return np.uint64(self._comp << COMP_SHIFT) + self.slots.astype(np.uint64)
+        if self._ids is None:
+            self._ids = np.uint64(self._comp << COMP_SHIFT) + self.slots.astype(np.uint64)
+        return self._ids
 
     def field(self, name: str) -> np.ndarray:
         """The agents' own values of one state field."""
@@ -294,6 +299,26 @@ class AgentBatch(_Reads):
             raise UnknownName(f"agent has no field {name!r}") from None
         return arr[self.slots]
 
+    # -- incoming edges --------------------------------------------------------
+
+    def has(self, edge_type: str) -> np.ndarray:
+        """Per agent, whether it has an incoming edge of the type."""
+        return self._container(edge_type).has_for_slots(self._comp, self.slots)
+
+    def count(self, edge_type: str) -> np.ndarray:
+        """Per agent, its number of incoming edges of the type."""
+        return self._container(edge_type).count_for_slots(self._comp, self.slots)
+
+    def edges(self, edge_type: str):
+        """Every agent's incoming edges as ``(sources, states, indptr)``.
+
+        Agent ``i``'s edges sit at ``indptr[i]:indptr[i + 1]``, in
+        producing-agent order, as ``NeighborhoodView.edges`` lists them.
+        ``sources`` is None when the type drops source ids and ``states``,
+        one column per declared field, when it is STATELESS.
+        """
+        return self._container(edge_type).records_for_slots(self._comp, self.slots)
+
     def neighbor_field(self, edge_type: str, field: str):
         """One state field of the source agents of every agent's incoming edges.
 
@@ -302,21 +327,77 @@ class AgentBatch(_Reads):
         same values ``NeighborhoodView.neighbor_field`` gives that agent.
         """
         c = self._source_readable(edge_type)
-        if c.plan is EdgePlan.SINGLE_FULL_EDGE:
-            raise UsageError(
-                f"edge type {edge_type!r} ({c.plan.name}) has no batch gather; "
-                "read it from a per-agent transition"
-            )
-        slots = self.slots
-        starts, ends = c.bounds(self._comp, slots)
-        counts = ends - starts
-        indptr = np.zeros(slots.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if slots.size and np.array_equal(starts[1:], ends[:-1]):
-            pos = slice(int(starts[0]), int(ends[-1]))  # one run of edges
-        else:
-            pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        pos, indptr = c.runs(self._comp, self.slots)
         comp = c.single_source_comp
         if comp is None:
             return self._gather(c.sources[pos], field), indptr
         return self._source_column(comp, field)[c.sources_local[pos]], indptr
+
+    # -- write effects ----------------------------------------------------------
+
+    def add_edges(self, edge_type: str, targets, *, agents, states=None,
+                  sources=None) -> None:
+        """Add edges to the graph under construction.
+
+        Edge ``i`` is produced by the agent at position ``agents[i]`` of
+        ``slots``; ``sources`` defaults to the producers' ids and ``states``
+        holds one column per declared field. As in
+        ``NeighborhoodView.add_edge``, only what the type's hints retain is
+        stored, and each agent's edges keep their order in the arrays.
+        """
+        w = self._writers.get(edge_type)
+        if w is None:
+            raise TypeNotWritable(
+                f"edge type {edge_type!r} is not in this transition's write set"
+            )
+        shard, info = w
+        targets = np.ascontiguousarray(targets, dtype=np.uint64)
+        agents = np.asarray(agents)
+        given = [("agents", agents), ("sources", sources)]
+        if info.has_state:
+            if states is None or len(states) != len(info.field_names):
+                got = "none" if states is None else len(states)
+                raise UsageError(
+                    f"edge type {edge_type!r} takes {len(info.field_names)} "
+                    f"state columns, got {got}"
+                )
+            states = cast_columns(info, states)
+            given += zip(info.field_names, states)
+        for name, column in [("targets", targets)] + given:
+            if column is not None and np.shape(column) != (targets.size,):
+                raise UsageError(
+                    f"edge type {edge_type!r}: {name} of shape "
+                    f"{np.shape(column)} for {targets.size} targets"
+                )
+        if agents.size and (
+            agents.dtype.kind not in "iu"
+            or agents.min() < 0 or agents.max() >= self.slots.size
+        ):
+            raise UsageError(
+                f"agents must be positions in this batch's {self.slots.size} slots"
+            )
+        producers = self.ids[agents.astype(np.intp, copy=False)]
+        rt = self._rt
+        edge_breaches(shard, info, self._sink, rt.check_single_edge,
+                      rt.check_single_type, targets, producers)
+        shard.extend(targets, producers if sources is None else sources,
+                     states, producers)
+
+    # -- randomness ---------------------------------------------------------------
+
+    def random(self, counts) -> np.ndarray:
+        """``counts[i]`` uniform draws in [0, 1) for each agent, concatenated.
+
+        Agent ``i``'s draws equal the first ``counts[i]`` values of
+        ``NeighborhoodView.rng.random()`` for that agent in this step: the
+        stream is keyed by (simulation seed, step, agent id) only.
+        """
+        counts = np.asarray(counts)
+        if counts.shape != self.slots.shape or (
+            counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0)
+        ):
+            raise UsageError(
+                f"random takes one non-negative count per agent ({self.slots.size})"
+            )
+        return agent_draws(self._sim.seed, self._sim.step, self.ids,
+                           counts.astype(np.int64))

@@ -1,8 +1,10 @@
 """Batch (array-at-a-time) transitions.
 
-The batch form of HK must give the same state checksum as its per-agent
-oracle for every topology, storage plan, worker count, partition strategy,
-execution order and chunking; batch specs must keep the engine's contract
+The batch forms of HK and of the epidemic must give the same state
+checksum as their per-agent oracles for every topology or infection
+probability, storage plan, worker count, partition strategy, execution
+order and chunking; batch reads, edge writes and random draws must equal
+their per-agent counterparts; batch specs must keep the engine's contract
 checks.
 """
 
@@ -20,6 +22,7 @@ from graphabm import (
     Simulation,
     TransitionSpec,
     TypeNotReadable,
+    TypeNotWritable,
     UnknownName,
     UsageError,
     apply_transition,
@@ -34,6 +37,13 @@ from graphabm.models.hk import (
     build_hk,
     hk_agent_transition,
     hk_transition,
+)
+from graphabm.models.episim import (
+    EpiConfig,
+    build_epi,
+    day_program,
+    day_program_agents,
+    random_schedule,
 )
 from graphabm.models.topology import Cliques, Complete, Regular
 
@@ -183,15 +193,32 @@ class TestBatchContract:
         assert k.dtype == np.int64 and k.tolist() == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("spec_kw", [
-        {"write_types": ("P", "E")},
         {"write_types": ("P", "Q")},
         {"write_types": ("P",), "keep_existing": ("P",)},
-        {"write_types": ()},
-    ], ids=["edge-type", "other-agent-type", "keep-existing", "nothing"])
+    ], ids=["other-agent-type", "keep-existing"])
     def test_spec_not_writing_exactly_its_callable_types_is_rejected(self, spec_kw):
         sim, _ids = small_sim()
         with pytest.raises(UsageError):
             apply_transition(sim, identity, batch_spec(**spec_kw))
+        assert sim._staged is None
+
+    @pytest.mark.parametrize("write_types, fn", [
+        (("P", "E"), identity),
+        ((), lambda b, p, g: None),
+    ], ids=["edge-type", "nothing"])
+    def test_spec_writing_edges_or_nothing_is_accepted(self, write_types, fn):
+        sim, _ids = small_sim()
+        before = sim.field_array("P", "x").tolist()
+        apply_transition(sim, fn, batch_spec(write_types=write_types))
+        finalize_step(sim)
+        assert sim.field_array("P", "x").tolist() == before
+        # a written edge type is rebuilt from this step's edges: none here
+        assert sim.edge_container("E").n_stored() == (0 if "E" in write_types else 4)
+
+    def test_states_for_an_unwritten_callable_type_raise(self):
+        sim, _ids = small_sim()
+        with pytest.raises(TypeNotWritable):
+            apply_transition(sim, identity, batch_spec(write_types=()))
         assert sim._staged is None
 
     @pytest.mark.parametrize("fn", [
@@ -233,11 +260,40 @@ class TestBatchContract:
         with pytest.raises(UnknownName):
             apply_transition(sim, lambda b, p, g: b.field("nope"), batch_spec())
 
-    def test_plan_without_csr_index_is_rejected(self):
-        sim, _ids = small_sim(hints=Hint.SINGLE_EDGE, with_edges=False)
-        with pytest.raises(UsageError):
-            apply_transition(sim, lambda b, p, g: b.neighbor_field("E", "x"),
-                             batch_spec())
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_single_full_edge_gather_equals_view(self, workers):
+        """A SINGLE_FULL_EDGE type's batch gather gives every agent the
+        values and count the per-agent gather gives it."""
+
+        def agent_form(view, params, glob):
+            values = view.neighbor_field("E", "x")
+            return (values[0] if values.size else -1.0), values.size
+
+        def batch_form(batch, params, glob):
+            values, indptr = batch.neighbor_field("E", "x")
+            counts = np.diff(indptr)
+            first = np.full(counts.size, -1.0)
+            first[counts > 0] = values[indptr[:-1][counts > 0]]
+            return first, counts
+
+        got = []
+        for fn, batch in ((agent_form, False), (batch_form, True)):
+            schema = Schema()
+            schema.register_agent_type(
+                AgentTypeDecl("P", (("x", "float64"), ("k", "int64")), immortal=True)
+            )
+            schema.register_edge_type(EdgeTypeDecl("E", hints=Hint.SINGLE_EDGE))
+            sim = Simulation(schema, seed=0)
+            ids = sim.add_agents("P", 6, {"x": np.arange(6.0) + 0.5, "k": np.zeros(6)})
+            # 0 <- 1, 2 <- 0, 3 <- 3, 5 <- 4; agents 1 and 4 have no edge
+            sim.add_edges("E", ids[[0, 2, 3, 5]], ids[[1, 0, 3, 4]])
+            spec = TransitionSpec(callable_types=("P",), read_types=("E", "P"),
+                                  write_types=("P",), batch=batch)
+            run(sim, 2, [(fn, spec)], workers=workers)
+            got.append((sim.field_array("P", "x").tolist(),
+                        sim.field_array("P", "k").tolist(), sim.state_checksum()))
+        assert got[0] == got[1]
+        assert got[1][1] == [1, 0, 1, 1, 0, 1]
 
     def test_agent_without_edges_raises_as_in_per_agent_form(self):
         errors = []
@@ -256,3 +312,341 @@ class TestBatchContract:
             errors.append(str(info.value))
         assert errors[0] == errors[1]
         assert f"{int(ids[1]):#x}" in errors[0]
+
+
+EPI_PERSONS, EPI_LOCATIONS, EPI_DAYS = 240, 10, 4
+EPI_SCHEDULE = random_schedule(EPI_PERSONS, EPI_LOCATIONS,
+                               np.random.default_rng(4), visits_per_person=3)
+
+
+def epi_checksum(program, theta, hints, workers=1, shuffle=None):
+    model = build_epi(EpiConfig(
+        persons=EPI_PERSONS, locations=EPI_LOCATIONS, theta=theta, seed=3,
+        schedule=EPI_SCHEDULE, initial_infected=(0, 7, 11), hints=hints,
+    ))
+    if shuffle is None:
+        run(model.sim, EPI_DAYS, program(model), workers=workers)
+    else:
+        for _day in range(EPI_DAYS):
+            for fn, spec in program(model):
+                apply_transition(model.sim, fn, spec, shuffle=shuffle)
+                finalize_step(model.sim)
+    return model.sim.state_checksum()
+
+
+class TestEpidemicOracle:
+    @pytest.mark.parametrize("hints", [True, False])
+    @pytest.mark.parametrize("theta", [0.0, 0.35, 1.0])
+    def test_batch_day_equals_per_agent_day(self, theta, hints, monkeypatch):
+        expected = epi_checksum(day_program_agents, theta, hints)
+        for workers in (1, 2, 4):
+            assert epi_checksum(day_program, theta, hints, workers) == expected, workers
+            got = epi_checksum(day_program_agents, theta, hints, workers)
+            assert got == expected, ("per-agent", workers)
+        rng = np.random.default_rng(5)
+        assert epi_checksum(day_program, theta, hints, shuffle=rng) == expected
+        assert epi_checksum(day_program_agents, theta, hints, shuffle=rng) == expected
+        monkeypatch.setattr(engine, "BATCH_EDGE_LIMIT", 1)
+        assert epi_checksum(day_program, theta, hints) == expected
+
+    def test_intermediate_theta_infects_some_but_not_all(self):
+        """The oracle at theta = 0.35 compares runs that draw and infect."""
+        counts = []
+        for theta in (0.35, 1.0):
+            model = build_epi(EpiConfig(
+                persons=EPI_PERSONS, locations=EPI_LOCATIONS, theta=theta,
+                seed=3, schedule=EPI_SCHEDULE, initial_infected=(0, 7, 11),
+            ))
+            run(model.sim, EPI_DAYS, day_program(model))
+            counts.append(int(np.count_nonzero(model.sim.field_array("Person", "status"))))
+        assert 3 < counts[0] < counts[1]
+
+
+def typed_sim(n_types=1, seed=0, checks="on", edge=None):
+    """``n_types`` agent types T0.. of 12 agents each; edge types ``E``
+    (one int64 state field) and, if given, ``edge``."""
+    schema = Schema()
+    for t in range(n_types):
+        schema.register_agent_type(AgentTypeDecl(f"T{t}", (("x", "int64"),), immortal=True))
+    schema.register_edge_type(EdgeTypeDecl("E", (("w", "int64"),)))
+    if edge is not None:
+        schema.register_edge_type(edge)
+    sim = Simulation(schema, seed=seed, checks=checks)
+    ids = [sim.add_agents(f"T{t}", 12, {"x": np.arange(12)}) for t in range(n_types)]
+    sim.commit_initial()
+    return sim, ids
+
+
+class TestRandom:
+    def test_draws_equal_numpy_philox_for_random_keys(self):
+        from graphabm.philox import agent_draws
+
+        rng = np.random.default_rng(2024)
+        for _case in range(200):
+            seed = int(rng.integers(0, 2**63)) * int(rng.integers(1, 3))
+            step = int(rng.integers(0, 10_000))
+            ids = rng.integers(0, 2**63, int(rng.integers(1, 6)), dtype=np.uint64)
+            ids[rng.random(ids.size) < 0.5] |= np.uint64(1 << 63)
+            counts = rng.integers(0, 11, ids.size)
+            expected = []
+            for aid, count in zip(ids.tolist(), counts.tolist()):
+                g = np.random.Generator(np.random.Philox(
+                    counter=[step, 0, 0, 0], key=np.array([seed, aid], dtype=np.uint64)
+                ))
+                expected += [g.random() for _ in range(count)]
+            got = agent_draws(seed, step, ids, counts)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 987654321, 2**63 + 5])
+    def test_batch_random_equals_view_rng(self, seed):
+        # 130 agent types: the last has tag 129, so its ids are >= 2**63
+        _sim, ids = typed_sim(n_types=130, seed=seed)
+        assert int(ids[-1][0]) >= 2**63
+        callable_types = ("T0", "T129")
+        counts_of = {int(a): (int(a) * 7 + 3) % 11 for block in (ids[0], ids[-1]) for a in block}
+        assert {0, 4, 5, 8, 9} <= set(counts_of.values())  # empty and block-crossing
+        per_agent, batched = {}, {}
+
+        def agent_form(view, params, glob):
+            per_agent[(view.step, view.agent_id)] = [
+                view.rng.random() for _ in range(counts_of[view.agent_id])
+            ]
+
+        def batch_form(batch, params, glob):
+            counts = np.array([counts_of[a] for a in batch.ids.tolist()])
+            draws = batch.random(counts)
+            ends = np.cumsum(counts)
+            for aid, end, count in zip(batch.ids.tolist(), ends, counts):
+                batched[(batch._sim.step, aid)] = draws[end - count:end].tolist()
+
+        for fn, batch in ((agent_form, False), (batch_form, True)):
+            sim, _ids = typed_sim(n_types=130, seed=seed)
+            spec = TransitionSpec(callable_types=callable_types, batch=batch)
+            for _step in range(2):
+                apply_transition(sim, fn, spec)
+                finalize_step(sim)
+        assert len(per_agent) == 48 and batched == per_agent
+        steps = {step for step, _aid in per_agent}
+        assert len(steps) == 2
+
+    def test_streams_of_adjacent_high_ids_differ(self):
+        sim, ids = typed_sim(n_types=130)
+        first = {}
+
+        def agent_form(view, params, glob):
+            first[view.agent_id] = view.rng.random()
+
+        apply_transition(sim, agent_form, TransitionSpec(callable_types=("T129",)))
+        assert len(set(first.values())) == 12
+
+    @pytest.mark.parametrize("counts", [[1, 2], [-1] * 12, [0.5] * 12])
+    def test_bad_counts_raise_usage_error(self, counts):
+        sim, _ids = typed_sim()
+        with pytest.raises(UsageError):
+            apply_transition(sim, lambda b, p, g: b.random(np.array(counts)),
+                             TransitionSpec(callable_types=("T0",), batch=True))
+        assert sim._staged is None
+
+
+def write_spec(edge="E", batch=True, reads=()):
+    return TransitionSpec(callable_types=("T0",), read_types=reads,
+                          write_types=(edge,), batch=batch)
+
+
+class TestBatchEdgeWrites:
+    def emit_pairs(self, batch, params, glob):
+        """Agent at slot s adds edges to slots s + 1 and s + 2 (mod 12),
+        with states 10 * s + k, in that order."""
+        n = batch.slots.size
+        agents = np.repeat(np.arange(n), 2)
+        slots = batch.slots[agents] + np.tile([1, 2], n)
+        targets = (batch.ids[agents] - batch.slots[agents].astype(np.uint64)
+                   + (slots % 12).astype(np.uint64))
+        batch.add_edges("E", targets, agents=agents,
+                        states=(10 * batch.slots[agents] + np.tile([0, 1], n),))
+
+    @staticmethod
+    def emit_pairs_agent(view, params, glob):
+        base = view.agent_id - view.agent_id % (1 << 36)
+        s = view.agent_id - base
+        for k in (1, 2):
+            view.add_edge("E", base + (s + k) % 12, (10 * s + k - 1,))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_edges_equal_per_agent_adds(self, workers):
+        sums = []
+        for fn, batch in ((self.emit_pairs_agent, False), (self.emit_pairs, True)):
+            sim, ids = typed_sim()
+            apply_transition(sim, fn, write_spec(batch=batch), workers=workers)
+            finalize_step(sim)
+            sums.append(sim.state_checksum())
+            c = sim.edge_container("E")
+            assert c.records_for(int(ids[0][3])) == [
+                (int(ids[0][1]), (11,), "E"), (int(ids[0][2]), (20,), "E")
+            ]
+        assert sums[0] == sums[1]
+
+    def test_reads_equal_view_reads(self):
+        """``has``, ``count`` and ``edges`` give each agent what the view gives."""
+        sim, ids = typed_sim()
+        apply_transition(sim, self.emit_pairs, write_spec())
+        finalize_step(sim)
+        seen_view, seen_batch = {}, {}
+
+        def agent_form(view, params, glob):
+            seen_view[view.agent_id] = (view.has_edge("E"), view.num_edges("E"),
+                                        [(r.source, r.state) for r in view.edges("E")])
+
+        def batch_form(batch, params, glob):
+            has, count = batch.has("E"), batch.count("E")
+            sources, (w,), indptr = batch.edges("E")
+            for i, aid in enumerate(batch.ids.tolist()):
+                lo, hi = indptr[i], indptr[i + 1]
+                seen_batch[aid] = (bool(has[i]), int(count[i]), list(zip(
+                    sources[lo:hi].tolist(), [(v,) for v in w[lo:hi].tolist()]
+                )))
+
+        for fn, batch in ((agent_form, False), (batch_form, True)):
+            apply_transition(sim, fn, TransitionSpec(
+                callable_types=("T0",), read_types=("E",), batch=batch))
+            finalize_step(sim)
+        assert seen_batch == seen_view and len(seen_view) == 12
+
+    @pytest.mark.parametrize("hints, call", [
+        (Hint.STATELESS | Hint.IGNORE_FROM, "edges"),
+        (Hint.SINGLE_EDGE, "count"),
+        (Hint.SINGLE_EDGE | Hint.STATELESS | Hint.IGNORE_FROM, "count"),
+        (Hint.SINGLE_EDGE | Hint.STATELESS | Hint.IGNORE_FROM, "edges"),
+    ], ids=["count-only-edges", "single-full-count", "existence-count",
+            "existence-edges"])
+    def test_reads_the_plan_drops_raise_as_in_the_view(self, hints, call):
+        errors = []
+        for batch in (False, True):
+            sim, _ids = typed_sim(edge=EdgeTypeDecl("H", hints=hints))
+            if batch:
+                def fn(b, p, g):
+                    getattr(b, call)("H")
+            else:
+                def fn(v, p, g):
+                    (v.num_edges if call == "count" else v.edges)("H")
+            with pytest.raises(HintViolation) as info:
+                apply_transition(sim, fn, TransitionSpec(
+                    callable_types=("T0",), read_types=("H",), batch=batch))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("hints", [
+        Hint.STATELESS | Hint.IGNORE_FROM,
+        Hint.SINGLE_EDGE | Hint.STATELESS | Hint.IGNORE_FROM,
+    ], ids=["count-only", "existence-bit"])
+    def test_has_and_count_on_stateless_plans(self, hints):
+        sim, ids = typed_sim(edge=EdgeTypeDecl("H", hints=hints))
+
+        def emit(batch, params, glob):
+            agents = np.array([0, 0, 5])  # slot 3 twice, slot 7 once
+            targets = batch.ids[0] + np.array([3, 3, 7], dtype=np.uint64)
+            if hints & Hint.SINGLE_EDGE:
+                agents, targets = agents[1:], targets[1:]
+            batch.add_edges("H", targets, agents=agents)
+
+        apply_transition(sim, emit, write_spec("H"))
+        finalize_step(sim)
+        got = {}
+
+        def read(batch, params, glob):
+            got["has"] = batch.has("H").tolist()
+            if not hints & Hint.SINGLE_EDGE:
+                got["count"] = batch.count("H").tolist()
+
+        apply_transition(sim, read, TransitionSpec(
+            callable_types=("T0",), read_types=("H",), batch=True))
+        assert got["has"] == [i in (3, 7) for i in range(12)]
+        if "count" in got:
+            assert got["count"] == [2 if i == 3 else int(i == 7) for i in range(12)]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"agents": [0, 1]},                               # agents too short
+        {"agents": [0, 1, 2], "states": ([1, 2],)},       # states too short
+        {"agents": [0, 1, 2], "states": ([1, 2, 3], [1, 2, 3])},  # arity
+        {"agents": [0, 1, 2]},                            # states missing
+        {"agents": [0, 1, 2], "states": ([1, 2, 3],), "sources": [0]},
+        {"agents": [0, 1, 12], "states": ([1, 2, 3],)},   # past the batch
+        {"agents": [0, -1, 2], "states": ([1, 2, 3],)},
+        {"agents": [0.0, 1.0, 2.0], "states": ([1, 2, 3],)},
+    ], ids=["agents", "states", "arity", "no-states", "sources", "agent-high",
+            "agent-negative", "agent-float"])
+    def test_bad_arguments_raise_usage_error(self, kwargs):
+        sim, _ids = typed_sim()
+
+        def emit(batch, params, glob):
+            batch.add_edges("E", batch.ids[:3], **kwargs)
+
+        with pytest.raises(UsageError):
+            apply_transition(sim, emit, write_spec())
+        assert sim._staged is None
+
+    def test_unwritten_edge_type_raises(self):
+        sim, _ids = typed_sim(edge=EdgeTypeDecl("F"))
+
+        def emit(batch, params, glob):
+            batch.add_edges("F", batch.ids[:1], agents=[0])
+
+        with pytest.raises(TypeNotWritable):
+            apply_transition(sim, emit, write_spec())
+        assert sim._staged is None
+
+    @pytest.mark.parametrize("hints, kinds", [
+        (Hint.SINGLE_TYPE | Hint.STATELESS, {"single_type": 12}),
+        (Hint.SINGLE_TYPE | Hint.SINGLE_EDGE | Hint.STATELESS | Hint.IGNORE_FROM,
+         {"single_type": 12, "single_edge": 12}),
+        (Hint.SINGLE_EDGE | Hint.STATELESS | Hint.IGNORE_FROM, {"single_edge": 12}),
+    ], ids=["single-type", "single-type-existence", "existence-duplicates"])
+    def test_reports_equal_per_agent_reports(self, hints, kinds):
+        """Each agent adds edges to slots s and s + 1 of T0 and to slot s of
+        T1: with SINGLE_TYPE (target T0) every T1 edge is reported, and
+        with SINGLE_EDGE every edge to a slot an earlier edge reached."""
+        target = "T0" if hints & Hint.SINGLE_TYPE else None
+        decl = EdgeTypeDecl("H", hints=hints, single_type_target=target)
+
+        def targets_of(aid, bases):
+            s = aid % (1 << 36)
+            return [bases[0] + s, bases[0] + (s + 1) % 12, bases[1] + s]
+
+        def agent_form(view, params, glob):
+            for t in targets_of(view.agent_id, bases):
+                view.add_edge("H", t)
+
+        def batch_form(batch, params, glob):
+            rows = [targets_of(a, bases) for a in batch.ids.tolist()]
+            batch.add_edges("H", np.array(rows, dtype=np.uint64).ravel(),
+                            agents=np.repeat(np.arange(len(rows)), 3))
+
+        for workers in (1, 2):
+            found = []
+            for fn, batch in ((agent_form, False), (batch_form, True)):
+                sim, ids = typed_sim(n_types=2, checks="warn", edge=decl)
+                bases = [int(ids[0][0]), int(ids[1][0])]
+                apply_transition(sim, fn, write_spec("H", batch=batch), workers=workers)
+                finalize_step(sim)
+                found.append(sorted((v.kind, v.target, v.producer, v.message)
+                                    for v in sim.check_reports))
+            assert found[0] == found[1], workers
+            got = {}
+            for kind, *_ in found[0]:
+                got[kind] = got.get(kind, 0) + 1
+            assert got == kinds, workers
+
+    def test_breach_in_error_mode_leaves_nothing_staged(self):
+        decl = EdgeTypeDecl("H", hints=Hint.SINGLE_TYPE | Hint.STATELESS,
+                            single_type_target="T0")
+        sim, ids = typed_sim(n_types=2, edge=decl)
+
+        def emit(batch, params, glob):
+            batch.add_edges("H", ids[1][:1], agents=[0])
+
+        from graphabm import ContractViolation
+
+        with pytest.raises(ContractViolation):
+            apply_transition(sim, emit, write_spec("H"))
+        assert sim._staged is None

@@ -113,6 +113,27 @@ class TestSingleType:
                 np.array([a[0]], dtype=np.uint64),
             )
 
+    def test_bulk_add_reports_each_edge_as_single_adds_do(self):
+        """A bulk add reports every offending edge, as one add per edge."""
+        found = []
+        for bulk in (False, True):
+            sim, a, b = checked_sim("warn", single_type=True)
+            targets = [a[0], b[0], a[0], b[1], a[1], a[1]]
+            sim.add_edge("E", a[1], a[2])
+            if bulk:
+                sim.add_edges("E", np.array(targets, dtype=np.uint64),
+                              np.array(targets, dtype=np.uint64))
+            else:
+                for t in targets:
+                    sim.add_edge("E", t, t)
+            sim.commit_initial()
+            found.append([(v.kind, v.target) for v in sim.check_reports])
+        assert sorted(found[0]) == sorted(found[1])
+        assert sorted(found[1]) == sorted([
+            ("single_type", b[0]), ("single_type", b[1]),
+            ("single_edge", a[0]), ("single_edge", a[1]), ("single_edge", a[1]),
+        ])
+
     def test_checks_off_masked_write_collides_across_types(self):
         # With checks off, the SINGLE_TYPE specialized adder is a masked
         # write into the declared target type's index space. A wrong-type

@@ -181,3 +181,29 @@ class TestDayComposite:
         status = model.sim.field_array("Person", "status")
         assert status.tolist() == [1, 1]
         assert model.sim.step == 3  # three transitions per day
+
+
+class TestScheduleCsr:
+    def test_csr_holds_each_persons_visits_in_schedule_order(self):
+        schedule = ((2, 1, 5, 9), (0, 0, 0, 10), (2, 0, 1, 3), (0, 1, 20, 30))
+        model = build_epi(EpiConfig(persons=4, locations=2, theta=0.0,
+                                    schedule=schedule))
+        loc0 = model.location_base
+        assert model.visit_ptr.tolist() == [0, 2, 2, 4, 4]
+        assert (model.visit_location - loc0).tolist() == [0, 1, 1, 0]
+        assert model.visit_start.tolist() == [0, 20, 5, 1]
+        assert model.visit_end.tolist() == [10, 30, 9, 3]
+
+    @pytest.mark.parametrize("rows, message", [
+        (((0, 0, 0, 1), (5, 0, 0, 1), (0, 9, 0, 1)), "schedule person 5 out of range"),
+        (((0, 0, 0, 1), (0, 9, 3, 1), (5, 0, 0, 1)), "schedule location 9 out of range"),
+        (((0, 0, 0, 1), (-1, 0, 0, 1)), "schedule person -1 out of range"),
+        (((1, 1, 3, 1), (5, 0, 0, 1)),
+         r"schedule visit ends before it starts: \(1, 1, 3, 1\)"),
+        (((0, 0, 0, 1), (0, 0, 0)), "schedule rows are"),
+    ], ids=["person", "location-first", "negative", "ends-early", "short-row"])
+    def test_first_bad_row_is_named(self, rows, message):
+        from graphabm import UsageError
+
+        with pytest.raises(UsageError, match=message):
+            build_epi(EpiConfig(persons=3, locations=2, theta=0.0, schedule=rows))
