@@ -22,6 +22,7 @@ import csv
 import sys
 import time
 from dataclasses import dataclass, fields
+from statistics import median
 
 from .errors import ContractViolation, EngineError
 from .models import episim, hk
@@ -245,18 +246,21 @@ _BENCH_DECLS = [
 
 
 def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
-    """Mean ns per edge insertion for each storage plan.
+    """Median ns per edge insertion for each storage plan.
 
-    Benchmarks the per-step write path: a worker-side shard with the
-    plan-specialized adder and checks off. Ordered list plans carry the
-    producer id each add (the metadata the deterministic merge consumes);
-    commutative plans (counts, existence bits) do not, which is part of
-    their advantage. A fixed warm target keeps allocation effects out of
-    the comparison.
+    Times the per-step write path: the ``add`` of the shard a transition
+    worker fills (:func:`graphabm.engine.step_shard`), with checks off.
+    Ordered list plans record each edge's producer, which their merge
+    orders by; counts and existence bits keep targets alone, which is part
+    of their advantage. The ``calls`` adds of each plan run as repetitions
+    into fresh shards, interleaved across the plans, so that no plan is
+    timed only after the others; a plan's figure is the median over its
+    repetitions. Each repetition grows its shard from empty, as a worker's
+    shard grows in a step, and adds to one fixed target.
     """
-    from .storage import make_shard, plan_specialized_adder
+    from .engine import step_shard
 
-    results = {}
+    cases = {}
     for plan_name, decl in _BENCH_DECLS:
         if plans is not None and plan_name not in plans:
             continue
@@ -265,21 +269,22 @@ def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
         schema.register_edge_type(decl)
         sim = Simulation(schema, checks="off")
         ids = sim.add_agents("Node", 2, {})
-        sim.commit_initial()
-        target, source = int(ids[0]), int(ids[1])
         state = (1.0,) if decl.state_layout else None
-        info = sim.schema.edge_type(decl.name)
-        shard = make_shard(info, record_producers=True)
-        add = plan_specialized_adder(shard, info, [0])
-        add(target, source, state, 0)  # warm allocation
-        loop = range(calls)
-        t0 = time.perf_counter()
-        for _ in loop:
-            add(target, source, state, 0)
-        elapsed = time.perf_counter() - t0
-        results[plan_name] = elapsed / calls * 1e9
-        del sim, shard, add
-    return results
+        cases[plan_name] = (schema.edge_type(decl.name), int(ids[0]), int(ids[1]), state)
+    repeats = 9
+    n = max(1, calls // repeats)
+    loop = range(n)
+    times = {plan_name: [] for plan_name in cases}
+    for _ in range(repeats):
+        for plan_name, (info, target, source, state) in cases.items():
+            add = step_shard(info, check_single_edge=False).add
+            add(target, source, state, 0)  # warm allocation
+            t0 = time.perf_counter()
+            for _ in loop:
+                add(target, source, state, 0)
+            times[plan_name].append((time.perf_counter() - t0) / n * 1e9)
+            del add
+    return {plan_name: median(ns) for plan_name, ns in times.items()}
 
 
 def cmd_microbench(args) -> int:

@@ -202,11 +202,8 @@ def _run_agents(sim, fn, rt, read_containers, tasks, shuffle, sink, worker):
     writers = {}
     for etag, _keep in rt.written_edge.items():
         info = schema.edge_types[etag]
-        shard = make_shard(info, record_producers=True)
-        shards[etag] = shard
-        adder = make_checked_adder(
-            shard, info, sink, rt.check_single_edge, rt.check_single_type
-        )
+        shard = shards[etag] = step_shard(info, rt.check_single_edge)
+        adder = make_checked_adder(shard, info, sink, rt.check_single_type)
         writers[info.name] = (adder, info)
 
     view = NeighborhoodView(sim, rt, read_containers, writers, worker)
@@ -284,7 +281,7 @@ def _run_batches(sim, fn, rt, read_containers, tasks, shuffle, sink):
     glob = rt.globals
     lists = [c for c in read_containers.values() if c.plan is not EdgePlan.EXISTENCE_BIT]
     shards = {
-        etag: make_shard(schema.edge_types[etag], record_producers=True)
+        etag: step_shard(schema.edge_types[etag], rt.check_single_edge)
         for etag in rt.written_edge
     }
     writers = {schema.edge_types[etag].name: (shard, schema.edge_types[etag])
@@ -333,6 +330,14 @@ def _run_batches(sim, fn, rt, read_containers, tasks, shuffle, sink):
                 info, np.concatenate(done), [np.concatenate(c) for c in zip(*cols)]
             )
     return out, shards
+
+
+def step_shard(info, check_single_edge: bool):
+    """A worker's write shard of an edge type in a transition. It records
+    each edge's producer, which the merge of a list plan orders by; the
+    merge of EXISTENCE_BIT, a union of bits, reads producers only for its
+    SINGLE_EDGE reports."""
+    return make_shard(info, check_single_edge or info.plan is not EdgePlan.EXISTENCE_BIT)
 
 
 def _chunks(slots: np.ndarray, edges: np.ndarray, limit: int):

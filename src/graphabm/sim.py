@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id, group_by_comp
-from .schema import Schema
+from .schema import EdgePlan, Schema
 from .storage import (
     AgentSegment,
     build_read_container,
@@ -35,7 +35,6 @@ from .storage import (
     edge_breaches,
     make_checked_adder,
     make_shard,
-    plan_specialized_adder,
     validate_endpoints,
 )
 
@@ -65,12 +64,18 @@ class Simulation:
 
         self._init_sink = ViolationSink(self.checks.mode, step=0)
         self._init_shards = [make_shard(info) for info in schema.edge_types]
+        # Per EXISTENCE_BIT type under the SINGLE_EDGE check, the targets
+        # added so far, so that a duplicate is flagged at the call.
+        self._init_seen = [
+            set() if self.checks.check_single_edge() and info.plan is EdgePlan.EXISTENCE_BIT
+            else None for info in schema.edge_types
+        ]
         self._init_adders = [
-            make_checked_adder(
-                shard, info, self._init_sink,
-                self.checks.check_single_edge(), self.checks.check_single_type(),
+            make_checked_adder(shard, info, self._init_sink,
+                               self.checks.check_single_type(), seen)
+            for shard, info, seen in zip(
+                self._init_shards, schema.edge_types, self._init_seen
             )
-            for shard, info in zip(self._init_shards, schema.edge_types)
         ]
 
         self._initialized = False
@@ -171,32 +176,21 @@ class Simulation:
             rows = [info.stored_state(st) for st in states]
             columns = list(zip(*rows)) or [()] * len(info.field_names)
         targets = np.ascontiguousarray(targets, dtype=_U64)
-        shard = self._init_shards[info.tag]
-        edge_breaches(shard, info, self._init_sink, self.checks.check_single_edge(),
-                      self.checks.check_single_type(), targets)
-        shard.extend(targets, sources, columns)
+        edge_breaches(info, self._init_sink, self.checks.check_single_type(),
+                      targets, seen=self._init_seen[info.tag])
+        self._init_shards[info.tag].extend(targets, sources, columns)
 
     def edge_adder(self, edge_type: str):
         """The bound low-level add for an edge type during initialization.
 
-        Returns a callable ``add(target, source, state=None, producer=0)``;
-        this is the hot path the storage plan specializes. An EXISTENCE_BIT
-        type whose SINGLE_TYPE target currently lives on one partition gets
-        the single-bucket fast path (one masked store per call); the checks
-        wrapper, when enabled, runs on top of either.
+        Returns a callable ``add(target, source, state=None, producer=0)``,
+        the shard's add, which appends only the columns the storage plan
+        keeps (an EXISTENCE_BIT type keeps targets, whose bits are set at
+        commit). With checks on, it first flags a wrong-type target and a
+        second edge to an EXISTENCE_BIT target, at the call.
         """
         self._require_init_phase()
-        info = self.schema.edge_type(edge_type)
-        adder = self._init_adders[info.tag]
-        shard = self._init_shards[info.tag]
-        if adder == shard.add:  # no checks wrapper active
-            parts = (
-                sorted(self._segments[info.single_type_tag])
-                if info.single_type_tag is not None
-                else None
-            )
-            return plan_specialized_adder(shard, info, parts or [])
-        return adder
+        return self._init_adders[self.schema.edge_type(edge_type).tag]
 
     def commit_initial(self) -> None:
         """Seal the initial graph; runs implicitly before the first step."""
@@ -205,16 +199,15 @@ class Simulation:
         if self._in_transition:
             raise UsageError("cannot commit during a transition")
         for info in self.schema.edge_types:
-            shard = self._init_shards[info.tag]
+            # EXISTENCE_BIT duplicates were flagged at the call
             container = build_read_container(
-                info, [shard], None, self._init_sink,
-                self.checks.check_single_edge(),
+                info, [self._init_shards[info.tag]], None, self._init_sink,
+                self._init_seen[info.tag] is None and self.checks.check_single_edge(),
             )
             validate_endpoints(container, self._exists_lookup)
             self._edges[info.tag] = container
         self.check_reports.extend(self._init_sink.reports)
-        self._init_shards = None
-        self._init_adders = None
+        self._init_shards = self._init_adders = self._init_seen = None
         self._initialized = True
 
     # ------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Agents of one type created on one partition live in an :class:`AgentSegment`
 (structure-of-arrays plus a liveness mask for mortal types). Edges are
 always stored under their *target*: while a transition runs, every worker
-appends into its own write shard; at commit the shards are merged into an
-immutable read container whose shape is chosen by the edge type's storage
-plan.
+appends into its own write shard, a :class:`ListShard` for every plan; at
+commit the shards are merged into an immutable read container whose shape
+is chosen by the edge type's storage plan.
 
 Edges take one of two shapes. A CSR (compressed sparse row) container,
 :class:`ListEdgeRead`, serves every plan but EXISTENCE_BIT: it holds
@@ -13,11 +13,17 @@ sorted targets, optional source ids and optional state columns, one numpy
 array per declared field, as :class:`AgentSegment` holds agent fields.
 COUNT_ONLY keeps the targets alone and reads counts off the index;
 SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
-one presence bit per target. Write shards keep edge states as the model
-passed them, per-edge tuples or the columns of a bulk add; the merge casts
-each field once with :func:`cast_columns`, the cast every agent write path
-uses too, and a value that does not cast raises
-:class:`~graphabm.errors.UsageError`.
+one presence byte per target slot: its shards hold targets only (and
+producers when SINGLE_EDGE is checked), and the merge sets their bits.
+Write shards keep edge states as the model passed them, per-edge tuples or
+the columns of a bulk add; the merge casts each field once with
+:func:`cast_columns`, the cast every agent write path uses too, and a
+value that does not cast raises :class:`~graphabm.errors.UsageError`.
+
+SINGLE_EDGE is checked where every edge is seen. During initialization an
+EXISTENCE_BIT duplicate is flagged at the call, and a SINGLE_FULL_EDGE one
+at commit; in a transition both are flagged at the merge, one report per
+edge beyond a target's first at any worker count.
 
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
@@ -35,15 +41,12 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import ContractViolation, HintViolation, IndexOverflow, UsageError
-from .ids import COMP_SHIFT, INDEX_MASK, MAX_INDEX, PART_BITS, group_by_comp
+from .ids import COMP_SHIFT, INDEX_MASK, MAX_INDEX, group_by_comp
 from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
 
 _U64 = np.uint64
 _EMPTY_U64 = np.empty(0, dtype=_U64)
 _NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a composite without edges
-
-# Initial byte length of an existence bitmap bucket; grows on demand.
-_EB_BUCKET_START = 1 << 12
 
 
 class EdgeRecord(NamedTuple):
@@ -202,13 +205,14 @@ class _Columns(tuple):
 
 
 class ListShard:
-    """Write shard of every plan but EXISTENCE_BIT: parallel columns.
+    """Write shard of every plan: parallel columns.
 
     ``sources``, ``states`` and ``producers`` exist only when the plan
     stores them or the caller records producing agents; COUNT_ONLY keeps
-    targets alone. ``add`` appends once to each present column, a state
-    tuple to ``states``; ``extend`` appends arrays, and its state columns
-    as one :class:`_Columns` entry. The merge casts both.
+    targets alone, and so does EXISTENCE_BIT unless producers are recorded.
+    ``add`` appends once to each present column, a state tuple to
+    ``states``; ``extend`` appends arrays, and its state columns as one
+    :class:`_Columns` entry. The merge casts both.
     """
 
     __slots__ = ("targets", "sources", "states", "producers", "add")
@@ -270,130 +274,26 @@ class ListShard:
         return len(self.targets)
 
 
-class ExistenceShard:
-    """One presence bit per target, bucketed by (type tag, partition).
-
-    The bucket of the most recent target is cached; with SINGLE_TYPE and a
-    single partition every add after the first takes the two-instruction
-    path (mask, set bit).
-    """
-
-    __slots__ = ("buckets", "_comp", "_bits")
-
-    def __init__(self):
-        self.buckets: dict[int, bytearray] = {}
-        self._comp = -1
-        self._bits: bytearray | None = None
-
-    def add(self, target, source=0, state=None, producer=0):
-        if target >> COMP_SHIFT == self._comp:
-            try:
-                self._bits[target & INDEX_MASK] = 1
-                return
-            except IndexError:
-                pass
-        self._slow_add(target)
-
-    def _slow_add(self, target):
-        comp = target >> COMP_SHIFT
-        idx = target & INDEX_MASK
-        bucket = self.buckets.get(comp)
-        if bucket is None:
-            bucket = self.buckets[comp] = bytearray(max(_EB_BUCKET_START, idx + 1))
-        elif idx >= len(bucket):
-            bucket.extend(b"\x00" * (idx + 1 - len(bucket)))
-        bucket[idx] = 1
-        self._comp = comp
-        self._bits = bucket
-
-    def specialized_adder(self, comp: int):
-        """A single-bucket adder: one masked store per call.
-
-        Valid only when every target shares ``comp``'s (tag, partition)
-        composite, which SINGLE_TYPE plus a single target partition
-        guarantees; the caller is responsible for that guarantee.
-        """
-        bucket = self.buckets.get(comp)
-        if bucket is None:
-            bucket = self.buckets[comp] = bytearray(_EB_BUCKET_START)
-        self._comp = comp
-        self._bits = bucket
-
-        def add(target, source=0, state=None, producer=0):
-            try:
-                bucket[target & INDEX_MASK] = 1
-            except IndexError:
-                idx = target & INDEX_MASK
-                bucket.extend(b"\x00" * (idx + 1 - len(bucket)))
-                bucket[idx] = 1
-
-        return add
-
-    def has(self, target) -> bool:
-        bucket = self.buckets.get(target >> COMP_SHIFT)
-        if bucket is None:
-            return False
-        idx = target & INDEX_MASK
-        return idx < len(bucket) and bucket[idx] != 0
-
-    def extend(self, targets, sources=None, states=None, producers=0):
-        targets = np.ascontiguousarray(targets, dtype=_U64)
-        for comp, _, slots in group_by_comp(targets):
-            top = int(slots.max()) + 1
-            bucket = self.buckets.get(comp)
-            if bucket is None:
-                bucket = self.buckets[comp] = bytearray(max(_EB_BUCKET_START, top))
-            elif top > len(bucket):
-                bucket.extend(b"\x00" * (top - len(bucket)))
-            view = np.frombuffer(bucket, dtype=np.uint8)
-            # bytearray buffers are writable through frombuffer views
-            view.flags.writeable = True
-            view[slots] = 1
-
-    def __len__(self):
-        return sum(int(np.count_nonzero(np.frombuffer(b, dtype=np.uint8))) for b in self.buckets.values())
-
-
-def make_shard(info: EdgeTypeInfo, record_producers: bool = False):
-    if info.plan is EdgePlan.EXISTENCE_BIT:
-        return ExistenceShard()
+def make_shard(info: EdgeTypeInfo, record_producers: bool = False) -> ListShard:
     return ListShard(info, record_producers)
 
 
-def plan_specialized_adder(shard, info: EdgeTypeInfo, target_parts):
-    """The leanest raw adder the plan and hints allow for this shard.
-
-    An EXISTENCE_BIT type whose SINGLE_TYPE target population lives on a
-    single partition collapses to one masked store per call; everything
-    else uses the shard's general add. ``target_parts`` is the sorted list
-    of partitions currently holding the target type's agents (ignored
-    unless SINGLE_TYPE is set).
-    """
-    if (
-        info.plan is EdgePlan.EXISTENCE_BIT
-        and info.single_type_tag is not None
-        and list(target_parts) in ([], [0])
-    ):
-        return shard.specialized_adder(info.single_type_tag << PART_BITS)
-    return shard.add
-
-
 def make_checked_adder(
-    shard,
+    shard: ListShard,
     info: EdgeTypeInfo,
     sink: ViolationSink,
-    check_single_edge: bool,
     check_single_type: bool,
+    seen: set | None = None,
 ) -> Callable:
-    """Wrap a shard's add with the contract checks that apply to its type.
+    """Wrap a shard's add with the contract checks made at the call.
 
-    SINGLE_EDGE is checked here only for EXISTENCE_BIT, whose merge (an OR
-    of bitmaps) cannot see a duplicate within one shard; the merge of a
-    SINGLE_FULL_EDGE type sees every edge and checks it there.
+    SINGLE_TYPE is checked per edge. SINGLE_EDGE is checked here only with
+    ``seen``, the set of targets an EXISTENCE_BIT type received so far
+    during initialization, so that the second add raises at the call; in a
+    transition the merge, which sees every edge, checks it.
     """
     st_tag = info.single_type_tag if check_single_type else None
-    se = check_single_edge and info.plan is EdgePlan.EXISTENCE_BIT
-    if st_tag is None and not se:
+    if st_tag is None and seen is None:
         return shard.add
     name = info.name
     raw_add = shard.add
@@ -404,56 +304,47 @@ def make_checked_adder(
                 "single_type", name, target, producer,
                 f"edge targets an agent of the wrong type (expected tag {st_tag})",
             )
-        if se and shard.has(target):
-            sink.report(
-                "single_edge", name, target, producer,
-                "second edge added to a SINGLE_EDGE target",
-            )
+        if seen is not None:
+            _flag_seen(info, sink, seen, [target], [producer])
         raw_add(target, source, state, producer)
 
     return add
 
 
+def _flag_seen(info: EdgeTypeInfo, sink: ViolationSink, seen: set, targets, producers):
+    """Report each of ``targets`` already in ``seen`` and add the others."""
+    for i, target in enumerate(targets):
+        if target in seen:
+            sink.report(
+                "single_edge", info.name, target, int(producers[i]),
+                "second edge added to a SINGLE_EDGE target",
+            )
+        else:
+            seen.add(target)
+
+
 def edge_breaches(
-    shard,
     info: EdgeTypeInfo,
     sink: ViolationSink,
-    check_single_edge: bool,
     check_single_type: bool,
     targets: np.ndarray,
     producers=0,
+    seen: set | None = None,
 ) -> None:
     """Report what :func:`make_checked_adder`'s adder reports for adding
-    ``targets`` (uint64) in order to ``shard``: one report per offending
-    edge, tested with array ops. ``producers`` holds edge ``i``'s producer
-    at ``i``, or is one producer for all."""
-
-    def producer(i):
-        return int(producers[i] if np.ndim(producers) else producers)
-
+    ``targets`` (uint64) in order: one report per offending edge. The
+    SINGLE_TYPE test uses array ops. ``producers`` holds edge ``i``'s
+    producer at ``i``, or is one producer for all."""
+    producers = np.broadcast_to(producers, targets.shape)
     if check_single_type and info.single_type_tag is not None:
         tag = info.single_type_tag
         for i in np.flatnonzero((targets >> _U64(56)) != _U64(tag)).tolist():
             sink.report(
-                "single_type", info.name, int(targets[i]), producer(i),
+                "single_type", info.name, int(targets[i]), int(producers[i]),
                 f"edge targets an agent of the wrong type (expected tag {tag})",
             )
-    if check_single_edge and info.plan is EdgePlan.EXISTENCE_BIT and targets.size:
-        _, first = np.unique(targets, return_index=True)
-        again = np.ones(targets.size, dtype=bool)
-        again[first] = False
-        positions = np.arange(targets.size)
-        for comp, sel, slots in group_by_comp(targets):
-            bucket = shard.buckets.get(comp)
-            if bucket is not None:  # targets an earlier add already set
-                bits = np.frombuffer(bucket, dtype=np.uint8)
-                inside = slots < bits.size
-                again[positions[sel][inside][bits[slots[inside]] != 0]] = True
-        for i in np.flatnonzero(again).tolist():
-            sink.report(
-                "single_edge", info.name, int(targets[i]), producer(i),
-                "second edge added to a SINGLE_EDGE target",
-            )
+    if seen is not None:
+        _flag_seen(info, sink, seen, targets.tolist(), producers)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +571,8 @@ class ListEdgeRead:
 
 
 class ExistenceEdgeRead:
+    """Read container of EXISTENCE_BIT: one presence byte per target slot."""
+
     __slots__ = ("info", "buckets")
 
     def __init__(self, info: EdgeTypeInfo, buckets: dict[int, np.ndarray]):
@@ -733,28 +626,35 @@ class ExistenceEdgeRead:
     def edge_endpoints(self):
         return None
 
+    def ids(self) -> np.ndarray:
+        """The ids of the targets whose bit is set, ascending."""
+        return np.concatenate([_EMPTY_U64] + [
+            _U64(comp << COMP_SHIFT) + np.flatnonzero(self.buckets[comp]).astype(_U64)
+            for comp in sorted(self.buckets)
+        ])
+
     def filtered(self, alive_fn) -> "ExistenceEdgeRead":
-        out = {}
-        changed = False
-        for comp, bucket in self.buckets.items():
-            set_idx = np.flatnonzero(bucket)
-            if not set_idx.size:
-                continue
-            ids = (_U64(comp << COMP_SHIFT) + set_idx.astype(_U64))
-            keep = alive_fn(ids)
-            if bool(keep.all()):
-                out[comp] = bucket
-                continue
-            changed = True
-            new = np.zeros_like(bucket)
-            new[set_idx[keep]] = 1
-            out[comp] = new
-        return ExistenceEdgeRead(self.info, out) if changed else self
+        ids = self.ids()
+        dead = ids[~alive_fn(ids)]
+        if not dead.size:
+            return self
+        # The checksum hashes every composite key: one whose bits all die
+        # keeps an empty bitmap, and one that was empty already is dropped.
+        out = {comp: b for comp, b in self.buckets.items() if b.any()}
+        for comp, _, slots in group_by_comp(dead):
+            out[comp] = out[comp].copy()
+            out[comp][slots] = 0
+        return ExistenceEdgeRead(self.info, out)
 
     def checksum_update(self, h):
-        for comp in sorted(self.buckets):
+        ids = self.ids()
+        comps = sorted(self.buckets)
+        ends = np.searchsorted(ids >> _U64(COMP_SHIFT), np.array(comps, dtype=_U64), "right")
+        lo = 0
+        for comp, hi in zip(comps, ends.tolist()):
             h.update(comp.to_bytes(8, "little"))
-            h.update(np.flatnonzero(self.buckets[comp]).astype(np.int64).tobytes())
+            h.update((ids[lo:hi] & _U64(INDEX_MASK)).astype(np.int64).tobytes())
+            lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -822,36 +722,51 @@ def build_list_read(
     return ListEdgeRead(info, targets, sources, states)
 
 
+def _single_edge_order(info, targets, producers, retained, sink):
+    """Stable-sort merged ``targets``: the ``retained`` carried-over edges
+    first, then the shards' edges in producer order.
+
+    Returns the sort ``order`` and a mask over the sorted edges marking
+    each one a later edge to its target follows. With a ``sink``, each
+    edge beyond a target's first is reported, in target order, with its
+    producer; a retained edge counts as the earliest.
+    """
+    order = np.argsort(targets, kind="stable")
+    ordered = targets[order]
+    superseded = np.zeros(ordered.size, dtype=bool)
+    superseded[:-1] = ordered[1:] == ordered[:-1]
+    if sink is not None:
+        for i in np.flatnonzero(superseded).tolist():
+            later = int(order[i + 1]) - retained
+            sink.report(
+                "single_edge", info.name, int(ordered[i]),
+                0 if producers is None else int(producers[later]),
+                "SINGLE_EDGE target already had a retained edge"
+                if order[i] < retained
+                else "second edge added to a SINGLE_EDGE target",
+            )
+    return order, superseded
+
+
 def build_existence_read(
     info: EdgeTypeInfo,
     shards: list,
     carryover: ExistenceEdgeRead | None,
     sink: ViolationSink | None,
 ) -> ExistenceEdgeRead:
-    buckets: dict[int, np.ndarray] = {}
-    if carryover is not None:
-        for comp, bucket in carryover.buckets.items():
-            buckets[comp] = bucket.copy()
-    for shard in shards:
-        for comp, raw in shard.buckets.items():
-            new = np.frombuffer(bytes(raw), dtype=np.uint8)
-            old = buckets.get(comp)
-            if old is None:
-                buckets[comp] = new.copy()
-                continue
-            if old.size < new.size:
-                old = np.r_[old, np.zeros(new.size - old.size, dtype=np.uint8)]
-            elif new.size < old.size:
-                new = np.r_[new, np.zeros(old.size - new.size, dtype=np.uint8)]
-            if sink is not None:
-                clash = np.flatnonzero(old & new)
-                if clash.size:
-                    sink.report(
-                        "single_edge", info.name,
-                        (comp << COMP_SHIFT) | int(clash[0]), 0,
-                        "SINGLE_EDGE target received edges from multiple workers",
-                    )
-            buckets[comp] = old | new
+    """Set the bit of every target of the shards, after ``carryover``'s bits."""
+    targets, _, _, producers, _ = _merge_list_shards(info, shards, None)
+    buckets = {} if carryover is None else dict(carryover.buckets)
+    if sink is not None:
+        retained = _EMPTY_U64 if carryover is None else carryover.ids()
+        _single_edge_order(info, np.concatenate([retained, targets]), producers,
+                           retained.size, sink)
+    for comp, _, slots in group_by_comp(targets):
+        old = buckets.get(comp, np.zeros(0, dtype=np.uint8))
+        bits = np.zeros(max(old.size, int(slots.max()) + 1), dtype=np.uint8)
+        bits[: old.size] = old
+        bits[slots] = 1
+        buckets[comp] = bits
     return ExistenceEdgeRead(info, buckets)
 
 
@@ -862,31 +777,14 @@ def build_single_read(
     sink: ViolationSink | None,
 ) -> ListEdgeRead:
     """Keep each target's last edge: the highest producer's last add wins,
-    and a retained edge counts as earliest.
-
-    The merge sees every edge of every shard, so it is where SINGLE_EDGE is
-    checked: with a ``sink``, each edge beyond a target's first is
-    reported, in target order.
-    """
+    and a retained edge counts as earliest. SINGLE_EDGE is checked here,
+    as :func:`_single_edge_order` says."""
     targets, sources, states, producers, retained = _merge_list_shards(
         info, shards, carryover
     )
-    order = np.argsort(targets, kind="stable")
-    targets = targets[order]
-    superseded = np.zeros(targets.size, dtype=bool)
-    superseded[:-1] = targets[1:] == targets[:-1]
-    if sink is not None:
-        for i in np.flatnonzero(superseded).tolist():
-            later = int(order[i + 1]) - retained
-            sink.report(
-                "single_edge", info.name, int(targets[i]),
-                0 if producers is None else int(producers[later]),
-                "SINGLE_EDGE target already had a retained edge"
-                if order[i] < retained
-                else "second edge added to a SINGLE_EDGE target",
-            )
+    order, superseded = _single_edge_order(info, targets, producers, retained, sink)
     kept = order[~superseded]
-    return ListEdgeRead(info, targets[~superseded], _take(sources, kept), _take(states, kept))
+    return ListEdgeRead(info, targets[kept], _take(sources, kept), _take(states, kept))
 
 
 def build_read_container(
@@ -914,11 +812,7 @@ def validate_endpoints(container, exists_fn):
     dead endpoints are handled separately by the post-step edge sweep.
     """
     if container.plan is EdgePlan.EXISTENCE_BIT:
-        arrays = []
-        for comp, bucket in container.buckets.items():
-            idx = np.flatnonzero(bucket)
-            if idx.size:
-                arrays.append(_U64(comp << COMP_SHIFT) + idx.astype(_U64))
+        arrays = [container.ids()]
     else:
         arrays = [container.targets]
         if container.sources is not None:

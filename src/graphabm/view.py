@@ -377,9 +377,7 @@ class AgentBatch(_Reads):
                 f"agents must be positions in this batch's {self.slots.size} slots"
             )
         producers = self.ids[agents.astype(np.intp, copy=False)]
-        rt = self._rt
-        edge_breaches(shard, info, self._sink, rt.check_single_edge,
-                      rt.check_single_type, targets, producers)
+        edge_breaches(info, self._sink, self._rt.check_single_type, targets, producers)
         shard.extend(targets, producers if sources is None else sources,
                      states, producers)
 

@@ -134,16 +134,13 @@ class TestSingleType:
             ("single_edge", a[0]), ("single_edge", a[1]), ("single_edge", a[1]),
         ])
 
-    def test_checks_off_masked_write_collides_across_types(self):
-        # With checks off, the SINGLE_TYPE specialized adder is a masked
-        # write into the declared target type's index space. A wrong-type
-        # target is accepted silently and its bit lands on the same-index
-        # agent of the declared type: has_edge diverges from a
-        # FullEdgeList oracle. This is the documented cost of disabling
-        # the single_type check.
+    def test_checks_off_wrong_type_target_agrees_with_full_records(self):
+        # With checks off, a wrong-type target is accepted silently, and the
+        # hinted store records it where a FullEdgeList oracle does: on the
+        # target itself, not on the same-index agent of the declared type.
         sim, a, b = checked_sim("off", single_type=True)
         add = sim.edge_adder("E")
-        add(b[1], a[0])  # b[1] is (tag 1, idx 1); bit lands on a[1]
+        add(b[1], a[0])
         sim.commit_initial()
         oracle = Schema()
         oracle.register_agent_type(AgentTypeDecl("A", (), immortal=True))
@@ -157,8 +154,9 @@ class TestSingleType:
         assert osim.edge_container("E").has_for(int(ob[1]))
         assert not osim.edge_container("E").has_for(int(oa[1]))
         hinted = sim.edge_container("E")
-        assert not hinted.has_for(b[1])  # divergence from the oracle
-        assert hinted.has_for(a[1])      # the collided index
+        assert hinted.has_for(b[1])
+        assert not hinted.has_for(a[1])
+        assert sim.check_reports == []
 
     def test_violation_report_carries_context(self):
         sim, a, b = checked_sim("warn", single_type=True)

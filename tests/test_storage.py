@@ -359,8 +359,9 @@ class TestObservationalEquivalenceThroughTransitions:
 
 
 class TestSingleFullEdgeDuplicates:
-    """SINGLE_EDGE breaches of a SINGLE_FULL_EDGE type are found by the merge,
-    the one place that sees every edge of every shard."""
+    """SINGLE_EDGE breaches of a SINGLE_FULL_EDGE type, and in a transition of
+    an EXISTENCE_BIT type, are found by the merge, the one place that sees
+    every edge of every shard."""
 
     DECL = EdgeTypeDecl("E", (("w", "float64"),), hints=Hint.SINGLE_EDGE)
     RETAINED = [(3, 4, (0.25,)), (4, 4, (0.75,))]
@@ -391,6 +392,59 @@ class TestSingleFullEdgeDuplicates:
             ], (workers, how)
             outcomes.add(sim.state_checksum())
         assert len(outcomes) == 1
+
+    @pytest.mark.parametrize("form, kept", [("agent", False), ("agent", True),
+                                            ("batch", False)])
+    @pytest.mark.parametrize("plan", ["single_full_edge", "existence_bit"])
+    def test_reports_do_not_depend_on_worker_count(self, plan, form, kept):
+        """40 agents each add an edge to one of 4 targets, agent a to a % 4;
+        with ``kept``, targets 0 and 1 also hold a retained edge. Each edge
+        beyond a target's first is reported once, in target order, with its
+        producer, at any worker count and partition."""
+        if plan == "existence_bit":
+            decl = EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.IGNORE_FROM | Hint.SINGLE_EDGE)
+            state = ()
+        else:
+            decl, state = self.DECL, (1.0,)
+
+        def agent_form(view, params, g):
+            view.add_edge("E", view.agent_id % 4, state)
+
+        def batch_form(batch, params, g):
+            n = batch.slots.size
+            batch.add_edges("E", batch.ids % 4, agents=np.arange(n),
+                            states=[np.ones(n)] if state else None)
+
+        spec = TransitionSpec(callable_types=("A",), write_types=("E",),
+                              keep_existing=("E",) if kept else (),
+                              batch=form == "batch")
+        retained = [0, 1] if kept else []
+        expected = []
+        for t in range(4):
+            producers = list(range(t, 40, 4))
+            if t in retained:
+                expected.append(("single_edge", t, t,
+                                 "SINGLE_EDGE target already had a retained edge"))
+            expected += [("single_edge", t, p, "second edge added to a SINGLE_EDGE target")
+                         for p in producers[1:]]
+        sums = set()
+        for workers, how in [(1, None), (2, "contiguous"), (2, "round_robin"),
+                             (4, "contiguous"), (4, "round_robin")]:
+            sim = build_sim(decl, n_agents=40, checks="warn")
+            for t in retained:
+                sim.add_edge("E", t, 39 - t, state)
+            sim.commit_initial()
+            partition = partition_graph(sim, workers, how) if workers > 1 else None
+            apply_transition(sim, batch_form if form == "batch" else agent_form,
+                             spec, workers=workers, partition=partition)
+            finalize_step(sim)
+            reports = [(v.kind, v.target, v.producer, v.message)
+                       for v in sim.check_reports]
+            assert reports == expected, (workers, how)
+            c = sim.edge_container("E")
+            assert [c.has_for(t) for t in range(6)] == [True] * 4 + [False] * 2
+            sums.add(sim.state_checksum())
+        assert len(sums) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_mode_raises_and_stages_nothing(self, workers):
