@@ -30,6 +30,7 @@ from .errors import (
     UnknownAgentType,
     UnknownName,
     UsageError,
+    WorkerError,
 )
 from .global_layer import aggregate
 from .ids import agent_id, local_index, partition_of, split_id, type_tag
@@ -92,6 +93,7 @@ __all__ = [
     "UnknownName",
     "UsageError",
     "Violation",
+    "WorkerError",
     "add_raster",
     "agent_id",
     "aggregate",

@@ -460,12 +460,11 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
     for etag, kept in rt.written_edge.items():
         info = schema.edge_types[etag]
         shards = [p["edges"][etag] for p in payloads]
-        carry = sim._edges[etag] if kept else None
-        container = build_read_container(
-            info, shards, carry, sink, rt.check_single_edge
+        validate_endpoints(info, shards, exists_fn)
+        staged_edges[etag] = build_read_container(
+            info, shards, sim._edges[etag] if kept else None, sink,
+            rt.check_single_edge,
         )
-        validate_endpoints(container, exists_fn)
-        staged_edges[etag] = container
     reports.extend(sink.reports)
 
     sim._staged = StagedCommit(
@@ -505,7 +504,9 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
     Every alive agent of the callable types executes ``fn`` exactly once
     against time-t data. Call :func:`finalize_step` to commit. ``shuffle``
     (a numpy Generator) randomizes agent execution order; results must not
-    depend on it.
+    depend on it. With ``workers > 1`` the transition runs on the workers
+    of :func:`run` when it is one of its program's, else on workers forked
+    for this call and ended before it returns or raises.
     """
     if sim._staged is not None:
         raise UsageError("previous transition not finalized")
@@ -515,23 +516,33 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
     sim._params_frozen = True
     rt = RuntimeSpec(sim, spec)
     rt.globals = sim.globals_snapshot()
-    if workers > 1 and partition is None:
-        from .parallel import partition_graph
+    pool = own = None
+    if workers > 1:
+        from .parallel import WorkerPool, partition_graph
 
-        partition = partition_graph(sim, workers)
+        pool = sim._pool
+        index = pool.index(fn, spec) if pool is not None and pool.workers == workers else None
+        if index is None:
+            if partition is None:
+                partition = partition_graph(sim, workers)
+            own = pool = WorkerPool(sim, [(fn, spec)], partition, workers)
+            index = 0
     sim._in_transition = True
     try:
-        if workers <= 1:
+        if pool is None:
             payloads = [_run_shard(sim, fn, rt, partition, 0, 1, shuffle=shuffle)]
         else:
             from .parallel import fork_payloads
 
-            payloads = fork_payloads(sim, fn, rt, partition, workers)
+            payloads = fork_payloads(pool, index, rt)
         _merge_and_stage(sim, rt, payloads)
     except BaseException:
         sim._in_transition = False
         sim._staged = None
         raise
+    finally:
+        if own is not None:
+            own.close()
 
 
 def finalize_step(sim: Simulation) -> None:
@@ -539,7 +550,8 @@ def finalize_step(sim: Simulation) -> None:
 
     Edges whose target slot died are dropped, as are edges whose stored
     source died. Edge types that do not store the source cannot see a
-    source death and deliberately retain such edges.
+    source death and deliberately retain such edges. While :func:`run`'s
+    workers are up, the commit is then sent to them to make as well.
     """
     staged = sim._staged
     if staged is None:
@@ -554,6 +566,8 @@ def finalize_step(sim: Simulation) -> None:
     sim.step += 1
     sim._staged = None
     sim._in_transition = False
+    if sim._pool is not None:
+        sim._pool.sync(staged)
 
 
 def run(sim: Simulation, steps: int, program, *, workers: int = 1,
@@ -563,7 +577,9 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
     ``program`` is an ordered list whose items are either ``(fn, spec)``
     transitions or callables taking the simulation (run on the control
     thread between transitions, e.g. globals updates). Per-step wall time
-    lands in ``sim.step_metrics``.
+    lands in ``sim.step_metrics``. With ``workers > 1`` the workers are
+    forked once, after partitioning, and ended before ``run`` returns or
+    raises (see :mod:`graphabm.parallel`).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -577,20 +593,30 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
         else:
             raise UsageError(f"program item {item!r} is neither (fn, spec) nor callable")
     sim.commit_initial()
-    if workers > 1 and partition is None:
-        from .parallel import partition_graph
+    pool = None
+    if workers > 1:
+        from .parallel import WorkerPool, partition_graph
 
-        partition = partition_graph(sim, workers, strategy)
-    for index in range(steps):
-        t0 = time.perf_counter()
-        for kind, a, b in items:
-            if kind == "t":
-                apply_transition(sim, a, b, workers=workers, partition=partition)
-                finalize_step(sim)
-            else:
-                a(sim)
-        sim.step_metrics.append(
-            {"step_index": index, "wall_ms": (time.perf_counter() - t0) * 1e3}
-        )
-        if on_step is not None:
-            on_step(sim)
+        if partition is None:
+            partition = partition_graph(sim, workers, strategy)
+        pool = WorkerPool(sim, [(a, b) for kind, a, b in items if kind == "t"],
+                          partition, workers)
+    sim._pool = pool
+    try:
+        for index in range(steps):
+            t0 = time.perf_counter()
+            for kind, a, b in items:
+                if kind == "t":
+                    apply_transition(sim, a, b, workers=workers, partition=partition)
+                    finalize_step(sim)
+                else:
+                    a(sim)
+            sim.step_metrics.append(
+                {"step_index": index, "wall_ms": (time.perf_counter() - t0) * 1e3}
+            )
+            if on_step is not None:
+                on_step(sim)
+    finally:
+        sim._pool = None
+        if pool is not None:
+            pool.close()

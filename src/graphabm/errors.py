@@ -70,3 +70,19 @@ class DuplicateRasterName(DuplicateName):
 
 class UsageError(EngineError):
     """Engine API called outside its valid phase or with bad arguments."""
+
+
+class WorkerError(EngineError):
+    """A worker process ended without returning its result.
+
+    ``worker`` is the worker id and ``exitcode`` its exit status; a
+    negative exit code is the signal that ended it (``-9`` for SIGKILL).
+    """
+
+    def __init__(self, worker: int, exitcode: int | None):
+        super().__init__(worker, exitcode)
+        self.worker = worker
+        self.exitcode = exitcode
+
+    def __str__(self):
+        return f"worker {self.worker} ended without a result (exit code {self.exitcode})"

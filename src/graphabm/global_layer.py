@@ -32,10 +32,17 @@ class FrozenMapping(Mapping):
             raise UnknownName(f"unknown name {key!r}") from None
 
     def __getattr__(self, key):
+        if key == "_data" or key.startswith("__"):
+            # not a stored name: ``_data`` before __init__ ran, or a protocol
+            # lookup such as copy's ``__deepcopy__``
+            raise AttributeError(key)
         try:
             return self._data[key]
         except KeyError:
             raise UnknownName(f"unknown name {key!r}") from None
+
+    def __reduce__(self):
+        return FrozenMapping, (self._data,)
 
     def __iter__(self):
         return iter(self._data)

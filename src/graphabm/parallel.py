@@ -1,11 +1,28 @@
 """Partitioned multi-worker execution.
 
-Agents are assigned to W workers by a partition strategy; each worker runs
-the transition function over its agents in a forked child process against
-the frozen time-t state (its private snapshot doubles as the ghost copies
-of remote agents). Write shards come back over pipes and are merged on the
-control process in producing-agent order, so results are bit-identical to
-a single-worker run.
+Agents are assigned to W workers by a partition strategy. The executor is
+a resident pool (:class:`WorkerPool`): ``engine.run`` forks workers
+1..W-1 once, after partitioning, and the control process is worker 0; a
+one-off ``apply_transition`` gets a pool that lives for that call alone.
+The fork hands every worker the simulation, the program's transitions and
+the partition, so none of them crosses a pipe.
+
+Per transition, the control sends each worker the transition's index in
+the program and the globals snapshot. Every worker runs the transition
+over its own agents against its copy of the time-t state (which doubles
+as the ghost copies of remote agents) and sends back its write shard; the
+control merges the shards in producing-agent order, so results are
+bit-identical to a single-worker run. After the commit, the control
+pickles the written agent segments, the written edge containers and
+whether any agent died, once, and sends the same bytes to every worker,
+which commits them as the control did, dead-endpoint sweep included.
+
+A worker's exception reaches the control with its own type. A worker that
+dies without a result raises :class:`~graphabm.errors.WorkerError` with
+its id and exit code as soon as its process handle shows it ended. The
+pool is closed on every exit from ``run`` and from a one-off
+``apply_transition``: idle workers leave when their pipe closes, busy
+ones are killed, and all are joined.
 
 Partition strategies:
 
@@ -20,15 +37,20 @@ Partition strategies:
 from __future__ import annotations
 
 import heapq
+import io
 import multiprocessing as mp
 import os
+import pickle
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
 from . import engine
-from .errors import UsageError
+from .errors import UsageError, WorkerError
 from .ids import COMP_SHIFT, PART_BITS, PART_MASK, group_by_comp
+from .schema import AgentTypeInfo, EdgeTypeInfo
 
 _U64 = np.uint64
 
@@ -256,60 +278,184 @@ def ghost_state_bytes(sim, partition: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fork executor
+# Resident worker pool
 # ---------------------------------------------------------------------------
 
 
-def _child_main(conn, sim, fn, rt, partition, worker, nworkers):
+class _SchemaPickler(ForkingPickler):
+    """Pickles the schema's type records as their tags. Every worker holds
+    the same schema, and a record's declaration may name a class that
+    does not pickle, such as an IntEnum defined in a function."""
+
+    def persistent_id(self, obj):
+        if isinstance(obj, (AgentTypeInfo, EdgeTypeInfo)):
+            return isinstance(obj, EdgeTypeInfo), obj.tag
+        return None
+
+
+class _SchemaUnpickler(pickle.Unpickler):
+    def __init__(self, data, schema):
+        super().__init__(io.BytesIO(data))
+        self.schema = schema
+
+    def persistent_load(self, pid):
+        is_edge, tag = pid
+        return (self.schema.edge_types if is_edge else self.schema.agent_types)[tag]
+
+
+class WorkerPool:
+    """Workers 1..W-1 of a partition, forked once and resident until
+    :meth:`close`; worker 0 is the control process.
+
+    Each child inherits the simulation, the program's transitions
+    (``items``, a list of ``(fn, spec)``) and the partition by fork, and
+    serves requests from its end of a duplex pipe until the control closes
+    it. Construct it after ``commit_initial``: the children's copy of the
+    graph is the control's at the fork, and every commit after it reaches
+    them through :meth:`sync`.
+    """
+
+    def __init__(self, sim, items: list, partition: Partition, workers: int):
+        if os.name != "posix":
+            raise UsageError("multi-worker execution requires fork (POSIX)")
+        ctx = mp.get_context("fork")
+        self.sim = sim
+        self.items = items
+        self.partition = partition
+        self.workers = workers
+        self.conns: list = []
+        self.procs: list = []
+        self.busy = False  # a transition is out and not all payloads are back
+        try:
+            for w in range(1, self.workers):
+                mine, theirs = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(theirs, [*self.conns, mine], sim, items, partition, w, workers),
+                    daemon=True,
+                )
+                proc.start()
+                theirs.close()
+                self.conns.append(mine)
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def index(self, fn, spec) -> int | None:
+        """The position of the transition ``(fn, spec)`` in ``items``."""
+        for i, (f, s) in enumerate(self.items):
+            if f is fn and s is spec:
+                return i
+        return None
+
+    def _broadcast(self, message) -> None:
+        """Pickle ``message`` once and send the same bytes to every worker."""
+        try:
+            blob = _SchemaPickler.dumps(message, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # only the globals come from the model
+            raise UsageError(f"globals must pickle to reach the workers: {exc}") from exc
+        for w, conn in enumerate(self.conns, start=1):
+            try:
+                conn.send_bytes(blob)
+            except OSError:
+                self._reply(w)  # the worker has gone: raise what ended it
+                raise
+
+    def _reply(self, w: int):
+        """Worker ``w``'s next payload. Its exception is re-raised; if it
+        ended without one, :class:`WorkerError` gives its exit code."""
+        conn, proc = self.conns[w - 1], self.procs[w - 1]
+        try:
+            status, value = conn.recv()
+        except (EOFError, OSError):
+            proc.join()
+            raise WorkerError(w, proc.exitcode) from None
+        if status != "ok":
+            raise value
+        return value
+
+    def gather(self) -> list:
+        """Payloads of workers 1..W-1, in worker order, each taken as it
+        arrives: waiting on every worker's pipe and process handle
+        together reports a worker that dies at once, whichever it is."""
+        payloads = [None] * len(self.conns)
+        pending = set(range(1, self.workers))
+        while pending:
+            handles = {h: w for w in pending
+                       for h in (self.conns[w - 1], self.procs[w - 1].sentinel)}
+            for h in wait(list(handles)):
+                w = handles[h]
+                if w in pending:
+                    pending.discard(w)
+                    payloads[w - 1] = self._reply(w)
+        self.busy = False
+        return payloads
+
+    def sync(self, staged) -> None:
+        """Send a committed transition's written segments and edge
+        containers to every worker, which commits them as the control did."""
+        self._broadcast(("sync", staged.segments, staged.edges, staged.deaths_occurred))
+
+    def close(self) -> None:
+        """End every worker and wait for it. Idle workers leave when their
+        pipe closes; busy ones, working on a transition whose result is
+        no longer wanted, are killed."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            if self.busy:
+                proc.kill()
+            proc.join()
+        self.conns, self.procs = [], []
+
+
+def fork_payloads(pool: WorkerPool, index: int, rt) -> list:
+    """Run the pool's transition ``index`` on every worker: payloads in
+    worker order.
+
+    The control sends the index and the transition's globals snapshot; the
+    functions were inherited by the fork. Worker 0 runs on the control
+    process meanwhile. (``perfbench``'s tracer times this call by its
+    name.)
+    """
+    pool.busy = True
+    pool._broadcast(("run", index, rt.globals))
+    fn = pool.items[index][0]
+    payloads = [engine._run_shard(pool.sim, fn, rt, pool.partition, 0, pool.workers)]
+    return payloads + pool.gather()
+
+
+def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
+    """A worker's loop: run transitions and commit syncs until the control
+    closes the pipe; on an error, send it and leave."""
+    for other in inherited:  # the control's pipe ends, copied by the fork
+        other.close()
+    sim._pool = None
     try:
-        payload = engine._run_shard(sim, fn, rt, partition, worker, nworkers)
-        conn.send(("ok", payload))
+        while True:
+            try:
+                message = _SchemaUnpickler(conn.recv_bytes(), sim.schema).load()
+            except EOFError:
+                return
+            if message[0] == "run":
+                _, index, glob = message
+                fn, spec = items[index]
+                rt = engine.RuntimeSpec(sim, spec)
+                rt.globals = glob
+                sim._in_transition = True
+                payload = engine._run_shard(sim, fn, rt, partition, worker, nworkers)
+                conn.send(("ok", payload))
+            else:
+                _, segments, edges, deaths = message
+                sim._staged = engine.StagedCommit(segments, edges, deaths, [])
+                engine.finalize_step(sim)
     except BaseException as exc:  # surfaced on the control process
         try:
             conn.send(("err", exc))
-        except Exception:
+        except OSError:
+            pass  # the control has closed the pipe: nobody is waiting
+        except Exception:  # the exception does not pickle
             conn.send(("err", RuntimeError(f"worker {worker}: {exc!r}")))
     finally:
         conn.close()
-
-
-def fork_payloads(sim, fn, rt, partition, workers: int) -> list:
-    """Run one transition across forked workers; payloads in worker order.
-
-    Children inherit the frozen time-t state by fork (their copy-on-write
-    snapshot serves as the ghost copies of remote agents) and return their
-    write shards over pipes. Worker 0 runs on the control process.
-    """
-    if os.name != "posix":
-        raise UsageError("multi-worker execution requires fork (POSIX)")
-    ctx = mp.get_context("fork")
-    conns = []
-    procs = []
-    for w in range(1, workers):
-        recv_end, send_end = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main,
-            args=(send_end, sim, fn, rt, partition, w, workers),
-        )
-        proc.start()
-        send_end.close()
-        conns.append(recv_end)
-        procs.append(proc)
-
-    payloads = [engine._run_shard(sim, fn, rt, partition, 0, workers)]
-    error = None
-    for conn in conns:
-        try:
-            status, value = conn.recv()
-        except EOFError:
-            status, value = "err", RuntimeError("worker exited without a result")
-        if status == "ok":
-            payloads.append(value)
-        elif error is None:
-            error = value
-        conn.close()
-    for proc in procs:
-        proc.join()
-    if error is not None:
-        raise error
-    return payloads

@@ -81,6 +81,7 @@ class Simulation:
         self._initialized = False
         self._in_transition = False
         self._staged = None
+        self._pool = None  # the resident worker pool while engine.run steps
         self.step = 0
         self.check_reports: list = []
         self.step_metrics: list[dict] = []
@@ -199,13 +200,13 @@ class Simulation:
         if self._in_transition:
             raise UsageError("cannot commit during a transition")
         for info in self.schema.edge_types:
+            shards = [self._init_shards[info.tag]]
+            validate_endpoints(info, shards, self._exists_lookup)
             # EXISTENCE_BIT duplicates were flagged at the call
-            container = build_read_container(
-                info, [self._init_shards[info.tag]], None, self._init_sink,
+            self._edges[info.tag] = build_read_container(
+                info, shards, None, self._init_sink,
                 self._init_seen[info.tag] is None and self.checks.check_single_edge(),
             )
-            validate_endpoints(container, self._exists_lookup)
-            self._edges[info.tag] = container
         self.check_reports.extend(self._init_sink.reports)
         self._init_shards = self._init_adders = self._init_seen = None
         self._initialized = True

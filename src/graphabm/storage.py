@@ -804,26 +804,26 @@ def build_read_container(
     return build_list_read(info, shards, carryover)
 
 
-def validate_endpoints(container, exists_fn):
-    """Ensure every stored endpoint refers to an agent slot that exists.
+def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
+    """Ensure every endpoint the shards add refers to an agent slot that
+    exists.
 
     ``exists_fn`` maps an id array to a boolean array (allocated slots,
     dead or alive). Dangling *references* are a model bug and fail fast;
-    dead endpoints are handled separately by the post-step edge sweep.
+    dead endpoints are handled separately by the post-step edge sweep. Run
+    before the merge, so that a target far past every slot raises here
+    instead of sizing the merged index; carried-over edges were checked
+    when they were added, and a slot once allocated stays allocated.
     """
-    if container.plan is EdgePlan.EXISTENCE_BIT:
-        arrays = [container.ids()]
-    else:
-        arrays = [container.targets]
-        if container.sources is not None:
-            arrays.append(container.sources)
-    for arr in arrays:
-        if not arr.size:
-            continue
-        ok = exists_fn(arr)
-        if not bool(ok.all()):
-            bad = int(arr[np.flatnonzero(~ok)[0]])
-            raise ContractViolation(
-                f"edge of type {container.info.name!r} references nonexistent "
-                f"agent {bad:#x}"
-            )
+    for shard in shards:
+        for column in (shard.targets, shard.sources):
+            if not column:
+                continue
+            arr = np.frombuffer(column, dtype=_U64)
+            ok = exists_fn(arr)
+            if not bool(ok.all()):
+                bad = int(arr[np.flatnonzero(~ok)[0]])
+                raise ContractViolation(
+                    f"edge of type {info.name!r} references nonexistent "
+                    f"agent {bad:#x}"
+                )

@@ -184,3 +184,21 @@ class TestAggregate:
         sim = sim_with_values([])
         with pytest.raises(ValueError):
             sim.aggregate("P", lambda s: s[0], "min")
+
+
+class TestSnapshotPickling:
+    def test_snapshot_round_trips(self):
+        import copy
+        import pickle
+
+        sim = sim_with_values([0.5])
+        sim.set_global("bonus", 3)
+        sim.set_global("weights", (0.25, 0.75))
+        snap = pickle.loads(pickle.dumps(sim.globals_snapshot()))
+        assert dict(snap) == {"bonus": 3, "weights": (0.25, 0.75)}
+        assert snap.bonus == 3
+        assert dict(copy.deepcopy(snap)) == dict(snap)
+        with pytest.raises(UnknownName):
+            snap["missing"]
+        with pytest.raises(UnknownName):
+            snap.missing

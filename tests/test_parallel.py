@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import enum
+import multiprocessing as mp
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -10,12 +15,15 @@ from graphabm import (
     Schema,
     Simulation,
     TransitionSpec,
+    UsageError,
+    WorkerError,
     apply_transition,
     cut_edge_counts,
     cut_fraction,
     finalize_step,
     ghost_table,
     partition_graph,
+    run,
     split_id,
 )
 from graphabm.models.hk import HKConfig, hk_run
@@ -234,3 +242,197 @@ class TestGhostBytes:
         sim.commit_initial()
         p = partition_graph(sim, 2, "contiguous")
         assert ghost_state_bytes(sim, p) == 16  # one remote agent, two fields
+
+
+# ---------------------------------------------------------------------------
+# The resident worker pool
+# ---------------------------------------------------------------------------
+
+CONTROL_PID = os.getpid()
+WRITE_P = TransitionSpec(callable_types=("P",), write_types=("P",))
+
+
+def bump(view, params, g):
+    return (view.field("x") + 1.0,)
+
+
+def in_worker():
+    """True in a forked worker, False on the control process."""
+    return os.getpid() != CONTROL_PID
+
+
+def fail_in_child(how):
+    def fn(view, params, g):
+        if in_worker():
+            if how == "raise":
+                raise KeyError("remote failure")
+            if how == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return (view.field("x"),)
+    return fn
+
+
+def apply_once(sim, fn, workers):
+    apply_transition(sim, fn, WRITE_P, workers=workers)
+    finalize_step(sim)
+
+
+def run_program(sim, fn, workers):
+    run(sim, 2, [(fn, WRITE_P)], workers=workers)
+
+
+class TestWorkerFaults:
+    @pytest.mark.parametrize("entry", [apply_once, run_program])
+    @pytest.mark.parametrize("how,exitcode", [("exit", 3), ("kill", -signal.SIGKILL)])
+    def test_dead_worker_is_named_with_its_exit_code(self, entry, how, exitcode):
+        sim = plain_sim(8)
+        with pytest.raises(WorkerError) as info:
+            entry(sim, fail_in_child(how), 2)
+        assert info.value.worker == 1
+        assert info.value.exitcode == exitcode
+        assert sim._staged is None
+        assert mp.active_children() == []
+
+    @pytest.mark.parametrize("entry", [apply_once, run_program])
+    def test_worker_exception_keeps_its_type(self, entry):
+        sim = plain_sim(8)
+        with pytest.raises(KeyError, match="remote failure"):
+            entry(sim, fail_in_child("raise"), 2)
+        assert sim._staged is None
+        assert mp.active_children() == []
+
+    @pytest.mark.parametrize("entry", [apply_once, run_program])
+    def test_worker_zero_error_tears_the_pool_down(self, entry):
+        def fail_on_control(view, params, g):
+            if not in_worker():
+                raise ValueError("local failure")
+            return (view.field("x") + 1.0,)
+
+        sim = plain_sim(8)
+        with pytest.raises(ValueError, match="local failure"):
+            entry(sim, fail_on_control, 2)
+        assert sim._staged is None
+        assert mp.active_children() == []
+        run(sim, 3, [(bump, WRITE_P)], workers=2)
+        assert mp.active_children() == []
+        serial = plain_sim(8)
+        run(serial, 3, [(bump, WRITE_P)])
+        assert sim.state_checksum() == serial.state_checksum()
+
+    def test_globals_that_do_not_pickle_are_refused(self):
+        sim = plain_sim(8)
+        sim.set_global("scale", lambda x: 2 * x)
+        with pytest.raises(UsageError, match="globals must pickle"):
+            run(sim, 1, [(bump, WRITE_P)], workers=2)
+        assert sim._staged is None
+        assert mp.active_children() == []
+
+    def test_error_in_a_program_callable_ends_the_pool(self):
+        def broken(sim):
+            raise LookupError("callable failure")
+
+        sim = plain_sim(8)
+        with pytest.raises(LookupError):
+            run(sim, 2, [(bump, WRITE_P), broken], workers=3)
+        assert mp.active_children() == []
+        assert sim._staged is None
+
+
+# The per-step oracle: births, deaths, a kept edge type and a global set
+# between transitions, at several worker counts and strategies. Only the
+# lowest agent, which every partition gives worker 0, gives births, so that
+# newborns get the same ids at every worker count.
+
+LIVE = TransitionSpec(callable_types=("Cell",), read_types=("Cell", "Trail"),
+                      write_types=("Cell", "Trail"), keep_existing=("Trail",))
+FEED = TransitionSpec(callable_types=("Cell",), read_types=("Trail",),
+                      write_types=("Cell",), batch=True)
+
+
+def live(view, params, g):
+    energy = int(view.field("energy")) + g.bonus - view.num_edges("Trail")
+    energy += int(view.rng.integers(-1, 3))
+    if view.agent_id == 0:
+        for _ in range(2):
+            view.add_agent("Cell", 4)
+        energy = max(energy, 50)
+    elif energy < 0:
+        return None
+    sources = view.sources("Trail")
+    target = int(sources[view.rng.integers(sources.size)]) if sources.size else 0
+    view.add_edge("Trail", target, (view.step,))
+    return (energy,)
+
+
+def feed(batch, params, g):
+    return (batch.field("energy") + batch.count("Trail") % 3,)
+
+
+def set_bonus(sim):
+    sim.set_global("bonus", sim.n_alive("Cell") % 4)
+
+
+def cell_sim(n=24):
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("Cell", (("energy", "int64"),)))
+    schema.register_edge_type(EdgeTypeDecl("Trail", (("step", "int64"),)))
+    sim = Simulation(schema, seed=5)
+    ids = sim.add_agents("Cell", n, {"energy": np.arange(n) % 7})
+    sim.add_edges("Trail", ids, np.roll(ids, 1), [(0,)] * n)
+    sim.set_global("bonus", 0)
+    return sim
+
+
+def cell_checksums(workers, strategy="contiguous", steps=5):
+    sim = cell_sim()
+    sums, alive = [], []
+
+    def on_step(s):
+        sums.append(s.state_checksum())
+        alive.append(s.n_alive("Cell"))
+
+    run(sim, steps, [(live, LIVE), set_bonus, (feed, FEED)],
+        workers=workers, strategy=strategy, on_step=on_step)
+    assert mp.active_children() == []
+    return sums, alive
+
+
+class TestPoolOracle:
+    def test_types_declared_with_a_local_enum_reach_the_workers(self):
+        class Kind(enum.IntEnum):
+            OFF = 0
+            ON = 1
+
+        def build():
+            schema = Schema()
+            schema.register_agent_type(AgentTypeDecl("K", (("k", Kind),), immortal=True))
+            schema.register_edge_type(EdgeTypeDecl("Flag", (("k", Kind),)))
+            sim = Simulation(schema)
+            sim.add_agents("K", 6, {"k": np.zeros(6, dtype=np.int64)})
+            return sim
+
+        def flip(view, params, g):
+            view.add_edge("Flag", view.agent_id, (1 - view.num_edges("Flag") % 2,))
+            return (view.num_edges("Flag"),)
+
+        spec = TransitionSpec(callable_types=("K",), read_types=("Flag",),
+                              write_types=("K", "Flag"), keep_existing=("Flag",))
+        sums = []
+        for workers in (1, 2):
+            sim = build()
+            run(sim, 3, [(flip, spec)], workers=workers)
+            sums.append(sim.state_checksum())
+        assert sums[0] == sums[1]
+
+    def test_the_program_gives_births_and_deaths(self):
+        _, alive = cell_checksums(1)
+        assert len(set(alive)) > 1
+        assert any(b < a for a, b in zip(alive, alive[1:]))
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "round_robin"])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_every_step_equals_one_worker(self, workers, strategy):
+        expected, _ = cell_checksums(1)
+        got, _ = cell_checksums(workers, strategy)
+        assert got == expected

@@ -20,6 +20,7 @@ from graphabm import (
     finalize_step,
     partition_graph,
     split_id,
+    storage_plan_for,
 )
 from graphabm.ids import COMP_SHIFT
 from graphabm.storage import build_read_container, make_shard
@@ -696,3 +697,39 @@ class TestTypedAgentStates:
         assert split_id(sim.add_agent("A", 3.5, 8))[2] == 1
         assert sim.field_array("A", "i").tolist() == [7, 8]
         assert sim.field_array("A", "x").tolist() == [1.5, 3.5]
+
+
+class TestEndpointsCheckedBeforeIndex:
+    """A target far past every slot raises before the merge sizes the
+    per-slot index for it."""
+
+    DECL = EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.IGNORE_FROM)  # COUNT_ONLY
+    FAR = 1 << 24
+
+    def peak_mb(self, action):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolation, match="nonexistent"):
+                action()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_at_commit(self):
+        assert storage_plan_for(self.DECL.hints) is EdgePlan.COUNT_ONLY
+        sim = build_sim(self.DECL, n_agents=3)
+        sim.add_edge("E", self.FAR, 0)
+        assert self.peak_mb(sim.commit_initial) < 16
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_a_transition(self, workers):
+        sim = build_sim(self.DECL, n_agents=3)
+        spec = TransitionSpec(callable_types=("A",), write_types=("E",))
+
+        def emit(view, params, g):
+            view.add_edge("E", self.FAR)
+
+        assert self.peak_mb(lambda: apply_transition(sim, emit, spec, workers=workers)) < 16
+        assert sim._staged is None
