@@ -256,7 +256,9 @@ def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
     into fresh shards, interleaved across the plans, so that no plan is
     timed only after the others; a plan's figure is the median over its
     repetitions. Each repetition grows its shard from empty, as a worker's
-    shard grows in a step, and adds to one fixed target.
+    shard grows in a step, and adds to one fixed target. Repetitions are
+    timed in the calling thread's CPU time (``time.thread_time``), so time
+    the thread spends preempted does not count.
     """
     from .engine import step_shard
 
@@ -279,10 +281,10 @@ def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
         for plan_name, (info, target, source, state) in cases.items():
             add = step_shard(info, check_single_edge=False).add
             add(target, source, state, 0)  # warm allocation
-            t0 = time.perf_counter()
+            t0 = time.thread_time()
             for _ in loop:
                 add(target, source, state, 0)
-            times[plan_name].append((time.perf_counter() - t0) / n * 1e9)
+            times[plan_name].append((time.thread_time() - t0) / n * 1e9)
             del add
     return {plan_name: median(ns) for plan_name, ns in times.items()}
 

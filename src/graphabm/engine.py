@@ -44,10 +44,11 @@ from .schema import AgentTypeInfo, EdgePlan
 from .sim import Simulation
 from .storage import (
     AgentSegment,
+    ListShard,
     build_read_container,
     cast_columns,
+    drop_dead_edges,
     make_checked_adder,
-    make_shard,
     validate_endpoints,
 )
 from .view import AgentBatch, NeighborhoodView
@@ -337,7 +338,7 @@ def step_shard(info, check_single_edge: bool):
     each edge's producer, which the merge of a list plan orders by; the
     merge of EXISTENCE_BIT, a union of bits, reads producers only for its
     SINGLE_EDGE reports."""
-    return make_shard(info, check_single_edge or info.plan is not EdgePlan.EXISTENCE_BIT)
+    return ListShard(info, check_single_edge or info.plan is not EdgePlan.EXISTENCE_BIT)
 
 
 def _chunks(slots: np.ndarray, edges: np.ndarray, limit: int):
@@ -396,10 +397,11 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
         old_parts = sim._segments[tag]
         new_parts = {}
         for part, old in old_parts.items():
-            if kept:
-                new_parts[part] = old.clone()
-            else:
-                new_parts[part] = _fresh_like(info, old)
+            buffers = old.buffers()
+            if not kept:  # all dead, zero-filled so unwritten slots hash alike
+                buffers = {name: b if name in ("count", "free") else np.zeros_like(b)
+                           for name, b in buffers.items()}
+            new_parts[part] = AgentSegment.from_buffers(info, buffers)
 
         n_returned = 0
         for p in payloads:
@@ -475,23 +477,6 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
     )
 
 
-def _fresh_like(info: AgentTypeInfo, old: AgentSegment) -> AgentSegment:
-    """An all-dead segment with the same slot space as ``old``.
-
-    Zero-filled so that never-written slots hash identically across runs.
-    """
-    seg = AgentSegment(info)
-    seg.count = old.count
-    seg.fields = {
-        name: np.zeros(old.count, dtype=dt)
-        for name, dt in zip(info.field_names, info.dtypes)
-    }
-    if not info.immortal:
-        seg.alive = np.zeros(old.count, dtype=bool)
-    seg.free = list(old.free)
-    return seg
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -561,7 +546,7 @@ def finalize_step(sim: Simulation) -> None:
     for etag, container in staged.edges.items():
         sim._edges[etag] = container
     if staged.deaths_occurred:
-        sim._edges = [c.filtered(sim._alive_lookup) for c in sim._edges]
+        sim._edges = [drop_dead_edges(c, sim._alive_lookup) for c in sim._edges]
     sim.check_reports.extend(staged.reports)
     sim.step += 1
     sim._staged = None

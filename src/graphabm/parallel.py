@@ -13,9 +13,13 @@ over its own agents against its copy of the time-t state (which doubles
 as the ghost copies of remote agents) and sends back its write shard; the
 control merges the shards in producing-agent order, so results are
 bit-identical to a single-worker run. After the commit, the control
-pickles the written agent segments, the written edge containers and
-whether any agent died, once, and sends the same bytes to every worker,
-which commits them as the control did, dead-endpoint sweep included.
+sends every worker the buffers (:meth:`~graphabm.storage.AgentSegment.buffers`)
+of the written agent segments and edge containers, ``{tag: {part:
+buffers}}`` and ``{etag: buffers}``, and whether any agent died: plain
+dicts of numpy arrays, pickled once, the same bytes to every worker. Each
+worker rebuilds the containers and their indexes from the buffers with
+its own schema records and commits them as the control did, dead-endpoint
+sweep included.
 
 A worker's exception reaches the control with its own type. A worker that
 dies without a result raises :class:`~graphabm.errors.WorkerError` with
@@ -37,20 +41,18 @@ Partition strategies:
 from __future__ import annotations
 
 import heapq
-import io
 import multiprocessing as mp
 import os
 import pickle
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
 from . import engine
 from .errors import UsageError, WorkerError
 from .ids import COMP_SHIFT, PART_BITS, PART_MASK, group_by_comp
-from .schema import AgentTypeInfo, EdgeTypeInfo
+from .storage import AgentSegment, edges_from_buffers
 
 _U64 = np.uint64
 
@@ -141,29 +143,28 @@ def partition_graph(sim, workers: int, strategy: str = "contiguous") -> Partitio
 def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
     """Greedy graph-growing partition over the stored-source edge graph."""
     # Compact rank space over alive agents, ascending by id.
-    id_blocks = []
-    for tag, part, _seg, slots in blocks:
-        base = (tag << 56) | (part << COMP_SHIFT)
-        id_blocks.append(_U64(base) + slots.astype(_U64))
-    all_ids = np.concatenate(id_blocks)
-    rank_of = {int(a): r for r, a in enumerate(all_ids.tolist())}
-
-    neighbors: list[list[int]] = [[] for _ in range(total)]
+    all_ids = np.concatenate([
+        _U64((tag << 56) | (part << COMP_SHIFT)) + slots.astype(_U64)
+        for tag, part, _seg, slots in blocks
+    ])
+    # CSR neighbour index: both directions of every edge between two
+    # distinct alive agents; self-loops never cross a boundary.
+    pairs = [np.empty((2, 0), dtype=np.intp)]
     for container in sim._edges:
         endpoints = container.edge_endpoints()
-        if endpoints is None:
-            continue
-        targets, sources = endpoints
-        for t, s in zip(targets.tolist(), sources.tolist()):
-            if t == s:
-                continue  # self-loops never cross a boundary
-            rt_, rs = rank_of.get(t), rank_of.get(s)
-            if rt_ is None or rs is None:
-                continue
-            neighbors[rt_].append(rs)
-            neighbors[rs].append(rt_)
+        if endpoints is not None:
+            ranks = np.minimum(np.searchsorted(all_ids, endpoints), total - 1)
+            ok = (all_ids[ranks] == endpoints).all(axis=0) & (ranks[0] != ranks[1])
+            pairs += [ranks[:, ok], ranks[::-1, ok]]
+    rows, cols = np.concatenate(pairs, axis=1)
+    degree = np.bincount(rows, minlength=total).astype(np.int64)
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    adjacent = cols[np.argsort(rows, kind="stable")]
 
-    degree = np.array([len(n) for n in neighbors], dtype=np.int64)
+    def neighbors(node):
+        return adjacent[indptr[node]: indptr[node + 1]].tolist()
+
     targets_sizes = [len(c) for c in np.array_split(np.arange(total), workers)]
     assignment = np.full(total, -1, dtype=np.int32)
 
@@ -177,7 +178,7 @@ def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
         budget -= 1
         gain = {}
         heap = []
-        for nb in neighbors[seed]:
+        for nb in neighbors(seed):
             if assignment[nb] < 0:
                 gain[nb] = gain.get(nb, 0) + 1
         for node, g in gain.items():
@@ -195,7 +196,7 @@ def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
             assignment[node] = w
             gain.pop(node, None)
             budget -= 1
-            for nb in neighbors[node]:
+            for nb in neighbors(node):
                 if assignment[nb] < 0:
                     g = gain.get(nb, 0) + 1
                     gain[nb] = g
@@ -282,27 +283,6 @@ def ghost_state_bytes(sim, partition: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _SchemaPickler(ForkingPickler):
-    """Pickles the schema's type records as their tags. Every worker holds
-    the same schema, and a record's declaration may name a class that
-    does not pickle, such as an IntEnum defined in a function."""
-
-    def persistent_id(self, obj):
-        if isinstance(obj, (AgentTypeInfo, EdgeTypeInfo)):
-            return isinstance(obj, EdgeTypeInfo), obj.tag
-        return None
-
-
-class _SchemaUnpickler(pickle.Unpickler):
-    def __init__(self, data, schema):
-        super().__init__(io.BytesIO(data))
-        self.schema = schema
-
-    def persistent_load(self, pid):
-        is_edge, tag = pid
-        return (self.schema.edge_types if is_edge else self.schema.agent_types)[tag]
-
-
 class WorkerPool:
     """Workers 1..W-1 of a partition, forked once and resident until
     :meth:`close`; worker 0 is the control process.
@@ -352,7 +332,7 @@ class WorkerPool:
     def _broadcast(self, message) -> None:
         """Pickle ``message`` once and send the same bytes to every worker."""
         try:
-            blob = _SchemaPickler.dumps(message, pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # only the globals come from the model
             raise UsageError(f"globals must pickle to reach the workers: {exc}") from exc
         for w, conn in enumerate(self.conns, start=1):
@@ -393,9 +373,13 @@ class WorkerPool:
         return payloads
 
     def sync(self, staged) -> None:
-        """Send a committed transition's written segments and edge
-        containers to every worker, which commits them as the control did."""
-        self._broadcast(("sync", staged.segments, staged.edges, staged.deaths_occurred))
+        """Send the buffers of a committed transition's written segments and
+        edge containers to every worker, which rebuilds them and commits
+        them as the control did."""
+        segments = {tag: {part: seg.buffers() for part, seg in parts.items()}
+                    for tag, parts in staged.segments.items()}
+        edges = {etag: c.buffers() for etag, c in staged.edges.items()}
+        self._broadcast(("sync", segments, edges, staged.deaths_occurred))
 
     def close(self) -> None:
         """End every worker and wait for it. Idle workers leave when their
@@ -435,7 +419,7 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
     try:
         while True:
             try:
-                message = _SchemaUnpickler(conn.recv_bytes(), sim.schema).load()
+                message = conn.recv()
             except EOFError:
                 return
             if message[0] == "run":
@@ -448,6 +432,14 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
                 conn.send(("ok", payload))
             else:
                 _, segments, edges, deaths = message
+                agent_types, edge_types = sim.schema.agent_types, sim.schema.edge_types
+                segments = {
+                    tag: {part: AgentSegment.from_buffers(agent_types[tag], b)
+                          for part, b in parts.items()}
+                    for tag, parts in segments.items()
+                }
+                edges = {etag: edges_from_buffers(edge_types[etag], b)
+                         for etag, b in edges.items()}
                 sim._staged = engine.StagedCommit(segments, edges, deaths, [])
                 engine.finalize_step(sim)
     except BaseException as exc:  # surfaced on the control process

@@ -30,11 +30,11 @@ from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id, group_b
 from .schema import EdgePlan, Schema
 from .storage import (
     AgentSegment,
+    ListShard,
     build_read_container,
     cast_columns,
     edge_breaches,
     make_checked_adder,
-    make_shard,
     validate_endpoints,
 )
 
@@ -63,7 +63,7 @@ class Simulation:
         self._edges = [build_read_container(info, []) for info in schema.edge_types]
 
         self._init_sink = ViolationSink(self.checks.mode, step=0)
-        self._init_shards = [make_shard(info) for info in schema.edge_types]
+        self._init_shards = [ListShard(info) for info in schema.edge_types]
         # Per EXISTENCE_BIT type under the SINGLE_EDGE check, the targets
         # added so far, so that a duplicate is flagged at the call.
         self._init_seen = [
@@ -345,16 +345,15 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def state_checksum(self) -> str:
-        """SHA-256 over the canonical serialization of the current graph."""
+        """SHA-256 over every container's buffers, with their names, in
+        schema order: agent segments by type and partition, then edge types."""
         h = hashlib.sha256()
-        for tag, segments in enumerate(self._segments):
-            h.update(b"A")
-            h.update(tag.to_bytes(2, "little"))
-            for part in sorted(segments):
-                h.update(part.to_bytes(4, "little"))
-                segments[part].checksum_update(h)
-        for tag, container in enumerate(self._edges):
-            h.update(b"E")
-            h.update(tag.to_bytes(2, "little"))
-            container.checksum_update(h)
+        containers = [
+            (f"A{tag}.{part}", parts[part])
+            for tag, parts in enumerate(self._segments) for part in sorted(parts)
+        ] + [(f"E{tag}", c) for tag, c in enumerate(self._edges)]
+        for key, container in containers:
+            for name, buf in container.buffers().items():
+                h.update(f"{key}/{name}:{buf.dtype.str}{buf.shape};".encode())
+                h.update(np.ascontiguousarray(buf))
         return h.hexdigest()

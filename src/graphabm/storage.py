@@ -25,6 +25,14 @@ EXISTENCE_BIT duplicate is flagged at the call, and a SINGLE_FULL_EDGE one
 at commit; in a transition both are flagged at the merge, one report per
 edge beyond a target's first at any worker count.
 
+Buffer form: every container gives its primary columns as ``buffers()``,
+a dict of named numpy arrays, and the class method ``from_buffers(info,
+buffers)`` rebuilds it and any derived index. A segment's are ``count``,
+``alive`` (mortal types), ``free`` and ``field:<name>`` per field; an edge
+container's hold one entry per edge: ``targets`` (the set ids of a bitmap),
+``sources`` and ``field:<name>`` per state field when stored. The state
+checksum, the dead-edge sweep and the worker sync all read this form.
+
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
 concatenated shards by producer and then by target, so every per-target
@@ -169,22 +177,31 @@ class AgentSegment:
     def state_tuple(self, slot: int) -> tuple:
         return tuple(arr[slot].item() for arr in self.fields.values())
 
-    def clone(self) -> "AgentSegment":
-        dup = object.__new__(AgentSegment)
-        dup.count = self.count
-        dup.immortal = self.immortal
-        dup.fields = {k: v[: self.count].copy() for k, v in self.fields.items()}
-        dup.alive = None if self.alive is None else self.alive[: self.count].copy()
-        dup.free = list(self.free)
-        return dup
+    # -- buffer form -------------------------------------------------------
 
-    def checksum_update(self, h):
-        h.update(self.count.to_bytes(8, "little"))
+    def buffers(self) -> dict[str, np.ndarray]:
+        """The primary columns, as views: ``count``, the ``alive`` mask of a
+        mortal type, the ``free`` list and one ``field:<name>`` per field."""
+        n = self.count
+        out = {"count": np.array(n, dtype=np.int64)}
         if self.alive is not None:
-            h.update(np.packbits(self.alive[: self.count]).tobytes())
-        for name in sorted(self.fields):
-            h.update(name.encode())
-            h.update(self.fields[name][: self.count].tobytes())
+            out["alive"] = self.alive[:n]
+        out["free"] = np.array(self.free, dtype=np.int64)
+        for name, arr in self.fields.items():
+            out["field:" + name] = arr[:n]
+        return out
+
+    @classmethod
+    def from_buffers(cls, info: AgentTypeInfo, buffers: dict) -> "AgentSegment":
+        """The segment of :meth:`buffers`' columns. It copies them, since a
+        segment is written in place."""
+        seg = cls(info)
+        seg.count = int(buffers["count"])
+        seg.fields = {name: buffers["field:" + name].copy() for name in info.field_names}
+        if not info.immortal:
+            seg.alive = buffers["alive"].copy()
+        seg.free = buffers["free"].tolist()
+        return seg
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +289,6 @@ class ListShard:
 
     def __len__(self):
         return len(self.targets)
-
-
-def make_shard(info: EdgeTypeInfo, record_producers: bool = False) -> ListShard:
-    return ListShard(info, record_producers)
 
 
 def make_checked_adder(
@@ -545,29 +558,26 @@ class ListEdgeRead:
             return None
         return self.targets, self.sources
 
-    # -- maintenance -----------------------------------------------------------
+    # -- buffer form -------------------------------------------------------
 
-    def filtered(self, alive_fn) -> "ListEdgeRead":
-        if not self.targets.size:
-            return self
-        keep = alive_fn(self.targets)
+    def buffers(self) -> dict[str, np.ndarray]:
+        """The primary columns: ``targets``, ``sources`` when stored and one
+        ``field:<name>`` per stored state field. The index is derived."""
+        out = {"targets": self.targets}
         if self.sources is not None:
-            keep &= alive_fn(self.sources)
-        if bool(keep.all()):
-            return self
-        idx = np.flatnonzero(keep)
-        return ListEdgeRead(
-            self.info, self.targets[idx], _take(self.sources, idx), _take(self.states, idx)
-        )
+            out["sources"] = self.sources
+        for name, column in zip(self.info.field_names, self.states or ()):
+            out["field:" + name] = column
+        return out
 
-    def checksum_update(self, h):
-        h.update(self.targets.tobytes())
-        if self.sources is not None:
-            h.update(self.sources.tobytes())
-        if self.states is not None:
-            for name, column in zip(self.info.field_names, self.states):
-                h.update(name.encode())
-                h.update(column.tobytes())
+    @classmethod
+    def from_buffers(cls, info: EdgeTypeInfo, buffers: dict) -> "ListEdgeRead":
+        """The container of :meth:`buffers`' columns, ``targets`` sorted,
+        with its index rebuilt."""
+        states = None
+        if info.has_state:
+            states = tuple(buffers["field:" + name] for name in info.field_names)
+        return cls(info, buffers["targets"], buffers.get("sources"), states)
 
 
 class ExistenceEdgeRead:
@@ -626,35 +636,45 @@ class ExistenceEdgeRead:
     def edge_endpoints(self):
         return None
 
-    def ids(self) -> np.ndarray:
-        """The ids of the targets whose bit is set, ascending."""
-        return np.concatenate([_EMPTY_U64] + [
+    def buffers(self) -> dict[str, np.ndarray]:
+        """The one primary column: ``targets``, the ids whose bit is set,
+        ascending."""
+        return {"targets": np.concatenate([_EMPTY_U64] + [
             _U64(comp << COMP_SHIFT) + np.flatnonzero(self.buckets[comp]).astype(_U64)
             for comp in sorted(self.buckets)
-        ])
+        ])}
 
-    def filtered(self, alive_fn) -> "ExistenceEdgeRead":
-        ids = self.ids()
-        dead = ids[~alive_fn(ids)]
-        if not dead.size:
-            return self
-        # The checksum hashes every composite key: one whose bits all die
-        # keeps an empty bitmap, and one that was empty already is dropped.
-        out = {comp: b for comp, b in self.buckets.items() if b.any()}
-        for comp, _, slots in group_by_comp(dead):
-            out[comp] = out[comp].copy()
-            out[comp][slots] = 0
-        return ExistenceEdgeRead(self.info, out)
+    @classmethod
+    def from_buffers(cls, info: EdgeTypeInfo, buffers: dict) -> "ExistenceEdgeRead":
+        """Set the bit of every id in ``targets``, in any order and with
+        repeats."""
+        buckets = {}
+        for comp, _, slots in group_by_comp(buffers["targets"]):
+            bits = np.zeros(int(slots.max()) + 1, dtype=np.uint8)
+            bits[slots] = 1
+            buckets[comp] = bits
+        return cls(info, buckets)
 
-    def checksum_update(self, h):
-        ids = self.ids()
-        comps = sorted(self.buckets)
-        ends = np.searchsorted(ids >> _U64(COMP_SHIFT), np.array(comps, dtype=_U64), "right")
-        lo = 0
-        for comp, hi in zip(comps, ends.tolist()):
-            h.update(comp.to_bytes(8, "little"))
-            h.update((ids[lo:hi] & _U64(INDEX_MASK)).astype(np.int64).tobytes())
-            lo = hi
+
+def edges_from_buffers(info: EdgeTypeInfo, buffers: dict):
+    """The read container of ``info``'s plan, rebuilt from its buffers."""
+    cls = ExistenceEdgeRead if info.plan is EdgePlan.EXISTENCE_BIT else ListEdgeRead
+    return cls.from_buffers(info, buffers)
+
+
+def drop_dead_edges(container, alive_fn):
+    """``container`` without the edges whose target, or stored source, is
+    dead (``alive_fn`` maps an id array to a mask): its endpoint buffers
+    are masked and the container is rebuilt from them."""
+    buffers = container.buffers()
+    keep = alive_fn(buffers["targets"])
+    if "sources" in buffers:
+        keep &= alive_fn(buffers["sources"])
+    if bool(keep.all()):
+        return container
+    return type(container).from_buffers(
+        container.info, {name: column[keep] for name, column in buffers.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -754,20 +774,13 @@ def build_existence_read(
     carryover: ExistenceEdgeRead | None,
     sink: ViolationSink | None,
 ) -> ExistenceEdgeRead:
-    """Set the bit of every target of the shards, after ``carryover``'s bits."""
+    """Set the bit of every target of the shards and of ``carryover``."""
     targets, _, _, producers, _ = _merge_list_shards(info, shards, None)
-    buckets = {} if carryover is None else dict(carryover.buckets)
+    retained = _EMPTY_U64 if carryover is None else carryover.buffers()["targets"]
+    ids = np.concatenate([retained, targets])
     if sink is not None:
-        retained = _EMPTY_U64 if carryover is None else carryover.ids()
-        _single_edge_order(info, np.concatenate([retained, targets]), producers,
-                           retained.size, sink)
-    for comp, _, slots in group_by_comp(targets):
-        old = buckets.get(comp, np.zeros(0, dtype=np.uint8))
-        bits = np.zeros(max(old.size, int(slots.max()) + 1), dtype=np.uint8)
-        bits[: old.size] = old
-        bits[slots] = 1
-        buckets[comp] = bits
-    return ExistenceEdgeRead(info, buckets)
+        _single_edge_order(info, ids, producers, retained.size, sink)
+    return ExistenceEdgeRead.from_buffers(info, {"targets": ids})
 
 
 def build_single_read(

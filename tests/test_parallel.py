@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import enum
+import io
 import multiprocessing as mp
 import os
+import pickle
 import signal
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from graphabm import (
 )
 from graphabm.models.hk import HKConfig, hk_run
 from graphabm.models.topology import Cliques, Complete, Regular
+from graphabm.parallel import WorkerPool
 
 
 def plain_sim(n, with_edges=None):
@@ -122,6 +126,22 @@ class TestCutMetrics:
         assert greedy.sizes.tolist() == [12, 12, 12, 12]
         counts = cut_edge_counts(sim, greedy)
         assert max(counts.values()) <= 1
+
+    def test_greedy_assignment_pinned_on_degree_ties(self):
+        # A ring of 10 with chords 0-5 and 2-7, a self-loop and a repeated
+        # edge 4-5: seeds and frontier picks tie on degree and gain, and the
+        # lowest rank wins each tie.
+        targets = list(range(10)) + [0, 2, 3, 4]
+        sources = [(i + 1) % 10 for i in range(10)] + [5, 7, 3, 5]
+        sim = plain_sim(10, (targets, sources))
+        expected = {
+            2: [0, 0, 0, 1, 0, 0, 1, 1, 1, 1],
+            3: [0, 0, 1, 1, 0, 0, 2, 1, 2, 2],
+            4: [0, 1, 1, 1, 0, 0, 2, 2, 3, 3],
+        }
+        for workers, owners in expected.items():
+            p = partition_graph(sim, workers, "greedy_edge_cut")
+            assert p.worker_for_slots(0, 0, np.arange(10)).tolist() == owners
 
 
 class TestGhostTable:
@@ -436,3 +456,38 @@ class TestPoolOracle:
         expected, _ = cell_checksums(1)
         got, _ = cell_checksums(workers, strategy)
         assert got == expected
+
+    def test_sync_ships_numpy_arrays_and_builtins_only(self, monkeypatch):
+        class PlainUnpickler(pickle.Unpickler):
+            def find_class(self, module, name):
+                if module.split(".")[0] not in ("numpy", "builtins"):
+                    raise pickle.UnpicklingError(f"{module}.{name} in a sync")
+                return super().find_class(module, name)
+
+        blobs, syncing = [], []
+        send_bytes, sync = Connection.send_bytes, WorkerPool.sync
+
+        def recording_send(conn, buf, *args):
+            if syncing:
+                blobs.append(bytes(buf))
+            return send_bytes(conn, buf, *args)
+
+        def recording_sync(pool, staged):
+            syncing.append(True)
+            try:
+                sync(pool, staged)
+            finally:
+                syncing.clear()
+
+        monkeypatch.setattr(Connection, "send_bytes", recording_send)
+        monkeypatch.setattr(WorkerPool, "sync", recording_sync)
+        sim = cell_sim()
+        run(sim, 2, [(live, LIVE), set_bonus, (feed, FEED)], workers=2)
+        assert len(blobs) == 4  # two transitions a step
+        for blob in blobs:
+            kind, segments, edges, deaths = PlainUnpickler(io.BytesIO(blob)).load()
+            assert kind == "sync" and isinstance(deaths, bool)
+            for parts in segments.values():
+                for buffers in parts.values():
+                    assert {"count", "alive", "free", "field:energy"} == set(buffers)
+            assert all(set(b) == {"targets", "sources", "field:step"} for b in edges.values())

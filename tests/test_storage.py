@@ -23,7 +23,7 @@ from graphabm import (
     storage_plan_for,
 )
 from graphabm.ids import COMP_SHIFT
-from graphabm.storage import build_read_container, make_shard
+from graphabm.storage import AgentSegment, ListShard, build_read_container, edges_from_buffers
 
 from test_schema import all_hint_sets, is_legal
 
@@ -489,8 +489,8 @@ class TestDeterministicMerge:
     def test_merge_orders_by_producer_across_shards(self):
         info = self._schema_info()
         # Worker shards hold interleaved producer ranges (round-robin style).
-        s0 = make_shard(info, record_producers=True)
-        s1 = make_shard(info, record_producers=True)
+        s0 = ListShard(info, record_producers=True)
+        s1 = ListShard(info, record_producers=True)
         s0.add(7, 100, None, 0)
         s0.add(7, 102, None, 2)
         s1.add(7, 101, None, 1)
@@ -500,18 +500,18 @@ class TestDeterministicMerge:
 
     def test_same_producer_insertion_order_preserved(self):
         info = self._schema_info()
-        s0 = make_shard(info, record_producers=True)
+        s0 = ListShard(info, record_producers=True)
         s0.add(7, 100, None, 5)
         s0.add(7, 101, None, 5)
-        s1 = make_shard(info, record_producers=True)
+        s1 = ListShard(info, record_producers=True)
         s1.add(7, 102, None, 9)
         merged = build_read_container(info, [s0, s1])
         assert merged.sources_for(7).tolist() == [100, 101, 102]
 
     def test_count_merge_is_order_free(self):
         info = self._schema_info(Hint.STATELESS | Hint.IGNORE_FROM)
-        s0 = make_shard(info)
-        s1 = make_shard(info)
+        s0 = ListShard(info)
+        s1 = ListShard(info)
         s0.add(3)
         s1.add(3)
         s1.add(3)
@@ -733,3 +733,110 @@ class TestEndpointsCheckedBeforeIndex:
 
         assert self.peak_mb(lambda: apply_transition(sim, emit, spec, workers=workers)) < 16
         assert sim._staged is None
+
+
+# ---------------------------------------------------------------------------
+# The buffer form: every container rebuilt from its primary columns
+# ---------------------------------------------------------------------------
+
+
+def _plain(value):
+    """``value`` with numpy arrays and tuples as lists, for comparison."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.tolist())
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _answer(query, *args):
+    try:
+        return _plain(query(*args))
+    except HintViolation as exc:
+        return str(exc)
+
+
+def edge_answers(c, aids, comps, slots):
+    """Every query of a read container, or the refusal it raises."""
+    out = [c.n_stored(), c.plan]
+    for name in ("has_for", "count_for", "sources_for", "states_for", "records_for"):
+        out += [_answer(getattr(c, name), aid) for aid in aids]
+    for name in ("has_for_slots", "count_for_slots", "records_for_slots"):
+        out += [_answer(getattr(c, name), comp, slots) for comp in comps]
+    return out
+
+
+class TestBufferRoundTrip:
+    """``from_buffers(info, c.buffers())`` answers every query as ``c`` does
+    and leaves the state checksum unchanged."""
+
+    @pytest.mark.parametrize("hints", [h for h in all_hint_sets() if is_legal(h)],
+                             ids=lambda h: str(h))
+    def test_edge_container(self, hints):
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("A", (("v", "float64"),), immortal=True))
+        schema.register_agent_type(AgentTypeDecl("B", (), immortal=True))
+        kw = {"single_type_target": "A"} if Hint.SINGLE_TYPE in hints else {}
+        schema.register_edge_type(
+            EdgeTypeDecl("E", (("w", "float64"), ("k", "int64")), hints=hints, **kw)
+        )
+        sim = Simulation(schema, checks="off")
+        a = sim.add_agents("A", 9, {"v": np.arange(9.0)})
+        b = sim.add_agents("B", 4)
+        ids = np.concatenate([a, b])
+        rng = np.random.default_rng(int(hints.value) + 5)
+        pick = rng.integers(0, ids.size, (30, 2))  # repeats included
+        sim.add_edges("E", ids[pick[:, 0]], ids[pick[:, 1]],
+                      [(float(rng.random()), int(k)) for k in range(30)])
+        sim.commit_initial()
+        c = sim.edge_container("E")
+        rebuilt = edges_from_buffers(c.info, c.buffers())
+        assert type(rebuilt) is type(c)
+
+        aids = ids.tolist() + [int(a[-1]) + 1, int(b[-1]) + 7]
+        comps = [int(a[0]) >> COMP_SHIFT, int(b[0]) >> COMP_SHIFT, 99]
+        slots = np.arange(12)
+        assert edge_answers(rebuilt, aids, comps, slots) == edge_answers(c, aids, comps, slots)
+        before = sim.state_checksum()
+        sim._edges[c.info.tag] = rebuilt
+        assert sim.state_checksum() == before
+
+    @pytest.mark.parametrize("type_name", ["Mortal", "Immortal", "Stateless", "Ghost"])
+    def test_agent_segment(self, type_name):
+        schema = Schema()
+        fields = (("x", "float64"), ("k", "int64"))
+        schema.register_agent_type(AgentTypeDecl("Mortal", fields))
+        schema.register_agent_type(AgentTypeDecl("Immortal", fields, immortal=True))
+        schema.register_agent_type(AgentTypeDecl("Stateless", ()))
+        schema.register_agent_type(AgentTypeDecl("Ghost", (), immortal=True))
+        sim = Simulation(schema)
+        for name in ("Mortal", "Immortal"):
+            sim.add_agents(name, 7, {"x": np.arange(7) / 2, "k": np.arange(7) * 3})
+        sim.add_agents("Stateless", 7)
+        sim.add_agents("Ghost", 7)
+
+        def cull(view, params, g):  # frees slots 1, 4 and 5 of the mortal types
+            return None if split_id(view.agent_id)[2] in (1, 4, 5) else view.state
+
+        apply_transition(sim, cull, TransitionSpec(("Mortal", "Stateless"),
+                                                   write_types=("Mortal", "Stateless")))
+        finalize_step(sim)
+
+        info = schema.agent_type(type_name)
+        seg = sim._segments[info.tag][0]
+        rebuilt = AgentSegment.from_buffers(info, seg.buffers())
+        if not info.immortal:
+            assert seg.free == [1, 4, 5]
+
+        def answers(s):
+            return [s.count, s.n_alive, s.alive_slots().tolist(), list(s.free),
+                    [s.is_alive(i) for i in range(-1, 10)],
+                    [s.state_tuple(i) for i in s.alive_slots().tolist()]]
+
+        assert answers(rebuilt) == answers(seg)
+        for mine, theirs in zip(rebuilt.buffers().values(), seg.buffers().values()):
+            assert not np.shares_memory(mine, theirs)
+        before = sim.state_checksum()
+        sim._segments[info.tag][0] = rebuilt
+        assert sim.state_checksum() == before
+        assert rebuilt.allocate() == seg.allocate()
