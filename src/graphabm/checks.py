@@ -1,10 +1,11 @@
 """Runtime contract checks.
 
-Checks verify declared contracts (SINGLE_EDGE multiplicity, SINGLE_TYPE
-target tag, read/write type sets) while a model runs. They are on by
+Checks verify the contracts an edge type declares (SINGLE_EDGE
+multiplicity, SINGLE_TYPE target tag) while a model runs. They are on by
 default; once a model is trusted they can be disabled for speed, or set
 to warn mode, which records violations and continues. Disabling checks
-never changes the results of a contract-respecting model.
+never changes the results of a contract-respecting model. A transition's
+read and write type sets are enforced always.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ class CheckConfig:
     """Which contract checks run, and what happens on a violation.
 
     ``mode`` is one of ``"error"`` (raise, aborting the step) or ``"warn"``
-    (record the violation and continue). Individual checks can be toggled;
-    ``enabled=False`` turns them all off regardless of the toggles.
+    (record the violation and continue). The SINGLE_EDGE and SINGLE_TYPE
+    checks can be toggled one by one; ``enabled=False`` turns both off
+    regardless of the toggles. Reads and writes outside a transition's
+    declared type sets always raise, whatever these settings say.
     """
 
     enabled: bool = True
     single_edge: bool = True
     single_type: bool = True
-    write_set: bool = True
-    read_set: bool = True
     mode: str = "error"
 
     @classmethod

@@ -129,16 +129,34 @@ def _open_out(path: str):
     return sys.stdout
 
 
-def _model_rows(cfg: RunConfig):
-    """Run the configured model; yields (header, rows)."""
+def _run_model(cfg: RunConfig, workers: int, collect_metrics: bool = True):
+    """Build the configured model and run it at ``workers`` workers."""
     if cfg.model == "hk":
         topo, n = _hk_topology(cfg)
-        result = hk.hk_run(
+        return hk.hk_run(
             hk.HKConfig(n=n, epsilon=cfg.epsilon, topology=topo,
                         seed=cfg.seed, hints=cfg.hints),
-            cfg.steps, workers=cfg.workers, strategy=cfg.strategy,
-            checks=cfg.checks,
+            cfg.steps, workers=workers, strategy=cfg.strategy,
+            checks=cfg.checks, collect_metrics=collect_metrics,
         )
+    schedule = episim.load_schedule_csv(cfg.schedule) if cfg.schedule else None
+    locations = cfg.locations or max(1, cfg.n // 4)
+    if schedule is not None:
+        persons = max(r[0] for r in schedule) + 1 if schedule else cfg.n
+        locations = max((r[1] for r in schedule), default=0) + 1
+    else:
+        persons = cfg.n
+    return episim.epi_run(
+        episim.EpiConfig(persons=persons, locations=locations, theta=cfg.theta,
+                         seed=cfg.seed, schedule=schedule, hints=cfg.hints),
+        cfg.steps, workers=workers, strategy=cfg.strategy, checks=cfg.checks,
+    )
+
+
+def _model_rows(cfg: RunConfig):
+    """Run the configured model; yields (header, rows)."""
+    result = _run_model(cfg, cfg.workers)
+    if cfg.model == "hk":
         header = ["step", "wall_ms", "min", "max", "mean", "clusters"]
         rows = [
             [i, f"{m['wall_ms']:.3f}", repr(float(s["min"])), repr(float(s["max"])),
@@ -147,18 +165,6 @@ def _model_rows(cfg: RunConfig):
         ]
         return header, rows
 
-    schedule = episim.load_schedule_csv(cfg.schedule) if cfg.schedule else None
-    locations = cfg.locations or max(1, cfg.n // 4)
-    if schedule is not None:
-        persons = max(r[0] for r in schedule) + 1 if schedule else cfg.n
-        locations = max((r[1] for r in schedule), default=0) + 1
-    else:
-        persons = cfg.n
-    result = episim.epi_run(
-        episim.EpiConfig(persons=persons, locations=locations, theta=cfg.theta,
-                         seed=cfg.seed, schedule=schedule, hints=cfg.hints),
-        cfg.steps, workers=cfg.workers, strategy=cfg.strategy, checks=cfg.checks,
-    )
     header = ["step", "wall_ms", "susceptible", "infected", "new_infections"]
     rows = [
         [i, f"{m['wall_ms']:.3f}", s["susceptible"], s["infected"], s["new_infections"]]
@@ -196,21 +202,7 @@ def cmd_scale(args) -> int:
     rows = []
     base_wall = None
     for w in worker_list:
-        if cfg.model == "hk":
-            topo, n = _hk_topology(cfg)
-            result = hk.hk_run(
-                hk.HKConfig(n=n, epsilon=cfg.epsilon, topology=topo,
-                            seed=cfg.seed, hints=cfg.hints),
-                cfg.steps, workers=w, strategy=cfg.strategy, checks=cfg.checks,
-                collect_metrics=False,
-            )
-        else:
-            locations = cfg.locations or max(1, cfg.n // 4)
-            result = episim.epi_run(
-                episim.EpiConfig(persons=cfg.n, locations=locations,
-                                 theta=cfg.theta, seed=cfg.seed, hints=cfg.hints),
-                cfg.steps, workers=w, strategy=cfg.strategy, checks=cfg.checks,
-            )
+        result = _run_model(cfg, w, collect_metrics=False)
         wall = result.transition_wall_s
         if base_wall is None:
             base_wall = wall

@@ -6,28 +6,34 @@ constructed t+1 graph. ``finalize_step`` sweeps edges with dead endpoints,
 swaps buffers, and advances the step counter. ``run`` drives a per-step
 program of transitions and globals updates.
 
-A transition function has the signature ``fn(view, params, globals) ->
-state | None``. Returning a state tuple re-adds the executing agent with
-that state; returning None drops it (for mortal, written, non-retained
-types) or is a no-op otherwise. Additional agents and edges are created
-through the view. Because every function sees only time-t data and write
-effects are merged by producing-agent id, the outcome is independent of
-the order in which agents execute and of the worker count.
+A transition function takes one of two forms. The per-agent form,
+``fn(view, params, globals) -> state | None``, runs once per agent through a
+:class:`~graphabm.view.NeighborhoodView`. Returning a state tuple re-adds
+the agent with that state; returning None drops it (for mortal, written,
+non-retained types) or is a no-op otherwise. New agents and edges are
+created through the view.
 
-A batch transition (``TransitionSpec(batch=True)``) has the signature
-``fn(batch, params, globals) -> columns`` and runs once per chunk of a
-worker's agents instead of once per agent. The :class:`~graphabm.view.AgentBatch`
-gathers every agent's neighbourhood at once over the read containers' CSR
-index; ``columns`` holds one array per state field, aligned with
-``batch.slots``. A chunk holds whole agents of one type and partition and
-at most ``BATCH_EDGE_LIMIT`` incoming edges (an agent with more gets a
-chunk of its own). A batch may write edge types, through
-``batch.add_edges``, and agent types it calls, re-adding every agent it
-runs of those; for a callable type it does not write it returns None. Both
-forms share the task list, the payload format, the write shards and the
-merge, so results do not depend on which form or chunking produced them as
-long as each agent's values, edges and draws are computed from its own
-segment of the gathered arrays.
+The batch form (``TransitionSpec(batch=True)``), ``fn(batch, params,
+globals) -> columns``, runs once per chunk of agents through an
+:class:`~graphabm.view.AgentBatch`, which gathers every agent's
+neighbourhood at once over the read containers' CSR index; ``columns``
+holds one array per state field, aligned with ``batch.slots``. A chunk
+holds agents of one type and partition and at most ``BATCH_EDGE_LIMIT``
+incoming edges (an agent with more gets a chunk of its own). A batch may
+write edge types, through ``batch.add_edges``, and agent types it calls,
+re-adding every agent it runs of those; for a callable type it does not
+write it returns None.
+
+One driver runs both forms: a worker walks its task list once, calls a
+batch ``fn`` per chunk and a per-agent ``fn`` per agent, checks and casts
+what the calls return the same way, and ships the agents they re-added or
+created as one list of records beside its edge write shards; the merge
+writes those records in one pass. Every call sees only time-t data and
+writes are merged by producing-agent id, so the outcome does not depend on
+the form, the chunking, the order in which agents run or the worker count,
+as long as each agent's values, edges and draws are computed from its own
+data. (The ids of agents created mid-step are the exception; see
+:meth:`~graphabm.view.NeighborhoodView.add_agent`.)
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import TypeNotWritable, UsageError
-from .ids import PART_BITS
+from .ids import PART_BITS, agent_id
 from .schema import AgentTypeInfo, EdgePlan
 from .sim import Simulation
 from .storage import (
@@ -48,7 +54,6 @@ from .storage import (
     build_read_container,
     cast_columns,
     drop_dead_edges,
-    make_checked_adder,
     validate_endpoints,
 )
 from .view import AgentBatch, NeighborhoodView
@@ -175,68 +180,58 @@ class StagedCommit:
 def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                shuffle=None) -> dict:
     """Run ``fn`` over this worker's agents; return its write shard."""
-    sink = ViolationSink(rt.mode, sim.step)
-    read_containers = {
-        name: sim._edges[etag] for name, etag in rt.readable_edges.items()
-    }
-    tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
-    if rt.spec.batch:
-        agents, shards = _run_batches(sim, fn, rt, read_containers, tasks, shuffle, sink)
-        new = {}
-    else:
-        agents, new, shards = _run_agents(
-            sim, fn, rt, read_containers, tasks, shuffle, sink, worker
-        )
-    return {
-        "worker": worker,
-        "agents": agents,
-        "new": new,
-        "edges": shards,
-        "reports": sink.reports,
-    }
-
-
-def _run_agents(sim, fn, rt, read_containers, tasks, shuffle, sink, worker):
-    """The per-agent path: one ``fn(view, ...)`` call per agent."""
     schema = sim.schema
-    shards = {}
+    batch = rt.spec.batch
+    sink = ViolationSink(rt.mode, sim.step)
+    read = {name: sim._edges[etag] for name, etag in rt.readable_edges.items()}
     writers = {}
-    for etag, _keep in rt.written_edge.items():
+    for etag in rt.written_edge:
         info = schema.edge_types[etag]
-        shard = shards[etag] = step_shard(info, rt.check_single_edge)
-        adder = make_checked_adder(shard, info, sink, rt.check_single_type)
-        writers[info.name] = (adder, info)
+        writers[info.name] = (step_shard(info, rt.check_single_edge), info)
+    args = (sim.params, rt.globals)
+    if batch:
+        lists = [c for c in read.values() if c.plan is not EdgePlan.EXISTENCE_BIT]
 
-    view = NeighborhoodView(sim, rt, read_containers, writers, worker)
-    params = sim.params
-    glob = rt.globals
+        def call(tag, part, seg, slots):
+            ret = fn(AgentBatch(sim, rt, read, writers, sink, tag, part, seg, slots), *args)
+            return (slots, ret) if ret is not None else (slots[:0], None)
+    else:
+        view = NeighborhoodView(sim, rt, read, writers, sink, worker)
 
-    # (tag, part) -> ([slots], [state tuples]) of agents re-added by their own fn
-    returns: dict = {}
+        def call(tag, part, seg, slots):
+            return view._call_each(fn, tag, part, seg, slots, *args)
 
-    tasks = [(tag, part, slots.tolist()) for tag, part, slots in tasks]
+    tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
     if shuffle is not None:
-        flat = [(tag, part, slot) for tag, part, slots in tasks for slot in slots]
+        flat = [(tag, part, slot) for tag, part, slots in tasks for slot in slots.tolist()]
         shuffle.shuffle(flat)
-        tasks = [(tag, part, [slot]) for tag, part, slot in flat]
+        tasks = [(tag, part, np.array([slot])) for tag, part, slot in flat]
 
+    returned: dict = {}  # (tag, part) -> [(slots, columns)] of re-added agents
     for tag, part, slots in tasks:
         info = schema.agent_types[tag]
         seg = sim._segments[tag][part]
         writes_self = tag in rt.written_agent
         kept = rt.written_agent.get(tag, False)
-        if writes_self and not kept:
-            rec = returns.setdefault((tag, part), ([], []))
-        view._bind_segment(tag, part, seg)
-        base = (tag << 56) | (part << 36)
-        for slot in slots:
-            view._set_agent(slot, base | slot)
-            ret = fn(view, params, glob)
-            if ret is None:
-                if writes_self and not kept and info.immortal:
-                    raise UsageError(
-                        f"immortal agent {base | slot:#x} must return a state"
-                    )
+        # a batch re-adds every agent of a type it writes; a per-agent call
+        # may drop its agent unless the type is immortal
+        must_return = writes_self and not kept and (batch or info.immortal)
+        chunks = (slots,)
+        if batch:
+            edges = np.zeros(slots.size, dtype=np.int64)
+            for c in lists:
+                starts, ends = c.bounds((tag << PART_BITS) | part, slots)
+                edges += ends - starts
+            chunks = _chunks(slots, edges, BATCH_EDGE_LIMIT)
+        for chunk in chunks:
+            done, cols = call(tag, part, seg, chunk)
+            if must_return and done.size < chunk.size:
+                slot = np.setdiff1d(chunk, done)[0]
+                raise UsageError(
+                    f"agent {agent_id(tag, part, int(slot)):#x} of type "
+                    f"{info.name!r} must return a state"
+                )
+            if cols is None:
                 continue
             if not writes_self:
                 raise TypeNotWritable(
@@ -248,89 +243,44 @@ def _run_agents(sim, fn, rt, read_containers, tasks, shuffle, sink, worker):
                     f"agent type {info.name!r} is retained (keep_existing); "
                     "its function must return None"
                 )
-            if len(ret) != len(info.field_names):
+            if len(cols) != len(info.field_names):
                 raise UsageError(
                     f"agent type {info.name!r} takes {len(info.field_names)} "
-                    f"state fields, got {len(ret)}"
+                    f"state fields, got {len(cols)}"
                 )
-            rec[0].append(slot)
-            rec[1].append(ret)
-
-    agents = {
-        (tag, part): _state_payload(
-            schema.agent_types[tag], slots,
-            list(zip(*rets)) if rets else None,
-        )
-        for (tag, part), (slots, rets) in returns.items()
-    }
-
-    new = {}
-    for tag, alloc in view._alloc.items():
-        slots, states = alloc[2], alloc[3]
-        new[tag] = _state_payload(
-            schema.agent_types[tag], slots,
-            list(zip(*states)) if states else None,
-        )
-        new[tag]["n_popped"] = alloc[4] - len(alloc[1])
-    return agents, new, shards
-
-
-def _run_batches(sim, fn, rt, read_containers, tasks, shuffle, sink):
-    """The batch path: one ``fn(batch, ...)`` call per chunk of agents."""
-    schema = sim.schema
-    params = sim.params
-    glob = rt.globals
-    lists = [c for c in read_containers.values() if c.plan is not EdgePlan.EXISTENCE_BIT]
-    shards = {
-        etag: step_shard(schema.edge_types[etag], rt.check_single_edge)
-        for etag in rt.written_edge
-    }
-    writers = {schema.edge_types[etag].name: (shard, schema.edge_types[etag])
-               for etag, shard in shards.items()}
-    out = {}
-    for tag, part, slots in tasks:
-        info = schema.agent_types[tag]
-        seg = sim._segments[tag][part]
-        writes_self = tag in rt.written_agent
-        if shuffle is not None:
-            slots = shuffle.permutation(slots)
-        comp = (tag << PART_BITS) | part
-        edges = np.zeros(slots.size, dtype=np.int64)
-        for c in lists:
-            starts, ends = c.bounds(comp, slots)
-            edges += ends - starts
-        done, cols = [], []
-        for chunk in _chunks(slots, edges, BATCH_EDGE_LIMIT):
-            batch = AgentBatch(sim, rt, read_containers, writers, sink,
-                               tag, part, seg, chunk)
-            ret = fn(batch, params, glob)
-            if not writes_self:
-                if ret is not None:
-                    raise TypeNotWritable(
-                        f"agent type {info.name!r} is not in this transition's "
-                        "write set but its function returned states"
-                    )
-                continue
-            if ret is None or len(ret) != len(info.field_names):
-                got = "None" if ret is None else f"{len(ret)} arrays"
-                raise UsageError(
-                    f"agent type {info.name!r} takes {len(info.field_names)} "
-                    f"state fields, one array each; got {got}"
-                )
-            arrays = cast_columns(info, ret)
+            arrays = cast_columns(info, cols)
             for name, arr in zip(info.field_names, arrays):
-                if arr.shape != chunk.shape:
+                if arr.shape != done.shape:
                     raise UsageError(
                         f"field {name!r} of agent type {info.name!r}: expected "
-                        f"{chunk.size} values, got an array of shape {arr.shape}"
+                        f"{done.size} values, got an array of shape {arr.shape}"
                     )
-            done.append(chunk)
-            cols.append(arrays)
-        if writes_self:
-            out[(tag, part)] = _state_payload(
-                info, np.concatenate(done), [np.concatenate(c) for c in zip(*cols)]
-            )
-    return out, shards
+            returned.setdefault((tag, part), []).append((done, arrays))
+
+    agents = []
+    for (tag, part), runs in returned.items():
+        slots, cols = zip(*runs)
+        agents.append(_agent_record(schema.agent_types[tag], part, np.concatenate(slots),
+                                    [np.concatenate(c) for c in zip(*cols)], None))
+    if not batch:
+        for tag, (_next, free, slots, states, n_free) in view._alloc.items():
+            info = schema.agent_types[tag]
+            agents.append(_agent_record(info, worker, np.array(slots, dtype=np.int64),
+                                        cast_columns(info, list(zip(*states))),
+                                        n_free - len(free)))
+    return {
+        "agents": agents,
+        "edges": {info.tag: shard for shard, info in writers.values()},
+        "reports": sink.reports,
+    }
+
+
+def _agent_record(info: AgentTypeInfo, part: int, slots, columns, n_popped) -> dict:
+    """Agents a worker writes into segment ``part`` of a type: the agents
+    its calls re-added (``n_popped`` None), or the agents they created and
+    how many slots they took off the segment's free list."""
+    return {"tag": info.tag, "part": part, "slots": slots,
+            "fields": dict(zip(info.field_names, columns)), "n_popped": n_popped}
 
 
 def step_shard(info, check_single_edge: bool):
@@ -351,16 +301,6 @@ def _chunks(slots: np.ndarray, edges: np.ndarray, limit: int):
         stop = max(int(np.searchsorted(total, before + limit, side="right")), start + 1)
         yield slots[start:stop]
         start = stop
-
-
-def _state_payload(info: AgentTypeInfo, slots, cols) -> dict:
-    """Slots and per-field columns cast to the declared dtypes."""
-    if cols is None:
-        cols = [[] for _ in info.field_names]
-    return {
-        "slots": np.asarray(slots, dtype=np.int64),
-        "fields": dict(zip(info.field_names, cast_columns(info, cols))),
-    }
 
 
 def _agent_tasks(sim, rt, partition, worker, nworkers):
@@ -405,12 +345,21 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
 
         n_returned = 0
         for p in payloads:
-            for (rtag, part), rec in p["agents"].items():
-                if rtag != tag:
+            for rec in p["agents"]:
+                if rec["tag"] != tag:
                     continue
-                seg = new_parts[part]
-                slots = rec["slots"]
-                n_returned += slots.size
+                slots, n_popped = rec["slots"], rec["n_popped"]
+                seg = new_parts.get(rec["part"])
+                if seg is None:
+                    seg = new_parts[rec["part"]] = AgentSegment(info)
+                if n_popped is None:
+                    n_returned += slots.size
+                else:  # newborns: free slots reused first, then fresh ones
+                    if n_popped:
+                        del seg.free[-n_popped:]
+                    top = int(slots.max()) + 1
+                    seg.ensure_capacity(top)
+                    seg.count = max(seg.count, top)
                 for name, vals in rec["fields"].items():
                     seg.fields[name][slots] = vals
                 if seg.alive is not None:
@@ -422,25 +371,6 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
                     f"immortal agent type {info.name!r}: {n_returned} of "
                     f"{expected} agents returned a state"
                 )
-
-        for p in payloads:
-            rec = p["new"].get(tag)
-            if rec is None or not rec["slots"].size:
-                continue
-            part = p["worker"]
-            seg = new_parts.get(part)
-            if seg is None:
-                seg = new_parts[part] = AgentSegment(info)
-            if rec["n_popped"]:
-                del seg.free[-rec["n_popped"]:]
-            slots = rec["slots"]
-            top = int(slots.max()) + 1
-            seg.ensure_capacity(top)
-            seg.count = max(seg.count, top)
-            for name, vals in rec["fields"].items():
-                seg.fields[name][slots] = vals
-            if seg.alive is not None:
-                seg.alive[slots] = True
 
         for part, seg in new_parts.items():
             old = old_parts.get(part)
@@ -487,11 +417,15 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
     """Run one synchronous transition and stage the constructed graph.
 
     Every alive agent of the callable types executes ``fn`` exactly once
-    against time-t data. Call :func:`finalize_step` to commit. ``shuffle``
-    (a numpy Generator) randomizes agent execution order; results must not
-    depend on it. With ``workers > 1`` the transition runs on the workers
-    of :func:`run` when it is one of its program's, else on workers forked
-    for this call and ended before it returns or raises.
+    against time-t data. Call :func:`finalize_step` to commit. With
+    ``shuffle`` (a numpy Generator) every agent runs as a call of its own,
+    a batch of one agent in the batch form, in a random order across all
+    callable types; results must not depend on it (see
+    :meth:`~graphabm.view.NeighborhoodView.add_agent` for the one
+    exception). With ``workers > 1``
+    the transition runs on the workers of :func:`run` when it is one of its
+    program's, else on workers forked for this call and ended before it
+    returns or raises.
     """
     if sim._staged is not None:
         raise UsageError("previous transition not finalized")

@@ -25,6 +25,8 @@ MAX_INDEX = 1 << INDEX_BITS
 
 # Shift that strips the local index, leaving the (tag, partition) composite.
 COMP_SHIFT = INDEX_BITS
+# Shift that leaves the type tag alone.
+TAG_SHIFT = PART_BITS + INDEX_BITS
 
 
 def agent_id(tag: int, part: int, index: int) -> int:
@@ -35,11 +37,11 @@ def agent_id(tag: int, part: int, index: int) -> int:
         raise IndexOverflow(f"partition {part} outside 20-bit range")
     if tag > TYPE_MASK or tag < 0:
         raise IndexOverflow(f"type tag {tag} outside 8-bit range")
-    return (tag << (PART_BITS + INDEX_BITS)) | (part << INDEX_BITS) | index
+    return (tag << TAG_SHIFT) | (part << INDEX_BITS) | index
 
 
 def type_tag(aid: int) -> int:
-    return aid >> (PART_BITS + INDEX_BITS)
+    return aid >> TAG_SHIFT
 
 
 def partition_of(aid: int) -> int:
@@ -53,7 +55,7 @@ def local_index(aid: int) -> int:
 def split_id(aid: int) -> tuple[int, int, int]:
     """Inverse of :func:`agent_id`."""
     return (
-        aid >> (PART_BITS + INDEX_BITS),
+        aid >> TAG_SHIFT,
         (aid >> INDEX_BITS) & PART_MASK,
         aid & INDEX_MASK,
     )

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import engine
 from .errors import UsageError, WorkerError
-from .ids import COMP_SHIFT, PART_BITS, PART_MASK, group_by_comp
+from .ids import COMP_SHIFT, PART_BITS, PART_MASK, TAG_SHIFT, group_by_comp
 from .storage import AgentSegment, edges_from_buffers
 
 _U64 = np.uint64
@@ -144,7 +144,7 @@ def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
     """Greedy graph-growing partition over the stored-source edge graph."""
     # Compact rank space over alive agents, ascending by id.
     all_ids = np.concatenate([
-        _U64((tag << 56) | (part << COMP_SHIFT)) + slots.astype(_U64)
+        _U64((tag << TAG_SHIFT) | (part << COMP_SHIFT)) + slots.astype(_U64)
         for tag, part, _seg, slots in blocks
     ])
     # CSR neighbour index: both directions of every edge between two
@@ -272,7 +272,7 @@ def ghost_state_bytes(sim, partition: Partition) -> int:
     total = 0
     for w, ids in ghost_table(sim, partition).items():
         for aid in ids.tolist():
-            tag = aid >> (PART_BITS + COMP_SHIFT)
+            tag = aid >> TAG_SHIFT
             info = sim.schema.agent_types[tag]
             total += sum(dt.itemsize for dt in info.dtypes)
     return total

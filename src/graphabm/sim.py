@@ -26,7 +26,7 @@ from .errors import (
     UnknownName,
     UsageError,
 )
-from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id, group_by_comp
+from .ids import PART_BITS, PART_MASK, TAG_SHIFT, agent_id, group_by_comp, split_id
 from .schema import EdgePlan, Schema
 from .storage import (
     AgentSegment,
@@ -145,7 +145,7 @@ class Simulation:
         if seg.alive is not None:
             seg.alive[start: start + n] = True
         seg.count = start + n
-        base = (info.tag << (PART_BITS + COMP_SHIFT))
+        base = info.tag << TAG_SHIFT
         return _U64(base) + np.arange(start, start + n, dtype=_U64)
 
     def add_edge(self, edge_type: str, target: int, source: int, state: tuple = ()) -> None:
@@ -266,7 +266,7 @@ class Simulation:
         parts = []
         for part in sorted(self._segments[info.tag]):
             seg = self._segments[info.tag][part]
-            base = (info.tag << (PART_BITS + COMP_SHIFT)) | (part << COMP_SHIFT)
+            base = agent_id(info.tag, part, 0)
             parts.append(_U64(base) + seg.alive_slots().astype(_U64))
         if not parts:
             return np.empty(0, dtype=_U64)
@@ -290,24 +290,23 @@ class Simulation:
         """The current read container of an edge type (immutable)."""
         return self._edges[self.schema.edge_type(edge_type).tag]
 
+    def _locate(self, aid: int):
+        """``(tag, segment, slot)`` of an agent id; the segment is None when
+        the id's type has no segment of its partition."""
+        tag, part, slot = split_id(aid)
+        parts = self._segments[tag] if tag < len(self._segments) else {}
+        return tag, parts.get(part), slot
+
     def is_alive(self, aid: int) -> bool:
-        tag = aid >> (PART_BITS + COMP_SHIFT)
-        part = (aid >> COMP_SHIFT) & ((1 << PART_BITS) - 1)
-        try:
-            seg = self._segments[tag][part]
-        except (KeyError, IndexError):
-            return False
-        return seg.is_alive(aid & INDEX_MASK)
+        _tag, seg, slot = self._locate(aid)
+        return seg is not None and seg.is_alive(slot)
 
     def agent_state(self, aid: int) -> tuple:
         """Control-thread access to one agent's current state."""
-        tag = aid >> (PART_BITS + COMP_SHIFT)
-        part = (aid >> COMP_SHIFT) & ((1 << PART_BITS) - 1)
-        try:
-            seg = self._segments[tag][part]
-        except (KeyError, IndexError):
-            raise UnknownName(f"agent {aid:#x} does not exist") from None
-        return seg.state_tuple(aid & INDEX_MASK)
+        _tag, seg, slot = self._locate(aid)
+        if seg is None:
+            raise UnknownName(f"agent {aid:#x} does not exist")
+        return seg.state_tuple(slot)
 
     # -- id-array lookups ------------------------------------------------
 

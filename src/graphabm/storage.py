@@ -49,7 +49,7 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import ContractViolation, HintViolation, IndexOverflow, UsageError
-from .ids import COMP_SHIFT, INDEX_MASK, MAX_INDEX, group_by_comp
+from .ids import COMP_SHIFT, INDEX_MASK, MAX_INDEX, TAG_SHIFT, group_by_comp
 from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
 
 _U64 = np.uint64
@@ -312,7 +312,7 @@ def make_checked_adder(
     raw_add = shard.add
 
     def add(target, source=0, state=None, producer=0):
-        if st_tag is not None and target >> 56 != st_tag:
+        if st_tag is not None and target >> TAG_SHIFT != st_tag:
             sink.report(
                 "single_type", name, target, producer,
                 f"edge targets an agent of the wrong type (expected tag {st_tag})",
@@ -351,7 +351,7 @@ def edge_breaches(
     producers = np.broadcast_to(producers, targets.shape)
     if check_single_type and info.single_type_tag is not None:
         tag = info.single_type_tag
-        for i in np.flatnonzero((targets >> _U64(56)) != _U64(tag)).tolist():
+        for i in np.flatnonzero((targets >> _U64(TAG_SHIFT)) != _U64(tag)).tolist():
             sink.report(
                 "single_type", info.name, int(targets[i]), int(producers[i]),
                 f"edge targets an agent of the wrong type (expected tag {tag})",

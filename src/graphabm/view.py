@@ -16,12 +16,14 @@ same read checks.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 
 from .errors import HintViolation, TypeNotReadable, TypeNotWritable, UnknownName, UsageError
-from .ids import COMP_SHIFT, INDEX_MASK, PART_BITS, PART_MASK, agent_id, group_by_comp
+from .ids import COMP_SHIFT, PART_BITS, PART_MASK, agent_id, group_by_comp
 from .philox import agent_draws, agent_generator
-from .storage import cast_columns, edge_breaches
+from .storage import cast_columns, edge_breaches, make_checked_adder
 
 
 class _Reads:
@@ -87,34 +89,41 @@ class _Reads:
 class NeighborhoodView(_Reads):
     __slots__ = (
         "_sim", "_rt", "_worker", "_read", "_writers", "_alloc", "_step",
-        "_tag", "_part", "_seg", "_fields", "_field_list",
-        "_slot", "_aid", "_rng", "_gather_cache",
+        "_fields", "_field_list", "_slot", "_aid", "_rng", "_gather_cache",
     )
 
-    def __init__(self, sim, rt, read_containers, writers, worker: int):
+    def __init__(self, sim, rt, read_containers, writers, sink, worker: int):
         self._sim = sim
         self._rt = rt
         self._worker = worker
         self._read = read_containers  # name -> read container
-        self._writers = writers       # name -> (adder, EdgeTypeInfo)
+        # name -> (shard add checked at the call, EdgeTypeInfo)
+        self._writers = {
+            name: (make_checked_adder(shard, info, sink, rt.check_single_type), info)
+            for name, (shard, info) in writers.items()
+        }
         self._alloc: dict[int, list] = {}
         self._step = sim.step
         self._gather_cache: dict = {}
         self._rng = None
 
-    # -- engine-side binding -------------------------------------------------
-
-    def _bind_segment(self, tag, part, seg):
-        self._tag = tag
-        self._part = part
-        self._seg = seg
+    def _call_each(self, fn, tag, part, seg, slots, params, glob):
+        """Call the per-agent ``fn`` once per slot, with the view bound to
+        that agent. Returns the slots whose call returned a state, and those
+        states as columns, or None when no call did."""
         self._fields = seg.fields
         self._field_list = list(seg.fields.values())
-
-    def _set_agent(self, slot, aid):
-        self._slot = slot
-        self._aid = aid
-        self._rng = None
+        base = agent_id(tag, part, 0)
+        done, states = [], []
+        for slot in slots.tolist():
+            self._slot = slot
+            self._aid = base | slot
+            self._rng = None
+            ret = fn(self, params, glob)
+            if ret is not None:
+                done.append(slot)
+                states.append(ret)
+        return np.array(done, dtype=np.int64), (list(zip_longest(*states)) if states else None)
 
     # -- own state -------------------------------------------------------------
 
@@ -170,14 +179,11 @@ class NeighborhoodView(_Reads):
             raise HintViolation(
                 f"edge type {info.name!r} does not store source ids"
             )
-        tag = src >> (COMP_SHIFT + PART_BITS)
+        tag, seg, slot = self._sim._locate(src)
         self._check_agent_readable(tag)
-        part = (src >> COMP_SHIFT) & PART_MASK
-        try:
-            seg = self._sim._segments[tag][part]
-        except (KeyError, IndexError):
-            raise UnknownName(f"source agent {src:#x} does not exist") from None
-        return seg.state_tuple(src & INDEX_MASK)
+        if seg is None:
+            raise UnknownName(f"source agent {src:#x} does not exist")
+        return seg.state_tuple(slot)
 
     def neighbor_field(self, edge_type: str, field: str) -> np.ndarray:
         """One state field of all incoming edges' source agents.
@@ -202,7 +208,14 @@ class NeighborhoodView(_Reads):
     # -- write effects ----------------------------------------------------------
 
     def add_agent(self, type_name: str, *state) -> int:
-        """Create an agent of a writable type; returns its id (alive at t+1)."""
+        """Create an agent of a writable type; returns its id (alive at t+1).
+
+        The id holds the partition of the worker that runs the call and
+        that partition's next slot in call order. So with ``workers > 1`` a
+        birth off worker 0 gets a different id, and the run a different
+        checksum, than at one worker; and under ``shuffle`` newborns of
+        different states can swap slots.
+        """
         sim = self._sim
         info = sim.schema.agent_type(type_name)
         tag = info.tag

@@ -83,6 +83,13 @@ class TestHKOracle:
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     def test_shuffled_batch_equals_oracle(self, topology):
+        """Shuffled, every agent runs as a batch of its own."""
+        calls = []
+
+        def counted(batch, params, glob):
+            calls.append(batch.slots.size)
+            return hk_transition(batch, params, glob)
+
         topo, n = TOPOLOGIES[topology]
         cfg = HKConfig(n=n or topo.size(), epsilon=0.2, topology=topo, seed=11)
         base = build_hk(cfg)
@@ -90,10 +97,11 @@ class TestHKOracle:
         finalize_step(base)
         for trial in range(3):
             sim = build_hk(cfg)
-            apply_transition(sim, hk_transition, HK_SPEC,
+            apply_transition(sim, counted, HK_SPEC,
                              shuffle=np.random.default_rng(trial))
             finalize_step(sim)
             assert sim.state_checksum() == base.state_checksum()
+        assert calls == [1] * (3 * base.n_alive("Person"))
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     def test_one_agent_per_chunk_equals_oracle(self, topology, monkeypatch):

@@ -127,6 +127,24 @@ class TestScaleCommand:
         assert rows[1][3] == rows[2][3]  # identical checksums
         assert rows[1][2] == "1.0000"  # speedup of the first entry
 
+    def test_schedule_flag(self, tmp_path):
+        from graphabm.models import episim
+
+        sched = tmp_path / "visits.csv"
+        sched.write_text("person_id,location_id,start_minute,end_minute\n"
+                         "0,0,0,60\n1,0,30,90\n2,1,0,30\n")
+        out = tmp_path / "scale.csv"
+        code = main([
+            "scale", "--model", "episim", "--schedule", str(sched),
+            "--theta", "1.0", "--steps", "3", "--workers", "1,2", "--out", str(out),
+        ])
+        assert code == 0
+        expected = episim.epi_run(episim.EpiConfig(
+            persons=3, locations=2, theta=1.0,
+            schedule=episim.load_schedule_csv(str(sched)),
+        ), 3).checksum
+        assert [r[3] for r in read_csv(out)[1:]] == [expected, expected]
+
     def test_bad_worker_list_exits_2(self):
         assert main(["scale", "--model", "hk", "--workers", "1,x"]) == 2
 

@@ -348,6 +348,46 @@ class TestSynchrony:
             finalize_step(sim)
             assert sim.edge_container("E").sources_for(0).tolist() == expected
 
+    @pytest.mark.parametrize("births", [
+        "one",
+        pytest.param("many", marks=pytest.mark.xfail(strict=True, reason=(
+            "a newborn takes the next slot in call order, so shuffled births "
+            "of different states land in other slots; ids assigned at the "
+            "merge would fix it"))),
+    ])
+    def test_shuffled_births_and_deaths_over_two_types(self, births):
+        """Shuffled, agents of both callable types run interleaved; some die
+        and some give birth, and the step merges as it does unshuffled."""
+
+        def build():
+            schema = Schema()
+            schema.register_agent_type(AgentTypeDecl("A", (("x", "float64"),)))
+            schema.register_agent_type(AgentTypeDecl("B", (("y", "int64"),)))
+            sim = Simulation(schema, seed=3)
+            sim.add_agents("A", 12, {"x": np.arange(12.0)})
+            sim.add_agents("B", 8, {"y": np.arange(8)})
+            return sim
+
+        born = []
+
+        def fn(view, params, g):
+            tag, _part, slot = split_id(view.agent_id)
+            if (slot + view.step) % 5 == 0:
+                return None  # dies
+            if (tag, slot) == (0, 1) or (births == "many" and slot % 4 == 1):
+                born.append(view.add_agent("B", 100 * slot + view.step))
+            return view.state
+
+        spec = TransitionSpec(callable_types=("A", "B"), write_types=("A", "B"))
+        sims = [build() for _ in range(4)]
+        for k in range(3):
+            for trial, sim in enumerate(sims):
+                shuffle = np.random.default_rng(10 * trial + k) if trial else None
+                step(sim, fn, spec, shuffle=shuffle)
+        assert born and sims[0].n_alive("A") < 12
+        for sim in sims[1:]:
+            assert sim.state_checksum() == sims[0].state_checksum()
+
 
 class TestNewAgents:
     def test_created_agents_run_next_step_not_this_step(self):
