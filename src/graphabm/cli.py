@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 contract violation, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import sys
 import time
@@ -237,6 +238,30 @@ _BENCH_DECLS = [
 ]
 
 
+# Thread CPU seconds the calibration kernel takes on the reference machine
+# (2-vCPU Xeon, Python 3.11.7); it only sets the scale of the
+# microbenchmark's figures, to about that machine's nanoseconds.
+_KERNEL_REFERENCE_S = 0.017
+_KERNEL_CALLS = 200_000
+
+
+def _calibration_kernel() -> float:
+    """Run fixed interpreter work of the kind a per-edge add does, a call
+    that appends to a growing ``array.array``, without graphabm; return
+    its thread CPU time in seconds. Host load that slows the adds, such
+    as contention for shared caches or a lower clock, slows it alike."""
+    column = array.array("Q")
+    append = column.append
+
+    def add(value, _source=0, _state=None, _producer=0):
+        append(value)
+
+    t0 = time.thread_time()
+    for i in range(_KERNEL_CALLS):
+        add(i)
+    return time.thread_time() - t0
+
+
 def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
     """Median ns per edge insertion for each storage plan.
 
@@ -251,6 +276,12 @@ def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
     shard grows in a step, and adds to one fixed target. Repetitions are
     timed in the calling thread's CPU time (``time.thread_time``), so time
     the thread spends preempted does not count.
+
+    CPU time still moves with the load of a shared host, so a calibration
+    kernel (:func:`_calibration_kernel`) runs before the first repetition
+    and after each one, and each repetition is scaled by the mean of the
+    kernel times on its two sides: the figures are nanoseconds at the
+    speed at which the kernel takes ``_KERNEL_REFERENCE_S``.
     """
     from .engine import step_shard
 
@@ -269,6 +300,7 @@ def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
     n = max(1, calls // repeats)
     loop = range(n)
     times = {plan_name: [] for plan_name in cases}
+    kernel_before = _calibration_kernel()
     for _ in range(repeats):
         for plan_name, (info, target, source, state) in cases.items():
             add = step_shard(info, check_single_edge=False).add
@@ -276,8 +308,12 @@ def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
             t0 = time.thread_time()
             for _ in loop:
                 add(target, source, state, 0)
-            times[plan_name].append((time.thread_time() - t0) / n * 1e9)
+            raw = time.thread_time() - t0
             del add
+            kernel_after = _calibration_kernel()
+            scale = 2 * _KERNEL_REFERENCE_S / (kernel_before + kernel_after)
+            times[plan_name].append(raw * scale / n * 1e9)
+            kernel_before = kernel_after
     return {plan_name: median(ns) for plan_name, ns in times.items()}
 
 

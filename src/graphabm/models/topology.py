@@ -51,9 +51,12 @@ class Regular:
             raise UsageError(f"degree {k} too large for {n} agents")
         half = k // 2
         offs = list(range(-half, 0)) + ([0] if self.self_loops else []) + list(range(1, half + 1))
-        offsets = np.array(offs, dtype=np.int64)
-        base = np.arange(n, dtype=np.int64)[:, None]
-        sources = ((base + offsets[None, :]) % n).astype(_U64).ravel()
+        sources = np.add.outer(np.arange(n, dtype=np.int64), np.array(offs, dtype=np.int64))
+        # Only the first and last ``half`` agents see past an end of the ring.
+        low, high = sources[:half, :half], sources[n - half:, -half:]
+        low[low < 0] += n
+        high[high >= n] -= n
+        sources = sources.view(_U64).ravel()
         targets = np.repeat(np.arange(n, dtype=_U64), len(offs))
         return targets, sources
 

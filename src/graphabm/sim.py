@@ -159,6 +159,11 @@ class Simulation:
         """Bulk-add edges during initialization.
 
         ``sources`` and ``states``, when given, hold one entry per target.
+        The arrays are copied once, so the caller may change them after the
+        call; when one call adds all of a type's edges, targets ascending,
+        those copies become the committed graph's columns. This is the fast
+        path for large graphs: one call per edge type costs a few array
+        passes, where :meth:`add_edge` costs a Python call per edge.
         """
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)

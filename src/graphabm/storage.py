@@ -15,10 +15,18 @@ COUNT_ONLY keeps the targets alone and reads counts off the index;
 SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
 one presence byte per target slot: its shards hold targets only (and
 producers when SINGLE_EDGE is checked), and the merge sets their bits.
-Write shards keep edge states as the model passed them, per-edge tuples or
-the columns of a bulk add; the merge casts each field once with
-:func:`cast_columns`, the cast every agent write path uses too, and a
-value that does not cast raises :class:`~graphabm.errors.UsageError`.
+A write shard holds its edges as chunks, in call order: a bulk add copies
+each column once, into an owned contiguous numpy array, and per-edge adds
+go to a tail of ``array.array`` columns, which is moved into a chunk and
+emptied in place before the next bulk add and at the merge. The merge
+takes a sole chunk's arrays as they are, so a graph added in one bulk call
+is copied once between the caller and the read container. Shards keep
+edge states as the model passed them, per-edge tuples or the columns of a
+bulk add; the merge casts each field once with :func:`cast_columns`, the
+cast every agent write path uses too, and a value that does not cast
+raises :class:`~graphabm.errors.UsageError`. The endpoint and SINGLE_TYPE
+checks of a chunk start from a range test on its smallest and largest id
+and look at each id only when that test fails.
 
 SINGLE_EDGE is checked where every edge is seen. During initialization an
 EXISTENCE_BIT duplicate is flagged at the call, and a SINGLE_FULL_EDGE one
@@ -209,30 +217,50 @@ class AgentSegment:
 # ---------------------------------------------------------------------------
 
 
-def _u64_bytes(values) -> np.ndarray:
-    """The bytes of ``values`` as uint64, without a copy when they already are."""
-    return np.ascontiguousarray(values, dtype=_U64).view(np.uint8)
+class Chunk(NamedTuple):
+    """Edges a :class:`ListShard` holds as arrays: uint64 ``targets``, and
+    ``sources`` and ``producers`` when the shard keeps them; ``states``
+    holds one sequence per field, which the merge casts."""
+
+    targets: np.ndarray
+    sources: np.ndarray | None
+    states: tuple | None
+    producers: np.ndarray | None
 
 
-class _Columns(tuple):
-    """The state columns of a bulk add, one sequence per field, as one
-    entry of a :class:`ListShard`'s ``states`` among per-edge tuples."""
+def _owned_u64(values) -> np.ndarray:
+    """A fresh contiguous uint64 copy of ``values``."""
+    return np.array(values, dtype=_U64, order="C")
 
-    __slots__ = ()
+
+def _drain(tail: array.array | None) -> np.ndarray | None:
+    """A copy of a tail column as uint64, emptying the column in place."""
+    if tail is None:
+        return None
+    out = np.frombuffer(tail, dtype=_U64).copy()
+    del tail[:]
+    return out
 
 
 class ListShard:
-    """Write shard of every plan: parallel columns.
+    """Write shard of every plan: edges as chunks, then a per-edge tail.
+
+    ``extend``, the bulk write path, copies each column it is given once,
+    into an owned contiguous numpy array, and keeps the copies as one
+    :class:`Chunk`. ``add``, the per-edge write path, appends to the tail:
+    ``array.array`` columns ``targets``, ``sources`` and ``producers`` and
+    a list of state tuples, ``states``. A bulk add, and :meth:`seal`, first
+    move the tail into a chunk and empty it in place, never swapping in a
+    new object, since every adder binds the tail's appends once. So the
+    chunks hold the edges in call order, and the merge takes a sole chunk's
+    arrays as its columns without copying them again.
 
     ``sources``, ``states`` and ``producers`` exist only when the plan
     stores them or the caller records producing agents; COUNT_ONLY keeps
     targets alone, and so does EXISTENCE_BIT unless producers are recorded.
-    ``add`` appends once to each present column, a state tuple to
-    ``states``; ``extend`` appends arrays, and its state columns as one
-    :class:`_Columns` entry. The merge casts both.
     """
 
-    __slots__ = ("targets", "sources", "states", "producers", "add")
+    __slots__ = ("targets", "sources", "states", "producers", "chunks", "add")
 
     def __init__(self, info: EdgeTypeInfo, record_producers: bool = False):
         self._bind(
@@ -242,11 +270,13 @@ class ListShard:
             array.array("Q")
             if record_producers and info.plan is not EdgePlan.COUNT_ONLY
             else None,
+            [],
         )
 
-    def _bind(self, targets, sources, states, producers):
+    def _bind(self, targets, sources, states, producers, chunks):
         self.targets, self.sources = targets, sources
         self.states, self.producers = states, producers
+        self.chunks = chunks
         # The appends of the present columns are looked up once: ``add`` is
         # the per-edge write path, and a targets-only shard skips the tests.
         t = targets.append
@@ -269,26 +299,38 @@ class ListShard:
         self.add = add if s or st or p else add_target
 
     def __getstate__(self):
-        return self.targets, self.sources, self.states, self.producers
+        return self.targets, self.sources, self.states, self.producers, self.chunks
 
     def __setstate__(self, columns):
         self._bind(*columns)
 
-    def extend(self, targets, sources=None, states=None, producers=0):
-        """Append edges: ``states`` holds one column per field and
-        ``producers`` one producer per edge or one for all."""
-        self.targets.frombytes(_u64_bytes(targets))
-        if self.sources is not None:
-            self.sources.frombytes(_u64_bytes(sources))
-        if self.states is not None:
-            self.states.append(_Columns(states))
-        if self.producers is not None:
-            self.producers.frombytes(
-                _u64_bytes(np.broadcast_to(np.asarray(producers, dtype=_U64), (len(targets),)))
-            )
+    def seal(self) -> list[Chunk]:
+        """The shard's chunks, after moving a non-empty tail into one."""
+        if self.targets:
+            columns = None
+            if self.states is not None:
+                columns = tuple(zip(*self.states))
+                del self.states[:]
+            self.chunks.append(Chunk(_drain(self.targets), _drain(self.sources),
+                                     columns, _drain(self.producers)))
+        return self.chunks
 
-    def __len__(self):
-        return len(self.targets)
+    def extend(self, targets, sources=None, states=None, producers=0):
+        """Append edges as one chunk: ``states`` holds one column per field
+        and ``producers`` one producer per edge or one for all."""
+        self.seal()
+        targets = _owned_u64(targets)
+        if not targets.size:
+            return
+        self.chunks.append(Chunk(
+            targets,
+            None if self.sources is None else _owned_u64(sources),
+            # arrays are copied; a sequence of values is cast into a new array
+            None if self.states is None
+            else tuple(np.array(c) if isinstance(c, np.ndarray) else c for c in states),
+            None if self.producers is None
+            else _owned_u64(np.broadcast_to(np.asarray(producers, dtype=_U64), targets.shape)),
+        ))
 
 
 def make_checked_adder(
@@ -345,12 +387,19 @@ def edge_breaches(
     seen: set | None = None,
 ) -> None:
     """Report what :func:`make_checked_adder`'s adder reports for adding
-    ``targets`` (uint64) in order: one report per offending edge. The
-    SINGLE_TYPE test uses array ops. ``producers`` holds edge ``i``'s
-    producer at ``i``, or is one producer for all."""
+    ``targets`` (uint64) in order: one report per offending edge.
+    ``producers`` holds edge ``i``'s producer at ``i``, or is one producer
+    for all.
+
+    SINGLE_TYPE starts from a range test: a tag is an id's top bits, so
+    when the smallest and the largest target carry the declared tag, every
+    target does. Otherwise each target's tag is compared.
+    """
     producers = np.broadcast_to(producers, targets.shape)
-    if check_single_type and info.single_type_tag is not None:
-        tag = info.single_type_tag
+    tag = info.single_type_tag
+    if check_single_type and tag is not None and targets.size and (
+        int(targets.min()) >> TAG_SHIFT != tag or int(targets.max()) >> TAG_SHIFT != tag
+    ):
         for i in np.flatnonzero((targets >> _U64(TAG_SHIFT)) != _U64(tag)).tolist():
             sink.report(
                 "single_type", info.name, int(targets[i]), int(producers[i]),
@@ -366,13 +415,10 @@ def edge_breaches(
 
 
 def _concat_u64(parts: list) -> np.ndarray:
-    arrays = [np.frombuffer(p, dtype=_U64) if isinstance(p, array.array) else np.asarray(p, dtype=_U64) for p in parts]
-    arrays = [a for a in arrays if a.size]
-    if not arrays:
+    """Chunk columns as one array; a sole chunk's is taken as it is."""
+    if not parts:
         return _EMPTY_U64
-    if len(arrays) == 1:
-        return arrays[0].copy()
-    return np.concatenate(arrays)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _is_nondecreasing(a: np.ndarray) -> bool:
@@ -682,21 +728,9 @@ def drop_dead_edges(container, alive_fn):
 # ---------------------------------------------------------------------------
 
 
-def _merge_states(info: EdgeTypeInfo, shards: list) -> tuple:
-    """The shards' state columns, cast, in write order: runs of per-edge
-    tuples become columns and bulk-added columns are kept as they are."""
-    groups, rows = [], []
-    for entry in (e for s in shards for e in s.states):
-        if isinstance(entry, _Columns):
-            if rows:
-                groups.append(list(zip(*rows)))
-                rows = []
-            groups.append(entry)
-        else:
-            rows.append(entry)
-    if rows:
-        groups.append(list(zip(*rows)))
-    cast = [cast_columns(info, g) for g in groups]
+def _merge_states(info: EdgeTypeInfo, chunks: list) -> tuple:
+    """The chunks' state columns, each cast, in write order."""
+    cast = [cast_columns(info, c.states) for c in chunks]
     if not cast:
         return cast_columns(info, [()] * len(info.field_names))
     if len(cast) == 1:
@@ -712,13 +746,14 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
     (None unless every shard records them) and the number of carried-over
     edges.
     """
-    targets = _concat_u64([s.targets for s in shards])
-    sources = _concat_u64([s.sources for s in shards]) if info.has_source else None
+    chunks = [c for s in shards for c in s.seal()]
+    targets = _concat_u64([c.targets for c in chunks])
+    sources = _concat_u64([c.sources for c in chunks]) if info.has_source else None
     states = producers = None
     if info.has_state:
-        states = _merge_states(info, shards)
+        states = _merge_states(info, chunks)
     if all(s.producers is not None for s in shards):
-        producers = _concat_u64([s.producers for s in shards])
+        producers = _concat_u64([c.producers for c in chunks])
         if not _is_nondecreasing(producers):
             order = np.argsort(producers, kind="stable")
             targets, sources, states = targets[order], _take(sources, order), _take(states, order)
@@ -827,16 +862,28 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     before the merge, so that a target far past every slot raises here
     instead of sizing the merged index; carried-over edges were checked
     when they were added, and a slot once allocated stays allocated.
+
+    A composite's allocated slots are 0 to its count - 1, so a chunk's
+    column passes whole when its smallest and largest id share one
+    composite and its largest exists; otherwise each id is looked up, and
+    the first bad one, shard by shard, targets before sources, is named.
     """
     for shard in shards:
-        for column in (shard.targets, shard.sources):
-            if not column:
-                continue
-            arr = np.frombuffer(column, dtype=_U64)
-            ok = exists_fn(arr)
-            if not bool(ok.all()):
-                bad = int(arr[np.flatnonzero(~ok)[0]])
-                raise ContractViolation(
-                    f"edge of type {info.name!r} references nonexistent "
-                    f"agent {bad:#x}"
-                )
+        chunks = shard.seal()
+        for column in ("targets", "sources"):
+            for chunk in chunks:
+                arr = getattr(chunk, column)
+                if arr is None:
+                    continue
+                hi = int(arr.max())
+                if int(arr.min()) >> COMP_SHIFT == hi >> COMP_SHIFT and bool(
+                    exists_fn(np.array([hi], dtype=_U64))[0]
+                ):
+                    continue
+                ok = exists_fn(arr)
+                if not bool(ok.all()):
+                    bad = int(arr[np.flatnonzero(~ok)[0]])
+                    raise ContractViolation(
+                        f"edge of type {info.name!r} references nonexistent "
+                        f"agent {bad:#x}"
+                    )

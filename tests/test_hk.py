@@ -135,6 +135,17 @@ class TestTopologies:
         ids = sim.agent_ids("Person")
         assert all(cont.count_for(int(i)) == 5 for i in ids)  # 4 + self-loop
 
+    @pytest.mark.parametrize("self_loops", [True, False])
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 2), (5, 4), (9, 2), (10, 8), (101, 100),
+                                      (1000, 10)])
+    def test_regular_matches_the_modulo_formula(self, n, k, self_loops):
+        half = k // 2
+        offsets = np.array(list(range(-half, 0)) + [0] * self_loops + list(range(1, half + 1)))
+        expected = ((np.arange(n)[:, None] + offsets[None, :]) % n).astype(np.uint64).ravel()
+        targets, sources = Regular(k, self_loops).build(n)
+        assert sources.dtype == np.uint64 and sources.tolist() == expected.tolist()
+        assert targets.tolist() == np.repeat(np.arange(n), offsets.size).tolist()
+
     def test_clique_sizes(self):
         topo = Cliques(3, 4)
         sim = build_hk(HKConfig(n=12, epsilon=0.2, seed=0, topology=topo))

@@ -840,3 +840,217 @@ class TestBufferRoundTrip:
         sim._segments[info.tag][0] = rebuilt
         assert sim.state_checksum() == before
         assert rebuilt.allocate() == seg.allocate()
+
+
+# ---------------------------------------------------------------------------
+# Bulk adds: one owned chunk per call, range-checked endpoints
+# ---------------------------------------------------------------------------
+
+
+def two_type_sim(decl: EdgeTypeDecl, checks="on") -> Simulation:
+    """Eight agents of type A (tag 0) and three of type B (tag 1)."""
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("A", (("v", "float64"),), immortal=True))
+    schema.register_agent_type(AgentTypeDecl("B", (), immortal=True))
+    schema.register_edge_type(decl)
+    sim = Simulation(schema, checks=checks)
+    sim.add_agents("A", 8, {"v": np.arange(8.0)})
+    sim.add_agents("B", 3)
+    return sim
+
+
+MIXED_ADDS_DECLS = [
+    EdgeTypeDecl("E", (("w", "float64"),)),  # FULL_EDGE_LIST
+    EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.IGNORE_FROM),  # COUNT_ONLY, targets only
+    EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.SINGLE_TYPE, single_type_target="A"),
+]
+
+
+class TestMixedPerEdgeAndBulkAdds:
+    """Per-edge adds go to a tail that a bulk add moves into a chunk in
+    place, so an adder bound before the bulk add keeps writing into the
+    shard."""
+
+    EDGES = [(0, 1, (1.0,)), (0, 2, (2.0,)), (0, 3, (3.0,)), (0, 4, (4.0,))]
+
+    def one_at_a_time(self, decl):
+        sim = build_sim(decl)
+        for t, s, st in self.EDGES:
+            sim.add_edge("E", t, s, st)
+        sim.commit_initial()
+        return sim
+
+    def bulk_middle(self, sim):
+        (t2, s2, st2), (t3, s3, st3) = self.EDGES[1:3]
+        sim.add_edges("E", np.array([t2, t3], dtype=np.uint64),
+                      np.array([s2, s3], dtype=np.uint64), [st2, st3])
+
+    @pytest.mark.parametrize("decl", MIXED_ADDS_DECLS, ids=lambda d: str(d.hints))
+    def test_add_edge_then_add_edges_then_add_edge(self, decl):
+        sim = build_sim(decl)
+        sim.add_edge("E", *self.EDGES[0])
+        self.bulk_middle(sim)
+        sim.add_edge("E", *self.EDGES[3])
+        sim.commit_initial()
+        self.assert_like_one_at_a_time(sim, decl)
+
+    @pytest.mark.parametrize("decl", MIXED_ADDS_DECLS, ids=lambda d: str(d.hints))
+    def test_adder_captured_before_add_edges(self, decl):
+        sim = build_sim(decl)
+        add = sim.edge_adder("E")
+        info = sim.schema.edge_type("E")
+        (t1, s1, st1), (t4, s4, st4) = self.EDGES[0], self.EDGES[3]
+        add(t1, s1, info.stored_state(st1))
+        self.bulk_middle(sim)
+        add(t4, s4, info.stored_state(st4))
+        sim.commit_initial()
+        self.assert_like_one_at_a_time(sim, decl)
+
+    def assert_like_one_at_a_time(self, sim, decl):
+        c = sim.edge_container("E")
+        assert c.n_stored() == 4
+        if c.sources is not None:
+            assert c.sources_for(0).tolist() == [1, 2, 3, 4]
+        if c.states is not None:
+            assert c.states_for(0) == [(1.0,), (2.0,), (3.0,), (4.0,)]
+        assert sim.state_checksum() == self.one_at_a_time(decl).state_checksum()
+
+    def test_caller_arrays_changed_after_add_edges(self):
+        sim = build_sim(EdgeTypeDecl("E", (("w", "float64"),)))
+        targets = np.array([1, 0, 1], dtype=np.uint64)
+        sources = np.array([2, 3, 4], dtype=np.uint64)
+        sim.add_edges("E", targets, sources, [(1.0,), (2.0,), (3.0,)])
+        targets[:] = 7
+        sources[:] = 6
+        sim.commit_initial()
+        c = sim.edge_container("E")
+        assert c.sources_for(0).tolist() == [3]
+        assert c.sources_for(1).tolist() == [2, 4]
+        assert c.count_for(7) == 0
+
+    def test_batch_arrays_changed_after_add_edges(self):
+        sim = build_sim(EdgeTypeDecl("E", (("w", "float64"),)))
+        sim.commit_initial()
+
+        def emit(batch, params, g):
+            n = batch.slots.size
+            targets = batch.ids.copy()
+            weights = np.arange(n, dtype=np.float64)
+            batch.add_edges("E", targets, agents=np.arange(n), states=[weights])
+            targets[:] = 0
+            weights[:] = -1.0
+
+        spec = TransitionSpec(callable_types=("A",), write_types=("E",), batch=True)
+        apply_transition(sim, emit, spec)
+        finalize_step(sim)
+        c = sim.edge_container("E")
+        assert [c.states_for(t) for t in range(8)] == [[(float(t),)] for t in range(8)]
+
+    def test_shard_with_chunks_and_tail_round_trips_through_pickle(self):
+        import pickle
+
+        info = build_sim(EdgeTypeDecl("E", (("w", "float64"),))).schema.edge_type("E")
+
+        def filled():
+            shard = ListShard(info, record_producers=True)
+            shard.add(3, 1, (1.0,), 1)
+            shard.extend(np.array([2, 3], dtype=np.uint64), np.array([2, 2], dtype=np.uint64),
+                         (np.array([2.0, 2.5]),), 2)
+            shard.add(1, 5, (5.0,), 5)
+            shard.add(2, 4, (4.0,), 4)
+            return shard
+
+        shard = filled()
+        assert len(shard.chunks) == 2 and len(shard.targets) == 2
+        copy = pickle.loads(pickle.dumps(shard))
+        copy.add(0, 6, (6.0,), 6)  # the copy's adder writes into the copy's tail
+        reference = filled()
+        reference.add(0, 6, (6.0,), 6)
+        merged = build_read_container(info, [copy])
+        expected = build_read_container(info, [reference])
+        assert {k: _plain(v) for k, v in merged.buffers().items()} == {
+            k: _plain(v) for k, v in expected.buffers().items()}
+        assert merged.sources.tolist() == [6, 5, 2, 4, 1, 2]  # by target, then producer
+
+
+class TestRangeCheckFallbacks:
+    """A chunk that fails the range test is checked id by id, with the
+    verdicts of a check of every id."""
+
+    DECL = EdgeTypeDecl("E", hints=Hint.STATELESS)
+    A9, A12 = 9, 12  # slots past A's eight agents
+    B0 = 1 << 56  # type B, slot 0
+
+    @pytest.mark.parametrize("column", ["targets", "sources"])
+    @pytest.mark.parametrize("ids, bad", [
+        ([0, 1, A12, 3, 2, A9, 4], A12),  # a slot >= count in the same composite
+        ([0, 1, B0 + 5, 3, 2, B0], B0 + 5),  # a slot of another agent type
+        ([B0 + 1, A9, B0], A9),  # the largest id exists, the smallest does not
+    ])
+    def test_bulk_endpoint_raises_naming_the_first_bad_id(self, column, ids, bad):
+        sim = two_type_sim(self.DECL)
+        ids = np.array(ids, dtype=np.uint64)
+        good = np.zeros(ids.size, dtype=np.uint64)
+        targets, sources = (ids, good) if column == "targets" else (good, ids)
+        sim.add_edges("E", targets, sources)
+        with pytest.raises(ContractViolation, match=f"nonexistent agent {bad:#x}$"):
+            sim.commit_initial()
+
+    def test_targets_are_named_before_sources(self):
+        sim = two_type_sim(self.DECL)
+        sim.add_edges("E", np.array([0, 1], dtype=np.uint64),
+                      np.array([self.A9, 0], dtype=np.uint64))
+        sim.add_edges("E", np.array([self.A12], dtype=np.uint64),
+                      np.array([0], dtype=np.uint64))
+        with pytest.raises(ContractViolation, match=f"agent {self.A12:#x}$"):
+            sim.commit_initial()
+
+    @pytest.mark.parametrize("target_type, targets, wrong", [
+        ("A", [0, B0 + 2, 1, 2, B0, 3, B0 + 1, 7], [B0 + 2, B0, B0 + 1]),
+        ("B", [B0, 3, B0 + 1, 1, B0 + 2], [3, 1]),  # the largest has the tag
+    ])
+    def test_single_type_reports_in_index_order(self, target_type, targets, wrong):
+        decl = EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.SINGLE_TYPE,
+                            single_type_target=target_type)
+        bulk = two_type_sim(decl, checks="warn")
+        bulk.add_edges("E", np.array(targets, dtype=np.uint64),
+                       np.zeros(len(targets), dtype=np.uint64))
+        single = two_type_sim(decl, checks="warn")
+        for t in targets:
+            single.add_edge("E", t, 0)
+        for sim in (bulk, single):
+            sim.commit_initial()
+        reports = [(v.kind, v.target, v.producer, v.message) for v in bulk.check_reports]
+        assert reports == [(v.kind, v.target, v.producer, v.message)
+                           for v in single.check_reports]
+        assert [r[1] for r in reports] == wrong
+        assert {r[0] for r in reports} == {"single_type"}
+
+
+class TestBulkAddAllocations:
+    """A bulk add holds one copy of each column, and the commit adds only
+    the per-edge local source slots: counted in bytes with ``tracemalloc``,
+    which sees numpy's buffers, so the verdict needs no timing."""
+
+    def test_ring_lattice_bytes_per_edge(self):
+        import tracemalloc
+
+        from graphabm.models.topology import Regular
+
+        decl = EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.SINGLE_TYPE,
+                            single_type_target="A")
+        sim = build_sim(decl, n_agents=10_000)
+        targets, sources = Regular(100).build(10_000)
+        n = targets.size
+        assert n == 1_010_000
+        tracemalloc.start()
+        try:
+            sim.add_edges("E", targets, sources)
+            held = tracemalloc.get_traced_memory()[0] / (8 * n)
+            sim.commit_initial()
+            peak = tracemalloc.get_traced_memory()[1] / (8 * n)
+        finally:
+            tracemalloc.stop()
+        assert held <= 2.05, held
+        assert peak <= 3.1, peak
+        assert sim.edge_container("E").n_stored() == n
