@@ -15,7 +15,11 @@ visit) pair from the location's random stream, and a visit is infected
 when any of its draws falls below theta. A location's pairs are drawn in
 (susceptible id, start, end; infector id, start, end) order, every pair
 whatever the earlier draws gave, so a location's draws can be taken in
-bulk.
+bulk. The batch form gets that order without a full sort: the store lists
+a location's visits by producer, which is the visiting person, so only a
+person's repeat visits to one location are sorted by (start, end); visits
+out of (location, person) order fall back to a four-key sort. Both give
+the same order, so the draws are unchanged.
 
 Status updates are synchronous: a person infected on day d transmits from
 day d+1 on. The ever-infected set is therefore non-decreasing, and with
@@ -184,9 +188,43 @@ def build_epi(config: EpiConfig, checks="on") -> EpiModel:
     )
 
 
+def _visit_order(loc, sources, start, end) -> np.ndarray:
+    """Positions of a chunk's visits in (location, source, start, end)
+    order, ties kept in position order: ``np.lexsort((end, start, sources,
+    loc))``.
+
+    ``batch.edges`` lists a location's visits in producer order, and a
+    visit's producer is its source, so (location, source) is nondecreasing
+    and only its runs, a person's repeat visits to one location, are sorted
+    by (start, end). When one vectorised pass finds (location, source)
+    out of order, the full lexsort runs instead.
+    """
+    order = np.arange(loc.size)
+    if loc.size < 2:
+        return order
+    same_loc = loc[1:] == loc[:-1]
+    if not np.all((loc[1:] > loc[:-1]) | (same_loc & (sources[1:] >= sources[:-1]))):
+        return np.lexsort((end, start, sources, loc))
+    repeat = same_loc & (sources[1:] == sources[:-1])  # position k + 1 continues k's run
+    if not repeat.any():
+        return order
+    run = np.cumsum(np.concatenate(([True], ~repeat)))
+    member = np.zeros(loc.size, dtype=bool)
+    member[1:] = repeat
+    member[:-1] |= repeat
+    m = np.flatnonzero(member)
+    order[m] = m[np.lexsort((end[m], start[m], run[m]))]
+    return order
+
+
 def spread(batch, params, _globals):
     """Infection edges from a chunk of locations, one per susceptible visit
-    infected; each location's draws as :func:`spread_agent` takes them."""
+    infected; each location's draws as :func:`spread_agent` takes them.
+
+    The visits are put in (location, source, start, end) order by
+    :func:`_visit_order`, which sorts only a person's repeat visits to a
+    location and runs the full sort only when the store's order is not
+    (location, source); the draw order does not depend on which ran."""
     theta = params["theta"]
     if theta <= 0.0:
         return None
@@ -194,11 +232,10 @@ def spread(batch, params, _globals):
     status, _ = batch.neighbor_field(VISIT, "status")
     n = batch.slots.size
     loc = np.repeat(np.arange(n), np.diff(indptr))  # chunk position per visit
-    infectious = status == _INFECTED
-    s = np.flatnonzero(~infectious)
-    i = np.flatnonzero(infectious)
-    s = s[np.lexsort((end[s], start[s], sources[s], loc[s]))]
-    i = i[np.lexsort((end[i], start[i], sources[i], loc[i]))]
+    order = _visit_order(loc, sources, start, end)
+    infectious = (status == _INFECTED)[order]
+    s = order[~infectious]
+    i = order[infectious]
     # Pair each susceptible visit with its location's infectious visits:
     # (location, susceptible, infectious) order, sum over locations of |S|·|I|.
     n_inf = np.bincount(loc[i], minlength=n)

@@ -167,6 +167,9 @@ def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
 
     targets_sizes = [len(c) for c in np.array_split(np.arange(total), workers)]
     assignment = np.full(total, -1, dtype=np.int32)
+    # Mirrors ``assignment < 0`` for the per-neighbour test: a list read
+    # costs a fraction of a numpy scalar read and compare.
+    free = [True] * total
 
     for w in range(workers):
         budget = targets_sizes[w]
@@ -175,11 +178,12 @@ def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
         unassigned = np.flatnonzero(assignment < 0)
         seed = int(unassigned[np.lexsort((unassigned, -degree[unassigned]))[0]])
         assignment[seed] = w
+        free[seed] = False
         budget -= 1
         gain = {}
         heap = []
         for nb in neighbors(seed):
-            if assignment[nb] < 0:
+            if free[nb]:
                 gain[nb] = gain.get(nb, 0) + 1
         for node, g in gain.items():
             heapq.heappush(heap, (-g, node, g))
@@ -187,17 +191,18 @@ def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
             node = -1
             while heap:
                 neg_g, cand, g = heapq.heappop(heap)
-                if assignment[cand] < 0 and gain.get(cand) == g:
+                if free[cand] and gain.get(cand) == g:
                     node = cand
                     break
             if node < 0:
                 rest = np.flatnonzero(assignment < 0)
                 node = int(rest[np.lexsort((rest, -degree[rest]))[0]])
             assignment[node] = w
+            free[node] = False
             gain.pop(node, None)
             budget -= 1
             for nb in neighbors(node):
-                if assignment[nb] < 0:
+                if free[nb]:
                     g = gain.get(nb, 0) + 1
                     gain[nb] = g
                     heapq.heappush(heap, (-g, nb, g))

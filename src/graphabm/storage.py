@@ -45,7 +45,12 @@ Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
 concatenated shards by producer and then by target, so every per-target
 edge list is ordered by producing-agent id no matter how many workers ran
-or in which order agents executed.
+or in which order agents executed. A sort is skipped when its ids are
+already in order. Ids spanning fewer than 2**16 values, such as the
+slots of one agent type and partition below 65,536, are sorted as 16-bit
+offsets from the smallest, which numpy orders with a radix sort, and
+wider spans as they are; a stable sort's permutation is unique, so both
+give the same order.
 """
 
 from __future__ import annotations
@@ -425,6 +430,20 @@ def _is_nondecreasing(a: np.ndarray) -> bool:
     return a.size < 2 or bool(np.all(a[1:] >= a[:-1]))
 
 
+def _stable_order(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")``. When the ids span fewer than
+    2**16 values they are sorted as 16-bit offsets from the smallest,
+    which numpy orders with a radix sort; a stable order is unique, so the
+    permutation is the same."""
+    if ids.size:
+        lo = ids.min()
+        if ids.max() - lo < 1 << 16:
+            key = ids.astype(np.uint16)  # offsets mod 2**16, which the span keeps exact
+            key -= np.uint16(lo & 0xFFFF)
+            return np.argsort(key, kind="stable")
+    return np.argsort(ids, kind="stable")
+
+
 def _take(column, idx):
     """``column[idx]`` of a column, or of each column in a tuple of state
     columns; None stays None."""
@@ -755,7 +774,7 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
     if all(s.producers is not None for s in shards):
         producers = _concat_u64([c.producers for c in chunks])
         if not _is_nondecreasing(producers):
-            order = np.argsort(producers, kind="stable")
+            order = _stable_order(producers)
             targets, sources, states = targets[order], _take(sources, order), _take(states, order)
             producers = producers[order]
     retained = 0
@@ -772,7 +791,7 @@ def build_list_read(
 ) -> ListEdgeRead:
     targets, sources, states, _, _ = _merge_list_shards(info, shards, carryover)
     if not _is_nondecreasing(targets):
-        order = np.argsort(targets, kind="stable")
+        order = _stable_order(targets)
         targets, sources, states = targets[order], _take(sources, order), _take(states, order)
     return ListEdgeRead(info, targets, sources, states)
 
@@ -786,7 +805,7 @@ def _single_edge_order(info, targets, producers, retained, sink):
     edge beyond a target's first is reported, in target order, with its
     producer; a retained edge counts as the earliest.
     """
-    order = np.argsort(targets, kind="stable")
+    order = _stable_order(targets)
     ordered = targets[order]
     superseded = np.zeros(ordered.size, dtype=bool)
     superseded[:-1] = ordered[1:] == ordered[:-1]

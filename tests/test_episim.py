@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphabm.models.episim import (
     EpiConfig,
     Status,
+    _visit_order,
     build_epi,
     copresence_closure,
     epi_run,
@@ -207,3 +210,85 @@ class TestScheduleCsr:
 
         with pytest.raises(UsageError, match=message):
             build_epi(EpiConfig(persons=3, locations=2, theta=0.0, schedule=rows))
+
+
+# (location, source, start, end) rows on small ranges, so chunks hold repeat
+# visits, repeats with starts out of order and rows equal on all four keys.
+visit_rows = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 5), st.integers(0, 5)),
+    max_size=40,
+)
+
+
+def visit_columns(rows):
+    loc, sources, start, end = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+    return loc, sources.astype(np.uint64), start, end
+
+
+def order_and_lexsort_sizes(columns):
+    """``_visit_order(*columns)`` and the length of each ``np.lexsort`` it ran."""
+    sizes = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        sizes.append(len(keys[0]))
+        return lexsort(keys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "lexsort", spy)
+        order = _visit_order(*columns)
+    return order, sizes
+
+
+def store_order(rows):
+    """Rows as ``batch.edges`` lists them: by location, then source, and a
+    source's repeat visits in add order."""
+    return sorted(rows, key=lambda r: r[:2])
+
+
+class TestVisitOrder:
+    """``_visit_order`` against the full four-key lexsort that ``spread``
+    ran before; ties on every key keep position order."""
+
+    @given(visit_rows)
+    def test_store_order_matches_lexsort(self, rows):
+        columns = visit_columns(store_order(rows))
+        loc, sources, start, end = columns
+        order, sizes = order_and_lexsort_sizes(columns)
+        assert order.tolist() == np.lexsort((end, start, sources, loc)).tolist()
+        # only the repeat visits are sorted, in one small lexsort
+        pairs = list(zip(loc.tolist(), sources.tolist()))
+        repeats = sum(pairs.count(p) > 1 for p in pairs)
+        assert sizes == ([repeats] if repeats else [])
+
+    @given(visit_rows)
+    def test_any_order_matches_lexsort(self, rows):
+        columns = visit_columns(rows)
+        loc, sources, start, end = columns
+        order, sizes = order_and_lexsort_sizes(columns)
+        assert order.tolist() == np.lexsort((end, start, sources, loc)).tolist()
+        if sorted(zip(loc.tolist(), sources.tolist())) != list(zip(loc.tolist(), sources.tolist())):
+            assert sizes == [len(rows)]  # the fallback sorts the whole chunk
+
+    @pytest.mark.parametrize("rows", [[], [(2, 7, 5, 9)]], ids=["empty", "one"])
+    def test_tiny_chunks(self, rows):
+        order, sizes = order_and_lexsort_sizes(visit_columns(rows))
+        assert order.tolist() == list(range(len(rows))) and sizes == []
+
+    def test_repeat_visits_out_of_order_and_full_ties(self):
+        rows = [(0, 3, 50, 60), (0, 3, 10, 20), (0, 3, 10, 20), (0, 3, 10, 15),
+                (0, 4, 0, 1), (1, 3, 9, 9), (1, 3, 9, 9)]
+        order, sizes = order_and_lexsort_sizes(visit_columns(rows))
+        assert order.tolist() == [3, 1, 2, 0, 4, 5, 6]
+        assert sizes == [6]
+
+    def test_sources_not_ascending_in_a_location_take_the_fallback(self):
+        rows = [(0, 5, 0, 1), (0, 2, 0, 1), (0, 2, 3, 4), (1, 0, 0, 1)]
+        order, sizes = order_and_lexsort_sizes(visit_columns(rows))
+        assert order.tolist() == [1, 2, 0, 3]
+        assert sizes == [4]
+
+    def test_no_repeat_visits_is_the_identity(self):
+        rows = [(0, 1, 9, 9), (0, 2, 0, 1), (1, 0, 5, 6), (1, 2, 3, 4), (3, 0, 0, 0)]
+        order, sizes = order_and_lexsort_sizes(visit_columns(rows))
+        assert order.tolist() == list(range(5)) and sizes == []

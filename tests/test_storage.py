@@ -20,9 +20,10 @@ from graphabm import (
     finalize_step,
     partition_graph,
     split_id,
+    storage,
     storage_plan_for,
 )
-from graphabm.ids import COMP_SHIFT
+from graphabm.ids import COMP_SHIFT, agent_id
 from graphabm.storage import AgentSegment, ListShard, build_read_container, edges_from_buffers
 
 from test_schema import all_hint_sets, is_legal
@@ -857,6 +858,101 @@ def two_type_sim(decl: EdgeTypeDecl, checks="on") -> Simulation:
     sim.add_agents("A", 8, {"v": np.arange(8.0)})
     sim.add_agents("B", 3)
     return sim
+
+
+def argsort_dtypes(monkeypatch):
+    """Record the dtype of every non-empty array ``np.argsort`` sorts from
+    here on."""
+    seen = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        if np.size(a):
+            seen.append(np.asarray(a).dtype)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return seen
+
+
+class TestStableOrder:
+    """``storage._stable_order`` is ``np.argsort(kind="stable")``: ids
+    spanning fewer than 2**16 values are sorted as 16-bit offsets by numpy's
+    radix sort, wider spans as they are, and the permutation is the same."""
+
+    @pytest.mark.parametrize("span, radix", [
+        (0, True), (1, True), ((1 << 16) - 1, True), (1 << 16, False),
+    ])
+    def test_span(self, span, radix, monkeypatch):
+        rng = np.random.default_rng(span)
+        # the smallest id's low 16 bits are not zero, so the offsets wrap
+        base = np.uint64(agent_id(2, 1, 70_000))
+        ids = base + rng.integers(0, span + 1, 3000).astype(np.uint64)
+        ids[rng.permutation(3000)[:2]] = [base, base + np.uint64(span)]
+        expected = np.argsort(ids, kind="stable")
+        dtypes = argsort_dtypes(monkeypatch)
+        assert storage._stable_order(ids).tolist() == expected.tolist()
+        assert dtypes == [np.dtype(np.uint16) if radix else ids.dtype]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny(self, n):
+        ids = np.arange(n, dtype=np.uint64) + np.uint64(7)
+        assert storage._stable_order(ids).tolist() == list(range(n))
+
+    def test_two_agent_types_fall_back(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        ids = np.array([agent_id(int(t), 0, int(s)) for t, s in
+                        zip(rng.integers(0, 2, 200), rng.integers(0, 5, 200))], dtype=np.uint64)
+        expected = np.argsort(ids, kind="stable")
+        dtypes = argsort_dtypes(monkeypatch)
+        assert storage._stable_order(ids).tolist() == expected.tolist()
+        assert dtypes == [np.dtype(np.uint64)]
+
+    @pytest.mark.parametrize("decl", [
+        EdgeTypeDecl("E", (("w", "float64"),)),
+        EdgeTypeDecl("E", (("w", "float64"),), hints=Hint.SINGLE_EDGE),
+        EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.IGNORE_FROM | Hint.SINGLE_EDGE),
+    ], ids=["full_edge_list", "single_full_edge", "existence_bit"])
+    @pytest.mark.parametrize("two_types", [False, True], ids=["one_type", "two_types"])
+    def test_merge_equals_the_argsort_merge(self, decl, two_types, monkeypatch):
+        """A two-worker round-robin merge, whose producers arrive unsorted,
+        onto retained edges: the same edges, SINGLE_EDGE reports and
+        checksum as a merge whose every stable sort is ``np.argsort``;
+        targets of two agent types take the fallback."""
+        state = (1.5,) if decl.state_layout else ()
+
+        def run_once():
+            sim = two_type_sim(decl, checks="warn")
+            b = [agent_id(1, 0, slot) for slot in range(3)]
+            sim.add_edge("E", 3, 7, state)
+            if two_types:
+                sim.add_edge("E", b[1], 6, state)
+            sim.commit_initial()
+
+            def emit(view, params, g):
+                a = view.agent_id
+                targets = [(5 * a + 3) % 8, (3 * a) % 8] + ([b[a % 3]] if two_types else [])
+                for t in targets:
+                    view.add_edge("E", t, tuple(float(a) + x for x in state))
+
+            spec = TransitionSpec(callable_types=("A",), write_types=("E",),
+                                  keep_existing=("E",))
+            apply_transition(sim, emit, spec, workers=2,
+                             partition=partition_graph(sim, 2, "round_robin"))
+            finalize_step(sim)
+            reports = [(v.kind, v.target, v.producer, v.message) for v in sim.check_reports]
+            return reports, sim.state_checksum()
+
+        with monkeypatch.context() as mp:
+            dtypes = argsort_dtypes(mp)
+            got = run_once()
+        assert np.dtype(np.uint16) in dtypes
+        assert (np.dtype(np.uint64) in dtypes) == two_types
+        monkeypatch.setattr(storage, "_stable_order",
+                            lambda ids: np.argsort(ids, kind="stable"))
+        assert got == run_once()
+        if Hint.SINGLE_EDGE in decl.hints:
+            assert got[0]  # reports were compared, not both empty
 
 
 MIXED_ADDS_DECLS = [
