@@ -159,11 +159,13 @@ class Simulation:
         """Bulk-add edges during initialization.
 
         ``sources`` and ``states``, when given, hold one entry per target.
-        The arrays are copied once, so the caller may change them after the
-        call; when one call adds all of a type's edges, targets ascending,
-        those copies become the committed graph's columns. This is the fast
-        path for large graphs: one call per edge type costs a few array
-        passes, where :meth:`add_edge` costs a Python call per edge.
+        Only what the plan keeps is copied, once, so the caller may change
+        its arrays after the call. Targets in ascending order are not
+        copied at all: the shard keeps their CSR index. When one such call
+        adds all of a type's edges, that index and the copies become the
+        committed graph without another copy. This is the fast path for
+        large graphs: one call per edge type costs a few array passes,
+        where :meth:`add_edge` costs a Python call per edge.
         """
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)
@@ -290,6 +292,20 @@ class Simulation:
         if not parts:
             return np.empty(0, dtype=info.dtypes[info.field_names.index(field)])
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    def describe(self) -> dict:
+        """What the simulation stores, in schema order: ``{"agents": {type:
+        alive count}, "edges": {type: {"plan": plan value, "stored": edges
+        stored, "bytes": bytes held}}}``. An edge type's bytes are those of
+        the arrays its container holds: the CSR index and the columns the
+        plan keeps, or the existence bitmap."""
+        return {
+            "agents": {info.name: self.n_alive(info.name) for info in self.schema.agent_types},
+            "edges": {
+                info.name: {"plan": info.plan.value, "stored": c.n_stored(), "bytes": c.nbytes()}
+                for info, c in zip(self.schema.edge_types, self._edges)
+            },
+        }
 
     def edge_container(self, edge_type: str):
         """The current read container of an edge type (immutable)."""

@@ -8,25 +8,30 @@ commit the shards are merged into an immutable read container whose shape
 is chosen by the edge type's storage plan.
 
 Edges take one of two shapes. A CSR (compressed sparse row) container,
-:class:`ListEdgeRead`, serves every plan but EXISTENCE_BIT: it holds
-sorted targets, optional source ids and optional state columns, one numpy
-array per declared field, as :class:`AgentSegment` holds agent fields.
-COUNT_ONLY keeps the targets alone and reads counts off the index;
+:class:`ListEdgeRead`, serves every plan but EXISTENCE_BIT: it holds the
+index, not a target column (per target composite, the run start of each
+slot's edges), plus optional source ids and optional state columns, one
+numpy array per declared field, as :class:`AgentSegment` holds agent
+fields. COUNT_ONLY keeps the index alone, nothing per edge;
 SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
 one presence byte per target slot: its shards hold targets only (and
 producers when SINGLE_EDGE is checked), and the merge sets their bits.
 A write shard holds its edges as chunks, in call order: a bulk add copies
-each column once, into an owned contiguous numpy array, and per-edge adds
-go to a tail of ``array.array`` columns, which is moved into a chunk and
-emptied in place before the next bulk add and at the merge. The merge
-takes a sole chunk's arrays as they are, so a graph added in one bulk call
-is copied once between the caller and the read container. Shards keep
-edge states as the model passed them, per-edge tuples or the columns of a
-bulk add; the merge casts each field once with :func:`cast_columns`, the
-cast every agent write path uses too, and a value that does not cast
-raises :class:`~graphabm.errors.UsageError`. The endpoint and SINGLE_TYPE
-checks of a chunk start from a range test on its smallest and largest id
-and look at each id only when that test fails.
+each column the plan keeps once, into an owned contiguous numpy array,
+except targets given in nondecreasing order to a shard that records no
+producers, of which the chunk keeps only their index; per-edge adds go to
+a tail of ``array.array`` columns, which is moved into a chunk and
+emptied in place before the next bulk add and at the merge. A sole
+indexed chunk becomes the read container as it is, so a graph added in
+one sorted bulk call copies its sources and states once and its targets
+never; every other merge rebuilds indexed targets with ``np.repeat``.
+Shards keep edge states as the model passed them, per-edge tuples or the
+columns of a bulk add; the merge casts each field once with
+:func:`cast_columns`, the cast every agent write path uses too, and a
+value that does not cast raises :class:`~graphabm.errors.UsageError`. The
+endpoint and SINGLE_TYPE checks of a chunk start from a range test on its
+largest ids (an index gives each composite's for free) and look at each
+id only when that test fails.
 
 SINGLE_EDGE is checked where every edge is seen. During initialization an
 EXISTENCE_BIT duplicate is flagged at the call, and a SINGLE_FULL_EDGE one
@@ -37,9 +42,10 @@ Buffer form: every container gives its primary columns as ``buffers()``,
 a dict of named numpy arrays, and the class method ``from_buffers(info,
 buffers)`` rebuilds it and any derived index. A segment's are ``count``,
 ``alive`` (mortal types), ``free`` and ``field:<name>`` per field; an edge
-container's hold one entry per edge: ``targets`` (the set ids of a bitmap),
-``sources`` and ``field:<name>`` per state field when stored. The state
-checksum, the dead-edge sweep and the worker sync all read this form.
+container's hold one entry per edge: ``targets`` (the set ids of a bitmap;
+a CSR container rebuilds them from its index), ``sources`` and
+``field:<name>`` per state field when stored. The state checksum, the
+dead-edge sweep and the worker sync all read this form.
 
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
@@ -68,6 +74,11 @@ from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
 _U64 = np.uint64
 _EMPTY_U64 = np.empty(0, dtype=_U64)
 _NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a composite without edges
+# Index entries a sorted bulk add may always take in place of its targets;
+# past this, only as many as it has targets, so that a target far past
+# every slot is copied and rejected by the endpoint check instead of
+# sizing an index first.
+_INDEX_FLOOR = 1 << 16
 
 
 class EdgeRecord(NamedTuple):
@@ -225,12 +236,19 @@ class AgentSegment:
 class Chunk(NamedTuple):
     """Edges a :class:`ListShard` holds as arrays: uint64 ``targets``, and
     ``sources`` and ``producers`` when the shard keeps them; ``states``
-    holds one sequence per field, which the merge casts."""
+    holds one sequence per field, which the merge casts. Targets a bulk
+    add gave in nondecreasing order may be held as their ``index`` alone,
+    in the form of :attr:`ListEdgeRead.indptr`, with ``targets`` None."""
 
-    targets: np.ndarray
+    targets: np.ndarray | None
     sources: np.ndarray | None
     states: tuple | None
     producers: np.ndarray | None
+    index: dict | None = None
+
+    def target_ids(self) -> np.ndarray:
+        """The chunk's targets, rebuilt from its index when it holds one."""
+        return self.targets if self.index is None else _index_targets(self.index)
 
 
 def _owned_u64(values) -> np.ndarray:
@@ -252,13 +270,16 @@ class ListShard:
 
     ``extend``, the bulk write path, copies each column it is given once,
     into an owned contiguous numpy array, and keeps the copies as one
-    :class:`Chunk`. ``add``, the per-edge write path, appends to the tail:
-    ``array.array`` columns ``targets``, ``sources`` and ``producers`` and
-    a list of state tuples, ``states``. A bulk add, and :meth:`seal`, first
-    move the tail into a chunk and empty it in place, never swapping in a
-    new object, since every adder binds the tail's appends once. So the
-    chunks hold the edges in call order, and the merge takes a sole chunk's
-    arrays as its columns without copying them again.
+    :class:`Chunk`; nondecreasing targets in a shard that records no
+    producers are kept as their index instead (see ``_INDEX_FLOOR``), so
+    the caller's array is neither copied nor referenced. ``add``, the
+    per-edge write path, appends to the tail: ``array.array`` columns
+    ``targets``, ``sources`` and ``producers`` and a list of state tuples,
+    ``states``. A bulk add, and :meth:`seal`, first move the tail into a
+    chunk and empty it in place, never swapping in a new object, since
+    every adder binds the tail's appends once. So the chunks hold the edges
+    in call order, and the merge takes a sole indexed chunk's index and
+    arrays as its container without copying them again.
 
     ``sources``, ``states`` and ``producers`` exist only when the plan
     stores them or the caller records producing agents; COUNT_ONLY keeps
@@ -324,17 +345,21 @@ class ListShard:
         """Append edges as one chunk: ``states`` holds one column per field
         and ``producers`` one producer per edge or one for all."""
         self.seal()
-        targets = _owned_u64(targets)
+        targets = np.asarray(targets, dtype=_U64)
         if not targets.size:
             return
+        index = None  # checked before the copies below, to keep the peak down
+        if self.producers is None and _is_nondecreasing(targets):
+            index = _build_indptr(targets, max(targets.size, _INDEX_FLOOR))
         self.chunks.append(Chunk(
-            targets,
+            _owned_u64(targets) if index is None else None,
             None if self.sources is None else _owned_u64(sources),
             # arrays are copied; a sequence of values is cast into a new array
             None if self.states is None
             else tuple(np.array(c) if isinstance(c, np.ndarray) else c for c in states),
             None if self.producers is None
             else _owned_u64(np.broadcast_to(np.asarray(producers, dtype=_U64), targets.shape)),
+            index,
         ))
 
 
@@ -459,54 +484,69 @@ def _cat(first, second):
     return None if first is None else np.concatenate([first, second])
 
 
-def _build_indptr(targets: np.ndarray) -> dict[int, np.ndarray]:
-    """Per target composite, slot-indexed run starts into sorted ``targets``."""
-    out = {}
+def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np.ndarray] | None:
+    """Per target composite, slot-indexed run starts into sorted ``targets``:
+    one entry per slot up to the composite's largest target, and one more.
+    None, with nothing allocated, when that is over ``limit`` entries."""
+    spans = []
     lo, n = 0, targets.size
     while lo < n:
         comp = int(targets[lo]) >> COMP_SHIFT
-        base = comp << COMP_SHIFT
-        end_key = base + (1 << COMP_SHIFT)
+        end_key = (comp + 1) << COMP_SHIFT
         hi = n if end_key >= 1 << 64 else int(np.searchsorted(targets, _U64(end_key)))
-        top = int(targets[hi - 1]) & INDEX_MASK
-        keys = _U64(base) + np.arange(top + 2, dtype=_U64)
-        out[comp] = np.searchsorted(targets[lo:hi], keys) + lo
+        spans.append((comp, lo, hi, (int(targets[hi - 1]) & INDEX_MASK) + 2))
         lo = hi
+    if limit is not None and sum(span[3] for span in spans) > limit:
+        return None
+    out = {}
+    for comp, lo, hi, size in spans:
+        keys = _U64(comp << COMP_SHIFT) + np.arange(size, dtype=_U64)
+        out[comp] = np.searchsorted(targets[lo:hi], keys) + lo
     return out
+
+
+def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
+    """The sorted targets a :func:`_build_indptr` index encodes."""
+    return _concat_u64([
+        np.repeat(_U64(comp << COMP_SHIFT) + np.arange(ptr.size - 1, dtype=_U64), np.diff(ptr))
+        for comp, ptr in indptr.items()
+    ])
 
 
 class ListEdgeRead:
     """CSR read container of every plan but EXISTENCE_BIT.
 
-    ``targets`` is sorted; ``sources`` (uint64) is None when the plan drops
-    source ids, and ``states`` is None or a tuple of numpy columns, one per
-    declared field. Per-target runs are ordered by producing agent; a
-    SINGLE_FULL_EDGE container holds at most one edge per target, and a
-    COUNT_ONLY one only targets, so it answers counts and presence alone.
-    ``indptr`` maps each target (type tag, partition) composite to an int64
-    array indexed by local slot: the edges of slot ``s`` sit at positions
+    It keeps the index, not a target column: ``indptr`` maps each target
+    (type tag, partition) composite to an int64 array indexed by local
+    slot, and the edges of slot ``s``, targets sorted, sit at positions
     ``indptr[comp][s]:indptr[comp][s + 1]``. A slot past the end of its
     array, such as an agent created after the container was built, has no
-    edges.
+    edges. ``sources`` (uint64) is None when the plan drops source ids, and
+    ``states`` is None or a tuple of numpy columns, one per declared field.
+    Per-target runs are ordered by producing agent; a SINGLE_FULL_EDGE
+    container holds at most one edge per target, and a COUNT_ONLY one only
+    the index, so it answers counts and presence alone.
+    ``single_source_comp`` is the composite of every source when they
+    share one, else None.
     """
 
-    __slots__ = (
-        "info", "targets", "sources", "states", "indptr",
-        "sources_local", "single_source_comp",
-    )
+    __slots__ = ("info", "indptr", "sources", "states", "single_source_comp")
 
-    def __init__(self, info: EdgeTypeInfo, targets, sources, states):
+    def __init__(self, info: EdgeTypeInfo, indptr: dict, sources, states):
         self.info = info
-        self.targets = targets
+        self.indptr = indptr
         self.sources = sources
         self.states = states
-        self.indptr = _build_indptr(targets)
-        self.sources_local = None
         self.single_source_comp = None
-        if sources is not None:
-            groups = group_by_comp(sources)
-            if len(groups) == 1:
-                self.single_source_comp, _, self.sources_local = groups[0]
+        if sources is not None and sources.size:
+            comp = int(sources.min()) >> COMP_SHIFT
+            if comp == int(sources.max()) >> COMP_SHIFT:
+                self.single_source_comp = comp
+
+    @classmethod
+    def from_sorted(cls, info: EdgeTypeInfo, targets: np.ndarray, sources, states):
+        """The container of edges with sorted ``targets``."""
+        return cls(info, _build_indptr(targets), sources, states)
 
     # -- queries -------------------------------------------------------------
 
@@ -515,7 +555,14 @@ class ListEdgeRead:
         return self.info.plan
 
     def n_stored(self) -> int:
-        return int(self.targets.size)
+        if not self.indptr:
+            return 0
+        return int(next(reversed(self.indptr.values()))[-1])
+
+    def nbytes(self) -> int:
+        """Bytes of the arrays the container holds: index, sources, states."""
+        arrays = [*self.indptr.values(), self.sources, *(self.states or ())]
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def span(self, aid: int) -> tuple[int, int]:
         """(start, end) positions of one target's edges; (0, 0) if none."""
@@ -576,6 +623,14 @@ class ListEdgeRead:
         lo, hi = self.span(aid)
         return self.sources[lo:hi]
 
+    def source_slots(self, pos) -> np.ndarray:
+        """Local slots (int64) of the sources at positions ``pos``, a slice
+        or an index array, when every source is of ``single_source_comp``.
+        Composite 0's ids are their slots, so those are a view."""
+        if self.single_source_comp == 0:
+            return self.sources.view(np.int64)[pos]
+        return (self.sources[pos] & _U64(INDEX_MASK)).view(np.int64)
+
     def states_for(self, aid: int) -> list:
         if self.info.stateless:
             raise HintViolation(
@@ -586,7 +641,7 @@ class ListEdgeRead:
     def state_tuples(self, lo: int = 0, hi: int | None = None) -> list:
         """States of the edges at positions ``lo:hi`` (all by default), in
         target order, as tuples of Python scalars."""
-        hi = self.targets.size if hi is None else hi
+        hi = self.n_stored() if hi is None else hi
         if self.states is None:
             return [()] * (hi - lo)
         return list(zip(*(c[lo:hi].tolist() for c in self.states)))
@@ -621,14 +676,15 @@ class ListEdgeRead:
     def edge_endpoints(self):
         if self.sources is None:
             return None
-        return self.targets, self.sources
+        return _index_targets(self.indptr), self.sources
 
     # -- buffer form -------------------------------------------------------
 
     def buffers(self) -> dict[str, np.ndarray]:
-        """The primary columns: ``targets``, ``sources`` when stored and one
-        ``field:<name>`` per stored state field. The index is derived."""
-        out = {"targets": self.targets}
+        """The primary columns: ``targets``, rebuilt from the index,
+        ``sources`` when stored and one ``field:<name>`` per stored state
+        field."""
+        out = {"targets": _index_targets(self.indptr)}
         if self.sources is not None:
             out["sources"] = self.sources
         for name, column in zip(self.info.field_names, self.states or ()):
@@ -642,7 +698,7 @@ class ListEdgeRead:
         states = None
         if info.has_state:
             states = tuple(buffers["field:" + name] for name in info.field_names)
-        return cls(info, buffers["targets"], buffers.get("sources"), states)
+        return cls.from_sorted(info, buffers["targets"], buffers.get("sources"), states)
 
 
 class ExistenceEdgeRead:
@@ -660,6 +716,10 @@ class ExistenceEdgeRead:
 
     def n_stored(self) -> int:
         return sum(int(np.count_nonzero(b)) for b in self.buckets.values())
+
+    def nbytes(self) -> int:
+        """Bytes of the bitmap."""
+        return sum(b.nbytes for b in self.buckets.values())
 
     def has_for(self, aid: int) -> bool:
         bucket = self.buckets.get(aid >> COMP_SHIFT)
@@ -766,7 +826,7 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
     edges.
     """
     chunks = [c for s in shards for c in s.seal()]
-    targets = _concat_u64([c.targets for c in chunks])
+    targets = _concat_u64([c.target_ids() for c in chunks])
     sources = _concat_u64([c.sources for c in chunks]) if info.has_source else None
     states = producers = None
     if info.has_state:
@@ -778,9 +838,9 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
             targets, sources, states = targets[order], _take(sources, order), _take(states, order)
             producers = producers[order]
     retained = 0
-    if carryover is not None and carryover.targets.size:
-        retained = carryover.targets.size
-        targets = np.concatenate([carryover.targets, targets])
+    if carryover is not None and carryover.n_stored():
+        retained = carryover.n_stored()
+        targets = np.concatenate([_index_targets(carryover.indptr), targets])
         sources = _cat(carryover.sources, sources)
         states = _cat(carryover.states, states)
     return targets, sources, states, producers, retained
@@ -789,11 +849,19 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
 def build_list_read(
     info: EdgeTypeInfo, shards: list, carryover: ListEdgeRead | None
 ) -> ListEdgeRead:
+    """A sole indexed chunk and no carried-over edge: the chunk's index and
+    columns as they are. Otherwise the merged edges, sorted by target."""
+    chunks = [c for s in shards for c in s.seal()]
+    if len(chunks) == 1 and chunks[0].index is not None and not (
+        carryover is not None and carryover.n_stored()
+    ):
+        states = _merge_states(info, chunks) if info.has_state else None
+        return ListEdgeRead(info, chunks[0].index, chunks[0].sources, states)
     targets, sources, states, _, _ = _merge_list_shards(info, shards, carryover)
     if not _is_nondecreasing(targets):
         order = _stable_order(targets)
         targets, sources, states = targets[order], _take(sources, order), _take(states, order)
-    return ListEdgeRead(info, targets, sources, states)
+    return ListEdgeRead.from_sorted(info, targets, sources, states)
 
 
 def _single_edge_order(info, targets, producers, retained, sink):
@@ -851,7 +919,7 @@ def build_single_read(
     )
     order, superseded = _single_edge_order(info, targets, producers, retained, sink)
     kept = order[~superseded]
-    return ListEdgeRead(info, targets[kept], _take(sources, kept), _take(states, kept))
+    return ListEdgeRead.from_sorted(info, targets[kept], _take(sources, kept), _take(states, kept))
 
 
 def build_read_container(
@@ -882,23 +950,29 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     instead of sizing the merged index; carried-over edges were checked
     when they were added, and a slot once allocated stays allocated.
 
-    A composite's allocated slots are 0 to its count - 1, so a chunk's
-    column passes whole when its smallest and largest id share one
-    composite and its largest exists; otherwise each id is looked up, and
-    the first bad one, shard by shard, targets before sources, is named.
+    A composite's allocated slots are 0 to its count - 1, so a column
+    passes whole when the largest id of each composite in it exists: an
+    indexed chunk's targets give each composite's largest from the index,
+    and an array passes on its largest when its smallest and largest share
+    one composite. Otherwise each id is looked up, and the first bad one,
+    shard by shard, targets before sources, is named.
     """
     for shard in shards:
         chunks = shard.seal()
         for column in ("targets", "sources"):
             for chunk in chunks:
-                arr = getattr(chunk, column)
-                if arr is None:
+                if column == "targets" and chunk.index is not None:
+                    tops = [(comp << COMP_SHIFT) | (ptr.size - 2)
+                            for comp, ptr in chunk.index.items()]
+                else:
+                    arr = getattr(chunk, column)
+                    if arr is None:
+                        continue
+                    hi = int(arr.max())
+                    tops = [hi] if int(arr.min()) >> COMP_SHIFT == hi >> COMP_SHIFT else []
+                if tops and bool(exists_fn(np.array(tops, dtype=_U64)).all()):
                     continue
-                hi = int(arr.max())
-                if int(arr.min()) >> COMP_SHIFT == hi >> COMP_SHIFT and bool(
-                    exists_fn(np.array([hi], dtype=_U64))[0]
-                ):
-                    continue
+                arr = chunk.target_ids() if column == "targets" else chunk.sources
                 ok = exists_fn(arr)
                 if not bool(ok.all()):
                     bad = int(arr[np.flatnonzero(~ok)[0]])

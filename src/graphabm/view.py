@@ -192,18 +192,15 @@ class NeighborhoodView(_Reads):
         ``sources(edge_type)``.
         """
         cached = self._gather_cache.get((edge_type, field))
-        if cached is not None:
-            arr, locals_, c = cached
-            lo, hi = c.span(self._aid)
-            return arr[locals_[lo:hi]]
-        c = self._source_readable(edge_type)
-        comp = c.single_source_comp
-        if comp is None:
-            return self._gather(c.sources_for(self._aid), field)
-        arr = self._source_column(comp, field)
-        self._gather_cache[(edge_type, field)] = (arr, c.sources_local, c)
+        if cached is None:
+            c = self._source_readable(edge_type)
+            comp = c.single_source_comp
+            if comp is None:
+                return self._gather(c.sources_for(self._aid), field)
+            cached = self._gather_cache[(edge_type, field)] = (self._source_column(comp, field), c)
+        arr, c = cached
         lo, hi = c.span(self._aid)
-        return arr[c.sources_local[lo:hi]]
+        return arr[c.source_slots(slice(lo, hi))]
 
     # -- write effects ----------------------------------------------------------
 
@@ -344,7 +341,7 @@ class AgentBatch(_Reads):
         comp = c.single_source_comp
         if comp is None:
             return self._gather(c.sources[pos], field), indptr
-        return self._source_column(comp, field)[c.sources_local[pos]], indptr
+        return self._source_column(comp, field)[c.source_slots(pos)], indptr
 
     # -- write effects ----------------------------------------------------------
 

@@ -128,6 +128,25 @@ class TestHintEquivalence:
         assert plain.schema.edge_type(EDGE).plan is EdgePlan.FULL_EDGE_LIST
 
 
+class TestDescribe:
+    def test_hk_holds_eight_bytes_per_edge_plus_the_index(self):
+        """The store keeps sources and the CSR index (one int64 per agent,
+        and one more) and no target column, hinted or not: the unhinted
+        type declares no state field."""
+        n, k = 500, 10
+        for hints in (True, False):
+            sim = build_hk(HKConfig(n=n, epsilon=0.2, topology=Regular(k), hints=hints))
+            edges = n * (k + 1)
+            assert sim.describe() == {
+                "agents": {AGENT: n},
+                "edges": {EDGE: {
+                    "plan": sim.schema.edge_type(EDGE).plan.value,
+                    "stored": edges,
+                    "bytes": 8 * edges + 8 * (n + 1),
+                }},
+            }
+
+
 class TestTopologies:
     def test_regular_in_degree(self):
         sim = build_hk(HKConfig(n=20, epsilon=0.2, seed=0, topology=Regular(4)))
