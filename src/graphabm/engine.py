@@ -18,7 +18,7 @@ globals) -> columns``, runs once per chunk of agents through an
 :class:`~graphabm.view.AgentBatch`, which gathers every agent's
 neighbourhood at once over the read containers' CSR index; ``columns``
 holds one array per state field, aligned with ``batch.slots``. A chunk
-holds agents of one type and partition and at most ``BATCH_EDGE_LIMIT``
+holds agents of one type and at most ``BATCH_EDGE_LIMIT``
 incoming edges (an agent with more gets a chunk of its own). A batch may
 write edge types, through ``batch.add_edges``, and agent types it calls,
 re-adding every agent it runs of those; for a callable type it does not
@@ -26,14 +26,14 @@ write it returns None.
 
 One driver runs both forms: a worker walks its task list once, calls a
 batch ``fn`` per chunk and a per-agent ``fn`` per agent, checks and casts
-what the calls return the same way, and ships the agents they re-added or
-created as one list of records beside its edge write shards; the merge
-writes those records in one pass. Every call sees only time-t data and
-writes are merged by producing-agent id, so the outcome does not depend on
-the form, the chunking, the order in which agents run or the worker count,
-as long as each agent's values, edges and draws are computed from its own
-data. (The ids of agents created mid-step are the exception; see
-:meth:`~graphabm.view.NeighborhoodView.add_agent`.)
+what the calls return the same way, and ships the states of the agents
+they re-added, per type, and the agents they created with their producers,
+beside its edge write shards. Every call sees only time-t data and writes
+are merged by producing-agent id: newborns take their ids at the merge, in
+producer order, and edges to or from them are rewritten to those ids. So
+the outcome does not depend on the form, the chunking, the order in which
+agents run or the worker count, as long as each agent's values, edges and
+draws are computed from its own data.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import TypeNotWritable, UsageError
-from .ids import PART_BITS, agent_id
+from .ids import TAG_SHIFT
 from .schema import AgentTypeInfo, EdgePlan
 from .sim import Simulation
 from .storage import (
@@ -54,6 +54,7 @@ from .storage import (
     build_read_container,
     cast_columns,
     drop_dead_edges,
+    rewrite_ids,
     validate_endpoints,
 )
 from .view import AgentBatch, NeighborhoodView
@@ -166,7 +167,7 @@ class RuntimeSpec:
 
 @dataclass
 class StagedCommit:
-    segments: dict            # tag -> {part: AgentSegment} replacements
+    segments: dict            # tag -> AgentSegment replacements
     edges: dict               # etag -> read container replacements
     deaths_occurred: bool
     reports: list
@@ -192,25 +193,25 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
     if batch:
         lists = [c for c in read.values() if c.plan is not EdgePlan.EXISTENCE_BIT]
 
-        def call(tag, part, seg, slots):
-            ret = fn(AgentBatch(sim, rt, read, writers, sink, tag, part, seg, slots), *args)
+        def call(tag, seg, slots):
+            ret = fn(AgentBatch(sim, rt, read, writers, sink, tag, seg, slots), *args)
             return (slots, ret) if ret is not None else (slots[:0], None)
     else:
         view = NeighborhoodView(sim, rt, read, writers, sink, worker)
 
-        def call(tag, part, seg, slots):
-            return view._call_each(fn, tag, part, seg, slots, *args)
+        def call(tag, seg, slots):
+            return view._call_each(fn, tag, seg, slots, *args)
 
     tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
     if shuffle is not None:
-        flat = [(tag, part, slot) for tag, part, slots in tasks for slot in slots.tolist()]
+        flat = [(tag, slot) for tag, slots in tasks for slot in slots.tolist()]
         shuffle.shuffle(flat)
-        tasks = [(tag, part, np.array([slot])) for tag, part, slot in flat]
+        tasks = [(tag, np.array([slot])) for tag, slot in flat]
 
-    returned: dict = {}  # (tag, part) -> [(slots, columns)] of re-added agents
-    for tag, part, slots in tasks:
+    returned: dict = {}  # tag -> [(slots, columns)] of re-added agents
+    for tag, slots in tasks:
         info = schema.agent_types[tag]
-        seg = sim._segments[tag][part]
+        seg = sim._segments[tag]
         writes_self = tag in rt.written_agent
         kept = rt.written_agent.get(tag, False)
         # a batch re-adds every agent of a type it writes; a per-agent call
@@ -220,15 +221,15 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
         if batch:
             edges = np.zeros(slots.size, dtype=np.int64)
             for c in lists:
-                starts, ends = c.bounds((tag << PART_BITS) | part, slots)
+                starts, ends = c.bounds(tag, slots)
                 edges += ends - starts
             chunks = _chunks(slots, edges, BATCH_EDGE_LIMIT)
         for chunk in chunks:
-            done, cols = call(tag, part, seg, chunk)
+            done, cols = call(tag, seg, chunk)
             if must_return and done.size < chunk.size:
                 slot = np.setdiff1d(chunk, done)[0]
                 raise UsageError(
-                    f"agent {agent_id(tag, part, int(slot)):#x} of type "
+                    f"agent {(tag << TAG_SHIFT) | int(slot):#x} of type "
                     f"{info.name!r} must return a state"
                 )
             if cols is None:
@@ -255,32 +256,22 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                         f"field {name!r} of agent type {info.name!r}: expected "
                         f"{done.size} values, got an array of shape {arr.shape}"
                     )
-            returned.setdefault((tag, part), []).append((done, arrays))
+            returned.setdefault(tag, []).append((done, arrays))
 
-    agents = []
-    for (tag, part), runs in returned.items():
+    agents = {}
+    for tag, runs in returned.items():
         slots, cols = zip(*runs)
-        agents.append(_agent_record(schema.agent_types[tag], part, np.concatenate(slots),
-                                    [np.concatenate(c) for c in zip(*cols)], None))
-    if not batch:
-        for tag, (_next, free, slots, states, n_free) in view._alloc.items():
-            info = schema.agent_types[tag]
-            agents.append(_agent_record(info, worker, np.array(slots, dtype=np.int64),
-                                        cast_columns(info, list(zip(*states))),
-                                        n_free - len(free)))
+        agents[tag] = (np.concatenate(slots), [np.concatenate(c) for c in zip(*cols)])
+    births = {}
+    for tag, (ids, producers, states) in ({} if batch else view._births).items():
+        births[tag] = (np.array(ids, dtype=np.uint64), np.array(producers, dtype=np.uint64),
+                       cast_columns(schema.agent_types[tag], list(zip(*states))))
     return {
         "agents": agents,
+        "births": births,
         "edges": {info.tag: shard for shard, info in writers.values()},
         "reports": sink.reports,
     }
-
-
-def _agent_record(info: AgentTypeInfo, part: int, slots, columns, n_popped) -> dict:
-    """Agents a worker writes into segment ``part`` of a type: the agents
-    its calls re-added (``n_popped`` None), or the agents they created and
-    how many slots they took off the segment's free list."""
-    return {"tag": info.tag, "part": part, "slots": slots,
-            "fields": dict(zip(info.field_names, columns)), "n_popped": n_popped}
 
 
 def step_shard(info, check_single_edge: bool):
@@ -304,17 +295,14 @@ def _chunks(slots: np.ndarray, edges: np.ndarray, limit: int):
 
 
 def _agent_tasks(sim, rt, partition, worker, nworkers):
-    """(tag, part, slot array) work items in ascending agent-id order."""
+    """(tag, slot array) work items in ascending agent-id order."""
     tasks = []
     for tag in rt.callable_tags:
-        for part in sorted(sim._segments[tag]):
-            seg = sim._segments[tag][part]
-            slots = seg.alive_slots()
-            if nworkers > 1:
-                owners = partition.worker_for_slots(tag, part, slots)
-                slots = slots[owners == worker]
-            if slots.size:
-                tasks.append((tag, part, slots))
+        slots = sim._segments[tag].alive_slots()
+        if nworkers > 1:
+            slots = slots[partition.worker_for_slots(tag, slots) == worker]
+        if slots.size:
+            tasks.append((tag, slots))
     return tasks
 
 
@@ -331,68 +319,56 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
         reports.extend(p["reports"])
 
     staged_segments = {}
+    provisional, final = [], []
     deaths_occurred = False
     for tag, kept in rt.written_agent.items():
         info = schema.agent_types[tag]
-        old_parts = sim._segments[tag]
-        new_parts = {}
-        for part, old in old_parts.items():
-            buffers = old.buffers()
-            if not kept:  # all dead, zero-filled so unwritten slots hash alike
-                buffers = {name: b if name in ("count", "free") else np.zeros_like(b)
-                           for name, b in buffers.items()}
-            new_parts[part] = AgentSegment.from_buffers(info, buffers)
+        old = sim._segments[tag]
+        buffers = old.buffers()
+        if not kept:  # all dead, zero-filled so unwritten slots hash alike
+            buffers = {name: b if name in ("count", "free") else np.zeros_like(b)
+                       for name, b in buffers.items()}
+        seg = AgentSegment.from_buffers(info, buffers)
 
         n_returned = 0
         for p in payloads:
-            for rec in p["agents"]:
-                if rec["tag"] != tag:
-                    continue
-                slots, n_popped = rec["slots"], rec["n_popped"]
-                seg = new_parts.get(rec["part"])
-                if seg is None:
-                    seg = new_parts[rec["part"]] = AgentSegment(info)
-                if n_popped is None:
-                    n_returned += slots.size
-                else:  # newborns: free slots reused first, then fresh ones
-                    if n_popped:
-                        del seg.free[-n_popped:]
-                    top = int(slots.max()) + 1
-                    seg.ensure_capacity(top)
-                    seg.count = max(seg.count, top)
-                for name, vals in rec["fields"].items():
-                    seg.fields[name][slots] = vals
-                if seg.alive is not None:
-                    seg.alive[slots] = True
+            if tag in p["agents"]:
+                slots, columns = p["agents"][tag]
+                n_returned += slots.size
+                _write_agents(info, seg, slots, columns)
         if info.immortal and not kept and tag in rt.callable_tags:
-            expected = sum(seg.n_alive for seg in old_parts.values())
-            if n_returned != expected:
+            if n_returned != old.n_alive:
                 raise UsageError(
                     f"immortal agent type {info.name!r}: {n_returned} of "
-                    f"{expected} agents returned a state"
+                    f"{old.n_alive} agents returned a state"
                 )
 
-        for part, seg in new_parts.items():
-            old = old_parts.get(part)
-            if old is None or seg.alive is None or kept:
-                continue
+        births = [p["births"][tag] for p in payloads if tag in p["births"]]
+        if births:
+            ids, slots = _place_births(info, seg, births)
+            provisional.append(ids)
+            final.append(np.uint64(tag << TAG_SHIFT) + slots.astype(np.uint64))
+
+        if seg.alive is not None and not kept:
             limit = old.count
             freed = np.flatnonzero(old.alive[:limit] & ~seg.alive[:limit])
             if freed.size:
                 deaths_occurred = True
                 seg.free.extend(freed.tolist())
-        staged_segments[tag] = new_parts
+        staged_segments[tag] = seg
 
-    segments = [staged_segments.get(tag, parts) for tag, parts in enumerate(sim._segments)]
-
-    def exists_fn(ids):
-        return sim._grouped_lookup(ids, sim._allocated, segments)
-
+    segments = [staged_segments.get(tag, seg) for tag, seg in enumerate(sim._segments)]
+    if provisional:
+        old_ids, new_ids = np.concatenate(provisional), np.concatenate(final)
+        order = np.argsort(old_ids)
+        old_ids, new_ids = old_ids[order], new_ids[order]
     staged_edges = {}
     for etag, kept in rt.written_edge.items():
         info = schema.edge_types[etag]
         shards = [p["edges"][etag] for p in payloads]
-        validate_endpoints(info, shards, exists_fn)
+        if provisional:
+            rewrite_ids(shards, old_ids, new_ids)
+        validate_endpoints(info, shards, lambda ids: sim._lookup(ids, segments=segments))
         staged_edges[etag] = build_read_container(
             info, shards, sim._edges[etag] if kept else None, sink,
             rt.check_single_edge,
@@ -405,6 +381,30 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
         deaths_occurred=deaths_occurred,
         reports=reports,
     )
+
+
+def _write_agents(info: AgentTypeInfo, seg: AgentSegment, slots, columns) -> None:
+    """Write agents' state columns into ``slots`` of ``seg`` and mark them
+    alive."""
+    for name, values in zip(info.field_names, columns):
+        seg.fields[name][slots] = values
+    if seg.alive is not None:
+        seg.alive[slots] = True
+
+
+def _place_births(info: AgentTypeInfo, seg: AgentSegment, births: list):
+    """Give the newborns of a type slots in ``seg``. ``births`` holds each
+    worker's ``(provisional ids, producers, columns)``, in worker order; a
+    producer runs once, on one worker, so a stable sort by producer orders
+    them by producing agent and each producer's in call order. In that
+    order each takes a slot as :meth:`AgentSegment.allocate` gives it:
+    the free list's last, else a fresh one. Returns their provisional ids
+    and their slots, aligned."""
+    ids, producers, columns = zip(*births)
+    order = np.argsort(np.concatenate(producers), kind="stable")
+    slots = np.array([seg.allocate() for _ in range(order.size)], dtype=np.int64)
+    _write_agents(info, seg, slots, [np.concatenate(c)[order] for c in zip(*columns)])
+    return np.concatenate(ids)[order], slots
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +420,8 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
     against time-t data. Call :func:`finalize_step` to commit. With
     ``shuffle`` (a numpy Generator) every agent runs as a call of its own,
     a batch of one agent in the batch form, in a random order across all
-    callable types; results must not depend on it (see
-    :meth:`~graphabm.view.NeighborhoodView.add_agent` for the one
-    exception). With ``workers > 1``
-    the transition runs on the workers of :func:`run` when it is one of its
+    callable types; results do not depend on it. With ``workers > 1`` the
+    transition runs on the workers of :func:`run` when it is one of its
     program's, else on workers forked for this call and ended before it
     returns or raises.
     """
@@ -475,12 +473,13 @@ def finalize_step(sim: Simulation) -> None:
     staged = sim._staged
     if staged is None:
         raise UsageError("no transition staged; call apply_transition first")
-    for tag, parts in staged.segments.items():
-        sim._segments[tag] = parts
+    for tag, seg in staged.segments.items():
+        sim._segments[tag] = seg
     for etag, container in staged.edges.items():
         sim._edges[etag] = container
     if staged.deaths_occurred:
-        sim._edges = [drop_dead_edges(c, sim._alive_lookup) for c in sim._edges]
+        sim._edges = [drop_dead_edges(c, lambda ids: sim._lookup(ids, alive=True))
+                      for c in sim._edges]
     sim.check_reports.extend(staged.reports)
     sim.step += 1
     sim._staged = None

@@ -91,21 +91,16 @@ def aggregate(sim, type_name: str, map_fn=None, reduce: str = "sum"):
     """
     info = sim.schema.type_by_name(type_name)
     if isinstance(info, AgentTypeInfo):
-        segments = sim._segments[info.tag]
+        seg = sim._segments[info.tag]
         if reduce == "count":
-            return sum(seg.n_alive for seg in segments.values())
+            return seg.n_alive
         if map_fn is None:
             raise ValueError("map_fn is required for sum/min/max")
-        values = []
-        for part in sorted(segments):
-            seg = segments[part]
-            slots = seg.alive_slots()
-            cols = [seg.fields[f][slots] for f in seg.fields]
-            if cols:
-                values.extend(map(map_fn, zip(*cols)))
-            else:
-                values.extend(map_fn(()) for _ in range(len(slots)))
-        return _fold(values, reduce)
+        slots = seg.alive_slots()
+        cols = [seg.fields[f][slots] for f in seg.fields]
+        if cols:
+            return _fold(map(map_fn, zip(*cols)), reduce)
+        return _fold((map_fn(()) for _ in range(len(slots))), reduce)
 
     container = sim._edges[info.tag]
     if reduce == "count":

@@ -2,7 +2,10 @@
 
 An agent id encodes (type tag, partition, local index) as
 ``tag:8 | partition:20 | index:36``. Ids are plain Python ints so they stay
-cheap to pass around and to store in numpy ``uint64`` arrays.
+cheap to pass around and to store in numpy ``uint64`` arrays. Every agent
+of a type lives in one segment, so an agent's id has partition 0; an id
+with any other partition is not an agent yet (see
+:meth:`~graphabm.view.NeighborhoodView.add_agent`).
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ MAX_AGENT_TYPES = 255
 MAX_PARTITIONS = 1 << PART_BITS
 MAX_INDEX = 1 << INDEX_BITS
 
-# Shift that strips the local index, leaving the (tag, partition) composite.
-COMP_SHIFT = INDEX_BITS
 # Shift that leaves the type tag alone.
 TAG_SHIFT = PART_BITS + INDEX_BITS
+# Mask that strips the type tag: an agent's slot in its type's segment. An
+# id with a partition other than 0 leaves a slot past every segment, so
+# lookups by slot reject it.
+SLOT_MASK = (1 << TAG_SHIFT) - 1
 
 
 def agent_id(tag: int, part: int, index: int) -> int:
@@ -61,23 +66,23 @@ def split_id(aid: int) -> tuple[int, int, int]:
     )
 
 
-def group_by_comp(ids: np.ndarray) -> list[tuple[int, slice | np.ndarray, np.ndarray]]:
-    """Split a uint64 id array by its (tag, partition) composite.
+def split_by_tag(ids: np.ndarray) -> list[tuple[int, slice | np.ndarray, np.ndarray]]:
+    """Split a uint64 id array by type tag.
 
-    Returns one ``(comp, sel, slots)`` per composite, ascending: ``ids[sel]``
-    are the ids of composite ``comp`` and ``slots`` their local indices
-    (int64). When every id shares one composite, ``sel`` is ``slice(None)``
-    and the split costs a min/max pass, with no sort and no mask.
+    Returns one ``(tag, sel, slots)`` per tag, ascending: ``ids[sel]`` are
+    the ids of type ``tag`` and ``slots`` their ``SLOT_MASK`` bits (int64).
+    When every id shares one tag, ``sel`` is ``slice(None)`` and the split
+    costs a min/max pass, with no sort and no mask.
     """
     if not ids.size:
         return []
-    slots = (ids & np.uint64(INDEX_MASK)).view(np.int64)
-    lo = int(ids.min()) >> COMP_SHIFT
-    if lo == int(ids.max()) >> COMP_SHIFT:
+    slots = (ids & np.uint64(SLOT_MASK)).view(np.int64)
+    lo = int(ids.min()) >> TAG_SHIFT
+    if lo == int(ids.max()) >> TAG_SHIFT:
         return [(lo, slice(None), slots)]
-    comps = ids >> np.uint64(COMP_SHIFT)
+    tags = ids >> np.uint64(TAG_SHIFT)
     out = []
-    for comp in np.unique(comps).tolist():
-        sel = comps == comp
-        out.append((comp, sel, slots[sel]))
+    for tag in np.unique(tags).tolist():
+        sel = tags == tag
+        out.append((tag, sel, slots[sel]))
     return out

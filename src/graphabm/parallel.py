@@ -14,8 +14,8 @@ as the ghost copies of remote agents) and sends back its write shard; the
 control merges the shards in producing-agent order, so results are
 bit-identical to a single-worker run. After the commit, the control
 sends every worker the buffers (:meth:`~graphabm.storage.AgentSegment.buffers`)
-of the written agent segments and edge containers, ``{tag: {part:
-buffers}}`` and ``{etag: buffers}``, and whether any agent died: plain
+of the written agent segments and edge containers, ``{tag: buffers}`` and
+``{etag: buffers}``, and whether any agent died: plain
 dicts of numpy arrays, pickled once, the same bytes to every worker. Each
 worker rebuilds the containers and their indexes from the buffers with
 its own schema records and commits them as the control did, dead-endpoint
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import engine
 from .errors import UsageError, WorkerError
-from .ids import COMP_SHIFT, PART_BITS, PART_MASK, TAG_SHIFT, group_by_comp
+from .ids import TAG_SHIFT, split_by_tag
 from .storage import AgentSegment, edges_from_buffers
 
 _U64 = np.uint64
@@ -65,39 +65,26 @@ class Partition:
 
     workers: int
     strategy: str
-    maps: dict = field(default_factory=dict)  # (tag, part) -> int32 per slot
+    maps: dict = field(default_factory=dict)  # tag -> int32 owner per slot
     sizes: np.ndarray | None = None
 
-    def worker_for_slots(self, tag: int, part: int, slots: np.ndarray) -> np.ndarray:
-        """Owners of the given slots; agents created after partitioning are
-        owned by their creating worker (the partition field of their id)."""
-        m = self.maps.get((tag, part))
-        default = part % self.workers
-        if m is None:
-            return np.full(len(slots), default, dtype=np.int32)
+    def worker_for_slots(self, tag: int, slots: np.ndarray) -> np.ndarray:
+        """Owners of the given slots of a type. A slot the partition did
+        not assign, such as an agent's born after partitioning, runs on
+        worker ``slot % workers``."""
         slots = np.asarray(slots)
-        out = np.full(slots.shape, default, dtype=np.int32)
-        in_range = slots < m.size
-        out[in_range] = m[slots[in_range]]
+        out = (slots % self.workers).astype(np.int32)
+        m = self.maps.get(tag)
+        if m is not None:
+            inside = slots < m.size
+            out[inside] = m[slots[inside]]
         return out
 
     def worker_for_ids(self, ids: np.ndarray) -> np.ndarray:
         out = np.empty(ids.size, dtype=np.int32)
-        for comp, sel, slots in group_by_comp(ids):
-            out[sel] = self.worker_for_slots(comp >> PART_BITS, comp & PART_MASK, slots)
+        for tag, sel, slots in split_by_tag(ids):
+            out[sel] = self.worker_for_slots(tag, slots)
         return out
-
-
-def _alive_id_blocks(sim):
-    """Per-(tag, part) alive slots, in ascending agent-id order."""
-    blocks = []
-    for tag, parts in enumerate(sim._segments):
-        for part in sorted(parts):
-            seg = parts[part]
-            slots = seg.alive_slots()
-            if slots.size:
-                blocks.append((tag, part, seg, slots))
-    return blocks
 
 
 def partition_graph(sim, workers: int, strategy: str = "contiguous") -> Partition:
@@ -107,8 +94,9 @@ def partition_graph(sim, workers: int, strategy: str = "contiguous") -> Partitio
     if strategy not in STRATEGIES:
         raise UsageError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     sim.commit_initial()
-    blocks = _alive_id_blocks(sim)
-    total = sum(slots.size for _, _, _, slots in blocks)
+    # per type, its alive slots, in ascending agent-id order
+    blocks = [(tag, seg, seg.alive_slots()) for tag, seg in enumerate(sim._segments)]
+    total = sum(slots.size for _, _, slots in blocks)
     part_obj = Partition(workers=workers, strategy=strategy)
     if total == 0:
         part_obj.sizes = np.zeros(workers, dtype=np.int64)
@@ -128,12 +116,8 @@ def partition_graph(sim, workers: int, strategy: str = "contiguous") -> Partitio
             assignment = np.searchsorted(bounds, ranks, side="right").astype(np.int32)
 
     offset = 0
-    for tag, part, seg, slots in blocks:
-        m = part_obj.maps.get((tag, part))
-        if m is None:
-            m = part_obj.maps[(tag, part)] = np.full(
-                seg.count, part % workers, dtype=np.int32
-            )
+    for tag, seg, slots in blocks:
+        m = part_obj.maps[tag] = (np.arange(seg.count) % workers).astype(np.int32)
         m[slots] = assignment[offset: offset + slots.size]
         offset += slots.size
     part_obj.sizes = np.bincount(assignment, minlength=workers).astype(np.int64)
@@ -144,8 +128,7 @@ def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
     """Greedy graph-growing partition over the stored-source edge graph."""
     # Compact rank space over alive agents, ascending by id.
     all_ids = np.concatenate([
-        _U64((tag << TAG_SHIFT) | (part << COMP_SHIFT)) + slots.astype(_U64)
-        for tag, part, _seg, slots in blocks
+        _U64(tag << TAG_SHIFT) + slots.astype(_U64) for tag, _seg, slots in blocks
     ])
     # CSR neighbour index: both directions of every edge between two
     # distinct alive agents; self-loops never cross a boundary.
@@ -381,8 +364,7 @@ class WorkerPool:
         """Send the buffers of a committed transition's written segments and
         edge containers to every worker, which rebuilds them and commits
         them as the control did."""
-        segments = {tag: {part: seg.buffers() for part, seg in parts.items()}
-                    for tag, parts in staged.segments.items()}
+        segments = {tag: seg.buffers() for tag, seg in staged.segments.items()}
         edges = {etag: c.buffers() for etag, c in staged.edges.items()}
         self._broadcast(("sync", segments, edges, staged.deaths_occurred))
 
@@ -438,11 +420,8 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
             else:
                 _, segments, edges, deaths = message
                 agent_types, edge_types = sim.schema.agent_types, sim.schema.edge_types
-                segments = {
-                    tag: {part: AgentSegment.from_buffers(agent_types[tag], b)
-                          for part, b in parts.items()}
-                    for tag, parts in segments.items()
-                }
+                segments = {tag: AgentSegment.from_buffers(agent_types[tag], b)
+                            for tag, b in segments.items()}
                 edges = {etag: edges_from_buffers(edge_types[etag], b)
                          for etag, b in edges.items()}
                 sim._staged = engine.StagedCommit(segments, edges, deaths, [])

@@ -26,7 +26,7 @@ from .errors import (
     UnknownName,
     UsageError,
 )
-from .ids import PART_BITS, PART_MASK, TAG_SHIFT, agent_id, group_by_comp, split_id
+from .ids import SLOT_MASK, TAG_SHIFT, split_by_tag
 from .schema import EdgePlan, Schema
 from .storage import (
     AgentSegment,
@@ -56,10 +56,8 @@ class Simulation:
         self._params_frozen = False
         self._globals: dict = {}
 
-        # tag -> {partition -> AgentSegment}
-        self._segments: list[dict[int, AgentSegment]] = [
-            {} for _ in schema.agent_types
-        ]
+        # tag -> the type's AgentSegment
+        self._segments = [AgentSegment(info) for info in schema.agent_types]
         self._edges = [build_read_container(info, []) for info in schema.edge_types]
 
         self._init_sink = ViolationSink(self.checks.mode, step=0)
@@ -109,13 +107,11 @@ class Simulation:
                 f"state fields, got {len(state)}"
             )
         columns = cast_columns(info, [(value,) for value in state])
-        seg = self._segments[info.tag].get(0)
-        if seg is None:
-            seg = self._segments[info.tag][0] = AgentSegment(info)
+        seg = self._segments[info.tag]
         slot = seg.allocate()
         for arr, column in zip(seg.fields.values(), columns):
             arr[slot] = column[0]
-        return agent_id(info.tag, 0, slot)
+        return (info.tag << TAG_SHIFT) | slot
 
     def add_agents(self, type_name: str, n: int, fields: dict | None = None) -> np.ndarray:
         """Bulk-create ``n`` agents; returns their ids as a uint64 array.
@@ -135,9 +131,7 @@ class Simulation:
         for name, arr in zip(info.field_names, columns):
             if arr.shape != (n,):
                 raise UsageError(f"field {name!r} must have shape ({n},)")
-        seg = self._segments[info.tag].get(0)
-        if seg is None:
-            seg = self._segments[info.tag][0] = AgentSegment(info)
+        seg = self._segments[info.tag]
         start = seg.count
         seg.ensure_capacity(start + n)
         for name, arr in zip(info.field_names, columns):
@@ -208,7 +202,7 @@ class Simulation:
             raise UsageError("cannot commit during a transition")
         for info in self.schema.edge_types:
             shards = [self._init_shards[info.tag]]
-            validate_endpoints(info, shards, self._exists_lookup)
+            validate_endpoints(info, shards, self._lookup)
             # EXISTENCE_BIT duplicates were flagged at the call
             self._edges[info.tag] = build_read_container(
                 info, shards, None, self._init_sink,
@@ -264,34 +258,21 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def n_alive(self, type_name: str) -> int:
-        info = self.schema.agent_type(type_name)
-        return sum(seg.n_alive for seg in self._segments[info.tag].values())
+        return self._segments[self.schema.agent_type(type_name).tag].n_alive
 
     def agent_ids(self, type_name: str) -> np.ndarray:
         """Ids of all alive agents of a type, ascending."""
-        info = self.schema.agent_type(type_name)
-        parts = []
-        for part in sorted(self._segments[info.tag]):
-            seg = self._segments[info.tag][part]
-            base = agent_id(info.tag, part, 0)
-            parts.append(_U64(base) + seg.alive_slots().astype(_U64))
-        if not parts:
-            return np.empty(0, dtype=_U64)
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        tag = self.schema.agent_type(type_name).tag
+        return _U64(tag << TAG_SHIFT) + self._segments[tag].alive_slots().astype(_U64)
 
     def field_array(self, type_name: str, field: str) -> np.ndarray:
         """One state field of all alive agents of a type, ascending by id."""
         info = self.schema.agent_type(type_name)
         if field not in info.field_names:
             raise UnknownName(f"agent type {type_name!r} has no field {field!r}")
-        parts = []
-        for part in sorted(self._segments[info.tag]):
-            seg = self._segments[info.tag][part]
-            arr = seg.fields[field][: seg.count]
-            parts.append(arr.copy() if seg.alive is None else arr[seg.alive[: seg.count]])
-        if not parts:
-            return np.empty(0, dtype=info.dtypes[info.field_names.index(field)])
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        seg = self._segments[info.tag]
+        arr = seg.fields[field][: seg.count]
+        return arr.copy() if seg.alive is None else arr[seg.alive[: seg.count]]
 
     def describe(self) -> dict:
         """What the simulation stores, in schema order: ``{"agents": {type:
@@ -313,10 +294,11 @@ class Simulation:
 
     def _locate(self, aid: int):
         """``(tag, segment, slot)`` of an agent id; the segment is None when
-        the id's type has no segment of its partition."""
-        tag, part, slot = split_id(aid)
-        parts = self._segments[tag] if tag < len(self._segments) else {}
-        return tag, parts.get(part), slot
+        the id names no allocated slot of an agent type."""
+        tag, slot = aid >> TAG_SHIFT, aid & SLOT_MASK
+        if tag < len(self._segments) and slot < self._segments[tag].count:
+            return tag, self._segments[tag], slot
+        return tag, None, slot
 
     def is_alive(self, aid: int) -> bool:
         _tag, seg, slot = self._locate(aid)
@@ -331,34 +313,21 @@ class Simulation:
 
     # -- id-array lookups ------------------------------------------------
 
-    def _grouped_lookup(self, ids: np.ndarray, check, segments) -> np.ndarray:
-        """``check(seg, slots)`` per (type, partition) composite of ``ids``,
-        against ``segments`` (tag -> {partition -> AgentSegment}); ids of a
-        missing segment map to False."""
+    def _lookup(self, ids: np.ndarray, alive: bool = False, segments=None) -> np.ndarray:
+        """Per id, whether it names an allocated slot, or with ``alive`` an
+        alive agent, in ``segments`` (one AgentSegment per tag; by default
+        the committed ones). An id of no agent type maps to False, and so
+        does one whose partition is not 0: its slot lies past every count."""
+        segments = self._segments if segments is None else segments
         out = np.zeros(ids.size, dtype=bool)
-        for comp, sel, slots in group_by_comp(ids):
-            tag = comp >> PART_BITS
-            seg = segments[tag].get(comp & PART_MASK) if tag < len(segments) else None
-            if seg is not None:
-                out[sel] = check(seg, slots)
+        for tag, sel, slots in split_by_tag(ids):
+            if tag < len(segments):
+                seg = segments[tag]
+                ok = slots < seg.count
+                if alive and seg.alive is not None:
+                    ok[ok] = seg.alive[slots[ok]]
+                out[sel] = ok
         return out
-
-    @staticmethod
-    def _allocated(seg, slots) -> np.ndarray:
-        return slots < seg.count
-
-    def _alive_lookup(self, ids: np.ndarray) -> np.ndarray:
-        def check(seg, idx):
-            ok = idx < seg.count
-            if seg.alive is not None:
-                ok = ok.copy()
-                sub = idx[ok]
-                ok[np.flatnonzero(ok)] = seg.alive[sub]
-            return ok
-        return self._grouped_lookup(ids, check, self._segments)
-
-    def _exists_lookup(self, ids: np.ndarray) -> np.ndarray:
-        return self._grouped_lookup(ids, self._allocated, self._segments)
 
     # ------------------------------------------------------------------
     # Checksum
@@ -366,11 +335,11 @@ class Simulation:
 
     def state_checksum(self) -> str:
         """SHA-256 over every container's buffers, with their names, in
-        schema order: agent segments by type and partition, then edge types."""
+        schema order: the segment of each agent type that ever held an
+        agent, then edge types."""
         h = hashlib.sha256()
         containers = [
-            (f"A{tag}.{part}", parts[part])
-            for tag, parts in enumerate(self._segments) for part in sorted(parts)
+            (f"A{tag}.0", seg) for tag, seg in enumerate(self._segments) if seg.count
         ] + [(f"E{tag}", c) for tag, c in enumerate(self._edges)]
         for key, container in containers:
             for name, buf in container.buffers().items():

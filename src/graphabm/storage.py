@@ -1,6 +1,6 @@
 """Data-oriented storage for agents and edges.
 
-Agents of one type created on one partition live in an :class:`AgentSegment`
+The agents of one type live in one :class:`AgentSegment`
 (structure-of-arrays plus a liveness mask for mortal types). Edges are
 always stored under their *target*: while a transition runs, every worker
 appends into its own write shard, a :class:`ListShard` for every plan; at
@@ -9,7 +9,7 @@ is chosen by the edge type's storage plan.
 
 Edges take one of two shapes. A CSR (compressed sparse row) container,
 :class:`ListEdgeRead`, serves every plan but EXISTENCE_BIT: it holds the
-index, not a target column (per target composite, the run start of each
+index, not a target column (per target type, the run start of each
 slot's edges), plus optional source ids and optional state columns, one
 numpy array per declared field, as :class:`AgentSegment` holds agent
 fields. COUNT_ONLY keeps the index alone, nothing per edge;
@@ -30,7 +30,7 @@ columns of a bulk add; the merge casts each field once with
 :func:`cast_columns`, the cast every agent write path uses too, and a
 value that does not cast raises :class:`~graphabm.errors.UsageError`. The
 endpoint and SINGLE_TYPE checks of a chunk start from a range test on its
-largest ids (an index gives each composite's for free) and look at each
+largest ids (an index gives each type's for free) and look at each
 id only when that test fails.
 
 SINGLE_EDGE is checked where every edge is seen. During initialization an
@@ -53,7 +53,7 @@ concatenated shards by producer and then by target, so every per-target
 edge list is ordered by producing-agent id no matter how many workers ran
 or in which order agents executed. A sort is skipped when its ids are
 already in order. Ids spanning fewer than 2**16 values, such as the
-slots of one agent type and partition below 65,536, are sorted as 16-bit
+slots of one agent type below 65,536, are sorted as 16-bit
 offsets from the smallest, which numpy orders with a radix sort, and
 wider spans as they are; a stable sort's permutation is unique, so both
 give the same order.
@@ -68,12 +68,12 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import ContractViolation, HintViolation, IndexOverflow, UsageError
-from .ids import COMP_SHIFT, INDEX_MASK, MAX_INDEX, TAG_SHIFT, group_by_comp
+from .ids import MAX_INDEX, SLOT_MASK, TAG_SHIFT, split_by_tag
 from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
 
 _U64 = np.uint64
 _EMPTY_U64 = np.empty(0, dtype=_U64)
-_NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a composite without edges
+_NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a type without edges
 # Index entries a sorted bulk add may always take in place of its targets;
 # past this, only as many as it has targets, so that a target far past
 # every slot is copied and rejected by the endpoint check instead of
@@ -127,7 +127,7 @@ def _holds_none(values) -> bool:
 
 
 class AgentSegment:
-    """Agents of one type created on one partition.
+    """The agents of one type.
 
     Slots are allocated densely; for mortal types a liveness mask marks dead
     slots and a LIFO free list recycles them.
@@ -173,7 +173,7 @@ class AgentSegment:
         else:
             slot = self.count
             if slot >= MAX_INDEX:
-                raise IndexOverflow("agent index space exhausted for this partition")
+                raise IndexOverflow("agent index space exhausted for this agent type")
             self.ensure_capacity(slot + 1)
             self.count = slot + 1
         if self.alive is not None:
@@ -485,31 +485,31 @@ def _cat(first, second):
 
 
 def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np.ndarray] | None:
-    """Per target composite, slot-indexed run starts into sorted ``targets``:
-    one entry per slot up to the composite's largest target, and one more.
+    """Per target type, slot-indexed run starts into sorted ``targets``:
+    one entry per slot up to the type's largest target, and one more.
     None, with nothing allocated, when that is over ``limit`` entries."""
     spans = []
     lo, n = 0, targets.size
     while lo < n:
-        comp = int(targets[lo]) >> COMP_SHIFT
-        end_key = (comp + 1) << COMP_SHIFT
+        tag = int(targets[lo]) >> TAG_SHIFT
+        end_key = (tag + 1) << TAG_SHIFT
         hi = n if end_key >= 1 << 64 else int(np.searchsorted(targets, _U64(end_key)))
-        spans.append((comp, lo, hi, (int(targets[hi - 1]) & INDEX_MASK) + 2))
+        spans.append((tag, lo, hi, (int(targets[hi - 1]) & SLOT_MASK) + 2))
         lo = hi
     if limit is not None and sum(span[3] for span in spans) > limit:
         return None
     out = {}
-    for comp, lo, hi, size in spans:
-        keys = _U64(comp << COMP_SHIFT) + np.arange(size, dtype=_U64)
-        out[comp] = np.searchsorted(targets[lo:hi], keys) + lo
+    for tag, lo, hi, size in spans:
+        keys = _U64(tag << TAG_SHIFT) + np.arange(size, dtype=_U64)
+        out[tag] = np.searchsorted(targets[lo:hi], keys) + lo
     return out
 
 
 def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
     """The sorted targets a :func:`_build_indptr` index encodes."""
     return _concat_u64([
-        np.repeat(_U64(comp << COMP_SHIFT) + np.arange(ptr.size - 1, dtype=_U64), np.diff(ptr))
-        for comp, ptr in indptr.items()
+        np.repeat(_U64(tag << TAG_SHIFT) + np.arange(ptr.size - 1, dtype=_U64), np.diff(ptr))
+        for tag, ptr in indptr.items()
     ])
 
 
@@ -517,31 +517,31 @@ class ListEdgeRead:
     """CSR read container of every plan but EXISTENCE_BIT.
 
     It keeps the index, not a target column: ``indptr`` maps each target
-    (type tag, partition) composite to an int64 array indexed by local
-    slot, and the edges of slot ``s``, targets sorted, sit at positions
-    ``indptr[comp][s]:indptr[comp][s + 1]``. A slot past the end of its
+    type tag to an int64 array indexed by slot, and the edges of slot
+    ``s``, targets sorted, sit at positions
+    ``indptr[tag][s]:indptr[tag][s + 1]``. A slot past the end of its
     array, such as an agent created after the container was built, has no
     edges. ``sources`` (uint64) is None when the plan drops source ids, and
     ``states`` is None or a tuple of numpy columns, one per declared field.
     Per-target runs are ordered by producing agent; a SINGLE_FULL_EDGE
     container holds at most one edge per target, and a COUNT_ONLY one only
     the index, so it answers counts and presence alone.
-    ``single_source_comp`` is the composite of every source when they
-    share one, else None.
+    ``single_source_tag`` is the type tag of every source when they share
+    one, else None.
     """
 
-    __slots__ = ("info", "indptr", "sources", "states", "single_source_comp")
+    __slots__ = ("info", "indptr", "sources", "states", "single_source_tag")
 
     def __init__(self, info: EdgeTypeInfo, indptr: dict, sources, states):
         self.info = info
         self.indptr = indptr
         self.sources = sources
         self.states = states
-        self.single_source_comp = None
+        self.single_source_tag = None
         if sources is not None and sources.size:
-            comp = int(sources.min()) >> COMP_SHIFT
-            if comp == int(sources.max()) >> COMP_SHIFT:
-                self.single_source_comp = comp
+            tag = int(sources.min()) >> TAG_SHIFT
+            if tag == int(sources.max()) >> TAG_SHIFT:
+                self.single_source_tag = tag
 
     @classmethod
     def from_sorted(cls, info: EdgeTypeInfo, targets: np.ndarray, sources, states):
@@ -566,23 +566,23 @@ class ListEdgeRead:
 
     def span(self, aid: int) -> tuple[int, int]:
         """(start, end) positions of one target's edges; (0, 0) if none."""
-        ptr = self.indptr.get(aid >> COMP_SHIFT)
-        slot = aid & INDEX_MASK
+        ptr = self.indptr.get(aid >> TAG_SHIFT)
+        slot = aid & SLOT_MASK
         if ptr is None or slot + 1 >= ptr.size:
             return 0, 0
         return ptr.item(slot), ptr.item(slot + 1)
 
-    def bounds(self, comp: int, slots: np.ndarray):
-        """Per-slot (starts, ends) edge positions of targets in one composite;
-        a slot without edges gets an empty run."""
-        ptr = self.indptr.get(comp, _NO_RUNS)
+    def bounds(self, tag: int, slots: np.ndarray):
+        """Per-slot (starts, ends) edge positions of targets of one type; a
+        slot without edges gets an empty run."""
+        ptr = self.indptr.get(tag, _NO_RUNS)
         last = ptr.size - 1
         return ptr[np.minimum(slots, last)], ptr[np.minimum(slots + 1, last)]
 
-    def runs(self, comp: int, slots: np.ndarray):
+    def runs(self, tag: int, slots: np.ndarray):
         """``(pos, indptr)``: the positions of the edges of targets ``slots``
-        of one composite, slot after slot, and each slot's run in them."""
-        starts, ends = self.bounds(comp, slots)
+        of one type, slot after slot, and each slot's run in them."""
+        starts, ends = self.bounds(tag, slots)
         counts = ends - starts
         indptr = np.zeros(slots.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -594,8 +594,8 @@ class ListEdgeRead:
         lo, hi = self.span(aid)
         return hi > lo
 
-    def has_for_slots(self, comp: int, slots: np.ndarray) -> np.ndarray:
-        starts, ends = self.bounds(comp, slots)
+    def has_for_slots(self, tag: int, slots: np.ndarray) -> np.ndarray:
+        starts, ends = self.bounds(tag, slots)
         return ends > starts
 
     def _require_counts(self):
@@ -610,9 +610,9 @@ class ListEdgeRead:
         lo, hi = self.span(aid)
         return hi - lo
 
-    def count_for_slots(self, comp: int, slots: np.ndarray) -> np.ndarray:
+    def count_for_slots(self, tag: int, slots: np.ndarray) -> np.ndarray:
         self._require_counts()
-        starts, ends = self.bounds(comp, slots)
+        starts, ends = self.bounds(tag, slots)
         return ends - starts
 
     def sources_for(self, aid: int) -> np.ndarray:
@@ -624,12 +624,12 @@ class ListEdgeRead:
         return self.sources[lo:hi]
 
     def source_slots(self, pos) -> np.ndarray:
-        """Local slots (int64) of the sources at positions ``pos``, a slice
-        or an index array, when every source is of ``single_source_comp``.
-        Composite 0's ids are their slots, so those are a view."""
-        if self.single_source_comp == 0:
+        """Slots (int64) of the sources at positions ``pos``, a slice or an
+        index array, when every source is of ``single_source_tag``. Type
+        0's ids are their slots, so those are a view."""
+        if self.single_source_tag == 0:
             return self.sources.view(np.int64)[pos]
-        return (self.sources[pos] & _U64(INDEX_MASK)).view(np.int64)
+        return (self.sources[pos] & _U64(SLOT_MASK)).view(np.int64)
 
     def states_for(self, aid: int) -> list:
         if self.info.stateless:
@@ -653,13 +653,13 @@ class ListEdgeRead:
                 "edge records are not retrievable"
             )
 
-    def records_for_slots(self, comp: int, slots: np.ndarray):
+    def records_for_slots(self, tag: int, slots: np.ndarray):
         """``(sources, states, indptr)`` of the edges of targets ``slots``
-        of one composite, as :meth:`runs` orders them; ``sources`` is None
+        of one type, as :meth:`runs` orders them; ``sources`` is None
         without source ids, ``states`` (one column per field) when
         STATELESS."""
         self._require_records()
-        pos, indptr = self.runs(comp, slots)
+        pos, indptr = self.runs(tag, slots)
         sources = None if self.sources is None else self.sources[pos]
         states = None if self.info.stateless else tuple(c[pos] for c in self.states or ())
         return sources, states, indptr
@@ -708,7 +708,7 @@ class ExistenceEdgeRead:
 
     def __init__(self, info: EdgeTypeInfo, buckets: dict[int, np.ndarray]):
         self.info = info
-        self.buckets = buckets  # comp -> uint8 array of presence bits
+        self.buckets = buckets  # type tag -> uint8 array of presence bits
 
     @property
     def plan(self):
@@ -722,15 +722,15 @@ class ExistenceEdgeRead:
         return sum(b.nbytes for b in self.buckets.values())
 
     def has_for(self, aid: int) -> bool:
-        bucket = self.buckets.get(aid >> COMP_SHIFT)
+        bucket = self.buckets.get(aid >> TAG_SHIFT)
         if bucket is None:
             return False
-        idx = aid & INDEX_MASK
+        idx = aid & SLOT_MASK
         return idx < bucket.size and bucket[idx] != 0
 
-    def has_for_slots(self, comp: int, slots: np.ndarray) -> np.ndarray:
+    def has_for_slots(self, tag: int, slots: np.ndarray) -> np.ndarray:
         out = np.zeros(slots.size, dtype=bool)
-        bucket = self.buckets.get(comp)
+        bucket = self.buckets.get(tag)
         if bucket is not None:
             inside = slots < bucket.size
             out[inside] = bucket[slots[inside]] != 0
@@ -765,8 +765,8 @@ class ExistenceEdgeRead:
         """The one primary column: ``targets``, the ids whose bit is set,
         ascending."""
         return {"targets": np.concatenate([_EMPTY_U64] + [
-            _U64(comp << COMP_SHIFT) + np.flatnonzero(self.buckets[comp]).astype(_U64)
-            for comp in sorted(self.buckets)
+            _U64(tag << TAG_SHIFT) + np.flatnonzero(self.buckets[tag]).astype(_U64)
+            for tag in sorted(self.buckets)
         ])}
 
     @classmethod
@@ -774,10 +774,10 @@ class ExistenceEdgeRead:
         """Set the bit of every id in ``targets``, in any order and with
         repeats."""
         buckets = {}
-        for comp, _, slots in group_by_comp(buffers["targets"]):
+        for tag, _, slots in split_by_tag(buffers["targets"]):
             bits = np.zeros(int(slots.max()) + 1, dtype=np.uint8)
             bits[slots] = 1
-            buckets[comp] = bits
+            buckets[tag] = bits
         return cls(info, buckets)
 
 
@@ -939,6 +939,21 @@ def build_read_container(
     return build_list_read(info, shards, carryover)
 
 
+def rewrite_ids(shards: list, old: np.ndarray, new: np.ndarray) -> None:
+    """In the shards' targets and sources, replace each id found in
+    ``old`` (sorted, uint64) by the id at its position in ``new``. An
+    indexed chunk's targets are rebuilt first, and the chunk keeps them."""
+    for shard in shards:
+        chunks = shard.seal()
+        for i, chunk in enumerate(chunks):
+            chunks[i] = chunk = chunk._replace(targets=chunk.target_ids(), index=None)
+            for ids in (chunk.targets, chunk.sources):  # the chunk's own arrays
+                if ids is not None and ids.size:
+                    pos = np.minimum(np.searchsorted(old, ids), old.size - 1)
+                    hit = old[pos] == ids
+                    ids[hit] = new[pos[hit]]
+
+
 def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     """Ensure every endpoint the shards add refers to an agent slot that
     exists.
@@ -950,11 +965,11 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     instead of sizing the merged index; carried-over edges were checked
     when they were added, and a slot once allocated stays allocated.
 
-    A composite's allocated slots are 0 to its count - 1, so a column
-    passes whole when the largest id of each composite in it exists: an
-    indexed chunk's targets give each composite's largest from the index,
-    and an array passes on its largest when its smallest and largest share
-    one composite. Otherwise each id is looked up, and the first bad one,
+    A type's allocated slots are 0 to its count - 1, and an id with a
+    partition other than 0 sorts above every slot of its type, so a column
+    passes whole when the largest id of each type in it exists: an indexed
+    chunk's targets give each type's largest from the index, and an array
+    passes on its largest when its smallest and largest share one type. Otherwise each id is looked up, and the first bad one,
     shard by shard, targets before sources, is named.
     """
     for shard in shards:
@@ -962,14 +977,14 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
         for column in ("targets", "sources"):
             for chunk in chunks:
                 if column == "targets" and chunk.index is not None:
-                    tops = [(comp << COMP_SHIFT) | (ptr.size - 2)
-                            for comp, ptr in chunk.index.items()]
+                    tops = [(tag << TAG_SHIFT) | (ptr.size - 2)
+                            for tag, ptr in chunk.index.items()]
                 else:
                     arr = getattr(chunk, column)
                     if arr is None:
                         continue
                     hi = int(arr.max())
-                    tops = [hi] if int(arr.min()) >> COMP_SHIFT == hi >> COMP_SHIFT else []
+                    tops = [hi] if int(arr.min()) >> TAG_SHIFT == hi >> TAG_SHIFT else []
                 if tops and bool(exists_fn(np.array(tops, dtype=_U64)).all()):
                     continue
                 arr = chunk.target_ids() if column == "targets" else chunk.sources

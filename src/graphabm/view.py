@@ -9,9 +9,8 @@ every agent a worker executes; the engine rebinds it per agent, so
 transition functions must not retain it.
 
 An :class:`AgentBatch` is the array-at-a-time counterpart handed to batch
-transitions: a chunk of agents of one type and partition, with gathers
-that return every agent's neighbourhood at once in CSR form. Both pass the
-same read checks.
+transitions: a chunk of agents of one type, with gathers that return every
+agent's neighbourhood at once in CSR form. Both pass the same read checks.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import HintViolation, TypeNotReadable, TypeNotWritable, UnknownName, UsageError
-from .ids import COMP_SHIFT, PART_BITS, PART_MASK, agent_id, group_by_comp
+from .ids import TAG_SHIFT, agent_id, split_by_tag
 from .philox import agent_draws, agent_generator
 from .storage import cast_columns, edge_breaches, make_checked_adder
 
@@ -60,13 +59,11 @@ class _Reads:
             )
         return c
 
-    def _source_column(self, comp: int, field: str) -> np.ndarray:
-        """One field of the agents in a (tag, partition) composite."""
-        tag, part = comp >> PART_BITS, comp & PART_MASK
+    def _source_column(self, tag: int, field: str) -> np.ndarray:
+        """One field of the agents of a type."""
         self._check_agent_readable(tag)
-        seg = self._sim._segments[tag][part]
         try:
-            return seg.fields[field]
+            return self._sim._segments[tag].fields[field]
         except KeyError:
             raise UnknownName(
                 f"agent type {self._sim.schema.agent_types[tag].name!r} "
@@ -78,8 +75,8 @@ class _Reads:
         if not sources.size:
             return np.empty(0)
         out = None
-        for comp, sel, slots in group_by_comp(sources):
-            arr = self._source_column(comp, field)
+        for tag, sel, slots in split_by_tag(sources):
+            arr = self._source_column(tag, field)
             if out is None:
                 out = np.empty(sources.size, dtype=arr.dtype)
             out[sel] = arr[slots]
@@ -88,7 +85,7 @@ class _Reads:
 
 class NeighborhoodView(_Reads):
     __slots__ = (
-        "_sim", "_rt", "_worker", "_read", "_writers", "_alloc", "_step",
+        "_sim", "_rt", "_worker", "_read", "_writers", "_births", "_step",
         "_fields", "_field_list", "_slot", "_aid", "_rng", "_gather_cache",
     )
 
@@ -102,18 +99,18 @@ class NeighborhoodView(_Reads):
             name: (make_checked_adder(shard, info, sink, rt.check_single_type), info)
             for name, (shard, info) in writers.items()
         }
-        self._alloc: dict[int, list] = {}
+        self._births: dict[int, tuple] = {}  # tag -> (ids, producer ids, states)
         self._step = sim.step
         self._gather_cache: dict = {}
         self._rng = None
 
-    def _call_each(self, fn, tag, part, seg, slots, params, glob):
+    def _call_each(self, fn, tag, seg, slots, params, glob):
         """Call the per-agent ``fn`` once per slot, with the view bound to
         that agent. Returns the slots whose call returned a state, and those
         states as columns, or None when no call did."""
         self._fields = seg.fields
         self._field_list = list(seg.fields.values())
-        base = agent_id(tag, part, 0)
+        base = tag << TAG_SHIFT
         done, states = [], []
         for slot in slots.tolist():
             self._slot = slot
@@ -194,10 +191,10 @@ class NeighborhoodView(_Reads):
         cached = self._gather_cache.get((edge_type, field))
         if cached is None:
             c = self._source_readable(edge_type)
-            comp = c.single_source_comp
-            if comp is None:
+            tag = c.single_source_tag
+            if tag is None:
                 return self._gather(c.sources_for(self._aid), field)
-            cached = self._gather_cache[(edge_type, field)] = (self._source_column(comp, field), c)
+            cached = self._gather_cache[(edge_type, field)] = (self._source_column(tag, field), c)
         arr, c = cached
         lo, hi = c.span(self._aid)
         return arr[c.source_slots(slice(lo, hi))]
@@ -205,16 +202,20 @@ class NeighborhoodView(_Reads):
     # -- write effects ----------------------------------------------------------
 
     def add_agent(self, type_name: str, *state) -> int:
-        """Create an agent of a writable type; returns its id (alive at t+1).
+        """Create an agent of a writable type, alive at t+1; returns a
+        provisional id.
 
-        The id holds the partition of the worker that runs the call and
-        that partition's next slot in call order. So with ``workers > 1`` a
-        birth off worker 0 gets a different id, and the run a different
-        checksum, than at one worker; and under ``shuffle`` newborns of
-        different states can swap slots.
+        The agent takes its id at the merge, which orders every newborn of
+        a type by producing agent (each producer's in call order) and gives
+        them free slots, then fresh ones. So the ids do not depend on the
+        worker count or the order in which agents run. The provisional id
+        is valid as an edge endpoint (target or ``source=``) in this
+        transition only: the merge rewrites it there to the final id. An id
+        stored in a state column is not rewritten, and a later step rejects
+        it as no agent. A SINGLE_TYPE report made at the call names the
+        provisional id.
         """
-        sim = self._sim
-        info = sim.schema.agent_type(type_name)
+        info = self._sim.schema.agent_type(type_name)
         tag = info.tag
         if tag not in self._rt.written_agent:
             raise TypeNotWritable(
@@ -225,20 +226,15 @@ class NeighborhoodView(_Reads):
                 f"agent type {type_name!r} takes {len(info.field_names)} "
                 f"state fields, got {len(state)}"
             )
-        alloc = self._alloc.get(tag)
-        if alloc is None:
-            seg = sim._segments[tag].get(self._worker)
-            free = list(seg.free) if seg is not None else []
-            nxt = seg.count if seg is not None else 0
-            alloc = self._alloc[tag] = [nxt, free, [], [], len(free)]
-        if alloc[1]:
-            slot = alloc[1].pop()
-        else:
-            slot = alloc[0]
-            alloc[0] = slot + 1
-        alloc[2].append(slot)
-        alloc[3].append(state)
-        return agent_id(tag, self._worker, slot)
+        births = self._births.get(tag)
+        if births is None:
+            births = self._births[tag] = ([], [], [])
+        ids, producers, states = births
+        # the worker's births of this type, numbered in call order
+        ids.append(agent_id(tag, self._worker + 1, len(ids)))
+        producers.append(self._aid)
+        states.append(state)
+        return ids[-1]
 
     def add_edge(self, edge_type: str, target: int, state: tuple = (), source=None) -> None:
         """Add an edge to the graph under construction.
@@ -271,7 +267,7 @@ class NeighborhoodView(_Reads):
 
 
 class AgentBatch(_Reads):
-    """A chunk of agents of one type and partition for a batch transition.
+    """A chunk of agents of one type for a batch transition.
 
     ``slots`` holds the agents' local slots and ``ids`` their agent ids;
     the arrays a batch transition returns, and the per-agent arrays its
@@ -280,25 +276,24 @@ class AgentBatch(_Reads):
     not be modified.
     """
 
-    __slots__ = ("_sim", "_rt", "_read", "_writers", "_sink", "_seg", "_comp",
+    __slots__ = ("_sim", "_rt", "_read", "_writers", "_sink", "_seg", "_tag",
                  "_ids", "slots")
 
-    def __init__(self, sim, rt, read_containers, writers, sink,
-                 tag: int, part: int, seg, slots):
+    def __init__(self, sim, rt, read_containers, writers, sink, tag: int, seg, slots):
         self._sim = sim
         self._rt = rt
         self._read = read_containers
         self._writers = writers  # name -> (shard, EdgeTypeInfo)
         self._sink = sink
         self._seg = seg
-        self._comp = (tag << PART_BITS) | part
+        self._tag = tag
         self.slots = slots
         self._ids = None
 
     @property
     def ids(self) -> np.ndarray:
         if self._ids is None:
-            self._ids = np.uint64(self._comp << COMP_SHIFT) + self.slots.astype(np.uint64)
+            self._ids = np.uint64(self._tag << TAG_SHIFT) + self.slots.astype(np.uint64)
         return self._ids
 
     def field(self, name: str) -> np.ndarray:
@@ -313,11 +308,11 @@ class AgentBatch(_Reads):
 
     def has(self, edge_type: str) -> np.ndarray:
         """Per agent, whether it has an incoming edge of the type."""
-        return self._container(edge_type).has_for_slots(self._comp, self.slots)
+        return self._container(edge_type).has_for_slots(self._tag, self.slots)
 
     def count(self, edge_type: str) -> np.ndarray:
         """Per agent, its number of incoming edges of the type."""
-        return self._container(edge_type).count_for_slots(self._comp, self.slots)
+        return self._container(edge_type).count_for_slots(self._tag, self.slots)
 
     def edges(self, edge_type: str):
         """Every agent's incoming edges as ``(sources, states, indptr)``.
@@ -327,7 +322,7 @@ class AgentBatch(_Reads):
         ``sources`` is None when the type drops source ids and ``states``,
         one column per declared field, when it is STATELESS.
         """
-        return self._container(edge_type).records_for_slots(self._comp, self.slots)
+        return self._container(edge_type).records_for_slots(self._tag, self.slots)
 
     def neighbor_field(self, edge_type: str, field: str):
         """One state field of the source agents of every agent's incoming edges.
@@ -337,11 +332,11 @@ class AgentBatch(_Reads):
         same values ``NeighborhoodView.neighbor_field`` gives that agent.
         """
         c = self._source_readable(edge_type)
-        pos, indptr = c.runs(self._comp, self.slots)
-        comp = c.single_source_comp
-        if comp is None:
+        pos, indptr = c.runs(self._tag, self.slots)
+        tag = c.single_source_tag
+        if tag is None:
             return self._gather(c.sources[pos], field), indptr
-        return self._source_column(comp, field)[c.source_slots(pos)], indptr
+        return self._source_column(tag, field)[c.source_slots(pos)], indptr
 
     # -- write effects ----------------------------------------------------------
 

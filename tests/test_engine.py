@@ -5,6 +5,7 @@ import pytest
 
 from graphabm import (
     AgentTypeDecl,
+    ContractViolation,
     EdgeTypeDecl,
     Hint,
     Schema,
@@ -12,7 +13,9 @@ from graphabm import (
     TransitionSpec,
     TypeNotReadable,
     TypeNotWritable,
+    UnknownName,
     UsageError,
+    agent_id,
     apply_transition,
     finalize_step,
     run,
@@ -215,21 +218,20 @@ class TestSlotReuse:
         step(sim, cull, WRITE_P)
         assert sim.n_alive("P") == 4
 
-        spawned = []
-
         def spawn(view, params, g):
             if view.field("x") == 0.0:
                 for value in (10.0, 11.0, 12.0):
-                    spawned.append(view.add_agent("P", value))
+                    view.add_agent("P", value)
             return view.state
 
         step(sim, spawn, WRITE_P)
-        slots = [split_id(s)[2] for s in spawned]
+        # the add_agent ids are provisional: find the newborns by state
+        by_state = dict(zip(sim.field_array("P", "x").tolist(), sim.agent_ids("P").tolist()))
+        slots = [split_id(by_state[value])[2] for value in (10.0, 11.0, 12.0)]
         assert slots == [4, 2, 6]
-        assert sim.agent_state(spawned[0]) == (10.0,)
-        assert sim.agent_state(spawned[1]) == (11.0,)
         assert sim.is_alive(ids[0])
-        assert not sim.is_alive(ids[2]) or sim.agent_state(ids[2]) == (11.0,)
+        assert sim.agent_state(ids[2]) == (11.0,)
+        assert sim.agent_state(ids[4]) == (10.0,)
 
 
 class TestDanglingEdges:
@@ -348,13 +350,7 @@ class TestSynchrony:
             finalize_step(sim)
             assert sim.edge_container("E").sources_for(0).tolist() == expected
 
-    @pytest.mark.parametrize("births", [
-        "one",
-        pytest.param("many", marks=pytest.mark.xfail(strict=True, reason=(
-            "a newborn takes the next slot in call order, so shuffled births "
-            "of different states land in other slots; ids assigned at the "
-            "merge would fix it"))),
-    ])
+    @pytest.mark.parametrize("births", ["one", "many"])
     def test_shuffled_births_and_deaths_over_two_types(self, births):
         """Shuffled, agents of both callable types run interleaved; some die
         and some give birth, and the step merges as it does unshuffled."""
@@ -407,22 +403,135 @@ class TestNewAgents:
         step(sim, spawn, spec)
         assert len(calls) == 3
 
-    def test_edge_to_own_new_agent(self):
-        sim = two_type_sim()
-        a = sim.add_agent("P", 0.0)
+    @pytest.mark.parametrize("workers, shuffled", [(1, False), (2, False), (1, True)])
+    def test_edge_to_own_new_agent(self, workers, shuffled):
+        """A newborn as an edge's target and as its ``source=``: the stored
+        edges hold its final id, and the step merges alike at 2 workers and
+        shuffled as at one worker."""
+
+        def build():
+            schema = Schema()
+            schema.register_agent_type(AgentTypeDecl("P", (("x", "float64"),)))
+            schema.register_edge_type(EdgeTypeDecl("E"))
+            sim = Simulation(schema)
+            sim.add_agents("P", 4, {"x": np.arange(4.0)})
+            return sim
 
         def spawn_linked(view, params, g):
-            child = view.add_agent("P", 1.0)
-            view.add_edge("E", child)
+            for k in (10.0, 20.0):
+                child = view.add_agent("P", view.field("x") + k)
+                view.add_edge("E", child)  # parent -> child
+                view.add_edge("E", view.agent_id, source=child)  # child -> parent
             return view.state
 
-        spec = TransitionSpec(
-            callable_types=("P",), write_types=("P", "E")
-        )
-        step(sim, spawn_linked, spec)
-        child_id = [i for i in sim.agent_ids("P").tolist() if i != a][0]
-        records = sim.edge_container("E").records_for(child_id)
-        assert [r.source for r in records] == [a]
+        spec = TransitionSpec(callable_types=("P",), write_types=("P", "E"))
+        sims = []
+        for w, rng in ((1, None), (workers, np.random.default_rng(4) if shuffled else None)):
+            sim = build()
+            apply_transition(sim, spawn_linked, spec, workers=w, shuffle=rng)
+            finalize_step(sim)
+            sims.append(sim)
+        expected, sim = sims
+        assert sim.state_checksum() == expected.state_checksum()
+        by_state = dict(zip(sim.field_array("P", "x").tolist(), sim.agent_ids("P").tolist()))
+        assert len(by_state) == 12
+        c = sim.edge_container("E")
+        for parent in range(4):
+            children = [by_state[parent + k] for k in (10.0, 20.0)]
+            assert sorted(c.sources_for(parent).tolist()) == children
+            for child in children:
+                assert c.sources_for(child).tolist() == [parent]
+        assert c.buffers()["targets"].max() < 12  # every id is an agent's
+
+    def test_single_type_edge_to_newborn_reports_nothing(self):
+        """The provisional id keeps the newborn's type tag, so a
+        SINGLE_TYPE edge to a newborn of the declared type reports nothing,
+        and one to a newborn of another type reports it, at the call."""
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("P", ()))
+        schema.register_agent_type(AgentTypeDecl("Q", ()))
+        schema.register_edge_type(EdgeTypeDecl("ToQ", hints=Hint.SINGLE_TYPE,
+                                               single_type_target="Q"))
+        sim = Simulation(schema, checks="warn")
+        sim.add_agents("P", 3)
+        wrong = []
+
+        def spawn(view, params, g):
+            view.add_edge("ToQ", view.add_agent("Q"))
+            if view.agent_id == 1:
+                wrong.append(view.add_agent("P"))
+                view.add_edge("ToQ", wrong[-1])
+            return ()
+
+        spec = TransitionSpec(callable_types=("P",), write_types=("P", "Q", "ToQ"))
+        step(sim, spawn, spec)
+        assert sim.n_alive("Q") == 3
+        assert [(r.kind, r.target, r.producer) for r in sim.check_reports] == [
+            ("single_type", wrong[0], 1)]
+        c = sim.edge_container("ToQ")
+        q = sim.agent_ids("Q").tolist()
+        assert [c.sources_for(t).tolist() for t in q] == [[0], [1], [2]]
+
+
+class TestProvisionalIds:
+    """An id whose partition field is not 0 names no agent: lookups split
+    ids by type alone, and its slot bits lie past every segment."""
+
+    def build(self):
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("P", (("x", "float64"),)))
+        schema.register_edge_type(EdgeTypeDecl("E"))
+        sim = Simulation(schema)
+        sim.add_agents("P", 4, {"x": np.arange(4.0)})
+        return sim
+
+    @pytest.mark.parametrize("column", ["target", "source"])
+    @pytest.mark.parametrize("part", [1, 2, (1 << 20) - 1])
+    def test_rejected_by_add_edges_at_init(self, column, part):
+        sim = self.build()
+        bad = agent_id(0, part, 1)
+        ids = np.array([0, bad], dtype=np.uint64)
+        good = np.zeros(2, dtype=np.uint64)
+        sim.add_edges("E", *((ids, good) if column == "target" else (good, ids)))
+        with pytest.raises(ContractViolation, match=f"nonexistent agent {bad:#x}$"):
+            sim.commit_initial()
+
+    @pytest.mark.parametrize("column", ["target", "source"])
+    def test_rejected_in_a_transition(self, column):
+        """A provisional id kept past its step, here in a global, is no
+        agent: an edge to or from it fails the endpoint check."""
+        sim = self.build()
+        kept = []
+
+        def spawn(view, params, g):
+            if view.agent_id == 0:
+                kept.append(view.add_agent("P", 9.0))
+            return view.state
+
+        def link(view, params, g):
+            if view.agent_id == 1:
+                if column == "target":
+                    view.add_edge("E", kept[0])
+                else:
+                    view.add_edge("E", 0, source=kept[0])
+            return None
+
+        step(sim, spawn, WRITE_P)
+        assert split_id(kept[0])[1] == 1 and sim.n_alive("P") == 5
+        spec = TransitionSpec(callable_types=("P",), write_types=("E",))
+        with pytest.raises(ContractViolation, match=f"nonexistent agent {kept[0]:#x}$"):
+            apply_transition(sim, link, spec)
+        assert sim._staged is None
+
+    def test_not_alive_and_no_state(self):
+        sim = self.build()
+        for part in (1, 5):
+            aid = agent_id(0, part, 2)
+            assert not sim.is_alive(aid)
+            with pytest.raises(UnknownName):
+                sim.agent_state(aid)
+        assert sim.is_alive(agent_id(0, 0, 2))
+        assert sim.agent_state(agent_id(0, 0, 2)) == (2.0,)
 
 
 class TestImmortality:

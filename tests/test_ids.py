@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from graphabm import IndexOverflow, agent_id, local_index, partition_of, split_id, type_tag
 from graphabm.ids import (
-    COMP_SHIFT,
     MAX_INDEX,
     MAX_PARTITIONS,
-    PART_BITS,
+    SLOT_MASK,
+    TAG_SHIFT,
     TYPE_MASK,
-    group_by_comp,
+    split_by_tag,
 )
 
 
@@ -54,23 +54,32 @@ def test_out_of_range_rejected(tag, part, index):
         agent_id(tag, part, index)
 
 
-class TestGroupByComp:
+class TestSplitByTag:
     def test_empty_array(self):
-        assert group_by_comp(np.empty(0, dtype=np.uint64)) == []
+        assert split_by_tag(np.empty(0, dtype=np.uint64)) == []
 
-    def test_one_composite_takes_no_mask(self):
-        ids = np.array([agent_id(3, 2, i) for i in (7, 0, 5)], dtype=np.uint64)
-        ((comp, sel, slots),) = group_by_comp(ids)
-        assert comp == (3 << PART_BITS) | 2
+    def test_one_type_takes_no_mask(self):
+        ids = np.array([agent_id(3, 0, i) for i in (7, 0, 5)], dtype=np.uint64)
+        ((tag, sel, slots),) = split_by_tag(ids)
+        assert tag == 3
         assert sel == slice(None)
         assert slots.tolist() == [7, 0, 5]
 
-    def test_two_types_and_two_partitions(self):
-        triples = [(1, 0, 4), (0, 1, 2), (1, 0, 9), (0, 0, 3), (0, 1, 6), (1, 0, 4)]
-        ids = np.array([agent_id(*t) for t in triples], dtype=np.uint64)
-        groups = group_by_comp(ids)
-        assert [comp for comp, _, _ in groups] == [0, 1, 1 << PART_BITS]
-        for comp, sel, slots in groups:
-            expected = [i for tag, part, i in triples if (tag << PART_BITS) | part == comp]
+    def test_two_types(self):
+        pairs = [(1, 4), (0, 2), (1, 9), (0, 3), (0, 6), (1, 4)]
+        ids = np.array([agent_id(tag, 0, i) for tag, i in pairs], dtype=np.uint64)
+        groups = split_by_tag(ids)
+        assert [tag for tag, _, _ in groups] == [0, 1]
+        for tag, sel, slots in groups:
+            expected = [i for t, i in pairs if t == tag]
             assert slots.tolist() == expected
-            assert (ids[sel] >> np.uint64(COMP_SHIFT)).tolist() == [comp] * len(expected)
+            assert (ids[sel] >> np.uint64(TAG_SHIFT)).tolist() == [tag] * len(expected)
+
+    def test_a_partition_other_than_zero_leaves_a_slot_past_every_index(self):
+        ids = np.array([agent_id(2, 0, 5), agent_id(2, 1, 5), agent_id(2, 3, 0)],
+                       dtype=np.uint64)
+        ((tag, _, slots),) = split_by_tag(ids)
+        assert tag == 2
+        assert slots[0] == 5
+        assert (slots[1:] >= MAX_INDEX).all()
+        assert slots.tolist() == [int(i) & SLOT_MASK for i in ids]

@@ -27,7 +27,6 @@ from graphabm import (
     ghost_table,
     partition_graph,
     run,
-    split_id,
 )
 from graphabm.models.hk import HKConfig, hk_run
 from graphabm.models.topology import Cliques, Complete, Regular
@@ -72,7 +71,7 @@ class TestPartitionBalance:
     def test_contiguous_blocks_are_contiguous(self):
         sim = plain_sim(10)
         p = partition_graph(sim, 4, "contiguous")
-        owners = p.worker_for_slots(0, 0, np.arange(10))
+        owners = p.worker_for_slots(0, np.arange(10))
         assert owners.tolist() == sorted(owners.tolist())
 
 
@@ -141,7 +140,7 @@ class TestCutMetrics:
         }
         for workers, owners in expected.items():
             p = partition_graph(sim, workers, "greedy_edge_cut")
-            assert p.worker_for_slots(0, 0, np.arange(10)).tolist() == owners
+            assert p.worker_for_slots(0, np.arange(10)).tolist() == owners
 
 
 class TestGhostTable:
@@ -228,23 +227,30 @@ class TestParallelExecution:
         finalize_step(sim)
         assert sim.step == 1
 
-    def test_new_agents_live_on_creating_worker(self):
-        schema = Schema()
-        schema.register_agent_type(AgentTypeDecl("P", (("x", "float64"),)))
-        sim = Simulation(schema)
-        for i in range(4):
-            sim.add_agent("P", float(i))
-        sim.commit_initial()
+    def test_births_off_worker_zero_match_one_worker(self):
+        """The pool oracle's program, where every fifth agent gives births:
+        over 3 steps the checksums and the populations at 2 workers equal
+        the one-worker run's. (Newborns used to take their worker's
+        partition, and the rule reads agent ids, so the runs diverged.)"""
+        got = [cell_checksums(workers, steps=3) for workers in (1, 2)]
+        assert got[1] == got[0]
 
-        def spawn(view, params, g):
-            view.add_agent("P", view.field("x") + 10.0)
-            return view.state
-
-        spec = TransitionSpec(callable_types=("P",), write_types=("P",))
-        apply_transition(sim, spawn, spec, workers=2, partition=partition_graph(sim, 2))
-        finalize_step(sim)
-        parts = sorted(split_id(int(i))[1] for i in sim.agent_ids("P").tolist())
-        assert parts == [0, 0, 0, 0, 0, 0, 1, 1]
+    @pytest.mark.parametrize("strategy", ["contiguous", "round_robin"])
+    def test_agents_born_after_partitioning_run_on_several_workers(self, strategy):
+        """A slot the partition did not assign runs on worker ``slot % W``:
+        the newborns of a partitioned run spread over the workers, and the
+        run's checksums equal the one-worker run's."""
+        sim = cell_sim()
+        p = partition_graph(sim, 2, strategy)
+        sums = []
+        run(sim, 3, [(live, LIVE), set_bonus, (feed, FEED)], workers=2, partition=p,
+            on_step=lambda s: sums.append(s.state_checksum()))
+        assert sums == cell_checksums(1, steps=3)[0]
+        born = sim.agent_ids("Cell")
+        born = born[born >= p.maps[0].size]
+        assert born.size >= 4
+        owners = p.worker_for_slots(0, born.astype(np.int64))
+        assert owners.tolist() == (born % 2).tolist() and set(owners.tolist()) == {0, 1}
 
 
 class TestGhostBytes:
@@ -360,9 +366,8 @@ class TestWorkerFaults:
 
 
 # The per-step oracle: births, deaths, a kept edge type and a global set
-# between transitions, at several worker counts and strategies. Only the
-# lowest agent, which every partition gives worker 0, gives births, so that
-# newborns get the same ids at every worker count.
+# between transitions, at several worker counts and strategies. Every fifth
+# agent gives births every other step, on whichever worker runs it.
 
 LIVE = TransitionSpec(callable_types=("Cell",), read_types=("Cell", "Trail"),
                       write_types=("Cell", "Trail"), keep_existing=("Trail",))
@@ -373,7 +378,7 @@ FEED = TransitionSpec(callable_types=("Cell",), read_types=("Trail",),
 def live(view, params, g):
     energy = int(view.field("energy")) + g.bonus - view.num_edges("Trail")
     energy += int(view.rng.integers(-1, 3))
-    if view.agent_id == 0:
+    if view.agent_id % 5 == 0 and view.step % 4 == 0:  # every other program step
         for _ in range(2):
             view.add_agent("Cell", 4)
         energy = max(energy, 50)
@@ -487,7 +492,6 @@ class TestPoolOracle:
         for blob in blobs:
             kind, segments, edges, deaths = PlainUnpickler(io.BytesIO(blob)).load()
             assert kind == "sync" and isinstance(deaths, bool)
-            for parts in segments.values():
-                for buffers in parts.values():
-                    assert {"count", "alive", "free", "field:energy"} == set(buffers)
+            for buffers in segments.values():
+                assert {"count", "alive", "free", "field:energy"} == set(buffers)
             assert all(set(b) == {"targets", "sources", "field:step"} for b in edges.values())

@@ -25,7 +25,7 @@ from graphabm import (
     storage,
     storage_plan_for,
 )
-from graphabm.ids import COMP_SHIFT, agent_id
+from graphabm.ids import TAG_SHIFT, agent_id
 from graphabm.storage import AgentSegment, ListShard, build_read_container, edges_from_buffers
 
 from test_schema import all_hint_sets, is_legal
@@ -125,7 +125,7 @@ class TestCsrIndex:
         starts, ends = c.bounds(0, np.array([3, 9, 0]))
         assert (ends - starts).tolist() == [2, 0, 1]
         assert starts[[0, 2]].tolist() == [1, 0]
-        starts, ends = c.bounds(5, np.array([0, 1]))  # composite without edges
+        starts, ends = c.bounds(5, np.array([0, 1]))  # a type without edges
         assert (ends - starts).tolist() == [0, 0]
 
     def test_targets_spanning_two_agent_types(self):
@@ -146,8 +146,8 @@ class TestCsrIndex:
         for aid in (a[1], b[0]):
             assert not c.has_for(int(aid))
             assert c.count_for(int(aid)) == 0
-        comp_b = int(b[0]) >> COMP_SHIFT
-        starts, ends = c.bounds(comp_b, np.array([1, 0]))
+        tag_b = int(b[0]) >> TAG_SHIFT
+        starts, ends = c.bounds(tag_b, np.array([1, 0]))
         assert (ends - starts).tolist() == [2, 0]
 
 
@@ -759,13 +759,13 @@ def _answer(query, *args):
         return str(exc)
 
 
-def edge_answers(c, aids, comps, slots):
+def edge_answers(c, aids, tags, slots):
     """Every query of a read container, or the refusal it raises."""
     out = [c.n_stored(), c.plan]
     for name in ("has_for", "count_for", "sources_for", "states_for", "records_for"):
         out += [_answer(getattr(c, name), aid) for aid in aids]
     for name in ("has_for_slots", "count_for_slots", "records_for_slots"):
-        out += [_answer(getattr(c, name), comp, slots) for comp in comps]
+        out += [_answer(getattr(c, name), tag, slots) for tag in tags]
     return out
 
 
@@ -797,9 +797,9 @@ class TestBufferRoundTrip:
         assert type(rebuilt) is type(c)
 
         aids = ids.tolist() + [int(a[-1]) + 1, int(b[-1]) + 7]
-        comps = [int(a[0]) >> COMP_SHIFT, int(b[0]) >> COMP_SHIFT, 99]
+        tags = [int(a[0]) >> TAG_SHIFT, int(b[0]) >> TAG_SHIFT, 99]
         slots = np.arange(12)
-        assert edge_answers(rebuilt, aids, comps, slots) == edge_answers(c, aids, comps, slots)
+        assert edge_answers(rebuilt, aids, tags, slots) == edge_answers(c, aids, tags, slots)
         before = sim.state_checksum()
         sim._edges[c.info.tag] = rebuilt
         assert sim.state_checksum() == before
@@ -826,7 +826,7 @@ class TestBufferRoundTrip:
         finalize_step(sim)
 
         info = schema.agent_type(type_name)
-        seg = sim._segments[info.tag][0]
+        seg = sim._segments[info.tag]
         rebuilt = AgentSegment.from_buffers(info, seg.buffers())
         if not info.immortal:
             assert seg.free == [1, 4, 5]
@@ -840,7 +840,7 @@ class TestBufferRoundTrip:
         for mine, theirs in zip(rebuilt.buffers().values(), seg.buffers().values()):
             assert not np.shares_memory(mine, theirs)
         before = sim.state_checksum()
-        sim._segments[info.tag][0] = rebuilt
+        sim._segments[info.tag] = rebuilt
         assert sim.state_checksum() == before
         assert rebuilt.allocate() == seg.allocate()
 
@@ -1081,7 +1081,7 @@ class TestRangeCheckFallbacks:
 
     @pytest.mark.parametrize("column", ["targets", "sources"])
     @pytest.mark.parametrize("ids, bad", [
-        ([0, 1, A12, 3, 2, A9, 4], A12),  # a slot >= count in the same composite
+        ([0, 1, A12, 3, 2, A9, 4], A12),  # a slot >= count of the same type
         ([0, 1, B0 + 5, 3, 2, B0], B0 + 5),  # a slot of another agent type
         ([B0 + 1, A9, B0], A9),  # the largest id exists, the smallest does not
     ])
@@ -1232,13 +1232,13 @@ class TestFiveBuilds:
         def seen(sim):
             c = sim.edge_container("E")
             slots = np.arange(12)
-            per_comp = []
-            for comp in (0, B0 >> COMP_SHIFT):
-                pos, indptr = c.runs(comp, slots)
-                per_comp.append((_plain(c.bounds(comp, slots)),
+            per_tag = []
+            for tag in (0, B0 >> TAG_SHIFT):
+                pos, indptr = c.runs(tag, slots)
+                per_tag.append((_plain(c.bounds(tag, slots)),
                                  np.arange(c.n_stored())[pos].tolist(), indptr.tolist()))
             buffers = {k: _plain(v) for k, v in c.buffers().items()}
-            return buffers, c.n_stored(), per_comp, sim.state_checksum()
+            return buffers, c.n_stored(), per_tag, sim.state_checksum()
 
         expected = seen(first)
         assert expected[1] == (len({e[0] for e in flat}) if Hint.SINGLE_EDGE in decl.hints
@@ -1287,12 +1287,12 @@ class TestIndexedChunks:
         assert messages[0] == messages[1]
         assert messages[0].endswith("nonexistent agent 0x8")
 
-    def test_sorted_add_over_two_composites_passes(self):
+    def test_sorted_add_over_two_types_passes(self):
         sim = two_type_sim(EdgeTypeDecl("E", hints=Hint.STATELESS))
         ids = [1, 1, 7, B0, B0 + 2, B0 + 2]
         sim.add_edges("E", np.array(ids, dtype=np.uint64), np.arange(6, dtype=np.uint64))
         (chunk,) = sim._init_shards[0].chunks
-        assert list(chunk.index) == [0, B0 >> COMP_SHIFT]
+        assert list(chunk.index) == [0, B0 >> TAG_SHIFT]
         sim.commit_initial()
         c = sim.edge_container("E")
         assert [c.count_for(t) for t in (0, 1, 7, B0, B0 + 1, B0 + 2)] == [0, 2, 1, 1, 0, 2]
@@ -1307,7 +1307,7 @@ class TestIndexedChunks:
         with pytest.raises(ContractViolation, match=f"nonexistent agent {far:#x}$"):
             sim.commit_initial()
 
-    def test_non_zero_source_composite_gathers_as_by_id(self):
+    def test_non_zero_source_type_gathers_as_by_id(self):
         """Every source is of type B (tag 1), so gathers read B's column
         through masked slots; batch and per-agent reads equal the
         by-id ``_gather`` bit for bit."""
@@ -1322,7 +1322,7 @@ class TestIndexedChunks:
         targets = np.array([0, 0, 2, 2, 2, 5], dtype=np.uint64)
         sim.add_edges("E", targets, b[[4, 0, 3, 1, 4, 2]])
         sim.commit_initial()
-        assert sim.edge_container("E").single_source_comp == b[0] >> COMP_SHIFT
+        assert sim.edge_container("E").single_source_tag == b[0] >> TAG_SHIFT
         got = []
 
         def batch_fn(batch, params, g):
