@@ -420,10 +420,13 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
     against time-t data. Call :func:`finalize_step` to commit. With
     ``shuffle`` (a numpy Generator) every agent runs as a call of its own,
     a batch of one agent in the batch form, in a random order across all
-    callable types; results do not depend on it. With ``workers > 1`` the
-    transition runs on the workers of :func:`run` when it is one of its
-    program's, else on workers forked for this call and ended before it
-    returns or raises.
+    callable types, on each worker its own; results do not depend on it.
+    With ``workers > 1`` the transition runs on the workers of :func:`run`
+    when it is one of its program's, else on workers forked for this call
+    and ended before it returns or raises. While :func:`run`'s workers are
+    up, they merge and commit every transition's payloads on their copy of
+    the graph as the caller does, whether or not they ran it; if a
+    transition fails after they were sent anything for it, they are ended.
     """
     if sim._staged is not None:
         raise UsageError("previous transition not finalized")
@@ -444,6 +447,8 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
                 partition = partition_graph(sim, workers)
             own = pool = WorkerPool(sim, [(fn, spec)], partition, workers)
             index = 0
+    resident = sim._pool
+    commit = None
     sim._in_transition = True
     try:
         if pool is None:
@@ -451,11 +456,20 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
         else:
             from .parallel import fork_payloads
 
-            payloads = fork_payloads(pool, index, rt)
+            payloads = fork_payloads(pool, index, rt, shuffle=shuffle)
+        if resident is not None and pool is not resident:
+            from .parallel import commit_message
+
+            commit = commit_message(spec, payloads)
         _merge_and_stage(sim, rt, payloads)
+        if commit is not None:
+            resident.broadcast(commit)
     except BaseException:
         sim._in_transition = False
         sim._staged = None
+        if resident is not None and (pool is resident or commit is not None):
+            resident.close()  # its workers' replicas may be out of step
+            sim._pool = None
         raise
     finally:
         if own is not None:
@@ -467,8 +481,9 @@ def finalize_step(sim: Simulation) -> None:
 
     Edges whose target slot died are dropped, as are edges whose stored
     source died. Edge types that do not store the source cannot see a
-    source death and deliberately retain such edges. While :func:`run`'s
-    workers are up, the commit is then sent to them to make as well.
+    source death and deliberately retain such edges. :func:`run`'s
+    workers make the same commit on their own, from the payloads
+    :func:`apply_transition` sent them.
     """
     staged = sim._staged
     if staged is None:
@@ -484,8 +499,6 @@ def finalize_step(sim: Simulation) -> None:
     sim.step += 1
     sim._staged = None
     sim._in_transition = False
-    if sim._pool is not None:
-        sim._pool.sync(staged)
 
 
 def run(sim: Simulation, steps: int, program, *, workers: int = 1,

@@ -7,35 +7,46 @@ one-off ``apply_transition`` gets a pool that lives for that call alone.
 The fork hands every worker the simulation, the program's transitions and
 the partition, so none of them crosses a pipe.
 
-Per transition, the control sends each worker the transition's index in
-the program and the globals snapshot. Every worker runs the transition
-over its own agents against its copy of the time-t state (which doubles
-as the ghost copies of remote agents) and sends back its write shard; the
-control merges the shards in producing-agent order, so results are
-bit-identical to a single-worker run. After the commit, the control
-sends every worker the buffers (:meth:`~graphabm.storage.AgentSegment.buffers`)
-of the written agent segments and edge containers, ``{tag: buffers}`` and
-``{etag: buffers}``, and whether any agent died: plain
-dicts of numpy arrays, pickled once, the same bytes to every worker. Each
-worker rebuilds the containers and their indexes from the buffers with
-its own schema records and commits them as the control did, dead-endpoint
-sweep included.
+Per transition there is one exchange of write shards. The control sends
+each worker the transition's index in the program, the globals and, for a
+shuffled transition, one seed per worker. Every worker runs the
+transition over its own agents against its copy of the time-t state
+(which doubles as the ghost copies of remote agents) and sends back its
+payload, its write shard. The control runs worker 0's share meanwhile,
+then forwards to each worker of the run's pool the other workers'
+payloads, as the bytes it received (its own pickled once). Every process
+then merges the same payloads in worker order and commits the result
+(``engine._merge_and_stage`` and ``engine.finalize_step``, dead-endpoint
+sweep included) on its own replica, the workers in parallel with the
+control; the merge orders writes by producing agent, so every replica is
+bit-identical to a single-worker run. A commit the control makes alone
+while the run's pool is up, such as a transition a program callable
+applies itself, reaches the workers as its spec and its payloads, which
+they merge the same way. What crosses a pipe is numpy arrays, builtins,
+``array.array`` and the shard, chunk and violation records of
+:mod:`graphabm.storage` and :mod:`graphabm.checks`.
 
 A worker's exception reaches the control with its own type. A worker that
 dies without a result raises :class:`~graphabm.errors.WorkerError` with
 its id and exit code as soon as its process handle shows it ended. The
 pool is closed on every exit from ``run`` and from a one-off
-``apply_transition``: idle workers leave when their pipe closes, busy
-ones are killed, and all are joined.
+``apply_transition``, and when a transition on it fails, since the
+workers' replicas may then be out of step with the control's state: idle
+workers leave when their pipe closes, busy ones are killed, and all are
+joined.
 
 Partition strategies:
 
-- ``contiguous``: blocks of consecutive agent ids, sizes differing by <= 1.
-- ``round_robin``: agent rank modulo W.
+- ``contiguous``: per agent type, blocks of consecutive agent ids, sizes
+  differing by <= 1.
+- ``round_robin``: per agent type, the agent's rank modulo W.
 - ``greedy_edge_cut``: greedily grown balanced blocks seeded at the
   highest-degree unassigned vertex; the frontier prefers the vertex with
   the most edges into the growing block, which keeps tightly knit
   subgraphs (e.g. cliques) whole.
+
+The first two rank each type's alive agents on their own, so every type,
+and so every transition's callable agents, spread over every worker.
 """
 
 from __future__ import annotations
@@ -44,15 +55,15 @@ import heapq
 import multiprocessing as mp
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from multiprocessing.connection import wait
 
 import numpy as np
 
 from . import engine
 from .errors import UsageError, WorkerError
+from .global_layer import FrozenMapping
 from .ids import TAG_SHIFT, split_by_tag
-from .storage import AgentSegment, edges_from_buffers
 
 _U64 = np.uint64
 
@@ -105,15 +116,9 @@ def partition_graph(sim, workers: int, strategy: str = "contiguous") -> Partitio
     if strategy == "greedy_edge_cut":
         assignment = _greedy_assignment(sim, blocks, total, workers)
     else:
-        ranks = np.arange(total, dtype=np.int64)
-        if strategy == "round_robin":
-            assignment = (ranks % workers).astype(np.int32)
-        else:
-            # contiguous: first (total % workers) blocks get the extra agent
-            bounds = np.cumsum(
-                [len(c) for c in np.array_split(ranks, workers)]
-            )
-            assignment = np.searchsorted(bounds, ranks, side="right").astype(np.int32)
+        assignment = np.concatenate([
+            _spread(slots.size, workers, strategy) for _, _, slots in blocks
+        ])
 
     offset = 0
     for tag, seg, slots in blocks:
@@ -122,6 +127,16 @@ def partition_graph(sim, workers: int, strategy: str = "contiguous") -> Partitio
         offset += slots.size
     part_obj.sizes = np.bincount(assignment, minlength=workers).astype(np.int64)
     return part_obj
+
+
+def _spread(n: int, workers: int, strategy: str) -> np.ndarray:
+    """Owners of the ``n`` alive agents of one type, by rank: round-robin,
+    or contiguous blocks of which the first ``n % workers`` take one more."""
+    if strategy == "round_robin":
+        return (np.arange(n) % workers).astype(np.int32)
+    sizes = np.full(workers, n // workers)
+    sizes[: n % workers] += 1
+    return np.repeat(np.arange(workers, dtype=np.int32), sizes)
 
 
 def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
@@ -279,8 +294,10 @@ class WorkerPool:
     (``items``, a list of ``(fn, spec)``) and the partition by fork, and
     serves requests from its end of a duplex pipe until the control closes
     it. Construct it after ``commit_initial``: the children's copy of the
-    graph is the control's at the fork, and every commit after it reaches
-    them through :meth:`sync`.
+    graph is the control's at the fork. While the pool is the run's
+    (``sim._pool``), every commit after it reaches the children as the
+    payloads that made it (see :func:`fork_payloads` and
+    :func:`commit_message`).
     """
 
     def __init__(self, sim, items: list, partition: Partition, workers: int):
@@ -317,37 +334,40 @@ class WorkerPool:
                 return i
         return None
 
-    def _broadcast(self, message) -> None:
-        """Pickle ``message`` once and send the same bytes to every worker."""
+    def _send(self, w: int, blob) -> None:
+        """Send ``blob`` to worker ``w``; if it has gone, raise what ended it."""
         try:
-            blob = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # only the globals come from the model
-            raise UsageError(f"globals must pickle to reach the workers: {exc}") from exc
-        for w, conn in enumerate(self.conns, start=1):
-            try:
-                conn.send_bytes(blob)
-            except OSError:
-                self._reply(w)  # the worker has gone: raise what ended it
-                raise
+            self.conns[w - 1].send_bytes(blob)
+        except OSError:
+            self._reply(w)
+            raise
 
-    def _reply(self, w: int):
-        """Worker ``w``'s next payload. Its exception is re-raised; if it
-        ended without one, :class:`WorkerError` gives its exit code."""
+    def broadcast(self, blob: bytes) -> None:
+        """Send the same bytes to every worker."""
+        for w in range(1, self.workers):
+            self._send(w, blob)
+
+    def _reply(self, w: int) -> tuple:
+        """Worker ``w``'s next payload, as the bytes it sent and unpickled.
+        Its exception is re-raised; if it ended without one,
+        :class:`WorkerError` gives its exit code."""
         conn, proc = self.conns[w - 1], self.procs[w - 1]
         try:
-            status, value = conn.recv()
+            blob = conn.recv_bytes()
         except (EOFError, OSError):
             proc.join()
             raise WorkerError(w, proc.exitcode) from None
+        status, value = pickle.loads(blob)
         if status != "ok":
             raise value
-        return value
+        return blob, value
 
     def gather(self) -> list:
-        """Payloads of workers 1..W-1, in worker order, each taken as it
-        arrives: waiting on every worker's pipe and process handle
-        together reports a worker that dies at once, whichever it is."""
-        payloads = [None] * len(self.conns)
+        """Replies of workers 1..W-1, ``(bytes, payload)`` in worker order,
+        each taken as it arrives: waiting on every worker's pipe and
+        process handle together reports a worker that dies at once,
+        whichever it is."""
+        replies = [None] * len(self.conns)
         pending = set(range(1, self.workers))
         while pending:
             handles = {h: w for w in pending
@@ -356,17 +376,9 @@ class WorkerPool:
                 w = handles[h]
                 if w in pending:
                     pending.discard(w)
-                    payloads[w - 1] = self._reply(w)
+                    replies[w - 1] = self._reply(w)
         self.busy = False
-        return payloads
-
-    def sync(self, staged) -> None:
-        """Send the buffers of a committed transition's written segments and
-        edge containers to every worker, which rebuilds them and commits
-        them as the control did."""
-        segments = {tag: seg.buffers() for tag, seg in staged.segments.items()}
-        edges = {etag: c.buffers() for etag, c in staged.edges.items()}
-        self._broadcast(("sync", segments, edges, staged.deaths_occurred))
+        return replies
 
     def close(self) -> None:
         """End every worker and wait for it. Idle workers leave when their
@@ -381,25 +393,59 @@ class WorkerPool:
         self.conns, self.procs = [], []
 
 
-def fork_payloads(pool: WorkerPool, index: int, rt) -> list:
+def fork_payloads(pool: WorkerPool, index: int, rt, shuffle=None) -> list:
     """Run the pool's transition ``index`` on every worker: payloads in
     worker order.
 
-    The control sends the index and the transition's globals snapshot; the
-    functions were inherited by the fork. Worker 0 runs on the control
-    process meanwhile. (``perfbench``'s tracer times this call by its
-    name.)
+    The control sends the index, the globals and, with ``shuffle`` (a numpy
+    Generator), one seed drawn from it per worker, by which each worker
+    shuffles its own agents; the functions were inherited by the fork.
+    Worker 0 runs on the control process meanwhile. When ``pool`` is the
+    run's, each worker is then sent the other workers' payloads, in worker
+    order and as the bytes they arrived in, to merge on its replica; a
+    one-off pool's workers are ended instead. (``perfbench``'s tracer times
+    this call by its name.)
     """
+    seeds = None if shuffle is None else shuffle.integers(2**63, size=pool.workers).tolist()
+    try:
+        blob = pickle.dumps(("run", index, dict(rt.globals), seeds), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # only the globals come from the model
+        raise UsageError(f"globals must pickle to reach the workers: {exc}") from exc
     pool.busy = True
-    pool._broadcast(("run", index, rt.globals))
+    pool.broadcast(blob)
     fn = pool.items[index][0]
-    payloads = [engine._run_shard(pool.sim, fn, rt, pool.partition, 0, pool.workers)]
-    return payloads + pool.gather()
+    own = engine._run_shard(pool.sim, fn, rt, pool.partition, 0, pool.workers,
+                            shuffle=_shuffle(seeds, 0))
+    resident = pool.sim._pool is pool
+    blobs = [pickle.dumps(("ok", own), pickle.HIGHEST_PROTOCOL)] if resident else []
+    replies = pool.gather()
+    if resident:
+        blobs += [blob for blob, _ in replies]
+        for w in range(1, pool.workers):
+            for i, blob in enumerate(blobs):
+                if i != w:
+                    pool._send(w, blob)
+    return [own] + [payload for _, payload in replies]
+
+
+def commit_message(spec, payloads: list) -> bytes:
+    """What makes the run's workers merge and commit the ``payloads`` of a
+    transition ``spec`` that ran without them: the spec's fields and the
+    payloads, pickled once for every worker. Build it before the control's
+    merge, which rewrites the payloads in place, and send it with
+    :meth:`WorkerPool.broadcast` once that merge has succeeded."""
+    return pickle.dumps(("commit", astuple(spec), payloads), pickle.HIGHEST_PROTOCOL)
+
+
+def _shuffle(seeds, worker: int):
+    return None if seeds is None else np.random.default_rng(seeds[worker])
 
 
 def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
-    """A worker's loop: run transitions and commit syncs until the control
-    closes the pipe; on an error, send it and leave."""
+    """A worker's loop until the control closes the pipe: run a transition
+    over its agents and send the payload, then merge and commit the
+    transition from every worker's payload; or merge and commit a
+    transition the control ran alone. On an error, send it and leave."""
     for other in inherited:  # the control's pipe ends, copied by the fork
         other.close()
     sim._pool = None
@@ -410,22 +456,24 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
             except EOFError:
                 return
             if message[0] == "run":
-                _, index, glob = message
+                _, index, glob, seeds = message
                 fn, spec = items[index]
                 rt = engine.RuntimeSpec(sim, spec)
-                rt.globals = glob
+                rt.globals = FrozenMapping(glob)
                 sim._in_transition = True
-                payload = engine._run_shard(sim, fn, rt, partition, worker, nworkers)
-                conn.send(("ok", payload))
+                own = engine._run_shard(sim, fn, rt, partition, worker, nworkers,
+                                        shuffle=_shuffle(seeds, worker))
+                conn.send(("ok", own))
+                try:  # the other workers' payloads, in worker order
+                    others = [pickle.loads(conn.recv_bytes())[1] for _ in range(nworkers - 1)]
+                except EOFError:
+                    return  # a one-off pool: the control commits alone
+                payloads = others[:worker] + [own] + others[worker:]
             else:
-                _, segments, edges, deaths = message
-                agent_types, edge_types = sim.schema.agent_types, sim.schema.edge_types
-                segments = {tag: AgentSegment.from_buffers(agent_types[tag], b)
-                            for tag, b in segments.items()}
-                edges = {etag: edges_from_buffers(edge_types[etag], b)
-                         for etag, b in edges.items()}
-                sim._staged = engine.StagedCommit(segments, edges, deaths, [])
-                engine.finalize_step(sim)
+                _, fields, payloads = message
+                rt = engine.RuntimeSpec(sim, engine.TransitionSpec(*fields))
+            engine._merge_and_stage(sim, rt, payloads)
+            engine.finalize_step(sim)
     except BaseException as exc:  # surfaced on the control process
         try:
             conn.send(("err", exc))

@@ -45,7 +45,10 @@ buffers)`` rebuilds it and any derived index. A segment's are ``count``,
 container's hold one entry per edge: ``targets`` (the set ids of a bitmap;
 a CSR container rebuilds them from its index), ``sources`` and
 ``field:<name>`` per state field when stored. The state checksum, the
-dead-edge sweep and the worker sync all read this form.
+dead-edge sweep and the existence build read this form; the checksum
+reads a CSR container's targets block by block
+(:meth:`ListEdgeRead.target_blocks`), the same bytes without the whole
+column.
 
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
@@ -79,6 +82,8 @@ _NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a type without edges
 # every slot is copied and rejected by the endpoint check instead of
 # sizing an index first.
 _INDEX_FLOOR = 1 << 16
+# Edges per block of :meth:`ListEdgeRead.target_blocks`.
+_TARGET_BLOCK = 1 << 16
 
 
 class EdgeRecord(NamedTuple):
@@ -681,15 +686,31 @@ class ListEdgeRead:
     # -- buffer form -------------------------------------------------------
 
     def buffers(self) -> dict[str, np.ndarray]:
-        """The primary columns: ``targets``, rebuilt from the index,
-        ``sources`` when stored and one ``field:<name>`` per stored state
-        field."""
-        out = {"targets": _index_targets(self.indptr)}
+        """The primary columns: ``targets``, rebuilt from the index, then
+        :meth:`stored_columns`."""
+        return {"targets": _index_targets(self.indptr), **self.stored_columns()}
+
+    def stored_columns(self) -> dict[str, np.ndarray]:
+        """The primary columns but ``targets``: ``sources`` when stored and
+        one ``field:<name>`` per stored state field."""
+        out = {}
         if self.sources is not None:
             out["sources"] = self.sources
         for name, column in zip(self.info.field_names, self.states or ()):
             out["field:" + name] = column
         return out
+
+    def target_blocks(self):
+        """``buffers()["targets"]`` in consecutive blocks of whole slots,
+        each of about ``_TARGET_BLOCK`` edges or one slot's edges, so that
+        a reader never holds the whole column."""
+        for tag, ptr in self.indptr.items():
+            base = _U64(tag << TAG_SHIFT)
+            starts = np.arange(ptr[0], ptr[-1], _TARGET_BLOCK)
+            cuts = np.searchsorted(ptr, starts, side="right") - 1
+            cuts = np.unique(np.append(cuts, ptr.size - 1)).tolist()
+            for lo, hi in zip(cuts, cuts[1:]):
+                yield np.repeat(base + np.arange(lo, hi, dtype=_U64), np.diff(ptr[lo: hi + 1]))
 
     @classmethod
     def from_buffers(cls, info: EdgeTypeInfo, buffers: dict) -> "ListEdgeRead":

@@ -403,11 +403,11 @@ class TestNewAgents:
         step(sim, spawn, spec)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("workers, shuffled", [(1, False), (2, False), (1, True)])
+    @pytest.mark.parametrize("workers, shuffled", [(1, False), (2, False), (1, True), (2, True)])
     def test_edge_to_own_new_agent(self, workers, shuffled):
         """A newborn as an edge's target and as its ``source=``: the stored
-        edges hold its final id, and the step merges alike at 2 workers and
-        shuffled as at one worker."""
+        edges hold its final id, and the step merges alike at 2 workers,
+        shuffled or not, as at one worker."""
 
         def build():
             schema = Schema()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import array
+import dataclasses
 import enum
 import io
 import multiprocessing as mp
@@ -28,9 +30,11 @@ from graphabm import (
     partition_graph,
     run,
 )
+from graphabm import engine
+from graphabm.checks import Violation
 from graphabm.models.hk import HKConfig, hk_run
 from graphabm.models.topology import Cliques, Complete, Regular
-from graphabm.parallel import WorkerPool
+from graphabm.storage import Chunk, ListShard
 
 
 def plain_sim(n, with_edges=None):
@@ -67,6 +71,22 @@ class TestPartitionBalance:
         assert int(p.sizes.sum()) == n
         nonzero = p.sizes[p.sizes > 0] if n < w else p.sizes
         assert max(p.sizes) - min(nonzero.min(), p.sizes.min()) <= 1
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "round_robin"])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_every_type_spreads_over_every_worker(self, strategy, workers):
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("A", (("x", "float64"),)))
+        schema.register_agent_type(AgentTypeDecl("B", (("x", "float64"),)))
+        schema.register_edge_type(EdgeTypeDecl("E"))
+        sim = Simulation(schema)
+        for name, n in (("A", 10), ("B", 7)):
+            sim.add_agents(name, n, {"x": np.zeros(n)})
+        p = partition_graph(sim, workers, strategy)
+        for tag, n in ((0, 10), (1, 7)):
+            share = np.bincount(p.worker_for_slots(tag, np.arange(n)), minlength=workers)
+            assert share.max() - share.min() <= 1, (tag, share)
+        assert p.sizes.sum() == 17
 
     def test_contiguous_blocks_are_contiguous(self):
         sim = plain_sim(10)
@@ -202,6 +222,31 @@ class TestParallelExecution:
             if expected is None:
                 expected = got
             assert got == expected
+
+    def test_shuffle_reorders_each_workers_agents(self, tmp_path):
+        """With ``shuffle``, each worker runs its own agents in an order
+        drawn from its seed, and the result is the unshuffled one."""
+        log = tmp_path / "calls"
+
+        def logged_bump(view, params, g):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {view.agent_id}\n")
+            return bump(view, params, g)
+
+        sims = [plain_sim(16), plain_sim(16)]
+        apply_transition(sims[0], bump, WRITE_P, workers=2)
+        apply_transition(sims[1], logged_bump, WRITE_P, workers=2,
+                         shuffle=np.random.default_rng(0))
+        for sim in sims:
+            finalize_step(sim)
+        assert sims[1].state_checksum() == sims[0].state_checksum()
+        orders = {}
+        for line in log.read_text().splitlines():
+            pid, aid = line.split()
+            orders.setdefault(pid, []).append(int(aid))
+        assert len(orders) == 2
+        assert sorted(a for order in orders.values() for a in order) == list(range(16))
+        assert all(order != sorted(order) for order in orders.values())
 
     def test_more_workers_than_agents(self):
         cfg = HKConfig(n=3, epsilon=1.0, seed=0)
@@ -354,6 +399,31 @@ class TestWorkerFaults:
         assert sim._staged is None
         assert mp.active_children() == []
 
+    def test_a_failed_transition_on_the_run_pool_ends_it_and_the_run_goes_on(self):
+        """A program callable retries a program transition on the run's
+        workers and catches its failure: the pool is ended, and the rest of
+        the run forks a pool per transition with the same results."""
+        def maybe_fail(view, params, g):
+            if g.fail:
+                raise ValueError("asked to fail")
+            return (view.field("x") * 0.5 + view.agent_id,)
+
+        def failing_retry(sim):
+            sim.set_global("fail", True)
+            with pytest.raises(ValueError, match="asked to fail"):
+                apply_transition(sim, maybe_fail, WRITE_P, workers=2)
+            sim.set_global("fail", False)
+
+        sums = []
+        for workers in (1, 2):
+            sim = plain_sim(8)
+            sim.set_global("fail", False)
+            run(sim, 3, [(maybe_fail, WRITE_P), failing_retry, (bump, WRITE_P)],
+                workers=workers)
+            sums.append(sim.state_checksum())
+            assert sim._pool is None and sim._staged is None
+        assert sums[1] == sums[0]
+
     def test_error_in_a_program_callable_ends_the_pool(self):
         def broken(sim):
             raise LookupError("callable failure")
@@ -462,36 +532,104 @@ class TestPoolOracle:
         got, _ = cell_checksums(workers, strategy)
         assert got == expected
 
-    def test_sync_ships_numpy_arrays_and_builtins_only(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_commit_made_on_the_control_reaches_the_workers(self, workers):
+        """A program callable applies and commits a transition on the
+        control alone, with births, deaths and a kept edge type; the next
+        transition on the pool reads its result on every worker."""
+        def live_on_control(sim):
+            apply_transition(sim, live, LIVE)
+            finalize_step(sim)
+
+        sums, alive = [], []
+        for w in (1, workers):
+            sim = cell_sim()
+            steps = []
+            run(sim, 3, [live_on_control, set_bonus, (feed, FEED)], workers=w,
+                on_step=lambda s: steps.append(s.state_checksum()))
+            sums.append(steps)
+            alive.append(sim.n_alive("Cell"))
+        assert sums[1] == sums[0]
+        assert alive[0] == alive[1] != 24
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_every_process_merges_the_payloads_in_worker_order(
+            self, workers, tmp_path, monkeypatch):
+        log = tmp_path / "merges"
+        merge = engine._merge_and_stage
+
+        def spy(sim, rt, payloads):
+            # contiguous: worker w owns slots 2w and 2w + 1
+            owners = [int(p["agents"][0][0][0]) // 2 for p in payloads]
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {owners}\n")
+            merge(sim, rt, payloads)
+
+        monkeypatch.setattr(engine, "_merge_and_stage", spy)
+        sim = plain_sim(2 * workers)
+        run(sim, 2, [(bump, WRITE_P)], workers=workers)
+        lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        assert len({pid for pid, _ in lines}) == workers
+        assert len(lines) == 2 * workers
+        assert {owners for _, owners in lines} == {str(list(range(workers)))}
+
+    def test_the_exchange_ships_arrays_builtins_and_records_only(self, monkeypatch):
+        """Every message between the control and a worker, run requests,
+        payloads both ways and a commit made on the control alone, holds
+        numpy arrays, builtins, ``array.array`` and shard, chunk and
+        violation records: no schema record and no function."""
+        records = {("graphabm.storage", "ListShard"), ("graphabm.checks", "Violation"),
+                   ("graphabm.storage", "Chunk")}
+
         class PlainUnpickler(pickle.Unpickler):
             def find_class(self, module, name):
-                if module.split(".")[0] not in ("numpy", "builtins"):
-                    raise pickle.UnpicklingError(f"{module}.{name} in a sync")
+                if module.split(".")[0] not in ("numpy", "builtins", "array") and (
+                        (module, name) not in records):
+                    raise pickle.UnpicklingError(f"{module}.{name} crossed a pipe")
                 return super().find_class(module, name)
 
-        blobs, syncing = [], []
-        send_bytes, sync = Connection.send_bytes, WorkerPool.sync
+        plain = (np.ndarray, np.generic, array.array, int, float, str, bytes, type(None),
+                 ListShard, Chunk, Violation)
+
+        def walk(obj):
+            assert isinstance(obj, plain + (tuple, list, dict)), type(obj)
+            if isinstance(obj, np.ndarray):
+                assert obj.dtype != object
+            elif isinstance(obj, dict):
+                for item in obj.items():
+                    walk(item)
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    walk(item)
+            elif isinstance(obj, ListShard):
+                walk(obj.__getstate__())
+            elif isinstance(obj, Violation):
+                walk(dataclasses.astuple(obj))
+
+        blobs = []
+        send_bytes, recv_bytes = Connection.send_bytes, Connection.recv_bytes
 
         def recording_send(conn, buf, *args):
-            if syncing:
-                blobs.append(bytes(buf))
+            blobs.append(bytes(buf))
             return send_bytes(conn, buf, *args)
 
-        def recording_sync(pool, staged):
-            syncing.append(True)
-            try:
-                sync(pool, staged)
-            finally:
-                syncing.clear()
+        def recording_recv(conn, *args):
+            blob = recv_bytes(conn, *args)
+            blobs.append(blob)
+            return blob
+
+        def feed_on_control(sim):
+            apply_transition(sim, feed, FEED)
+            finalize_step(sim)
 
         monkeypatch.setattr(Connection, "send_bytes", recording_send)
-        monkeypatch.setattr(WorkerPool, "sync", recording_sync)
+        monkeypatch.setattr(Connection, "recv_bytes", recording_recv)
         sim = cell_sim()
-        run(sim, 2, [(live, LIVE), set_bonus, (feed, FEED)], workers=2)
-        assert len(blobs) == 4  # two transitions a step
+        run(sim, 2, [(live, LIVE), set_bonus, (feed, FEED), feed_on_control], workers=2)
+        kinds = []
         for blob in blobs:
-            kind, segments, edges, deaths = PlainUnpickler(io.BytesIO(blob)).load()
-            assert kind == "sync" and isinstance(deaths, bool)
-            for buffers in segments.values():
-                assert {"count", "alive", "free", "field:energy"} == set(buffers)
-            assert all(set(b) == {"targets", "sources", "field:step"} for b in edges.values())
+            message = PlainUnpickler(io.BytesIO(blob)).load()
+            walk(message)
+            kinds.append(message[0])
+        # per step and pool transition a run request, a payload each way; and a commit
+        assert sorted(kinds) == sorted(["run", "ok", "ok"] * 4 + ["commit"] * 2)

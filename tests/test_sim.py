@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from graphabm import (
     AgentTypeDecl,
     EdgeTypeDecl,
+    Hint,
     Schema,
     Simulation,
     TransitionSpec,
@@ -18,6 +21,7 @@ from graphabm import (
     run,
     split_id,
 )
+from graphabm import storage
 
 
 def person_sim(n=0):
@@ -149,3 +153,38 @@ class TestChecksum:
         assert a.state_checksum() == b.state_checksum()
         b.add_agent("Person", 0.9)
         assert a.state_checksum() != b.state_checksum()
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_csr_targets_hash_in_blocks_as_their_column(self, block, monkeypatch):
+        """The checksum reads a CSR container's targets block by block from
+        its index; over two target types, with empty slots at the start,
+        middle and end of each, it equals the digest of ``buffers()``."""
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("P", (("x", "float64"),)))
+        schema.register_agent_type(AgentTypeDecl("L", ()))
+        schema.register_edge_type(EdgeTypeDecl("E", (("w", "float64"),)))
+        schema.register_edge_type(EdgeTypeDecl("S", hints=Hint.STATELESS))
+        sim = Simulation(schema)
+        p = sim.add_agents("P", 9, {"x": np.arange(9.0)})
+        loc = sim.add_agents("L", 6)
+        targets = np.concatenate([np.repeat(p[[1, 2, 4, 7]], [3, 1, 5, 2]),
+                                  np.repeat(loc[[2, 3]], [4, 1])])
+        sources = p[np.arange(targets.size) % 9]
+        for name in ("E", "S"):
+            states = [(float(i),) for i in range(targets.size)] if name == "E" else None
+            sim.add_edges(name, targets, sources, states)
+        sim.commit_initial()
+        monkeypatch.setattr(storage, "_TARGET_BLOCK", block)
+        for name in ("E", "S"):
+            c = sim.edge_container(name)
+            blocks = list(c.target_blocks())
+            assert np.array_equal(np.concatenate(blocks), c.buffers()["targets"])
+            assert len(blocks) > 1
+        h = hashlib.sha256()
+        containers = [(f"A{tag}.0", seg) for tag, seg in enumerate(sim._segments)] + [
+            (f"E{tag}", c) for tag, c in enumerate(sim._edges)]
+        for key, container in containers:
+            for name, buf in container.buffers().items():
+                h.update(f"{key}/{name}:{buf.dtype.str}{buf.shape};".encode())
+                h.update(np.ascontiguousarray(buf))
+        assert sim.state_checksum() == h.hexdigest()
