@@ -22,8 +22,9 @@ control; the merge orders writes by producing agent, so every replica is
 bit-identical to a single-worker run. A commit the control makes alone
 while the run's pool is up, such as a transition a program callable
 applies itself, reaches the workers as its spec and its payloads, which
-they merge the same way. What crosses a pipe is numpy arrays, builtins,
-``array.array`` and the shard, chunk and violation records of
+they merge the same way. Apart from the values a model passes (globals,
+and edge states as given), what crosses a pipe is numpy arrays,
+builtins, ``array.array`` and the shard, chunk and violation records of
 :mod:`graphabm.storage` and :mod:`graphabm.checks`.
 
 A worker's exception reaches the control with its own type. A worker that
