@@ -448,7 +448,8 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
             own = pool = WorkerPool(sim, [(fn, spec)], partition, workers)
             index = 0
     resident = sim._pool
-    commit = None
+    if resident is not None:
+        resident.sent = False
     sim._in_transition = True
     try:
         if pool is None:
@@ -457,6 +458,7 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
             from .parallel import fork_payloads
 
             payloads = fork_payloads(pool, index, rt, shuffle=shuffle)
+        commit = None
         if resident is not None and pool is not resident:
             from .parallel import commit_message
 
@@ -467,7 +469,7 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
     except BaseException:
         sim._in_transition = False
         sim._staged = None
-        if resident is not None and (pool is resident or commit is not None):
+        if resident is not None and resident.sent:
             resident.close()  # its workers' replicas may be out of step
             sim._pool = None
         raise

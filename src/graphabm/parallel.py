@@ -31,8 +31,9 @@ A worker's exception reaches the control with its own type. A worker that
 dies without a result raises :class:`~graphabm.errors.WorkerError` with
 its id and exit code as soon as its process handle shows it ended. The
 pool is closed on every exit from ``run`` and from a one-off
-``apply_transition``, and when a transition on it fails, since the
-workers' replicas may then be out of step with the control's state: idle
+``apply_transition``, and when a transition fails after its workers were
+sent anything for it, since their replicas may then be out of step with
+the control's state: idle
 workers leave when their pipe closes, busy ones are killed, and all are
 joined.
 
@@ -312,12 +313,16 @@ class WorkerPool:
         self.conns: list = []
         self.procs: list = []
         self.busy = False  # a transition is out and not all payloads are back
+        self.sent = False  # set by every send; the caller clears it
+        # the run's pool's pipe ends too, else its workers outlive its close
+        outer = [] if sim._pool is None else sim._pool.conns
         try:
             for w in range(1, self.workers):
                 mine, theirs = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(theirs, [*self.conns, mine], sim, items, partition, w, workers),
+                    args=(theirs, [*outer, *self.conns, mine], sim, items, partition, w,
+                          workers),
                     daemon=True,
                 )
                 proc.start()
@@ -337,6 +342,7 @@ class WorkerPool:
 
     def _send(self, w: int, blob) -> None:
         """Send ``blob`` to worker ``w``; if it has gone, raise what ended it."""
+        self.sent = True
         try:
             self.conns[w - 1].send_bytes(blob)
         except OSError:

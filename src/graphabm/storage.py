@@ -802,12 +802,6 @@ class ExistenceEdgeRead:
         return cls(info, buckets)
 
 
-def edges_from_buffers(info: EdgeTypeInfo, buffers: dict):
-    """The read container of ``info``'s plan, rebuilt from its buffers."""
-    cls = ExistenceEdgeRead if info.plan is EdgePlan.EXISTENCE_BIT else ListEdgeRead
-    return cls.from_buffers(info, buffers)
-
-
 def drop_dead_edges(container, alive_fn):
     """``container`` without the edges whose target, or stored source, is
     dead (``alive_fn`` maps an id array to a mask): its endpoint buffers

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import array
+import contextlib
 import dataclasses
 import enum
 import io
@@ -15,6 +16,7 @@ import pytest
 
 from graphabm import (
     AgentTypeDecl,
+    ContractViolation,
     EdgeTypeDecl,
     Hint,
     Schema,
@@ -344,6 +346,21 @@ def fail_in_child(how):
     return fn
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the block runs over ``seconds``."""
+    def expire(signum, frame):  # not an OSError, which a join would swallow
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def apply_once(sim, fn, workers):
     apply_transition(sim, fn, WRITE_P, workers=workers)
     finalize_step(sim)
@@ -423,6 +440,73 @@ class TestWorkerFaults:
             sums.append(sim.state_checksum())
             assert sim._pool is None and sim._staged is None
         assert sums[1] == sums[0]
+
+    @pytest.mark.parametrize("failure", ["dangling_edge", "unpicklable_globals"])
+    def test_a_failure_before_anything_reaches_the_run_pool_leaves_it_up(self, failure):
+        """A program callable applies a two-worker transition that fails
+        before the run's workers were sent anything for it, and catches
+        the error: a one-off whose merge finds an edge to a nonexistent
+        agent, or the run's own transition with globals that do not
+        pickle. The run's pool stays up, and the run ends with the
+        results of one worker."""
+        to_nowhere = TransitionSpec(callable_types=("P",), write_types=("E",))
+
+        def dangling(view, params, g):
+            view.add_edge("E", 1000)
+            return None
+
+        pools = []
+
+        def failing(sim):
+            pools.append(sim._pool)
+            if failure == "dangling_edge":
+                with pytest.raises(ContractViolation, match="nonexistent agent"):
+                    apply_transition(sim, dangling, to_nowhere, workers=2)
+            else:
+                sim.set_global("scale", lambda x: x)
+                with pytest.raises(UsageError, match="globals must pickle"):
+                    apply_transition(sim, bump, WRITE_P, workers=2)
+                sim.set_global("scale", 1)
+            assert sim._staged is None
+            pools.append(sim._pool)
+
+        sums = []
+        for workers in (1, 2):
+            sim = plain_sim(8)
+            sim.set_global("scale", 1)
+            pools.clear()
+            with deadline(30):
+                run(sim, 3, [(bump, WRITE_P), failing, (bump, WRITE_P)], workers=workers)
+            sums.append(sim.state_checksum())
+        assert len(pools) == 6 and pools[0] is not None
+        assert all(pool is pools[0] for pool in pools)
+        assert sums[1] == sums[0]
+
+    def test_a_commit_a_dead_run_worker_cannot_take_ends_the_pool(self):
+        """Worker 2 of a three-worker run dies between transitions. The
+        commit of a one-off two-worker transition applied by a program
+        callable then fails to reach it: the error names it, nothing is
+        staged, the run's pool is ended and the run goes on."""
+        errors = []
+
+        def kill_and_commit(sim):
+            if sim._pool is not None:
+                sim._pool.procs[1].kill()
+                sim._pool.procs[1].join()
+                with pytest.raises(WorkerError) as info:
+                    apply_transition(sim, bump, WRITE_P, workers=2)
+                errors.append(info.value)
+                assert sim._staged is None and sim._pool is None
+            else:
+                apply_transition(sim, bump, WRITE_P, workers=2)
+                finalize_step(sim)
+
+        sim = plain_sim(9)
+        with deadline(30):
+            run(sim, 3, [(bump, WRITE_P), kill_and_commit, (bump, WRITE_P)], workers=3)
+        assert [(e.worker, e.exitcode) for e in errors] == [(2, -signal.SIGKILL)]
+        assert sim.step == 8
+        assert sim._pool is None
 
     def test_error_in_a_program_callable_ends_the_pool(self):
         def broken(sim):

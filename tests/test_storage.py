@@ -26,7 +26,7 @@ from graphabm import (
     storage_plan_for,
 )
 from graphabm.ids import TAG_SHIFT, agent_id
-from graphabm.storage import AgentSegment, ListShard, build_read_container, edges_from_buffers
+from graphabm.storage import AgentSegment, ListShard, build_read_container
 
 from test_schema import all_hint_sets, is_legal
 
@@ -793,8 +793,7 @@ class TestBufferRoundTrip:
                       [(float(rng.random()), int(k)) for k in range(30)])
         sim.commit_initial()
         c = sim.edge_container("E")
-        rebuilt = edges_from_buffers(c.info, c.buffers())
-        assert type(rebuilt) is type(c)
+        rebuilt = type(c).from_buffers(c.info, c.buffers())
 
         aids = ids.tolist() + [int(a[-1]) + 1, int(b[-1]) + 7]
         tags = [int(a[0]) >> TAG_SHIFT, int(b[0]) >> TAG_SHIFT, 99]
@@ -1226,7 +1225,7 @@ class TestFiveBuilds:
         first = committed(sorted_add)
         rebuilt = committed(sorted_add)
         c = rebuilt.edge_container("E")
-        rebuilt._edges[0] = edges_from_buffers(c.info, c.buffers())
+        rebuilt._edges[0] = type(c).from_buffers(c.info, c.buffers())
         sims = [first, committed(lambda sim: bulk(sim, flat)), committed(mixed), step, rebuilt]
 
         def seen(sim):
