@@ -38,7 +38,6 @@ from .parallel import (
     Partition,
     cut_edge_counts,
     cut_fraction,
-    ghost_table,
     partition_graph,
 )
 from .schema import (
@@ -103,7 +102,6 @@ __all__ = [
     "cut_edge_counts",
     "cut_fraction",
     "finalize_step",
-    "ghost_table",
     "local_index",
     "move_to",
     "partition_graph",

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..engine import TransitionSpec, run
 from ..errors import UsageError
-from ..ids import INDEX_MASK
+from ..ids import SLOT_MASK
 from ..schema import AgentTypeDecl, EdgeTypeDecl, Hint, Schema
 from ..sim import Simulation
 
@@ -124,7 +124,7 @@ class EpiModel:
         return self.person_base + p
 
     def person_index(self, aid: int) -> int:
-        return (aid & INDEX_MASK) - (self.person_base & INDEX_MASK)
+        return (aid & SLOT_MASK) - (self.person_base & SLOT_MASK)
 
 
 def build_epi(config: EpiConfig, checks="on") -> EpiModel:
@@ -314,7 +314,7 @@ def day_program(model: EpiModel) -> list:
     """The day's three transitions as batch transitions."""
     ptr, location = model.visit_ptr, model.visit_location
     start, end = model.visit_start, model.visit_end
-    first = model.person_base & INDEX_MASK
+    first = model.person_base & SLOT_MASK
 
     def emit_visits(batch, params, _globals):
         p = batch.slots - first

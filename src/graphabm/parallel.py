@@ -210,7 +210,7 @@ def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cut metrics and ghost tables
+# Cut metrics
 # ---------------------------------------------------------------------------
 
 
@@ -246,41 +246,6 @@ def cut_edge_counts(sim, partition: Partition) -> dict[tuple[int, int], int]:
         for a, b in zip(ws[crossing].tolist(), wt[crossing].tolist()):
             counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
-
-
-def ghost_table(sim, partition: Partition) -> dict[int, np.ndarray]:
-    """Remote source agents each worker needs read access to.
-
-    Covers exactly the sources of local incoming edges of edge types that
-    allow reading source state (neither IGNORE_FROM nor
-    IGNORE_SOURCE_STATE).
-    """
-    needed: dict[int, list] = {w: [] for w in range(partition.workers)}
-    for info, (targets, sources) in _stored_source_endpoints(sim):
-        if not info.source_state_readable:
-            continue
-        wt = partition.worker_for_ids(targets)
-        ws = partition.worker_for_ids(sources)
-        crossing = ws != wt
-        for w in range(partition.workers):
-            sel = crossing & (wt == w)
-            if sel.any():
-                needed[w].append(sources[sel])
-    return {
-        w: (np.unique(np.concatenate(v)) if v else np.empty(0, dtype=_U64))
-        for w, v in needed.items()
-    }
-
-
-def ghost_state_bytes(sim, partition: Partition) -> int:
-    """Bytes of agent state that would cross worker boundaries per step."""
-    total = 0
-    for w, ids in ghost_table(sim, partition).items():
-        for aid in ids.tolist():
-            tag = aid >> TAG_SHIFT
-            info = sim.schema.agent_types[tag]
-            total += sum(dt.itemsize for dt in info.dtypes)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .ids import SLOT_MASK, TAG_SHIFT, split_by_tag
 from .schema import EdgePlan, Schema
 from .storage import (
     AgentSegment,
-    ListEdgeRead,
     ListShard,
     build_read_container,
     cast_columns,
@@ -335,25 +334,16 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def state_checksum(self) -> str:
-        """SHA-256 over every container's buffers, with their names, in
-        schema order: the segment of each agent type that ever held an
-        agent, then edge types. A CSR container's targets are fed block
-        by block, the bytes of its ``buffers()`` without the whole column."""
+        """SHA-256 over every container's ``buffers()``, each array after
+        its name, dtype and shape, in schema order: the segment of each
+        agent type that ever held an agent (``A<tag>``), then edge types
+        (``E<tag>``)."""
         h = hashlib.sha256()
         containers = [
-            (f"A{tag}.0", seg) for tag, seg in enumerate(self._segments) if seg.count
+            (f"A{tag}", seg) for tag, seg in enumerate(self._segments) if seg.count
         ] + [(f"E{tag}", c) for tag, c in enumerate(self._edges)]
         for key, container in containers:
-            if isinstance(container, ListEdgeRead):
-                # its targets, rebuilt from the index a block at a time
-                shape = (container.n_stored(),)
-                h.update(f"{key}/targets:{np.dtype(_U64).str}{shape};".encode())
-                for block in container.target_blocks():
-                    h.update(block)
-                buffers = container.stored_columns()
-            else:
-                buffers = container.buffers()
-            for name, buf in buffers.items():
+            for name, buf in container.buffers().items():
                 h.update(f"{key}/{name}:{buf.dtype.str}{buf.shape};".encode())
                 h.update(np.ascontiguousarray(buf))
         return h.hexdigest()

@@ -38,17 +38,16 @@ EXISTENCE_BIT duplicate is flagged at the call, and a SINGLE_FULL_EDGE one
 at commit; in a transition both are flagged at the merge, one report per
 edge beyond a target's first at any worker count.
 
-Buffer form: every container gives its primary columns as ``buffers()``,
+Buffer form: every container gives the arrays it holds as ``buffers()``,
 a dict of named numpy arrays, and the class method ``from_buffers(info,
-buffers)`` rebuilds it and any derived index. A segment's are ``count``,
-``alive`` (mortal types), ``free`` and ``field:<name>`` per field; an edge
-container's hold one entry per edge: ``targets`` (the set ids of a bitmap;
-a CSR container rebuilds them from its index), ``sources`` and
-``field:<name>`` per state field when stored. The state checksum, the
-dead-edge sweep and the existence build read this form; the checksum
-reads a CSR container's targets block by block
-(:meth:`ListEdgeRead.target_blocks`), the same bytes without the whole
-column.
+buffers)`` wraps such arrays as a container, rebuilding nothing. A
+segment's are ``count``, ``alive`` (mortal types), ``free`` and
+``field:<name>`` per field. A CSR container's are ``indptr:<tag>`` per
+target type, then ``sources`` and ``field:<name>`` per state field when
+stored; a bitmap's are ``bits:<tag>`` per target type. Each type's index
+or bitmap ends at its last slot with an edge, and a type without edges
+has none, so equal edges give equal buffers however they were built or
+swept. The state checksum hashes this form.
 
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
@@ -82,8 +81,6 @@ _NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a type without edges
 # every slot is copied and rejected by the endpoint check instead of
 # sizing an index first.
 _INDEX_FLOOR = 1 << 16
-# Edges per block of :meth:`ListEdgeRead.target_blocks`.
-_TARGET_BLOCK = 1 << 16
 
 
 class EdgeRecord(NamedTuple):
@@ -503,30 +500,31 @@ def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np
         lo = hi
     if limit is not None and sum(span[3] for span in spans) > limit:
         return None
-    out = {}
-    for tag, lo, hi, size in spans:
-        keys = _U64(tag << TAG_SHIFT) + np.arange(size, dtype=_U64)
-        out[tag] = np.searchsorted(targets[lo:hi], keys) + lo
-    return out
+    return {tag: np.searchsorted(targets[lo:hi], _slot_ids(tag, size)) + lo
+            for tag, lo, hi, size in spans}
+
+
+def _slot_ids(tag: int, n: int) -> np.ndarray:
+    """The ids of slots 0 to ``n`` - 1 of type ``tag``."""
+    return _U64(tag << TAG_SHIFT) + np.arange(n, dtype=_U64)
 
 
 def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
     """The sorted targets a :func:`_build_indptr` index encodes."""
-    return _concat_u64([
-        np.repeat(_U64(tag << TAG_SHIFT) + np.arange(ptr.size - 1, dtype=_U64), np.diff(ptr))
-        for tag, ptr in indptr.items()
-    ])
+    return _concat_u64([np.repeat(_slot_ids(tag, ptr.size - 1), np.diff(ptr))
+                        for tag, ptr in indptr.items()])
 
 
 class ListEdgeRead:
     """CSR read container of every plan but EXISTENCE_BIT.
 
     It keeps the index, not a target column: ``indptr`` maps each target
-    type tag to an int64 array indexed by slot, and the edges of slot
-    ``s``, targets sorted, sit at positions
-    ``indptr[tag][s]:indptr[tag][s + 1]``. A slot past the end of its
-    array, such as an agent created after the container was built, has no
-    edges. ``sources`` (uint64) is None when the plan drops source ids, and
+    type tag with edges, ascending, to an int64 array indexed by slot, and
+    the edges of slot ``s``, targets sorted, sit at positions
+    ``indptr[tag][s]:indptr[tag][s + 1]``. Each array ends at the entry
+    after the type's last slot with an edge; a slot past that, such as an
+    agent created after the container was built, has no edges.
+    ``sources`` (uint64) is None when the plan drops source ids, and
     ``states`` is None or a tuple of numpy columns, one per declared field.
     Per-target runs are ordered by producing agent; a SINGLE_FULL_EDGE
     container holds at most one edge per target, and a COUNT_ONLY one only
@@ -686,50 +684,39 @@ class ListEdgeRead:
     # -- buffer form -------------------------------------------------------
 
     def buffers(self) -> dict[str, np.ndarray]:
-        """The primary columns: ``targets``, rebuilt from the index, then
-        :meth:`stored_columns`."""
-        return {"targets": _index_targets(self.indptr), **self.stored_columns()}
-
-    def stored_columns(self) -> dict[str, np.ndarray]:
-        """The primary columns but ``targets``: ``sources`` when stored and
-        one ``field:<name>`` per stored state field."""
-        out = {}
+        """The arrays the container holds: ``indptr:<tag>`` per target type,
+        ascending, then ``sources`` when stored and one ``field:<name>``
+        per stored state field."""
+        out = {f"indptr:{tag}": ptr for tag, ptr in self.indptr.items()}
         if self.sources is not None:
             out["sources"] = self.sources
         for name, column in zip(self.info.field_names, self.states or ()):
             out["field:" + name] = column
         return out
 
-    def target_blocks(self):
-        """``buffers()["targets"]`` in consecutive blocks of whole slots,
-        each of about ``_TARGET_BLOCK`` edges or one slot's edges, so that
-        a reader never holds the whole column."""
-        for tag, ptr in self.indptr.items():
-            base = _U64(tag << TAG_SHIFT)
-            starts = np.arange(ptr[0], ptr[-1], _TARGET_BLOCK)
-            cuts = np.searchsorted(ptr, starts, side="right") - 1
-            cuts = np.unique(np.append(cuts, ptr.size - 1)).tolist()
-            for lo, hi in zip(cuts, cuts[1:]):
-                yield np.repeat(base + np.arange(lo, hi, dtype=_U64), np.diff(ptr[lo: hi + 1]))
-
     @classmethod
     def from_buffers(cls, info: EdgeTypeInfo, buffers: dict) -> "ListEdgeRead":
-        """The container of :meth:`buffers`' columns, ``targets`` sorted,
-        with its index rebuilt."""
+        """The container that holds :meth:`buffers`' arrays."""
+        indptr = {int(name[len("indptr:"):]): ptr for name, ptr in buffers.items()
+                  if name.startswith("indptr:")}
         states = None
         if info.has_state:
             states = tuple(buffers["field:" + name] for name in info.field_names)
-        return cls.from_sorted(info, buffers["targets"], buffers.get("sources"), states)
+        return cls(info, indptr, buffers.get("sources"), states)
 
 
 class ExistenceEdgeRead:
-    """Read container of EXISTENCE_BIT: one presence byte per target slot."""
+    """Read container of EXISTENCE_BIT: one presence byte per target slot.
+
+    ``buckets`` maps each target type tag with edges, ascending, to a uint8
+    array of 0 or 1 per slot, ending at the type's last set slot.
+    """
 
     __slots__ = ("info", "buckets")
 
     def __init__(self, info: EdgeTypeInfo, buckets: dict[int, np.ndarray]):
         self.info = info
-        self.buckets = buckets  # type tag -> uint8 array of presence bits
+        self.buckets = buckets
 
     @property
     def plan(self):
@@ -783,38 +770,56 @@ class ExistenceEdgeRead:
         return None
 
     def buffers(self) -> dict[str, np.ndarray]:
-        """The one primary column: ``targets``, the ids whose bit is set,
+        """The arrays the container holds: ``bits:<tag>`` per target type,
         ascending."""
-        return {"targets": np.concatenate([_EMPTY_U64] + [
-            _U64(tag << TAG_SHIFT) + np.flatnonzero(self.buckets[tag]).astype(_U64)
-            for tag in sorted(self.buckets)
-        ])}
+        return {f"bits:{tag}": bits for tag, bits in self.buckets.items()}
 
     @classmethod
     def from_buffers(cls, info: EdgeTypeInfo, buffers: dict) -> "ExistenceEdgeRead":
-        """Set the bit of every id in ``targets``, in any order and with
-        repeats."""
-        buckets = {}
-        for tag, _, slots in split_by_tag(buffers["targets"]):
-            bits = np.zeros(int(slots.max()) + 1, dtype=np.uint8)
-            bits[slots] = 1
-            buckets[tag] = bits
-        return cls(info, buckets)
+        """The container that holds :meth:`buffers`' arrays."""
+        return cls(info, {int(name[len("bits:"):]): bits for name, bits in buffers.items()})
 
 
 def drop_dead_edges(container, alive_fn):
     """``container`` without the edges whose target, or stored source, is
-    dead (``alive_fn`` maps an id array to a mask): its endpoint buffers
-    are masked and the container is rebuilt from them."""
-    buffers = container.buffers()
-    keep = alive_fn(buffers["targets"])
-    if "sources" in buffers:
-        keep &= alive_fn(buffers["sources"])
+    dead (``alive_fn`` maps an id array to a mask); ``container`` itself
+    when none is.
+
+    Targets are looked up per slot and their verdicts applied to the
+    bitmap, or spread over each slot's run of edges; the new index counts
+    the edges kept before each run start. Each type's array is then cut
+    after its last slot with an edge, and a type left without edges is
+    dropped, which is the form a build of the surviving edges gives.
+    """
+    if isinstance(container, ExistenceEdgeRead):
+        buckets, kept = {}, 0
+        for tag, bits in container.buckets.items():
+            bits = bits * alive_fn(_slot_ids(tag, bits.size))
+            set_slots = np.flatnonzero(bits)
+            kept += set_slots.size
+            if set_slots.size:
+                buckets[tag] = bits[: set_slots[-1] + 1]
+        if kept == container.n_stored():
+            return container
+        return ExistenceEdgeRead(container.info, buckets)
+    keep = np.concatenate([np.ones(0, dtype=bool)] + [
+        np.repeat(alive_fn(_slot_ids(tag, ptr.size - 1)), np.diff(ptr))
+        for tag, ptr in container.indptr.items()
+    ])
+    if container.sources is not None:
+        keep &= alive_fn(container.sources)
     if bool(keep.all()):
         return container
-    return type(container).from_buffers(
-        container.info, {name: column[keep] for name, column in buffers.items()}
-    )
+    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    indptr = {}
+    for tag, ptr in container.indptr.items():
+        ptr = kept_before[ptr]
+        filled = np.flatnonzero(ptr[1:] > ptr[:-1])
+        if filled.size:
+            indptr[tag] = ptr[: filled[-1] + 2]
+    return ListEdgeRead(container.info, indptr, _take(container.sources, keep),
+                        _take(container.states, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -913,11 +918,18 @@ def build_existence_read(
 ) -> ExistenceEdgeRead:
     """Set the bit of every target of the shards and of ``carryover``."""
     targets, _, _, producers, _ = _merge_list_shards(info, shards, None)
-    retained = _EMPTY_U64 if carryover is None else carryover.buffers()["targets"]
+    retained = _concat_u64([] if carryover is None else [
+        _U64(tag << TAG_SHIFT) + np.flatnonzero(bits).astype(_U64)
+        for tag, bits in carryover.buckets.items()
+    ])
     ids = np.concatenate([retained, targets])
     if sink is not None:
         _single_edge_order(info, ids, producers, retained.size, sink)
-    return ExistenceEdgeRead.from_buffers(info, {"targets": ids})
+    buckets = {}
+    for tag, _, slots in split_by_tag(ids):
+        buckets[tag] = np.zeros(int(slots.max()) + 1, dtype=np.uint8)
+        buckets[tag][slots] = 1
+    return ExistenceEdgeRead(info, buckets)
 
 
 def build_single_read(
@@ -984,8 +996,9 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     partition other than 0 sorts above every slot of its type, so a column
     passes whole when the largest id of each type in it exists: an indexed
     chunk's targets give each type's largest from the index, and an array
-    passes on its largest when its smallest and largest share one type. Otherwise each id is looked up, and the first bad one,
-    shard by shard, targets before sources, is named.
+    passes on its largest when its smallest and largest share one type.
+    Otherwise each id is looked up, and the first bad one, shard by shard,
+    targets before sources, is named.
     """
     for shard in shards:
         chunks = shard.seal()

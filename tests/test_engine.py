@@ -441,7 +441,7 @@ class TestNewAgents:
             assert sorted(c.sources_for(parent).tolist()) == children
             for child in children:
                 assert c.sources_for(child).tolist() == [parent]
-        assert c.buffers()["targets"].max() < 12  # every id is an agent's
+        assert c.edge_endpoints()[0].max() < 12  # every id is an agent's
 
     def test_single_type_edge_to_newborn_reports_nothing(self):
         """The provisional id keeps the newborn's type tag, so a

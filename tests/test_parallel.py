@@ -18,7 +18,6 @@ from graphabm import (
     AgentTypeDecl,
     ContractViolation,
     EdgeTypeDecl,
-    Hint,
     Schema,
     Simulation,
     TransitionSpec,
@@ -28,7 +27,6 @@ from graphabm import (
     cut_edge_counts,
     cut_fraction,
     finalize_step,
-    ghost_table,
     partition_graph,
     run,
 )
@@ -165,32 +163,6 @@ class TestCutMetrics:
             assert p.worker_for_slots(0, np.arange(10)).tolist() == owners
 
 
-class TestGhostTable:
-    def test_covers_exactly_remote_sources_of_readable_types(self):
-        schema = Schema()
-        schema.register_agent_type(AgentTypeDecl("P", (("x", "float64"),), immortal=True))
-        schema.register_edge_type(EdgeTypeDecl("Seen"))
-        schema.register_edge_type(
-            EdgeTypeDecl("Unseen", hints=Hint.IGNORE_SOURCE_STATE)
-        )
-        sim = Simulation(schema)
-        sim.add_agents("P", 4, {"x": np.zeros(4)})
-        sim.add_edge("Seen", 0, 3)    # cross-worker under 2-way contiguous
-        sim.add_edge("Seen", 0, 1)    # same worker
-        sim.add_edge("Unseen", 1, 2)  # source state unreadable: no ghost
-        sim.commit_initial()
-        p = partition_graph(sim, 2, "contiguous")
-        table = ghost_table(sim, p)
-        assert table[0].tolist() == [3]
-        assert table[1].tolist() == []
-
-    def test_all_local_needs_no_ghosts(self):
-        sim = plain_sim(6, (np.arange(6), (np.arange(6) + 1) % 6))
-        p = partition_graph(sim, 1)
-        table = ghost_table(sim, p)
-        assert all(v.size == 0 for v in table.values())
-
-
 class TestParallelExecution:
     def test_bit_identical_across_worker_counts(self):
         cfg = HKConfig(n=120, epsilon=0.25, seed=11)
@@ -298,23 +270,6 @@ class TestParallelExecution:
         assert born.size >= 4
         owners = p.worker_for_slots(0, born.astype(np.int64))
         assert owners.tolist() == (born % 2).tolist() and set(owners.tolist()) == {0, 1}
-
-
-class TestGhostBytes:
-    def test_ghost_state_bytes_counts_remote_state(self):
-        from graphabm.parallel import ghost_state_bytes
-
-        schema = Schema()
-        schema.register_agent_type(
-            AgentTypeDecl("P", (("x", "float64"), ("y", "int64")), immortal=True)
-        )
-        schema.register_edge_type(EdgeTypeDecl("E"))
-        sim = Simulation(schema)
-        sim.add_agents("P", 4, {"x": np.zeros(4), "y": np.zeros(4, dtype=np.int64)})
-        sim.add_edge("E", 0, 3)  # crosses the 2-way contiguous boundary
-        sim.commit_initial()
-        p = partition_graph(sim, 2, "contiguous")
-        assert ghost_state_bytes(sim, p) == 16  # one remote agent, two fields
 
 
 # ---------------------------------------------------------------------------

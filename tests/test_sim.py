@@ -21,7 +21,6 @@ from graphabm import (
     run,
     split_id,
 )
-from graphabm import storage
 
 
 def person_sim(n=0):
@@ -154,16 +153,19 @@ class TestChecksum:
         b.add_agent("Person", 0.9)
         assert a.state_checksum() != b.state_checksum()
 
-    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
-    def test_csr_targets_hash_in_blocks_as_their_column(self, block, monkeypatch):
-        """The checksum reads a CSR container's targets block by block from
-        its index; over two target types, with empty slots at the start,
-        middle and end of each, it equals the digest of ``buffers()``."""
+    def test_checksum_hashes_the_buffers_each_container_holds(self):
+        """Over two target types, with empty slots at the start, middle and
+        end of each, an edge container's ``buffers()`` are its index or
+        bitmap and its stored columns, whose bytes are the ``nbytes()``
+        that ``describe()`` reports, and the checksum is SHA-256 over every
+        container's named buffers."""
         schema = Schema()
         schema.register_agent_type(AgentTypeDecl("P", (("x", "float64"),)))
         schema.register_agent_type(AgentTypeDecl("L", ()))
         schema.register_edge_type(EdgeTypeDecl("E", (("w", "float64"),)))
         schema.register_edge_type(EdgeTypeDecl("S", hints=Hint.STATELESS))
+        schema.register_edge_type(
+            EdgeTypeDecl("X", hints=Hint.STATELESS | Hint.IGNORE_FROM | Hint.SINGLE_EDGE))
         sim = Simulation(schema)
         p = sim.add_agents("P", 9, {"x": np.arange(9.0)})
         loc = sim.add_agents("L", 6)
@@ -173,15 +175,18 @@ class TestChecksum:
         for name in ("E", "S"):
             states = [(float(i),) for i in range(targets.size)] if name == "E" else None
             sim.add_edges(name, targets, sources, states)
+        sim.add_edges("X", np.unique(targets))
         sim.commit_initial()
-        monkeypatch.setattr(storage, "_TARGET_BLOCK", block)
-        for name in ("E", "S"):
+        described = sim.describe()["edges"]
+        for name, keys in (("E", ["indptr:0", "indptr:1", "sources", "field:w"]),
+                           ("S", ["indptr:0", "indptr:1", "sources"]),
+                           ("X", ["bits:0", "bits:1"])):
             c = sim.edge_container(name)
-            blocks = list(c.target_blocks())
-            assert np.array_equal(np.concatenate(blocks), c.buffers()["targets"])
-            assert len(blocks) > 1
+            assert list(c.buffers()) == keys
+            total = sum(buf.nbytes for buf in c.buffers().values())
+            assert total == c.nbytes() == described[name]["bytes"]
         h = hashlib.sha256()
-        containers = [(f"A{tag}.0", seg) for tag, seg in enumerate(sim._segments)] + [
+        containers = [(f"A{tag}", seg) for tag, seg in enumerate(sim._segments)] + [
             (f"E{tag}", c) for tag, c in enumerate(sim._edges)]
         for key, container in containers:
             for name, buf in container.buffers().items():

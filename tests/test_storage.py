@@ -794,6 +794,8 @@ class TestBufferRoundTrip:
         sim.commit_initial()
         c = sim.edge_container("E")
         rebuilt = type(c).from_buffers(c.info, c.buffers())
+        assert all(mine is theirs for mine, theirs in
+                   zip(rebuilt.buffers().values(), c.buffers().values()))
 
         aids = ids.tolist() + [int(a[-1]) + 1, int(b[-1]) + 7]
         tags = [int(a[0]) >> TAG_SHIFT, int(b[0]) >> TAG_SHIFT, 99]
@@ -842,6 +844,80 @@ class TestBufferRoundTrip:
         sim._segments[info.tag] = rebuilt
         assert sim.state_checksum() == before
         assert rebuilt.allocate() == seg.allocate()
+
+
+class TestSweepOracle:
+    """The dead-edge sweep gives the buffers of a container built from the
+    surviving edges, as a plain Python filter of the stored edges finds
+    them, and one checksum at one and two workers."""
+
+    KILLED_A = (0, 4, 8)  # A's first, a middle and its last slot
+    KILLED_B = 1  # a source of edges whose targets live, and B's only target
+
+    def build(self, hints):
+        """Nine A and four B agents and 44 edges of type E: 40 random ones
+        to A, one to A0, one to A8, one from B1 and one to B1, B's only
+        edge; returns the simulation and the edges."""
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("A", (("v", "float64"),)))
+        schema.register_agent_type(AgentTypeDecl("B", ()))
+        kw = {"single_type_target": "A"} if Hint.SINGLE_TYPE in hints else {}
+        schema.register_edge_type(
+            EdgeTypeDecl("E", (("w", "float64"), ("k", "int64")), hints=hints, **kw)
+        )
+        sim = Simulation(schema, checks="off")
+        a = sim.add_agents("A", 9, {"v": np.arange(9.0)}).tolist()
+        b = sim.add_agents("B", 4).tolist()
+        ids = a + b
+        rng = np.random.default_rng(int(hints.value) + 11)
+        targets = rng.integers(0, len(a), 40).tolist()
+        sources = rng.integers(0, len(ids), 40).tolist()
+        edges = [(a[t], ids[s], (float(rng.random()), k))
+                 for k, (t, s) in enumerate(zip(targets, sources))]
+        edges += [(a[0], a[5], (0.5, 40)), (a[8], a[3], (0.25, 41)),
+                  (a[2], b[1], (0.75, 42)), (b[1], a[6], (0.125, 43))]
+        sim.add_edges("E", np.array([e[0] for e in edges], dtype=np.uint64),
+                      np.array([e[1] for e in edges], dtype=np.uint64), [e[2] for e in edges])
+        sim.commit_initial()
+        return sim, edges
+
+    def cull(self, view, params, g):
+        """Kill A0, A4, A8 and B1; A3 gives birth to A9, a slot past every
+        index and bitmap of E, whose largest target slot is 8."""
+        tag, _, slot = split_id(view.agent_id)
+        if (tag, slot) == (0, 3):
+            view.add_agent("A", 9.0)
+        killed = self.KILLED_A if tag == 0 else (self.KILLED_B,)
+        return None if slot in killed else view.state
+
+    @pytest.mark.parametrize("hints", [h for h in all_hint_sets() if is_legal(h)],
+                             ids=lambda h: str(h))
+    def test_sweep_equals_a_build_of_the_survivors(self, hints):
+        sim, edges = self.build(hints)
+        info = sim.schema.edge_type("E")
+        stored = edges
+        if info.plan in (EdgePlan.SINGLE_FULL_EDGE, EdgePlan.EXISTENCE_BIT):
+            stored = list({e[0]: e for e in edges}.values())  # each target's last add
+        dead = {agent_id(0, 0, s) for s in self.KILLED_A} | {agent_id(1, 0, self.KILLED_B)}
+        shard = ListShard(info)
+        for t, s, st in stored:
+            if t not in dead and not (info.has_source and s in dead):
+                shard.add(t, s, info.stored_state(st))
+        expected = build_read_container(info, [shard])
+        assert expected.n_stored() < sim.edge_container("E").n_stored()
+
+        checksums = []
+        for workers in (1, 2):
+            sim, _ = self.build(hints)
+            spec = TransitionSpec(("A", "B"), write_types=("A", "B"))
+            apply_transition(sim, self.cull, spec, workers=workers)
+            finalize_step(sim)
+            assert sim.agent_ids("A").tolist() == [1, 2, 3, 5, 6, 7, 9]
+            swept = sim.edge_container("E")
+            assert [(k, _plain(v)) for k, v in swept.buffers().items()] == [
+                (k, _plain(v)) for k, v in expected.buffers().items()]
+            checksums.append(sim.state_checksum())
+        assert checksums[0] == checksums[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1267,7 +1343,7 @@ class TestIndexedChunks:
         sources[:] = 4
         sim.commit_initial()
         c = sim.edge_container("E")
-        assert c.buffers()["targets"].tolist() == [0, 0, 1, 3, 3, 3]
+        assert c.edge_endpoints()[0].tolist() == [0, 0, 1, 3, 3, 3]
         assert c.sources_for(3).tolist() == [1, 2, 0]
         assert sim.state_checksum() == reference.state_checksum()
 
@@ -1295,7 +1371,7 @@ class TestIndexedChunks:
         sim.commit_initial()
         c = sim.edge_container("E")
         assert [c.count_for(t) for t in (0, 1, 7, B0, B0 + 1, B0 + 2)] == [0, 2, 1, 1, 0, 2]
-        assert c.buffers()["targets"].tolist() == ids
+        assert c.edge_endpoints()[0].tolist() == ids
 
     def test_far_target_is_copied_not_indexed(self):
         sim = build_sim(EdgeTypeDecl("E", hints=Hint.STATELESS))
