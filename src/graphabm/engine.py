@@ -24,6 +24,15 @@ write edge types, through ``batch.add_edges``, and agent types it calls,
 re-adding every agent it runs of those; for a callable type it does not
 write it returns None.
 
+A worker finds a batch transition's chunks, and each chunk's runs of edges
+in every readable list container, once, in a :class:`ReadPlan` kept on its
+simulation for that transition spec. A later call reuses the plan while
+every read container is the same object, the tasks hold the same slots and
+``BATCH_EDGE_LIMIT`` is unchanged, and builds it anew otherwise: a step that
+rewrites a read edge type, or sweeps edges from it, or adds or removes
+agents of a callable type, rebuilds it. A shuffled call plans each
+one-agent chunk as it runs and keeps no plan.
+
 One driver runs both forms: a worker walks its task list once, calls a
 batch ``fn`` per chunk and a per-agent ``fn`` per agent, checks and casts
 what the calls return the same way, and ships the states of the agents
@@ -39,6 +48,7 @@ draws are computed from its own data.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,26 +200,37 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
         info = schema.edge_types[etag]
         writers[info.name] = (step_shard(info, rt.check_single_edge), info)
     args = (sim.params, rt.globals)
-    if batch:
-        lists = [c for c in read.values() if c.plan is not EdgePlan.EXISTENCE_BIT]
-
-        def call(tag, seg, slots):
-            ret = fn(AgentBatch(sim, rt, read, writers, sink, tag, seg, slots), *args)
-            return (slots, ret) if ret is not None else (slots[:0], None)
-    else:
-        view = NeighborhoodView(sim, rt, read, writers, sink, worker)
-
-        def call(tag, seg, slots):
-            return view._call_each(fn, tag, seg, slots, *args)
-
     tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
     if shuffle is not None:
         flat = [(tag, slot) for tag, slots in tasks for slot in slots.tolist()]
         shuffle.shuffle(flat)
         tasks = [(tag, np.array([slot])) for tag, slot in flat]
+    if batch:
+        lists = [(name, c) for name, c in read.items()
+                 if c.plan is not EdgePlan.EXISTENCE_BIT]
+        if shuffle is not None:  # chunks of one agent, planned as they run
+            chunked = (_plan_task(lists, tag, slots, BATCH_EDGE_LIMIT)
+                       for tag, slots in tasks)
+        else:
+            plan = sim._plans.pop(rt.spec, None)
+            if plan is None or not plan.serves(lists, tasks, BATCH_EDGE_LIMIT):
+                del plan  # before the new one is built
+                plan = ReadPlan(lists, tasks, BATCH_EDGE_LIMIT)
+            sim._plans[rt.spec] = plan
+            chunked = plan.chunks
+
+        def call(tag, seg, slots, runs):
+            ret = fn(AgentBatch(sim, rt, read, writers, sink, tag, seg, slots, runs), *args)
+            return (slots, ret) if ret is not None else (slots[:0], None)
+    else:
+        view = NeighborhoodView(sim, rt, read, writers, sink, worker)
+        chunked = [[(0, slots.size, None)] for _tag, slots in tasks]
+
+        def call(tag, seg, slots, _runs):
+            return view._call_each(fn, tag, seg, slots, *args)
 
     returned: dict = {}  # tag -> [(slots, columns)] of re-added agents
-    for tag, slots in tasks:
+    for (tag, slots), chunks in zip(tasks, chunked):
         info = schema.agent_types[tag]
         seg = sim._segments[tag]
         writes_self = tag in rt.written_agent
@@ -217,15 +238,9 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
         # a batch re-adds every agent of a type it writes; a per-agent call
         # may drop its agent unless the type is immortal
         must_return = writes_self and not kept and (batch or info.immortal)
-        chunks = (slots,)
-        if batch:
-            edges = np.zeros(slots.size, dtype=np.int64)
-            for c in lists:
-                starts, ends = c.bounds(tag, slots)
-                edges += ends - starts
-            chunks = _chunks(slots, edges, BATCH_EDGE_LIMIT)
-        for chunk in chunks:
-            done, cols = call(tag, seg, chunk)
+        for lo, hi, runs in chunks:
+            chunk = slots[lo:hi]
+            done, cols = call(tag, seg, chunk, runs)
             if must_return and done.size < chunk.size:
                 slot = np.setdiff1d(chunk, done)[0]
                 raise UsageError(
@@ -280,6 +295,66 @@ def step_shard(info, check_single_edge: bool):
     merge of EXISTENCE_BIT, a union of bits, reads producers only for its
     SINGLE_EDGE reports."""
     return ListShard(info, check_single_edge or info.plan is not EdgePlan.EXISTENCE_BIT)
+
+
+class ReadPlan:
+    """Where a batch transition's agents read their edges: per task, its
+    slots and its chunks, each chunk as ``(lo, hi, runs)``, positions in
+    the task's slots and, by edge type name, its ``ListEdgeRead.runs`` in
+    every readable list container.
+
+    A task of consecutive slots is kept as their ``slice``, others as
+    their array, so the plan grows with agents and chunks, never with
+    edges. It holds weak references to the containers it was built from,
+    so it keeps no replaced container alive, and it serves a later call
+    of the transition while each container is the same object, every
+    task holds the same slots and the chunk limit is the same.
+    """
+
+    __slots__ = ("refs", "limit", "tasks", "chunks")
+
+    def __init__(self, lists: list, tasks: list, limit: int):
+        self.refs = [weakref.ref(c) for _name, c in lists]
+        self.limit = limit
+        self.tasks = [(tag, _task_span(slots)) for tag, slots in tasks]
+        self.chunks = [_plan_task(lists, tag, slots, limit) for tag, slots in tasks]
+
+    def serves(self, lists: list, tasks: list, limit: int) -> bool:
+        if limit != self.limit or len(tasks) != len(self.tasks):
+            return False
+        if not all(ref() is c for ref, (_name, c) in zip(self.refs, lists)):
+            return False
+        for (tag, slots), (old_tag, old) in zip(tasks, self.tasks):
+            span = _task_span(slots)
+            if tag != old_tag or type(span) is not type(old) or not (
+                span == old if isinstance(span, slice) else np.array_equal(span, old)
+            ):
+                return False
+        return True
+
+
+def _task_span(slots: np.ndarray):
+    """Ascending ``slots`` as a ``slice`` when they are consecutive."""
+    if slots.size and slots[-1] - slots[0] == slots.size - 1:
+        return slice(int(slots[0]), int(slots[-1]) + 1)
+    return slots
+
+
+def _plan_task(lists: list, tag: int, slots: np.ndarray, limit: int) -> list:
+    """The ``(lo, hi, runs)`` chunks of one task of ascending slots: one
+    ``bounds`` per container for the task, one ``runs`` per container and
+    chunk."""
+    bounds = [(name, *c.bounds(tag, _task_span(slots)), c) for name, c in lists]
+    edges = np.zeros(slots.size, dtype=np.int64)
+    for _name, starts, ends, _c in bounds:
+        edges += ends - starts
+    planned, lo = [], 0
+    for chunk in _chunks(slots, edges, limit):
+        hi = lo + chunk.size
+        planned.append((lo, hi, {name: c.runs(starts[lo:hi], ends[lo:hi])
+                                 for name, starts, ends, c in bounds}))
+        lo = hi
+    return planned
 
 
 def _chunks(slots: np.ndarray, edges: np.ndarray, limit: int):
@@ -509,10 +584,12 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
 
     ``program`` is an ordered list whose items are either ``(fn, spec)``
     transitions or callables taking the simulation (run on the control
-    thread between transitions, e.g. globals updates). Per-step wall time
-    lands in ``sim.step_metrics``. With ``workers > 1`` the workers are
-    forked once, after partitioning, and ended before ``run`` returns or
-    raises (see :mod:`graphabm.parallel`).
+    thread between transitions, e.g. globals updates). Each step appends
+    to ``sim.step_metrics`` its ``wall_ms`` and ``agents_run``, the agents
+    its transitions ran, summed over them: the alive agents of each
+    transition's callable types, at any worker count. With ``workers > 1``
+    the workers are forked once, after partitioning, and ended before
+    ``run`` returns or raises (see :mod:`graphabm.parallel`).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -538,15 +615,22 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
     try:
         for index in range(steps):
             t0 = time.perf_counter()
+            agents_run = 0
             for kind, a, b in items:
                 if kind == "t":
                     apply_transition(sim, a, b, workers=workers, partition=partition)
+                    agents_run += sum(  # the time-t segments, until the commit
+                        sim._segments[sim.schema.type_by_name(name).tag].n_alive
+                        for name in b.callable_types
+                    )
                     finalize_step(sim)
                 else:
                     a(sim)
-            sim.step_metrics.append(
-                {"step_index": index, "wall_ms": (time.perf_counter() - t0) * 1e3}
-            )
+            sim.step_metrics.append({
+                "step_index": index,
+                "wall_ms": (time.perf_counter() - t0) * 1e3,
+                "agents_run": agents_run,
+            })
             if on_step is not None:
                 on_step(sim)
     finally:

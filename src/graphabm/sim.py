@@ -80,6 +80,7 @@ class Simulation:
         self._in_transition = False
         self._staged = None
         self._pool = None  # the resident worker pool while engine.run steps
+        self._plans: dict = {}  # TransitionSpec -> engine.ReadPlan of its batch reads
         self.step = 0
         self.check_reports: list = []
         self.step_metrics: list[dict] = []

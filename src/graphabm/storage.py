@@ -486,6 +486,14 @@ def _cat(first, second):
     return None if first is None else np.concatenate([first, second])
 
 
+def run_positions(pos, indptr: np.ndarray):
+    """The edge positions that :meth:`ListEdgeRead.runs`' ``pos`` stands
+    for: the slice itself, or each run's positions from its start on."""
+    if isinstance(pos, slice):
+        return pos
+    return np.arange(indptr[-1]) + np.repeat(pos - indptr[:-1], np.diff(indptr))
+
+
 def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np.ndarray] | None:
     """Per target type, slot-indexed run starts into sorted ``targets``:
     one entry per slot up to the type's largest target, and one more.
@@ -533,7 +541,7 @@ class ListEdgeRead:
     one, else None.
     """
 
-    __slots__ = ("info", "indptr", "sources", "states", "single_source_tag")
+    __slots__ = ("info", "indptr", "sources", "states", "single_source_tag", "__weakref__")
 
     def __init__(self, info: EdgeTypeInfo, indptr: dict, sources, states):
         self.info = info
@@ -575,31 +583,44 @@ class ListEdgeRead:
             return 0, 0
         return ptr.item(slot), ptr.item(slot + 1)
 
-    def bounds(self, tag: int, slots: np.ndarray):
-        """Per-slot (starts, ends) edge positions of targets of one type; a
+    def bounds(self, tag: int, slots):
+        """Per-slot (starts, ends) edge positions of targets ``slots`` of
+        one type, an array or a ``slice(lo, hi)`` of consecutive slots; a
         slot without edges gets an empty run."""
         ptr = self.indptr.get(tag, _NO_RUNS)
+        if isinstance(slots, slice):
+            width = slots.stop - slots.start + 1
+            edge = ptr[slots.start:slots.stop + 1]  # a view, unless slots pass the end
+            if edge.size < width:
+                edge = np.concatenate([edge, np.full(width - edge.size, ptr[-1])])
+            return edge[:-1], edge[1:]
         last = ptr.size - 1
         return ptr[np.minimum(slots, last)], ptr[np.minimum(slots + 1, last)]
 
-    def runs(self, tag: int, slots: np.ndarray):
-        """``(pos, indptr)``: the positions of the edges of targets ``slots``
-        of one type, slot after slot, and each slot's run in them."""
-        starts, ends = self.bounds(tag, slots)
-        counts = ends - starts
-        indptr = np.zeros(slots.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if slots.size and np.array_equal(starts[1:], ends[:-1]):
-            return slice(int(starts[0]), int(ends[-1])), indptr  # one run of edges
-        return np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts), indptr
+    def runs(self, starts: np.ndarray, ends: np.ndarray):
+        """``(pos, indptr)`` of the runs of edges ``starts[i]:ends[i]``
+        that :meth:`bounds` gives: ``indptr`` holds each run's extent in
+        their concatenation, and ``pos`` is one slice of edge positions when
+        the runs are back to back, else ``starts`` (:func:`run_positions`
+        spells the positions out)."""
+        indptr = np.zeros(starts.size + 1, dtype=np.int64)
+        np.cumsum(ends - starts, out=indptr[1:])
+        if starts.size and np.array_equal(starts[1:], ends[:-1]):
+            return slice(int(starts[0]), int(ends[-1])), indptr
+        return starts, indptr
+
+    def _slot_runs(self, tag: int, slots: np.ndarray, runs):
+        return runs if runs is not None else self.runs(*self.bounds(tag, slots))
 
     def has_for(self, aid: int) -> bool:
         lo, hi = self.span(aid)
         return hi > lo
 
-    def has_for_slots(self, tag: int, slots: np.ndarray) -> np.ndarray:
-        starts, ends = self.bounds(tag, slots)
-        return ends > starts
+    def has_for_slots(self, tag: int, slots: np.ndarray, runs=None) -> np.ndarray:
+        """Per slot, whether it has an edge; ``runs`` is the slots'
+        :meth:`runs`, computed when not given, as for every ``*_for_slots``."""
+        indptr = self._slot_runs(tag, slots, runs)[1]
+        return indptr[1:] > indptr[:-1]
 
     def _require_counts(self):
         if self.info.plan is EdgePlan.SINGLE_FULL_EDGE:
@@ -613,10 +634,9 @@ class ListEdgeRead:
         lo, hi = self.span(aid)
         return hi - lo
 
-    def count_for_slots(self, tag: int, slots: np.ndarray) -> np.ndarray:
+    def count_for_slots(self, tag: int, slots: np.ndarray, runs=None) -> np.ndarray:
         self._require_counts()
-        starts, ends = self.bounds(tag, slots)
-        return ends - starts
+        return np.diff(self._slot_runs(tag, slots, runs)[1])
 
     def sources_for(self, aid: int) -> np.ndarray:
         if self.sources is None:
@@ -656,13 +676,13 @@ class ListEdgeRead:
                 "edge records are not retrievable"
             )
 
-    def records_for_slots(self, tag: int, slots: np.ndarray):
+    def records_for_slots(self, tag: int, slots: np.ndarray, runs=None):
         """``(sources, states, indptr)`` of the edges of targets ``slots``
-        of one type, as :meth:`runs` orders them; ``sources`` is None
-        without source ids, ``states`` (one column per field) when
-        STATELESS."""
+        of one type, slot after slot; ``sources`` is None without source
+        ids, ``states`` (one column per field) when STATELESS."""
         self._require_records()
-        pos, indptr = self.runs(tag, slots)
+        pos, indptr = self._slot_runs(tag, slots, runs)
+        pos = run_positions(pos, indptr)
         sources = None if self.sources is None else self.sources[pos]
         states = None if self.info.stateless else tuple(c[pos] for c in self.states or ())
         return sources, states, indptr
@@ -736,7 +756,7 @@ class ExistenceEdgeRead:
         idx = aid & SLOT_MASK
         return idx < bucket.size and bucket[idx] != 0
 
-    def has_for_slots(self, tag: int, slots: np.ndarray) -> np.ndarray:
+    def has_for_slots(self, tag: int, slots: np.ndarray, _runs=None) -> np.ndarray:
         out = np.zeros(slots.size, dtype=bool)
         bucket = self.buckets.get(tag)
         if bucket is not None:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import HintViolation, TypeNotReadable, TypeNotWritable, UnknownName, UsageError
 from .ids import TAG_SHIFT, agent_id, split_by_tag
 from .philox import agent_draws, agent_generator
-from .storage import cast_columns, edge_breaches, make_checked_adder
+from .storage import cast_columns, edge_breaches, make_checked_adder, run_positions
 
 
 class _Reads:
@@ -273,13 +273,15 @@ class AgentBatch(_Reads):
     the arrays a batch transition returns, and the per-agent arrays its
     reads return and its writes take, align with them. All reads see time-t
     data; arrays a read returns may share memory with the store and must
-    not be modified.
+    not be modified. Edge reads take the agents' runs in each readable list
+    container from the engine's read plan.
     """
 
     __slots__ = ("_sim", "_rt", "_read", "_writers", "_sink", "_seg", "_tag",
-                 "_ids", "slots")
+                 "_runs", "_ids", "slots")
 
-    def __init__(self, sim, rt, read_containers, writers, sink, tag: int, seg, slots):
+    def __init__(self, sim, rt, read_containers, writers, sink, tag: int, seg, slots,
+                 runs):
         self._sim = sim
         self._rt = rt
         self._read = read_containers
@@ -288,6 +290,7 @@ class AgentBatch(_Reads):
         self._seg = seg
         self._tag = tag
         self.slots = slots
+        self._runs = runs  # list edge type name -> the slots' (pos, indptr) in it
         self._ids = None
 
     @property
@@ -308,11 +311,13 @@ class AgentBatch(_Reads):
 
     def has(self, edge_type: str) -> np.ndarray:
         """Per agent, whether it has an incoming edge of the type."""
-        return self._container(edge_type).has_for_slots(self._tag, self.slots)
+        return self._container(edge_type).has_for_slots(
+            self._tag, self.slots, self._runs.get(edge_type))
 
     def count(self, edge_type: str) -> np.ndarray:
         """Per agent, its number of incoming edges of the type."""
-        return self._container(edge_type).count_for_slots(self._tag, self.slots)
+        return self._container(edge_type).count_for_slots(
+            self._tag, self.slots, self._runs.get(edge_type))
 
     def edges(self, edge_type: str):
         """Every agent's incoming edges as ``(sources, states, indptr)``.
@@ -322,7 +327,8 @@ class AgentBatch(_Reads):
         ``sources`` is None when the type drops source ids and ``states``,
         one column per declared field, when it is STATELESS.
         """
-        return self._container(edge_type).records_for_slots(self._tag, self.slots)
+        return self._container(edge_type).records_for_slots(
+            self._tag, self.slots, self._runs.get(edge_type))
 
     def neighbor_field(self, edge_type: str, field: str):
         """One state field of the source agents of every agent's incoming edges.
@@ -332,7 +338,8 @@ class AgentBatch(_Reads):
         same values ``NeighborhoodView.neighbor_field`` gives that agent.
         """
         c = self._source_readable(edge_type)
-        pos, indptr = c.runs(self._tag, self.slots)
+        pos, indptr = self._runs[edge_type]
+        pos = run_positions(pos, indptr)
         tag = c.single_source_tag
         if tag is None:
             return self._gather(c.sources[pos], field), indptr

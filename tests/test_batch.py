@@ -10,6 +10,9 @@ checks.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from graphabm import (
     apply_transition,
     engine,
     finalize_step,
+    partition_graph,
     run,
 )
 from graphabm.models.hk import (
@@ -46,6 +50,7 @@ from graphabm.models.episim import (
     random_schedule,
 )
 from graphabm.models.topology import Cliques, Complete, Regular
+from graphabm.storage import ListEdgeRead
 
 TOPOLOGIES = {
     "ring": (Regular(10), 300),
@@ -658,3 +663,239 @@ class TestBatchEdgeWrites:
         with pytest.raises(ContractViolation):
             apply_transition(sim, emit, write_spec("H"))
         assert sim._staged is None
+
+
+# ---------------------------------------------------------------------------
+# Read plans
+# ---------------------------------------------------------------------------
+
+
+PLAN_STEPS = 6
+LIFE_SPEC = TransitionSpec(callable_types=("M",), write_types=("M",))
+
+
+def life(view, params, glob):
+    """Mortal agents die on even program steps and have children on odd
+    ones (a step runs three transitions)."""
+    draw = view.rng.random()
+    if view.step // 3 % 2 == 0:
+        return None if draw < 0.2 else (view.field("x"),)
+    if draw > 0.7:
+        view.add_agent("M", view.field("x") * 0.5)
+    return (view.field("x"),)
+
+
+def mix_agent(view, params, glob):
+    x = view.field("x")
+    weights = np.array([record.state[0] for record in view.edges("L")])
+    seen = view.neighbor_field("L", "x")
+    if not seen.size:
+        return (x + 1.0,)
+    return (0.5 * (x + float(np.max(seen * weights))),)
+
+
+def mix_batch(batch, params, glob):
+    """:func:`mix_agent` for a chunk: the largest weighted neighbour value."""
+    x = batch.field("x")
+    seen, indptr = batch.neighbor_field("L", "x")
+    _sources, (weights,), _indptr = batch.edges("L")
+    counts = batch.count("L")
+    assert np.array_equal(counts, np.diff(indptr))
+    top = np.zeros(x.size)
+    some = counts > 0
+    if some.any():
+        top[some] = np.maximum.reduceat(seen * weights, indptr[:-1][some])
+    return (np.where(some, 0.5 * (x + top), x + 1.0),)
+
+
+def mortal_program(batch: bool) -> list:
+    """``life``, then the mix over the immortal ``S`` and over ``M``."""
+    mix = mix_batch if batch else mix_agent
+    return [(life, LIFE_SPEC)] + [
+        (mix, TransitionSpec(callable_types=(name,), read_types=("L", "M", "S"),
+                             write_types=(name,), batch=batch))
+        for name in ("S", "M")
+    ]
+
+
+def mortal_sim():
+    """40 mortal agents ``M`` and 20 immortal ``S``, each the target of 4
+    weighted ``L`` edges from either type."""
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("M", (("x", "float64"),)))
+    schema.register_agent_type(AgentTypeDecl("S", (("x", "float64"),), immortal=True))
+    schema.register_edge_type(EdgeTypeDecl("L", (("w", "float64"),)))
+    sim = Simulation(schema, seed=21)
+    rng = np.random.default_rng(8)
+    ids = np.concatenate([sim.add_agents("M", 40, {"x": rng.random(40)}),
+                          sim.add_agents("S", 20, {"x": rng.random(20)})])
+    targets = np.repeat(ids, 4)
+    weights = [(w,) for w in rng.random(targets.size).tolist()]
+    sim.add_edges("L", targets, rng.choice(ids, targets.size), weights)
+    sim.commit_initial()
+    return sim
+
+
+class TestReadPlans:
+    def mortal_run(self, batch, workers, strategy, shuffled):
+        """Checksum and agents run per step of ``PLAN_STEPS`` steps."""
+        sim = mortal_sim()
+        program = mortal_program(batch)
+        if not shuffled:
+            run(sim, PLAN_STEPS, program, workers=workers, strategy=strategy)
+            return sim.state_checksum(), [m["agents_run"] for m in sim.step_metrics]
+        for step in range(PLAN_STEPS):
+            for fn, spec in program:
+                partition = partition_graph(sim, workers, strategy) if workers > 1 else None
+                apply_transition(sim, fn, spec, workers=workers, partition=partition,
+                                 shuffle=np.random.default_rng(step))
+                finalize_step(sim)
+        return sim.state_checksum(), None
+
+    def test_batch_equals_per_agent_while_agents_and_edges_change(self):
+        """Deaths sweep ``L`` into a new container while the slots of
+        ``S`` stay, and births move the slots of ``M`` while ``L`` stays,
+        so a plan kept past either would read the wrong runs."""
+        sim = mortal_sim()
+        containers, alive = [], []
+
+        def note(s):
+            containers.append(s.edge_container("L"))
+            alive.append(s.n_alive("M"))
+
+        program = mortal_program(True)
+        run(sim, PLAN_STEPS, [note, program[0], note, *program[1:]])
+        for step in range(PLAN_STEPS):
+            before, after = containers[2 * step: 2 * step + 2]
+            if step % 2 == 0:  # deaths, swept from L
+                assert after is not before and after.n_stored() < before.n_stored()
+                assert alive[2 * step + 1] < alive[2 * step]
+            else:  # births, L kept
+                assert after is before and alive[2 * step + 1] > alive[2 * step]
+        # agents run: M before each of its transitions, and the 20 of S
+        runs = [alive[2 * step] + 20 + alive[2 * step + 1] for step in range(PLAN_STEPS)]
+        assert [m["agents_run"] for m in sim.step_metrics] == runs
+
+        expected, expected_runs = self.mortal_run(False, 1, "contiguous", False)
+        assert expected == sim.state_checksum() and expected_runs == runs
+        for workers in (1, 2, 4):
+            for strategy in ("contiguous", "round_robin"):
+                for shuffled in (False, True):
+                    for batch in (True, False):
+                        got, got_runs = self.mortal_run(batch, workers, strategy, shuffled)
+                        case = (workers, strategy, shuffled, batch)
+                        assert got == expected, case
+                        assert got_runs in (None, runs), case
+
+    def test_plans_keep_no_replaced_container(self):
+        """A written edge type's old container is freed when its
+        replacement commits, though a plan of a later transition was built
+        on it."""
+        model = build_epi(EpiConfig(
+            persons=EPI_PERSONS, locations=EPI_LOCATIONS, theta=0.35, seed=3,
+            schedule=EPI_SCHEDULE, initial_infected=(0, 7, 11),
+        ))
+        sim = model.sim
+        for workers in (1, 2, 1):
+            for fn, spec in day_program(model):
+                (written,) = spec.write_types
+                old = weakref.ref(sim.edge_container(written)) if written != "Person" else None
+                apply_transition(sim, fn, spec, workers=workers)
+                finalize_step(sim)
+                gc.collect()
+                assert old is None or old() is None, (workers, written)
+        assert len(sim._plans) == 3
+
+    def test_a_new_chunk_limit_replans_the_next_step(self, monkeypatch):
+        calls = []
+
+        def counted(batch, params, glob):
+            calls.append(batch.slots.size)
+            return hk_transition(batch, params, glob)
+
+        topo, n = TOPOLOGIES["ring"]
+        sim = build_hk(HKConfig(n=n, epsilon=0.2, topology=topo, seed=11))
+        run(sim, 2, [(counted, HK_SPEC)])
+        assert calls == [300, 300]  # 11 incoming edges an agent
+        calls.clear()
+        monkeypatch.setattr(engine, "BATCH_EDGE_LIMIT", 22)
+        run(sim, 1, [(counted, HK_SPEC)])
+        assert calls == [2] * 150
+        calls.clear()
+        monkeypatch.setattr(engine, "BATCH_EDGE_LIMIT", 1 << 15)
+        run(sim, 1, [(counted, HK_SPEC)])
+        assert calls == [300]
+
+
+class TestPlanCalls:
+    """The read plan finds each task's bounds and each chunk's runs once."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        calls = []
+        for name in ("bounds", "runs"):
+            original = getattr(ListEdgeRead, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls.append((_name, self))
+                return _original(self, *args)
+
+            monkeypatch.setattr(ListEdgeRead, name, spy)
+        return calls
+
+    def counted(self, fn, chunks):
+        def wrapped(batch, params, glob):
+            chunks.append(batch.slots.size)
+            return fn(batch, params, glob)
+
+        wrapped.__name__ = fn.__name__
+        return wrapped
+
+    def test_one_bounds_per_task_and_one_runs_per_chunk(self, spied, monkeypatch):
+        monkeypatch.setattr(engine, "BATCH_EDGE_LIMIT", 100)
+        model = build_epi(EpiConfig(
+            persons=EPI_PERSONS, locations=EPI_LOCATIONS, theta=0.35, seed=3,
+            schedule=EPI_SCHEDULE, initial_infected=(0, 7, 11),
+        ))
+        sim = model.sim
+        for _day in range(2):
+            for fn, spec in day_program(model):
+                chunks = []
+                spied.clear()
+                read = {name: sim.edge_container(name) for name in spec.read_types
+                        if name in ("Visit", "Infection")}
+                apply_transition(sim, self.counted(fn, chunks), spec)
+                finalize_step(sim)
+                bounds = [c for name, c in spied if name == "bounds"]
+                runs = [c for name, c in spied if name == "runs"]
+                if fn.__name__ == "spread":  # its 10 locations in chunks of <= 100 visits
+                    (visit,) = read.values()
+                    assert len(chunks) > 1
+                    assert bounds == [visit] and runs == [visit] * len(chunks)
+                elif fn.__name__ == "update_status":
+                    (infection,) = read.values()
+                    assert bounds == [infection] and runs == [infection] * len(chunks)
+                else:
+                    assert not read and spied == []
+
+    def test_hk_steps_after_the_first_find_no_runs(self, spied):
+        chunks = []
+        sim = build_hk(HKConfig(n=300, epsilon=0.2, topology=Regular(10), seed=11))
+        run(sim, 1, [(self.counted(hk_transition, chunks), HK_SPEC)])
+        assert [name for name, _c in spied] == ["bounds", "runs"]
+        spied.clear()
+        run(sim, 3, [(self.counted(hk_transition, chunks), HK_SPEC)])
+        assert spied == [] and len(chunks) == 4
+
+    def test_a_shuffled_call_neither_uses_nor_replaces_the_plan(self, spied):
+        sim = build_hk(HKConfig(n=300, epsilon=0.2, topology=Regular(10), seed=11))
+        run(sim, 1, [(hk_transition, HK_SPEC)])
+        plan = sim._plans[HK_SPEC]
+        spied.clear()
+        apply_transition(sim, hk_transition, HK_SPEC, shuffle=np.random.default_rng(0))
+        finalize_step(sim)
+        assert sim._plans == {HK_SPEC: plan}
+        assert [name for name, _c in spied] == ["bounds", "runs"] * 300
+        spied.clear()
+        run(sim, 1, [(hk_transition, HK_SPEC)])
+        assert spied == []

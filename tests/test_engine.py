@@ -194,6 +194,7 @@ class TestLifecycle:
         run(sim, 5, [(lambda v, p, g: v.state, WRITE_P)])
         assert sim.step == 5
         assert len(sim.step_metrics) == 5
+        assert [m["agents_run"] for m in sim.step_metrics] == [1] * 5
 
     def test_direct_mutation_after_start_rejected(self):
         sim = two_type_sim()

@@ -26,7 +26,7 @@ from graphabm import (
     storage_plan_for,
 )
 from graphabm.ids import TAG_SHIFT, agent_id
-from graphabm.storage import AgentSegment, ListShard, build_read_container
+from graphabm.storage import AgentSegment, ListShard, build_read_container, run_positions
 
 from test_schema import all_hint_sets, is_legal
 
@@ -1309,9 +1309,10 @@ class TestFiveBuilds:
             slots = np.arange(12)
             per_tag = []
             for tag in (0, B0 >> TAG_SHIFT):
-                pos, indptr = c.runs(tag, slots)
+                pos, indptr = c.runs(*c.bounds(tag, slots))
                 per_tag.append((_plain(c.bounds(tag, slots)),
-                                 np.arange(c.n_stored())[pos].tolist(), indptr.tolist()))
+                                 np.arange(c.n_stored())[run_positions(pos, indptr)].tolist(),
+                                 indptr.tolist()))
             buffers = {k: _plain(v) for k, v in c.buffers().items()}
             return buffers, c.n_stored(), per_tag, sim.state_checksum()
 
