@@ -299,16 +299,16 @@ def step_shard(info, check_single_edge: bool):
 
 class ReadPlan:
     """Where a batch transition's agents read their edges: per task, its
-    slots and its chunks, each chunk as ``(lo, hi, runs)``, positions in
-    the task's slots and, by edge type name, its ``ListEdgeRead.runs`` in
-    every readable list container.
+    chunks, each as ``(lo, hi, runs)``, positions in the task's slots and,
+    by edge type name, its ``ListEdgeRead.runs`` in every readable list
+    container.
 
-    A task of consecutive slots is kept as their ``slice``, others as
-    their array, so the plan grows with agents and chunks, never with
-    edges. It holds weak references to the containers it was built from,
-    so it keeps no replaced container alive, and it serves a later call
-    of the transition while each container is the same object, every
-    task holds the same slots and the chunk limit is the same.
+    A task's slots are kept as their range when consecutive, else as their
+    bytes, so the plan grows with agents and chunks, never with edges. It
+    holds weak references to the containers it was built from, so it
+    keeps no replaced container alive, and it serves a later call of the
+    transition while each container is the same object, every task holds
+    the same slots and the chunk limit is the same.
     """
 
     __slots__ = ("refs", "limit", "tasks", "chunks")
@@ -316,21 +316,15 @@ class ReadPlan:
     def __init__(self, lists: list, tasks: list, limit: int):
         self.refs = [weakref.ref(c) for _name, c in lists]
         self.limit = limit
-        self.tasks = [(tag, _task_span(slots)) for tag, slots in tasks]
+        self.tasks = [_task_key(tag, slots) for tag, slots in tasks]
         self.chunks = [_plan_task(lists, tag, slots, limit) for tag, slots in tasks]
 
     def serves(self, lists: list, tasks: list, limit: int) -> bool:
-        if limit != self.limit or len(tasks) != len(self.tasks):
-            return False
-        if not all(ref() is c for ref, (_name, c) in zip(self.refs, lists)):
-            return False
-        for (tag, slots), (old_tag, old) in zip(tasks, self.tasks):
-            span = _task_span(slots)
-            if tag != old_tag or type(span) is not type(old) or not (
-                span == old if isinstance(span, slice) else np.array_equal(span, old)
-            ):
-                return False
-        return True
+        return (
+            limit == self.limit
+            and all(ref() is c for ref, (_name, c) in zip(self.refs, lists))
+            and self.tasks == [_task_key(tag, slots) for tag, slots in tasks]
+        )
 
 
 def _task_span(slots: np.ndarray):
@@ -338,6 +332,11 @@ def _task_span(slots: np.ndarray):
     if slots.size and slots[-1] - slots[0] == slots.size - 1:
         return slice(int(slots[0]), int(slots[-1]) + 1)
     return slots
+
+
+def _task_key(tag: int, slots: np.ndarray) -> tuple:
+    span = _task_span(slots)
+    return (tag, span.start, span.stop) if isinstance(span, slice) else (tag, slots.tobytes())
 
 
 def _plan_task(lists: list, tag: int, slots: np.ndarray, limit: int) -> list:

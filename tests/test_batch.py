@@ -671,15 +671,16 @@ class TestBatchEdgeWrites:
 
 
 PLAN_STEPS = 6
-LIFE_SPEC = TransitionSpec(callable_types=("M",), write_types=("M",))
+LIFE_SPEC = TransitionSpec(callable_types=("M",), read_types=("L",), write_types=("M",))
 
 
 def life(view, params, glob):
-    """Mortal agents die on even program steps and have children on odd
-    ones (a step runs three transitions)."""
+    """Mortal agents die and have children every step. On odd program
+    steps (a step runs three transitions) only agents without ``L`` edges,
+    the ones born in the run, die."""
     draw = view.rng.random()
-    if view.step // 3 % 2 == 0:
-        return None if draw < 0.2 else (view.field("x"),)
+    if draw < 0.2 and (view.step // 3 % 2 == 0 or not view.has_edge("L")):
+        return None
     if draw > 0.7:
         view.add_agent("M", view.field("x") * 0.5)
     return (view.field("x"),)
@@ -708,10 +709,17 @@ def mix_batch(batch, params, glob):
     return (np.where(some, 0.5 * (x + top), x + 1.0),)
 
 
-def mortal_program(batch: bool) -> list:
-    """``life``, then the mix over the immortal ``S`` and over ``M``."""
+def grow(view, params, glob):
+    """Every third mortal agent has a child; none dies."""
+    if view.agent_id % 3 == 0:
+        view.add_agent("M", view.field("x") * 0.5)
+    return (view.field("x"),)
+
+
+def mortal_program(batch: bool, births=life) -> list:
+    """``births``, then the mix over the immortal ``S`` and over ``M``."""
     mix = mix_batch if batch else mix_agent
-    return [(life, LIFE_SPEC)] + [
+    return [(births, LIFE_SPEC)] + [
         (mix, TransitionSpec(callable_types=(name,), read_types=("L", "M", "S"),
                              write_types=(name,), batch=batch))
         for name in ("S", "M")
@@ -753,26 +761,28 @@ class TestReadPlans:
         return sim.state_checksum(), None
 
     def test_batch_equals_per_agent_while_agents_and_edges_change(self):
-        """Deaths sweep ``L`` into a new container while the slots of
-        ``S`` stay, and births move the slots of ``M`` while ``L`` stays,
-        so a plan kept past either would read the wrong runs."""
+        """On even steps deaths sweep ``L`` into a new container while the
+        slots of ``S`` stay; on odd steps births and deaths move the slots
+        of ``M`` while ``L`` stays. So a plan kept past either would read
+        the wrong runs."""
         sim = mortal_sim()
-        containers, alive = [], []
+        containers, slots = [], []
 
         def note(s):
             containers.append(s.edge_container("L"))
-            alive.append(s.n_alive("M"))
+            slots.append(s._segments[0].alive_slots())
 
         program = mortal_program(True)
         run(sim, PLAN_STEPS, [note, program[0], note, *program[1:]])
         for step in range(PLAN_STEPS):
             before, after = containers[2 * step: 2 * step + 2]
-            if step % 2 == 0:  # deaths, swept from L
+            assert not np.array_equal(slots[2 * step], slots[2 * step + 1])
+            if step % 2 == 0:
                 assert after is not before and after.n_stored() < before.n_stored()
-                assert alive[2 * step + 1] < alive[2 * step]
-            else:  # births, L kept
-                assert after is before and alive[2 * step + 1] > alive[2 * step]
+            else:
+                assert after is before
         # agents run: M before each of its transitions, and the 20 of S
+        alive = [s.size for s in slots]
         runs = [alive[2 * step] + 20 + alive[2 * step + 1] for step in range(PLAN_STEPS)]
         assert [m["agents_run"] for m in sim.step_metrics] == runs
 
@@ -786,6 +796,19 @@ class TestReadPlans:
                         case = (workers, strategy, shuffled, batch)
                         assert got == expected, case
                         assert got_runs in (None, runs), case
+
+    def test_a_task_grown_at_its_end_replans(self):
+        """Births alone keep the slots of ``M`` consecutive from 0 and
+        ``L`` in place, so only a task's length tells two plans apart."""
+        got = []
+        for batch in (True, False):
+            sim = mortal_sim()
+            first = sim.edge_container("L")
+            run(sim, 3, mortal_program(batch, grow))
+            assert sim.edge_container("L") is first
+            assert np.array_equal(sim._segments[0].alive_slots(), np.arange(sim.n_alive("M")))
+            got.append(sim.state_checksum())
+        assert sim.n_alive("M") > 60 and got[0] == got[1]
 
     def test_plans_keep_no_replaced_container(self):
         """A written edge type's old container is freed when its
