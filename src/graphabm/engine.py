@@ -30,8 +30,9 @@ simulation for that transition spec. A later call reuses the plan while
 every read container is the same object, the tasks hold the same slots and
 ``BATCH_EDGE_LIMIT`` is unchanged, and builds it anew otherwise: a step that
 rewrites a read edge type, or sweeps edges from it, or adds or removes
-agents of a callable type, rebuilds it. A shuffled call plans each
-one-agent chunk as it runs and keeps no plan.
+agents of a callable type, rebuilds it. A plan leaves the simulation once
+a container it read is freed. A shuffled call plans each one-agent chunk
+as it runs and keeps no plan.
 
 One driver runs both forms: a worker walks its task list once, calls a
 batch ``fn`` per chunk and a per-agent ``fn`` per agent, checks and casts
@@ -215,7 +216,7 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
             plan = sim._plans.pop(rt.spec, None)
             if plan is None or not plan.serves(lists, tasks, BATCH_EDGE_LIMIT):
                 del plan  # before the new one is built
-                plan = ReadPlan(lists, tasks, BATCH_EDGE_LIMIT)
+                plan = ReadPlan(sim, rt.spec, lists, tasks, BATCH_EDGE_LIMIT)
             sim._plans[rt.spec] = plan
             chunked = plan.chunks
 
@@ -305,16 +306,24 @@ class ReadPlan:
 
     A task's slots are kept as their range when consecutive, else as their
     bytes, so the plan grows with agents and chunks, never with edges. It
-    holds weak references to the containers it was built from, so it
-    keeps no replaced container alive, and it serves a later call of the
-    transition while each container is the same object, every task holds
-    the same slots and the chunk limit is the same.
+    serves a later call of the transition while each container is the
+    same object, every task holds the same slots and the chunk limit is
+    the same. It holds weak references to the containers, so it keeps no
+    replaced container alive, and it leaves ``sim._plans`` once one of
+    them is freed, so a stale plan holds no memory either.
     """
 
     __slots__ = ("refs", "limit", "tasks", "chunks")
 
-    def __init__(self, lists: list, tasks: list, limit: int):
-        self.refs = [weakref.ref(c) for _name, c in lists]
+    def __init__(self, sim, key, lists: list, tasks: list, limit: int):
+        owner = weakref.ref(sim)
+
+        def forget(_ref):
+            held = owner()
+            if held is not None:
+                held._plans.pop(key, None)
+
+        self.refs = [weakref.ref(c, forget) for _name, c in lists]
         self.limit = limit
         self.tasks = [_task_key(tag, slots) for tag, slots in tasks]
         self.chunks = [_plan_task(lists, tag, slots, limit) for tag, slots in tasks]

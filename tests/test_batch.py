@@ -813,7 +813,7 @@ class TestReadPlans:
     def test_plans_keep_no_replaced_container(self):
         """A written edge type's old container is freed when its
         replacement commits, though a plan of a later transition was built
-        on it."""
+        on it, and that plan goes with it."""
         model = build_epi(EpiConfig(
             persons=EPI_PERSONS, locations=EPI_LOCATIONS, theta=0.35, seed=3,
             schedule=EPI_SCHEDULE, initial_infected=(0, 7, 11),
@@ -826,7 +826,9 @@ class TestReadPlans:
                 apply_transition(sim, fn, spec, workers=workers)
                 finalize_step(sim)
                 gc.collect()
-                assert old is None or old() is None, (workers, written)
+                if old is not None:
+                    assert old() is None, (workers, written)
+                    assert not [key for key in sim._plans if written in key.read_types]
         assert len(sim._plans) == 3
 
     def test_a_new_chunk_limit_replans_the_next_step(self, monkeypatch):
