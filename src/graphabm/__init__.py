@@ -33,7 +33,7 @@ from .errors import (
     WorkerError,
 )
 from .global_layer import aggregate
-from .ids import agent_id, local_index, partition_of, split_id, type_tag
+from .ids import agent_id, local_index, type_tag
 from .parallel import (
     Partition,
     cut_edge_counts,
@@ -105,9 +105,7 @@ __all__ = [
     "local_index",
     "move_to",
     "partition_graph",
-    "partition_of",
     "run",
-    "split_id",
     "storage_plan_for",
     "type_tag",
 ]

@@ -56,7 +56,7 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import TypeNotWritable, UsageError
-from .ids import TAG_SHIFT
+from .ids import agent_id, slot_ids
 from .schema import AgentTypeInfo, EdgePlan
 from .sim import Simulation
 from .storage import (
@@ -245,7 +245,7 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
             if must_return and done.size < chunk.size:
                 slot = np.setdiff1d(chunk, done)[0]
                 raise UsageError(
-                    f"agent {(tag << TAG_SHIFT) | int(slot):#x} of type "
+                    f"agent {agent_id(tag, int(slot)):#x} of type "
                     f"{info.name!r} must return a state"
                 )
             if cols is None:
@@ -430,7 +430,7 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
         if births:
             ids, slots = _place_births(info, seg, births)
             provisional.append(ids)
-            final.append(np.uint64(tag << TAG_SHIFT) + slots.astype(np.uint64))
+            final.append(slot_ids(tag, slots))
 
         if seg.alive is not None and not kept:
             limit = old.count

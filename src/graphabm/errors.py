@@ -57,7 +57,7 @@ class MidStepMutation(EngineError):
 
 
 class IndexOverflow(EngineError):
-    """An agent index or partition number exceeds its bit-field range."""
+    """A type tag, slot or provisional-id field exceeds its bit-field range."""
 
 
 class IndexOutOfBounds(EngineError):

@@ -9,6 +9,8 @@ independent of the worker count.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections.abc import Mapping
 
 from .errors import HintViolation, UnknownName
@@ -54,29 +56,15 @@ class FrozenMapping(Mapping):
         return f"FrozenMapping({self._data!r})"
 
 
+# reduce -> a left fold of the values in their order; min and max of
+# nothing raise ValueError
+_FOLDS = {"sum": lambda values: functools.reduce(operator.add, values, 0), "min": min, "max": max}
+
+
 def _fold(values, reduce: str):
-    if reduce == "sum":
-        total = 0
-        for v in values:
-            total = total + v
-        return total
-    if reduce == "min":
-        best = None
-        for v in values:
-            if best is None or v < best:
-                best = v
-        if best is None:
-            raise ValueError("min over an empty set")
-        return best
-    if reduce == "max":
-        best = None
-        for v in values:
-            if best is None or v > best:
-                best = v
-        if best is None:
-            raise ValueError("max over an empty set")
-        return best
-    raise ValueError(f"unknown reduction {reduce!r}; expected one of {_REDUCERS}")
+    if reduce not in _FOLDS:
+        raise ValueError(f"unknown reduction {reduce!r}; expected one of {_REDUCERS}")
+    return _FOLDS[reduce](values)
 
 
 def aggregate(sim, type_name: str, map_fn=None, reduce: str = "sum"):

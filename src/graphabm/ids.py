@@ -1,11 +1,16 @@
-"""Packed 64-bit agent identifiers.
+"""Packed 64-bit agent ids, ``tag:8 | slot:56``: an agent's type tag and
+its slot in the type's segment, as plain ints or numpy ``uint64`` arrays.
+Only this module knows the layout; the others pack and unpack ids with
+the functions below.
 
-An agent id encodes (type tag, partition, local index) as
-``tag:8 | partition:20 | index:36``. Ids are plain Python ints so they stay
-cheap to pass around and to store in numpy ``uint64`` arrays. Every agent
-of a type lives in one segment, so an agent's id has partition 0; an id
-with any other partition is not an agent yet (see
-:meth:`~graphabm.view.NeighborhoodView.add_agent`).
+A newborn's provisional id (see
+:meth:`~graphabm.view.NeighborhoodView.add_agent`) sets ``PROVISIONAL``,
+the slot field's top bit, over the low ``STEP_BITS`` bits of the
+transition's step, the worker and the worker's birth count of the type.
+Agents' slots stay below ``MAX_SLOT``, which is ``PROVISIONAL``, so a
+lookup by slot rejects a provisional id. The step field wraps: a
+provisional id kept ``2**STEP_BITS`` transitions is made again by the
+same worker's birth of the same rank.
 """
 
 from __future__ import annotations
@@ -15,72 +20,70 @@ import numpy as np
 from .errors import IndexOverflow
 
 TYPE_BITS = 8
-PART_BITS = 20
-INDEX_BITS = 36
-
-INDEX_MASK = (1 << INDEX_BITS) - 1
-PART_MASK = (1 << PART_BITS) - 1
 TYPE_MASK = (1 << TYPE_BITS) - 1
-
 MAX_AGENT_TYPES = 255
-MAX_PARTITIONS = 1 << PART_BITS
-MAX_INDEX = 1 << INDEX_BITS
-
-# Shift that leaves the type tag alone.
-TAG_SHIFT = PART_BITS + INDEX_BITS
-# Mask that strips the type tag: an agent's slot in its type's segment. An
-# id with a partition other than 0 leaves a slot past every segment, so
-# lookups by slot reject it.
+TAG_SHIFT = 64 - TYPE_BITS  # the width of the slot field
 SLOT_MASK = (1 << TAG_SHIFT) - 1
 
+# A provisional slot: PROVISIONAL | step | worker | count, of the widths below
+PROVISIONAL = MAX_SLOT = 1 << (TAG_SHIFT - 1)
+COUNT_BITS = 30
+WORKER_BITS = 10
+STEP_BITS = TAG_SHIFT - 1 - WORKER_BITS - COUNT_BITS
 
-def agent_id(tag: int, part: int, index: int) -> int:
-    """Pack a (tag, partition, index) triple into one 64-bit id."""
-    if index >= MAX_INDEX or index < 0:
-        raise IndexOverflow(f"local index {index} outside 36-bit range")
-    if part >= MAX_PARTITIONS or part < 0:
-        raise IndexOverflow(f"partition {part} outside 20-bit range")
+
+def agent_id(tag: int, slot: int) -> int:
+    """Pack a (tag, slot) pair into one 64-bit id."""
+    if slot > SLOT_MASK or slot < 0:
+        raise IndexOverflow(f"slot {slot} outside {TAG_SHIFT}-bit range")
     if tag > TYPE_MASK or tag < 0:
-        raise IndexOverflow(f"type tag {tag} outside 8-bit range")
-    return (tag << TAG_SHIFT) | (part << INDEX_BITS) | index
+        raise IndexOverflow(f"type tag {tag} outside {TYPE_BITS}-bit range")
+    return (tag << TAG_SHIFT) | slot
 
 
-def type_tag(aid: int) -> int:
+def type_tag(aid):
+    """The type tag of an id, or of each id of a uint64 array."""
     return aid >> TAG_SHIFT
 
 
-def partition_of(aid: int) -> int:
-    return (aid >> INDEX_BITS) & PART_MASK
+def local_index(aid):
+    """The slot of an id, or of each id of a uint64 array."""
+    return aid & SLOT_MASK
 
 
-def local_index(aid: int) -> int:
-    return aid & INDEX_MASK
+def slot_ids(tag: int, slots: np.ndarray) -> np.ndarray:
+    """The uint64 ids of ``slots`` of type ``tag``, with no temporary array."""
+    return np.add(slots, np.uint64(tag << TAG_SHIFT), dtype=np.uint64, casting="unsafe")
 
 
-def split_id(aid: int) -> tuple[int, int, int]:
-    """Inverse of :func:`agent_id`."""
-    return (
-        aid >> TAG_SHIFT,
-        (aid >> INDEX_BITS) & PART_MASK,
-        aid & INDEX_MASK,
-    )
+def provisional_id(tag: int, step: int, worker: int, count: int) -> int:
+    """The provisional id of a worker's ``count``-th newborn of type ``tag``
+    in the transition at ``step``; only the step's low ``STEP_BITS`` bits
+    are kept."""
+    if not 0 <= count < 1 << COUNT_BITS:
+        raise IndexOverflow(f"birth count {count} outside {COUNT_BITS}-bit range")
+    if not 0 <= worker < 1 << WORKER_BITS:
+        raise IndexOverflow(f"worker {worker} outside {WORKER_BITS}-bit range")
+    step &= (1 << STEP_BITS) - 1
+    return agent_id(tag, PROVISIONAL | step << (WORKER_BITS + COUNT_BITS)
+                    | worker << COUNT_BITS | count)
 
 
 def split_by_tag(ids: np.ndarray) -> list[tuple[int, slice | np.ndarray, np.ndarray]]:
     """Split a uint64 id array by type tag.
 
     Returns one ``(tag, sel, slots)`` per tag, ascending: ``ids[sel]`` are
-    the ids of type ``tag`` and ``slots`` their ``SLOT_MASK`` bits (int64).
-    When every id shares one tag, ``sel`` is ``slice(None)`` and the split
-    costs a min/max pass, with no sort and no mask.
+    the ids of type ``tag`` and ``slots`` their slots (int64). When every
+    id shares one tag, ``sel`` is ``slice(None)`` and the split costs a
+    min/max pass, with no sort and no mask.
     """
     if not ids.size:
         return []
-    slots = (ids & np.uint64(SLOT_MASK)).view(np.int64)
+    slots = local_index(ids).view(np.int64)
     lo = int(ids.min()) >> TAG_SHIFT
     if lo == int(ids.max()) >> TAG_SHIFT:
         return [(lo, slice(None), slots)]
-    tags = ids >> np.uint64(TAG_SHIFT)
+    tags = type_tag(ids)
     out = []
     for tag in np.unique(tags).tolist():
         sel = tags == tag

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..engine import TransitionSpec, run
 from ..errors import UsageError
-from ..ids import SLOT_MASK
+from ..ids import local_index
 from ..schema import AgentTypeDecl, EdgeTypeDecl, Hint, Schema
 from ..sim import Simulation
 
@@ -119,12 +119,6 @@ class EpiModel:
     visit_location: np.ndarray
     visit_start: np.ndarray
     visit_end: np.ndarray
-
-    def person_id(self, p: int) -> int:
-        return self.person_base + p
-
-    def person_index(self, aid: int) -> int:
-        return (aid & SLOT_MASK) - (self.person_base & SLOT_MASK)
 
 
 def build_epi(config: EpiConfig, checks="on") -> EpiModel:
@@ -314,7 +308,7 @@ def day_program(model: EpiModel) -> list:
     """The day's three transitions as batch transitions."""
     ptr, location = model.visit_ptr, model.visit_location
     start, end = model.visit_start, model.visit_end
-    first = model.person_base & SLOT_MASK
+    first = local_index(model.person_base)
 
     def emit_visits(batch, params, _globals):
         p = batch.slots - first

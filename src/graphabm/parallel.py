@@ -65,9 +65,7 @@ import numpy as np
 from . import engine
 from .errors import UsageError, WorkerError
 from .global_layer import FrozenMapping
-from .ids import TAG_SHIFT, split_by_tag
-
-_U64 = np.uint64
+from .ids import slot_ids, split_by_tag
 
 STRATEGIES = ("contiguous", "round_robin", "greedy_edge_cut")
 
@@ -144,9 +142,7 @@ def _spread(n: int, workers: int, strategy: str) -> np.ndarray:
 def _greedy_assignment(sim, blocks, total, workers) -> np.ndarray:
     """Greedy graph-growing partition over the stored-source edge graph."""
     # Compact rank space over alive agents, ascending by id.
-    all_ids = np.concatenate([
-        _U64(tag << TAG_SHIFT) + slots.astype(_U64) for tag, _seg, slots in blocks
-    ])
+    all_ids = np.concatenate([slot_ids(tag, slots) for tag, _seg, slots in blocks])
     # CSR neighbour index: both directions of every edge between two
     # distinct alive agents; self-loops never cross a boundary.
     pairs = [np.empty((2, 0), dtype=np.intp)]

@@ -26,7 +26,7 @@ from .errors import (
     UnknownName,
     UsageError,
 )
-from .ids import SLOT_MASK, TAG_SHIFT, split_by_tag
+from .ids import agent_id, local_index, slot_ids, split_by_tag, type_tag
 from .schema import EdgePlan, Schema
 from .storage import (
     AgentSegment,
@@ -37,8 +37,6 @@ from .storage import (
     make_checked_adder,
     validate_endpoints,
 )
-
-_U64 = np.uint64
 
 
 class Simulation:
@@ -112,7 +110,7 @@ class Simulation:
         slot = seg.allocate()
         for arr, column in zip(seg.fields.values(), columns):
             arr[slot] = column[0]
-        return (info.tag << TAG_SHIFT) | slot
+        return agent_id(info.tag, slot)
 
     def add_agents(self, type_name: str, n: int, fields: dict | None = None) -> np.ndarray:
         """Bulk-create ``n`` agents; returns their ids as a uint64 array.
@@ -140,8 +138,7 @@ class Simulation:
         if seg.alive is not None:
             seg.alive[start: start + n] = True
         seg.count = start + n
-        base = info.tag << TAG_SHIFT
-        return _U64(base) + np.arange(start, start + n, dtype=_U64)
+        return slot_ids(info.tag, np.arange(start, start + n))
 
     def add_edge(self, edge_type: str, target: int, source: int, state: tuple = ()) -> None:
         """Add one edge during initialization (stored under its target)."""
@@ -178,7 +175,7 @@ class Simulation:
         if info.has_state:
             rows = [info.stored_state(st) for st in states]
             columns = list(zip(*rows)) or [()] * len(info.field_names)
-        targets = np.ascontiguousarray(targets, dtype=_U64)
+        targets = np.ascontiguousarray(targets, dtype=np.uint64)
         edge_breaches(info, self._init_sink, self.checks.check_single_type(),
                       targets, seen=self._init_seen[info.tag])
         self._init_shards[info.tag].extend(targets, sources, columns)
@@ -264,7 +261,7 @@ class Simulation:
     def agent_ids(self, type_name: str) -> np.ndarray:
         """Ids of all alive agents of a type, ascending."""
         tag = self.schema.agent_type(type_name).tag
-        return _U64(tag << TAG_SHIFT) + self._segments[tag].alive_slots().astype(_U64)
+        return slot_ids(tag, self._segments[tag].alive_slots())
 
     def field_array(self, type_name: str, field: str) -> np.ndarray:
         """One state field of all alive agents of a type, ascending by id."""
@@ -296,7 +293,7 @@ class Simulation:
     def _locate(self, aid: int):
         """``(tag, segment, slot)`` of an agent id; the segment is None when
         the id names no allocated slot of an agent type."""
-        tag, slot = aid >> TAG_SHIFT, aid & SLOT_MASK
+        tag, slot = type_tag(aid), local_index(aid)
         if tag < len(self._segments) and slot < self._segments[tag].count:
             return tag, self._segments[tag], slot
         return tag, None, slot
@@ -318,7 +315,7 @@ class Simulation:
         """Per id, whether it names an allocated slot, or with ``alive`` an
         alive agent, in ``segments`` (one AgentSegment per tag; by default
         the committed ones). An id of no agent type maps to False, and so
-        does one whose partition is not 0: its slot lies past every count."""
+        does a provisional one: its slot lies past every count."""
         segments = self._segments if segments is None else segments
         out = np.zeros(ids.size, dtype=bool)
         for tag, sel, slots in split_by_tag(ids):

@@ -70,7 +70,7 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import ContractViolation, HintViolation, IndexOverflow, UsageError
-from .ids import MAX_INDEX, SLOT_MASK, TAG_SHIFT, split_by_tag
+from .ids import MAX_SLOT, agent_id, local_index, slot_ids, split_by_tag, type_tag
 from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
 
 _U64 = np.uint64
@@ -174,7 +174,7 @@ class AgentSegment:
             slot = self.free.pop()
         else:
             slot = self.count
-            if slot >= MAX_INDEX:
+            if slot >= MAX_SLOT:
                 raise IndexOverflow("agent index space exhausted for this agent type")
             self.ensure_capacity(slot + 1)
             self.count = slot + 1
@@ -384,9 +384,10 @@ def make_checked_adder(
         return shard.add
     name = info.name
     raw_add = shard.add
+    lo, hi = (0, 0) if st_tag is None else (agent_id(st_tag, 0), agent_id(st_tag + 1, 0))
 
     def add(target, source=0, state=None, producer=0):
-        if st_tag is not None and target >> TAG_SHIFT != st_tag:
+        if st_tag is not None and not lo <= target < hi:  # not of type st_tag
             sink.report(
                 "single_type", name, target, producer,
                 f"edge targets an agent of the wrong type (expected tag {st_tag})",
@@ -430,9 +431,9 @@ def edge_breaches(
     producers = np.broadcast_to(producers, targets.shape)
     tag = info.single_type_tag
     if check_single_type and tag is not None and targets.size and (
-        int(targets.min()) >> TAG_SHIFT != tag or int(targets.max()) >> TAG_SHIFT != tag
+        type_tag(int(targets.min())) != tag or type_tag(int(targets.max())) != tag
     ):
-        for i in np.flatnonzero((targets >> _U64(TAG_SHIFT)) != _U64(tag)).tolist():
+        for i in np.flatnonzero(type_tag(targets) != tag).tolist():
             sink.report(
                 "single_type", info.name, int(targets[i]), int(producers[i]),
                 f"edge targets an agent of the wrong type (expected tag {tag})",
@@ -500,26 +501,21 @@ def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np
     None, with nothing allocated, when that is over ``limit`` entries."""
     spans = []
     lo, n = 0, targets.size
+    last = type_tag(int(targets[-1])) if n else None
     while lo < n:
-        tag = int(targets[lo]) >> TAG_SHIFT
-        end_key = (tag + 1) << TAG_SHIFT
-        hi = n if end_key >= 1 << 64 else int(np.searchsorted(targets, _U64(end_key)))
-        spans.append((tag, lo, hi, (int(targets[hi - 1]) & SLOT_MASK) + 2))
+        tag = type_tag(int(targets[lo]))
+        hi = n if tag == last else int(np.searchsorted(targets, _U64(agent_id(tag + 1, 0))))
+        spans.append((tag, lo, hi, local_index(int(targets[hi - 1])) + 2))
         lo = hi
     if limit is not None and sum(span[3] for span in spans) > limit:
         return None
-    return {tag: np.searchsorted(targets[lo:hi], _slot_ids(tag, size)) + lo
+    return {tag: np.searchsorted(targets[lo:hi], slot_ids(tag, np.arange(size))) + lo
             for tag, lo, hi, size in spans}
-
-
-def _slot_ids(tag: int, n: int) -> np.ndarray:
-    """The ids of slots 0 to ``n`` - 1 of type ``tag``."""
-    return _U64(tag << TAG_SHIFT) + np.arange(n, dtype=_U64)
 
 
 def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
     """The sorted targets a :func:`_build_indptr` index encodes."""
-    return _concat_u64([np.repeat(_slot_ids(tag, ptr.size - 1), np.diff(ptr))
+    return _concat_u64([np.repeat(slot_ids(tag, np.arange(ptr.size - 1)), np.diff(ptr))
                         for tag, ptr in indptr.items()])
 
 
@@ -550,8 +546,8 @@ class ListEdgeRead:
         self.states = states
         self.single_source_tag = None
         if sources is not None and sources.size:
-            tag = int(sources.min()) >> TAG_SHIFT
-            if tag == int(sources.max()) >> TAG_SHIFT:
+            tag = type_tag(int(sources.min()))
+            if tag == type_tag(int(sources.max())):
                 self.single_source_tag = tag
 
     @classmethod
@@ -577,8 +573,8 @@ class ListEdgeRead:
 
     def span(self, aid: int) -> tuple[int, int]:
         """(start, end) positions of one target's edges; (0, 0) if none."""
-        ptr = self.indptr.get(aid >> TAG_SHIFT)
-        slot = aid & SLOT_MASK
+        ptr = self.indptr.get(type_tag(aid))
+        slot = local_index(aid)
         if ptr is None or slot + 1 >= ptr.size:
             return 0, 0
         return ptr.item(slot), ptr.item(slot + 1)
@@ -652,7 +648,7 @@ class ListEdgeRead:
         0's ids are their slots, so those are a view."""
         if self.single_source_tag == 0:
             return self.sources.view(np.int64)[pos]
-        return (self.sources[pos] & _U64(SLOT_MASK)).view(np.int64)
+        return local_index(self.sources[pos]).view(np.int64)
 
     def states_for(self, aid: int) -> list:
         if self.info.stateless:
@@ -750,10 +746,10 @@ class ExistenceEdgeRead:
         return sum(b.nbytes for b in self.buckets.values())
 
     def has_for(self, aid: int) -> bool:
-        bucket = self.buckets.get(aid >> TAG_SHIFT)
+        bucket = self.buckets.get(type_tag(aid))
         if bucket is None:
             return False
-        idx = aid & SLOT_MASK
+        idx = local_index(aid)
         return idx < bucket.size and bucket[idx] != 0
 
     def has_for_slots(self, tag: int, slots: np.ndarray, _runs=None) -> np.ndarray:
@@ -814,7 +810,7 @@ def drop_dead_edges(container, alive_fn):
     if isinstance(container, ExistenceEdgeRead):
         buckets, kept = {}, 0
         for tag, bits in container.buckets.items():
-            bits = bits * alive_fn(_slot_ids(tag, bits.size))
+            bits = bits * alive_fn(slot_ids(tag, np.arange(bits.size)))
             set_slots = np.flatnonzero(bits)
             kept += set_slots.size
             if set_slots.size:
@@ -823,7 +819,7 @@ def drop_dead_edges(container, alive_fn):
             return container
         return ExistenceEdgeRead(container.info, buckets)
     keep = np.concatenate([np.ones(0, dtype=bool)] + [
-        np.repeat(alive_fn(_slot_ids(tag, ptr.size - 1)), np.diff(ptr))
+        np.repeat(alive_fn(slot_ids(tag, np.arange(ptr.size - 1))), np.diff(ptr))
         for tag, ptr in container.indptr.items()
     ])
     if container.sources is not None:
@@ -939,7 +935,7 @@ def build_existence_read(
     """Set the bit of every target of the shards and of ``carryover``."""
     targets, _, _, producers, _ = _merge_list_shards(info, shards, None)
     retained = _concat_u64([] if carryover is None else [
-        _U64(tag << TAG_SHIFT) + np.flatnonzero(bits).astype(_U64)
+        slot_ids(tag, np.flatnonzero(bits))
         for tag, bits in carryover.buckets.items()
     ])
     ids = np.concatenate([retained, targets])
@@ -1012,8 +1008,8 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     instead of sizing the merged index; carried-over edges were checked
     when they were added, and a slot once allocated stays allocated.
 
-    A type's allocated slots are 0 to its count - 1, and an id with a
-    partition other than 0 sorts above every slot of its type, so a column
+    A type's allocated slots are 0 to its count - 1, and a provisional id
+    sorts above every slot of its type, so a column
     passes whole when the largest id of each type in it exists: an indexed
     chunk's targets give each type's largest from the index, and an array
     passes on its largest when its smallest and largest share one type.
@@ -1025,14 +1021,14 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
         for column in ("targets", "sources"):
             for chunk in chunks:
                 if column == "targets" and chunk.index is not None:
-                    tops = [(tag << TAG_SHIFT) | (ptr.size - 2)
+                    tops = [agent_id(tag, ptr.size - 2)
                             for tag, ptr in chunk.index.items()]
                 else:
                     arr = getattr(chunk, column)
                     if arr is None:
                         continue
                     hi = int(arr.max())
-                    tops = [hi] if int(arr.min()) >> TAG_SHIFT == hi >> TAG_SHIFT else []
+                    tops = [hi] if type_tag(int(arr.min())) == type_tag(hi) else []
                 if tops and bool(exists_fn(np.array(tops, dtype=_U64)).all()):
                     continue
                 arr = chunk.target_ids() if column == "targets" else chunk.sources

@@ -20,7 +20,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import HintViolation, TypeNotReadable, TypeNotWritable, UnknownName, UsageError
-from .ids import TAG_SHIFT, agent_id, split_by_tag
+from .ids import provisional_id, slot_ids, split_by_tag
 from .philox import agent_draws, agent_generator
 from .storage import cast_columns, edge_breaches, make_checked_adder, run_positions
 
@@ -110,11 +110,10 @@ class NeighborhoodView(_Reads):
         states as columns, or None when no call did."""
         self._fields = seg.fields
         self._field_list = list(seg.fields.values())
-        base = tag << TAG_SHIFT
         done, states = [], []
-        for slot in slots.tolist():
+        for slot, aid in zip(slots.tolist(), slot_ids(tag, slots).tolist()):
             self._slot = slot
-            self._aid = base | slot
+            self._aid = aid
             self._rng = None
             ret = fn(self, params, glob)
             if ret is not None:
@@ -211,9 +210,11 @@ class NeighborhoodView(_Reads):
         worker count or the order in which agents run. The provisional id
         is valid as an edge endpoint (target or ``source=``) in this
         transition only: the merge rewrites it there to the final id. An id
-        stored in a state column is not rewritten, and a later step rejects
-        it as no agent. A SINGLE_TYPE report made at the call names the
-        provisional id.
+        kept past its transition, in a state column or elsewhere, is not
+        rewritten, and a later transition rejects it as no agent, until
+        its step field wraps (``2**STEP_BITS`` transitions, see
+        :mod:`graphabm.ids`). A SINGLE_TYPE report made at the call names
+        the provisional id.
         """
         info = self._sim.schema.agent_type(type_name)
         tag = info.tag
@@ -231,7 +232,7 @@ class NeighborhoodView(_Reads):
             births = self._births[tag] = ([], [], [])
         ids, producers, states = births
         # the worker's births of this type, numbered in call order
-        ids.append(agent_id(tag, self._worker + 1, len(ids)))
+        ids.append(provisional_id(tag, self._step, self._worker, len(ids)))
         producers.append(self._aid)
         states.append(state)
         return ids[-1]
@@ -296,7 +297,7 @@ class AgentBatch(_Reads):
     @property
     def ids(self) -> np.ndarray:
         if self._ids is None:
-            self._ids = np.uint64(self._tag << TAG_SHIFT) + self.slots.astype(np.uint64)
+            self._ids = slot_ids(self._tag, self.slots)
         return self._ids
 
     def field(self, name: str) -> np.ndarray:

@@ -31,6 +31,7 @@ from graphabm import (
     apply_transition,
     engine,
     finalize_step,
+    local_index,
     partition_graph,
     run,
 )
@@ -481,7 +482,7 @@ class TestBatchEdgeWrites:
 
     @staticmethod
     def emit_pairs_agent(view, params, glob):
-        base = view.agent_id - view.agent_id % (1 << 36)
+        base = view.agent_id - local_index(view.agent_id)
         s = view.agent_id - base
         for k in (1, 2):
             view.add_edge("E", base + (s + k) % 12, (10 * s + k - 1,))
@@ -623,7 +624,7 @@ class TestBatchEdgeWrites:
         decl = EdgeTypeDecl("H", hints=hints, single_type_target=target)
 
         def targets_of(aid, bases):
-            s = aid % (1 << 36)
+            s = local_index(aid)
             return [bases[0] + s, bases[0] + (s + 1) % 12, bases[1] + s]
 
         def agent_form(view, params, glob):

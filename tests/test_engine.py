@@ -18,9 +18,11 @@ from graphabm import (
     agent_id,
     apply_transition,
     finalize_step,
+    local_index,
     run,
-    split_id,
+    type_tag,
 )
+from graphabm.ids import MAX_SLOT
 
 
 def two_type_sim(mortal=True, checks="on"):
@@ -228,7 +230,7 @@ class TestSlotReuse:
         step(sim, spawn, WRITE_P)
         # the add_agent ids are provisional: find the newborns by state
         by_state = dict(zip(sim.field_array("P", "x").tolist(), sim.agent_ids("P").tolist()))
-        slots = [split_id(by_state[value])[2] for value in (10.0, 11.0, 12.0)]
+        slots = [local_index(by_state[value]) for value in (10.0, 11.0, 12.0)]
         assert slots == [4, 2, 6]
         assert sim.is_alive(ids[0])
         assert sim.agent_state(ids[2]) == (11.0,)
@@ -368,7 +370,7 @@ class TestSynchrony:
         born = []
 
         def fn(view, params, g):
-            tag, _part, slot = split_id(view.agent_id)
+            tag, slot = type_tag(view.agent_id), local_index(view.agent_id)
             if (slot + view.step) % 5 == 0:
                 return None  # dies
             if (tag, slot) == (0, 1) or (births == "many" and slot % 4 == 1):
@@ -475,8 +477,9 @@ class TestNewAgents:
 
 
 class TestProvisionalIds:
-    """An id whose partition field is not 0 names no agent: lookups split
-    ids by type alone, and its slot bits lie past every segment."""
+    """A provisional id names no agent: lookups split ids by type alone,
+    and its slot lies past every segment, as does an id whose slot bits
+    above 36 are not 0."""
 
     def build(self):
         schema = Schema()
@@ -490,17 +493,21 @@ class TestProvisionalIds:
     @pytest.mark.parametrize("part", [1, 2, (1 << 20) - 1])
     def test_rejected_by_add_edges_at_init(self, column, part):
         sim = self.build()
-        bad = agent_id(0, part, 1)
+        bad = agent_id(0, (part << 36) | 1)
         ids = np.array([0, bad], dtype=np.uint64)
         good = np.zeros(2, dtype=np.uint64)
         sim.add_edges("E", *((ids, good) if column == "target" else (good, ids)))
         with pytest.raises(ContractViolation, match=f"nonexistent agent {bad:#x}$"):
             sim.commit_initial()
 
-    @pytest.mark.parametrize("column", ["target", "source"])
-    def test_rejected_in_a_transition(self, column):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("column,rebirth", [
+        ("target", False), ("source", False), ("target", True), ("source", True),
+    ])
+    def test_rejected_in_a_transition(self, column, rebirth, workers):
         """A provisional id kept past its step, here in a global, is no
-        agent: an edge to or from it fails the endpoint check."""
+        agent: an edge to or from it fails the endpoint check, also when
+        the same agent creates another agent in the linking transition."""
         sim = self.build()
         kept = []
 
@@ -510,29 +517,32 @@ class TestProvisionalIds:
             return view.state
 
         def link(view, params, g):
+            if view.agent_id == 0 and rebirth:
+                view.add_agent("P", 7.0)
             if view.agent_id == 1:
                 if column == "target":
                     view.add_edge("E", kept[0])
                 else:
                     view.add_edge("E", 0, source=kept[0])
-            return None
+            return view.state if rebirth else None
 
-        step(sim, spawn, WRITE_P)
-        assert split_id(kept[0])[1] == 1 and sim.n_alive("P") == 5
-        spec = TransitionSpec(callable_types=("P",), write_types=("E",))
+        step(sim, spawn, WRITE_P, workers=workers)
+        assert local_index(kept[0]) >= MAX_SLOT and sim.n_alive("P") == 5
+        spec = TransitionSpec(callable_types=("P",),
+                              write_types=("P", "E") if rebirth else ("E",))
         with pytest.raises(ContractViolation, match=f"nonexistent agent {kept[0]:#x}$"):
-            apply_transition(sim, link, spec)
+            apply_transition(sim, link, spec, workers=workers)
         assert sim._staged is None
 
     def test_not_alive_and_no_state(self):
         sim = self.build()
         for part in (1, 5):
-            aid = agent_id(0, part, 2)
+            aid = agent_id(0, (part << 36) | 2)
             assert not sim.is_alive(aid)
             with pytest.raises(UnknownName):
                 sim.agent_state(aid)
-        assert sim.is_alive(agent_id(0, 0, 2))
-        assert sim.agent_state(agent_id(0, 0, 2)) == (2.0,)
+        assert sim.is_alive(agent_id(0, 2))
+        assert sim.agent_state(agent_id(0, 2)) == (2.0,)
 
 
 class TestImmortality:

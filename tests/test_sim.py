@@ -17,9 +17,10 @@ from graphabm import (
     add_raster,
     apply_transition,
     finalize_step,
+    local_index,
     move_to,
     run,
-    split_id,
+    type_tag,
 )
 
 
@@ -42,9 +43,9 @@ class TestAgentCreation:
         first = sim.add_agent("Person", 0.5)
         second = sim.add_agent("Location")
         third = sim.add_agent("Person", 0.7)
-        assert split_id(first) == (0, 0, 0)
-        assert split_id(second) == (1, 0, 0)
-        assert split_id(third) == (0, 0, 1)
+        assert (type_tag(first), local_index(first)) == (0, 0)
+        assert (type_tag(second), local_index(second)) == (1, 0)
+        assert (type_tag(third), local_index(third)) == (0, 1)
 
     def test_state_arity_validated(self):
         sim = person_sim()

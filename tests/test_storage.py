@@ -20,10 +20,11 @@ from graphabm import (
     UsageError,
     apply_transition,
     finalize_step,
+    local_index,
     partition_graph,
-    split_id,
     storage,
     storage_plan_for,
+    type_tag,
 )
 from graphabm.ids import TAG_SHIFT, agent_id
 from graphabm.storage import AgentSegment, ListShard, build_read_container, run_positions
@@ -697,7 +698,7 @@ class TestTypedAgentStates:
         with pytest.raises(UsageError, match="'A', field 'i'"):
             sim.add_agent("A", 2.5, None)
         assert sim.n_alive("A") == 1
-        assert split_id(sim.add_agent("A", 3.5, 8))[2] == 1
+        assert local_index(sim.add_agent("A", 3.5, 8)) == 1
         assert sim.field_array("A", "i").tolist() == [7, 8]
         assert sim.field_array("A", "x").tolist() == [1.5, 3.5]
 
@@ -820,7 +821,7 @@ class TestBufferRoundTrip:
         sim.add_agents("Ghost", 7)
 
         def cull(view, params, g):  # frees slots 1, 4 and 5 of the mortal types
-            return None if split_id(view.agent_id)[2] in (1, 4, 5) else view.state
+            return None if local_index(view.agent_id) in (1, 4, 5) else view.state
 
         apply_transition(sim, cull, TransitionSpec(("Mortal", "Stateless"),
                                                    write_types=("Mortal", "Stateless")))
@@ -884,7 +885,7 @@ class TestSweepOracle:
     def cull(self, view, params, g):
         """Kill A0, A4, A8 and B1; A3 gives birth to A9, a slot past every
         index and bitmap of E, whose largest target slot is 8."""
-        tag, _, slot = split_id(view.agent_id)
+        tag, slot = type_tag(view.agent_id), local_index(view.agent_id)
         if (tag, slot) == (0, 3):
             view.add_agent("A", 9.0)
         killed = self.KILLED_A if tag == 0 else (self.KILLED_B,)
@@ -898,7 +899,7 @@ class TestSweepOracle:
         stored = edges
         if info.plan in (EdgePlan.SINGLE_FULL_EDGE, EdgePlan.EXISTENCE_BIT):
             stored = list({e[0]: e for e in edges}.values())  # each target's last add
-        dead = {agent_id(0, 0, s) for s in self.KILLED_A} | {agent_id(1, 0, self.KILLED_B)}
+        dead = {agent_id(0, s) for s in self.KILLED_A} | {agent_id(1, self.KILLED_B)}
         shard = ListShard(info)
         for t, s, st in stored:
             if t not in dead and not (info.has_source and s in dead):
@@ -963,7 +964,7 @@ class TestStableOrder:
     def test_span(self, span, radix, monkeypatch):
         rng = np.random.default_rng(span)
         # the smallest id's low 16 bits are not zero, so the offsets wrap
-        base = np.uint64(agent_id(2, 1, 70_000))
+        base = np.uint64(agent_id(2, (1 << 36) | 70_000))
         ids = base + rng.integers(0, span + 1, 3000).astype(np.uint64)
         ids[rng.permutation(3000)[:2]] = [base, base + np.uint64(span)]
         expected = np.argsort(ids, kind="stable")
@@ -978,7 +979,7 @@ class TestStableOrder:
 
     def test_two_agent_types_fall_back(self, monkeypatch):
         rng = np.random.default_rng(1)
-        ids = np.array([agent_id(int(t), 0, int(s)) for t, s in
+        ids = np.array([agent_id(int(t), int(s)) for t, s in
                         zip(rng.integers(0, 2, 200), rng.integers(0, 5, 200))], dtype=np.uint64)
         expected = np.argsort(ids, kind="stable")
         dtypes = argsort_dtypes(monkeypatch)
@@ -1000,7 +1001,7 @@ class TestStableOrder:
 
         def run_once():
             sim = two_type_sim(decl, checks="warn")
-            b = [agent_id(1, 0, slot) for slot in range(3)]
+            b = [agent_id(1, slot) for slot in range(3)]
             sim.add_edge("E", 3, 7, state)
             if two_types:
                 sim.add_edge("E", b[1], 6, state)
@@ -1234,7 +1235,7 @@ class TestBulkAddAllocations:
 
 # Targets of two agent types, of which A0, A4, A7 and B0 never get an edge:
 # slots without edges at the start, in the middle and at the end.
-B0 = agent_id(1, 0, 0)
+B0 = agent_id(1, 0)
 ORACLE_TARGETS = [1, 2, 3, 5, 6, B0 + 1, B0 + 2]
 ORACLE_SOURCES = list(range(8)) + [B0, B0 + 1, B0 + 2]
 ORACLE_DECLS = [
