@@ -173,7 +173,20 @@ class RuntimeSpec:
         self.check_single_edge = cfg.check_single_edge()
         self.check_single_type = cfg.check_single_type()
         self.mode = cfg.mode
-        self.globals = None  # snapshot installed by apply_transition
+        self.globals = None  # snapshot installed per call by runtime_spec
+
+
+def runtime_spec(sim: Simulation, spec: TransitionSpec, glob) -> RuntimeSpec:
+    """``spec`` resolved against ``sim`` with the globals ``glob``
+    installed. The resolution is made once per ``(spec, sim.checks)`` and
+    kept on the simulation; a spec that fails to resolve is not kept, so
+    it raises on every call."""
+    key = (spec, sim.checks)
+    rt = sim._specs.get(key)
+    if rt is None:
+        rt = sim._specs[key] = RuntimeSpec(sim, spec)
+    rt.globals = glob
+    return rt
 
 
 @dataclass
@@ -378,12 +391,13 @@ def _chunks(slots: np.ndarray, edges: np.ndarray, limit: int):
 
 
 def _agent_tasks(sim, rt, partition, worker, nworkers):
-    """(tag, slot array) work items in ascending agent-id order."""
+    """(tag, slot array) work items in ascending agent-id order: the alive
+    agents of the callable types, at ``nworkers > 1`` those the partition
+    gives ``worker``."""
     tasks = []
     for tag in rt.callable_tags:
-        slots = sim._segments[tag].alive_slots()
-        if nworkers > 1:
-            slots = slots[partition.worker_for_slots(tag, slots) == worker]
+        seg = sim._segments[tag]
+        slots = seg.alive_slots() if nworkers == 1 else partition.alive_slots(tag, worker, seg)
         if slots.size:
             tasks.append((tag, slots))
     return tasks
@@ -510,6 +524,9 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
     up, they merge and commit every transition's payloads on their copy of
     the graph as the caller does, whether or not they ran it; if a
     transition fails after they were sent anything for it, they are ended.
+    ``spec`` is resolved against the schema once per ``(spec,
+    sim.checks)`` and kept on the simulation, on the control and on every
+    worker alike (:func:`runtime_spec`).
     """
     if sim._staged is not None:
         raise UsageError("previous transition not finalized")
@@ -517,8 +534,7 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
         raise UsageError("transition already in flight")
     sim.commit_initial()
     sim._params_frozen = True
-    rt = RuntimeSpec(sim, spec)
-    rt.globals = sim.globals_snapshot()
+    rt = runtime_spec(sim, spec, sim.globals_snapshot())
     pool = own = None
     if workers > 1:
         from .parallel import WorkerPool, partition_graph

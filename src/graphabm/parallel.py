@@ -49,6 +49,12 @@ Partition strategies:
 
 The first two rank each type's alive agents on their own, so every type,
 and so every transition's callable agents, spread over every worker.
+
+Partitioning also lists, per agent type, the slots each worker owns, so a
+worker finds its share of a transition's agents by masking its own list
+with the type's liveness, in time that shrinks with the worker count.
+Agents born after partitioning, past the listed slots, run on worker
+``slot % W``.
 """
 
 from __future__ import annotations
@@ -72,11 +78,18 @@ STRATEGIES = ("contiguous", "round_robin", "greedy_edge_cut")
 
 @dataclass
 class Partition:
-    """An assignment of every alive agent to one of ``workers`` workers."""
+    """An assignment of every alive agent to one of ``workers`` workers.
+
+    ``maps`` gives, per agent type, the owner of each slot up to the
+    type's count at partitioning, and ``owned``, made from it then, the
+    ascending slots each worker owns, so that a worker finds its agents
+    in a transition without looking at any other's (:meth:`alive_slots`).
+    """
 
     workers: int
     strategy: str
     maps: dict = field(default_factory=dict)  # tag -> int32 owner per slot
+    owned: dict = field(default_factory=dict, init=False)  # tag -> per worker, its slots
     sizes: np.ndarray | None = None
 
     def worker_for_slots(self, tag: int, slots: np.ndarray) -> np.ndarray:
@@ -90,6 +103,17 @@ class Partition:
             inside = slots < m.size
             out[inside] = m[slots[inside]]
         return out
+
+    def alive_slots(self, tag: int, worker: int, seg) -> np.ndarray:
+        """The alive slots of a type that ``worker`` owns, ascending, as
+        :meth:`worker_for_slots` assigns them: its slots in the map, then
+        those past it with ``slot % workers == worker``."""
+        m = self.maps.get(tag)
+        start = 0 if m is None else m.size
+        slots = np.arange(start + (worker - start) % self.workers, seg.count, self.workers)
+        if m is not None:
+            slots = np.concatenate([self.owned[tag][worker], slots])
+        return slots if seg.alive is None else slots[seg.alive[slots]]
 
     def worker_for_ids(self, ids: np.ndarray) -> np.ndarray:
         out = np.empty(ids.size, dtype=np.int32)
@@ -124,6 +148,7 @@ def partition_graph(sim, workers: int, strategy: str = "contiguous") -> Partitio
     for tag, seg, slots in blocks:
         m = part_obj.maps[tag] = (np.arange(seg.count) % workers).astype(np.int32)
         m[slots] = assignment[offset: offset + slots.size]
+        part_obj.owned[tag] = [np.flatnonzero(m == w) for w in range(workers)]
         offset += slots.size
     part_obj.sizes = np.bincount(assignment, minlength=workers).astype(np.int64)
     return part_obj
@@ -266,6 +291,10 @@ class WorkerPool:
     def __init__(self, sim, items: list, partition: Partition, workers: int):
         if os.name != "posix":
             raise UsageError("multi-worker execution requires fork (POSIX)")
+        if partition.workers != workers:
+            raise UsageError(
+                f"a partition over {partition.workers} workers cannot serve {workers}"
+            )
         ctx = mp.get_context("fork")
         self.sim = sim
         self.items = items
@@ -426,8 +455,7 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
             if message[0] == "run":
                 _, index, glob, seeds = message
                 fn, spec = items[index]
-                rt = engine.RuntimeSpec(sim, spec)
-                rt.globals = FrozenMapping(glob)
+                rt = engine.runtime_spec(sim, spec, FrozenMapping(glob))
                 sim._in_transition = True
                 own = engine._run_shard(sim, fn, rt, partition, worker, nworkers,
                                         shuffle=_shuffle(seeds, worker))
@@ -439,7 +467,7 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
                 payloads = others[:worker] + [own] + others[worker:]
             else:
                 _, fields, payloads = message
-                rt = engine.RuntimeSpec(sim, engine.TransitionSpec(*fields))
+                rt = engine.runtime_spec(sim, engine.TransitionSpec(*fields), None)
             engine._merge_and_stage(sim, rt, payloads)
             engine.finalize_step(sim)
     except BaseException as exc:  # surfaced on the control process

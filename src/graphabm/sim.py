@@ -79,6 +79,7 @@ class Simulation:
         self._staged = None
         self._pool = None  # the resident worker pool while engine.run steps
         self._plans: dict = {}  # TransitionSpec -> engine.ReadPlan of its batch reads
+        self._specs: dict = {}  # (TransitionSpec, CheckConfig) -> engine.RuntimeSpec
         self.step = 0
         self.check_reports: list = []
         self.step_metrics: list[dict] = []

@@ -498,7 +498,11 @@ def run_positions(pos, indptr: np.ndarray):
 def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np.ndarray] | None:
     """Per target type, slot-indexed run starts into sorted ``targets``:
     one entry per slot up to the type's largest target, and one more.
-    None, with nothing allocated, when that is over ``limit`` entries."""
+    None, with nothing allocated, when that is over ``limit`` entries.
+
+    A type whose edges are fewer than its entries gets its index by
+    counting the edges per slot; any other by one search per slot, which
+    costs less there. Both give the same array."""
     spans = []
     lo, n = 0, targets.size
     last = type_tag(int(targets[-1])) if n else None
@@ -509,8 +513,17 @@ def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np
         lo = hi
     if limit is not None and sum(span[3] for span in spans) > limit:
         return None
-    return {tag: np.searchsorted(targets[lo:hi], slot_ids(tag, np.arange(size))) + lo
-            for tag, lo, hi, size in spans}
+    indptr = {}
+    for tag, lo, hi, size in spans:
+        if hi - lo < size:
+            counts = np.bincount(local_index(targets[lo:hi]).view(np.int64), minlength=size - 1)
+            ptr = np.zeros(size, dtype=np.int64)
+            np.cumsum(counts, out=ptr[1:])
+            ptr += lo
+        else:
+            ptr = np.searchsorted(targets[lo:hi], slot_ids(tag, np.arange(size))) + lo
+        indptr[tag] = ptr
+    return indptr
 
 
 def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
@@ -519,7 +532,30 @@ def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
                         for tag, ptr in indptr.items()])
 
 
-class ListEdgeRead:
+class _ByAgentId:
+    """The reads of one target by its agent id: each splits the id and
+    asks the slot-keyed read of its name (``has_for`` asks ``has_at``),
+    which the view calls with the tag and slot it holds."""
+
+    __slots__ = ()
+
+    def has_for(self, aid: int) -> bool:
+        return self.has_at(type_tag(aid), local_index(aid))
+
+    def count_for(self, aid: int) -> int:
+        return self.count_at(type_tag(aid), local_index(aid))
+
+    def sources_for(self, aid: int) -> np.ndarray:
+        return self.sources_at(type_tag(aid), local_index(aid))
+
+    def states_for(self, aid: int) -> list:
+        return self.states_at(type_tag(aid), local_index(aid))
+
+    def records_for(self, aid: int) -> list:
+        return self.records_at(type_tag(aid), local_index(aid))
+
+
+class ListEdgeRead(_ByAgentId):
     """CSR read container of every plan but EXISTENCE_BIT.
 
     It keeps the index, not a target column: ``indptr`` maps each target
@@ -571,10 +607,11 @@ class ListEdgeRead:
         arrays = [*self.indptr.values(), self.sources, *(self.states or ())]
         return sum(a.nbytes for a in arrays if a is not None)
 
-    def span(self, aid: int) -> tuple[int, int]:
-        """(start, end) positions of one target's edges; (0, 0) if none."""
-        ptr = self.indptr.get(type_tag(aid))
-        slot = local_index(aid)
+    def span(self, tag: int, slot: int) -> tuple[int, int]:
+        """(start, end) positions of the edges of the target at ``slot`` of
+        type ``tag``; (0, 0) if none. Every read of one target goes
+        through it."""
+        ptr = self.indptr.get(tag)
         if ptr is None or slot + 1 >= ptr.size:
             return 0, 0
         return ptr.item(slot), ptr.item(slot + 1)
@@ -608,8 +645,8 @@ class ListEdgeRead:
     def _slot_runs(self, tag: int, slots: np.ndarray, runs):
         return runs if runs is not None else self.runs(*self.bounds(tag, slots))
 
-    def has_for(self, aid: int) -> bool:
-        lo, hi = self.span(aid)
+    def has_at(self, tag: int, slot: int) -> bool:
+        lo, hi = self.span(tag, slot)
         return hi > lo
 
     def has_for_slots(self, tag: int, slots: np.ndarray, runs=None) -> np.ndarray:
@@ -625,21 +662,21 @@ class ListEdgeRead:
                 "use has_edge"
             )
 
-    def count_for(self, aid: int) -> int:
+    def count_at(self, tag: int, slot: int) -> int:
         self._require_counts()
-        lo, hi = self.span(aid)
+        lo, hi = self.span(tag, slot)
         return hi - lo
 
     def count_for_slots(self, tag: int, slots: np.ndarray, runs=None) -> np.ndarray:
         self._require_counts()
         return np.diff(self._slot_runs(tag, slots, runs)[1])
 
-    def sources_for(self, aid: int) -> np.ndarray:
+    def sources_at(self, tag: int, slot: int) -> np.ndarray:
         if self.sources is None:
             raise HintViolation(
                 f"edge type {self.info.name!r} does not store source ids (IGNORE_FROM)"
             )
-        lo, hi = self.span(aid)
+        lo, hi = self.span(tag, slot)
         return self.sources[lo:hi]
 
     def source_slots(self, pos) -> np.ndarray:
@@ -650,12 +687,12 @@ class ListEdgeRead:
             return self.sources.view(np.int64)[pos]
         return local_index(self.sources[pos]).view(np.int64)
 
-    def states_for(self, aid: int) -> list:
+    def states_at(self, tag: int, slot: int) -> list:
         if self.info.stateless:
             raise HintViolation(
                 f"edge type {self.info.name!r} is STATELESS; edges carry no state"
             )
-        return self.state_tuples(*self.span(aid))
+        return self.state_tuples(*self.span(tag, slot))
 
     def state_tuples(self, lo: int = 0, hi: int | None = None) -> list:
         """States of the edges at positions ``lo:hi`` (all by default), in
@@ -683,9 +720,9 @@ class ListEdgeRead:
         states = None if self.info.stateless else tuple(c[pos] for c in self.states or ())
         return sources, states, indptr
 
-    def records_for(self, aid: int) -> list[EdgeRecord]:
+    def records_at(self, tag: int, slot: int) -> list[EdgeRecord]:
         self._require_records()
-        lo, hi = self.span(aid)
+        lo, hi = self.span(tag, slot)
         none = [None] * (hi - lo)
         sources = none if self.sources is None else self.sources[lo:hi].tolist()
         states = none if self.info.stateless else self.state_tuples(lo, hi)
@@ -721,7 +758,7 @@ class ListEdgeRead:
         return cls(info, indptr, buffers.get("sources"), states)
 
 
-class ExistenceEdgeRead:
+class ExistenceEdgeRead(_ByAgentId):
     """Read container of EXISTENCE_BIT: one presence byte per target slot.
 
     ``buckets`` maps each target type tag with edges, ascending, to a uint8
@@ -745,12 +782,9 @@ class ExistenceEdgeRead:
         """Bytes of the bitmap."""
         return sum(b.nbytes for b in self.buckets.values())
 
-    def has_for(self, aid: int) -> bool:
-        bucket = self.buckets.get(type_tag(aid))
-        if bucket is None:
-            return False
-        idx = local_index(aid)
-        return idx < bucket.size and bucket[idx] != 0
+    def has_at(self, tag: int, slot: int) -> bool:
+        bucket = self.buckets.get(tag)
+        return bucket is not None and slot < bucket.size and bucket[slot] != 0
 
     def has_for_slots(self, tag: int, slots: np.ndarray, _runs=None) -> np.ndarray:
         out = np.zeros(slots.size, dtype=bool)
@@ -760,27 +794,27 @@ class ExistenceEdgeRead:
             out[inside] = bucket[slots[inside]] != 0
         return out
 
-    def count_for(self, *_):
+    def count_at(self, *_):
         raise HintViolation(
             f"edge type {self.info.name!r} stores only an existence bit; "
             "edge multiplicity is not retrievable"
         )
 
-    def sources_for(self, aid: int):
+    def sources_at(self, *_):
         raise HintViolation(
             f"edge type {self.info.name!r} stores only an existence bit"
         )
 
-    states_for = sources_for
+    states_at = sources_at
 
-    def records_for(self, *_):
+    def records_at(self, *_):
         raise HintViolation(
             f"edge type {self.info.name!r} stores only an existence bit; "
             "edge records are not retrievable"
         )
 
-    count_for_slots = count_for
-    records_for_slots = records_for
+    count_for_slots = count_at
+    records_for_slots = records_at
 
     def edge_endpoints(self):
         return None

@@ -86,7 +86,7 @@ class _Reads:
 class NeighborhoodView(_Reads):
     __slots__ = (
         "_sim", "_rt", "_worker", "_read", "_writers", "_births", "_step",
-        "_fields", "_field_list", "_slot", "_aid", "_rng", "_gather_cache",
+        "_fields", "_field_list", "_tag", "_slot", "_aid", "_rng", "_gather_cache",
     )
 
     def __init__(self, sim, rt, read_containers, writers, sink, worker: int):
@@ -108,6 +108,7 @@ class NeighborhoodView(_Reads):
         """Call the per-agent ``fn`` once per slot, with the view bound to
         that agent. Returns the slots whose call returned a state, and those
         states as columns, or None when no call did."""
+        self._tag = tag
         self._fields = seg.fields
         self._field_list = list(seg.fields.values())
         done, states = [], []
@@ -146,20 +147,20 @@ class NeighborhoodView(_Reads):
 
     def edges(self, edge_type: str) -> list:
         """Incoming edge records, in producing-agent order."""
-        return self._container(edge_type).records_for(self._aid)
+        return self._container(edge_type).records_at(self._tag, self._slot)
 
     def sources(self, edge_type: str) -> np.ndarray:
         """Source agent ids of incoming edges."""
-        return self._container(edge_type).sources_for(self._aid)
+        return self._container(edge_type).sources_at(self._tag, self._slot)
 
     def edge_states(self, edge_type: str) -> list:
-        return self._container(edge_type).states_for(self._aid)
+        return self._container(edge_type).states_at(self._tag, self._slot)
 
     def num_edges(self, edge_type: str) -> int:
-        return self._container(edge_type).count_for(self._aid)
+        return self._container(edge_type).count_at(self._tag, self._slot)
 
     def has_edge(self, edge_type: str) -> bool:
-        return self._container(edge_type).has_for(self._aid)
+        return self._container(edge_type).has_at(self._tag, self._slot)
 
     # -- source agent state ------------------------------------------------------
 
@@ -192,10 +193,10 @@ class NeighborhoodView(_Reads):
             c = self._source_readable(edge_type)
             tag = c.single_source_tag
             if tag is None:
-                return self._gather(c.sources_for(self._aid), field)
+                return self._gather(c.sources_at(self._tag, self._slot), field)
             cached = self._gather_cache[(edge_type, field)] = (self._source_column(tag, field), c)
         arr, c = cached
-        lo, hi = c.span(self._aid)
+        lo, hi = c.span(self._tag, self._slot)
         return arr[c.source_slots(slice(lo, hi))]
 
     # -- write effects ----------------------------------------------------------

@@ -22,6 +22,7 @@ from graphabm import (
     run,
     type_tag,
 )
+from graphabm.checks import CheckConfig
 from graphabm.ids import MAX_SLOT
 
 
@@ -636,3 +637,68 @@ class TestReadBufferImmutability:
         assert sim.state_checksum() == before
         finalize_step(sim)
         assert sim.state_checksum() != before
+
+
+class TestResolvedSpecs:
+    """A transition spec is resolved against the simulation once per
+    ``(spec, checks)`` and kept; each call installs its own globals."""
+
+    def test_invalid_spec_raises_on_every_call(self):
+        sim = two_type_sim()
+        sim.add_agent("P", 1.0)
+        bad = TransitionSpec(callable_types=("E",))
+        for _ in range(3):
+            with pytest.raises(UsageError, match="not an agent type"):
+                apply_transition(sim, lambda v, p, g: None, bad)
+            assert sim._staged is None and not sim._in_transition
+        step(sim, lambda v, p, g: v.state, WRITE_P)
+        assert sim.step == 1
+
+    def test_one_off_and_run_share_a_spec(self):
+        """The spec's one resolution serves a one-off two-worker call and
+        the run after it, whose checksum is the one-worker run's."""
+        def grow(view, params, g):
+            return (view.field("x") + g["inc"],)
+
+        def build():
+            sim = two_type_sim()
+            for i in range(9):
+                sim.add_agent("P", float(i))
+            sim.set_global("inc", 0.5)
+            return sim
+
+        sim = build()
+        step(sim, grow, WRITE_P, workers=2)
+        assert len(sim._specs) == 1
+        run(sim, 2, [(grow, WRITE_P)], workers=2)
+        assert len(sim._specs) == 1
+        once = build()
+        run(once, 3, [(grow, WRITE_P)])
+        assert sim.state_checksum() == once.state_checksum()
+
+    def test_globals_are_the_calls(self):
+        sim = two_type_sim()
+        sim.add_agent("P", 0.0)
+        for inc in (1.0, 5.0):
+            sim.set_global("inc", inc)
+            step(sim, lambda v, p, g: (v.field("x") + g["inc"],), WRITE_P)
+        assert sim.field_array("P", "x").tolist() == [6.0]
+
+    def test_an_epidemic_resolves_each_spec_once(self, monkeypatch):
+        from graphabm import engine
+        from graphabm.models.episim import EpiConfig, build_epi, day_program
+
+        made = []
+        real = engine.RuntimeSpec.__init__
+
+        def counted(self, sim, spec):
+            made.append((spec, sim.checks))
+            real(self, sim, spec)
+
+        monkeypatch.setattr(engine.RuntimeSpec, "__init__", counted)
+        model = build_epi(EpiConfig(persons=200, locations=20, theta=0.3, seed=3))
+        run(model.sim, 10, day_program(model))
+        assert len(made) == 3 and len(set(made)) == 3
+        model.sim.checks = CheckConfig(mode="warn")
+        run(model.sim, 2, day_program(model))
+        assert len(made) == 6

@@ -9,6 +9,7 @@ import multiprocessing as mp
 import os
 import pickle
 import signal
+import sys
 from multiprocessing.connection import Connection
 
 import numpy as np
@@ -27,10 +28,13 @@ from graphabm import (
     cut_edge_counts,
     cut_fraction,
     finalize_step,
+    local_index,
     partition_graph,
     run,
 )
 from graphabm import engine
+from graphabm.models.episim import EpiConfig, epi_run
+from graphabm.parallel import Partition
 from graphabm.checks import Violation
 from graphabm.models.hk import HKConfig, hk_run
 from graphabm.models.topology import Cliques, Complete, Regular
@@ -161,6 +165,105 @@ class TestCutMetrics:
         for workers, owners in expected.items():
             p = partition_graph(sim, workers, "greedy_edge_cut")
             assert p.worker_for_slots(0, np.arange(10)).tolist() == owners
+
+
+CHURN = TransitionSpec(callable_types=("M",), write_types=("M",))
+BOTH = TransitionSpec(callable_types=("M", "I"))
+
+
+def churn(view, params, g):
+    """Agents of M die and give births by a rule of slot and step, so
+    that births take freed slots and fresh ones."""
+    slot, step = local_index(view.agent_id), view.step
+    if slot and (3 * slot + step) % 7 == 0:
+        return None
+    if (slot + step) % 5 == 0:
+        for _ in range(1 + slot % 3):
+            view.add_agent("M", float(step))
+    return view.state
+
+
+def churn_sim():
+    """A mortal type M and an immortal type I, on a ring of M's and an
+    edge from every I to an M."""
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("M", (("x", "float64"),)))
+    schema.register_agent_type(AgentTypeDecl("I", (("x", "float64"),), immortal=True))
+    schema.register_edge_type(EdgeTypeDecl("E"))
+    sim = Simulation(schema)
+    m = sim.add_agents("M", 15, {"x": np.zeros(15)})
+    i = sim.add_agents("I", 6, {"x": np.zeros(6)})
+    sim.add_edges("E", m, np.roll(m, 1))
+    sim.add_edges("E", m[:6], i)
+    return sim
+
+
+class TestOwnerTasks:
+    """Each worker's tasks are the alive agents the partition gives it,
+    :meth:`Partition.worker_for_slots` being the rule, while agents die,
+    are born past the partitioned slots and reuse freed slots."""
+
+    @staticmethod
+    def assert_tasks_follow_the_rule(sim, p, workers):
+        rt = engine.RuntimeSpec(sim, BOTH)
+        for tag in rt.callable_tags:
+            alive = sim._segments[tag].alive_slots()
+            owned = []
+            for w in range(workers):
+                tasks = dict(engine._agent_tasks(sim, rt, p, w, workers))
+                want = alive[p.worker_for_slots(tag, alive) == w]
+                got = tasks.get(tag, want[:0])
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (tag, w)
+                owned.append(got)
+            owned = np.concatenate(owned)
+            assert np.unique(owned).size == owned.size  # disjoint
+            assert np.sort(owned).tolist() == alive.tolist()  # and cover the alive
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "round_robin", "greedy_edge_cut"])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_tasks_equal_the_owner_rule(self, strategy, workers):
+        sim = churn_sim()
+        apply_transition(sim, churn, CHURN)  # deaths before partitioning
+        finalize_step(sim)
+        seg = sim._segments[0]
+        assert seg.n_alive < seg.count
+        p = partition_graph(sim, workers, strategy)
+        reused = set()
+        for _ in range(4):
+            self.assert_tasks_follow_the_rule(sim, p, workers)
+            dead = set(np.flatnonzero(~sim._segments[0].alive[:sim._segments[0].count]).tolist())
+            apply_transition(sim, churn, CHURN)
+            finalize_step(sim)
+            reused |= dead & set(sim._segments[0].alive_slots().tolist())
+        self.assert_tasks_follow_the_rule(sim, p, workers)
+        seg = sim._segments[0]
+        assert seg.count > p.maps[0].size  # born after partitioning
+        assert reused and seg.n_alive < seg.count  # freed slots reused, and deaths
+
+    def test_a_partition_for_another_worker_count_is_refused(self):
+        sim = churn_sim()
+        for workers, parts in ((2, 3), (3, 2)):
+            with pytest.raises(UsageError, match=f"over {parts} workers cannot serve {workers}"):
+                apply_transition(sim, churn, CHURN, workers=workers,
+                                 partition=partition_graph(sim, parts))
+            with pytest.raises(UsageError, match=f"over {parts} workers"):
+                run(sim, 1, [(churn, CHURN)], workers=workers,
+                    partition=partition_graph(sim, parts))
+        assert sim.step == 0 and sim._staged is None
+
+    def test_an_epidemic_day_asks_no_owner_per_agent(self, monkeypatch):
+        """Workers take their tasks from the owner lists made at
+        partitioning, not from an owner lookup of every alive agent."""
+        real = Partition.worker_for_slots
+
+        def spy(self, tag, slots):
+            if sys._getframe(1).f_code.co_name == "_agent_tasks":
+                raise AssertionError("_agent_tasks looked up the owner of every agent")
+            return real(self, tag, slots)
+
+        monkeypatch.setattr(Partition, "worker_for_slots", spy)
+        cfg = EpiConfig(persons=200, locations=20, theta=0.3, seed=3)
+        assert epi_run(cfg, 1, workers=2).checksum == epi_run(cfg, 1).checksum
 
 
 class TestParallelExecution:

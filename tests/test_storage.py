@@ -26,7 +26,7 @@ from graphabm import (
     storage_plan_for,
     type_tag,
 )
-from graphabm.ids import TAG_SHIFT, agent_id
+from graphabm.ids import TAG_SHIFT, agent_id, slot_ids
 from graphabm.storage import AgentSegment, ListShard, build_read_container, run_positions
 
 from test_schema import all_hint_sets, is_legal
@@ -1419,3 +1419,120 @@ class TestIndexedChunks:
             finalize_step(sim)
         assert len(got) == 7 and all(a == b for a, b in got)
         assert got[0][0] == sim.field_array("B", "v")[[4, 0, 3, 1, 4, 2]].tobytes()
+
+
+def searched_indptr(targets: np.ndarray) -> dict:
+    """The index as one search per slot finds it: per target type, the
+    run start of each slot up to its last target's, and one more."""
+    tags = type_tag(targets)
+    out = {}
+    for tag in np.unique(tags).tolist():
+        lo, hi = np.searchsorted(tags, [tag, tag + 1]).tolist()
+        size = int(local_index(targets[hi - 1])) + 2
+        out[tag] = np.searchsorted(targets[lo:hi], slot_ids(tag, np.arange(size))) + lo
+    return out
+
+
+# Per type tag, its target slots, some sparse (few edges over wide slots)
+# and some dense (many edges over few slots).
+type_targets = st.dictionaries(
+    st.integers(0, 3),
+    st.one_of(
+        st.lists(st.integers(0, 5000), min_size=1, max_size=20),
+        st.lists(st.integers(0, 12), min_size=1, max_size=60),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+class TestCountingIndex:
+    """``_build_indptr`` counts the edges per slot where a type has fewer
+    edges than index entries and searches elsewhere; either way the index
+    is the search's, array for array."""
+
+    @staticmethod
+    def targets_of(by_tag: dict) -> np.ndarray:
+        return np.sort(np.concatenate([
+            slot_ids(tag, np.array(slots, dtype=np.int64))
+            for tag, slots in by_tag.items()
+        ]))
+
+    def assert_same(self, targets):
+        got = storage._build_indptr(targets)
+        want = searched_indptr(targets)
+        assert list(got) == list(want)
+        for tag in want:
+            assert got[tag].dtype == want[tag].dtype == np.int64
+            assert np.array_equal(got[tag], want[tag]), tag
+
+    @settings(max_examples=200, deadline=None)
+    @given(by_tag=type_targets)
+    def test_equals_the_search(self, by_tag):
+        self.assert_same(self.targets_of(by_tag))
+
+    @pytest.mark.parametrize("by_tag", [
+        {0: [0]},              # slot 0, one edge: two entries, dense
+        {2: [7]},              # one edge past empty slots: sparse
+        {0: [0, 0, 0]},
+        {0: [0], 1: [0, 900], 3: [4, 4, 4, 4, 4, 4]},
+        {1: list(range(10)) * 3},
+    ])
+    def test_edge_cases(self, by_tag):
+        self.assert_same(self.targets_of(by_tag))
+
+    def test_both_paths_run(self, monkeypatch):
+        searched = []
+        real = np.searchsorted
+
+        def spy(a, v, *args, **kw):
+            searched.append(np.size(v))
+            return real(a, v, *args, **kw)
+
+        monkeypatch.setattr(storage.np, "searchsorted", spy)
+        sparse = self.targets_of({0: [3, 4000]})  # 2 edges, 4002 entries
+        storage._build_indptr(sparse)
+        assert searched == []
+        storage._build_indptr(self.targets_of({0: [1, 1, 2]}))  # 3 edges, 4 entries
+        assert searched == []
+        storage._build_indptr(self.targets_of({0: [1, 1, 2, 2]}))  # 4 edges, 4 entries
+        assert searched == [4]
+
+    def test_limit_returns_none_without_allocating(self):
+        """An index of 2**40 + 2 entries would fail to allocate; over the
+        limit it is not attempted."""
+        far = np.array([agent_id(0, 1 << 40)], dtype=np.uint64)
+        assert storage._build_indptr(far, limit=1 << 16) is None
+        targets = self.targets_of({0: [0, 5], 1: [2]})  # 7 + 4 entries
+        assert storage._build_indptr(targets, limit=10) is None
+        assert storage._build_indptr(targets, limit=11).keys() == {0, 1}
+
+    def test_epidemic_infection_index_is_unchanged(self):
+        """The Infection index the epidemic builds every day, sparse as it
+        has far fewer infections than persons: its buffers over 10 days
+        hash as they did when every index was searched, and equal the
+        search of its own targets."""
+        import hashlib
+
+        from graphabm import run
+        from graphabm.models.episim import INFECTION, EpiConfig, build_epi, day_program
+
+        model = build_epi(EpiConfig(persons=2000, locations=100, theta=0.2, seed=1,
+                                    initial_infected=(0, 1, 2, 3, 4)))
+        h = hashlib.sha256()
+        stored = []
+
+        def on_step(sim):
+            c = sim.edge_container(INFECTION)
+            stored.append(c.n_stored())
+            assert sum(ptr.size for ptr in c.indptr.values()) > c.n_stored()
+            want = searched_indptr(storage._index_targets(c.indptr))
+            assert all(np.array_equal(c.indptr[tag], ptr) for tag, ptr in want.items())
+            for name, buf in c.buffers().items():
+                h.update(f"{name}:{buf.dtype.str}{buf.shape};".encode())
+                h.update(np.ascontiguousarray(buf))
+
+        run(model.sim, 10, day_program(model), on_step=on_step)
+        assert stored == [2, 4, 12, 17, 19, 30, 46, 56, 78, 103]
+        assert h.hexdigest() == (
+            "3a67f25ae1cb297133e571dc4d65d680ae5fa1277b86088727a70920652c01eb"
+        )
