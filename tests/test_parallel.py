@@ -33,11 +33,11 @@ from graphabm import (
     run,
 )
 from graphabm import engine
-from graphabm.models.episim import EpiConfig, epi_run
-from graphabm.parallel import Partition
 from graphabm.checks import Violation
+from graphabm.models.episim import EpiConfig, epi_run
 from graphabm.models.hk import HKConfig, hk_run
 from graphabm.models.topology import Cliques, Complete, Regular
+from graphabm.parallel import Partition
 from graphabm.storage import Chunk, ListShard
 
 
@@ -231,7 +231,8 @@ class TestOwnerTasks:
         reused = set()
         for _ in range(4):
             self.assert_tasks_follow_the_rule(sim, p, workers)
-            dead = set(np.flatnonzero(~sim._segments[0].alive[:sim._segments[0].count]).tolist())
+            before = sim._segments[0]
+            dead = set(range(before.count)) - set(before.alive_slots().tolist())
             apply_transition(sim, churn, CHURN)
             finalize_step(sim)
             reused |= dead & set(sim._segments[0].alive_slots().tolist())
