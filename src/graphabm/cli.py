@@ -166,10 +166,12 @@ def _model_rows(cfg: RunConfig):
         ]
         return header, rows
 
-    header = ["step", "wall_ms", "susceptible", "infected", "new_infections"]
+    header = ["step", "wall_ms", "susceptible", "infected", "new_infections",
+              "merges_reused"]
     rows = [
-        [i, f"{m['wall_ms']:.3f}", s["susceptible"], s["infected"], s["new_infections"]]
-        for i, (m, s) in enumerate(zip_metrics(result))
+        [i, f"{m['wall_ms']:.3f}", s["susceptible"], s["infected"], s["new_infections"],
+         reused]
+        for i, ((m, s), reused) in enumerate(zip(zip_metrics(result), result.merges_reused))
     ]
     return header, rows
 

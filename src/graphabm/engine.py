@@ -29,10 +29,12 @@ in every readable list container, once, in a :class:`ReadPlan` kept on its
 simulation for that transition spec. A later call reuses the plan while
 every read container is the same object, the tasks hold the same slots and
 ``BATCH_EDGE_LIMIT`` is unchanged, and builds it anew otherwise: a step that
-rewrites a read edge type, or sweeps edges from it, or adds or removes
-agents of a callable type, rebuilds it. A plan leaves the simulation once
-a container it read is freed. A shuffled call plans each one-agent chunk
-as it runs and keeps no plan.
+rewrites a read edge type with other edges, or sweeps edges from it, or
+adds or removes agents of a callable type, rebuilds it. A rewrite that
+reproduces a type's edges keeps its container, and so the plans that read
+it (see below). A plan leaves the simulation once a container it read is
+freed. A shuffled call plans each one-agent chunk as it runs and keeps no
+plan.
 
 One driver runs both forms: a worker walks its task list once, calls a
 batch ``fn`` per chunk and a per-agent ``fn`` per agent, checks and casts
@@ -44,6 +46,19 @@ producer order, and edges to or from them are rewritten to those ids. So
 the outcome does not depend on the form, the chunking, the order in which
 agents run or the worker count, as long as each agent's values, edges and
 draws are computed from its own data.
+
+Every process keeps the last merge of each edge type written without
+keep_existing in a list plan, as :class:`KeptMerge`: each worker's write
+shard and the container built from them. A worker whose next shard of the
+type holds the same chunks, byte for byte, ships ``None`` in its place,
+and when every worker's does, the merge stages the kept container with no
+id rewrite, endpoint check, sort or index build. So a model that re-emits
+the same edges every step, such as a fixed daily routine, pays for them
+once, and the plans that read them stay valid. Results are the same as a
+rebuild's, since a list plan's container is a function of its shards.
+EXISTENCE_BIT and SINGLE_FULL_EDGE merges report SINGLE_EDGE breaches,
+and a keep_existing merge reads the old container, so those always run.
+``sim.step_metrics`` counts the merges reused per step.
 """
 
 from __future__ import annotations
@@ -51,6 +66,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +82,7 @@ from .storage import (
     cast_columns,
     drop_dead_edges,
     rewrite_ids,
+    same_edges,
     validate_endpoints,
 )
 from .view import AgentBatch, NeighborhoodView
@@ -115,7 +132,7 @@ class RuntimeSpec:
 
     __slots__ = (
         "spec", "callable_tags", "readable_edges", "readable_agent_tags",
-        "all_agents_readable", "written_agent", "written_edge",
+        "all_agents_readable", "written_agent", "written_edge", "reusable",
         "check_single_edge", "check_single_type", "mode", "globals",
     )
 
@@ -154,6 +171,11 @@ class RuntimeSpec:
                 self.written_agent[info.tag] = name in keep
             else:
                 self.written_edge[info.tag] = name in keep
+        # written edge types whose merge may be reused (see KeptMerge)
+        self.reusable = frozenset(
+            etag for etag, kept in self.written_edge.items()
+            if not kept and schema.edge_types[etag].plan not in _NOT_REUSED
+        )
         for tag, kept in self.written_agent.items():
             info = schema.agent_types[tag]
             if info.immortal and not kept and tag not in self.callable_tags:
@@ -189,12 +211,37 @@ def runtime_spec(sim: Simulation, spec: TransitionSpec, glob) -> RuntimeSpec:
     return rt
 
 
+# Plans whose merge reports SINGLE_EDGE breaches, so it runs every time
+_NOT_REUSED = (EdgePlan.EXISTENCE_BIT, EdgePlan.SINGLE_FULL_EDGE)
+
+
+class KeptMerge(NamedTuple):
+    """An edge type's last committed merge: each worker's write shard, in
+    worker order, and the container built from them.
+
+    Every process keeps one per edge type written without keep_existing in
+    a list plan (``RuntimeSpec.reusable``), from the same payloads, so all
+    hold the same. A worker whose next shard of the type is the same as
+    its kept one (:func:`~graphabm.storage.same_edges`) puts ``None`` in
+    its payload in its place, and every merge takes the kept shard for
+    it; when every worker did, the merge stages ``container`` as it is.
+    The container is a function of the shards alone: a kept shard holds
+    no provisional id, since the merge that kept it rewrote them, and its
+    endpoints were checked then, and an allocated slot stays allocated.
+    """
+
+    shards: list
+    container: object
+
+
 @dataclass
 class StagedCommit:
     segments: dict            # tag -> AgentSegment replacements
     edges: dict               # etag -> read container replacements
+    merges: dict              # etag -> its KeptMerge, for the reusable types
     deaths_occurred: bool
     reports: list
+    reused: int               # edge types staged as their kept container
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +342,16 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
     for tag, (ids, producers, states) in ({} if batch else view._births).items():
         births[tag] = (np.array(ids, dtype=np.uint64), np.array(producers, dtype=np.uint64),
                        cast_columns(schema.agent_types[tag], list(zip(*states))))
+    edges = {}
+    for shard, info in writers.values():
+        kept = sim._kept.get(info.tag) if info.tag in rt.reusable else None
+        same = (kept is not None and len(kept.shards) == nworkers
+                and same_edges(shard, kept.shards[worker]))
+        edges[info.tag] = None if same else shard  # None: the kept shard
     return {
         "agents": agents,
         "births": births,
-        "edges": {info.tag: shard for shard, info in writers.values()},
+        "edges": edges,
         "reports": sink.reports,
     }
 
@@ -321,9 +374,11 @@ class ReadPlan:
     bytes, so the plan grows with agents and chunks, never with edges. It
     serves a later call of the transition while each container is the
     same object, every task holds the same slots and the chunk limit is
-    the same. It holds weak references to the containers, so it keeps no
-    replaced container alive, and it leaves ``sim._plans`` once one of
-    them is freed, so a stale plan holds no memory either.
+    the same; a rewrite of a read type that reproduces its edges stages
+    the same container (:class:`KeptMerge`), so the plan still serves. It
+    holds weak references to the containers, so it keeps no replaced
+    container alive, and it leaves ``sim._plans`` once one of them is
+    freed, so a stale plan holds no memory either.
     """
 
     __slots__ = ("refs", "limit", "tasks", "chunks")
@@ -459,24 +514,37 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
         old_ids, new_ids = np.concatenate(provisional), np.concatenate(final)
         order = np.argsort(old_ids)
         old_ids, new_ids = old_ids[order], new_ids[order]
-    staged_edges = {}
+    staged_edges, merges, reused = {}, {}, 0
     for etag, kept in rt.written_edge.items():
         info = schema.edge_types[etag]
         shards = [p["edges"][etag] for p in payloads]
-        if provisional:
-            rewrite_ids(shards, old_ids, new_ids)
-        validate_endpoints(info, shards, lambda ids: sim._lookup(ids, segments=segments))
-        staged_edges[etag] = build_read_container(
-            info, shards, sim._edges[etag] if kept else None, sink,
-            rt.check_single_edge,
-        )
+        fresh = [shard for shard in shards if shard is not None]
+        if fresh:
+            if len(fresh) < len(shards):
+                shards = [sim._kept[etag].shards[w] if shard is None else shard
+                          for w, shard in enumerate(shards)]
+            if provisional:
+                rewrite_ids(fresh, old_ids, new_ids)
+            validate_endpoints(info, fresh, lambda ids: sim._lookup(ids, segments=segments))
+            container = build_read_container(
+                info, shards, sim._edges[etag] if kept else None, sink,
+                rt.check_single_edge,
+            )
+        else:  # every worker's shard is its kept one
+            shards, container = sim._kept[etag]
+            reused += 1
+        staged_edges[etag] = container
+        if etag in rt.reusable:
+            merges[etag] = KeptMerge(shards, container)
     reports.extend(sink.reports)
 
     sim._staged = StagedCommit(
         segments=staged_segments,
         edges=staged_edges,
+        merges=merges,
         deaths_occurred=deaths_occurred,
         reports=reports,
+        reused=reused,
     )
 
 
@@ -582,9 +650,10 @@ def finalize_step(sim: Simulation) -> None:
 
     Edges whose target slot died are dropped, as are edges whose stored
     source died. Edge types that do not store the source cannot see a
-    source death and deliberately retain such edges. :func:`run`'s
-    workers make the same commit on their own, from the payloads
-    :func:`apply_transition` sent them.
+    source death and deliberately retain such edges. The merges of the
+    written edge types become their :class:`KeptMerge`, built before
+    the sweep. :func:`run`'s workers make the same commit on their own,
+    from the payloads :func:`apply_transition` sent them.
     """
     staged = sim._staged
     if staged is None:
@@ -593,6 +662,8 @@ def finalize_step(sim: Simulation) -> None:
         sim._segments[tag] = seg
     for etag, container in staged.edges.items():
         sim._edges[etag] = container
+        sim._kept.pop(etag, None)
+    sim._kept.update(staged.merges)
     if staged.deaths_occurred:
         sim._edges = [drop_dead_edges(c, lambda ids: sim._lookup(ids, alive=True))
                       for c in sim._edges]
@@ -609,9 +680,11 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
     ``program`` is an ordered list whose items are either ``(fn, spec)``
     transitions or callables taking the simulation (run on the control
     thread between transitions, e.g. globals updates). Each step appends
-    to ``sim.step_metrics`` its ``wall_ms`` and ``agents_run``, the agents
+    to ``sim.step_metrics`` its ``wall_ms``, ``agents_run``, the agents
     its transitions ran, summed over them: the alive agents of each
-    transition's callable types, at any worker count. With ``workers > 1``
+    transition's callable types, at any worker count, and
+    ``merges_reused``, the edge-type merges that staged their kept
+    container (:class:`KeptMerge`). With ``workers > 1``
     the workers are forked once, after partitioning, and ended before
     ``run`` returns or raises (see :mod:`graphabm.parallel`).
     """
@@ -639,7 +712,7 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
     try:
         for index in range(steps):
             t0 = time.perf_counter()
-            agents_run = 0
+            agents_run = reused = 0
             for kind, a, b in items:
                 if kind == "t":
                     apply_transition(sim, a, b, workers=workers, partition=partition)
@@ -647,6 +720,7 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
                         sim._segments[sim.schema.type_by_name(name).tag].n_alive
                         for name in b.callable_types
                     )
+                    reused += sim._staged.reused
                     finalize_step(sim)
                 else:
                     a(sim)
@@ -654,6 +728,7 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
                 "step_index": index,
                 "wall_ms": (time.perf_counter() - t0) * 1e3,
                 "agents_run": agents_run,
+                "merges_reused": reused,
             })
             if on_step is not None:
                 on_step(sim)

@@ -360,6 +360,7 @@ class EpiResult:
     checksum: str
     transition_wall_s: float
     step_walls: list
+    merges_reused: list  # per day, the edge-type merges that kept their container
 
 
 def epi_run(config: EpiConfig, days: int, *, workers: int = 1,
@@ -384,6 +385,7 @@ def epi_run(config: EpiConfig, days: int, *, workers: int = 1,
         checksum=sim.state_checksum(),
         transition_wall_s=sum(walls) / 1e3,
         step_walls=walls,
+        merges_reused=[m["merges_reused"] for m in sim.step_metrics],
     )
 
 

@@ -27,6 +27,17 @@ and edge states as given), what crosses a pipe is numpy arrays,
 builtins, ``array.array`` and the shard, chunk and violation records of
 :mod:`graphabm.storage` and :mod:`graphabm.checks`.
 
+Since every process makes every commit from the same payloads, each keeps
+the same shards: per edge type written without keep_existing in a list
+plan, every worker's shard of the type's last merge and the container
+built from them (``engine.KeptMerge``), control-only commits included. A
+worker whose new shard of such a type is byte-identical to its kept one
+sends ``None`` in its place, a builtin, and every process merges its own
+copy of the kept shard instead; when every worker sent ``None``, it
+stages the kept container. So edges re-emitted unchanged cross no pipe
+after the step that first wrote them. A shard is only compared with the
+kept shard of the same worker of a merge over as many workers.
+
 A worker's exception reaches the control with its own type. A worker that
 dies without a result raises :class:`~graphabm.errors.WorkerError` with
 its id and exit code as soon as its process handle shows it ended. The
@@ -400,8 +411,10 @@ def fork_payloads(pool: WorkerPool, index: int, rt, shuffle=None) -> list:
     Worker 0 runs on the control process meanwhile. When ``pool`` is the
     run's, each worker is then sent the other workers' payloads, in worker
     order and as the bytes they arrived in, to merge on its replica; a
-    one-off pool's workers are ended instead. (``perfbench``'s tracer times
-    this call by its name.)
+    one-off pool's workers are ended instead. A payload holds ``None`` for
+    an edge shard that equals its worker's kept one, on every worker
+    including 0, so such a shard crosses no pipe either way. (``perfbench``'s
+    tracer times this call by its name.)
     """
     seeds = None if shuffle is None else shuffle.integers(2**63, size=pool.workers).tolist()
     try:
@@ -428,9 +441,11 @@ def fork_payloads(pool: WorkerPool, index: int, rt, shuffle=None) -> list:
 def commit_message(spec, payloads: list) -> bytes:
     """What makes the run's workers merge and commit the ``payloads`` of a
     transition ``spec`` that ran without them: the spec's fields and the
-    payloads, pickled once for every worker. Build it before the control's
-    merge, which rewrites the payloads in place, and send it with
-    :meth:`WorkerPool.broadcast` once that merge has succeeded."""
+    payloads, pickled once for every worker. A ``None`` shard in them
+    stands for the kept one, which every worker holds as the control
+    does. Build it before the control's merge, which rewrites the payloads
+    in place, and send it with :meth:`WorkerPool.broadcast` once that
+    merge has succeeded."""
     return pickle.dumps(("commit", astuple(spec), payloads), pickle.HIGHEST_PROTOCOL)
 
 
@@ -442,7 +457,9 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
     """A worker's loop until the control closes the pipe: run a transition
     over its agents and send the payload, then merge and commit the
     transition from every worker's payload; or merge and commit a
-    transition the control ran alone. On an error, send it and leave."""
+    transition the control ran alone. Either commit updates the worker's
+    kept merges as the control's, so both compare shards alike. On an
+    error, send it and leave."""
     for other in inherited:  # the control's pipe ends, copied by the fork
         other.close()
     sim._pool = None

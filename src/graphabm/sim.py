@@ -34,6 +34,7 @@ from .storage import (
     build_read_container,
     cast_columns,
     edge_breaches,
+    is_nondecreasing,
     make_checked_adder,
     validate_endpoints,
 )
@@ -80,6 +81,7 @@ class Simulation:
         self._pool = None  # the resident worker pool while engine.run steps
         self._plans: dict = {}  # TransitionSpec -> engine.ReadPlan of its batch reads
         self._specs: dict = {}  # (TransitionSpec, CheckConfig) -> engine.RuntimeSpec
+        self._kept: dict = {}  # edge tag -> engine.KeptMerge, its last merge
         self.step = 0
         self.check_reports: list = []
         self.step_metrics: list[dict] = []
@@ -177,9 +179,10 @@ class Simulation:
             rows = [info.stored_state(st) for st in states]
             columns = list(zip(*rows)) or [()] * len(info.field_names)
         targets = np.ascontiguousarray(targets, dtype=np.uint64)
+        ordered = is_nondecreasing(targets)
         edge_breaches(info, self._init_sink, self.checks.check_single_type(),
-                      targets, seen=self._init_seen[info.tag])
-        self._init_shards[info.tag].extend(targets, sources, columns)
+                      targets, seen=self._init_seen[info.tag], ordered=ordered)
+        self._init_shards[info.tag].extend(targets, sources, columns, ordered=ordered)
 
     def edge_adder(self, edge_type: str):
         """The bound low-level add for an edge type during initialization.

@@ -240,13 +240,17 @@ class Chunk(NamedTuple):
     ``sources`` and ``producers`` when the shard keeps them; ``states``
     holds one sequence per field, which the merge casts. Targets a bulk
     add gave in nondecreasing order may be held as their ``index`` alone,
-    in the form of :attr:`ListEdgeRead.indptr`, with ``targets`` None."""
+    in the form of :attr:`ListEdgeRead.indptr`, with ``targets`` None.
+    ``source_range``, the smallest and largest source id, is set by
+    :func:`validate_endpoints`, which scans them, for the container built
+    next, and dropped by :func:`rewrite_ids`, which changes them."""
 
     targets: np.ndarray | None
     sources: np.ndarray | None
     states: tuple | None
     producers: np.ndarray | None
     index: dict | None = None
+    source_range: tuple | None = None
 
     def target_ids(self) -> np.ndarray:
         """The chunk's targets, rebuilt from its index when it holds one."""
@@ -343,15 +347,18 @@ class ListShard:
                                      columns, _drain(self.producers)))
         return self.chunks
 
-    def extend(self, targets, sources=None, states=None, producers=0):
+    def extend(self, targets, sources=None, states=None, producers=0, ordered=None):
         """Append edges as one chunk: ``states`` holds one column per field
-        and ``producers`` one producer per edge or one for all."""
+        and ``producers`` one producer per edge or one for all. ``ordered``
+        says whether ``targets`` are nondecreasing, when the caller found
+        out already."""
         self.seal()
         targets = np.asarray(targets, dtype=_U64)
         if not targets.size:
             return
         index = None  # checked before the copies below, to keep the peak down
-        if self.producers is None and _is_nondecreasing(targets):
+        if self.producers is None and (
+                is_nondecreasing(targets) if ordered is None else ordered):
             index = _build_indptr(targets, max(targets.size, _INDEX_FLOOR))
         self.chunks.append(Chunk(
             _owned_u64(targets) if index is None else None,
@@ -418,6 +425,7 @@ def edge_breaches(
     targets: np.ndarray,
     producers=0,
     seen: set | None = None,
+    ordered: bool = False,
 ) -> None:
     """Report what :func:`make_checked_adder`'s adder reports for adding
     ``targets`` (uint64) in order: one report per offending edge.
@@ -426,18 +434,19 @@ def edge_breaches(
 
     SINGLE_TYPE starts from a range test: a tag is an id's top bits, so
     when the smallest and the largest target carry the declared tag, every
-    target does. Otherwise each target's tag is compared.
+    target does; of ``ordered`` (nondecreasing) targets those are the first
+    and the last. Otherwise each target's tag is compared.
     """
     producers = np.broadcast_to(producers, targets.shape)
     tag = info.single_type_tag
-    if check_single_type and tag is not None and targets.size and (
-        type_tag(int(targets.min())) != tag or type_tag(int(targets.max())) != tag
-    ):
-        for i in np.flatnonzero(type_tag(targets) != tag).tolist():
-            sink.report(
-                "single_type", info.name, int(targets[i]), int(producers[i]),
-                f"edge targets an agent of the wrong type (expected tag {tag})",
-            )
+    if check_single_type and tag is not None and targets.size:
+        lo, hi = (targets[0], targets[-1]) if ordered else (targets.min(), targets.max())
+        if type_tag(int(lo)) != tag or type_tag(int(hi)) != tag:
+            for i in np.flatnonzero(type_tag(targets) != tag).tolist():
+                sink.report(
+                    "single_type", info.name, int(targets[i]), int(producers[i]),
+                    f"edge targets an agent of the wrong type (expected tag {tag})",
+                )
     if seen is not None:
         _flag_seen(info, sink, seen, targets.tolist(), producers)
 
@@ -454,7 +463,7 @@ def _concat_u64(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _is_nondecreasing(a: np.ndarray) -> bool:
+def is_nondecreasing(a: np.ndarray) -> bool:
     return a.size < 2 or bool(np.all(a[1:] >= a[:-1]))
 
 
@@ -570,26 +579,29 @@ class ListEdgeRead(_ByAgentId):
     container holds at most one edge per target, and a COUNT_ONLY one only
     the index, so it answers counts and presence alone.
     ``single_source_tag`` is the type tag of every source when they share
-    one, else None.
+    one, else None; it is found from the smallest and the largest source,
+    or from ``source_range`` when the caller knows them.
     """
 
     __slots__ = ("info", "indptr", "sources", "states", "single_source_tag", "__weakref__")
 
-    def __init__(self, info: EdgeTypeInfo, indptr: dict, sources, states):
+    def __init__(self, info: EdgeTypeInfo, indptr: dict, sources, states,
+                 source_range: tuple | None = None):
         self.info = info
         self.indptr = indptr
         self.sources = sources
         self.states = states
         self.single_source_tag = None
         if sources is not None and sources.size:
-            tag = type_tag(int(sources.min()))
-            if tag == type_tag(int(sources.max())):
-                self.single_source_tag = tag
+            lo, hi = source_range or (int(sources.min()), int(sources.max()))
+            if type_tag(lo) == type_tag(hi):
+                self.single_source_tag = type_tag(lo)
 
     @classmethod
-    def from_sorted(cls, info: EdgeTypeInfo, targets: np.ndarray, sources, states):
+    def from_sorted(cls, info: EdgeTypeInfo, targets: np.ndarray, sources, states,
+                    source_range: tuple | None = None):
         """The container of edges with sorted ``targets``."""
-        return cls(info, _build_indptr(targets), sources, states)
+        return cls(info, _build_indptr(targets), sources, states, source_range)
 
     # -- queries -------------------------------------------------------------
 
@@ -903,7 +915,7 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
         states = _merge_states(info, chunks)
     if all(s.producers is not None for s in shards):
         producers = _concat_u64([c.producers for c in chunks])
-        if not _is_nondecreasing(producers):
+        if not is_nondecreasing(producers):
             order = _stable_order(producers)
             targets, sources, states = targets[order], _take(sources, order), _take(states, order)
             producers = producers[order]
@@ -922,16 +934,19 @@ def build_list_read(
     """A sole indexed chunk and no carried-over edge: the chunk's index and
     columns as they are. Otherwise the merged edges, sorted by target."""
     chunks = [c for s in shards for c in s.seal()]
-    if len(chunks) == 1 and chunks[0].index is not None and not (
-        carryover is not None and carryover.n_stored()
-    ):
+    carried = carryover is not None and carryover.n_stored()
+    ranges = [c.source_range for c in chunks if c.sources is not None]
+    source_range = None
+    if ranges and None not in ranges and not carried:
+        source_range = (min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
+    if len(chunks) == 1 and chunks[0].index is not None and not carried:
         states = _merge_states(info, chunks) if info.has_state else None
-        return ListEdgeRead(info, chunks[0].index, chunks[0].sources, states)
+        return ListEdgeRead(info, chunks[0].index, chunks[0].sources, states, source_range)
     targets, sources, states, _, _ = _merge_list_shards(info, shards, carryover)
-    if not _is_nondecreasing(targets):
+    if not is_nondecreasing(targets):
         order = _stable_order(targets)
         targets, sources, states = targets[order], _take(sources, order), _take(states, order)
-    return ListEdgeRead.from_sorted(info, targets, sources, states)
+    return ListEdgeRead.from_sorted(info, targets, sources, states, source_range)
 
 
 def _single_edge_order(info, targets, producers, retained, sink):
@@ -1019,16 +1034,55 @@ def build_read_container(
 def rewrite_ids(shards: list, old: np.ndarray, new: np.ndarray) -> None:
     """In the shards' targets and sources, replace each id found in
     ``old`` (sorted, uint64) by the id at its position in ``new``. An
-    indexed chunk's targets are rebuilt first, and the chunk keeps them."""
+    indexed chunk's targets are rebuilt first, and the chunk keeps them;
+    a chunk's ``source_range`` is dropped."""
     for shard in shards:
         chunks = shard.seal()
         for i, chunk in enumerate(chunks):
-            chunks[i] = chunk = chunk._replace(targets=chunk.target_ids(), index=None)
+            chunks[i] = chunk = chunk._replace(targets=chunk.target_ids(), index=None,
+                                               source_range=None)
             for ids in (chunk.targets, chunk.sources):  # the chunk's own arrays
                 if ids is not None and ids.size:
                     pos = np.minimum(np.searchsorted(old, ids), old.size - 1)
                     hit = old[pos] == ids
                     ids[hit] = new[pos[hit]]
+
+
+def same_edges(shard: ListShard, kept: ListShard) -> bool:
+    """Whether ``shard`` holds what ``kept`` holds, chunk for chunk: every
+    column and index array of the same dtype, shape and bytes, compared
+    as unsigned integers of the item size, without a copy, so -0.0
+    differs from 0.0 and two NaN payloads differ. Both are sealed first.
+    States kept as Python values, which per-edge adds of a stateful type
+    leave, never match, nor do object arrays, whose bytes are references;
+    a chunk's ``source_range`` is not compared."""
+    ours, theirs = shard.seal(), kept.seal()
+    return len(ours) == len(theirs) and all(map(_same_chunk, ours, theirs))
+
+
+def _same_chunk(a: Chunk, b: Chunk) -> bool:
+    if (a.states is None) != (b.states is None):
+        return False
+    pairs = [(a.targets, b.targets), (a.sources, b.sources), (a.producers, b.producers),
+             *zip(a.states or (), b.states or ())]
+    if a.index is not None or b.index is not None:
+        if a.index is None or b.index is None or list(a.index) != list(b.index):
+            return False
+        pairs += [(a.index[tag], b.index[tag]) for tag in a.index]
+    return all(x is y or _same_bytes(x, y) for x, y in pairs)
+
+
+_UINTS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _same_bytes(a, b) -> bool:
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)) or (
+        a.dtype != b.dtype or a.shape != b.shape or a.dtype.hasobject
+        or not (a.flags.c_contiguous and b.flags.c_contiguous)
+    ):
+        return False
+    kind = _UINTS.get(a.itemsize, np.uint8)
+    return bool(np.array_equal(a.reshape(-1).view(kind), b.reshape(-1).view(kind)))
 
 
 def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
@@ -1048,12 +1102,13 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     chunk's targets give each type's largest from the index, and an array
     passes on its largest when its smallest and largest share one type.
     Otherwise each id is looked up, and the first bad one, shard by shard,
-    targets before sources, is named.
+    targets before sources, is named. Each chunk keeps its sources' range
+    as its ``source_range``, for the container built next.
     """
     for shard in shards:
         chunks = shard.seal()
         for column in ("targets", "sources"):
-            for chunk in chunks:
+            for i, chunk in enumerate(chunks):
                 if column == "targets" and chunk.index is not None:
                     tops = [agent_id(tag, ptr.size - 2)
                             for tag, ptr in chunk.index.items()]
@@ -1061,8 +1116,10 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
                     arr = getattr(chunk, column)
                     if arr is None:
                         continue
-                    hi = int(arr.max())
-                    tops = [hi] if type_tag(int(arr.min())) == type_tag(hi) else []
+                    lo, hi = int(arr.min()), int(arr.max())
+                    if column == "sources":
+                        chunks[i] = chunk._replace(source_range=(lo, hi))
+                    tops = [hi] if type_tag(lo) == type_tag(hi) else []
                 if tops and bool(exists_fn(np.array(tops, dtype=_U64)).all()):
                     continue
                 arr = chunk.target_ids() if column == "targets" else chunk.sources

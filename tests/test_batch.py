@@ -884,7 +884,8 @@ class TestPlanCalls:
             schedule=EPI_SCHEDULE, initial_infected=(0, 7, 11),
         ))
         sim = model.sim
-        for _day in range(2):
+        infections = []
+        for day in range(2):
             for fn, spec in day_program(model):
                 chunks = []
                 spied.clear()
@@ -897,12 +898,18 @@ class TestPlanCalls:
                 if fn.__name__ == "spread":  # its 10 locations in chunks of <= 100 visits
                     (visit,) = read.values()
                     assert len(chunks) > 1
-                    assert bounds == [visit] and runs == [visit] * len(chunks)
+                    if day == 0:
+                        assert bounds == [visit] and runs == [visit] * len(chunks)
+                    else:  # day 1's Visit edges again: its container and plan are kept
+                        assert spied == []
                 elif fn.__name__ == "update_status":
                     (infection,) = read.values()
+                    infections.append(infection.buffers())
                     assert bounds == [infection] and runs == [infection] * len(chunks)
                 else:
                     assert not read and spied == []
+        assert infections[0].keys() != infections[1].keys() or any(
+            not np.array_equal(a, infections[1][name]) for name, a in infections[0].items())
 
     def test_hk_steps_after_the_first_find_no_runs(self, spied):
         chunks = []

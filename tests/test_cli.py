@@ -33,8 +33,11 @@ class TestRunCommand:
         ])
         assert code == 0
         rows = read_csv(out)
-        assert rows[0] == ["step", "wall_ms", "susceptible", "infected", "new_infections"]
+        assert rows[0] == ["step", "wall_ms", "susceptible", "infected", "new_infections",
+                           "merges_reused"]
         assert len(rows) == 6
+        counts = [int(r[5]) for r in rows[1:]]
+        assert counts[0] == 0 and min(counts[1:]) >= 1  # Visit is kept from day 2 on
 
     def test_metric_columns_deterministic(self, tmp_path):
         def metrics(path):

@@ -34,7 +34,7 @@ from graphabm import (
 )
 from graphabm import engine
 from graphabm.checks import Violation
-from graphabm.models.episim import EpiConfig, epi_run
+from graphabm.models.episim import EpiConfig, build_epi, day_program, epi_run
 from graphabm.models.hk import HKConfig, hk_run
 from graphabm.models.topology import Cliques, Complete, Regular
 from graphabm.parallel import Partition
@@ -718,7 +718,8 @@ class TestPoolOracle:
 
     def test_the_exchange_ships_arrays_builtins_and_records_only(self, monkeypatch):
         """Every message between the control and a worker, run requests,
-        payloads both ways and a commit made on the control alone, holds
+        payloads both ways, payloads whose shard is a marker for the
+        worker's kept one and a commit made on the control alone, holds
         numpy arrays, builtins, ``array.array`` and shard, chunk and
         violation records: no schema record and no function."""
         records = {("graphabm.storage", "ListShard"), ("graphabm.checks", "Violation"),
@@ -776,3 +777,15 @@ class TestPoolOracle:
             kinds.append(message[0])
         # per step and pool transition a run request, a payload each way; and a commit
         assert sorted(kinds) == sorted(["run", "ok", "ok"] * 4 + ["commit"] * 2)
+
+        # an epidemic re-emits its Visit edges (tag 0) on day 2: both payloads
+        # of that exchange carry the marker, None, in place of the shard
+        blobs.clear()
+        model = build_epi(EpiConfig(persons=60, locations=6, theta=0.5, seed=2))
+        run(model.sim, 2, day_program(model), workers=2)
+        messages = [PlainUnpickler(io.BytesIO(blob)).load() for blob in blobs]
+        for message in messages:
+            walk(message)
+        visits = [m[1]["edges"][0] for m in messages if m[0] == "ok" and 0 in m[1]["edges"]]
+        assert len(visits) == 4 and visits[2:] == [None, None]
+        assert all(isinstance(shard, ListShard) for shard in visits[:2])
