@@ -2,7 +2,8 @@
 
 Three subcommands:
 
-- ``run``: execute a model and emit one CSV row of metrics per step.
+- ``run``: execute a model and emit one CSV row of metrics per step; the
+  final graph's storage, per edge type, goes to standard error.
 - ``scale``: run the same configuration at several worker counts and emit
   wall time, speedup, and a state checksum per worker count. Timing covers
   transition steps only (initialization excluded); the checksum column
@@ -155,7 +156,7 @@ def _run_model(cfg: RunConfig, workers: int, collect_metrics: bool = True):
 
 
 def _model_rows(cfg: RunConfig):
-    """Run the configured model; yields (header, rows)."""
+    """Run the configured model; returns (header, rows, its final storage)."""
     result = _run_model(cfg, cfg.workers)
     if cfg.model == "hk":
         header = ["step", "wall_ms", "min", "max", "mean", "clusters"]
@@ -164,7 +165,7 @@ def _model_rows(cfg: RunConfig):
              repr(float(s["mean"])), s["clusters"]]
             for i, (m, s) in enumerate(zip_metrics(result))
         ]
-        return header, rows
+        return header, rows, result.storage
 
     header = ["step", "wall_ms", "susceptible", "infected", "new_infections",
               "merges_reused"]
@@ -173,16 +174,28 @@ def _model_rows(cfg: RunConfig):
          reused]
         for i, ((m, s), reused) in enumerate(zip(zip_metrics(result), result.merges_reused))
     ]
-    return header, rows
+    return header, rows, result.storage
 
 
 def zip_metrics(result):
     return list(zip(({"wall_ms": w} for w in result.step_walls), result.metrics))
 
 
+def storage_table(storage: dict) -> str:
+    """``Simulation.describe()``'s edge types as a table: storage plan,
+    edges stored, bytes held and bytes per stored edge."""
+    lines = [f"{'edge type':<16}{'plan':<18}{'stored':>12}{'bytes':>14}{'bytes/edge':>12}"]
+    for name, row in storage["edges"].items():
+        per_edge = f"{row['bytes'] / row['stored']:.2f}" if row["stored"] else "-"
+        lines.append(f"{name:<16}{row['plan']:<18}{row['stored']:>12}{row['bytes']:>14}"
+                     f"{per_edge:>12}")
+    return "\n".join(lines)
+
+
 def cmd_run(args) -> int:
     cfg = build_run_config(args)
-    header, rows = _model_rows(cfg)
+    header, rows, storage = _model_rows(cfg)
+    print(storage_table(storage), file=sys.stderr)
     out = _open_out(cfg.out)
     try:
         writer = csv.writer(out, lineterminator="\n")

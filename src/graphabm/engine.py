@@ -344,6 +344,7 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                        cast_columns(schema.agent_types[tag], list(zip(*states))))
     edges = {}
     for shard, info in writers.values():
+        shard.seal()  # casts per-edge states here, before the shard ships
         kept = sim._kept.get(info.tag) if info.tag in rt.reusable else None
         same = (kept is not None and len(kept.shards) == nworkers
                 and same_edges(shard, kept.shards[worker]))

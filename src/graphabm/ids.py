@@ -1,7 +1,8 @@
 """Packed 64-bit agent ids, ``tag:8 | slot:56``: an agent's type tag and
 its slot in the type's segment, as plain ints or numpy ``uint64`` arrays.
 Only this module knows the layout; the others pack and unpack ids with
-the functions below.
+the functions below. A ``uint32`` array holds ids too: its values are the
+ids, all of type 0, which are their own slots (:func:`as_ids`).
 
 A newborn's provisional id (see
 :meth:`~graphabm.view.NeighborhoodView.add_agent`) sets ``PROVISIONAL``,
@@ -49,6 +50,21 @@ def type_tag(aid):
 def local_index(aid):
     """The slot of an id, or of each id of a uint64 array."""
     return aid & SLOT_MASK
+
+
+def as_ids(values) -> np.ndarray:
+    """``values`` as a contiguous id array: a uint32 array as it is, since
+    its values are type-0 ids, anything else as uint64. Neither copies an
+    array that already is one."""
+    if isinstance(values, np.ndarray) and values.dtype == np.uint32:
+        return np.ascontiguousarray(values)
+    return np.ascontiguousarray(values, dtype=np.uint64)
+
+
+def slots_of(ids: np.ndarray) -> np.ndarray:
+    """The slots of an id array of one type: int64 of a uint64 array, and
+    a uint32 array as it is."""
+    return ids if ids.dtype == np.uint32 else local_index(ids).view(np.int64)
 
 
 def slot_ids(tag: int, slots: np.ndarray) -> np.ndarray:

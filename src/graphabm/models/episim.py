@@ -361,6 +361,7 @@ class EpiResult:
     transition_wall_s: float
     step_walls: list
     merges_reused: list  # per day, the edge-type merges that kept their container
+    storage: dict  # the final graph's ``Simulation.describe()``
 
 
 def epi_run(config: EpiConfig, days: int, *, workers: int = 1,
@@ -386,6 +387,7 @@ def epi_run(config: EpiConfig, days: int, *, workers: int = 1,
         transition_wall_s=sum(walls) / 1e3,
         step_walls=walls,
         merges_reused=[m["merges_reused"] for m in sim.step_metrics],
+        storage=sim.describe(),
     )
 
 

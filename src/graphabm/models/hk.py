@@ -125,10 +125,11 @@ def build_hk(config: HKConfig, checks="on") -> Simulation:
         schema, seed=config.seed, params={"epsilon": config.epsilon}, checks=checks
     )
     rng = np.random.default_rng(config.seed)
-    ids = sim.add_agents(AGENT, n, {"opinion": rng.random(n)})
-    targets, sources = config.topology.build(n)
-    base = np.uint64(ids[0])
-    sim.add_edges(EDGE, base + targets, base + sources)
+    sim.add_agents(AGENT, n, {"opinion": rng.random(n)})
+    # The builders' uint32 slots are the agents' ids: AGENT is type 0, and
+    # its agents take slots 0 to n - 1. So they go in as they are, never
+    # widened, and the store keeps the sources as uint32 slots.
+    sim.add_edges(EDGE, *config.topology.build(n))
     sim.commit_initial()
     return sim
 
@@ -171,6 +172,7 @@ class HKResult:
     checksum: str
     transition_wall_s: float
     step_walls: list
+    storage: dict  # the final graph's ``Simulation.describe()``
 
 
 def hk_run(config: HKConfig, steps: int, *, workers: int = 1,
@@ -201,4 +203,5 @@ def hk_run(config: HKConfig, steps: int, *, workers: int = 1,
         checksum=sim.state_checksum(),
         transition_wall_s=sum(walls) / 1e3,
         step_walls=walls,
+        storage=sim.describe(),
     )

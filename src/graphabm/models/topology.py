@@ -1,8 +1,11 @@
 """Directed visibility-graph builders for the bundled models.
 
-All builders return (targets, sources) as uint64 arrays of *local* agent
+All builders return (targets, sources) as uint32 arrays of *local* agent
 indices, grouped by target in ascending order so that the initial commit
-can skip re-sorting. Callers offset them into agent ids.
+can skip re-sorting; ``n`` must stay below 2**32. A uint32 index is also
+the id of that slot of agent type 0, which ``Simulation.add_edges`` takes
+as it is; callers of another type offset them into agent ids. At 4 bytes
+an index, a builder's output is half what uint64 ids would take.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from ..errors import UsageError
 
-_U64 = np.uint64
+_U32 = np.uint32
 
 
 @dataclass(frozen=True)
@@ -24,8 +27,8 @@ class Complete:
         return n
 
     def build(self, n: int):
-        targets = np.repeat(np.arange(n, dtype=_U64), n)
-        sources = np.tile(np.arange(n, dtype=_U64), n)
+        targets = np.repeat(np.arange(n, dtype=_U32), n)
+        sources = np.tile(np.arange(n, dtype=_U32), n)
         return targets, sources
 
 
@@ -51,14 +54,15 @@ class Regular:
             raise UsageError(f"degree {k} too large for {n} agents")
         half = k // 2
         offs = list(range(-half, 0)) + ([0] if self.self_loops else []) + list(range(1, half + 1))
-        sources = np.add.outer(np.arange(n, dtype=np.int64), np.array(offs, dtype=np.int64))
+        # uint32 arithmetic wraps: a negative offset past slot 0 gives 2**32
+        # minus the distance, which adding n brings back onto the ring.
+        sources = np.add.outer(np.arange(n, dtype=_U32), np.array(offs).astype(_U32))
         # Only the first and last ``half`` agents see past an end of the ring.
         low, high = sources[:half, :half], sources[n - half:, -half:]
-        low[low < 0] += n
-        high[high >= n] -= n
-        sources = sources.view(_U64).ravel()
-        targets = np.repeat(np.arange(n, dtype=_U64), len(offs))
-        return targets, sources
+        low[low >= n] += _U32(n)
+        high[high >= n] -= _U32(n)
+        targets = np.repeat(np.arange(n, dtype=_U32), len(offs))
+        return targets, sources.ravel()
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class Cliques:
         members = np.arange(s, dtype=np.int64)
         for j in range(c):
             base = j * s
-            clique = (base + members).astype(_U64)
+            clique = (base + members).astype(_U32)
             for m in range(s):
                 vertex = base + m
                 seen = clique if self.self_loops else clique[members != m]
@@ -95,7 +99,7 @@ class Cliques:
                     left = ((j - 1) % c) * s
                     right = ((j + 1) % c) * s
                     extra = sorted({left, right} - {vertex})
-                    seen = np.sort(np.r_[seen, np.array(extra, dtype=_U64)])
-                targets.append(np.full(seen.size, vertex, dtype=_U64))
+                    seen = np.sort(np.r_[seen, np.array(extra, dtype=_U32)])
+                targets.append(np.full(seen.size, vertex, dtype=_U32))
                 sources.append(seen)
         return np.concatenate(targets), np.concatenate(sources)

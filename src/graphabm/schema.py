@@ -184,8 +184,9 @@ class EdgeTypeInfo:
         return self.decl.hints
 
     def stored_state(self, state) -> tuple | None:
-        """One edge's ``state`` as this type keeps it until the merge casts
-        it: a tuple of the layout's arity, or None when no state is kept."""
+        """One edge's ``state`` as this type keeps it until its write shard
+        casts it: a tuple of the layout's arity, or None when no state is
+        kept."""
         if not self.has_state:
             return None
         st = tuple(state)

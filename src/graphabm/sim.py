@@ -26,7 +26,7 @@ from .errors import (
     UnknownName,
     UsageError,
 )
-from .ids import agent_id, local_index, slot_ids, split_by_tag, type_tag
+from .ids import agent_id, as_ids, local_index, slot_ids, split_by_tag, type_tag
 from .schema import EdgePlan, Schema
 from .storage import (
     AgentSegment,
@@ -154,13 +154,16 @@ class Simulation:
         """Bulk-add edges during initialization.
 
         ``sources`` and ``states``, when given, hold one entry per target.
-        Only what the plan keeps is copied, once, so the caller may change
-        its arrays after the call. Targets in ascending order are not
-        copied at all: the shard keeps their CSR index. When one such call
-        adds all of a type's edges, that index and the copies become the
-        committed graph without another copy. This is the fast path for
-        large graphs: one call per edge type costs a few array passes,
-        where :meth:`add_edge` costs a Python call per edge.
+        Ids may come as uint64 or as uint32 (type-0 ids, as the
+        :mod:`~graphabm.models.topology` builders give), which are read as
+        they are, never widened. Only what the plan keeps is copied, once,
+        so the caller may change its arrays after the call. Targets in
+        ascending order are not copied at all: the shard keeps their CSR
+        index. When one such call adds all of a type's edges, that index
+        and the copies become the committed graph without another copy.
+        This is the fast path for large graphs: one call per edge type
+        costs a few array passes, where :meth:`add_edge` costs a Python
+        call per edge.
         """
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)
@@ -178,7 +181,7 @@ class Simulation:
         if info.has_state:
             rows = [info.stored_state(st) for st in states]
             columns = list(zip(*rows)) or [()] * len(info.field_names)
-        targets = np.ascontiguousarray(targets, dtype=np.uint64)
+        targets = as_ids(targets)
         ordered = is_nondecreasing(targets)
         edge_breaches(info, self._init_sink, self.checks.check_single_type(),
                       targets, seen=self._init_seen[info.tag], ordered=ordered)

@@ -10,25 +10,28 @@ is chosen by the edge type's storage plan.
 Edges take one of two shapes. A CSR (compressed sparse row) container,
 :class:`ListEdgeRead`, serves every plan but EXISTENCE_BIT: it holds the
 index, not a target column (per target type, the run start of each
-slot's edges), plus optional source ids and optional state columns, one
+slot's edges), plus optional sources and optional state columns, one
 numpy array per declared field, as :class:`AgentSegment` holds agent
-fields. COUNT_ONLY keeps the index alone, nothing per edge;
+fields. Sources of one type tag whose slots fit in 32 bits are kept as
+uint32 slots and that tag, any others as uint64 ids
+(:func:`narrow_sources`). COUNT_ONLY keeps the index alone, nothing per edge;
 SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
 one presence byte per target slot: its shards hold targets only (and
 producers when SINGLE_EDGE is checked), and the merge sets their bits.
 A write shard holds its edges as chunks, in call order: a bulk add copies
-each column the plan keeps once, into an owned contiguous numpy array,
-except targets given in nondecreasing order to a shard that records no
-producers, of which the chunk keeps only their index; per-edge adds go to
-a tail of ``array.array`` columns, which is moved into a chunk and
-emptied in place before the next bulk add and at the merge. A sole
-indexed chunk becomes the read container as it is, so a graph added in
-one sorted bulk call copies its sources and states once and its targets
-never; every other merge rebuilds indexed targets with ``np.repeat``.
-Shards keep edge states as the model passed them, per-edge tuples or the
-columns of a bulk add; the merge casts each field once with
-:func:`cast_columns`, the cast every agent write path uses too, and a
-value that does not cast raises :class:`~graphabm.errors.UsageError`. The
+each column the plan keeps once, into an owned contiguous numpy array
+(sources in their stored form), except targets given in nondecreasing
+order to a shard that records no producers, of which the chunk keeps
+only their index; per-edge adds go to a tail of ``array.array`` columns,
+which is moved into a chunk and emptied in place before the next bulk
+add and at the merge. A sole indexed chunk becomes the read container as
+it is, so a graph added in one sorted bulk call copies its sources and
+states once and its targets never; every other merge rebuilds indexed
+targets with ``np.repeat``. Every chunk holds its edge states as columns
+of the declared dtypes: a bulk add casts them, and so does moving the
+tail's per-edge tuples into a chunk, with :func:`cast_columns`, the cast
+every agent write path uses too; a value that does not cast raises
+:class:`~graphabm.errors.UsageError`. The
 endpoint and SINGLE_TYPE checks of a chunk start from a range test on its
 largest ids (an index gives each type's for free) and look at each
 id only when that test fails.
@@ -43,11 +46,13 @@ a dict of named numpy arrays, and the class method ``from_buffers(info,
 buffers)`` wraps such arrays as a container, rebuilding nothing. A
 segment's are ``count``, ``alive`` (mortal types), ``free`` and
 ``field:<name>`` per field. A CSR container's are ``indptr:<tag>`` per
-target type, then ``sources`` and ``field:<name>`` per state field when
-stored; a bitmap's are ``bits:<tag>`` per target type. Each type's index
-or bitmap ends at its last slot with an edge, and a type without edges
-has none, so equal edges give equal buffers however they were built or
-swept. The state checksum hashes this form.
+target type, then the sources when stored, ``source_slots:<tag>``
+(uint32) or ``sources`` (uint64 ids), and ``field:<name>`` per state
+field; a bitmap's are ``bits:<tag>`` per target type. Each type's index
+or bitmap ends at its last slot with an edge, a type without edges has
+none, and the sources' form depends on the sources alone, so equal edges
+give equal buffers however they were built or swept. The state checksum
+hashes this form.
 
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
@@ -70,7 +75,9 @@ import numpy as np
 
 from .checks import ViolationSink
 from .errors import ContractViolation, HintViolation, IndexOverflow, UsageError
-from .ids import MAX_SLOT, agent_id, local_index, slot_ids, split_by_tag, type_tag
+from .ids import (
+    MAX_SLOT, agent_id, as_ids, local_index, slot_ids, slots_of, split_by_tag, type_tag,
+)
 from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
 
 _U64 = np.uint64
@@ -95,9 +102,10 @@ class EdgeRecord(NamedTuple):
     edge_type: str
 
 
-def cast_columns(info: AgentTypeInfo | EdgeTypeInfo, columns) -> tuple:
+def cast_columns(info, columns) -> tuple:
     """``columns``, one sequence of values per declared field of an agent or
-    edge type, as numpy arrays of the declared dtypes.
+    edge type (its info, or a write shard's ``layout``), as numpy arrays of
+    the declared dtypes.
 
     A value that does not cast raises :class:`UsageError` naming the type
     and field, and so does None, which numpy would store as NaN or False.
@@ -238,23 +246,64 @@ class AgentSegment:
 class Chunk(NamedTuple):
     """Edges a :class:`ListShard` holds as arrays: uint64 ``targets``, and
     ``sources`` and ``producers`` when the shard keeps them; ``states``
-    holds one sequence per field, which the merge casts. Targets a bulk
-    add gave in nondecreasing order may be held as their ``index`` alone,
-    in the form of :attr:`ListEdgeRead.indptr`, with ``targets`` None.
-    ``source_range``, the smallest and largest source id, is set by
-    :func:`validate_endpoints`, which scans them, for the container built
-    next, and dropped by :func:`rewrite_ids`, which changes them."""
+    holds one column per field, of its declared dtype. ``sources`` are
+    uint32 slots of type ``source_tag`` when it is set, else uint64 ids.
+    Targets a bulk add gave in nondecreasing order may be held as their
+    ``index`` alone, in the form of :attr:`ListEdgeRead.indptr`, with
+    ``targets`` None."""
 
     targets: np.ndarray | None
     sources: np.ndarray | None
     states: tuple | None
     producers: np.ndarray | None
     index: dict | None = None
-    source_range: tuple | None = None
+    source_tag: int | None = None
 
     def target_ids(self) -> np.ndarray:
         """The chunk's targets, rebuilt from its index when it holds one."""
         return self.targets if self.index is None else _index_targets(self.index)
+
+
+def _ids(sources: np.ndarray, tag: int | None) -> np.ndarray:
+    """The ids of a source column in its stored form (:func:`narrow_sources`)."""
+    return sources if tag is None else slot_ids(tag, sources)
+
+
+def narrow_sources(ids: np.ndarray):
+    """The stored form of a column of source ids (an array of
+    :func:`~graphabm.ids.as_ids`), as ``(column, tag)``: uint32 slots and
+    their type tag when every id has that tag and every slot fits in 32
+    bits, else uint64 ids and None, as are no ids. It depends on the ids
+    alone. Ids that need no cast are returned as they are."""
+    if not ids.size:
+        return _EMPTY_U64, None
+    if ids.dtype == np.uint32:
+        return ids, 0
+    lo, hi = int(ids.min()), int(ids.max())
+    tag = type_tag(lo)
+    if type_tag(hi) != tag or local_index(hi) >> 32:
+        return ids, None
+    return ids.astype(np.uint32), tag  # the low 32 bits of an id are its slot here
+
+
+def _join_sources(parts: list):
+    """The ``(column, tag)`` parts of a source column, in order, as one,
+    in stored form when every non-empty part holds slots of one tag, else
+    as ids."""
+    parts = [(column, tag) for column, tag in parts if column.size]
+    tags = {tag for _, tag in parts}
+    if len(tags) == 1 and None not in tags:
+        return _concat([column for column, _ in parts]), tags.pop()
+    return _concat([_ids(column, tag) for column, tag in parts]), None
+
+
+class _Layout(NamedTuple):
+    """An edge type's name and state fields, as :func:`cast_columns` reads
+    them."""
+
+    name: str
+    field_names: tuple
+    dtypes: tuple
 
 
 def _owned_u64(values) -> np.ndarray:
@@ -276,25 +325,32 @@ class ListShard:
 
     ``extend``, the bulk write path, copies each column it is given once,
     into an owned contiguous numpy array, and keeps the copies as one
-    :class:`Chunk`; nondecreasing targets in a shard that records no
+    :class:`Chunk`: states cast to their dtypes and sources in their
+    stored form (:func:`narrow_sources`), so a bulk add never holds a
+    wider copy of them; nondecreasing targets in a shard that records no
     producers are kept as their index instead (see ``_INDEX_FLOOR``), so
     the caller's array is neither copied nor referenced. ``add``, the
     per-edge write path, appends to the tail: ``array.array`` columns
     ``targets``, ``sources`` and ``producers`` and a list of state tuples,
     ``states``. A bulk add, and :meth:`seal`, first move the tail into a
-    chunk and empty it in place, never swapping in a new object, since
-    every adder binds the tail's appends once. So the chunks hold the edges
-    in call order, and the merge takes a sole indexed chunk's index and
-    arrays as its container without copying them again.
+    chunk, casting its states, and empty it in place, never swapping in a
+    new object, since every adder binds the tail's appends once. So the
+    chunks hold the edges in call order, and the merge takes a sole
+    indexed chunk's index and arrays as its container without copying
+    them again.
 
     ``sources``, ``states`` and ``producers`` exist only when the plan
     stores them or the caller records producing agents; COUNT_ONLY keeps
     targets alone, and so does EXISTENCE_BIT unless producers are recorded.
+    ``layout`` names the type and its fields and dtypes, what casting the
+    tail's states takes; a shard pickles it as strings, so a pickled shard
+    holds no schema record.
     """
 
-    __slots__ = ("targets", "sources", "states", "producers", "chunks", "add")
+    __slots__ = ("layout", "targets", "sources", "states", "producers", "chunks", "add")
 
     def __init__(self, info: EdgeTypeInfo, record_producers: bool = False):
+        self.layout = _Layout(info.name, info.field_names, info.dtypes)
         self._bind(
             array.array("Q"),
             array.array("Q") if info.has_source else None,
@@ -331,44 +387,62 @@ class ListShard:
         self.add = add if s or st or p else add_target
 
     def __getstate__(self):
-        return self.targets, self.sources, self.states, self.producers, self.chunks
+        name, fields, dtypes = self.layout
+        return (self.targets, self.sources, self.states, self.producers, self.chunks,
+                (name, fields, tuple(map(str, dtypes))))
 
-    def __setstate__(self, columns):
-        self._bind(*columns)
+    def __setstate__(self, state):
+        name, fields, dtypes = state[-1]
+        self.layout = _Layout(name, fields, tuple(map(np.dtype, dtypes)))
+        self._bind(*state[:-1])
 
     def seal(self) -> list[Chunk]:
-        """The shard's chunks, after moving a non-empty tail into one."""
+        """The shard's chunks, after moving a non-empty tail into one. The
+        tail's states are cast first, so a value that does not cast raises
+        with the tail intact."""
         if self.targets:
             columns = None
             if self.states is not None:
-                columns = tuple(zip(*self.states))
+                columns = cast_columns(self.layout, tuple(zip(*self.states)))
                 del self.states[:]
             self.chunks.append(Chunk(_drain(self.targets), _drain(self.sources),
                                      columns, _drain(self.producers)))
         return self.chunks
 
     def extend(self, targets, sources=None, states=None, producers=0, ordered=None):
-        """Append edges as one chunk: ``states`` holds one column per field
-        and ``producers`` one producer per edge or one for all. ``ordered``
-        says whether ``targets`` are nondecreasing, when the caller found
-        out already."""
+        """Append edges as one chunk: ``targets`` and ``sources`` are ids
+        (:func:`~graphabm.ids.as_ids`), ``states`` holds one column per
+        field and ``producers`` one producer per edge or one for all.
+        ``ordered`` says whether ``targets`` are nondecreasing, when the
+        caller found out already."""
         self.seal()
-        targets = np.asarray(targets, dtype=_U64)
+        targets = as_ids(targets)
         if not targets.size:
             return
         index = None  # checked before the copies below, to keep the peak down
         if self.producers is None and (
                 is_nondecreasing(targets) if ordered is None else ordered):
             index = _build_indptr(targets, max(targets.size, _INDEX_FLOOR))
+        source_tag = None
+        if self.sources is None:
+            sources = None
+        else:
+            given = as_ids(sources)
+            sources, source_tag = narrow_sources(given)
+            if sources is given:
+                sources = sources.copy()
+        if self.states is not None:
+            # a cast array is new; one the cast returned as given is copied
+            states = tuple(c.copy() if c is given else c
+                           for c, given in zip(cast_columns(self.layout, states), states))
         self.chunks.append(Chunk(
             _owned_u64(targets) if index is None else None,
-            None if self.sources is None else _owned_u64(sources),
-            # arrays are copied; a sequence of values is cast into a new array
-            None if self.states is None
-            else tuple(np.array(c) if isinstance(c, np.ndarray) else c for c in states),
+            sources,
+            states,
             None if self.producers is None
             else _owned_u64(np.broadcast_to(np.asarray(producers, dtype=_U64), targets.shape)),
             index,
+            source_tag=source_tag,
         ))
 
 
@@ -456,8 +530,9 @@ def edge_breaches(
 # ---------------------------------------------------------------------------
 
 
-def _concat_u64(parts: list) -> np.ndarray:
-    """Chunk columns as one array; a sole chunk's is taken as it is."""
+def _concat(parts: list) -> np.ndarray:
+    """Chunk columns as one array; a sole chunk's is taken as it is, and
+    no chunk gives an empty uint64 column."""
     if not parts:
         return _EMPTY_U64
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -524,21 +599,24 @@ def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np
         return None
     indptr = {}
     for tag, lo, hi, size in spans:
+        ptr = np.zeros(size, dtype=np.int64)
         if hi - lo < size:
-            counts = np.bincount(local_index(targets[lo:hi]).view(np.int64), minlength=size - 1)
-            ptr = np.zeros(size, dtype=np.int64)
-            np.cumsum(counts, out=ptr[1:])
-            ptr += lo
+            np.cumsum(np.bincount(slots_of(targets[lo:hi]), minlength=size - 1), out=ptr[1:])
         else:
-            ptr = np.searchsorted(targets[lo:hi], slot_ids(tag, np.arange(size))) + lo
+            # needles of the targets' dtype, so that numpy does not widen
+            # the targets; past the last slot every target lies before
+            needles = slot_ids(tag, np.arange(size - 1)).astype(targets.dtype, copy=False)
+            ptr[:-1] = np.searchsorted(targets[lo:hi], needles)
+            ptr[-1] = hi - lo
+        ptr += lo
         indptr[tag] = ptr
     return indptr
 
 
 def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
     """The sorted targets a :func:`_build_indptr` index encodes."""
-    return _concat_u64([np.repeat(slot_ids(tag, np.arange(ptr.size - 1)), np.diff(ptr))
-                        for tag, ptr in indptr.items()])
+    return _concat([np.repeat(slot_ids(tag, np.arange(ptr.size - 1)), np.diff(ptr))
+                    for tag, ptr in indptr.items()])
 
 
 class _ByAgentId:
@@ -573,35 +651,38 @@ class ListEdgeRead(_ByAgentId):
     ``indptr[tag][s]:indptr[tag][s + 1]``. Each array ends at the entry
     after the type's last slot with an edge; a slot past that, such as an
     agent created after the container was built, has no edges.
-    ``sources`` (uint64) is None when the plan drops source ids, and
-    ``states`` is None or a tuple of numpy columns, one per declared field.
-    Per-target runs are ordered by producing agent; a SINGLE_FULL_EDGE
-    container holds at most one edge per target, and a COUNT_ONLY one only
-    the index, so it answers counts and presence alone.
-    ``single_source_tag`` is the type tag of every source when they share
-    one, else None; it is found from the smallest and the largest source,
-    or from ``source_range`` when the caller knows them.
+    ``sources`` is None when the plan drops source ids, and ``states`` is
+    None or a tuple of numpy columns, one per declared field. The sources
+    are held in the form :func:`narrow_sources` gives them, which the
+    constructor makes: uint32 slots of type ``single_source_tag``, or
+    uint64 ids with ``single_source_tag`` None. ``source_ids`` and
+    ``source_slots`` read them. Per-target runs are ordered by producing
+    agent; a SINGLE_FULL_EDGE container holds at most one edge per target,
+    and a COUNT_ONLY one only the index, so it answers counts and presence
+    alone.
     """
 
     __slots__ = ("info", "indptr", "sources", "states", "single_source_tag", "__weakref__")
 
     def __init__(self, info: EdgeTypeInfo, indptr: dict, sources, states,
-                 source_range: tuple | None = None):
+                 source_tag: int | None = None):
+        """``sources`` are ids, or with ``source_tag`` the uint32 slots of
+        that type."""
         self.info = info
         self.indptr = indptr
-        self.sources = sources
         self.states = states
         self.single_source_tag = None
-        if sources is not None and sources.size:
-            lo, hi = source_range or (int(sources.min()), int(sources.max()))
-            if type_tag(lo) == type_tag(hi):
-                self.single_source_tag = type_tag(lo)
+        if sources is not None:
+            if source_tag is None or not sources.size:
+                sources, source_tag = narrow_sources(_ids(sources, source_tag))
+            self.single_source_tag = source_tag
+        self.sources = sources
 
     @classmethod
     def from_sorted(cls, info: EdgeTypeInfo, targets: np.ndarray, sources, states,
-                    source_range: tuple | None = None):
+                    source_tag: int | None = None):
         """The container of edges with sorted ``targets``."""
-        return cls(info, _build_indptr(targets), sources, states, source_range)
+        return cls(info, _build_indptr(targets), sources, states, source_tag)
 
     # -- queries -------------------------------------------------------------
 
@@ -688,16 +769,19 @@ class ListEdgeRead(_ByAgentId):
             raise HintViolation(
                 f"edge type {self.info.name!r} does not store source ids (IGNORE_FROM)"
             )
-        lo, hi = self.span(tag, slot)
-        return self.sources[lo:hi]
+        return self.source_ids(slice(*self.span(tag, slot)))
+
+    def source_ids(self, pos=slice(None)) -> np.ndarray:
+        """Ids (uint64) of the sources at positions ``pos``, a slice or an
+        index array, all by default; rebuilt when slots are stored."""
+        return _ids(self.sources[pos], self.single_source_tag)
 
     def source_slots(self, pos) -> np.ndarray:
-        """Slots (int64) of the sources at positions ``pos``, a slice or an
-        index array, when every source is of ``single_source_tag``. Type
-        0's ids are their slots, so those are a view."""
-        if self.single_source_tag == 0:
-            return self.sources.view(np.int64)[pos]
-        return local_index(self.sources[pos]).view(np.int64)
+        """Slots (intp) of the sources at positions ``pos``, a slice or an
+        index array, when every source is of ``single_source_tag``. They
+        are widened here, as numpy gathers through an intp index faster
+        than through a uint32 one."""
+        return self.sources[pos].astype(np.intp)
 
     def states_at(self, tag: int, slot: int) -> list:
         if self.info.stateless:
@@ -728,7 +812,7 @@ class ListEdgeRead(_ByAgentId):
         self._require_records()
         pos, indptr = self._slot_runs(tag, slots, runs)
         pos = run_positions(pos, indptr)
-        sources = None if self.sources is None else self.sources[pos]
+        sources = None if self.sources is None else self.source_ids(pos)
         states = None if self.info.stateless else tuple(c[pos] for c in self.states or ())
         return sources, states, indptr
 
@@ -736,7 +820,7 @@ class ListEdgeRead(_ByAgentId):
         self._require_records()
         lo, hi = self.span(tag, slot)
         none = [None] * (hi - lo)
-        sources = none if self.sources is None else self.sources[lo:hi].tolist()
+        sources = none if self.sources is None else self.source_ids(slice(lo, hi)).tolist()
         states = none if self.info.stateless else self.state_tuples(lo, hi)
         name = self.info.name
         return [EdgeRecord(src, st, name) for src, st in zip(sources, states)]
@@ -744,17 +828,18 @@ class ListEdgeRead(_ByAgentId):
     def edge_endpoints(self):
         if self.sources is None:
             return None
-        return _index_targets(self.indptr), self.sources
+        return _index_targets(self.indptr), self.source_ids()
 
     # -- buffer form -------------------------------------------------------
 
     def buffers(self) -> dict[str, np.ndarray]:
         """The arrays the container holds: ``indptr:<tag>`` per target type,
-        ascending, then ``sources`` when stored and one ``field:<name>``
-        per stored state field."""
+        ascending, then the sources when stored, ``source_slots:<tag>`` or
+        ``sources``, and one ``field:<name>`` per stored state field."""
         out = {f"indptr:{tag}": ptr for tag, ptr in self.indptr.items()}
         if self.sources is not None:
-            out["sources"] = self.sources
+            tag = self.single_source_tag
+            out["sources" if tag is None else f"source_slots:{tag}"] = self.sources
         for name, column in zip(self.info.field_names, self.states or ()):
             out["field:" + name] = column
         return out
@@ -762,12 +847,17 @@ class ListEdgeRead(_ByAgentId):
     @classmethod
     def from_buffers(cls, info: EdgeTypeInfo, buffers: dict) -> "ListEdgeRead":
         """The container that holds :meth:`buffers`' arrays."""
-        indptr = {int(name[len("indptr:"):]): ptr for name, ptr in buffers.items()
-                  if name.startswith("indptr:")}
+        indptr, sources, source_tag = {}, buffers.get("sources"), None
+        for name, buf in buffers.items():
+            kind, _, tag = name.partition(":")
+            if kind == "indptr":
+                indptr[int(tag)] = buf
+            elif kind == "source_slots":
+                sources, source_tag = buf, int(tag)
         states = None
         if info.has_state:
             states = tuple(buffers["field:" + name] for name in info.field_names)
-        return cls(info, indptr, buffers.get("sources"), states)
+        return cls(info, indptr, sources, states, source_tag=source_tag)
 
 
 class ExistenceEdgeRead(_ByAgentId):
@@ -869,7 +959,7 @@ def drop_dead_edges(container, alive_fn):
         for tag, ptr in container.indptr.items()
     ])
     if container.sources is not None:
-        keep &= alive_fn(container.sources)
+        keep &= alive_fn(container.source_ids())
     if bool(keep.all()):
         return container
     kept_before = np.zeros(keep.size + 1, dtype=np.int64)
@@ -881,7 +971,7 @@ def drop_dead_edges(container, alive_fn):
         if filled.size:
             indptr[tag] = ptr[: filled[-1] + 2]
     return ListEdgeRead(container.info, indptr, _take(container.sources, keep),
-                        _take(container.states, keep))
+                        _take(container.states, keep), source_tag=container.single_source_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -890,31 +980,29 @@ def drop_dead_edges(container, alive_fn):
 
 
 def _merge_states(info: EdgeTypeInfo, chunks: list) -> tuple:
-    """The chunks' state columns, each cast, in write order."""
-    cast = [cast_columns(info, c.states) for c in chunks]
-    if not cast:
-        return cast_columns(info, [()] * len(info.field_names))
-    if len(cast) == 1:
-        return cast[0]
-    return tuple(np.concatenate(columns) for columns in zip(*cast))
+    """The chunks' state columns, in write order; a sole chunk's as they are."""
+    if not chunks:
+        return tuple(np.empty(0, dtype=dt) for dt in info.dtypes)
+    return tuple(map(_concat, zip(*(c.states for c in chunks))))
 
 
 def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
     """``carryover``'s edges, then the shards' edges concatenated in worker
     order and ordered by producer.
 
-    Returns targets, sources, states, the producers of the shards' edges
-    (None unless every shard records them) and the number of carried-over
-    edges.
+    Returns targets, sources, their tag (see :func:`narrow_sources`),
+    states, the producers of the shards' edges (None unless every shard
+    records them) and the number of carried-over edges.
     """
     chunks = [c for s in shards for c in s.seal()]
-    targets = _concat_u64([c.target_ids() for c in chunks])
-    sources = _concat_u64([c.sources for c in chunks]) if info.has_source else None
-    states = producers = None
+    targets = _concat([c.target_ids() for c in chunks])
+    sources = source_tag = states = producers = None
+    if info.has_source:
+        sources, source_tag = _join_sources([(c.sources, c.source_tag) for c in chunks])
     if info.has_state:
         states = _merge_states(info, chunks)
     if all(s.producers is not None for s in shards):
-        producers = _concat_u64([c.producers for c in chunks])
+        producers = _concat([c.producers for c in chunks])
         if not is_nondecreasing(producers):
             order = _stable_order(producers)
             targets, sources, states = targets[order], _take(sources, order), _take(states, order)
@@ -923,9 +1011,11 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
     if carryover is not None and carryover.n_stored():
         retained = carryover.n_stored()
         targets = np.concatenate([_index_targets(carryover.indptr), targets])
-        sources = _cat(carryover.sources, sources)
+        if sources is not None:
+            sources, source_tag = _join_sources([
+                (carryover.sources, carryover.single_source_tag), (sources, source_tag)])
         states = _cat(carryover.states, states)
-    return targets, sources, states, producers, retained
+    return targets, sources, source_tag, states, producers, retained
 
 
 def build_list_read(
@@ -935,18 +1025,15 @@ def build_list_read(
     columns as they are. Otherwise the merged edges, sorted by target."""
     chunks = [c for s in shards for c in s.seal()]
     carried = carryover is not None and carryover.n_stored()
-    ranges = [c.source_range for c in chunks if c.sources is not None]
-    source_range = None
-    if ranges and None not in ranges and not carried:
-        source_range = (min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
     if len(chunks) == 1 and chunks[0].index is not None and not carried:
+        chunk = chunks[0]
         states = _merge_states(info, chunks) if info.has_state else None
-        return ListEdgeRead(info, chunks[0].index, chunks[0].sources, states, source_range)
-    targets, sources, states, _, _ = _merge_list_shards(info, shards, carryover)
+        return ListEdgeRead(info, chunk.index, chunk.sources, states, chunk.source_tag)
+    targets, sources, source_tag, states, _, _ = _merge_list_shards(info, shards, carryover)
     if not is_nondecreasing(targets):
         order = _stable_order(targets)
         targets, sources, states = targets[order], _take(sources, order), _take(states, order)
-    return ListEdgeRead.from_sorted(info, targets, sources, states, source_range)
+    return ListEdgeRead.from_sorted(info, targets, sources, states, source_tag)
 
 
 def _single_edge_order(info, targets, producers, retained, sink):
@@ -982,8 +1069,8 @@ def build_existence_read(
     sink: ViolationSink | None,
 ) -> ExistenceEdgeRead:
     """Set the bit of every target of the shards and of ``carryover``."""
-    targets, _, _, producers, _ = _merge_list_shards(info, shards, None)
-    retained = _concat_u64([] if carryover is None else [
+    targets, _, _, _, producers, _ = _merge_list_shards(info, shards, None)
+    retained = _concat([] if carryover is None else [
         slot_ids(tag, np.flatnonzero(bits))
         for tag, bits in carryover.buckets.items()
     ])
@@ -1006,12 +1093,13 @@ def build_single_read(
     """Keep each target's last edge: the highest producer's last add wins,
     and a retained edge counts as earliest. SINGLE_EDGE is checked here,
     as :func:`_single_edge_order` says."""
-    targets, sources, states, producers, retained = _merge_list_shards(
+    targets, sources, source_tag, states, producers, retained = _merge_list_shards(
         info, shards, carryover
     )
     order, superseded = _single_edge_order(info, targets, producers, retained, sink)
     kept = order[~superseded]
-    return ListEdgeRead.from_sorted(info, targets[kept], _take(sources, kept), _take(states, kept))
+    return ListEdgeRead.from_sorted(info, targets[kept], _take(sources, kept),
+                                    _take(states, kept), source_tag=source_tag)
 
 
 def build_read_container(
@@ -1034,14 +1122,15 @@ def build_read_container(
 def rewrite_ids(shards: list, old: np.ndarray, new: np.ndarray) -> None:
     """In the shards' targets and sources, replace each id found in
     ``old`` (sorted, uint64) by the id at its position in ``new``. An
-    indexed chunk's targets are rebuilt first, and the chunk keeps them;
-    a chunk's ``source_range`` is dropped."""
+    indexed chunk's targets are rebuilt first, and the chunk keeps them.
+    Sources held as slots are left as they are: ``old`` are provisional
+    ids, whose slots need more than 32 bits."""
     for shard in shards:
         chunks = shard.seal()
         for i, chunk in enumerate(chunks):
-            chunks[i] = chunk = chunk._replace(targets=chunk.target_ids(), index=None,
-                                               source_range=None)
-            for ids in (chunk.targets, chunk.sources):  # the chunk's own arrays
+            chunks[i] = chunk = chunk._replace(targets=chunk.target_ids(), index=None)
+            sources = chunk.sources if chunk.source_tag is None else None
+            for ids in (chunk.targets, sources):  # the chunk's own arrays
                 if ids is not None and ids.size:
                     pos = np.minimum(np.searchsorted(old, ids), old.size - 1)
                     hit = old[pos] == ids
@@ -1052,16 +1141,14 @@ def same_edges(shard: ListShard, kept: ListShard) -> bool:
     """Whether ``shard`` holds what ``kept`` holds, chunk for chunk: every
     column and index array of the same dtype, shape and bytes, compared
     as unsigned integers of the item size, without a copy, so -0.0
-    differs from 0.0 and two NaN payloads differ. Both are sealed first.
-    States kept as Python values, which per-edge adds of a stateful type
-    leave, never match, nor do object arrays, whose bytes are references;
-    a chunk's ``source_range`` is not compared."""
+    differs from 0.0 and two NaN payloads differ, and sources of the same
+    form. Both are sealed first."""
     ours, theirs = shard.seal(), kept.seal()
     return len(ours) == len(theirs) and all(map(_same_chunk, ours, theirs))
 
 
 def _same_chunk(a: Chunk, b: Chunk) -> bool:
-    if (a.states is None) != (b.states is None):
+    if (a.states is None) != (b.states is None) or a.source_tag != b.source_tag:
         return False
     pairs = [(a.targets, b.targets), (a.sources, b.sources), (a.producers, b.producers),
              *zip(a.states or (), b.states or ())]
@@ -1076,10 +1163,8 @@ _UINTS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def _same_bytes(a, b) -> bool:
-    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)) or (
-        a.dtype != b.dtype or a.shape != b.shape or a.dtype.hasobject
-        or not (a.flags.c_contiguous and b.flags.c_contiguous)
-    ):
+    if a is None or b is None or a.dtype != b.dtype or a.shape != b.shape or not (
+            a.flags.c_contiguous and b.flags.c_contiguous):
         return False
     kind = _UINTS.get(a.itemsize, np.uint8)
     return bool(np.array_equal(a.reshape(-1).view(kind), b.reshape(-1).view(kind)))
@@ -1100,29 +1185,30 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     sorts above every slot of its type, so a column
     passes whole when the largest id of each type in it exists: an indexed
     chunk's targets give each type's largest from the index, and an array
-    passes on its largest when its smallest and largest share one type.
-    Otherwise each id is looked up, and the first bad one, shard by shard,
-    targets before sources, is named. Each chunk keeps its sources' range
-    as its ``source_range``, for the container built next.
+    passes on its largest when its smallest and largest share one type,
+    as slots of one type do on their largest. Otherwise each id is looked
+    up, and the first bad one, shard by shard, targets before sources, is
+    named.
     """
     for shard in shards:
         chunks = shard.seal()
         for column in ("targets", "sources"):
-            for i, chunk in enumerate(chunks):
+            for chunk in chunks:
                 if column == "targets" and chunk.index is not None:
                     tops = [agent_id(tag, ptr.size - 2)
                             for tag, ptr in chunk.index.items()]
+                elif column == "sources" and chunk.source_tag is not None:
+                    tops = [agent_id(chunk.source_tag, int(chunk.sources.max()))]
                 else:
                     arr = getattr(chunk, column)
                     if arr is None:
                         continue
                     lo, hi = int(arr.min()), int(arr.max())
-                    if column == "sources":
-                        chunks[i] = chunk._replace(source_range=(lo, hi))
                     tops = [hi] if type_tag(lo) == type_tag(hi) else []
                 if tops and bool(exists_fn(np.array(tops, dtype=_U64)).all()):
                     continue
-                arr = chunk.target_ids() if column == "targets" else chunk.sources
+                arr = (chunk.target_ids() if column == "targets"
+                       else _ids(chunk.sources, chunk.source_tag))
                 ok = exists_fn(arr)
                 if not bool(ok.all()):
                     bad = int(arr[np.flatnonzero(~ok)[0]])

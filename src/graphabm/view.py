@@ -344,7 +344,7 @@ class AgentBatch(_Reads):
         pos = run_positions(pos, indptr)
         tag = c.single_source_tag
         if tag is None:
-            return self._gather(c.sources[pos], field), indptr
+            return self._gather(c.source_ids(pos), field), indptr
         return self._source_column(tag, field)[c.source_slots(pos)], indptr
 
     # -- write effects ----------------------------------------------------------

@@ -58,6 +58,22 @@ class TestRunCommand:
         assert text.endswith("\n")
         assert "," in text and ";" not in text.splitlines()[1]
 
+    def test_storage_table_goes_to_stderr_and_pins_hk_bytes_per_edge(self, capsys):
+        """HK on a ring of 500 agents of 10 neighbours and a self-loop keeps
+        4-byte source slots and the CSR index (an int64 per agent, and one
+        more); the CSV on stdout is as before."""
+        code = main(["run", "--model", "hk", "--topology", "regular", "--n", "500",
+                     "--k", "10", "--steps", "2", "--seed", "3"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "step,wall_ms,min,max,mean,clusters"
+        assert len(captured.out.splitlines()) == 3
+        header, row = captured.err.splitlines()
+        assert header.split() == ["edge", "type", "plan", "stored", "bytes", "bytes/edge"]
+        edges = 500 * 11
+        assert row.split() == ["Sees", "source_only_list", str(edges),
+                               str(4 * edges + 8 * 501), f"{(4 * edges + 8 * 501) / edges:.2f}"]
+
     def test_schedule_flag(self, tmp_path):
         sched = tmp_path / "visits.csv"
         sched.write_text("person_id,location_id,start_minute,end_minute\n0,0,0,60\n1,0,30,90\n")

@@ -129,10 +129,10 @@ class TestHintEquivalence:
 
 
 class TestDescribe:
-    def test_hk_holds_eight_bytes_per_edge_plus_the_index(self):
-        """The store keeps sources and the CSR index (one int64 per agent,
-        and one more) and no target column, hinted or not: the unhinted
-        type declares no state field."""
+    def test_hk_holds_four_bytes_per_edge_plus_the_index(self):
+        """The store keeps sources, as uint32 slots, and the CSR index (one
+        int64 per agent, and one more) and no target column, hinted or not:
+        the unhinted type declares no state field."""
         n, k = 500, 10
         for hints in (True, False):
             sim = build_hk(HKConfig(n=n, epsilon=0.2, topology=Regular(k), hints=hints))
@@ -142,9 +142,30 @@ class TestDescribe:
                 "edges": {EDGE: {
                     "plan": sim.schema.edge_type(EDGE).plan.value,
                     "stored": edges,
-                    "bytes": 8 * edges + 8 * (n + 1),
+                    "bytes": 4 * edges + 8 * (n + 1),
                 }},
             }
+
+
+class TestBuildAllocations:
+    def test_complete_graph_build_holds_four_bytes_per_edge(self):
+        """``build_hk`` passes the builder's uint32 slots in unwidened and
+        the store keeps the sources as 4-byte slots: counted in bytes with
+        ``tracemalloc``. A uint64 source column would hold 8 bytes an edge,
+        and widened builder output or a 64-bit copy on the way in would
+        lift the peak past 16."""
+        import tracemalloc
+
+        n = 1500
+        tracemalloc.start()
+        try:
+            sim = build_hk(HKConfig(n=n, epsilon=0.2, topology=Complete()))
+            held, peak = (b / n**2 for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert sim.edge_container(EDGE).n_stored() == n**2
+        assert held <= 4.5, held
+        assert peak <= 13, peak
 
 
 class TestTopologies:
@@ -162,7 +183,7 @@ class TestTopologies:
         offsets = np.array(list(range(-half, 0)) + [0] * self_loops + list(range(1, half + 1)))
         expected = ((np.arange(n)[:, None] + offsets[None, :]) % n).astype(np.uint64).ravel()
         targets, sources = Regular(k, self_loops).build(n)
-        assert sources.dtype == np.uint64 and sources.tolist() == expected.tolist()
+        assert sources.dtype == np.uint32 and sources.tolist() == expected.tolist()
         assert targets.tolist() == np.repeat(np.arange(n), offsets.size).tolist()
 
     def test_clique_sizes(self):

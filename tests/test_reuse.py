@@ -30,7 +30,8 @@ from graphabm import (
     run,
 )
 from graphabm import engine
-from graphabm.models.episim import EpiConfig, build_epi, day_program
+from graphabm.ids import provisional_id
+from graphabm.models.episim import EpiConfig, build_epi, day_program, day_program_agents
 from graphabm.storage import ListShard, rewrite_ids, validate_endpoints
 
 CONTROL_PID = os.getpid()
@@ -116,17 +117,15 @@ def run_tables(plan, n, tables, batch_form, workers):
 
 def check_tables(plan, n, rows, perturbed, batch_form):
     """Both tables differ; at one and two workers the checksums equal those
-    of a run that keeps nothing, and a repeat is reused unless its states
-    are Python values (per-agent adds of a stateful type)."""
+    of a run that keeps nothing, and a repeat is reused, in the batch and
+    in the per-agent form."""
     tables = [rows, perturbed]
     with kept_nothing():
         expected, none = run_tables(plan, n, tables, batch_form, 1)
     assert none == [0, 0, 0, 0]
     assert expected[2] != expected[1]
-    stateful = plan in (EdgePlan.FULL_EDGE_LIST, EdgePlan.STATE_ONLY_LIST)
-    counts = [0, 0, 0, 0] if stateful and not batch_form else [0, 1, 0, 1]
     for workers in (1, 2):
-        assert run_tables(plan, n, tables, batch_form, workers) == (expected, counts)
+        assert run_tables(plan, n, tables, batch_form, workers) == (expected, [0, 1, 0, 1])
 
 
 def columns(prod, tgt, src, w):
@@ -463,6 +462,20 @@ class TestVisitExchange:
         forwards = (workers - 1) ** 2
         assert sent == [False] * forwards + [True] * forwards * (days - 1)
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_per_agent_visits_are_reused_as_the_batch_ones_are(self, workers):
+        """``view.add_edge`` states are cast when the shard is sealed, so a
+        per-agent day's Visit shard matches the kept one as a batch day's
+        does: equal ``merges_reused``, 1 a day from day 2, and equal
+        checksums."""
+        got = []
+        for program in (day_program, day_program_agents):
+            model = small_epidemic()
+            run(model.sim, 4, program(model), workers=workers)
+            got.append((reused(model.sim), model.sim.state_checksum()))
+        assert got[0] == got[1]
+        assert got[0][0] == [0, 1, 1, 1]
+
     def test_a_worker_killed_mid_exchange_is_named_with_its_exit_code(self, monkeypatch):
         """Worker 2 of 3 sends its day-2 payload, whose Visit shard is a
         marker, and dies before its merge."""
@@ -523,17 +536,23 @@ class TestSameEdges:
         twin = ListShard(info, True)
         for target, state in ((1, (0.5,)), (2, (1.0,))):
             twin.add(target, 0, state, 0)
-        assert not same_edges(tail, twin)  # states as Python values
+        assert same_edges(tail, twin)  # per-edge states are cast when sealed
         assert same_edges(ListShard(info, True), ListShard(info, True))
 
-    def test_validate_carries_the_source_range_and_rewrite_drops_it(self):
+    def test_rewrite_replaces_newborn_sources_and_leaves_slots(self):
+        """A newborn's provisional id needs more than 32 bits of slot, so
+        a chunk of sources that holds one keeps ids, which the rewrite
+        changes; slots of one type, which hold none, stay as they are."""
         info = self.info()
-        shard = shard_of(info, [1, 2, 3], [3, 0, 2], [0.5, 1.0, 2.0], 0)
+        born = provisional_id(0, 0, 0, 0)
+        shard = shard_of(info, [1, 2, 3], [born, 0, 2], [0.5, 1.0, 2.0], 0)
+        shard.extend(np.array([3], dtype=np.uint64), np.array([2], dtype=np.uint64),
+                     (np.array([1.0]),), 0)
         validate_endpoints(info, [shard], lambda ids: np.ones(ids.size, dtype=bool))
-        assert shard.chunks[0].source_range == (0, 3)
-        rewrite_ids([shard], np.array([3], dtype=np.uint64), np.array([1], dtype=np.uint64))
-        assert shard.chunks[0].source_range is None
-        assert shard.chunks[0].sources.tolist() == [1, 0, 2]
+        rewrite_ids([shard], np.array([born], dtype=np.uint64), np.array([1], dtype=np.uint64))
+        assert [c.source_tag for c in shard.chunks] == [None, 0]
+        assert [c.sources.tolist() for c in shard.chunks] == [[1, 0, 2], [2]]
+        assert shard.chunks[1].sources.dtype == np.uint32
 
     def test_the_carried_range_names_the_single_source_tag(self):
         schema = Schema()

@@ -179,8 +179,8 @@ class TestChecksum:
         sim.add_edges("X", np.unique(targets))
         sim.commit_initial()
         described = sim.describe()["edges"]
-        for name, keys in (("E", ["indptr:0", "indptr:1", "sources", "field:w"]),
-                           ("S", ["indptr:0", "indptr:1", "sources"]),
+        for name, keys in (("E", ["indptr:0", "indptr:1", "source_slots:0", "field:w"]),
+                           ("S", ["indptr:0", "indptr:1", "source_slots:0"]),
                            ("X", ["bits:0", "bits:1"])):
             c = sim.edge_container(name)
             assert list(c.buffers()) == keys
