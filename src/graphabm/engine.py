@@ -26,15 +26,18 @@ write it returns None.
 
 A worker finds a batch transition's chunks, and each chunk's runs of edges
 in every readable list container, once, in a :class:`ReadPlan` kept on its
-simulation for that transition spec. A later call reuses the plan while
-every read container is the same object, the tasks hold the same slots and
-``BATCH_EDGE_LIMIT`` is unchanged, and builds it anew otherwise: a step that
-rewrites a read edge type with other edges, or sweeps edges from it, or
-adds or removes agents of a callable type, rebuilds it. A rewrite that
-reproduces a type's edges keeps its container, and so the plans that read
-it (see below). A plan leaves the simulation once a container it read is
-freed. A shuffled call plans each one-agent chunk as it runs and keeps no
-plan.
+simulation for that transition spec. A task of at most ``BATCH_EDGE_LIMIT``
+edges is one chunk, found from its edge total alone, and a chunk of
+consecutive slots reads runs that lie back to back, whose extents are their
+starts less the first; so planning such a task takes no cumsum. A later
+call reuses the plan while every read container is the same object, the
+tasks hold the same slots and ``BATCH_EDGE_LIMIT`` is unchanged, and
+builds it anew otherwise: a step that rewrites a read edge type with other
+edges, or sweeps edges from it, or adds or removes agents of a callable
+type, rebuilds it. A rewrite that reproduces a type's edges keeps its
+container, and so the plans that read it (see below). A plan leaves the
+simulation once a container it read is freed. A shuffled call plans each
+one-agent chunk as it runs and keeps no plan.
 
 One driver runs both forms: a worker walks its task list once, calls a
 batch ``fn`` per chunk and a per-agent ``fn`` per agent, checks and casts
@@ -420,8 +423,13 @@ def _task_key(tag: int, slots: np.ndarray) -> tuple:
 def _plan_task(lists: list, tag: int, slots: np.ndarray, limit: int) -> list:
     """The ``(lo, hi, runs)`` chunks of one task of ascending slots: one
     ``bounds`` per container for the task, one ``runs`` per container and
-    chunk."""
+    chunk. A task of at most ``limit`` edges is the one chunk
+    :func:`_chunks` would give, found without its cumsum and search."""
     bounds = [(name, *c.bounds(tag, _task_span(slots)), c) for name, c in lists]
+    if slots.size and sum(int(ends.sum() - starts.sum())
+                          for _name, starts, ends, _c in bounds) <= limit:
+        return [(0, slots.size, {name: c.runs(starts, ends)
+                                 for name, starts, ends, c in bounds})]
     edges = np.zeros(slots.size, dtype=np.int64)
     for _name, starts, ends, _c in bounds:
         edges += ends - starts

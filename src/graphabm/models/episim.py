@@ -27,7 +27,11 @@ theta = 1 it reaches the transitive co-presence closure of the seed set.
 
 :func:`day_program` runs the day as batch transitions, one call per chunk
 of agents; :func:`day_program_agents` runs the per-agent forms, which give
-bit-equal results and serve as their oracle.
+bit-equal results and serve as their oracle. The schedule is fixed, so the
+batch form emits a chunk of consecutive persons, as one worker, a
+``contiguous`` partition and one-agent chunks give, as one slice of it;
+the chunks of other partitions gather their persons' visits one run at a
+time.
 """
 
 from __future__ import annotations
@@ -110,12 +114,14 @@ def intervals_overlap(a_start, a_end, b_start, b_end) -> bool:
 class EpiModel:
     """A built epidemic and its daily schedule as a CSR over persons: the
     visits of person ``p`` (local index) sit at ``visit_ptr[p]:visit_ptr[p
-    + 1]`` of the location id, start and end columns, in schedule order."""
+    + 1]`` of the person, location id, start and end columns, in schedule
+    order."""
 
     sim: Simulation
     person_base: int
     location_base: int
     visit_ptr: np.ndarray
+    visit_person: np.ndarray
     visit_location: np.ndarray
     visit_start: np.ndarray
     visit_end: np.ndarray
@@ -176,6 +182,7 @@ def build_epi(config: EpiConfig, checks="on") -> EpiModel:
         person_base=int(person_ids[0]) if config.persons else 0,
         location_base=int(location_ids[0]) if config.locations else 0,
         visit_ptr=visit_ptr,
+        visit_person=p[order],
         visit_location=location_ids[loc[order]],
         visit_start=start[order],
         visit_end=end[order],
@@ -305,16 +312,28 @@ def _day(emit, spread_fn, update, batch: bool) -> list:
 
 
 def day_program(model: EpiModel) -> list:
-    """The day's three transitions as batch transitions."""
-    ptr, location = model.visit_ptr, model.visit_location
+    """The day's three transitions as batch transitions.
+
+    ``emit_visits`` takes a chunk of consecutive persons, which is every
+    chunk at one worker or of a ``contiguous`` partition and every
+    one-agent chunk, as one slice of the schedule, whose producers are its
+    person column less the chunk's first person. Any other chunk, as
+    ``round_robin`` and ``greedy_edge_cut`` give, gathers its persons'
+    visits one run each with two repeats and a cumsum. Both give the same
+    edges in the same order."""
+    ptr, person, location = model.visit_ptr, model.visit_person, model.visit_location
     start, end = model.visit_start, model.visit_end
     first = local_index(model.person_base)
 
     def emit_visits(batch, params, _globals):
         p = batch.slots - first
-        lo, counts = ptr[p], ptr[p + 1] - ptr[p]
-        agents = np.repeat(np.arange(p.size), counts)
-        pos = np.arange(agents.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        if p[-1] - p[0] == p.size - 1:  # chunks are never empty
+            pos = slice(ptr[p[0]], ptr[p[-1] + 1])
+            agents = person[pos] - p[0]
+        else:
+            lo, counts = ptr[p], ptr[p + 1] - ptr[p]
+            agents = np.repeat(np.arange(p.size), counts)
+            pos = np.arange(agents.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         batch.add_edges(VISIT, location[pos], agents=agents,
                         states=(start[pos], end[pos]))
         return None

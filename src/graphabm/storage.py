@@ -728,11 +728,15 @@ class ListEdgeRead(_ByAgentId):
         that :meth:`bounds` gives: ``indptr`` holds each run's extent in
         their concatenation, and ``pos`` is one slice of edge positions when
         the runs are back to back, else ``starts`` (:func:`run_positions`
-        spells the positions out)."""
-        indptr = np.zeros(starts.size + 1, dtype=np.int64)
-        np.cumsum(ends - starts, out=indptr[1:])
+        spells the positions out). Back-to-back runs' extents are their
+        starts less the first, which takes no cumsum."""
+        indptr = np.empty(starts.size + 1, dtype=np.int64)
         if starts.size and np.array_equal(starts[1:], ends[:-1]):
+            np.subtract(starts, starts[0], out=indptr[:-1])
+            indptr[-1] = ends[-1] - starts[0]
             return slice(int(starts[0]), int(ends[-1])), indptr
+        indptr[0] = 0
+        np.cumsum(ends - starts, out=indptr[1:])
         return starts, indptr
 
     def _slot_runs(self, tag: int, slots: np.ndarray, runs):

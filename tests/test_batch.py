@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphabm import (
     AgentTypeDecl,
@@ -34,6 +37,7 @@ from graphabm import (
     local_index,
     partition_graph,
     run,
+    type_tag,
 )
 from graphabm.models.hk import (
     HK_AGENT_SPEC,
@@ -52,6 +56,7 @@ from graphabm.models.episim import (
 )
 from graphabm.models.topology import Cliques, Complete, Regular
 from graphabm.storage import ListEdgeRead
+from graphabm.view import AgentBatch
 
 TOPOLOGIES = {
     "ring": (Regular(10), 300),
@@ -148,6 +153,76 @@ class TestChunks:
         slots = np.arange(5)
         chunks = list(engine._chunks(slots, np.zeros(5, dtype=np.int64), 1))
         assert [c.tolist() for c in chunks] == [[0, 1, 2, 3, 4]]
+
+
+def chunked_plan(lists, tag, slots, limit):
+    """A task's plan as ``_chunks`` splits it, whatever its edge total."""
+    bounds = [(name, *c.bounds(tag, engine._task_span(slots)), c) for name, c in lists]
+    edges = np.zeros(slots.size, dtype=np.int64)
+    for _name, starts, ends, _c in bounds:
+        edges += ends - starts
+    planned, lo = [], 0
+    for chunk in engine._chunks(slots, edges, limit):
+        hi = lo + chunk.size
+        planned.append((lo, hi, {name: c.runs(starts[lo:hi], ends[lo:hi])
+                                 for name, starts, ends, c in bounds}))
+        lo = hi
+    return planned
+
+
+def plain_plan(planned):
+    def plain_runs(pos, indptr):
+        pos = (pos.start, pos.stop) if isinstance(pos, slice) else (pos.dtype.str, pos.tolist())
+        return pos, indptr.dtype.str, indptr.tolist()
+
+    return [(lo, hi, {name: plain_runs(*runs) for name, runs in by_name.items()})
+            for lo, hi, by_name in planned]
+
+
+class TestOneChunkPlan:
+    """A task of at most the limit's edges is planned as one chunk without
+    ``_chunks``; the plan must be the one ``_chunks`` gives."""
+
+    @given(counts=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)),
+                           min_size=1, max_size=16),
+           pick=st.lists(st.booleans(), min_size=16, max_size=16),
+           case=st.sampled_from(["total below", "total at", "total above",
+                                 "agent above", "no edges"]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_chunk_plan_equals_the_chunked_one(self, counts, pick, case):
+        """``counts`` holds each agent's E and F edges, ``pick`` which
+        agents the task holds (all of them, in a run, when it picks none).
+        The limit is the task's edge total + 1, the total or the total - 1,
+        or one less than the most edges one agent has."""
+        if case == "no edges":
+            counts = [(0, 0)] * len(counts)
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("T", (("x", "int64"),), immortal=True))
+        schema.register_edge_type(EdgeTypeDecl("E", hints=Hint.STATELESS))
+        schema.register_edge_type(EdgeTypeDecl("F", (("w", "int64"),)))
+        sim = Simulation(schema)
+        ids = sim.add_agents("T", len(counts), {"x": np.zeros(len(counts), dtype=np.int64)})
+        for k, name in enumerate(("E", "F")):
+            targets = ids[np.repeat(np.arange(len(counts)), [c[k] for c in counts])]
+            states = None if name == "E" else [(w,) for w in range(targets.size)]
+            sim.add_edges(name, targets, ids[::-1][np.arange(targets.size) % ids.size], states)
+        sim.commit_initial()
+        lists = [(name, sim.edge_container(name)) for name in ("E", "F")]
+        slots = np.flatnonzero(pick[:len(counts)])
+        if not slots.size:
+            slots = np.arange(len(counts))
+        per_agent = np.array([sum(counts[s]) for s in slots.tolist()])
+        total = int(per_agent.sum())
+        limit = {"total below": total + 1, "total at": total, "total above": total - 1,
+                 "agent above": int(per_agent.max()) - 1, "no edges": 1}[case]
+        assume(limit >= 1)
+        tag = type_tag(int(ids[0]))
+        with mock.patch.object(engine, "_chunks", wraps=engine._chunks) as chunks:
+            got = engine._plan_task(lists, tag, slots, limit)
+        assert chunks.called == (total > limit)
+        assert plain_plan(got) == plain_plan(chunked_plan(lists, tag, slots, limit))
+        if total <= limit:
+            assert [(lo, hi) for lo, hi, _runs in got] == [(0, slots.size)]
 
 
 def small_sim(hints=Hint.STATELESS, with_edges=True):
@@ -374,6 +449,98 @@ class TestEpidemicOracle:
             run(model.sim, EPI_DAYS, day_program(model))
             counts.append(int(np.count_nonzero(model.sim.field_array("Person", "status"))))
         assert 3 < counts[0] < counts[1]
+
+
+def emit_schedule() -> tuple:
+    """48 persons at 6 locations. The first and the last person of every
+    block of a 2- or 4-worker contiguous partition has no visit, and every
+    third person visits one location twice."""
+    rng = np.random.default_rng(9)
+    rows = []
+    for p in range(48):
+        if p % 12 in (0, 11):
+            continue
+        for _ in range(int(rng.integers(1, 4))):
+            start = int(rng.integers(0, 600))
+            rows.append((p, int(rng.integers(0, 6)), start, start + int(rng.integers(30, 240))))
+        if p % 3 == 0:
+            _p, loc, start, _end = rows[-1]
+            rows.append((p, loc, start + 100, start + 300))
+    return tuple(rows)
+
+
+EMIT_SCHEDULE = emit_schedule()
+
+
+def emit_model():
+    return build_epi(EpiConfig(persons=48, locations=6, theta=0.1, seed=2,
+                               schedule=EMIT_SCHEDULE, initial_infected=(1, 30)))
+
+
+def emit_run(program, workers=1, strategy="contiguous", shuffle=None, days=4):
+    """(state checksum, merges reused per day) of ``days`` days."""
+    model = emit_model()
+    sim, day = model.sim, program(model)
+    if shuffle is None:
+        run(sim, days, day, workers=workers, strategy=strategy)
+        return sim.state_checksum(), [m["merges_reused"] for m in sim.step_metrics]
+    partition = partition_graph(sim, workers, strategy) if workers > 1 else None
+    reused = []
+    for _day in range(days):
+        reused.append(0)
+        for fn, spec in day:
+            apply_transition(sim, fn, spec, workers=workers, partition=partition,
+                             shuffle=shuffle)
+            reused[-1] += sim._staged.reused
+            finalize_step(sim)
+    return sim.state_checksum(), reused
+
+
+class TestEmitPaths:
+    """``emit_visits`` slices the schedule for a chunk of consecutive
+    persons and gathers it per person otherwise; either way the day equals
+    the per-agent one."""
+
+    def test_schedule_has_empty_block_ends_and_repeat_visits(self):
+        persons = {row[0] for row in EMIT_SCHEDULE}
+        assert not persons & {0, 11, 12, 23, 24, 35, 36, 47}
+        pairs = [row[:2] for row in EMIT_SCHEDULE]
+        assert len(set(pairs)) < len(pairs)
+        model = emit_model()
+        run(model.sim, 4, day_program(model))
+        assert np.count_nonzero(model.sim.field_array("Person", "status")) == 24
+        assert [m["merges_reused"] for m in model.sim.step_metrics] == [0, 1, 1, 1]
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "round_robin", "greedy_edge_cut"])
+    def test_both_paths_equal_the_per_agent_day(self, strategy):
+        expected = emit_run(day_program_agents)
+        for workers in (1, 2, 4):
+            got = emit_run(day_program, workers, strategy)
+            assert got == emit_run(day_program_agents, workers, strategy), workers
+            assert got[0] == expected[0], workers
+        for workers in (1, 2):
+            got = [emit_run(program, workers, strategy, np.random.default_rng(3))
+                   for program in (day_program, day_program_agents)]
+            assert got[0] == got[1], ("shuffled", workers)
+            assert got[0][0] == expected[0], ("shuffled", workers)
+
+    @pytest.mark.parametrize("strategy, sliced", [("contiguous", True), ("round_robin", False)])
+    def test_the_slice_path_runs_for_consecutive_persons(self, strategy, sliced, monkeypatch):
+        """At two workers the control runs worker 0's persons: under
+        ``contiguous`` persons 0-23, whose Visit targets are a view of the
+        schedule, under ``round_robin`` the even persons, gathered."""
+        model = emit_model()
+        seen = []
+        add_edges = AgentBatch.add_edges
+
+        def spy(batch, edge_type, targets, **kw):
+            if edge_type == "Visit":
+                seen.append(np.shares_memory(targets, model.visit_location))
+            return add_edges(batch, edge_type, targets, **kw)
+
+        monkeypatch.setattr(AgentBatch, "add_edges", spy)
+        run(model.sim, 2, day_program(model), workers=2, strategy=strategy)
+        assert seen == [sliced] * 2
 
 
 def typed_sim(n_types=1, seed=0, checks="on", edge=None):

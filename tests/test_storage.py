@@ -1696,3 +1696,48 @@ class TestSourceForms:
         assert list(got) == list(want)
         for name in got:
             assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name])
+
+
+def cumsum_runs(starts, ends):
+    """``ListEdgeRead.runs`` as a cumsum over every run's extent."""
+    indptr = np.zeros(starts.size + 1, dtype=np.int64)
+    np.cumsum(ends - starts, out=indptr[1:])
+    if starts.size and np.array_equal(starts[1:], ends[:-1]):
+        return slice(int(starts[0]), int(ends[-1])), indptr
+    return starts, indptr
+
+
+class TestRuns:
+    """Back-to-back runs take their ``indptr`` by one subtraction; it must
+    equal the cumsum in value and dtype, as must ``pos``."""
+
+    @given(counts=st.lists(st.integers(0, 4), max_size=24), first=st.integers(0, 1 << 20),
+           dtype=st.sampled_from([np.int64, np.int32, np.uint32]), views=st.booleans(),
+           gap=st.integers(-1, 24))
+    @settings(max_examples=200, deadline=None)
+    def test_back_to_back_runs_equal_the_cumsum(self, counts, first, dtype, views, gap):
+        """``views``: starts and ends are views of one index, as
+        ``bounds`` gives them for consecutive slots. Else they are copies,
+        and ``gap`` moves every run from that position on one edge further,
+        so the runs are no longer back to back, unless it is outside
+        ``1 .. len(counts) - 1``."""
+        sim = build_sim(EdgeTypeDecl("E"))
+        sim.commit_initial()
+        c = sim.edge_container("E")
+        edge = first + np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(dtype)
+        starts, ends = (edge[:-1], edge[1:]) if views else (edge[:-1].copy(), edge[1:].copy())
+        gapped = not views and 0 < gap < starts.size
+        if gapped:
+            starts[gap:] += 1
+            ends[gap:] += 1
+        back_to_back = bool(starts.size) and not gapped
+        pos, indptr = c.runs(starts, ends)
+        want_pos, want_indptr = cumsum_runs(starts, ends)
+        assert indptr.dtype == want_indptr.dtype == np.int64
+        assert indptr.tolist() == want_indptr.tolist()
+        assert isinstance(pos, slice) == back_to_back
+        if back_to_back:
+            assert (pos.start, pos.stop) == (want_pos.start, want_pos.stop)
+            assert type(pos.start) is type(pos.stop) is int
+        else:
+            assert pos is starts and want_pos is starts
