@@ -43,25 +43,33 @@ One driver runs both forms: a worker walks its task list once, calls a
 batch ``fn`` per chunk and a per-agent ``fn`` per agent, checks and casts
 what the calls return the same way, and ships the states of the agents
 they re-added, per type, and the agents they created with their producers,
-beside its edge write shards. Every call sees only time-t data and writes
+beside its sealed edge write shards. Every call sees only time-t data and writes
 are merged by producing-agent id: newborns take their ids at the merge, in
 producer order, and edges to or from them are rewritten to those ids. So
 the outcome does not depend on the form, the chunking, the order in which
 agents run or the worker count, as long as each agent's values, edges and
 draws are computed from its own data.
 
-Every process keeps the last merge of each edge type written without
-keep_existing in a list plan, as :class:`KeptMerge`: each worker's write
-shard and the container built from them. A worker whose next shard of the
-type holds the same chunks, byte for byte, ships ``None`` in its place,
-and when every worker's does, the merge stages the kept container with no
-id rewrite, endpoint check, sort or index build. So a model that re-emits
-the same edges every step, such as a fixed daily routine, pays for them
-once, and the plans that read them stay valid. Results are the same as a
-rebuild's, since a list plan's container is a function of its shards.
+A worker's payload holds each edge type it wrote as its write shard's
+sealed chunk list (:meth:`~graphabm.storage.ListShard.seal`); the shard
+itself stays on the worker. Every process keeps the last merge of each
+edge type written without keep_existing in a list plan, as
+:class:`KeptMerge`: each worker's chunk list and the container built from
+them. A worker whose next shard of the type seals to the same chunks,
+byte for byte, ships ``None`` in place of its chunk list, and when every
+worker's does, the merge stages the kept container with no id rewrite,
+endpoint check, sort or index build. So a model that re-emits the same
+edges every step, such as a fixed daily routine, pays for them once, and
+the plans that read them stay valid. Results are the same as a rebuild's,
+since a list plan's container is a function of its chunk lists.
 EXISTENCE_BIT and SINGLE_FULL_EDGE merges report SINGLE_EDGE breaches,
 and a keep_existing merge reads the old container, so those always run.
 ``sim.step_metrics`` counts the merges reused per step.
+
+Reads are checked where they enter, in the view, the batch and
+``aggregate``, against the edge type's refused reads
+(:func:`~graphabm.schema.check_read`), never inside the engine or a
+container.
 """
 
 from __future__ import annotations
@@ -219,21 +227,21 @@ _NOT_REUSED = (EdgePlan.EXISTENCE_BIT, EdgePlan.SINGLE_FULL_EDGE)
 
 
 class KeptMerge(NamedTuple):
-    """An edge type's last committed merge: each worker's write shard, in
+    """An edge type's last committed merge: each worker's chunk list, in
     worker order, and the container built from them.
 
     Every process keeps one per edge type written without keep_existing in
     a list plan (``RuntimeSpec.reusable``), from the same payloads, so all
-    hold the same. A worker whose next shard of the type is the same as
-    its kept one (:func:`~graphabm.storage.same_edges`) puts ``None`` in
-    its payload in its place, and every merge takes the kept shard for
-    it; when every worker did, the merge stages ``container`` as it is.
-    The container is a function of the shards alone: a kept shard holds
+    hold the same. A worker whose next shard of the type seals to its kept
+    chunk list (:func:`~graphabm.storage.same_edges`) puts ``None`` in its
+    payload in its place, and every merge takes the kept list for it;
+    when every worker did, the merge stages ``container`` as it is. The
+    container is a function of the chunk lists alone: a kept list holds
     no provisional id, since the merge that kept it rewrote them, and its
     endpoints were checked then, and an allocated slot stays allocated.
     """
 
-    shards: list
+    chunks: list
     container: object
 
 
@@ -254,7 +262,10 @@ class StagedCommit:
 
 def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                shuffle=None) -> dict:
-    """Run ``fn`` over this worker's agents; return its write shard."""
+    """Run ``fn`` over this worker's agents; return its payload: the
+    states its calls returned, the agents they created, each written edge
+    type's sealed chunk list, or ``None`` for one equal to the kept one,
+    and its contract reports."""
     schema = sim.schema
     batch = rt.spec.batch
     sink = ViolationSink(rt.mode, sim.step)
@@ -347,11 +358,11 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                        cast_columns(schema.agent_types[tag], list(zip(*states))))
     edges = {}
     for shard, info in writers.values():
-        shard.seal()  # casts per-edge states here, before the shard ships
+        chunks = shard.seal()  # casts per-edge states here, before they ship
         kept = sim._kept.get(info.tag) if info.tag in rt.reusable else None
-        same = (kept is not None and len(kept.shards) == nworkers
-                and same_edges(shard, kept.shards[worker]))
-        edges[info.tag] = None if same else shard  # None: the kept shard
+        same = (kept is not None and len(kept.chunks) == nworkers
+                and same_edges(chunks, kept.chunks[worker]))
+        edges[info.tag] = None if same else chunks  # None: the kept chunk list
     return {
         "agents": agents,
         "births": births,
@@ -526,25 +537,25 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
     staged_edges, merges, reused = {}, {}, 0
     for etag, kept in rt.written_edge.items():
         info = schema.edge_types[etag]
-        shards = [p["edges"][etag] for p in payloads]
-        fresh = [shard for shard in shards if shard is not None]
+        lists = [p["edges"][etag] for p in payloads]  # one chunk list per worker
+        fresh = [chunks for chunks in lists if chunks is not None]
         if fresh:
-            if len(fresh) < len(shards):
-                shards = [sim._kept[etag].shards[w] if shard is None else shard
-                          for w, shard in enumerate(shards)]
+            if len(fresh) < len(lists):
+                lists = [sim._kept[etag].chunks[w] if chunks is None else chunks
+                         for w, chunks in enumerate(lists)]
             if provisional:
                 rewrite_ids(fresh, old_ids, new_ids)
             validate_endpoints(info, fresh, lambda ids: sim._lookup(ids, segments=segments))
             container = build_read_container(
-                info, shards, sim._edges[etag] if kept else None, sink,
+                info, lists, sim._edges[etag] if kept else None, sink,
                 rt.check_single_edge,
             )
-        else:  # every worker's shard is its kept one
-            shards, container = sim._kept[etag]
+        else:  # every worker's chunk list is its kept one
+            lists, container = sim._kept[etag]
             reused += 1
         staged_edges[etag] = container
         if etag in rt.reusable:
-            merges[etag] = KeptMerge(shards, container)
+            merges[etag] = KeptMerge(lists, container)
     reports.extend(sink.reports)
 
     sim._staged = StagedCommit(

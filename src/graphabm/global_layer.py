@@ -13,8 +13,8 @@ import functools
 import operator
 from collections.abc import Mapping
 
-from .errors import HintViolation, UnknownName
-from .schema import AgentTypeInfo, EdgePlan
+from .errors import UnknownName
+from .schema import AgentTypeInfo, check_read
 
 _REDUCERS = ("sum", "min", "max", "count")
 
@@ -92,15 +92,9 @@ def aggregate(sim, type_name: str, map_fn=None, reduce: str = "sum"):
 
     container = sim._edges[info.tag]
     if reduce == "count":
-        if info.plan in (EdgePlan.EXISTENCE_BIT, EdgePlan.SINGLE_FULL_EDGE):
-            raise HintViolation(
-                f"edge type {type_name!r} cannot report edge multiplicity"
-            )
+        check_read(info, "count")
         return container.n_stored()
-    if info.stateless or not info.has_state:
-        raise HintViolation(
-            f"edge type {type_name!r} does not retain edge states"
-        )
+    check_read(info, "aggregate")
     if map_fn is None:
         raise ValueError("map_fn is required for sum/min/max")
     return _fold(list(map(map_fn, container.state_tuples())), reduce)

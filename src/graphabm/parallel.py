@@ -7,13 +7,15 @@ one-off ``apply_transition`` gets a pool that lives for that call alone.
 The fork hands every worker the simulation, the program's transitions and
 the partition, so none of them crosses a pipe.
 
-Per transition there is one exchange of write shards. The control sends
+Per transition there is one exchange of payloads. The control sends
 each worker the transition's index in the program, the globals and, for a
 shuffled transition, one seed per worker. Every worker runs the
 transition over its own agents against its copy of the time-t state
 (which doubles as the ghost copies of remote agents) and sends back its
-payload, its write shard. The control runs worker 0's share meanwhile,
-then forwards to each worker of the run's pool the other workers'
+payload: the states its agents returned, the agents they created and,
+per edge type written, its write shard sealed into a list of chunks (the
+shard object never leaves its worker). The control runs worker 0's share
+meanwhile, then forwards to each worker of the run's pool the other workers'
 payloads, as the bytes it received (its own pickled once). Every process
 then merges the same payloads in worker order and commits the result
 (``engine._merge_and_stage`` and ``engine.finalize_step``, dead-endpoint
@@ -22,21 +24,21 @@ control; the merge orders writes by producing agent, so every replica is
 bit-identical to a single-worker run. A commit the control makes alone
 while the run's pool is up, such as a transition a program callable
 applies itself, reaches the workers as its spec and its payloads, which
-they merge the same way. Apart from the values a model passes (globals,
-and edge states as given), what crosses a pipe is numpy arrays,
-builtins, ``array.array`` and the shard, chunk and violation records of
-:mod:`graphabm.storage` and :mod:`graphabm.checks`.
+they merge the same way. Apart from the values a model passes (globals),
+what crosses a pipe is numpy arrays, builtins and the chunk and violation
+records of :mod:`graphabm.storage` and :mod:`graphabm.checks`.
 
 Since every process makes every commit from the same payloads, each keeps
-the same shards: per edge type written without keep_existing in a list
-plan, every worker's shard of the type's last merge and the container
-built from them (``engine.KeptMerge``), control-only commits included. A
-worker whose new shard of such a type is byte-identical to its kept one
-sends ``None`` in its place, a builtin, and every process merges its own
-copy of the kept shard instead; when every worker sent ``None``, it
-stages the kept container. So edges re-emitted unchanged cross no pipe
-after the step that first wrote them. A shard is only compared with the
-kept shard of the same worker of a merge over as many workers.
+the same chunk lists: per edge type written without keep_existing in a
+list plan, every worker's chunk list of the type's last merge and the
+container built from them (``engine.KeptMerge``), control-only commits
+included. A worker whose new shard of such a type seals to chunks
+byte-identical to its kept list sends ``None`` in their place, a builtin,
+and every process merges its own copy of the kept list instead; when
+every worker sent ``None``, it stages the kept container. So edges
+re-emitted unchanged cross no pipe after the step that first wrote them.
+A chunk list is only compared with the kept list of the same worker of a
+merge over as many workers.
 
 A worker's exception reaches the control with its own type. A worker that
 dies without a result raises :class:`~graphabm.errors.WorkerError` with
@@ -412,8 +414,8 @@ def fork_payloads(pool: WorkerPool, index: int, rt, shuffle=None) -> list:
     run's, each worker is then sent the other workers' payloads, in worker
     order and as the bytes they arrived in, to merge on its replica; a
     one-off pool's workers are ended instead. A payload holds ``None`` for
-    an edge shard that equals its worker's kept one, on every worker
-    including 0, so such a shard crosses no pipe either way. (``perfbench``'s
+    an edge type whose chunk list equals its worker's kept one, on every
+    worker including 0, so such edges cross no pipe either way. (``perfbench``'s
     tracer times this call by its name.)
     """
     seeds = None if shuffle is None else shuffle.integers(2**63, size=pool.workers).tolist()
@@ -441,7 +443,7 @@ def fork_payloads(pool: WorkerPool, index: int, rt, shuffle=None) -> list:
 def commit_message(spec, payloads: list) -> bytes:
     """What makes the run's workers merge and commit the ``payloads`` of a
     transition ``spec`` that ran without them: the spec's fields and the
-    payloads, pickled once for every worker. A ``None`` shard in them
+    payloads, pickled once for every worker. A ``None`` chunk list in them
     stands for the kept one, which every worker holds as the control
     does. Build it before the control's merge, which rewrites the payloads
     in place, and send it with :meth:`WorkerPool.broadcast` once that
@@ -458,7 +460,7 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
     over its agents and send the payload, then merge and commit the
     transition from every worker's payload; or merge and commit a
     transition the control ran alone. Either commit updates the worker's
-    kept merges as the control's, so both compare shards alike. On an
+    kept merges as the control's, so both compare chunk lists alike. On an
     error, send it and leave."""
     for other in inherited:  # the control's pipe ends, copied by the fork
         other.close()

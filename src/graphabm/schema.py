@@ -22,16 +22,24 @@ SINGLE_TYPE and IGNORE_SOURCE_STATE never change the storage shape;
 the former is a target-type contract, the latter only forbids reading
 source-agent state. SINGLE_EDGE and SINGLE_TYPE may be combined only
 when STATELESS and IGNORE_FROM are also set.
+
+Registration also derives, per edge type, the reads its plan and hints
+refuse (``EdgeTypeInfo.refused``), and :func:`check_read` is the one place
+a refused read raises :class:`~graphabm.errors.HintViolation`: the view,
+the batch and :func:`~graphabm.global_layer.aggregate` call it where each
+read enters, and the read containers answer every read they are asked.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateName, IllegalHintCombination, TooManyTypes, UnknownName, UsageError
+from .errors import (
+    DuplicateName, HintViolation, IllegalHintCombination, TooManyTypes, UnknownName, UsageError,
+)
 from .ids import MAX_AGENT_TYPES
 
 
@@ -102,6 +110,43 @@ def storage_plan_for(hints: Hint) -> EdgePlan:
     return EdgePlan.FULL_EDGE_LIST
 
 
+def _refused_reads(plan: EdgePlan, hints: Hint, has_state: bool) -> dict[str, str]:
+    """The reads of an edge type's incoming edges that ``plan`` and
+    ``hints`` refuse, each with its reason; every other read is served.
+    The reads are ``has``, ``count``, ``sources``, ``states``, ``records``
+    (sources and states together), ``source_state`` (state of the agents
+    at the sources) and ``aggregate``, every stored edge's state as
+    :func:`~graphabm.global_layer.aggregate` folds it, which needs stored
+    state fields (``has_state``)."""
+    refused = {}
+    if plan is EdgePlan.EXISTENCE_BIT:
+        bit = "stores only an existence bit"
+        refused.update(count=bit + "; edge multiplicity is not retrievable",
+                       sources=bit, states=bit,
+                       records=bit + "; edge records are not retrievable")
+    elif plan is EdgePlan.SINGLE_FULL_EDGE:
+        refused["count"] = "holds at most one edge per target; use has_edge"
+    elif plan is EdgePlan.COUNT_ONLY:
+        refused["records"] = "stores only per-target counts; edge records are not retrievable"
+    if Hint.IGNORE_FROM in hints:
+        refused.setdefault("sources", "does not store source ids (IGNORE_FROM)")
+    if Hint.STATELESS in hints:
+        refused.setdefault("states", "is STATELESS; edges carry no state")
+    if Hint.IGNORE_FROM in hints or Hint.IGNORE_SOURCE_STATE in hints:
+        refused["source_state"] = "forbids reading source-agent state"
+    if not has_state:
+        refused["aggregate"] = "does not retain edge states"
+    return refused
+
+
+def check_read(info: EdgeTypeInfo, kind: str) -> None:
+    """Raise :class:`~graphabm.errors.HintViolation` when the edge type
+    ``info`` refuses the read ``kind`` (see :func:`_refused_reads`)."""
+    reason = info.refused.get(kind)
+    if reason is not None:
+        raise HintViolation(f"edge type {info.name!r} {reason}")
+
+
 @dataclass(frozen=True)
 class AgentTypeDecl:
     """Declaration of an agent type.
@@ -170,10 +215,11 @@ class EdgeTypeInfo:
     has_source: bool
     has_state: bool
     stateless: bool
-    source_state_readable: bool
     single_type_tag: int | None
     field_names: tuple[str, ...]
     dtypes: tuple[np.dtype, ...]
+    # read kind -> why the plan and hints refuse it (_refused_reads)
+    refused: dict = field(compare=False)
 
     @property
     def name(self) -> str:
@@ -243,6 +289,15 @@ class Schema:
                 )
             st_tag = target.tag
         stateless = Hint.STATELESS in decl.hints
+        has_state = (
+            not stateless
+            and bool(decl.state_layout)
+            and plan in (
+                EdgePlan.FULL_EDGE_LIST,
+                EdgePlan.STATE_ONLY_LIST,
+                EdgePlan.SINGLE_FULL_EDGE,
+            )
+        )
         info = EdgeTypeInfo(
             decl=decl,
             tag=len(self.edge_types),
@@ -251,23 +306,12 @@ class Schema:
                 EdgePlan.FULL_EDGE_LIST,
                 EdgePlan.SOURCE_ONLY_LIST,
             ) or (plan is EdgePlan.SINGLE_FULL_EDGE and Hint.IGNORE_FROM not in decl.hints),
-            has_state=(
-                not stateless
-                and bool(decl.state_layout)
-                and plan in (
-                    EdgePlan.FULL_EDGE_LIST,
-                    EdgePlan.STATE_ONLY_LIST,
-                    EdgePlan.SINGLE_FULL_EDGE,
-                )
-            ),
+            has_state=has_state,
             stateless=stateless,
-            source_state_readable=(
-                Hint.IGNORE_FROM not in decl.hints
-                and Hint.IGNORE_SOURCE_STATE not in decl.hints
-            ),
             single_type_tag=st_tag,
             field_names=tuple(f for f, _ in decl.state_layout),
             dtypes=tuple(dtype_for(k) for _, k in decl.state_layout),
+            refused=_refused_reads(plan, decl.hints, has_state),
         )
         self.edge_types.append(info)
         self._by_name[decl.name] = info

@@ -206,11 +206,11 @@ class Simulation:
         if self._in_transition:
             raise UsageError("cannot commit during a transition")
         for info in self.schema.edge_types:
-            shards = [self._init_shards[info.tag]]
-            validate_endpoints(info, shards, self._lookup)
+            chunks = [self._init_shards[info.tag].seal()]
+            validate_endpoints(info, chunks, self._lookup)
             # EXISTENCE_BIT duplicates were flagged at the call
             self._edges[info.tag] = build_read_container(
-                info, shards, None, self._init_sink,
+                info, chunks, None, self._init_sink,
                 self._init_seen[info.tag] is None and self.checks.check_single_edge(),
             )
         self.check_reports.extend(self._init_sink.reports)

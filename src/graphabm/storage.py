@@ -3,9 +3,12 @@
 The agents of one type live in one :class:`AgentSegment`
 (structure-of-arrays plus a liveness mask for mortal types). Edges are
 always stored under their *target*: while a transition runs, every worker
-appends into its own write shard, a :class:`ListShard` for every plan; at
-commit the shards are merged into an immutable read container whose shape
-is chosen by the edge type's storage plan.
+appends into its own write shard, a :class:`ListShard` for every plan,
+and seals it into a list of :class:`Chunk` records; at commit the chunk
+lists of every worker are merged into an immutable read container whose
+shape is chosen by the edge type's storage plan. A shard never leaves the
+process that wrote it: the merge, the endpoint check, the id rewrite and
+the comparison with a kept merge all take per-worker chunk lists.
 
 Edges take one of two shapes. A CSR (compressed sparse row) container,
 :class:`ListEdgeRead`, serves every plan but EXISTENCE_BIT: it holds the
@@ -36,6 +39,11 @@ endpoint and SINGLE_TYPE checks of a chunk start from a range test on its
 largest ids (an index gives each type's for free) and look at each
 id only when that test fails.
 
+Read containers are read by target slot, ``(tag, slot)``, and answer
+every read they are asked. Which reads a plan refuses is decided in one
+place, :func:`~graphabm.schema.check_read`, which the view, the batch and
+``aggregate`` call before they ask a container.
+
 SINGLE_EDGE is checked where every edge is seen. During initialization an
 EXISTENCE_BIT duplicate is flagged at the call, and a SINGLE_FULL_EDGE one
 at commit; in a transition both are flagged at the merge, one report per
@@ -56,7 +64,7 @@ hashes this form.
 
 Merge determinism: within a shard, adds appear in producing-agent order
 (workers iterate their agents by ascending id); the merge stable-sorts the
-concatenated shards by producer and then by target, so every per-target
+concatenated chunk lists by producer and then by target, so every per-target
 edge list is ordered by producing-agent id no matter how many workers ran
 or in which order agents executed. A sort is skipped when its ids are
 already in order. Ids spanning fewer than 2**16 values, such as the
@@ -74,7 +82,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .checks import ViolationSink
-from .errors import ContractViolation, HintViolation, IndexOverflow, UsageError
+from .errors import ContractViolation, IndexOverflow, UsageError
 from .ids import (
     MAX_SLOT, agent_id, as_ids, local_index, slot_ids, slots_of, split_by_tag, type_tag,
 )
@@ -104,8 +112,7 @@ class EdgeRecord(NamedTuple):
 
 def cast_columns(info, columns) -> tuple:
     """``columns``, one sequence of values per declared field of an agent or
-    edge type (its info, or a write shard's ``layout``), as numpy arrays of
-    the declared dtypes.
+    edge type (its info), as numpy arrays of the declared dtypes.
 
     A value that does not cast raises :class:`UsageError` naming the type
     and field, and so does None, which numpy would store as NaN or False.
@@ -297,15 +304,6 @@ def _join_sources(parts: list):
     return _concat([_ids(column, tag) for column, tag in parts]), None
 
 
-class _Layout(NamedTuple):
-    """An edge type's name and state fields, as :func:`cast_columns` reads
-    them."""
-
-    name: str
-    field_names: tuple
-    dtypes: tuple
-
-
 def _owned_u64(values) -> np.ndarray:
     """A fresh contiguous uint64 copy of ``values``."""
     return np.array(values, dtype=_U64, order="C")
@@ -342,35 +340,28 @@ class ListShard:
     ``sources``, ``states`` and ``producers`` exist only when the plan
     stores them or the caller records producing agents; COUNT_ONLY keeps
     targets alone, and so does EXISTENCE_BIT unless producers are recorded.
-    ``layout`` names the type and its fields and dtypes, what casting the
-    tail's states takes; a shard pickles it as strings, so a pickled shard
-    holds no schema record.
+    ``info`` is the edge type, whose fields casting the tail's states
+    takes. A shard stays in the process that wrote it: what leaves it is
+    :meth:`seal`'s chunk list.
     """
 
-    __slots__ = ("layout", "targets", "sources", "states", "producers", "chunks", "add")
+    __slots__ = ("info", "targets", "sources", "states", "producers", "chunks", "add")
 
     def __init__(self, info: EdgeTypeInfo, record_producers: bool = False):
-        self.layout = _Layout(info.name, info.field_names, info.dtypes)
-        self._bind(
-            array.array("Q"),
-            array.array("Q") if info.has_source else None,
-            [] if info.has_state else None,
-            array.array("Q")
-            if record_producers and info.plan is not EdgePlan.COUNT_ONLY
-            else None,
-            [],
-        )
-
-    def _bind(self, targets, sources, states, producers, chunks):
-        self.targets, self.sources = targets, sources
-        self.states, self.producers = states, producers
-        self.chunks = chunks
+        self.info = info
+        self.targets = array.array("Q")
+        self.sources = array.array("Q") if info.has_source else None
+        self.states = [] if info.has_state else None
+        self.producers = (array.array("Q")
+                          if record_producers and info.plan is not EdgePlan.COUNT_ONLY
+                          else None)
+        self.chunks = []
         # The appends of the present columns are looked up once: ``add`` is
         # the per-edge write path, and a targets-only shard skips the tests.
-        t = targets.append
-        s = None if sources is None else sources.append
-        st = None if states is None else states.append
-        p = None if producers is None else producers.append
+        t = self.targets.append
+        s = None if self.sources is None else self.sources.append
+        st = None if self.states is None else self.states.append
+        p = None if self.producers is None else self.producers.append
 
         def add(target, source=0, state=None, producer=0):
             t(target)
@@ -386,16 +377,6 @@ class ListShard:
 
         self.add = add if s or st or p else add_target
 
-    def __getstate__(self):
-        name, fields, dtypes = self.layout
-        return (self.targets, self.sources, self.states, self.producers, self.chunks,
-                (name, fields, tuple(map(str, dtypes))))
-
-    def __setstate__(self, state):
-        name, fields, dtypes = state[-1]
-        self.layout = _Layout(name, fields, tuple(map(np.dtype, dtypes)))
-        self._bind(*state[:-1])
-
     def seal(self) -> list[Chunk]:
         """The shard's chunks, after moving a non-empty tail into one. The
         tail's states are cast first, so a value that does not cast raises
@@ -403,7 +384,7 @@ class ListShard:
         if self.targets:
             columns = None
             if self.states is not None:
-                columns = cast_columns(self.layout, tuple(zip(*self.states)))
+                columns = cast_columns(self.info, tuple(zip(*self.states)))
                 del self.states[:]
             self.chunks.append(Chunk(_drain(self.targets), _drain(self.sources),
                                      columns, _drain(self.producers)))
@@ -434,7 +415,7 @@ class ListShard:
         if self.states is not None:
             # a cast array is new; one the cast returned as given is copied
             states = tuple(c.copy() if c is given else c
-                           for c, given in zip(cast_columns(self.layout, states), states))
+                           for c, given in zip(cast_columns(self.info, states), states))
         self.chunks.append(Chunk(
             _owned_u64(targets) if index is None else None,
             sources,
@@ -619,30 +600,7 @@ def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
                     for tag, ptr in indptr.items()])
 
 
-class _ByAgentId:
-    """The reads of one target by its agent id: each splits the id and
-    asks the slot-keyed read of its name (``has_for`` asks ``has_at``),
-    which the view calls with the tag and slot it holds."""
-
-    __slots__ = ()
-
-    def has_for(self, aid: int) -> bool:
-        return self.has_at(type_tag(aid), local_index(aid))
-
-    def count_for(self, aid: int) -> int:
-        return self.count_at(type_tag(aid), local_index(aid))
-
-    def sources_for(self, aid: int) -> np.ndarray:
-        return self.sources_at(type_tag(aid), local_index(aid))
-
-    def states_for(self, aid: int) -> list:
-        return self.states_at(type_tag(aid), local_index(aid))
-
-    def records_for(self, aid: int) -> list:
-        return self.records_at(type_tag(aid), local_index(aid))
-
-
-class ListEdgeRead(_ByAgentId):
+class ListEdgeRead:
     """CSR read container of every plan but EXISTENCE_BIT.
 
     It keeps the index, not a target column: ``indptr`` maps each target
@@ -658,8 +616,9 @@ class ListEdgeRead(_ByAgentId):
     uint64 ids with ``single_source_tag`` None. ``source_ids`` and
     ``source_slots`` read them. Per-target runs are ordered by producing
     agent; a SINGLE_FULL_EDGE container holds at most one edge per target,
-    and a COUNT_ONLY one only the index, so it answers counts and presence
-    alone.
+    and a COUNT_ONLY one only the index. Every read takes a target's type
+    tag and slot; a read of what the plan drops is refused before it gets
+    here (:func:`~graphabm.schema.check_read`).
     """
 
     __slots__ = ("info", "indptr", "sources", "states", "single_source_tag", "__weakref__")
@@ -752,27 +711,14 @@ class ListEdgeRead(_ByAgentId):
         indptr = self._slot_runs(tag, slots, runs)[1]
         return indptr[1:] > indptr[:-1]
 
-    def _require_counts(self):
-        if self.info.plan is EdgePlan.SINGLE_FULL_EDGE:
-            raise HintViolation(
-                f"edge type {self.info.name!r} holds at most one edge per target; "
-                "use has_edge"
-            )
-
     def count_at(self, tag: int, slot: int) -> int:
-        self._require_counts()
         lo, hi = self.span(tag, slot)
         return hi - lo
 
     def count_for_slots(self, tag: int, slots: np.ndarray, runs=None) -> np.ndarray:
-        self._require_counts()
         return np.diff(self._slot_runs(tag, slots, runs)[1])
 
     def sources_at(self, tag: int, slot: int) -> np.ndarray:
-        if self.sources is None:
-            raise HintViolation(
-                f"edge type {self.info.name!r} does not store source ids (IGNORE_FROM)"
-            )
         return self.source_ids(slice(*self.span(tag, slot)))
 
     def source_ids(self, pos=slice(None)) -> np.ndarray:
@@ -788,10 +734,6 @@ class ListEdgeRead(_ByAgentId):
         return self.sources[pos].astype(np.intp)
 
     def states_at(self, tag: int, slot: int) -> list:
-        if self.info.stateless:
-            raise HintViolation(
-                f"edge type {self.info.name!r} is STATELESS; edges carry no state"
-            )
         return self.state_tuples(*self.span(tag, slot))
 
     def state_tuples(self, lo: int = 0, hi: int | None = None) -> list:
@@ -802,18 +744,10 @@ class ListEdgeRead(_ByAgentId):
             return [()] * (hi - lo)
         return list(zip(*(c[lo:hi].tolist() for c in self.states)))
 
-    def _require_records(self):
-        if self.info.plan is EdgePlan.COUNT_ONLY:
-            raise HintViolation(
-                f"edge type {self.info.name!r} stores only per-target counts; "
-                "edge records are not retrievable"
-            )
-
     def records_for_slots(self, tag: int, slots: np.ndarray, runs=None):
         """``(sources, states, indptr)`` of the edges of targets ``slots``
         of one type, slot after slot; ``sources`` is None without source
         ids, ``states`` (one column per field) when STATELESS."""
-        self._require_records()
         pos, indptr = self._slot_runs(tag, slots, runs)
         pos = run_positions(pos, indptr)
         sources = None if self.sources is None else self.source_ids(pos)
@@ -821,7 +755,6 @@ class ListEdgeRead(_ByAgentId):
         return sources, states, indptr
 
     def records_at(self, tag: int, slot: int) -> list[EdgeRecord]:
-        self._require_records()
         lo, hi = self.span(tag, slot)
         none = [None] * (hi - lo)
         sources = none if self.sources is None else self.source_ids(slice(lo, hi)).tolist()
@@ -864,11 +797,12 @@ class ListEdgeRead(_ByAgentId):
         return cls(info, indptr, sources, states, source_tag=source_tag)
 
 
-class ExistenceEdgeRead(_ByAgentId):
+class ExistenceEdgeRead:
     """Read container of EXISTENCE_BIT: one presence byte per target slot.
 
     ``buckets`` maps each target type tag with edges, ascending, to a uint8
-    array of 0 or 1 per slot, ending at the type's last set slot.
+    array of 0 or 1 per slot, ending at the type's last set slot. It
+    answers presence alone, the one read the plan serves.
     """
 
     __slots__ = ("info", "buckets")
@@ -899,28 +833,6 @@ class ExistenceEdgeRead(_ByAgentId):
             inside = slots < bucket.size
             out[inside] = bucket[slots[inside]] != 0
         return out
-
-    def count_at(self, *_):
-        raise HintViolation(
-            f"edge type {self.info.name!r} stores only an existence bit; "
-            "edge multiplicity is not retrievable"
-        )
-
-    def sources_at(self, *_):
-        raise HintViolation(
-            f"edge type {self.info.name!r} stores only an existence bit"
-        )
-
-    states_at = sources_at
-
-    def records_at(self, *_):
-        raise HintViolation(
-            f"edge type {self.info.name!r} stores only an existence bit; "
-            "edge records are not retrievable"
-        )
-
-    count_for_slots = count_at
-    records_for_slots = records_at
 
     def edge_endpoints(self):
         return None
@@ -979,7 +891,7 @@ def drop_dead_edges(container, alive_fn):
 
 
 # ---------------------------------------------------------------------------
-# Merge: shards (+ optional carryover) -> read container
+# Merge: per-worker chunk lists (+ optional carryover) -> read container
 # ---------------------------------------------------------------------------
 
 
@@ -990,22 +902,21 @@ def _merge_states(info: EdgeTypeInfo, chunks: list) -> tuple:
     return tuple(map(_concat, zip(*(c.states for c in chunks))))
 
 
-def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
-    """``carryover``'s edges, then the shards' edges concatenated in worker
-    order and ordered by producer.
+def _merge_chunks(info: EdgeTypeInfo, chunks: list, carryover):
+    """``carryover``'s edges, then the edges of ``chunks``, every worker's
+    in worker order, ordered by producer.
 
     Returns targets, sources, their tag (see :func:`narrow_sources`),
-    states, the producers of the shards' edges (None unless every shard
+    states, the producers of the chunks' edges (None unless every chunk
     records them) and the number of carried-over edges.
     """
-    chunks = [c for s in shards for c in s.seal()]
     targets = _concat([c.target_ids() for c in chunks])
     sources = source_tag = states = producers = None
     if info.has_source:
         sources, source_tag = _join_sources([(c.sources, c.source_tag) for c in chunks])
     if info.has_state:
         states = _merge_states(info, chunks)
-    if all(s.producers is not None for s in shards):
+    if all(c.producers is not None for c in chunks):
         producers = _concat([c.producers for c in chunks])
         if not is_nondecreasing(producers):
             order = _stable_order(producers)
@@ -1023,17 +934,16 @@ def _merge_list_shards(info: EdgeTypeInfo, shards: list, carryover):
 
 
 def build_list_read(
-    info: EdgeTypeInfo, shards: list, carryover: ListEdgeRead | None
+    info: EdgeTypeInfo, chunks: list, carryover: ListEdgeRead | None
 ) -> ListEdgeRead:
     """A sole indexed chunk and no carried-over edge: the chunk's index and
     columns as they are. Otherwise the merged edges, sorted by target."""
-    chunks = [c for s in shards for c in s.seal()]
     carried = carryover is not None and carryover.n_stored()
     if len(chunks) == 1 and chunks[0].index is not None and not carried:
         chunk = chunks[0]
         states = _merge_states(info, chunks) if info.has_state else None
         return ListEdgeRead(info, chunk.index, chunk.sources, states, chunk.source_tag)
-    targets, sources, source_tag, states, _, _ = _merge_list_shards(info, shards, carryover)
+    targets, sources, source_tag, states, _, _ = _merge_chunks(info, chunks, carryover)
     if not is_nondecreasing(targets):
         order = _stable_order(targets)
         targets, sources, states = targets[order], _take(sources, order), _take(states, order)
@@ -1042,7 +952,7 @@ def build_list_read(
 
 def _single_edge_order(info, targets, producers, retained, sink):
     """Stable-sort merged ``targets``: the ``retained`` carried-over edges
-    first, then the shards' edges in producer order.
+    first, then the chunks' edges in producer order.
 
     Returns the sort ``order`` and a mask over the sorted edges marking
     each one a later edge to its target follows. With a ``sink``, each
@@ -1068,12 +978,12 @@ def _single_edge_order(info, targets, producers, retained, sink):
 
 def build_existence_read(
     info: EdgeTypeInfo,
-    shards: list,
+    chunks: list,
     carryover: ExistenceEdgeRead | None,
     sink: ViolationSink | None,
 ) -> ExistenceEdgeRead:
-    """Set the bit of every target of the shards and of ``carryover``."""
-    targets, _, _, _, producers, _ = _merge_list_shards(info, shards, None)
+    """Set the bit of every target of the chunks and of ``carryover``."""
+    targets, _, _, _, producers, _ = _merge_chunks(info, chunks, None)
     retained = _concat([] if carryover is None else [
         slot_ids(tag, np.flatnonzero(bits))
         for tag, bits in carryover.buckets.items()
@@ -1090,15 +1000,15 @@ def build_existence_read(
 
 def build_single_read(
     info: EdgeTypeInfo,
-    shards: list,
+    chunks: list,
     carryover: ListEdgeRead | None,
     sink: ViolationSink | None,
 ) -> ListEdgeRead:
     """Keep each target's last edge: the highest producer's last add wins,
     and a retained edge counts as earliest. SINGLE_EDGE is checked here,
     as :func:`_single_edge_order` says."""
-    targets, sources, source_tag, states, producers, retained = _merge_list_shards(
-        info, shards, carryover
+    targets, sources, source_tag, states, producers, retained = _merge_chunks(
+        info, chunks, carryover
     )
     order, superseded = _single_edge_order(info, targets, producers, retained, sink)
     kept = order[~superseded]
@@ -1108,29 +1018,30 @@ def build_single_read(
 
 def build_read_container(
     info: EdgeTypeInfo,
-    shards: list,
+    chunk_lists: list,
     carryover=None,
     sink: ViolationSink | None = None,
     check_single_edge: bool = False,
 ):
-    """Merge write shards, after ``carryover``'s edges, into a read container;
-    with no shards and no carryover, the type's empty container."""
+    """Merge sealed write shards, one chunk list per worker in worker
+    order, after ``carryover``'s edges, into a read container; with no
+    chunk and no carryover, the type's empty container."""
     sink = sink if check_single_edge else None
+    chunks = [c for worker in chunk_lists for c in worker]
     if info.plan is EdgePlan.EXISTENCE_BIT:
-        return build_existence_read(info, shards, carryover, sink)
+        return build_existence_read(info, chunks, carryover, sink)
     if info.plan is EdgePlan.SINGLE_FULL_EDGE:
-        return build_single_read(info, shards, carryover, sink)
-    return build_list_read(info, shards, carryover)
+        return build_single_read(info, chunks, carryover, sink)
+    return build_list_read(info, chunks, carryover)
 
 
-def rewrite_ids(shards: list, old: np.ndarray, new: np.ndarray) -> None:
-    """In the shards' targets and sources, replace each id found in
-    ``old`` (sorted, uint64) by the id at its position in ``new``. An
-    indexed chunk's targets are rebuilt first, and the chunk keeps them.
-    Sources held as slots are left as they are: ``old`` are provisional
-    ids, whose slots need more than 32 bits."""
-    for shard in shards:
-        chunks = shard.seal()
+def rewrite_ids(chunk_lists: list, old: np.ndarray, new: np.ndarray) -> None:
+    """In the targets and sources of each worker's chunk list, replace each
+    id found in ``old`` (sorted, uint64) by the id at its position in
+    ``new``. An indexed chunk's targets are rebuilt first, and the list
+    keeps the chunk with them. Sources held as slots are left as they are:
+    ``old`` are provisional ids, whose slots need more than 32 bits."""
+    for chunks in chunk_lists:
         for i, chunk in enumerate(chunks):
             chunks[i] = chunk = chunk._replace(targets=chunk.target_ids(), index=None)
             sources = chunk.sources if chunk.source_tag is None else None
@@ -1141,14 +1052,13 @@ def rewrite_ids(shards: list, old: np.ndarray, new: np.ndarray) -> None:
                     ids[hit] = new[pos[hit]]
 
 
-def same_edges(shard: ListShard, kept: ListShard) -> bool:
-    """Whether ``shard`` holds what ``kept`` holds, chunk for chunk: every
-    column and index array of the same dtype, shape and bytes, compared
-    as unsigned integers of the item size, without a copy, so -0.0
-    differs from 0.0 and two NaN payloads differ, and sources of the same
-    form. Both are sealed first."""
-    ours, theirs = shard.seal(), kept.seal()
-    return len(ours) == len(theirs) and all(map(_same_chunk, ours, theirs))
+def same_edges(chunks: list, kept: list) -> bool:
+    """Whether the sealed shard ``chunks`` holds what ``kept`` holds, chunk
+    for chunk: every column and index array of the same dtype, shape and
+    bytes, compared as unsigned integers of the item size, without a copy,
+    so -0.0 differs from 0.0 and two NaN payloads differ, and sources of
+    the same form."""
+    return len(chunks) == len(kept) and all(map(_same_chunk, chunks, kept))
 
 
 def _same_chunk(a: Chunk, b: Chunk) -> bool:
@@ -1174,9 +1084,9 @@ def _same_bytes(a, b) -> bool:
     return bool(np.array_equal(a.reshape(-1).view(kind), b.reshape(-1).view(kind)))
 
 
-def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
-    """Ensure every endpoint the shards add refers to an agent slot that
-    exists.
+def validate_endpoints(info: EdgeTypeInfo, chunk_lists: list, exists_fn) -> None:
+    """Ensure every endpoint in each worker's chunk list refers to an agent
+    slot that exists.
 
     ``exists_fn`` maps an id array to a boolean array (allocated slots,
     dead or alive). Dangling *references* are a model bug and fail fast;
@@ -1191,11 +1101,10 @@ def validate_endpoints(info: EdgeTypeInfo, shards: list, exists_fn) -> None:
     chunk's targets give each type's largest from the index, and an array
     passes on its largest when its smallest and largest share one type,
     as slots of one type do on their largest. Otherwise each id is looked
-    up, and the first bad one, shard by shard, targets before sources, is
-    named.
+    up, and the first bad one, worker by worker, targets before sources,
+    is named.
     """
-    for shard in shards:
-        chunks = shard.seal()
+    for chunks in chunk_lists:
         for column in ("targets", "sources"):
             for chunk in chunks:
                 if column == "targets" and chunk.index is not None:

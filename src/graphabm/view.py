@@ -10,7 +10,11 @@ transition functions must not retain it.
 
 An :class:`AgentBatch` is the array-at-a-time counterpart handed to batch
 transitions: a chunk of agents of one type, with gathers that return every
-agent's neighbourhood at once in CSR form. Both pass the same read checks.
+agent's neighbourhood at once in CSR form. Both pass the same read checks:
+every edge read enters through ``_Reads._container``, which refuses a type
+outside the transition's read set and, through
+:func:`~graphabm.schema.check_read`, a read the type's hints refuse, and
+then asks the read container by the agents' type tag and slots.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import HintViolation, TypeNotReadable, TypeNotWritable, UnknownName, UsageError
+from .errors import TypeNotReadable, TypeNotWritable, UnknownName, UsageError
 from .ids import provisional_id, slot_ids, split_by_tag
 from .philox import agent_draws, agent_generator
+from .schema import check_read
 from .storage import cast_columns, edge_breaches, make_checked_adder, run_positions
 
 
@@ -34,12 +39,15 @@ class _Reads:
 
     __slots__ = ()
 
-    def _container(self, edge_type: str):
+    def _container(self, edge_type: str, kind: str):
+        """The read container of ``edge_type``, for a read of ``kind`` (see
+        :func:`~graphabm.schema.check_read`)."""
         c = self._read.get(edge_type)
         if c is None:
             raise TypeNotReadable(
                 f"edge type {edge_type!r} is not in this transition's read set"
             )
+        check_read(c.info, kind)
         return c
 
     def _check_agent_readable(self, tag: int):
@@ -49,15 +57,6 @@ class _Reads:
             raise TypeNotReadable(
                 f"agent type {name!r} is not in this transition's read set"
             )
-
-    def _source_readable(self, edge_type: str):
-        """The container of an edge type whose source state may be read."""
-        c = self._container(edge_type)
-        if not c.info.source_state_readable:
-            raise HintViolation(
-                f"edge type {edge_type!r} forbids reading source-agent state"
-            )
-        return c
 
     def _source_column(self, tag: int, field: str) -> np.ndarray:
         """One field of the agents of a type."""
@@ -147,35 +146,28 @@ class NeighborhoodView(_Reads):
 
     def edges(self, edge_type: str) -> list:
         """Incoming edge records, in producing-agent order."""
-        return self._container(edge_type).records_at(self._tag, self._slot)
+        return self._container(edge_type, "records").records_at(self._tag, self._slot)
 
     def sources(self, edge_type: str) -> np.ndarray:
         """Source agent ids of incoming edges."""
-        return self._container(edge_type).sources_at(self._tag, self._slot)
+        return self._container(edge_type, "sources").sources_at(self._tag, self._slot)
 
     def edge_states(self, edge_type: str) -> list:
-        return self._container(edge_type).states_at(self._tag, self._slot)
+        """States of incoming edges, as tuples, in producing-agent order."""
+        return self._container(edge_type, "states").states_at(self._tag, self._slot)
 
     def num_edges(self, edge_type: str) -> int:
-        return self._container(edge_type).count_at(self._tag, self._slot)
+        return self._container(edge_type, "count").count_at(self._tag, self._slot)
 
     def has_edge(self, edge_type: str) -> bool:
-        return self._container(edge_type).has_at(self._tag, self._slot)
+        return self._container(edge_type, "has").has_at(self._tag, self._slot)
 
     # -- source agent state ------------------------------------------------------
 
     def source_state(self, record) -> tuple:
         """Time-t state of the agent at an edge record's source."""
-        info = self._sim.schema.edge_type(record.edge_type)
-        if not info.source_state_readable:
-            raise HintViolation(
-                f"edge type {info.name!r} forbids reading source-agent state"
-            )
+        check_read(self._sim.schema.edge_type(record.edge_type), "source_state")
         src = record.source
-        if src is None:
-            raise HintViolation(
-                f"edge type {info.name!r} does not store source ids"
-            )
         tag, seg, slot = self._sim._locate(src)
         self._check_agent_readable(tag)
         if seg is None:
@@ -190,7 +182,7 @@ class NeighborhoodView(_Reads):
         """
         cached = self._gather_cache.get((edge_type, field))
         if cached is None:
-            c = self._source_readable(edge_type)
+            c = self._container(edge_type, "source_state")
             tag = c.single_source_tag
             if tag is None:
                 return self._gather(c.sources_at(self._tag, self._slot), field)
@@ -313,12 +305,12 @@ class AgentBatch(_Reads):
 
     def has(self, edge_type: str) -> np.ndarray:
         """Per agent, whether it has an incoming edge of the type."""
-        return self._container(edge_type).has_for_slots(
+        return self._container(edge_type, "has").has_for_slots(
             self._tag, self.slots, self._runs.get(edge_type))
 
     def count(self, edge_type: str) -> np.ndarray:
         """Per agent, its number of incoming edges of the type."""
-        return self._container(edge_type).count_for_slots(
+        return self._container(edge_type, "count").count_for_slots(
             self._tag, self.slots, self._runs.get(edge_type))
 
     def edges(self, edge_type: str):
@@ -329,7 +321,7 @@ class AgentBatch(_Reads):
         ``sources`` is None when the type drops source ids and ``states``,
         one column per declared field, when it is STATELESS.
         """
-        return self._container(edge_type).records_for_slots(
+        return self._container(edge_type, "records").records_for_slots(
             self._tag, self.slots, self._runs.get(edge_type))
 
     def neighbor_field(self, edge_type: str, field: str):
@@ -339,7 +331,7 @@ class AgentBatch(_Reads):
         ``values[indptr[i]:indptr[i + 1]]``, in producing-agent order, the
         same values ``NeighborhoodView.neighbor_field`` gives that agent.
         """
-        c = self._source_readable(edge_type)
+        c = self._container(edge_type, "source_state")
         pos, indptr = self._runs[edge_type]
         pos = run_positions(pos, indptr)
         tag = c.single_source_tag

@@ -47,6 +47,8 @@ from graphabm.models.hk import (
 from graphabm.models.topology import Cliques, Complete, Regular
 from graphabm.spatial import neighbor_pairs
 
+from edge_reads import edge_read
+
 
 def report(number: int, title: str, ok: bool, note: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -192,11 +194,11 @@ def test_05_dangling_edge_removal():
     tracked = sim.edge_container("Tracked")
     blind = sim.edge_container("Blind")
     ok = (
-        tracked.count_for(b) == 0          # a -> b dropped with its source
-        and tracked.count_for(a) == 0      # c -> a dropped with its target
-        and tracked.count_for(c) == 1      # unrelated edge intact
-        and blind.count_for(b) == 1        # source death invisible: retained
-        and blind.count_for(a) == 0        # target death swept
+        edge_read(tracked, "count", b) == 0        # a -> b dropped with its source
+        and edge_read(tracked, "count", a) == 0    # c -> a dropped with its target
+        and edge_read(tracked, "count", c) == 1    # unrelated edge intact
+        and edge_read(blind, "count", b) == 1      # source death invisible: retained
+        and edge_read(blind, "count", a) == 0      # target death swept
     )
     report(5, "edges touching a dead agent vanish; source-blind edges persist", ok)
 

@@ -58,6 +58,8 @@ from graphabm.models.topology import Cliques, Complete, Regular
 from graphabm.storage import ListEdgeRead
 from graphabm.view import AgentBatch
 
+from edge_reads import edge_read
+
 TOPOLOGIES = {
     "ring": (Regular(10), 300),
     "complete": (Complete(), 120),
@@ -663,7 +665,7 @@ class TestBatchEdgeWrites:
             finalize_step(sim)
             sums.append(sim.state_checksum())
             c = sim.edge_container("E")
-            assert c.records_for(int(ids[0][3])) == [
+            assert edge_read(c, "records", int(ids[0][3])) == [
                 (int(ids[0][1]), (11,), "E"), (int(ids[0][2]), (20,), "E")
             ]
         assert sums[0] == sums[1]
@@ -1099,3 +1101,79 @@ class TestPlanCalls:
         spied.clear()
         run(sim, 1, [(hk_transition, HK_SPEC)])
         assert spied == []
+
+
+def gate_sim(hints):
+    """Agents P0..P3 of type P (field x = 10 * slot); edges of type H (one
+    int64 field) P1 -> P0, P2 -> P0 and P3 -> P2, in that order."""
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("P", (("x", "int64"),), immortal=True))
+    schema.register_edge_type(EdgeTypeDecl("H", (("w", "int64"),), hints=hints))
+    sim = Simulation(schema, checks="off")
+    p = sim.add_agents("P", 4, {"x": np.arange(4) * 10})
+    for target, source, w in ((0, 1, 5), (0, 2, 6), (2, 3, 7)):
+        sim.add_edge("H", p[target], p[source], (w,))
+    sim.commit_initial()
+    return sim
+
+
+def refusal(sim, fn, batch=False) -> str:
+    """The message of the HintViolation a transition ``fn`` reading H raises."""
+    with pytest.raises(HintViolation) as info:
+        apply_transition(sim, fn, TransitionSpec(
+            callable_types=("P",), read_types=("H", "P"), batch=batch))
+    assert sim._staged is None
+    return str(info.value)
+
+
+class TestReadGate:
+    """Each read is refused at the gate, with one message however it is
+    asked: by the view, by the batch or by ``aggregate``."""
+
+    @pytest.mark.parametrize("hints", [Hint.NONE, Hint.IGNORE_FROM],
+                             ids=["full-edge-list", "state-only-list"])
+    def test_edge_states_are_the_records_states(self, hints):
+        sim = gate_sim(hints)
+        seen = {}
+
+        def read(view, params, g):
+            seen[view.agent_id] = (view.edge_states("H"), [r.state for r in view.edges("H")])
+
+        apply_transition(sim, read, TransitionSpec(callable_types=("P",), read_types=("H",)))
+        finalize_step(sim)
+        assert seen == {0: ([(5,), (6,)],) * 2, 1: ([],) * 2, 2: ([(7,)],) * 2, 3: ([],) * 2}
+
+    def test_edge_states_of_a_stateless_type_raise(self):
+        sim = gate_sim(Hint.STATELESS)
+        message = refusal(sim, lambda v, p, g: v.edge_states("H"))
+        assert message == "edge type 'H' is STATELESS; edges carry no state"
+
+    @pytest.mark.parametrize("read, hints", [
+        ("source_state", Hint.IGNORE_SOURCE_STATE),
+        ("source_state", Hint.IGNORE_FROM),
+        ("count", Hint.SINGLE_EDGE | Hint.STATELESS | Hint.IGNORE_FROM),
+        ("count", Hint.SINGLE_EDGE),
+    ], ids=["source-state-ignore-source-state", "source-state-ignore-from",
+            "count-existence-bit", "count-single-full-edge"])
+    def test_refusals_agree_in_every_form(self, read, hints):
+        sim = gate_sim(hints)
+        if read == "source_state":
+            def by_record(view, params, g):
+                for record in view.edges("H"):
+                    view.source_state(record)
+
+            messages = [
+                refusal(sim, by_record),
+                refusal(sim, lambda v, p, g: v.neighbor_field("H", "x")),
+                refusal(sim, lambda b, p, g: b.neighbor_field("H", "x"), batch=True),
+            ]
+        else:
+            messages = [
+                refusal(sim, lambda v, p, g: v.num_edges("H")),
+                refusal(sim, lambda b, p, g: b.count("H"), batch=True),
+            ]
+            with pytest.raises(HintViolation) as info:
+                sim.aggregate("H", reduce="count")
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1 and messages[0].startswith("edge type 'H' ")
+        assert sim.step == 0

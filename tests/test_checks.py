@@ -16,6 +16,8 @@ from graphabm import (
     finalize_step,
 )
 
+from edge_reads import edge_read
+
 SINGLE = Hint.STATELESS | Hint.IGNORE_FROM | Hint.SINGLE_EDGE
 
 
@@ -52,7 +54,7 @@ class TestSingleEdge:
         sim.add_edge("E", a[0], a[1])
         sim.add_edge("E", a[0], a[2])
         sim.commit_initial()
-        assert sim.edge_container("E").has_for(a[0])
+        assert edge_read(sim.edge_container("E"), "has", a[0])
 
     def test_warn_mode_records_and_continues(self):
         sim, a, b = checked_sim("warn")
@@ -89,7 +91,7 @@ class TestSingleEdge:
         sim.add_edge("E", int(ids[0]), int(ids[1]), (1.0,))
         sim.add_edge("E", int(ids[0]), int(ids[1]), (2.0,))
         sim.commit_initial()
-        records = sim.edge_container("E").records_for(int(ids[0]))
+        records = edge_read(sim.edge_container("E"), "records", int(ids[0]))
         assert records[0].state == (2.0,)
 
 
@@ -151,11 +153,11 @@ class TestSingleType:
         ob = osim.add_agents("B", 2, {})
         osim.add_edge("E", int(ob[1]), int(oa[0]))
         osim.commit_initial()
-        assert osim.edge_container("E").has_for(int(ob[1]))
-        assert not osim.edge_container("E").has_for(int(oa[1]))
+        assert edge_read(osim.edge_container("E"), "has", int(ob[1]))
+        assert not edge_read(osim.edge_container("E"), "has", int(oa[1]))
         hinted = sim.edge_container("E")
-        assert hinted.has_for(b[1])
-        assert not hinted.has_for(a[1])
+        assert edge_read(hinted, "has", b[1])
+        assert not edge_read(hinted, "has", a[1])
         assert sim.check_reports == []
 
     def test_violation_report_carries_context(self):

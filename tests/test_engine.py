@@ -25,6 +25,8 @@ from graphabm import (
 from graphabm.checks import CheckConfig
 from graphabm.ids import MAX_SLOT
 
+from edge_reads import edge_read
+
 
 def two_type_sim(mortal=True, checks="on"):
     schema = Schema()
@@ -87,7 +89,7 @@ class TestBasicSemantics:
         sim.add_edge("E", a, a)
         sim.commit_initial()
         step(sim, lambda v, p, g: v.state, WRITE_P)
-        assert sim.edge_container("E").count_for(a) == 1
+        assert edge_read(sim.edge_container("E"), "count", a) == 1
 
     def test_keep_existing_agents_carry_over_and_accept_additions(self):
         sim = two_type_sim()
@@ -207,6 +209,40 @@ class TestLifecycle:
             sim.add_agent("P", 1.0)
 
 
+class TestGuards:
+    def test_a_type_name_given_alone_becomes_a_tuple(self):
+        spec = TransitionSpec(callable_types="Cell", write_types="Cell")
+        assert spec.callable_types == ("Cell",) and spec.write_types == ("Cell",)
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("Cell", (("x", "float64"),)))
+        sim = Simulation(schema)
+        sim.add_agent("Cell", 1.0)
+        step(sim, lambda v, p, g: (v.field("x") + 1,), spec)
+        assert sim.field_array("Cell", "x").tolist() == [2.0]
+
+    def test_duplicate_callable_types_raise(self):
+        sim = two_type_sim()
+        sim.add_agent("P", 0.0)
+        spec = TransitionSpec(callable_types=("P", "P"), write_types=("P",))
+        with pytest.raises(UsageError, match="duplicate callable types"):
+            apply_transition(sim, lambda v, p, g: v.state, spec)
+        assert sim._staged is None
+
+    def test_a_transition_cannot_apply_another_on_its_simulation(self):
+        sim = two_type_sim()
+        sim.add_agent("P", 0.0)
+
+        def nested(view, params, g):
+            apply_transition(sim, lambda v, p, g: v.state, WRITE_P)
+            return view.state
+
+        with pytest.raises(UsageError, match="transition already in flight"):
+            apply_transition(sim, nested, WRITE_P)
+        assert sim._staged is None and not sim._in_transition
+        step(sim, lambda v, p, g: v.state, WRITE_P)
+        assert sim.step == 1
+
+
 class TestSlotReuse:
     def test_freed_slots_reused_lifo(self):
         # Six agents; kill slots 2 and 4; two later adds must land on 4 then 2;
@@ -274,8 +310,8 @@ class TestDanglingEdges:
         step(sim, kill_a, WRITE_P)
         blind = sim.edge_container("Blind")
         # a -> b survives (source not stored); c -> a is swept (target dead)
-        assert blind.count_for(b) == 1
-        assert blind.count_for(a) == 0
+        assert edge_read(blind, "count", b) == 1
+        assert edge_read(blind, "count", a) == 0
 
     def test_no_deaths_leaves_edges_untouched(self):
         sim, a, b, c = self.build()
@@ -346,13 +382,13 @@ class TestSynchrony:
 
         base = build()
         step(base, emit, spec)
-        expected = base.edge_container("E").sources_for(0).tolist()
+        expected = edge_read(base.edge_container("E"), "sources", 0).tolist()
         assert expected == sorted(expected)  # producer order
         for trial in range(3):
             sim = build()
             apply_transition(sim, emit, spec, shuffle=np.random.default_rng(trial))
             finalize_step(sim)
-            assert sim.edge_container("E").sources_for(0).tolist() == expected
+            assert edge_read(sim.edge_container("E"), "sources", 0).tolist() == expected
 
     @pytest.mark.parametrize("births", ["one", "many"])
     def test_shuffled_births_and_deaths_over_two_types(self, births):
@@ -442,9 +478,9 @@ class TestNewAgents:
         c = sim.edge_container("E")
         for parent in range(4):
             children = [by_state[parent + k] for k in (10.0, 20.0)]
-            assert sorted(c.sources_for(parent).tolist()) == children
+            assert sorted(edge_read(c, "sources", parent).tolist()) == children
             for child in children:
-                assert c.sources_for(child).tolist() == [parent]
+                assert edge_read(c, "sources", child).tolist() == [parent]
         assert c.edge_endpoints()[0].max() < 12  # every id is an agent's
 
     def test_single_type_edge_to_newborn_reports_nothing(self):
@@ -474,7 +510,7 @@ class TestNewAgents:
             ("single_type", wrong[0], 1)]
         c = sim.edge_container("ToQ")
         q = sim.agent_ids("Q").tolist()
-        assert [c.sources_for(t).tolist() for t in q] == [[0], [1], [2]]
+        assert [edge_read(c, "sources", t).tolist() for t in q] == [[0], [1], [2]]
 
 
 class TestProvisionalIds:

@@ -17,6 +17,8 @@ from graphabm.models.hk import (
 )
 from graphabm.models.topology import Cliques, Complete, Regular
 
+from edge_reads import edge_read
+
 
 def brute_force_hk_step(values: np.ndarray, epsilon: float) -> np.ndarray:
     """Independent oracle: dense pairwise confidence matrix, row means."""
@@ -173,7 +175,7 @@ class TestTopologies:
         sim = build_hk(HKConfig(n=20, epsilon=0.2, seed=0, topology=Regular(4)))
         cont = sim.edge_container(EDGE)
         ids = sim.agent_ids("Person")
-        assert all(cont.count_for(int(i)) == 5 for i in ids)  # 4 + self-loop
+        assert all(edge_read(cont, "count", int(i)) == 5 for i in ids)  # 4 + self-loop
 
     @pytest.mark.parametrize("self_loops", [True, False])
     @pytest.mark.parametrize("n, k", [(3, 0), (3, 2), (5, 4), (9, 2), (10, 8), (101, 100),
@@ -191,7 +193,7 @@ class TestTopologies:
         sim = build_hk(HKConfig(n=12, epsilon=0.2, seed=0, topology=topo))
         cont = sim.edge_container(EDGE)
         ids = sim.agent_ids("Person").tolist()
-        counts = sorted(cont.count_for(int(i)) for i in ids)
+        counts = sorted(edge_read(cont, "count", int(i)) for i in ids)
         # members see 4 (clique incl self); connectors see 4 + 2 adjacents
         assert counts == [4] * 9 + [6] * 3
 
@@ -199,7 +201,7 @@ class TestTopologies:
         sim = build_hk(HKConfig(n=6, epsilon=0.2, seed=0))
         cont = sim.edge_container(EDGE)
         for aid in sim.agent_ids("Person").tolist():
-            assert cont.count_for(int(aid)) == 6
+            assert edge_read(cont, "count", int(aid)) == 6
 
     def test_cluster_count_tolerance(self):
         assert cluster_count(np.array([0.1, 0.1 + 5e-10, 0.9])) == 2

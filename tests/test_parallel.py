@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import array
 import contextlib
 import dataclasses
 import enum
@@ -38,7 +37,9 @@ from graphabm.models.episim import EpiConfig, build_epi, day_program, epi_run
 from graphabm.models.hk import HKConfig, hk_run
 from graphabm.models.topology import Cliques, Complete, Regular
 from graphabm.parallel import Partition
-from graphabm.storage import Chunk, ListShard
+from graphabm.storage import Chunk
+
+from edge_reads import edge_read
 
 
 def plain_sim(n, with_edges=None):
@@ -295,7 +296,7 @@ class TestParallelExecution:
             apply_transition(sim, emit, spec, workers=w,
                              partition=partition_graph(sim, w, "round_robin"))
             finalize_step(sim)
-            got = sim.edge_container("E").sources_for(0).tolist()
+            got = edge_read(sim.edge_container("E"), "sources", 0).tolist()
             assert got == sorted(got)
             if expected is None:
                 expected = got
@@ -718,22 +719,20 @@ class TestPoolOracle:
 
     def test_the_exchange_ships_arrays_builtins_and_records_only(self, monkeypatch):
         """Every message between the control and a worker, run requests,
-        payloads both ways, payloads whose shard is a marker for the
+        payloads both ways, payloads whose chunk list is a marker for the
         worker's kept one and a commit made on the control alone, holds
-        numpy arrays, builtins, ``array.array`` and shard, chunk and
-        violation records: no schema record and no function."""
-        records = {("graphabm.storage", "ListShard"), ("graphabm.checks", "Violation"),
-                   ("graphabm.storage", "Chunk")}
+        numpy arrays, builtins and chunk and violation records: no write
+        shard, schema record or function."""
+        records = {("graphabm.checks", "Violation"), ("graphabm.storage", "Chunk")}
 
         class PlainUnpickler(pickle.Unpickler):
             def find_class(self, module, name):
-                if module.split(".")[0] not in ("numpy", "builtins", "array") and (
+                if module.split(".")[0] not in ("numpy", "builtins") and (
                         (module, name) not in records):
                     raise pickle.UnpicklingError(f"{module}.{name} crossed a pipe")
                 return super().find_class(module, name)
 
-        plain = (np.ndarray, np.generic, array.array, int, float, str, bytes, type(None),
-                 ListShard, Chunk, Violation)
+        plain = (np.ndarray, np.generic, int, float, str, bytes, type(None), Chunk, Violation)
 
         def walk(obj):
             assert isinstance(obj, plain + (tuple, list, dict)), type(obj)
@@ -745,8 +744,6 @@ class TestPoolOracle:
             elif isinstance(obj, (tuple, list)):
                 for item in obj:
                     walk(item)
-            elif isinstance(obj, ListShard):
-                walk(obj.__getstate__())
             elif isinstance(obj, Violation):
                 walk(dataclasses.astuple(obj))
 
@@ -779,7 +776,7 @@ class TestPoolOracle:
         assert sorted(kinds) == sorted(["run", "ok", "ok"] * 4 + ["commit"] * 2)
 
         # an epidemic re-emits its Visit edges (tag 0) on day 2: both payloads
-        # of that exchange carry the marker, None, in place of the shard
+        # of that exchange carry the marker, None, in place of the chunk list
         blobs.clear()
         model = build_epi(EpiConfig(persons=60, locations=6, theta=0.5, seed=2))
         run(model.sim, 2, day_program(model), workers=2)
@@ -788,4 +785,5 @@ class TestPoolOracle:
             walk(message)
         visits = [m[1]["edges"][0] for m in messages if m[0] == "ok" and 0 in m[1]["edges"]]
         assert len(visits) == 4 and visits[2:] == [None, None]
-        assert all(isinstance(shard, ListShard) for shard in visits[:2])
+        assert all(isinstance(chunks, list) and all(isinstance(c, Chunk) for c in chunks)
+                   for chunks in visits[:2])

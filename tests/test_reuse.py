@@ -271,8 +271,8 @@ class TestFixedCases:
         apply_transition(sim, parent, LIVE)
         assert sim._staged.reused == 0
         finalize_step(sim)
-        (kept,) = sim._kept[0].shards
-        assert kept.chunks[0].targets.tolist() == [4] == sim.agent_ids("Cell")[4:].tolist()
+        (kept,) = sim._kept[0].chunks
+        assert kept[0].targets.tolist() == [4] == sim.agent_ids("Cell")[4:].tolist()
         apply_transition(sim, parent, LIVE)
         assert sim._staged.reused == 1
         finalize_step(sim)
@@ -522,22 +522,22 @@ class TestSameEdges:
         from graphabm.storage import same_edges
 
         info = self.info()
-        a = shard_of(info, [1, 2], [0, 0], [0.5, 1.0], 0)
-        assert same_edges(a, shard_of(info, [1, 2], [0, 0], [0.5, 1.0], 0))
-        assert not same_edges(a, shard_of(info, [1, 2], [0, 0], [0.5, 1.0], 1))
-        assert not same_edges(a, shard_of(info, [1, 3], [0, 0], [0.5, 1.0], 0))
+        a = shard_of(info, [1, 2], [0, 0], [0.5, 1.0], 0).seal()
+        assert same_edges(a, shard_of(info, [1, 2], [0, 0], [0.5, 1.0], 0).seal())
+        assert not same_edges(a, shard_of(info, [1, 2], [0, 0], [0.5, 1.0], 1).seal())
+        assert not same_edges(a, shard_of(info, [1, 3], [0, 0], [0.5, 1.0], 0).seal())
         split = shard_of(info, [1], [0], [0.5], 0)
         split.extend(np.array([2], dtype=np.uint64), np.array([0], dtype=np.uint64),
                      (np.array([1.0]),), 0)
-        assert not same_edges(a, split)  # the same edges in other chunks
+        assert not same_edges(a, split.seal())  # the same edges in other chunks
         tail = ListShard(info, True)
         for target, state in ((1, (0.5,)), (2, (1.0,))):
             tail.add(target, 0, state, 0)
         twin = ListShard(info, True)
         for target, state in ((1, (0.5,)), (2, (1.0,))):
             twin.add(target, 0, state, 0)
-        assert same_edges(tail, twin)  # per-edge states are cast when sealed
-        assert same_edges(ListShard(info, True), ListShard(info, True))
+        assert same_edges(tail.seal(), twin.seal())  # per-edge states are cast when sealed
+        assert same_edges(ListShard(info, True).seal(), ListShard(info, True).seal())
 
     def test_rewrite_replaces_newborn_sources_and_leaves_slots(self):
         """A newborn's provisional id needs more than 32 bits of slot, so
@@ -548,11 +548,12 @@ class TestSameEdges:
         shard = shard_of(info, [1, 2, 3], [born, 0, 2], [0.5, 1.0, 2.0], 0)
         shard.extend(np.array([3], dtype=np.uint64), np.array([2], dtype=np.uint64),
                      (np.array([1.0]),), 0)
-        validate_endpoints(info, [shard], lambda ids: np.ones(ids.size, dtype=bool))
-        rewrite_ids([shard], np.array([born], dtype=np.uint64), np.array([1], dtype=np.uint64))
-        assert [c.source_tag for c in shard.chunks] == [None, 0]
-        assert [c.sources.tolist() for c in shard.chunks] == [[1, 0, 2], [2]]
-        assert shard.chunks[1].sources.dtype == np.uint32
+        chunks = shard.seal()
+        validate_endpoints(info, [chunks], lambda ids: np.ones(ids.size, dtype=bool))
+        rewrite_ids([chunks], np.array([born], dtype=np.uint64), np.array([1], dtype=np.uint64))
+        assert [c.source_tag for c in chunks] == [None, 0]
+        assert [c.sources.tolist() for c in chunks] == [[1, 0, 2], [2]]
+        assert chunks[1].sources.dtype == np.uint32
 
     def test_the_carried_range_names_the_single_source_tag(self):
         schema = Schema()

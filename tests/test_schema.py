@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import graphabm
 from graphabm import (
     AgentTypeDecl,
     DuplicateName,
@@ -184,3 +187,27 @@ class TestStoragePlan:
         info = schema.edge_type("E")
         assert not info.has_state
         assert info.stateless
+
+
+class TestReadGate:
+    def test_hint_violation_is_raised_by_the_gate_alone(self):
+        """Which reads a plan refuses is decided in one place: no module
+        of the package but the gate raises HintViolation."""
+        root = Path(graphabm.__file__).parent
+        raisers = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            functions = [node for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and _names_hint_violation(node.exc):
+                    inside = [f for f in functions
+                              if f.lineno <= node.lineno <= f.end_lineno]
+                    where = max(inside, key=lambda f: f.lineno).name if inside else None
+                    raisers.append((path.relative_to(root).as_posix(), where))
+        assert raisers == [("schema.py", "check_read")]
+
+
+def _names_hint_violation(exc) -> bool:
+    target = exc.func if isinstance(exc, ast.Call) else exc
+    return getattr(target, "id", getattr(target, "attr", None)) == "HintViolation"

@@ -23,6 +23,8 @@ from graphabm import (
     type_tag,
 )
 
+from edge_reads import edge_read
+
 
 def person_sim(n=0):
     schema = Schema()
@@ -139,7 +141,7 @@ class TestMoveToInTransition:
         apply_transition(sim, relocate, spec)
         finalize_step(sim)
         cont = sim.edge_container("Position")
-        assert cont.sources_for(walker).tolist() == [raster.cell_id((2, 2))]
+        assert edge_read(cont, "sources", walker).tolist() == [raster.cell_id((2, 2))]
 
     def test_keep_must_be_subset_of_write(self):
         with pytest.raises(UsageError):

@@ -22,6 +22,8 @@ from graphabm import (
 )
 from graphabm.spatial import neighbor_pairs
 
+from edge_reads import edge_read
+
 
 def grid_sim(extra_agent_types=()):
     schema = Schema()
@@ -158,7 +160,7 @@ class TestNeighborEdges:
         connect_raster_neighbors(sim, raster, "Neighbor", "moore", False)
         sim.commit_initial()
         center = raster.cell_id((1, 1))
-        assert sim.edge_container("Neighbor").count_for(center) == 8
+        assert edge_read(sim.edge_container("Neighbor"), "count", center) == 8
 
     def test_both_directions_present(self):
         sim = grid_sim()
@@ -167,8 +169,8 @@ class TestNeighborEdges:
         sim.commit_initial()
         a, b = raster.cell_id((0, 0)), raster.cell_id((0, 1))
         cont = sim.edge_container("Neighbor")
-        assert cont.sources_for(a).tolist() == [b]
-        assert cont.sources_for(b).tolist() == [a]
+        assert edge_read(cont, "sources", a).tolist() == [b]
+        assert edge_read(cont, "sources", b).tolist() == [a]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -199,8 +201,8 @@ class TestMoveTo:
         sim.commit_initial()
         cont = sim.edge_container("Position")
         assert cid == raster.cell_id((2, 3))
-        assert cont.sources_for(walker).tolist() == [cid]
-        assert not cont.has_for(cid)
+        assert edge_read(cont, "sources", walker).tolist() == [cid]
+        assert not edge_read(cont, "has", cid)
 
     def test_reverse_adds_both_directions(self):
         sim = grid_sim(
@@ -211,8 +213,8 @@ class TestMoveTo:
         cid = move_to(sim, raster, walker, (1, 1), "Position", reverse=True)
         sim.commit_initial()
         cont = sim.edge_container("Position")
-        assert cont.sources_for(walker).tolist() == [cid]
-        assert cont.sources_for(cid).tolist() == [walker]
+        assert edge_read(cont, "sources", walker).tolist() == [cid]
+        assert edge_read(cont, "sources", cid).tolist() == [walker]
 
     def test_cells_act_as_ordinary_agents_in_transitions(self):
         # Cells run transition functions like any agent: count neighbors.

@@ -29,6 +29,7 @@ from graphabm import (
 from graphabm.ids import TAG_SHIFT, agent_id, slot_ids
 from graphabm.storage import AgentSegment, ListShard, build_read_container, run_positions
 
+from edge_reads import edge_read, slots_read
 from test_schema import all_hint_sets, is_legal
 
 
@@ -49,7 +50,7 @@ class TestListContainers:
         sim.add_edge("E", t, b, (2.0,))
         sim.add_edge("E", t, c, (3.0,))
         sim.commit_initial()
-        records = sim.edge_container("E").records_for(t)
+        records = edge_read(sim.edge_container("E"), "records", t)
         assert [r.source for r in records] == [a, b, c]
         assert [r.state for r in records] == [(1.0,), (2.0,), (3.0,)]
 
@@ -57,16 +58,16 @@ class TestListContainers:
         sim = build_sim(EdgeTypeDecl("E"))
         sim.commit_initial()
         c = sim.edge_container("E")
-        assert c.records_for(5) == []
-        assert c.count_for(5) == 0
-        assert not c.has_for(5)
+        assert edge_read(c, "records", 5) == []
+        assert edge_read(c, "count", 5) == 0
+        assert not edge_read(c, "has", 5)
 
     def test_duplicate_edges_kept(self):
         sim = build_sim(EdgeTypeDecl("E"))
         sim.add_edge("E", 0, 1)
         sim.add_edge("E", 0, 1)
         sim.commit_initial()
-        assert sim.edge_container("E").count_for(0) == 2
+        assert edge_read(sim.edge_container("E"), "count", 0) == 2
 
     def test_bulk_matches_scalar(self):
         decl = EdgeTypeDecl("E", (("w", "float64"),))
@@ -86,8 +87,8 @@ class TestListContainers:
         sim_a.commit_initial()
         sim_b.commit_initial()
         for t in range(8):
-            ra = sim_a.edge_container("E").records_for(t)
-            rb = sim_b.edge_container("E").records_for(t)
+            ra = edge_read(sim_a.edge_container("E"), "records", t)
+            rb = edge_read(sim_b.edge_container("E"), "records", t)
             assert ra == rb
 
 
@@ -104,18 +105,18 @@ class TestCsrIndex:
 
     @staticmethod
     def assert_no_edges(c, aid):
-        assert not c.has_for(aid)
-        assert c.count_for(aid) == 0
-        assert c.sources_for(aid).tolist() == []
-        assert c.states_for(aid) == []
-        assert c.records_for(aid) == []
+        assert not edge_read(c, "has", aid)
+        assert edge_read(c, "count", aid) == 0
+        assert edge_read(c, "sources", aid).tolist() == []
+        assert edge_read(c, "states", aid) == []
+        assert edge_read(c, "records", aid) == []
 
     def test_target_without_edges_between_targets_with_edges(self):
         c = self._container()
         for aid in (1, 2):
             self.assert_no_edges(c, aid)
-        assert c.sources_for(3).tolist() == [2, 4]
-        assert c.states_for(3) == [(2.0,), (3.0,)]
+        assert edge_read(c, "sources", 3).tolist() == [2, 4]
+        assert edge_read(c, "states", 3) == [(2.0,), (3.0,)]
 
     def test_slot_past_the_end_of_indptr(self):
         c = self._container()
@@ -141,12 +142,12 @@ class TestCsrIndex:
         sim.commit_initial()
         c = sim.edge_container("E")
         assert len(c.indptr) == 2
-        assert c.sources_for(int(a[0])).tolist() == [int(a[2])]
-        assert c.sources_for(int(a[2])).tolist() == [int(b[0])]
-        assert c.sources_for(int(b[1])).tolist() == [int(a[0]), int(a[1])]
+        assert edge_read(c, "sources", int(a[0])).tolist() == [int(a[2])]
+        assert edge_read(c, "sources", int(a[2])).tolist() == [int(b[0])]
+        assert edge_read(c, "sources", int(b[1])).tolist() == [int(a[0]), int(a[1])]
         for aid in (a[1], b[0]):
-            assert not c.has_for(int(aid))
-            assert c.count_for(int(aid)) == 0
+            assert not edge_read(c, "has", int(aid))
+            assert edge_read(c, "count", int(aid)) == 0
         tag_b = int(b[0]) >> TAG_SHIFT
         starts, ends = c.bounds(tag_b, np.array([1, 0]))
         assert (ends - starts).tolist() == [2, 0]
@@ -159,12 +160,12 @@ class TestPlanRestrictions:
             sim.add_edge("E", 0, 1)
         sim.commit_initial()
         c = sim.edge_container("E")
-        assert c.count_for(0) == 4
-        assert c.has_for(0)
+        assert edge_read(c, "count", 0) == 4
+        assert edge_read(c, "has", 0)
         with pytest.raises(HintViolation):
-            c.records_for(0)
+            edge_read(c, "records", 0)
         with pytest.raises(HintViolation):
-            c.sources_for(0)
+            edge_read(c, "sources", 0)
 
     def test_existence_bit_answers_only_presence(self):
         sim = build_sim(
@@ -178,12 +179,12 @@ class TestPlanRestrictions:
             sim.add_edge("E", 0, 1)
         sim.commit_initial()
         c = sim.edge_container("E")
-        assert c.has_for(0)
-        assert not c.has_for(1)
+        assert edge_read(c, "has", 0)
+        assert not edge_read(c, "has", 1)
         with pytest.raises(HintViolation):
-            c.count_for(0)
+            edge_read(c, "count", 0)
         with pytest.raises(HintViolation):
-            c.records_for(0)
+            edge_read(c, "records", 0)
 
     def test_single_edge_forbids_count(self):
         sim = build_sim(EdgeTypeDecl("E", hints=Hint.SINGLE_EDGE))
@@ -191,9 +192,9 @@ class TestPlanRestrictions:
         sim.commit_initial()
         c = sim.edge_container("E")
         with pytest.raises(HintViolation):
-            c.count_for(0)
-        assert c.has_for(0)
-        assert [r.source for r in c.records_for(0)] == [1]
+            edge_read(c, "count", 0)
+        assert edge_read(c, "has", 0)
+        assert [r.source for r in edge_read(c, "records", 0)] == [1]
 
     def test_ignore_from_drops_sources(self):
         sim = build_sim(EdgeTypeDecl("E", (("w", "float64"),), hints=Hint.IGNORE_FROM))
@@ -201,8 +202,8 @@ class TestPlanRestrictions:
         sim.commit_initial()
         c = sim.edge_container("E")
         with pytest.raises(HintViolation):
-            c.sources_for(0)
-        assert c.records_for(0) == [type(c.records_for(0)[0])(None, (2.0,), "E")]
+            edge_read(c, "sources", 0)
+        assert edge_read(c, "records", 0) == [storage.EdgeRecord(None, (2.0,), "E")]
 
     def test_stateless_drops_states(self):
         sim = build_sim(EdgeTypeDecl("E", hints=Hint.STATELESS))
@@ -210,25 +211,25 @@ class TestPlanRestrictions:
         sim.commit_initial()
         c = sim.edge_container("E")
         with pytest.raises(HintViolation):
-            c.states_for(0)
-        assert c.records_for(0)[0].state is None
-        assert c.records_for(0)[0].source == 1
+            edge_read(c, "states", 0)
+        assert edge_read(c, "records", 0)[0].state is None
+        assert edge_read(c, "records", 0)[0].source == 1
 
 
 def reference_queries(full, hints: Hint, plan: EdgePlan, targets):
     """What a hinted container must agree on with a FullEdgeList reference."""
     out = {}
     for t in targets:
-        row = {"has": full.has_for(t)}
+        row = {"has": edge_read(full, "has", t)}
         if plan not in (EdgePlan.EXISTENCE_BIT, EdgePlan.SINGLE_FULL_EDGE):
-            row["count"] = full.count_for(t)
+            row["count"] = edge_read(full, "count", t)
         if Hint.IGNORE_FROM not in hints and plan is not EdgePlan.COUNT_ONLY and plan is not EdgePlan.EXISTENCE_BIT:
-            row["sources"] = full.sources_for(t).tolist()
+            row["sources"] = edge_read(full, "sources", t).tolist()
         if (
             Hint.STATELESS not in hints
             and plan not in (EdgePlan.COUNT_ONLY, EdgePlan.EXISTENCE_BIT)
         ):
-            row["states"] = full.states_for(t)
+            row["states"] = edge_read(full, "states", t)
         out[t] = row
     return out
 
@@ -236,16 +237,16 @@ def reference_queries(full, hints: Hint, plan: EdgePlan, targets):
 def hinted_queries(container, hints: Hint, plan: EdgePlan, targets):
     out = {}
     for t in targets:
-        row = {"has": container.has_for(t)}
+        row = {"has": edge_read(container, "has", t)}
         if plan not in (EdgePlan.EXISTENCE_BIT, EdgePlan.SINGLE_FULL_EDGE):
-            row["count"] = container.count_for(t)
+            row["count"] = edge_read(container, "count", t)
         if Hint.IGNORE_FROM not in hints and plan is not EdgePlan.COUNT_ONLY and plan is not EdgePlan.EXISTENCE_BIT:
-            row["sources"] = container.sources_for(t).tolist()
+            row["sources"] = edge_read(container, "sources", t).tolist()
         if (
             Hint.STATELESS not in hints
             and plan not in (EdgePlan.COUNT_ONLY, EdgePlan.EXISTENCE_BIT)
         ):
-            row["states"] = container.states_for(t)
+            row["states"] = edge_read(container, "states", t)
         out[t] = row
     return out
 
@@ -389,7 +390,8 @@ class TestSingleFullEdgeDuplicates:
                 ("single_edge", 3, 6), ("single_edge", 5, 7),
             ], (workers, how)
             c = sim.edge_container("E")
-            kept = [(c.sources_for(t).tolist(), c.states_for(t)) for t in range(8)]
+            kept = [(edge_read(c, "sources", t).tolist(), edge_read(c, "states", t))
+                    for t in range(8)]
             # the highest producer's last add wins; a retained edge counts as earliest
             assert kept == [
                 ([6], [(6.0,)]), ([], []), ([], []), ([6], [(6.5,)]),
@@ -447,7 +449,7 @@ class TestSingleFullEdgeDuplicates:
                        for v in sim.check_reports]
             assert reports == expected, (workers, how)
             c = sim.edge_container("E")
-            assert [c.has_for(t) for t in range(6)] == [True] * 4 + [False] * 2
+            assert [edge_read(c, "has", t) for t in range(6)] == [True] * 4 + [False] * 2
             sums.add(sim.state_checksum())
         assert len(sums) == 1
 
@@ -474,8 +476,8 @@ class TestSingleFullEdgeDuplicates:
             ("single_edge", 0), ("single_edge", 3), ("single_edge", 3),
         ]
         c = sim.edge_container("E")
-        assert c.records_for(0)[0].source == 2
-        assert c.records_for(3)[0].state == (5.0,)
+        assert edge_read(c, "records", 0)[0].source == 2
+        assert edge_read(c, "records", 3)[0].state == (5.0,)
         sim = build_sim(self.DECL)
         sim.add_edge("E", 0, 1, (1.0,))
         sim.add_edge("E", 0, 2, (2.0,))
@@ -499,8 +501,8 @@ class TestDeterministicMerge:
         s0.add(7, 102, None, 2)
         s1.add(7, 101, None, 1)
         s1.add(7, 103, None, 3)
-        merged = build_read_container(info, [s0, s1])
-        assert merged.sources_for(7).tolist() == [100, 101, 102, 103]
+        merged = build_read_container(info, [s0.seal(), s1.seal()])
+        assert edge_read(merged, "sources", 7).tolist() == [100, 101, 102, 103]
 
     def test_same_producer_insertion_order_preserved(self):
         info = self._schema_info()
@@ -509,8 +511,8 @@ class TestDeterministicMerge:
         s0.add(7, 101, None, 5)
         s1 = ListShard(info, record_producers=True)
         s1.add(7, 102, None, 9)
-        merged = build_read_container(info, [s0, s1])
-        assert merged.sources_for(7).tolist() == [100, 101, 102]
+        merged = build_read_container(info, [s0.seal(), s1.seal()])
+        assert edge_read(merged, "sources", 7).tolist() == [100, 101, 102]
 
     def test_count_merge_is_order_free(self):
         info = self._schema_info(Hint.STATELESS | Hint.IGNORE_FROM)
@@ -519,8 +521,8 @@ class TestDeterministicMerge:
         s0.add(3)
         s1.add(3)
         s1.add(3)
-        merged = build_read_container(info, [s0, s1])
-        assert merged.count_for(3) == 3
+        merged = build_read_container(info, [s0.seal(), s1.seal()])
+        assert edge_read(merged, "count", 3) == 3
 
 
 class Level(enum.IntEnum):
@@ -575,7 +577,7 @@ class TestTypedEdgeStates:
             for value in ONE_SPELLINGS:
                 sim = typed_sim(plan, value, path, workers)
                 sums.add(sim.state_checksum())
-                (state,) = sim.edge_container("E").states_for(0)
+                (state,) = edge_read(sim.edge_container("E"), "states", 0)
                 assert state == (1, 0.5)
                 assert [type(v) for v in state] == [int, float]
         assert len(sums) == 1
@@ -629,8 +631,8 @@ class TestTypedEdgeStates:
         apply_transition(sim, lambda v, p, g: None, spec)
         finalize_step(sim)
         c = sim.edge_container("E")
-        assert c.sources_for(0).tolist() == [1]
-        assert c.states_for(0) == [(5,)]
+        assert edge_read(c, "sources", 0).tolist() == [1]
+        assert edge_read(c, "states", 0) == [(5,)]
 
 
 AGENT_LAYOUT = (("x", "float64"), ("b", "bool"), ("i", "int64"))
@@ -763,10 +765,10 @@ def _answer(query, *args):
 def edge_answers(c, aids, tags, slots):
     """Every query of a read container, or the refusal it raises."""
     out = [c.n_stored(), c.plan]
-    for name in ("has_for", "count_for", "sources_for", "states_for", "records_for"):
-        out += [_answer(getattr(c, name), aid) for aid in aids]
-    for name in ("has_for_slots", "count_for_slots", "records_for_slots"):
-        out += [_answer(getattr(c, name), tag, slots) for tag in tags]
+    for kind in ("has", "count", "sources", "states", "records"):
+        out += [_answer(edge_read, c, kind, aid) for aid in aids]
+    for kind in ("has", "count", "records"):
+        out += [_answer(slots_read, c, kind, tag, slots) for tag in tags]
     return out
 
 
@@ -904,7 +906,7 @@ class TestSweepOracle:
         for t, s, st in stored:
             if t not in dead and not (info.has_source and s in dead):
                 shard.add(t, s, info.stored_state(st))
-        expected = build_read_container(info, [shard])
+        expected = build_read_container(info, [shard.seal()])
         assert expected.n_stored() < sim.edge_container("E").n_stored()
 
         checksums = []
@@ -1084,9 +1086,9 @@ class TestMixedPerEdgeAndBulkAdds:
         c = sim.edge_container("E")
         assert c.n_stored() == 4
         if c.sources is not None:
-            assert c.sources_for(0).tolist() == [1, 2, 3, 4]
+            assert edge_read(c, "sources", 0).tolist() == [1, 2, 3, 4]
         if c.states is not None:
-            assert c.states_for(0) == [(1.0,), (2.0,), (3.0,), (4.0,)]
+            assert edge_read(c, "states", 0) == [(1.0,), (2.0,), (3.0,), (4.0,)]
         assert sim.state_checksum() == self.one_at_a_time(decl).state_checksum()
 
     def test_caller_arrays_changed_after_add_edges(self):
@@ -1098,9 +1100,9 @@ class TestMixedPerEdgeAndBulkAdds:
         sources[:] = 6
         sim.commit_initial()
         c = sim.edge_container("E")
-        assert c.sources_for(0).tolist() == [3]
-        assert c.sources_for(1).tolist() == [2, 4]
-        assert c.count_for(7) == 0
+        assert edge_read(c, "sources", 0).tolist() == [3]
+        assert edge_read(c, "sources", 1).tolist() == [2, 4]
+        assert edge_read(c, "count", 7) == 0
 
     def test_batch_arrays_changed_after_add_edges(self):
         sim = build_sim(EdgeTypeDecl("E", (("w", "float64"),)))
@@ -1118,33 +1120,7 @@ class TestMixedPerEdgeAndBulkAdds:
         apply_transition(sim, emit, spec)
         finalize_step(sim)
         c = sim.edge_container("E")
-        assert [c.states_for(t) for t in range(8)] == [[(float(t),)] for t in range(8)]
-
-    def test_shard_with_chunks_and_tail_round_trips_through_pickle(self):
-        import pickle
-
-        info = build_sim(EdgeTypeDecl("E", (("w", "float64"),))).schema.edge_type("E")
-
-        def filled():
-            shard = ListShard(info, record_producers=True)
-            shard.add(3, 1, (1.0,), 1)
-            shard.extend(np.array([2, 3], dtype=np.uint64), np.array([2, 2], dtype=np.uint64),
-                         (np.array([2.0, 2.5]),), 2)
-            shard.add(1, 5, (5.0,), 5)
-            shard.add(2, 4, (4.0,), 4)
-            return shard
-
-        shard = filled()
-        assert len(shard.chunks) == 2 and len(shard.targets) == 2
-        copy = pickle.loads(pickle.dumps(shard))
-        copy.add(0, 6, (6.0,), 6)  # the copy's adder writes into the copy's tail
-        reference = filled()
-        reference.add(0, 6, (6.0,), 6)
-        merged = build_read_container(info, [copy])
-        expected = build_read_container(info, [reference])
-        assert {k: _plain(v) for k, v in merged.buffers().items()} == {
-            k: _plain(v) for k, v in expected.buffers().items()}
-        assert merged.sources.tolist() == [6, 5, 2, 4, 1, 2]  # by target, then producer
+        assert [edge_read(c, "states", t) for t in range(8)] == [[(float(t),)] for t in range(8)]
 
 
 class TestRangeCheckFallbacks:
@@ -1346,7 +1322,7 @@ class TestIndexedChunks:
         sim.commit_initial()
         c = sim.edge_container("E")
         assert c.edge_endpoints()[0].tolist() == [0, 0, 1, 3, 3, 3]
-        assert c.sources_for(3).tolist() == [1, 2, 0]
+        assert edge_read(c, "sources", 3).tolist() == [1, 2, 0]
         assert sim.state_checksum() == reference.state_checksum()
 
     def test_one_slot_past_the_segment_is_named_as_unsorted(self):
@@ -1372,7 +1348,8 @@ class TestIndexedChunks:
         assert list(chunk.index) == [0, B0 >> TAG_SHIFT]
         sim.commit_initial()
         c = sim.edge_container("E")
-        assert [c.count_for(t) for t in (0, 1, 7, B0, B0 + 1, B0 + 2)] == [0, 2, 1, 1, 0, 2]
+        counts = [edge_read(c, "count", t) for t in (0, 1, 7, B0, B0 + 1, B0 + 2)]
+        assert counts == [0, 2, 1, 1, 0, 2]
         assert c.edge_endpoints()[0].tolist() == ids
 
     def test_far_target_is_copied_not_indexed(self):
@@ -1649,7 +1626,8 @@ class TestSourceForms:
         finalize_step(c)
         read = c.edge_container("E")
         for aid in c.agent_ids("A").tolist() + c.agent_ids("B").tolist():
-            assert read.sources_for(aid).tolist() == [s for _, s in form_edges(aid, sources)]
+            assert edge_read(read, "sources", aid).tolist() == [
+                s for _, s in form_edges(aid, sources)]
         ids = read.source_ids()
         assert ids.dtype == np.uint64
         if form[0] is not None:
@@ -1666,7 +1644,7 @@ class TestSourceForms:
         finalize_step(sim)
         born = [agent_id(1, slot) for slot in (6, 7, 8)]  # births in producer order
         read = sim.edge_container("E")
-        assert [read.sources_for(agent_id(0, s)).tolist() for s in (0, 2, 4)] == [
+        assert [edge_read(read, "sources", agent_id(0, s)).tolist() for s in (0, 2, 4)] == [
             [b, agent_id(1, 0)] for b in born]
 
     def test_a_carryover_that_adds_a_second_tag_widens(self):
