@@ -1,11 +1,14 @@
 """Runtime contract checks.
 
 Checks verify the contracts an edge type declares (SINGLE_EDGE
-multiplicity, SINGLE_TYPE target tag) while a model runs. They are on by
-default; once a model is trusted they can be disabled for speed, or set
-to warn mode, which records violations and continues. Disabling checks
-never changes the results of a contract-respecting model. A transition's
-read and write type sets are enforced always.
+multiplicity, SINGLE_TYPE target tag) while a model runs. They are made
+in one place, the merge of the written edges (``commit_initial`` and each
+transition's merge, see :mod:`graphabm.storage`), which sees every
+worker's edges. They are on by default; once a model is trusted they can
+be disabled for speed, or set to warn mode, which records violations and
+continues. Disabling checks never changes the results of a
+contract-respecting model. A transition's read and write type sets are
+enforced always.
 """
 
 from __future__ import annotations
@@ -20,15 +23,13 @@ class CheckConfig:
     """Which contract checks run, and what happens on a violation.
 
     ``mode`` is one of ``"error"`` (raise, aborting the step) or ``"warn"``
-    (record the violation and continue). The SINGLE_EDGE and SINGLE_TYPE
-    checks can be toggled one by one; ``enabled=False`` turns both off
-    regardless of the toggles. Reads and writes outside a transition's
-    declared type sets always raise, whatever these settings say.
+    (record the violation and continue); ``enabled=False`` turns the
+    SINGLE_EDGE and SINGLE_TYPE checks off. Reads and writes outside a
+    transition's declared type sets always raise, whatever these settings
+    say.
     """
 
     enabled: bool = True
-    single_edge: bool = True
-    single_type: bool = True
     mode: str = "error"
 
     @classmethod
@@ -41,12 +42,6 @@ class CheckConfig:
         if name == "warn":
             return cls(mode="warn")
         raise ValueError(f"unknown checks mode {name!r}")
-
-    def check_single_edge(self) -> bool:
-        return self.enabled and self.single_edge
-
-    def check_single_type(self) -> bool:
-        return self.enabled and self.single_type
 
 
 @dataclass(frozen=True)
@@ -62,11 +57,11 @@ class Violation:
 
 
 class ViolationSink:
-    """Collects violations during one transition.
+    """Collects the violations one merge finds.
 
-    In error mode the first violation raises immediately; in warn mode all
-    violations are kept and merged into the simulation's report log at the
-    step barrier.
+    In error mode the first violation raises at the merge, which leaves
+    nothing staged; in warn mode all violations are kept and merged into
+    the simulation's report log at the step barrier.
     """
 
     def __init__(self, mode: str, step: int):

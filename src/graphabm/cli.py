@@ -318,7 +318,7 @@ def measure_edge_adds(calls: int, plans=None) -> dict[str, float]:
     kernel_before = _calibration_kernel()
     for _ in range(repeats):
         for plan_name, (info, target, source, state) in cases.items():
-            add = step_shard(info, check_single_edge=False).add
+            add = step_shard(info, checked=False).add
             add(target, source, state, 0)  # warm allocation
             t0 = time.thread_time()
             for _ in loop:

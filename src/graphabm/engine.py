@@ -64,7 +64,14 @@ the plans that read them stay valid. Results are the same as a rebuild's,
 since a list plan's container is a function of its chunk lists.
 EXISTENCE_BIT and SINGLE_FULL_EDGE merges report SINGLE_EDGE breaches,
 and a keep_existing merge reads the old container, so those always run.
+A kept merge never hides a SINGLE_TYPE breach: a merge that reported one
+is not kept, and one kept with checks off is not reused with checks on.
 ``sim.step_metrics`` counts the merges reused per step.
+
+The merge is also where the edge contracts are checked, over every
+worker's chunk lists (see :mod:`graphabm.storage`); the view and the
+batch write each edge straight into its shard, and no report crosses a
+pipe.
 
 Reads are checked where they enter, in the view, the batch and
 ``aggregate``, against the edge type's refused reads
@@ -91,6 +98,7 @@ from .storage import (
     ListShard,
     build_read_container,
     cast_columns,
+    check_single_type,
     drop_dead_edges,
     rewrite_ids,
     same_edges,
@@ -144,7 +152,7 @@ class RuntimeSpec:
     __slots__ = (
         "spec", "callable_tags", "readable_edges", "readable_agent_tags",
         "all_agents_readable", "written_agent", "written_edge", "reusable",
-        "check_single_edge", "check_single_type", "mode", "globals",
+        "checked", "mode", "globals",
     )
 
     def __init__(self, sim: Simulation, spec: TransitionSpec):
@@ -202,10 +210,8 @@ class RuntimeSpec:
                 "only, and no keep_existing"
             )
 
-        cfg = sim.checks
-        self.check_single_edge = cfg.check_single_edge()
-        self.check_single_type = cfg.check_single_type()
-        self.mode = cfg.mode
+        self.checked = sim.checks.enabled
+        self.mode = sim.checks.mode
         self.globals = None  # snapshot installed per call by runtime_spec
 
 
@@ -228,7 +234,8 @@ _NOT_REUSED = (EdgePlan.EXISTENCE_BIT, EdgePlan.SINGLE_FULL_EDGE)
 
 class KeptMerge(NamedTuple):
     """An edge type's last committed merge: each worker's chunk list, in
-    worker order, and the container built from them.
+    worker order, the container built from them, and whether the checks
+    were on (``checked``).
 
     Every process keeps one per edge type written without keep_existing in
     a list plan (``RuntimeSpec.reusable``), from the same payloads, so all
@@ -239,10 +246,14 @@ class KeptMerge(NamedTuple):
     container is a function of the chunk lists alone: a kept list holds
     no provisional id, since the merge that kept it rewrote them, and its
     endpoints were checked then, and an allocated slot stays allocated.
+    A merge that reported a breach is not kept, and a worker compares its
+    chunks with a kept list only when ``checked`` or the checks are off,
+    so a reused merge hides no SINGLE_TYPE breach.
     """
 
     chunks: list
     container: object
+    checked: bool
 
 
 @dataclass
@@ -264,16 +275,14 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                shuffle=None) -> dict:
     """Run ``fn`` over this worker's agents; return its payload: the
     states its calls returned, the agents they created, each written edge
-    type's sealed chunk list, or ``None`` for one equal to the kept one,
-    and its contract reports."""
+    type's sealed chunk list, or ``None`` for one equal to the kept one."""
     schema = sim.schema
     batch = rt.spec.batch
-    sink = ViolationSink(rt.mode, sim.step)
     read = {name: sim._edges[etag] for name, etag in rt.readable_edges.items()}
     writers = {}
     for etag in rt.written_edge:
         info = schema.edge_types[etag]
-        writers[info.name] = (step_shard(info, rt.check_single_edge), info)
+        writers[info.name] = (step_shard(info, rt.checked), info)
     args = (sim.params, rt.globals)
     tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
     if shuffle is not None:
@@ -295,10 +304,10 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
             chunked = plan.chunks
 
         def call(tag, seg, slots, runs):
-            ret = fn(AgentBatch(sim, rt, read, writers, sink, tag, seg, slots, runs), *args)
+            ret = fn(AgentBatch(sim, rt, read, writers, tag, seg, slots, runs), *args)
             return (slots, ret) if ret is not None else (slots[:0], None)
     else:
-        view = NeighborhoodView(sim, rt, read, writers, sink, worker)
+        view = NeighborhoodView(sim, rt, read, writers, worker)
         chunked = [[(0, slots.size, None)] for _tag, slots in tasks]
 
         def call(tag, seg, slots, _runs):
@@ -360,23 +369,23 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
     for shard, info in writers.values():
         chunks = shard.seal()  # casts per-edge states here, before they ship
         kept = sim._kept.get(info.tag) if info.tag in rt.reusable else None
-        same = (kept is not None and len(kept.chunks) == nworkers
-                and same_edges(chunks, kept.chunks[worker]))
+        same = (kept is not None and (kept.checked or not rt.checked)
+                and len(kept.chunks) == nworkers and same_edges(chunks, kept.chunks[worker]))
         edges[info.tag] = None if same else chunks  # None: the kept chunk list
-    return {
-        "agents": agents,
-        "births": births,
-        "edges": edges,
-        "reports": sink.reports,
-    }
+    return {"agents": agents, "births": births, "edges": edges}
 
 
-def step_shard(info, check_single_edge: bool):
+def step_shard(info, checked: bool):
     """A worker's write shard of an edge type in a transition. It records
-    each edge's producer, which the merge of a list plan orders by; the
-    merge of EXISTENCE_BIT, a union of bits, reads producers only for its
-    SINGLE_EDGE reports."""
-    return ListShard(info, check_single_edge or info.plan is not EdgePlan.EXISTENCE_BIT)
+    each edge's producer where the merge reads them: a list plan's merge
+    orders by producer, but COUNT_ONLY's keeps no order and EXISTENCE_BIT's
+    is a union of bits; with ``checked``, the reports name each breach's
+    producer and follow producer order (EXISTENCE_BIT's SINGLE_EDGE and
+    any SINGLE_TYPE type's)."""
+    unordered = info.plan in (EdgePlan.EXISTENCE_BIT, EdgePlan.COUNT_ONLY)
+    reported = checked and (info.plan is EdgePlan.EXISTENCE_BIT
+                            or info.single_type_tag is not None)
+    return ListShard(info, not unordered or reported)
 
 
 class ReadPlan:
@@ -485,10 +494,8 @@ def _agent_tasks(sim, rt, partition, worker, nworkers):
 
 def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
     schema = sim.schema
-    sink = ViolationSink(rt.mode, sim.step)
-    reports = []
-    for p in payloads:
-        reports.extend(p["reports"])
+    sink = ViolationSink(rt.mode, sim.step) if rt.checked else None
+    reports = [] if sink is None else sink.reports
 
     staged_segments = {}
     provisional, final = [], []
@@ -539,24 +546,23 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
         info = schema.edge_types[etag]
         lists = [p["edges"][etag] for p in payloads]  # one chunk list per worker
         fresh = [chunks for chunks in lists if chunks is not None]
+        reported = len(reports)
         if fresh:
-            if len(fresh) < len(lists):
+            if len(fresh) < len(lists):  # the kept lists were checked clean
                 lists = [sim._kept[etag].chunks[w] if chunks is None else chunks
                          for w, chunks in enumerate(lists)]
             if provisional:
                 rewrite_ids(fresh, old_ids, new_ids)
+            check_single_type(info, fresh, sink)
             validate_endpoints(info, fresh, lambda ids: sim._lookup(ids, segments=segments))
             container = build_read_container(
-                info, lists, sim._edges[etag] if kept else None, sink,
-                rt.check_single_edge,
-            )
+                info, lists, sim._edges[etag] if kept else None, sink)
         else:  # every worker's chunk list is its kept one
-            lists, container = sim._kept[etag]
+            lists, container = sim._kept[etag].chunks, sim._kept[etag].container
             reused += 1
         staged_edges[etag] = container
-        if etag in rt.reusable:
-            merges[etag] = KeptMerge(lists, container)
-    reports.extend(sink.reports)
+        if etag in rt.reusable and len(reports) == reported:
+            merges[etag] = KeptMerge(lists, container, rt.checked)
 
     sim._staged = StagedCommit(
         segments=staged_segments,

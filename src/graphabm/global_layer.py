@@ -72,10 +72,11 @@ def aggregate(sim, type_name: str, map_fn=None, reduce: str = "sum"):
 
     For an agent type, ``map_fn`` receives each alive agent's state tuple,
     visited in ascending agent-id order. For an edge type it receives each
-    stored edge's state tuple, visited in ascending target-id order (then
-    producer order within a target); this requires a plan that retains
-    states. ``reduce="count"`` needs no ``map_fn`` and counts alive agents
-    or stored edges.
+    stored edge's state tuple, ``()`` for a type without state fields,
+    visited in ascending target-id order (then producer order within a
+    target); the type must serve the view's ``edge_states`` read.
+    ``reduce="count"`` needs no ``map_fn`` and counts alive agents or
+    stored edges.
     """
     info = sim.schema.type_by_name(type_name)
     if isinstance(info, AgentTypeInfo):
@@ -94,7 +95,7 @@ def aggregate(sim, type_name: str, map_fn=None, reduce: str = "sum"):
     if reduce == "count":
         check_read(info, "count")
         return container.n_stored()
-    check_read(info, "aggregate")
+    check_read(info, "states")
     if map_fn is None:
         raise ValueError("map_fn is required for sum/min/max")
     return _fold(list(map(map_fn, container.state_tuples())), reduce)

@@ -25,8 +25,10 @@ bit-identical to a single-worker run. A commit the control makes alone
 while the run's pool is up, such as a transition a program callable
 applies itself, reaches the workers as its spec and its payloads, which
 they merge the same way. Apart from the values a model passes (globals),
-what crosses a pipe is numpy arrays, builtins and the chunk and violation
-records of :mod:`graphabm.storage` and :mod:`graphabm.checks`.
+what crosses a pipe is numpy arrays, builtins and the chunk records of
+:mod:`graphabm.storage`. No contract report does: each process's merge
+checks the contracts over every worker's chunk lists, so the reports
+need no exchange.
 
 Since every process makes every commit from the same payloads, each keeps
 the same chunk lists: per edge type written without keep_existing in a

@@ -110,14 +110,12 @@ def storage_plan_for(hints: Hint) -> EdgePlan:
     return EdgePlan.FULL_EDGE_LIST
 
 
-def _refused_reads(plan: EdgePlan, hints: Hint, has_state: bool) -> dict[str, str]:
+def _refused_reads(plan: EdgePlan, hints: Hint) -> dict[str, str]:
     """The reads of an edge type's incoming edges that ``plan`` and
     ``hints`` refuse, each with its reason; every other read is served.
     The reads are ``has``, ``count``, ``sources``, ``states``, ``records``
-    (sources and states together), ``source_state`` (state of the agents
-    at the sources) and ``aggregate``, every stored edge's state as
-    :func:`~graphabm.global_layer.aggregate` folds it, which needs stored
-    state fields (``has_state``)."""
+    (sources and states together) and ``source_state`` (state of the
+    agents at the sources)."""
     refused = {}
     if plan is EdgePlan.EXISTENCE_BIT:
         bit = "stores only an existence bit"
@@ -134,8 +132,6 @@ def _refused_reads(plan: EdgePlan, hints: Hint, has_state: bool) -> dict[str, st
         refused.setdefault("states", "is STATELESS; edges carry no state")
     if Hint.IGNORE_FROM in hints or Hint.IGNORE_SOURCE_STATE in hints:
         refused["source_state"] = "forbids reading source-agent state"
-    if not has_state:
-        refused["aggregate"] = "does not retain edge states"
     return refused
 
 
@@ -311,7 +307,7 @@ class Schema:
             single_type_tag=st_tag,
             field_names=tuple(f for f, _ in decl.state_layout),
             dtypes=tuple(dtype_for(k) for _, k in decl.state_layout),
-            refused=_refused_reads(plan, decl.hints, has_state),
+            refused=_refused_reads(plan, decl.hints),
         )
         self.edge_types.append(info)
         self._by_name[decl.name] = info

@@ -26,16 +26,14 @@ from .errors import (
     UnknownName,
     UsageError,
 )
-from .ids import agent_id, as_ids, local_index, slot_ids, split_by_tag, type_tag
-from .schema import EdgePlan, Schema
+from .ids import agent_id, local_index, slot_ids, split_by_tag, type_tag
+from .schema import Schema
 from .storage import (
     AgentSegment,
     ListShard,
     build_read_container,
     cast_columns,
-    edge_breaches,
-    is_nondecreasing,
-    make_checked_adder,
+    check_single_type,
     validate_endpoints,
 )
 
@@ -59,21 +57,7 @@ class Simulation:
         self._segments = [AgentSegment(info) for info in schema.agent_types]
         self._edges = [build_read_container(info, []) for info in schema.edge_types]
 
-        self._init_sink = ViolationSink(self.checks.mode, step=0)
         self._init_shards = [ListShard(info) for info in schema.edge_types]
-        # Per EXISTENCE_BIT type under the SINGLE_EDGE check, the targets
-        # added so far, so that a duplicate is flagged at the call.
-        self._init_seen = [
-            set() if self.checks.check_single_edge() and info.plan is EdgePlan.EXISTENCE_BIT
-            else None for info in schema.edge_types
-        ]
-        self._init_adders = [
-            make_checked_adder(shard, info, self._init_sink,
-                               self.checks.check_single_type(), seen)
-            for shard, info, seen in zip(
-                self._init_shards, schema.edge_types, self._init_seen
-            )
-        ]
 
         self._initialized = False
         self._in_transition = False
@@ -148,7 +132,7 @@ class Simulation:
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)
         st = info.stored_state(state)
-        self._init_adders[info.tag](int(target), int(source), st, 0)
+        self._init_shards[info.tag].add(int(target), int(source), st, 0)
 
     def add_edges(self, edge_type: str, targets, sources=None, states=None) -> None:
         """Bulk-add edges during initialization.
@@ -181,11 +165,7 @@ class Simulation:
         if info.has_state:
             rows = [info.stored_state(st) for st in states]
             columns = list(zip(*rows)) or [()] * len(info.field_names)
-        targets = as_ids(targets)
-        ordered = is_nondecreasing(targets)
-        edge_breaches(info, self._init_sink, self.checks.check_single_type(),
-                      targets, seen=self._init_seen[info.tag], ordered=ordered)
-        self._init_shards[info.tag].extend(targets, sources, columns, ordered=ordered)
+        self._init_shards[info.tag].extend(targets, sources, columns)
 
     def edge_adder(self, edge_type: str):
         """The bound low-level add for an edge type during initialization.
@@ -193,28 +173,30 @@ class Simulation:
         Returns a callable ``add(target, source, state=None, producer=0)``,
         the shard's add, which appends only the columns the storage plan
         keeps (an EXISTENCE_BIT type keeps targets, whose bits are set at
-        commit). With checks on, it first flags a wrong-type target and a
-        second edge to an EXISTENCE_BIT target, at the call.
+        commit). The contracts are checked at commit, as for every add.
         """
         self._require_init_phase()
-        return self._init_adders[self.schema.edge_type(edge_type).tag]
+        return self._init_shards[self.schema.edge_type(edge_type).tag].add
 
     def commit_initial(self) -> None:
-        """Seal the initial graph; runs implicitly before the first step."""
+        """Seal the initial graph; runs implicitly before the first step.
+
+        It is the merge of the initial edges, and checks them as a
+        transition's merge does (see :mod:`graphabm.storage`): in error
+        mode a breach raises here, and the graph stays uncommitted."""
         if self._initialized:
             return
         if self._in_transition:
             raise UsageError("cannot commit during a transition")
+        sink = ViolationSink(self.checks.mode, step=0) if self.checks.enabled else None
         for info in self.schema.edge_types:
             chunks = [self._init_shards[info.tag].seal()]
+            check_single_type(info, chunks, sink)
             validate_endpoints(info, chunks, self._lookup)
-            # EXISTENCE_BIT duplicates were flagged at the call
-            self._edges[info.tag] = build_read_container(
-                info, chunks, None, self._init_sink,
-                self._init_seen[info.tag] is None and self.checks.check_single_edge(),
-            )
-        self.check_reports.extend(self._init_sink.reports)
-        self._init_shards = self._init_adders = self._init_seen = None
+            self._edges[info.tag] = build_read_container(info, chunks, None, sink)
+        if sink is not None:
+            self.check_reports.extend(sink.reports)
+        self._init_shards = None
         self._initialized = True
 
     # ------------------------------------------------------------------

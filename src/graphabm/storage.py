@@ -20,7 +20,7 @@ uint32 slots and that tag, any others as uint64 ids
 (:func:`narrow_sources`). COUNT_ONLY keeps the index alone, nothing per edge;
 SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
 one presence byte per target slot: its shards hold targets only (and
-producers when SINGLE_EDGE is checked), and the merge sets their bits.
+producers when the checks are on), and the merge sets their bits.
 A write shard holds its edges as chunks, in call order: a bulk add copies
 each column the plan keeps once, into an owned contiguous numpy array
 (sources in their stored form), except targets given in nondecreasing
@@ -44,10 +44,14 @@ every read they are asked. Which reads a plan refuses is decided in one
 place, :func:`~graphabm.schema.check_read`, which the view, the batch and
 ``aggregate`` call before they ask a container.
 
-SINGLE_EDGE is checked where every edge is seen. During initialization an
-EXISTENCE_BIT duplicate is flagged at the call, and a SINGLE_FULL_EDGE one
-at commit; in a transition both are flagged at the merge, one report per
-edge beyond a target's first at any worker count.
+The edge contracts are checked in one place, the merge, which sees every
+worker's edges: at ``commit_initial`` and in each transition, after the
+newborns' ids are rewritten and before the endpoint check. Per edge type,
+SINGLE_TYPE is reported first (:func:`check_single_type`), in producer
+order and each producer's edges in call order, which during
+initialization is add order; then SINGLE_EDGE, one report per edge beyond
+a target's first, in target order. So the reports do not depend on the
+worker count, the partition or the order in which agents ran.
 
 Buffer form: every container gives the arrays it holds as ``buffers()``,
 a dict of named numpy arrays, and the class method ``from_buffers(info,
@@ -77,7 +81,7 @@ give the same order.
 from __future__ import annotations
 
 import array
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -337,9 +341,9 @@ class ListShard:
     indexed chunk's index and arrays as its container without copying
     them again.
 
-    ``sources``, ``states`` and ``producers`` exist only when the plan
-    stores them or the caller records producing agents; COUNT_ONLY keeps
-    targets alone, and so does EXISTENCE_BIT unless producers are recorded.
+    ``sources`` and ``states`` exist only when the plan stores them, and
+    ``producers`` when the caller records producing agents
+    (:func:`~graphabm.engine.step_shard`).
     ``info`` is the edge type, whose fields casting the tail's states
     takes. A shard stays in the process that wrote it: what leaves it is
     :meth:`seal`'s chunk list.
@@ -352,9 +356,7 @@ class ListShard:
         self.targets = array.array("Q")
         self.sources = array.array("Q") if info.has_source else None
         self.states = [] if info.has_state else None
-        self.producers = (array.array("Q")
-                          if record_producers and info.plan is not EdgePlan.COUNT_ONLY
-                          else None)
+        self.producers = array.array("Q") if record_producers else None
         self.chunks = []
         # The appends of the present columns are looked up once: ``add`` is
         # the per-edge write path, and a targets-only shard skips the tests.
@@ -390,19 +392,16 @@ class ListShard:
                                      columns, _drain(self.producers)))
         return self.chunks
 
-    def extend(self, targets, sources=None, states=None, producers=0, ordered=None):
+    def extend(self, targets, sources=None, states=None, producers=0):
         """Append edges as one chunk: ``targets`` and ``sources`` are ids
         (:func:`~graphabm.ids.as_ids`), ``states`` holds one column per
-        field and ``producers`` one producer per edge or one for all.
-        ``ordered`` says whether ``targets`` are nondecreasing, when the
-        caller found out already."""
+        field and ``producers`` one producer per edge or one for all."""
         self.seal()
         targets = as_ids(targets)
         if not targets.size:
             return
         index = None  # checked before the copies below, to keep the peak down
-        if self.producers is None and (
-                is_nondecreasing(targets) if ordered is None else ordered):
+        if self.producers is None and is_nondecreasing(targets):
             index = _build_indptr(targets, max(targets.size, _INDEX_FLOOR))
         source_tag = None
         if self.sources is None:
@@ -425,85 +424,6 @@ class ListShard:
             index,
             source_tag=source_tag,
         ))
-
-
-def make_checked_adder(
-    shard: ListShard,
-    info: EdgeTypeInfo,
-    sink: ViolationSink,
-    check_single_type: bool,
-    seen: set | None = None,
-) -> Callable:
-    """Wrap a shard's add with the contract checks made at the call.
-
-    SINGLE_TYPE is checked per edge. SINGLE_EDGE is checked here only with
-    ``seen``, the set of targets an EXISTENCE_BIT type received so far
-    during initialization, so that the second add raises at the call; in a
-    transition the merge, which sees every edge, checks it.
-    """
-    st_tag = info.single_type_tag if check_single_type else None
-    if st_tag is None and seen is None:
-        return shard.add
-    name = info.name
-    raw_add = shard.add
-    lo, hi = (0, 0) if st_tag is None else (agent_id(st_tag, 0), agent_id(st_tag + 1, 0))
-
-    def add(target, source=0, state=None, producer=0):
-        if st_tag is not None and not lo <= target < hi:  # not of type st_tag
-            sink.report(
-                "single_type", name, target, producer,
-                f"edge targets an agent of the wrong type (expected tag {st_tag})",
-            )
-        if seen is not None:
-            _flag_seen(info, sink, seen, [target], [producer])
-        raw_add(target, source, state, producer)
-
-    return add
-
-
-def _flag_seen(info: EdgeTypeInfo, sink: ViolationSink, seen: set, targets, producers):
-    """Report each of ``targets`` already in ``seen`` and add the others."""
-    for i, target in enumerate(targets):
-        if target in seen:
-            sink.report(
-                "single_edge", info.name, target, int(producers[i]),
-                "second edge added to a SINGLE_EDGE target",
-            )
-        else:
-            seen.add(target)
-
-
-def edge_breaches(
-    info: EdgeTypeInfo,
-    sink: ViolationSink,
-    check_single_type: bool,
-    targets: np.ndarray,
-    producers=0,
-    seen: set | None = None,
-    ordered: bool = False,
-) -> None:
-    """Report what :func:`make_checked_adder`'s adder reports for adding
-    ``targets`` (uint64) in order: one report per offending edge.
-    ``producers`` holds edge ``i``'s producer at ``i``, or is one producer
-    for all.
-
-    SINGLE_TYPE starts from a range test: a tag is an id's top bits, so
-    when the smallest and the largest target carry the declared tag, every
-    target does; of ``ordered`` (nondecreasing) targets those are the first
-    and the last. Otherwise each target's tag is compared.
-    """
-    producers = np.broadcast_to(producers, targets.shape)
-    tag = info.single_type_tag
-    if check_single_type and tag is not None and targets.size:
-        lo, hi = (targets[0], targets[-1]) if ordered else (targets.min(), targets.max())
-        if type_tag(int(lo)) != tag or type_tag(int(hi)) != tag:
-            for i in np.flatnonzero(type_tag(targets) != tag).tolist():
-                sink.report(
-                    "single_type", info.name, int(targets[i]), int(producers[i]),
-                    f"edge targets an agent of the wrong type (expected tag {tag})",
-                )
-    if seen is not None:
-        _flag_seen(info, sink, seen, targets.tolist(), producers)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,12 +941,11 @@ def build_read_container(
     chunk_lists: list,
     carryover=None,
     sink: ViolationSink | None = None,
-    check_single_edge: bool = False,
 ):
     """Merge sealed write shards, one chunk list per worker in worker
     order, after ``carryover``'s edges, into a read container; with no
-    chunk and no carryover, the type's empty container."""
-    sink = sink if check_single_edge else None
+    chunk and no carryover, the type's empty container. With a ``sink``,
+    SINGLE_EDGE breaches are reported to it."""
     chunks = [c for worker in chunk_lists for c in worker]
     if info.plan is EdgePlan.EXISTENCE_BIT:
         return build_existence_read(info, chunks, carryover, sink)
@@ -1082,6 +1001,45 @@ def _same_bytes(a, b) -> bool:
         return False
     kind = _UINTS.get(a.itemsize, np.uint8)
     return bool(np.array_equal(a.reshape(-1).view(kind), b.reshape(-1).view(kind)))
+
+
+def check_single_type(info: EdgeTypeInfo, chunk_lists: list, sink: ViolationSink | None) -> None:
+    """Report to ``sink``, unless it is None (checks off), each edge of each
+    worker's chunk list whose target is not of the agent type SINGLE_TYPE
+    declares: in producer order, each producer's edges in call order. A
+    producer runs on one worker, whose chunks hold its edges in call order,
+    so a stable sort of the breaches by producer gives that order. The
+    edges of a chunk without producers, as during initialization, are
+    producer 0's, in add order.
+
+    A tag is an id's top bits, so a chunk passes whole when its smallest
+    and largest targets carry the declared tag: an indexed chunk's target
+    tags are its index's keys, and an array's are those of its min and
+    max. Otherwise each target's tag is compared.
+    """
+    tag = info.single_type_tag
+    if tag is None or sink is None:
+        return
+    targets, producers = [], []
+    for chunks in chunk_lists:
+        for chunk in chunks:
+            if chunk.index is not None:
+                if list(chunk.index) == [tag]:
+                    continue
+            elif type_tag(int(chunk.targets.min())) == tag == type_tag(int(chunk.targets.max())):
+                continue
+            ids = chunk.target_ids()
+            bad = np.flatnonzero(type_tag(ids) != tag)
+            targets.append(ids[bad])
+            producers.append(np.zeros(bad.size, dtype=_U64) if chunk.producers is None
+                             else chunk.producers[bad])
+    if not targets:
+        return
+    producers = _concat(producers)
+    order = np.argsort(producers, kind="stable")
+    for target, producer in zip(_concat(targets)[order].tolist(), producers[order].tolist()):
+        sink.report("single_type", info.name, target, producer,
+                    f"edge targets an agent of the wrong type (expected tag {tag})")
 
 
 def validate_endpoints(info: EdgeTypeInfo, chunk_lists: list, exists_fn) -> None:

@@ -27,7 +27,7 @@ from .errors import TypeNotReadable, TypeNotWritable, UnknownName, UsageError
 from .ids import provisional_id, slot_ids, split_by_tag
 from .philox import agent_draws, agent_generator
 from .schema import check_read
-from .storage import cast_columns, edge_breaches, make_checked_adder, run_positions
+from .storage import cast_columns, run_positions
 
 
 class _Reads:
@@ -88,16 +88,13 @@ class NeighborhoodView(_Reads):
         "_fields", "_field_list", "_tag", "_slot", "_aid", "_rng", "_gather_cache",
     )
 
-    def __init__(self, sim, rt, read_containers, writers, sink, worker: int):
+    def __init__(self, sim, rt, read_containers, writers, worker: int):
         self._sim = sim
         self._rt = rt
         self._worker = worker
         self._read = read_containers  # name -> read container
-        # name -> (shard add checked at the call, EdgeTypeInfo)
-        self._writers = {
-            name: (make_checked_adder(shard, info, sink, rt.check_single_type), info)
-            for name, (shard, info) in writers.items()
-        }
+        # name -> (the shard's add, EdgeTypeInfo)
+        self._writers = {name: (shard.add, info) for name, (shard, info) in writers.items()}
         self._births: dict[int, tuple] = {}  # tag -> (ids, producer ids, states)
         self._step = sim.step
         self._gather_cache: dict = {}
@@ -206,8 +203,8 @@ class NeighborhoodView(_Reads):
         kept past its transition, in a state column or elsewhere, is not
         rewritten, and a later transition rejects it as no agent, until
         its step field wraps (``2**STEP_BITS`` transitions, see
-        :mod:`graphabm.ids`). A SINGLE_TYPE report made at the call names
-        the provisional id.
+        :mod:`graphabm.ids`). A contract report on an edge to the newborn,
+        made at the merge after that rewrite, names the final id.
         """
         info = self._sim.schema.agent_type(type_name)
         tag = info.tag
@@ -234,7 +231,8 @@ class NeighborhoodView(_Reads):
         """Add an edge to the graph under construction.
 
         ``source`` defaults to the executing agent. Only information the
-        edge type's hints retain is stored.
+        edge type's hints retain is stored; the merge checks the type's
+        contracts.
         """
         w = self._writers.get(edge_type)
         if w is None:
@@ -271,16 +269,13 @@ class AgentBatch(_Reads):
     container from the engine's read plan.
     """
 
-    __slots__ = ("_sim", "_rt", "_read", "_writers", "_sink", "_seg", "_tag",
-                 "_runs", "_ids", "slots")
+    __slots__ = ("_sim", "_rt", "_read", "_writers", "_seg", "_tag", "_runs", "_ids", "slots")
 
-    def __init__(self, sim, rt, read_containers, writers, sink, tag: int, seg, slots,
-                 runs):
+    def __init__(self, sim, rt, read_containers, writers, tag: int, seg, slots, runs):
         self._sim = sim
         self._rt = rt
         self._read = read_containers
         self._writers = writers  # name -> (shard, EdgeTypeInfo)
-        self._sink = sink
         self._seg = seg
         self._tag = tag
         self.slots = slots
@@ -383,7 +378,6 @@ class AgentBatch(_Reads):
                 f"agents must be positions in this batch's {self.slots.size} slots"
             )
         producers = self.ids[agents.astype(np.intp, copy=False)]
-        edge_breaches(info, self._sink, self._rt.check_single_type, targets, producers)
         shard.extend(targets, producers if sources is None else sources,
                      states, producers)
 

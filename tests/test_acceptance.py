@@ -216,8 +216,9 @@ def test_06_contract_checks():
 
     sim, ids = single_edge_sim("on")
     sim.add_edge("E", ids[0], ids[1])
-    try:
-        sim.add_edge("E", ids[0], ids[2])
+    sim.add_edge("E", ids[0], ids[2])
+    try:  # the merge of the initial edges checks them
+        sim.commit_initial()
         double_flagged = False
     except ContractViolation:
         double_flagged = True
@@ -241,8 +242,9 @@ def test_06_contract_checks():
         return sim, a, b
 
     st_sim, a, b = single_type_sim("on")
+    st_sim.add_edge("E", b[0], a[0])
     try:
-        st_sim.add_edge("E", b[0], a[0])
+        st_sim.commit_initial()
         mismatch_flagged = False
     except ContractViolation:
         mismatch_flagged = True

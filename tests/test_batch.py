@@ -805,6 +805,7 @@ class TestBatchEdgeWrites:
             batch.add_edges("H", np.array(rows, dtype=np.uint64).ravel(),
                             agents=np.repeat(np.arange(len(rows)), 3))
 
+        by_workers = []
         for workers in (1, 2):
             found = []
             for fn, batch in ((agent_form, False), (batch_form, True)):
@@ -812,13 +813,15 @@ class TestBatchEdgeWrites:
                 bases = [int(ids[0][0]), int(ids[1][0])]
                 apply_transition(sim, fn, write_spec("H", batch=batch), workers=workers)
                 finalize_step(sim)
-                found.append(sorted((v.kind, v.target, v.producer, v.message)
-                                    for v in sim.check_reports))
+                found.append([(v.kind, v.target, v.producer, v.message)
+                              for v in sim.check_reports])
             assert found[0] == found[1], workers
             got = {}
             for kind, *_ in found[0]:
                 got[kind] = got.get(kind, 0) + 1
             assert got == kinds, workers
+            by_workers.append(found[0])
+        assert by_workers[0] == by_workers[1]
 
     def test_breach_in_error_mode_leaves_nothing_staged(self):
         decl = EdgeTypeDecl("H", hints=Hint.SINGLE_TYPE | Hint.STATELESS,
@@ -1147,6 +1150,43 @@ class TestReadGate:
         sim = gate_sim(Hint.STATELESS)
         message = refusal(sim, lambda v, p, g: v.edge_states("H"))
         assert message == "edge type 'H' is STATELESS; edges carry no state"
+
+    @pytest.mark.parametrize("hints", [Hint.NONE, Hint.IGNORE_FROM, Hint.SINGLE_EDGE],
+                             ids=["full-edge-list", "state-only-list", "single-full-edge"])
+    @pytest.mark.parametrize("layout", [(("w", "int64"),), ()], ids=["fields", "no-fields"])
+    def test_aggregate_folds_the_edge_states(self, hints, layout):
+        """``aggregate`` over an edge type folds the states the view's
+        ``edge_states`` gives, ``()`` per edge for a type without fields,
+        as it folds ``()`` per agent of an agent type without fields."""
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("P", (), immortal=True))
+        schema.register_edge_type(EdgeTypeDecl("H", layout, hints=hints))
+        sim = Simulation(schema, checks="off")
+        p = sim.add_agents("P", 4)
+        for target, source, w in ((0, 1, 5), (0, 2, 6), (2, 3, 7)):
+            sim.add_edge("H", p[target], p[source], (w,) if layout else ())
+        sim.commit_initial()
+        seen = []
+
+        def read(view, params, g):
+            seen.extend(view.edge_states("H"))
+
+        apply_transition(sim, read, TransitionSpec(callable_types=("P",), read_types=("H",)))
+        finalize_step(sim)
+        assert len(seen) == sim.edge_container("H").n_stored()
+        assert sim.aggregate("H", lambda s: 1, "sum") == len(seen)
+        assert sim.aggregate("H", lambda s: s, "max") == max(seen)
+        assert sim.aggregate("P", lambda s: 1, "sum") == 4
+
+    @pytest.mark.parametrize("hints", [Hint.STATELESS, Hint.SINGLE_EDGE | Hint.STATELESS
+                                       | Hint.IGNORE_FROM],
+                             ids=["stateless", "existence-bit"])
+    def test_aggregate_refuses_as_edge_states_does(self, hints):
+        sim = gate_sim(hints)
+        message = refusal(sim, lambda v, p, g: v.edge_states("H"))
+        with pytest.raises(HintViolation) as info:
+            sim.aggregate("H", lambda s: 1)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("read, hints", [
         ("source_state", Hint.IGNORE_SOURCE_STATE),

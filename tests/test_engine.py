@@ -484,9 +484,9 @@ class TestNewAgents:
         assert c.edge_endpoints()[0].max() < 12  # every id is an agent's
 
     def test_single_type_edge_to_newborn_reports_nothing(self):
-        """The provisional id keeps the newborn's type tag, so a
-        SINGLE_TYPE edge to a newborn of the declared type reports nothing,
-        and one to a newborn of another type reports it, at the call."""
+        """A SINGLE_TYPE edge to a newborn of the declared type reports
+        nothing, and one to a newborn of another type reports it, at the
+        merge, under the newborn's final id."""
         schema = Schema()
         schema.register_agent_type(AgentTypeDecl("P", ()))
         schema.register_agent_type(AgentTypeDecl("Q", ()))
@@ -506,8 +506,10 @@ class TestNewAgents:
         spec = TransitionSpec(callable_types=("P",), write_types=("P", "Q", "ToQ"))
         step(sim, spawn, spec)
         assert sim.n_alive("Q") == 3
+        final = int(sim.agent_ids("P")[-1])
+        assert final not in wrong and local_index(final) == 3
         assert [(r.kind, r.target, r.producer) for r in sim.check_reports] == [
-            ("single_type", wrong[0], 1)]
+            ("single_type", final, 1)]
         c = sim.edge_container("ToQ")
         q = sim.agent_ids("Q").tolist()
         assert [edge_read(c, "sources", t).tolist() for t in q] == [[0], [1], [2]]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import enum
 import io
 import multiprocessing as mp
@@ -32,7 +31,6 @@ from graphabm import (
     run,
 )
 from graphabm import engine
-from graphabm.checks import Violation
 from graphabm.models.episim import EpiConfig, build_epi, day_program, epi_run
 from graphabm.models.hk import HKConfig, hk_run
 from graphabm.models.topology import Cliques, Complete, Regular
@@ -721,9 +719,9 @@ class TestPoolOracle:
         """Every message between the control and a worker, run requests,
         payloads both ways, payloads whose chunk list is a marker for the
         worker's kept one and a commit made on the control alone, holds
-        numpy arrays, builtins and chunk and violation records: no write
-        shard, schema record or function."""
-        records = {("graphabm.checks", "Violation"), ("graphabm.storage", "Chunk")}
+        numpy arrays, builtins and chunk records: no write shard, contract
+        report, schema record or function."""
+        records = {("graphabm.storage", "Chunk")}
 
         class PlainUnpickler(pickle.Unpickler):
             def find_class(self, module, name):
@@ -732,7 +730,7 @@ class TestPoolOracle:
                     raise pickle.UnpicklingError(f"{module}.{name} crossed a pipe")
                 return super().find_class(module, name)
 
-        plain = (np.ndarray, np.generic, int, float, str, bytes, type(None), Chunk, Violation)
+        plain = (np.ndarray, np.generic, int, float, str, bytes, type(None), Chunk)
 
         def walk(obj):
             assert isinstance(obj, plain + (tuple, list, dict)), type(obj)
@@ -744,8 +742,6 @@ class TestPoolOracle:
             elif isinstance(obj, (tuple, list)):
                 for item in obj:
                     walk(item)
-            elif isinstance(obj, Violation):
-                walk(dataclasses.astuple(obj))
 
         blobs = []
         send_bytes, recv_bytes = Connection.send_bytes, Connection.recv_bytes

@@ -569,8 +569,11 @@ class TestSameEdges:
             assert sim.edge_container("E").single_source_tag == tag
 
     def test_ordered_targets_take_no_min_or_max_scan(self):
+        """The merge's SINGLE_TYPE check takes an indexed chunk's target
+        tags from its index, with no min or max scan; an array of targets
+        takes one of each."""
         from graphabm.checks import ViolationSink
-        from graphabm.storage import edge_breaches
+        from graphabm.storage import check_single_type
 
         class Counted(np.ndarray):
             scans = 0
@@ -592,10 +595,14 @@ class TestSameEdges:
         info = Simulation(schema).schema.edge_type("E")
         b0 = 1 << 56
         for targets, ordered, reports in (([0, 1, 5], True, 0), ([0, 1, b0], True, 1),
-                                          ([b0, 1, 0], False, 1)):
+                                          ([b0, 1, 0], False, 1), ([5, 1, 0], False, 0)):
+            shard = ListShard(info)
+            shard.extend(np.array(targets, dtype=np.uint64))
+            chunks = [c if c.targets is None else c._replace(targets=c.targets.view(Counted))
+                      for c in shard.seal()]
+            assert (chunks[0].index is not None) == ordered
             sink = ViolationSink("warn", 0)
-            arr = np.array(targets, dtype=np.uint64).view(Counted)
             Counted.scans = 0
-            edge_breaches(info, sink, True, arr, ordered=ordered)
+            check_single_type(info, [chunks], sink)
             assert Counted.scans == (0 if ordered else 2)
-            assert len(sink.reports) == reports
+            assert [v.target for v in sink.reports] == [b0] * reports
