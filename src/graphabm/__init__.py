@@ -11,7 +11,7 @@ processes; results are bit-identical for any worker count.
 
 from __future__ import annotations
 
-from .checks import CheckConfig, Violation
+from .checks import Violation
 from .engine import TransitionSpec, apply_transition, finalize_step, run
 from .errors import (
     ContractViolation,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentBatch",
     "AgentTypeDecl",
-    "CheckConfig",
     "ContractViolation",
     "DuplicateName",
     "DuplicateRasterName",

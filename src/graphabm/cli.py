@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, fields
 from statistics import median
 
+from .checks import MODES
 from .errors import ContractViolation, EngineError
 from .models import episim, hk
 from .models.topology import Cliques, Complete, Regular
@@ -109,8 +110,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("steps must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if cfg.checks not in ("on", "off", "warn"):
-        raise ConfigError(f"unknown checks mode {cfg.checks!r}")
+    if cfg.checks not in MODES:
+        raise ConfigError(f"unknown checks mode {cfg.checks!r}; expected one of {MODES}")
     return cfg
 
 
@@ -356,7 +357,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--model", choices=("hk", "episim"), default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--checks", choices=("on", "off", "warn"), default=None)
+    p.add_argument("--checks", choices=MODES, default=None)
     p.add_argument("--hints", choices=("on", "off"), default=None,
                    help="declare model edge types with storage hints")
     p.add_argument("--topology", choices=("complete", "regular", "clique"), default=None)

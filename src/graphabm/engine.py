@@ -64,9 +64,9 @@ the plans that read them stay valid. Results are the same as a rebuild's,
 since a list plan's container is a function of its chunk lists.
 EXISTENCE_BIT and SINGLE_FULL_EDGE merges report SINGLE_EDGE breaches,
 and a keep_existing merge reads the old container, so those always run.
-A kept merge never hides a SINGLE_TYPE breach: a merge that reported one
-is not kept, and one kept with checks off is not reused with checks on.
-``sim.step_metrics`` counts the merges reused per step.
+A kept merge hides no SINGLE_TYPE breach: every merge, a reused one too,
+checks every worker's list, kept or fresh, under the checks setting of
+its transition. ``sim.step_metrics`` counts the merges reused per step.
 
 The merge is also where the edge contracts are checked, over every
 worker's chunk lists (see :mod:`graphabm.storage`); the view and the
@@ -88,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import ViolationSink
+from .checks import merge_sink
 from .errors import TypeNotWritable, UsageError
 from .ids import agent_id, slot_ids
 from .schema import AgentTypeInfo, EdgePlan
@@ -151,8 +151,7 @@ class RuntimeSpec:
 
     __slots__ = (
         "spec", "callable_tags", "readable_edges", "readable_agent_tags",
-        "all_agents_readable", "written_agent", "written_edge", "reusable",
-        "checked", "mode", "globals",
+        "all_agents_readable", "written_agent", "written_edge", "reusable", "globals",
     )
 
     def __init__(self, sim: Simulation, spec: TransitionSpec):
@@ -209,21 +208,17 @@ class RuntimeSpec:
                 "a batch transition writes edge types and agent types it calls "
                 "only, and no keep_existing"
             )
-
-        self.checked = sim.checks.enabled
-        self.mode = sim.checks.mode
         self.globals = None  # snapshot installed per call by runtime_spec
 
 
 def runtime_spec(sim: Simulation, spec: TransitionSpec, glob) -> RuntimeSpec:
     """``spec`` resolved against ``sim`` with the globals ``glob``
-    installed. The resolution is made once per ``(spec, sim.checks)`` and
-    kept on the simulation; a spec that fails to resolve is not kept, so
-    it raises on every call."""
-    key = (spec, sim.checks)
-    rt = sim._specs.get(key)
+    installed. The resolution is made once per spec, whatever
+    ``sim.checks`` says, and kept on the simulation; a spec that fails to
+    resolve is not kept, so it raises on every call."""
+    rt = sim._specs.get(spec)
     if rt is None:
-        rt = sim._specs[key] = RuntimeSpec(sim, spec)
+        rt = sim._specs[spec] = RuntimeSpec(sim, spec)
     rt.globals = glob
     return rt
 
@@ -234,8 +229,7 @@ _NOT_REUSED = (EdgePlan.EXISTENCE_BIT, EdgePlan.SINGLE_FULL_EDGE)
 
 class KeptMerge(NamedTuple):
     """An edge type's last committed merge: each worker's chunk list, in
-    worker order, the container built from them, and whether the checks
-    were on (``checked``).
+    worker order, and the container built from them.
 
     Every process keeps one per edge type written without keep_existing in
     a list plan (``RuntimeSpec.reusable``), from the same payloads, so all
@@ -246,14 +240,12 @@ class KeptMerge(NamedTuple):
     container is a function of the chunk lists alone: a kept list holds
     no provisional id, since the merge that kept it rewrote them, and its
     endpoints were checked then, and an allocated slot stays allocated.
-    A merge that reported a breach is not kept, and a worker compares its
-    chunks with a kept list only when ``checked`` or the checks are off,
-    so a reused merge hides no SINGLE_TYPE breach.
+    Only the SINGLE_TYPE test reruns on a kept list, in every merge that
+    takes it, so a reused merge reports what a rebuild would.
     """
 
     chunks: list
     container: object
-    checked: bool
 
 
 @dataclass
@@ -282,7 +274,7 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
     writers = {}
     for etag in rt.written_edge:
         info = schema.edge_types[etag]
-        writers[info.name] = (step_shard(info, rt.checked), info)
+        writers[info.name] = (step_shard(info, sim.checks != "off"), info)
     args = (sim.params, rt.globals)
     tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
     if shuffle is not None:
@@ -369,8 +361,8 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
     for shard, info in writers.values():
         chunks = shard.seal()  # casts per-edge states here, before they ship
         kept = sim._kept.get(info.tag) if info.tag in rt.reusable else None
-        same = (kept is not None and (kept.checked or not rt.checked)
-                and len(kept.chunks) == nworkers and same_edges(chunks, kept.chunks[worker]))
+        same = (kept is not None and len(kept.chunks) == nworkers
+                and same_edges(chunks, kept.chunks[worker]))
         edges[info.tag] = None if same else chunks  # None: the kept chunk list
     return {"agents": agents, "births": births, "edges": edges}
 
@@ -494,7 +486,7 @@ def _agent_tasks(sim, rt, partition, worker, nworkers):
 
 def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
     schema = sim.schema
-    sink = ViolationSink(rt.mode, sim.step) if rt.checked else None
+    sink = merge_sink(sim.checks, sim.step)
     reports = [] if sink is None else sink.reports
 
     staged_segments = {}
@@ -546,23 +538,21 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
         info = schema.edge_types[etag]
         lists = [p["edges"][etag] for p in payloads]  # one chunk list per worker
         fresh = [chunks for chunks in lists if chunks is not None]
-        reported = len(reports)
+        lists = [sim._kept[etag].chunks[w] if chunks is None else chunks
+                 for w, chunks in enumerate(lists)]
+        if provisional:
+            rewrite_ids(fresh, old_ids, new_ids)
+        check_single_type(info, lists, sink)
         if fresh:
-            if len(fresh) < len(lists):  # the kept lists were checked clean
-                lists = [sim._kept[etag].chunks[w] if chunks is None else chunks
-                         for w, chunks in enumerate(lists)]
-            if provisional:
-                rewrite_ids(fresh, old_ids, new_ids)
-            check_single_type(info, fresh, sink)
             validate_endpoints(info, fresh, lambda ids: sim._lookup(ids, segments=segments))
             container = build_read_container(
                 info, lists, sim._edges[etag] if kept else None, sink)
         else:  # every worker's chunk list is its kept one
-            lists, container = sim._kept[etag].chunks, sim._kept[etag].container
+            container = sim._kept[etag].container
             reused += 1
         staged_edges[etag] = container
-        if etag in rt.reusable and len(reports) == reported:
-            merges[etag] = KeptMerge(lists, container, rt.checked)
+        if etag in rt.reusable:
+            merges[etag] = KeptMerge(lists, container)
 
     sim._staged = StagedCommit(
         segments=staged_segments,
@@ -618,9 +608,9 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
     up, they merge and commit every transition's payloads on their copy of
     the graph as the caller does, whether or not they ran it; if a
     transition fails after they were sent anything for it, they are ended.
-    ``spec`` is resolved against the schema once per ``(spec,
-    sim.checks)`` and kept on the simulation, on the control and on every
-    worker alike (:func:`runtime_spec`).
+    ``spec`` is resolved against the schema once and kept on the
+    simulation, on the control and on every worker alike
+    (:func:`runtime_spec`).
     """
     if sim._staged is not None:
         raise UsageError("previous transition not finalized")
@@ -655,7 +645,7 @@ def apply_transition(sim: Simulation, fn, spec: TransitionSpec, *,
         if resident is not None and pool is not resident:
             from .parallel import commit_message
 
-            commit = commit_message(spec, payloads)
+            commit = commit_message(sim, spec, payloads)
         _merge_and_stage(sim, rt, payloads)
         if commit is not None:
             resident.broadcast(commit)

@@ -8,13 +8,14 @@ The fork hands every worker the simulation, the program's transitions and
 the partition, so none of them crosses a pipe.
 
 Per transition there is one exchange of payloads. The control sends
-each worker the transition's index in the program, the globals and, for a
-shuffled transition, one seed per worker. Every worker runs the
-transition over its own agents against its copy of the time-t state
-(which doubles as the ghost copies of remote agents) and sends back its
-payload: the states its agents returned, the agents they created and,
-per edge type written, its write shard sealed into a list of chunks (the
-shard object never leaves its worker). The control runs worker 0's share
+each worker the transition's index in the program, the globals, for a
+shuffled transition one seed per worker, and ``sim.checks``, which the
+worker takes as its own. Every worker runs the transition over its own
+agents against its copy of the time-t state (which doubles as the ghost
+copies of remote agents) and sends back its payload: the states its
+agents returned, the agents they created and, per edge type written, its
+write shard sealed into a list of chunks (the shard object never leaves
+its worker). The control runs worker 0's share
 meanwhile, then forwards to each worker of the run's pool the other workers'
 payloads, as the bytes it received (its own pickled once). Every process
 then merges the same payloads in worker order and commits the result
@@ -409,9 +410,10 @@ def fork_payloads(pool: WorkerPool, index: int, rt, shuffle=None) -> list:
     """Run the pool's transition ``index`` on every worker: payloads in
     worker order.
 
-    The control sends the index, the globals and, with ``shuffle`` (a numpy
-    Generator), one seed drawn from it per worker, by which each worker
-    shuffles its own agents; the functions were inherited by the fork.
+    The control sends the index, the globals, with ``shuffle`` (a numpy
+    Generator) one seed drawn from it per worker, by which each worker
+    shuffles its own agents, and ``sim.checks``, which each worker takes
+    as its own; the functions were inherited by the fork.
     Worker 0 runs on the control process meanwhile. When ``pool`` is the
     run's, each worker is then sent the other workers' payloads, in worker
     order and as the bytes they arrived in, to merge on its replica; a
@@ -422,7 +424,8 @@ def fork_payloads(pool: WorkerPool, index: int, rt, shuffle=None) -> list:
     """
     seeds = None if shuffle is None else shuffle.integers(2**63, size=pool.workers).tolist()
     try:
-        blob = pickle.dumps(("run", index, dict(rt.globals), seeds), pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(("run", index, dict(rt.globals), seeds, pool.sim.checks),
+                            pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # only the globals come from the model
         raise UsageError(f"globals must pickle to reach the workers: {exc}") from exc
     pool.busy = True
@@ -442,15 +445,16 @@ def fork_payloads(pool: WorkerPool, index: int, rt, shuffle=None) -> list:
     return [own] + [payload for _, payload in replies]
 
 
-def commit_message(spec, payloads: list) -> bytes:
+def commit_message(sim, spec, payloads: list) -> bytes:
     """What makes the run's workers merge and commit the ``payloads`` of a
-    transition ``spec`` that ran without them: the spec's fields and the
-    payloads, pickled once for every worker. A ``None`` chunk list in them
-    stands for the kept one, which every worker holds as the control
+    transition ``spec`` that ran without them: the spec's fields, the
+    payloads and ``sim.checks``, pickled once for every worker. A ``None``
+    chunk list in them stands for the kept one, which every worker holds as the control
     does. Build it before the control's merge, which rewrites the payloads
     in place, and send it with :meth:`WorkerPool.broadcast` once that
     merge has succeeded."""
-    return pickle.dumps(("commit", astuple(spec), payloads), pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(("commit", astuple(spec), payloads, sim.checks),
+                        pickle.HIGHEST_PROTOCOL)
 
 
 def _shuffle(seeds, worker: int):
@@ -461,9 +465,10 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
     """A worker's loop until the control closes the pipe: run a transition
     over its agents and send the payload, then merge and commit the
     transition from every worker's payload; or merge and commit a
-    transition the control ran alone. Either commit updates the worker's
-    kept merges as the control's, so both compare chunk lists alike. On an
-    error, send it and leave."""
+    transition the control ran alone. Either message carries the control's
+    ``sim.checks``, which the worker takes, so its shards record and its
+    merge checks what the control's do, and either commit updates its kept
+    merges as the control's. On an error, send it and leave."""
     for other in inherited:  # the control's pipe ends, copied by the fork
         other.close()
     sim._pool = None
@@ -474,7 +479,7 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
             except EOFError:
                 return
             if message[0] == "run":
-                _, index, glob, seeds = message
+                _, index, glob, seeds, sim.checks = message
                 fn, spec = items[index]
                 rt = engine.runtime_spec(sim, spec, FrozenMapping(glob))
                 sim._in_transition = True
@@ -487,7 +492,7 @@ def _worker_main(conn, inherited, sim, items, partition, worker, nworkers):
                     return  # a one-off pool: the control commits alone
                 payloads = others[:worker] + [own] + others[worker:]
             else:
-                _, fields, payloads = message
+                _, fields, payloads, sim.checks = message
                 rt = engine.runtime_spec(sim, engine.TransitionSpec(*fields), None)
             engine._merge_and_stage(sim, rt, payloads)
             engine.finalize_step(sim)

@@ -19,7 +19,7 @@ import hashlib
 import numpy as np
 
 from . import global_layer
-from .checks import CheckConfig, ViolationSink
+from .checks import merge_sink, validate_mode
 from .errors import (
     MidStepMutation,
     ParamFrozen,
@@ -42,13 +42,11 @@ class Simulation:
     """Mutable simulation state for one model run."""
 
     def __init__(self, schema: Schema, *, seed: int = 0, params: dict | None = None,
-                 checks: CheckConfig | str = "on"):
+                 checks: str = "on"):
         schema.freeze()
         self.schema = schema
         self.seed = int(seed) & (2**64 - 1)
-        self.checks = (
-            CheckConfig.from_name(checks) if isinstance(checks, str) else checks
-        )
+        self.checks = validate_mode(checks)  # one of checks.MODES
         self._params: dict = dict(params or {})
         self._params_frozen = False
         self._globals: dict = {}
@@ -64,7 +62,7 @@ class Simulation:
         self._staged = None
         self._pool = None  # the resident worker pool while engine.run steps
         self._plans: dict = {}  # TransitionSpec -> engine.ReadPlan of its batch reads
-        self._specs: dict = {}  # (TransitionSpec, CheckConfig) -> engine.RuntimeSpec
+        self._specs: dict = {}  # TransitionSpec -> engine.RuntimeSpec
         self._kept: dict = {}  # edge tag -> engine.KeptMerge, its last merge
         self.step = 0
         self.check_reports: list = []
@@ -188,7 +186,7 @@ class Simulation:
             return
         if self._in_transition:
             raise UsageError("cannot commit during a transition")
-        sink = ViolationSink(self.checks.mode, step=0) if self.checks.enabled else None
+        sink = merge_sink(self.checks, step=0)
         for info in self.schema.edge_types:
             chunks = [self._init_shards[info.tag].seal()]
             check_single_type(info, chunks, sink)

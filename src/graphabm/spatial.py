@@ -32,16 +32,13 @@ class RasterMap:
                 f"index {index} has {len(index)} coordinates; raster "
                 f"{self.name!r} has {len(self.dims)} dimensions"
             )
-        flat = 0
-        for coord, extent in zip(index, self.dims):
-            if periodic:
-                coord %= extent
-            elif coord < 0 or coord >= extent:
-                raise IndexOutOfBounds(
-                    f"index {index} outside raster {self.name!r} dims {self.dims}"
-                )
-            flat = flat * extent + coord
-        return flat
+        try:
+            return int(np.ravel_multi_index(index, self.dims,
+                                             mode="wrap" if periodic else "raise"))
+        except ValueError:
+            raise IndexOutOfBounds(
+                f"index {index} outside raster {self.name!r} dims {self.dims}"
+            ) from None
 
     def cell_id(self, index: tuple[int, ...], periodic: bool = False) -> int:
         """Agent id of the cell at a Cartesian index."""
@@ -101,31 +98,17 @@ def neighbor_pairs(dims, topology: str, periodic: bool):
     same neighbor; each ordered pair appears once. Self-pairs are excluded.
     """
     dims = tuple(dims)
-    offsets = _neighbor_offsets(len(dims), topology)
-    pairs = set()
-    for index in itertools.product(*[range(d) for d in dims]):
-        flat = 0
-        for coord, extent in zip(index, dims):
-            flat = flat * extent + coord
-        for off in offsets:
-            neighbor = []
-            ok = True
-            for coord, delta, extent in zip(index, off, dims):
-                c = coord + delta
-                if periodic:
-                    c %= extent
-                elif c < 0 or c >= extent:
-                    ok = False
-                    break
-                neighbor.append(c)
-            if not ok:
-                continue
-            nflat = 0
-            for coord, extent in zip(neighbor, dims):
-                nflat = nflat * extent + coord
-            if nflat != flat:
-                pairs.add((flat, nflat))
-    return sorted(pairs)
+    cells = np.indices(dims).reshape(len(dims), -1)  # coordinates, row-major
+    flat = np.arange(cells.shape[1])
+    extents = np.array(dims)[:, None]
+    pairs = []
+    for off in _neighbor_offsets(len(dims), topology):
+        coords = cells + np.array(off)[:, None]
+        inside = ((coords >= 0) & (coords < extents)).all(axis=0) | periodic
+        nflat = np.ravel_multi_index(coords[:, inside], dims, mode="wrap")
+        pairs.append(np.stack([flat[inside], nflat], axis=1))
+    pairs = np.unique(np.concatenate(pairs), axis=0)
+    return [tuple(p) for p in pairs[pairs[:, 0] != pairs[:, 1]].tolist()]
 
 
 def connect_raster_neighbors(sim, raster: RasterMap, edge_type: str,

@@ -10,13 +10,13 @@ import pytest
 import graphabm
 from graphabm import (
     AgentTypeDecl,
-    CheckConfig,
     ContractViolation,
     EdgeTypeDecl,
     Hint,
     Schema,
     Simulation,
     TransitionSpec,
+    UsageError,
     agent_id,
     apply_transition,
     finalize_step,
@@ -198,12 +198,20 @@ class TestChecksNeutrality:
         warn = hk_run(cfg, 6, checks="warn", collect_metrics=False)
         assert on.checksum == off.checksum == warn.checksum
 
-    def test_from_name(self):
-        assert CheckConfig.from_name("on").enabled
-        assert not CheckConfig.from_name("off").enabled
-        assert CheckConfig.from_name("warn").mode == "warn"
-        with pytest.raises(ValueError):
-            CheckConfig.from_name("sometimes")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_unknown_mode_raises(self, workers):
+        """A misspelled mode is refused by the simulation, and by the next
+        merge when it is set later, which leaves nothing staged."""
+        with pytest.raises(UsageError, match="'on', 'off', 'warn'"):
+            checked_sim("erorr")
+        sim, _, _ = checked_sim("on")
+        sim.commit_initial()
+        sim.checks = "erorr"
+        with pytest.raises(UsageError, match="unknown checks mode 'erorr'"):
+            apply_transition(sim, lambda v, p, g: None,
+                             TransitionSpec(callable_types=("A",), write_types=("E",)),
+                             workers=workers)
+        assert sim._staged is None
 
 
 class TestCheckSites:
@@ -461,12 +469,12 @@ class TestKeptMergesHideNoBreach:
         run(sim, 3, [(self.emit, self.SPEC)], workers=workers)
         assert self.per_step(sim) == {0: once, 1: once, 2: once}
 
-        sim.checks = CheckConfig(enabled=False)
+        sim.checks = "off"
         run(sim, 2, [(self.emit, self.SPEC)], workers=workers)
         assert len(sim.check_reports) == 9
         assert sim.step_metrics[-1]["merges_reused"] == 1
 
-        sim.checks = CheckConfig(mode="warn")
+        sim.checks = "warn"
         run(sim, 2, [(self.emit, self.SPEC)], workers=workers)
         assert self.per_step(sim) == {0: once, 1: once, 2: once, 5: once, 6: once}
 
@@ -475,7 +483,101 @@ class TestKeptMergesHideNoBreach:
         sim = self.sim("off")
         run(sim, 2, [(self.emit, self.SPEC)], workers=workers)
         assert sim.step_metrics[-1]["merges_reused"] == 1
-        sim.checks = CheckConfig()
+        sim.checks = "on"
         with pytest.raises(ContractViolation, match="wrong type"):
             run(sim, 1, [(self.emit, self.SPEC)], workers=workers)
         assert sim._staged is None and sim.step == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_reused_merge_reports_again(self, workers):
+        """A warn-mode merge that reported is kept, and each step that
+        reuses it reports the same breaches again."""
+        once = [("single_type", agent_id(1, s % 2), s) for s in range(3)]
+        sim = self.sim("warn")
+        run(sim, 4, [(self.emit, self.SPEC)], workers=workers)
+        assert [m["merges_reused"] for m in sim.step_metrics] == [0, 1, 1, 1]
+        assert self.per_step(sim) == {step: once for step in range(4)}
+
+
+class TestChecksSettingMidRun:
+    """``sim.checks`` set by a program callable during a run reaches every
+    worker: the reports, the checksum and the reused merges are those of
+    one worker, at any worker count."""
+
+    N_A = 5
+
+    @staticmethod
+    def emit(view, params, g):
+        s = local_index(view.agent_id)
+        for name in ("L", "C"):
+            view.add_edge(name, agent_id(1, s % 2))  # to a B agent: the wrong type
+            view.add_edge(name, agent_id(0, (s + 1) % TestChecksSettingMidRun.N_A))
+
+    SPEC = TransitionSpec(callable_types=("A",), write_types=("L", "C"))
+
+    def sim(self):
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("A", (), immortal=True))
+        schema.register_agent_type(AgentTypeDecl("B", (), immortal=True))
+        for name, hints in (("L", Hint.STATELESS),  # SOURCE_ONLY_LIST
+                            ("C", Hint.STATELESS | Hint.IGNORE_FROM)):  # COUNT_ONLY
+            schema.register_edge_type(EdgeTypeDecl(name, hints=hints | Hint.SINGLE_TYPE,
+                                                   single_type_target="A"))
+        sim = Simulation(schema, checks="off")
+        sim.add_agents("A", self.N_A)
+        sim.add_agents("B", 2)
+        return sim
+
+    def outcome(self, modes, workers):
+        def switch(sim):
+            sim.checks = modes[sim.step]
+
+        sim = self.sim()
+        run(sim, len(modes), [switch, (self.emit, self.SPEC)], workers=workers)
+        return ([(v.kind, v.edge_type, v.target, v.producer, v.step, v.message)
+                 for v in sim.check_reports],
+                sim.state_checksum(), [m["merges_reused"] for m in sim.step_metrics])
+
+    def test_off_warn_off_gives_one_outcome(self):
+        modes = ["off", "off", "warn", "warn", "off", "off"]
+        found = {w: self.outcome(modes, w) for w in (1, 2, 3)}
+        assert found[2] == found[1] and found[3] == found[1]
+        reports, _, reused = found[1]
+        assert reports == [("single_type", name, agent_id(1, s % 2), agent_id(0, s), step, WRONG)
+                           for step in (2, 3) for name in ("L", "C") for s in range(self.N_A)]
+        # COUNT_ONLY records producers only with the checks on, so its
+        # merge is rebuilt at each switch; the list plan's is reused
+        assert reused == [0, 2, 1, 2, 1, 2]
+
+    def test_a_switch_to_on_raises_one_message(self):
+        messages = set()
+        for workers in (1, 2, 3):
+            sim = self.sim()
+            with pytest.raises(ContractViolation) as caught:
+                run(sim, 3, [lambda sim: setattr(sim, "checks", ("off", "on")[sim.step > 0]),
+                             (self.emit, self.SPEC)], workers=workers)
+            assert sim._staged is None and sim.step == 1
+            messages.add(str(caught.value))
+        assert len(messages) == 1 and messages.pop().startswith(WRONG)
+
+    def test_a_commit_made_on_the_control_alone_carries_the_setting(self):
+        """The run's workers merge a transition that a program callable
+        applies alone under the setting it was applied with, not the one
+        of their last run request."""
+        def clean(view, params, g):
+            pass
+
+        def alone(sim):
+            sim.checks = "warn"
+            apply_transition(sim, self.emit, self.SPEC)
+            finalize_step(sim)
+            sim.checks = "on"
+
+        found = []
+        for workers in (1, 2):
+            sim = self.sim()
+            sim.checks = "on"
+            run(sim, 2, [(clean, self.SPEC), alone], workers=workers)
+            found.append(([(v.edge_type, v.target, v.producer, v.step) for v in sim.check_reports],
+                          sim.state_checksum()))
+        assert found[1] == found[0] and len(found[0][0]) == 4 * self.N_A

@@ -115,6 +115,14 @@ class TestConfigFile:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_unknown_checks_mode_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("checks = erorr\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--checks", "erorr"])
+        assert exited.value.code == 2
+
 
 class TestExitCodes:
     def test_zero_steps_config_error(self, tmp_path):

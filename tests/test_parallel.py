@@ -768,6 +768,8 @@ class TestPoolOracle:
             message = PlainUnpickler(io.BytesIO(blob)).load()
             walk(message)
             kinds.append(message[0])
+            if message[0] == "run":  # the control's checks setting, as its name
+                assert type(message[-1]) is str and message[-1] == sim.checks
         # per step and pool transition a run request, a payload each way; and a commit
         assert sorted(kinds) == sorted(["run", "ok", "ok"] * 4 + ["commit"] * 2)
 
