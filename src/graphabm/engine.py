@@ -40,15 +40,18 @@ simulation once a container it read is freed. A shuffled call plans each
 one-agent chunk as it runs and keeps no plan.
 
 One driver runs both forms: a worker walks its task list once, calls a
-batch ``fn`` per chunk and a per-agent ``fn`` per agent, checks and casts
-what the calls return the same way, and ships the states of the agents
-they re-added, per type, and the agents they created with their producers,
-beside its sealed edge write shards. Every call sees only time-t data and writes
-are merged by producing-agent id: newborns take their ids at the merge, in
-producer order, and edges to or from them are rewritten to those ids. So
-the outcome does not depend on the form, the chunking, the order in which
-agents run or the worker count, as long as each agent's values, edges and
-draws are computed from its own data.
+batch ``fn`` per chunk and a per-agent ``fn`` per agent, and passes what
+the calls return, and the states of the agents they created, through the
+one write contract (:func:`~graphabm.storage.cast_columns`, after
+:func:`~graphabm.schema.state_row` for each per-agent state). It ships
+the states of the agents they re-added, per type, and the agents they
+created with their producers, beside its sealed edge write shards.
+Every call sees only time-t data and writes are merged by producing-agent
+id: newborns take their ids at the merge, in producer order, and edges to
+or from them are rewritten to those ids. So the outcome does not depend
+on the form, the chunking, the order in which agents run or the worker
+count, as long as each agent's values, edges and draws are computed from
+its own data.
 
 A worker's payload holds each edge type it wrote as its write shard's
 sealed chunk list (:meth:`~graphabm.storage.ListShard.seal`); the shard
@@ -335,19 +338,7 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                     f"agent type {info.name!r} is retained (keep_existing); "
                     "its function must return None"
                 )
-            if len(cols) != len(info.field_names):
-                raise UsageError(
-                    f"agent type {info.name!r} takes {len(info.field_names)} "
-                    f"state fields, got {len(cols)}"
-                )
-            arrays = cast_columns(info, cols)
-            for name, arr in zip(info.field_names, arrays):
-                if arr.shape != done.shape:
-                    raise UsageError(
-                        f"field {name!r} of agent type {info.name!r}: expected "
-                        f"{done.size} values, got an array of shape {arr.shape}"
-                    )
-            returned.setdefault(tag, []).append((done, arrays))
+            returned.setdefault(tag, []).append((done, cast_columns(info, cols, done.size)))
 
     agents = {}
     for tag, runs in returned.items():
@@ -356,7 +347,7 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
     births = {}
     for tag, (ids, producers, states) in ({} if batch else view._births).items():
         births[tag] = (np.array(ids, dtype=np.uint64), np.array(producers, dtype=np.uint64),
-                       cast_columns(schema.agent_types[tag], list(zip(*states))))
+                       cast_columns(schema.agent_types[tag], list(zip(*states)), len(ids)))
     edges = {}
     for shard, info in writers.values():
         chunks = shard.seal()  # casts per-edge states here, before they ship
@@ -506,7 +497,9 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
             if tag in p["agents"]:
                 slots, columns = p["agents"][tag]
                 n_returned += slots.size
-                _write_agents(info, seg, slots, columns)
+                seg.write(slots, columns)
+                if seg.alive is not None:
+                    seg.alive[slots] = True
         if info.immortal and not kept and tag in rt.callable_tags:
             if n_returned != old.n_alive:
                 raise UsageError(
@@ -516,7 +509,7 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
 
         births = [p["births"][tag] for p in payloads if tag in p["births"]]
         if births:
-            ids, slots = _place_births(info, seg, births)
+            ids, slots = _place_births(seg, births)
             provisional.append(ids)
             final.append(slot_ids(tag, slots))
 
@@ -564,27 +557,18 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
     )
 
 
-def _write_agents(info: AgentTypeInfo, seg: AgentSegment, slots, columns) -> None:
-    """Write agents' state columns into ``slots`` of ``seg`` and mark them
-    alive."""
-    for name, values in zip(info.field_names, columns):
-        seg.fields[name][slots] = values
-    if seg.alive is not None:
-        seg.alive[slots] = True
-
-
-def _place_births(info: AgentTypeInfo, seg: AgentSegment, births: list):
+def _place_births(seg: AgentSegment, births: list):
     """Give the newborns of a type slots in ``seg``. ``births`` holds each
     worker's ``(provisional ids, producers, columns)``, in worker order; a
     producer runs once, on one worker, so a stable sort by producer orders
     them by producing agent and each producer's in call order. In that
-    order each takes a slot as :meth:`AgentSegment.allocate` gives it:
-    the free list's last, else a fresh one. Returns their provisional ids
-    and their slots, aligned."""
+    order they take the slots :meth:`AgentSegment.place` gives: the free
+    list's, last freed first, then fresh ones. Returns their provisional
+    ids and their slots, aligned."""
     ids, producers, columns = zip(*births)
     order = np.argsort(np.concatenate(producers), kind="stable")
-    slots = np.array([seg.allocate() for _ in range(order.size)], dtype=np.int64)
-    _write_agents(info, seg, slots, [np.concatenate(c)[order] for c in zip(*columns)])
+    slots = seg.place(order.size)
+    seg.write(slots, [np.concatenate(c)[order] for c in zip(*columns)])
     return np.concatenate(ids)[order], slots
 
 

@@ -188,6 +188,7 @@ class EdgeTypeDecl:
 
 @dataclass(frozen=True)
 class AgentTypeInfo:
+    kind = "agent"  # how errors name the type
     decl: AgentTypeDecl
     tag: int
     field_names: tuple[str, ...]
@@ -204,6 +205,7 @@ class AgentTypeInfo:
 
 @dataclass(frozen=True)
 class EdgeTypeInfo:
+    kind = "edge"  # how errors name the type
     decl: EdgeTypeDecl
     tag: int
     plan: EdgePlan
@@ -229,15 +231,26 @@ class EdgeTypeInfo:
         """One edge's ``state`` as this type keeps it until its write shard
         casts it: a tuple of the layout's arity, or None when no state is
         kept."""
-        if not self.has_state:
-            return None
-        st = tuple(state)
-        if len(st) != len(self.field_names):
-            raise UsageError(
-                f"edge type {self.name!r} takes {len(self.field_names)} "
-                f"state fields, got {len(st)}"
-            )
-        return st
+        return state_row(self, state) if self.has_state else None
+
+
+def state_row(info: AgentTypeInfo | EdgeTypeInfo, state) -> tuple:
+    """One agent's or one edge's ``state`` as a tuple of its type's arity,
+    the check of every per-agent and per-edge write; anything else raises
+    :class:`UsageError` naming the type."""
+    try:
+        row = tuple(state)
+    except TypeError:
+        raise UsageError(
+            f"{info.kind} type {info.name!r}: expected a state tuple, "
+            f"got {type(state).__name__}"
+        ) from None
+    if len(row) != len(info.field_names):
+        raise UsageError(
+            f"{info.kind} type {info.name!r} takes {len(info.field_names)} "
+            f"state fields, got {len(row)}"
+        )
+    return row
 
 
 class Schema:

@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .ids import agent_id, local_index, slot_ids, split_by_tag, type_tag
-from .schema import Schema
+from .schema import Schema, state_row
 from .storage import (
     AgentSegment,
     ListShard,
@@ -85,17 +85,11 @@ class Simulation:
         """Create an agent during initialization; returns its id."""
         self._require_init_phase()
         info = self.schema.agent_type(type_name)
-        if len(state) != len(info.field_names):
-            raise UsageError(
-                f"agent type {type_name!r} takes {len(info.field_names)} "
-                f"state fields, got {len(state)}"
-            )
-        columns = cast_columns(info, [(value,) for value in state])
+        columns = cast_columns(info, [(value,) for value in state_row(info, state)], 1)
         seg = self._segments[info.tag]
-        slot = seg.allocate()
-        for arr, column in zip(seg.fields.values(), columns):
-            arr[slot] = column[0]
-        return agent_id(info.tag, slot)
+        slots = seg.place(1)
+        seg.write(slots, columns)
+        return agent_id(info.tag, int(slots[0]))
 
     def add_agents(self, type_name: str, n: int, fields: dict | None = None) -> np.ndarray:
         """Bulk-create ``n`` agents; returns their ids as a uint64 array.
@@ -105,25 +99,19 @@ class Simulation:
         """
         self._require_init_phase()
         info = self.schema.agent_type(type_name)
+        if n < 0:
+            raise UsageError(f"agent type {type_name!r}: cannot add {n} agents")
         fields = fields or {}
         if set(fields) != set(info.field_names):
             raise UsageError(
                 f"agent type {type_name!r} requires exactly fields "
                 f"{list(info.field_names)}"
             )
-        columns = cast_columns(info, [fields[name] for name in info.field_names])
-        for name, arr in zip(info.field_names, columns):
-            if arr.shape != (n,):
-                raise UsageError(f"field {name!r} must have shape ({n},)")
+        columns = cast_columns(info, [fields[name] for name in info.field_names], n)
         seg = self._segments[info.tag]
-        start = seg.count
-        seg.ensure_capacity(start + n)
-        for name, arr in zip(info.field_names, columns):
-            seg.fields[name][start: start + n] = arr
-        if seg.alive is not None:
-            seg.alive[start: start + n] = True
-        seg.count = start + n
-        return slot_ids(info.tag, np.arange(start, start + n))
+        slots = seg.place(n)
+        seg.write(slots, columns)
+        return slot_ids(info.tag, slots)
 
     def add_edge(self, edge_type: str, target: int, source: int, state: tuple = ()) -> None:
         """Add one edge during initialization (stored under its target)."""
@@ -153,15 +141,13 @@ class Simulation:
             raise UsageError(f"edge type {edge_type!r} stores sources; pass them")
         if info.has_state and states is None:
             raise UsageError(f"edge type {edge_type!r} stores states; pass them")
-        for name, given in (("sources", sources), ("states", states)):
-            if given is not None and len(given) != len(targets):
-                raise UsageError(
-                    f"edge type {edge_type!r}: {len(given)} {name} for "
-                    f"{len(targets)} targets"
-                )
+        if sources is not None and len(sources) != len(targets):
+            raise UsageError(
+                f"edge type {edge_type!r}: {len(sources)} sources for {len(targets)} targets"
+            )
         columns = None
         if info.has_state:
-            rows = [info.stored_state(st) for st in states]
+            rows = [state_row(info, st) for st in states]
             columns = list(zip(*rows)) or [()] * len(info.field_names)
         self._init_shards[info.tag].extend(targets, sources, columns)
 
@@ -171,7 +157,8 @@ class Simulation:
         Returns a callable ``add(target, source, state=None, producer=0)``,
         the shard's add, which appends only the columns the storage plan
         keeps (an EXISTENCE_BIT type keeps targets, whose bits are set at
-        commit). The contracts are checked at commit, as for every add.
+        commit). The contracts, and the states' arity and casts, are
+        checked at commit, as for every add.
         """
         self._require_init_phase()
         return self._init_shards[self.schema.edge_type(edge_type).tag].add
@@ -187,11 +174,13 @@ class Simulation:
         if self._in_transition:
             raise UsageError("cannot commit during a transition")
         sink = merge_sink(self.checks, step=0)
+        edges = []
         for info in self.schema.edge_types:
             chunks = [self._init_shards[info.tag].seal()]
             check_single_type(info, chunks, sink)
             validate_endpoints(info, chunks, self._lookup)
-            self._edges[info.tag] = build_read_container(info, chunks, None, sink)
+            edges.append(build_read_container(info, chunks, None, sink))
+        self._edges = edges
         if sink is not None:
             self.check_reports.extend(sink.reports)
         self._init_shards = None

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateRasterName, IndexOutOfBounds, UsageError
+from .schema import state_row
+
 TOPOLOGIES = ("von_neumann", "moore")
 
 
@@ -64,10 +66,9 @@ def add_raster(sim, name: str, dims, cell_type: str, cell_init=None) -> RasterMa
             f"raster cells must be immortal; declare {cell_type!r} with "
             "immortal=True"
         )
-    ids = np.empty(int(np.prod(dims)), dtype=np.uint64)
-    for flat, index in enumerate(itertools.product(*[range(d) for d in dims])):
-        state = cell_init(index) if cell_init is not None else ()
-        ids[flat] = sim.add_agent(cell_type, *state)
+    rows = [state_row(info, () if cell_init is None else cell_init(index))
+            for index in itertools.product(*[range(d) for d in dims])]
+    ids = sim.add_agents(cell_type, len(rows), dict(zip(info.field_names, zip(*rows))))
     raster = RasterMap(name=name, dims=dims, cell_type=cell_type, ids=ids)
     sim.rasters[name] = raster
     return raster

@@ -21,20 +21,21 @@ uint32 slots and that tag, any others as uint64 ids
 SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
 one presence byte per target slot: its shards hold targets only (and
 producers when the checks are on), and the merge sets their bits.
-A write shard holds its edges as chunks, in call order: a bulk add copies
-each column the plan keeps once, into an owned contiguous numpy array
-(sources in their stored form), except targets given in nondecreasing
-order to a shard that records no producers, of which the chunk keeps
-only their index; per-edge adds go to a tail of ``array.array`` columns,
-which is moved into a chunk and emptied in place before the next bulk
-add and at the merge. A sole indexed chunk becomes the read container as
-it is, so a graph added in one sorted bulk call copies its sources and
-states once and its targets never; every other merge rebuilds indexed
-targets with ``np.repeat``. Every chunk holds its edge states as columns
-of the declared dtypes: a bulk add casts them, and so does moving the
-tail's per-edge tuples into a chunk, with :func:`cast_columns`, the cast
-every agent write path uses too; a value that does not cast raises
-:class:`~graphabm.errors.UsageError`. The
+A write shard holds its edges as chunks, in call order, and every chunk
+is made by one constructor: per-edge adds go to a tail of ``array.array``
+columns, which is moved into a chunk before the next bulk add and at the
+merge, as a bulk add's columns are. The chunk keeps one owned copy of
+each column the plan stores, sources in their stored form and states as
+columns of the declared dtypes, except targets in nondecreasing order in
+a shard that records no producers, of which it keeps only their index. A
+sole indexed chunk becomes the read container as it is, so a graph added
+in one sorted bulk call copies its sources and states once and its
+targets never; every other merge rebuilds indexed targets with
+``np.repeat``. Every write of agent or edge state passes one contract:
+:func:`cast_columns` for columns, :func:`~graphabm.schema.state_row` for
+one agent's or one edge's state, each refusing with
+:class:`~graphabm.errors.UsageError`. Agent slots are taken by
+:meth:`AgentSegment.place` alone. The
 endpoint and SINGLE_TYPE checks of a chunk start from a range test on its
 largest ids (an index gives each type's for free) and look at each
 id only when that test fails.
@@ -90,7 +91,7 @@ from .errors import ContractViolation, IndexOverflow, UsageError
 from .ids import (
     MAX_SLOT, agent_id, as_ids, local_index, slot_ids, slots_of, split_by_tag, type_tag,
 )
-from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo
+from .schema import AgentTypeInfo, EdgePlan, EdgeTypeInfo, state_row
 
 _U64 = np.uint64
 _EMPTY_U64 = np.empty(0, dtype=_U64)
@@ -114,25 +115,30 @@ class EdgeRecord(NamedTuple):
     edge_type: str
 
 
-def cast_columns(info, columns) -> tuple:
+def cast_columns(info, columns, n: int | None = None) -> tuple:
     """``columns``, one sequence of values per declared field of an agent or
-    edge type (its info), as numpy arrays of the declared dtypes.
-
-    A value that does not cast raises :class:`UsageError` naming the type
-    and field, and so does None, which numpy would store as NaN or False.
-    """
-    kind = "agent" if isinstance(info, AgentTypeInfo) else "edge"
+    edge type (its info), as numpy arrays of the declared dtypes. A column
+    count other than the type's, None (which numpy would store as NaN or
+    False), a value that does not cast and, given ``n``, a shape other
+    than ``(n,)`` raise :class:`UsageError` naming the type and field."""
+    count = "none" if columns is None else len(columns)
+    if count != len(info.field_names):
+        raise UsageError(
+            f"{info.kind} type {info.name!r} takes {len(info.field_names)} "
+            f"state fields, got {count}"
+        )
     out = []
     for name, dt, values in zip(info.field_names, info.dtypes, columns):
+        where = f"{info.kind} type {info.name!r}, field {name!r}"
         try:
             if _holds_none(values):
                 raise TypeError("None is not a value")
-            out.append(np.asarray(values, dtype=dt))
+            arr = np.asarray(values, dtype=dt)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(
-                f"{kind} type {info.name!r}, field {name!r}: a value does not "
-                f"cast to {dt}: {exc}"
-            ) from None
+            raise UsageError(f"{where}: a value does not cast to {dt}: {exc}") from None
+        if n is not None and arr.shape != (n,):
+            raise UsageError(f"{where}: expected {n} values, got an array of shape {arr.shape}")
+        out.append(arr)
     return tuple(out)
 
 
@@ -156,50 +162,44 @@ class AgentSegment:
 
     __slots__ = ("count", "fields", "alive", "free", "immortal")
 
-    def __init__(self, info: AgentTypeInfo, capacity: int = 0):
+    def __init__(self, info: AgentTypeInfo):
         self.count = 0
         self.immortal = info.immortal
-        self.fields = {
-            name: np.empty(capacity, dtype=dt)
-            for name, dt in zip(info.field_names, info.dtypes)
-        }
-        self.alive = None if info.immortal else np.zeros(capacity, dtype=bool)
+        self.fields = {name: np.empty(0, dtype=dt)
+                       for name, dt in zip(info.field_names, info.dtypes)}
+        self.alive = None if info.immortal else np.zeros(0, dtype=bool)
         self.free: list[int] = []
 
-    # -- capacity ----------------------------------------------------------
+    # -- placement -----------------------------------------------------------
 
-    def _grow_to(self, capacity: int):
-        for name, arr in self.fields.items():
-            new = np.empty(capacity, dtype=arr.dtype)
-            new[: self.count] = arr[: self.count]
-            self.fields[name] = new
+    def place(self, k: int) -> np.ndarray:
+        """Take ``k`` slots, marked alive: the most recently freed first, as
+        a LIFO free list pops them, then fresh ones. A negative ``k``, or
+        one past ``MAX_SLOT``, raises before anything changes."""
+        if k < 0:
+            raise UsageError(f"cannot place {k} agents")
+        cut = max(len(self.free) - k, 0)
+        start = self.count
+        end = start + k - (len(self.free) - cut)
+        if end > MAX_SLOT:
+            raise IndexOverflow("agent index space exhausted for this agent type")
+        slots = np.concatenate([np.array(self.free[cut:][::-1], dtype=np.int64),
+                                np.arange(start, end, dtype=np.int64)])
+        del self.free[cut:]
+        held = next(iter(self.fields.values()), self.alive)
+        if held is not None and end > held.size:  # grow by doubling
+            cap = max(end, 2 * held.size, 16)
+            self.fields = {name: _grown(arr, start, cap) for name, arr in self.fields.items()}
+            self.alive = None if self.alive is None else _grown(self.alive, start, cap)
+        self.count = end
         if self.alive is not None:
-            new = np.zeros(capacity, dtype=bool)
-            new[: self.count] = self.alive[: self.count]
-            self.alive = new
+            self.alive[slots] = True
+        return slots
 
-    def ensure_capacity(self, n: int):
-        cap = self.count if not self.fields else len(next(iter(self.fields.values())))
-        if self.alive is not None:
-            cap = len(self.alive)
-        if n > cap:
-            self._grow_to(max(n, cap * 2, 16))
-
-    # -- allocation ----------------------------------------------------------
-
-    def allocate(self) -> int:
-        """Take a slot: reuse the most recently freed one, else extend."""
-        if self.free:
-            slot = self.free.pop()
-        else:
-            slot = self.count
-            if slot >= MAX_SLOT:
-                raise IndexOverflow("agent index space exhausted for this agent type")
-            self.ensure_capacity(slot + 1)
-            self.count = slot + 1
-        if self.alive is not None:
-            self.alive[slot] = True
-        return slot
+    def write(self, slots, columns) -> None:
+        """Store :func:`cast_columns`' columns at ``slots``."""
+        for arr, values in zip(self.fields.values(), columns):
+            arr[slots] = values
 
     # -- queries ---------------------------------------------------------------
 
@@ -247,6 +247,13 @@ class AgentSegment:
             seg.alive = buffers["alive"].copy()
         seg.free = buffers["free"].tolist()
         return seg
+
+
+def _grown(arr: np.ndarray, n: int, capacity: int) -> np.ndarray:
+    """A zeroed array of ``capacity`` items that starts with ``arr[:n]``."""
+    new = np.zeros(capacity, dtype=arr.dtype)
+    new[:n] = arr[:n]
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -313,40 +320,31 @@ def _owned_u64(values) -> np.ndarray:
     return np.array(values, dtype=_U64, order="C")
 
 
-def _drain(tail: array.array | None) -> np.ndarray | None:
-    """A copy of a tail column as uint64, emptying the column in place."""
-    if tail is None:
-        return None
-    out = np.frombuffer(tail, dtype=_U64).copy()
-    del tail[:]
-    return out
-
-
 class ListShard:
     """Write shard of every plan: edges as chunks, then a per-edge tail.
 
-    ``extend``, the bulk write path, copies each column it is given once,
-    into an owned contiguous numpy array, and keeps the copies as one
-    :class:`Chunk`: states cast to their dtypes and sources in their
-    stored form (:func:`narrow_sources`), so a bulk add never holds a
-    wider copy of them; nondecreasing targets in a shard that records no
-    producers are kept as their index instead (see ``_INDEX_FLOOR``), so
-    the caller's array is neither copied nor referenced. ``add``, the
-    per-edge write path, appends to the tail: ``array.array`` columns
-    ``targets``, ``sources`` and ``producers`` and a list of state tuples,
-    ``states``. A bulk add, and :meth:`seal`, first move the tail into a
-    chunk, casting its states, and empty it in place, never swapping in a
-    new object, since every adder binds the tail's appends once. So the
-    chunks hold the edges in call order, and the merge takes a sole
+    ``extend``, the bulk write path, keeps its columns as one
+    :class:`Chunk`, made by the one constructor ``_add_chunk``: it copies
+    each column the plan stores once, into an owned contiguous numpy
+    array, states cast by :func:`cast_columns` and sources in their stored
+    form (:func:`narrow_sources`), so a chunk never holds a wider copy of
+    them; nondecreasing targets in a shard that records no producers are
+    kept as their index instead (see ``_INDEX_FLOOR``), so the caller's
+    array is neither copied nor referenced. ``add``, the per-edge write
+    path, appends to the tail: ``array.array`` columns ``targets``,
+    ``sources`` and ``producers`` and a list of state tuples, ``states``.
+    A bulk add, and :meth:`seal`, first move the tail through the same
+    constructor, then empty it in place, never swapping in a new object,
+    since every adder binds the tail's appends once. So the chunks hold
+    the edges in call order, all in one form, and the merge takes a sole
     indexed chunk's index and arrays as its container without copying
     them again.
 
     ``sources`` and ``states`` exist only when the plan stores them, and
     ``producers`` when the caller records producing agents
-    (:func:`~graphabm.engine.step_shard`).
-    ``info`` is the edge type, whose fields casting the tail's states
-    takes. A shard stays in the process that wrote it: what leaves it is
-    :meth:`seal`'s chunk list.
+    (:func:`~graphabm.engine.step_shard`). ``info`` is the edge type,
+    whose fields the casts take. A shard stays in the process that wrote
+    it: what leaves it is :meth:`seal`'s chunk list.
     """
 
     __slots__ = ("info", "targets", "sources", "states", "producers", "chunks", "add")
@@ -380,16 +378,22 @@ class ListShard:
         self.add = add if s or st or p else add_target
 
     def seal(self) -> list[Chunk]:
-        """The shard's chunks, after moving a non-empty tail into one. The
-        tail's states are cast first, so a value that does not cast raises
-        with the tail intact."""
+        """The shard's chunks, after moving a non-empty tail into one as
+        :meth:`extend` adds one. The tail is emptied once the chunk holds
+        its copies, so a state that does not cast raises with it intact."""
         if self.targets:
-            columns = None
+            states = None
             if self.states is not None:
-                columns = cast_columns(self.info, tuple(zip(*self.states)))
-                del self.states[:]
-            self.chunks.append(Chunk(_drain(self.targets), _drain(self.sources),
-                                     columns, _drain(self.producers)))
+                try:
+                    states = tuple(zip(*self.states, strict=True))
+                except (TypeError, ValueError):  # a state of another arity
+                    for state in self.states:
+                        state_row(self.info, state)  # raises at the first
+                    raise
+            self._add_chunk(self.targets, self.sources, states, self.producers)
+            for tail in (self.targets, self.sources, self.states, self.producers):
+                if tail is not None:
+                    del tail[:]
         return self.chunks
 
     def extend(self, targets, sources=None, states=None, producers=0):
@@ -397,9 +401,20 @@ class ListShard:
         (:func:`~graphabm.ids.as_ids`), ``states`` holds one column per
         field and ``producers`` one producer per edge or one for all."""
         self.seal()
-        targets = as_ids(targets)
-        if not targets.size:
+        self._add_chunk(targets, sources, states, producers)
+
+    def _add_chunk(self, targets, sources, states, producers):
+        """Keep a copy of each column the plan stores as one chunk, casting
+        the states before any id array is read; the columns may be the
+        tail's, which the chunk never references."""
+        n = len(targets)
+        if self.states is not None:
+            # a cast array is new; one the cast returned as given is copied
+            states = tuple(c.copy() if c is given else c
+                           for c, given in zip(cast_columns(self.info, states, n), states))
+        if not n:
             return
+        targets = as_ids(targets)
         index = None  # checked before the copies below, to keep the peak down
         if self.producers is None and is_nondecreasing(targets):
             index = _build_indptr(targets, max(targets.size, _INDEX_FLOOR))
@@ -411,10 +426,6 @@ class ListShard:
             sources, source_tag = narrow_sources(given)
             if sources is given:
                 sources = sources.copy()
-        if self.states is not None:
-            # a cast array is new; one the cast returned as given is copied
-            states = tuple(c.copy() if c is given else c
-                           for c, given in zip(cast_columns(self.info, states), states))
         self.chunks.append(Chunk(
             _owned_u64(targets) if index is None else None,
             sources,

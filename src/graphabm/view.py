@@ -19,15 +19,13 @@ then asks the read container by the agents' type tag and slots.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
 import numpy as np
 
 from .errors import TypeNotReadable, TypeNotWritable, UnknownName, UsageError
 from .ids import provisional_id, slot_ids, split_by_tag
 from .philox import agent_draws, agent_generator
-from .schema import check_read
-from .storage import cast_columns, run_positions
+from .schema import check_read, state_row
+from .storage import run_positions
 
 
 class _Reads:
@@ -104,6 +102,7 @@ class NeighborhoodView(_Reads):
         """Call the per-agent ``fn`` once per slot, with the view bound to
         that agent. Returns the slots whose call returned a state, and those
         states as columns, or None when no call did."""
+        info = self._sim.schema.agent_types[tag]
         self._tag = tag
         self._fields = seg.fields
         self._field_list = list(seg.fields.values())
@@ -115,8 +114,8 @@ class NeighborhoodView(_Reads):
             ret = fn(self, params, glob)
             if ret is not None:
                 done.append(slot)
-                states.append(ret)
-        return np.array(done, dtype=np.int64), (list(zip_longest(*states)) if states else None)
+                states.append(state_row(info, ret))
+        return np.array(done, dtype=np.int64), (list(zip(*states)) if states else None)
 
     # -- own state -------------------------------------------------------------
 
@@ -212,11 +211,7 @@ class NeighborhoodView(_Reads):
             raise TypeNotWritable(
                 f"agent type {type_name!r} is not in this transition's write set"
             )
-        if len(state) != len(info.field_names):
-            raise UsageError(
-                f"agent type {type_name!r} takes {len(info.field_names)} "
-                f"state fields, got {len(state)}"
-            )
+        state = state_row(info, state)
         births = self._births.get(tag)
         if births is None:
             births = self._births[tag] = ([], [], [])
@@ -344,27 +339,18 @@ class AgentBatch(_Reads):
         ``slots``; ``sources`` defaults to the producers' ids and ``states``
         holds one column per declared field. As in
         ``NeighborhoodView.add_edge``, only what the type's hints retain is
-        stored, and each agent's edges keep their order in the arrays.
+        stored, and each agent's edges keep their order in the arrays. The
+        states are checked and cast by the shard (``ListShard.extend``).
         """
         w = self._writers.get(edge_type)
         if w is None:
             raise TypeNotWritable(
                 f"edge type {edge_type!r} is not in this transition's write set"
             )
-        shard, info = w
+        shard = w[0]
         targets = np.ascontiguousarray(targets, dtype=np.uint64)
         agents = np.asarray(agents)
-        given = [("agents", agents), ("sources", sources)]
-        if info.has_state:
-            if states is None or len(states) != len(info.field_names):
-                got = "none" if states is None else len(states)
-                raise UsageError(
-                    f"edge type {edge_type!r} takes {len(info.field_names)} "
-                    f"state columns, got {got}"
-                )
-            states = cast_columns(info, states)
-            given += zip(info.field_names, states)
-        for name, column in [("targets", targets)] + given:
+        for name, column in (("targets", targets), ("agents", agents), ("sources", sources)):
             if column is not None and np.shape(column) != (targets.size,):
                 raise UsageError(
                     f"edge type {edge_type!r}: {name} of shape "

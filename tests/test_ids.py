@@ -88,13 +88,13 @@ class TestProvisionalIds:
         assert slots[1] >= MAX_SLOT
 
 
-def test_allocate_stops_below_the_provisional_slots():
+def test_place_stops_below_the_provisional_slots():
     schema = Schema()
     schema.register_agent_type(AgentTypeDecl("P", (("x", "float64"),)))
     seg = AgentSegment(schema.agent_types[0])
     seg.count = MAX_SLOT
     with pytest.raises(IndexOverflow):
-        seg.allocate()
+        seg.place(1)
     assert seg.count == MAX_SLOT
     assert seg.fields["x"].size == 0 and seg.alive.size == 0
 

@@ -846,7 +846,7 @@ class TestBufferRoundTrip:
         before = sim.state_checksum()
         sim._segments[info.tag] = rebuilt
         assert sim.state_checksum() == before
-        assert rebuilt.allocate() == seg.allocate()
+        assert rebuilt.place(1).tolist() == seg.place(1).tolist()
 
 
 class TestSweepOracle:

@@ -1,0 +1,257 @@
+"""One write contract for agent and edge state, and one placement of slots.
+
+Every write of agent or edge state passes ``storage.cast_columns`` (columns)
+or ``schema.state_row`` (one agent's or one edge's state), and every agent
+slot is taken by ``AgentSegment.place``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import graphabm
+from graphabm import (
+    AgentTypeDecl,
+    EdgeTypeDecl,
+    Schema,
+    Simulation,
+    TransitionSpec,
+    UsageError,
+    apply_transition,
+    finalize_step,
+)
+from graphabm.storage import AgentSegment
+
+N = 4
+GOOD = (0.5, 1)
+FAULTS = {  # fault -> (state, the field the message names, or None)
+    "arity": ((0.5,), None),
+    "cast": ((0.5, "abc"), 1),
+    "none": ((None, 1), 0),
+}
+AGENT_FIELDS = ("x", "i")
+EDGE_FIELDS = ("w", "k")
+
+
+def build():
+    """``N`` mortal agents of ``T(x, i)``, whose edge type ``E(w, k)`` keeps
+    sources and states; nothing committed."""
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("T", (("x", "float64"), ("i", "int64"))))
+    schema.register_edge_type(EdgeTypeDecl("E", (("w", "float64"), ("k", "int64"))))
+    sim = Simulation(schema)
+    sim.add_agents("T", N, {"x": np.zeros(N), "i": np.arange(N)})
+    return sim
+
+
+def columns(state, n):
+    """The columns of ``n`` agents or edges of ``state``; for the length
+    fault, of ``GOOD`` with one value too few."""
+    if state == "length":
+        return [[v] * (n - 1) for v in GOOD]
+    return [[v] * n for v in state]
+
+
+def step(sim, fn, batch=False, writes=("T",)):
+    spec = TransitionSpec(callable_types=("T",), write_types=writes, batch=batch)
+    apply_transition(sim, fn, spec)
+
+
+# -- the write paths: each writes ``state`` as a user would -----------------
+
+def sim_add_agent(sim, state):
+    sim.add_agent("T", *state)
+
+
+def sim_add_agents(sim, state):
+    cols = columns(state, 2)
+    sim.add_agents("T", 2, dict(zip(AGENT_FIELDS, cols)))
+
+
+def sim_add_edge(sim, state):
+    sim.add_edge("E", 0, 1, state)
+    sim.commit_initial()
+
+
+def sim_edge_adder(sim, state):
+    sim.edge_adder("E")(0, 1, state)
+    sim.commit_initial()
+
+
+def sim_add_edges(sim, state):
+    rows = [GOOD] if state == "length" else [state, state]
+    sim.add_edges("E", np.array([0, 1], dtype=np.uint64),
+                  np.array([1, 2], dtype=np.uint64), rows)
+
+
+def view_add_agent(sim, state):
+    step(sim, lambda v, p, g: (v.add_agent("T", *state), v.state)[1])
+
+
+def view_add_edge(sim, state):
+    step(sim, lambda v, p, g: (v.add_edge("E", v.agent_id, state), v.state)[1],
+         writes=("T", "E"))
+
+
+def batch_add_edges(sim, state):
+    def fn(batch, p, g):
+        n = batch.slots.size
+        batch.add_edges("E", batch.ids, agents=np.arange(n), states=columns(state, n))
+        return [batch.field(name) for name in AGENT_FIELDS]
+
+    step(sim, fn, batch=True, writes=("T", "E"))
+
+
+def per_agent_return(sim, state):
+    step(sim, lambda v, p, g: state)
+
+
+def batch_return(sim, state):
+    step(sim, lambda b, p, g: columns(state, b.slots.size), batch=True)
+
+
+INIT_PATHS = [sim_add_agent, sim_add_agents, sim_add_edge, sim_edge_adder, sim_add_edges]
+STEP_PATHS = [view_add_agent, view_add_edge, batch_add_edges, per_agent_return, batch_return]
+ARRAY_PATHS = {sim_add_agents, sim_add_edges, batch_add_edges, batch_return}
+CASES = [(path, fault) for path in INIT_PATHS + STEP_PATHS
+         for fault in [*FAULTS, *(["length"] if path in ARRAY_PATHS else [])]]
+
+
+class TestWriteContract:
+    """Every write path refuses a state of the wrong arity, a value that
+    does not cast, None and, for arrays, the wrong length, with a
+    ``UsageError`` naming the type and the field when there is one; it
+    leaves nothing committed or staged, and the simulation steps on."""
+
+    @pytest.mark.parametrize("path,fault", CASES,
+                             ids=[f"{p.__name__}-{f}" for p, f in CASES])
+    def test_a_bad_write_raises_and_leaves_nothing(self, path, fault):
+        sim = build()
+        state, field = FAULTS.get(fault, ("length", 0))
+        before = None
+        if path in STEP_PATHS:
+            sim.commit_initial()
+            before = sim.state_checksum()
+        with pytest.raises(UsageError) as exc:
+            path(sim, state)
+        kind = "E" if path.__name__.endswith(("edge", "edges", "adder")) else "T"
+        message = str(exc.value)
+        assert f"'{kind}'" in message
+        if field is not None:
+            names = EDGE_FIELDS if kind == "E" else AGENT_FIELDS
+            assert f"field '{names[field]}'" in message
+        assert sim._staged is None and not sim._in_transition
+        assert sim.n_alive("T") == N
+        if before is not None:
+            assert sim.state_checksum() == before
+        elif any(shard.targets for shard in sim._init_shards):
+            # the bad edge stays in the tail: every commit refuses it
+            with pytest.raises(UsageError):
+                sim.commit_initial()
+            assert not sim._initialized
+            assert sim.edge_container("E").n_stored() == 0
+            return
+        step(sim, lambda v, p, g: v.state)
+        finalize_step(sim)
+        assert sim.n_alive("T") == N
+
+
+class TestPerRowChecks:
+    @pytest.mark.parametrize("states", [
+        [(1.0,)], [(1.0, 2.0, 3.0)], [(1.0, 2.0), (1.0, 2.0, 3.0)], [(1.0, 2.0), 5.0],
+    ], ids=["short", "long", "ragged", "bare"])
+    def test_edge_adder_rows_of_another_arity_fail_the_commit(self, states):
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("A", ()))
+        schema.register_edge_type(EdgeTypeDecl("E", (("a", "float64"), ("b", "float64"))))
+        sim = Simulation(schema)
+        sim.add_agents("A", 3, {})
+        add = sim.edge_adder("E")
+        for target, state in enumerate(states):
+            add(target, 2, state)
+        with pytest.raises(UsageError, match="edge type 'E'"):
+            sim.commit_initial()
+        assert not sim._initialized
+        assert sim.edge_container("E").n_stored() == 0
+
+    def test_a_bare_return_raises_naming_the_type(self):
+        sim = build()
+        sim.commit_initial()
+        with pytest.raises(UsageError, match="agent type 'T': expected a state tuple"):
+            step(sim, lambda v, p, g: v.field("x") * 2)
+        assert sim._staged is None
+
+    def test_a_negative_count_adds_no_agent(self):
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("P", (), immortal=True))
+        sim = Simulation(schema)
+        sim.add_agents("P", 3, {})
+        with pytest.raises(UsageError, match="'P'"):
+            sim.add_agents("P", -2, {})
+        assert sim.n_alive("P") == 3
+        with pytest.raises(UsageError):
+            sim._segments[0].place(-1)
+        assert sim._segments[0].count == 3
+
+
+class TestWriteSites:
+    def test_only_the_contract_counts_state_fields(self):
+        """Only ``storage.cast_columns`` and ``schema.state_row`` raise the
+        "takes N state fields" message."""
+        root = Path(graphabm.__file__).parent
+        raisers = set()
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            functions = [node for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Raise):
+                    continue
+                text = "".join(c.value for c in ast.walk(node)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                if "state fields" in text:
+                    inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                    raisers.add((path.relative_to(root).as_posix(),
+                                 max(inside, key=lambda f: f.lineno).name))
+        assert sorted(raisers) == [("schema.py", "state_row"), ("storage.py", "cast_columns")]
+
+
+class TestPlace:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("immortal", [False, True])
+    def test_place_gives_the_slots_of_successive_lifo_takes(self, seed, immortal):
+        """Interleaved frees and ``place(k)`` give the slots that ``k``
+        successive takes of a plain-list LIFO free list give: the last
+        freed first, then the next fresh slot."""
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("P", (("x", "float64"),), immortal=immortal))
+        seg = AgentSegment(schema.agent_types[0])
+        free, count, alive = [], 0, set()
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            if alive and not immortal and rng.random() < 0.4:
+                dead = rng.choice(sorted(alive), size=rng.integers(1, len(alive) + 1),
+                                  replace=False).tolist()
+                seg.alive[dead] = False
+                seg.free.extend(dead)
+                free.extend(dead)
+                alive -= set(dead)
+                continue
+            k = int(rng.integers(0, 6))
+            expected = []
+            for _ in range(k):
+                if free:
+                    expected.append(free.pop())
+                else:
+                    expected.append(count)
+                    count += 1
+            slots = seg.place(k)
+            seg.write(slots, [np.full(k, float(seed))])
+            assert slots.tolist() == expected
+            alive |= set(expected)
+            assert seg.count == count and seg.free == free
+            assert sorted(seg.alive_slots().tolist()) == sorted(alive)
