@@ -20,7 +20,9 @@ uint32 slots and that tag, any others as uint64 ids
 (:func:`narrow_sources`). COUNT_ONLY keeps the index alone, nothing per edge;
 SINGLE_FULL_EDGE keeps one edge per target. EXISTENCE_BIT keeps a bitmap,
 one presence byte per target slot: its shards hold targets only (and
-producers when the checks are on), and the merge sets their bits.
+producers when the checks are on). Every plan takes one merge,
+:func:`build_read_container`, which differs by plan only in what it
+keeps of the edges it has ordered by target.
 A write shard holds its edges as chunks, in call order, and every chunk
 is made by one constructor: per-edge adds go to a tail of ``array.array``
 columns, which is moved into a chunk before the next bulk add and at the
@@ -28,17 +30,16 @@ merge, as a bulk add's columns are. The chunk keeps one owned copy of
 each column the plan stores, sources in their stored form and states as
 columns of the declared dtypes, except targets in nondecreasing order in
 a shard that records no producers, of which it keeps only their index. A
-sole indexed chunk becomes the read container as it is, so a graph added
-in one sorted bulk call copies its sources and states once and its
-targets never; every other merge rebuilds indexed targets with
-``np.repeat``. Every write of agent or edge state passes one contract:
-:func:`cast_columns` for columns, :func:`~graphabm.schema.state_row` for
-one agent's or one edge's state, each refusing with
-:class:`~graphabm.errors.UsageError`. Agent slots are taken by
-:meth:`AgentSegment.place` alone. The
-endpoint and SINGLE_TYPE checks of a chunk start from a range test on its
-largest ids (an index gives each type's for free) and look at each
-id only when that test fails.
+list plan's sole indexed chunk, with no edge carried over, becomes the
+read container as it is, so a graph added in one sorted bulk call copies
+its sources and states once and its targets never; every other merge
+rebuilds indexed targets with ``np.repeat``. Every write of agent or
+edge state passes one contract: :func:`cast_columns` for columns,
+:func:`~graphabm.schema.state_row` for one agent's or one edge's state,
+each refusing with :class:`~graphabm.errors.UsageError`. Agent slots are
+taken by :meth:`AgentSegment.place` alone. The endpoint and SINGLE_TYPE
+checks of a chunk start from one range test on each type's largest id,
+:func:`_largest_ids`, and look at each id only when that test fails.
 
 Read containers are read by target slot, ``(tag, slot)``, and answer
 every read they are asked. Which reads a plan refuses is decided in one
@@ -263,8 +264,8 @@ def _grown(arr: np.ndarray, n: int, capacity: int) -> np.ndarray:
 
 class Chunk(NamedTuple):
     """Edges a :class:`ListShard` holds as arrays: uint64 ``targets``, and
-    ``sources`` and ``producers`` when the shard keeps them; ``states``
-    holds one column per field, of its declared dtype. ``sources`` are
+    ``sources``, ``states`` and ``producers`` when the shard keeps them;
+    ``states`` holds one column per field, of its declared dtype. ``sources`` are
     uint32 slots of type ``source_tag`` when it is set, else uint64 ids.
     Targets a bulk add gave in nondecreasing order may be held as their
     ``index`` alone, in the form of :attr:`ListEdgeRead.indptr`, with
@@ -408,7 +409,9 @@ class ListShard:
         the states before any id array is read; the columns may be the
         tail's, which the chunk never references."""
         n = len(targets)
-        if self.states is not None:
+        if self.states is None:
+            states = None
+        else:
             # a cast array is new; one the cast returned as given is copied
             states = tuple(c.copy() if c is given else c
                            for c, given in zip(cast_columns(self.info, states, n), states))
@@ -474,13 +477,6 @@ def _take(column, idx):
     if isinstance(column, tuple):
         return tuple(c[idx] for c in column)
     return None if column is None else column[idx]
-
-
-def _cat(first, second):
-    """``first`` followed by ``second``, for columns as in :func:`_take`."""
-    if isinstance(first, tuple):
-        return tuple(np.concatenate(pair) for pair in zip(first, second))
-    return None if first is None else np.concatenate([first, second])
 
 
 def run_positions(pos, indptr: np.ndarray):
@@ -567,12 +563,6 @@ class ListEdgeRead:
                 sources, source_tag = narrow_sources(_ids(sources, source_tag))
             self.single_source_tag = source_tag
         self.sources = sources
-
-    @classmethod
-    def from_sorted(cls, info: EdgeTypeInfo, targets: np.ndarray, sources, states,
-                    source_tag: int | None = None):
-        """The container of edges with sorted ``targets``."""
-        return cls(info, _build_indptr(targets), sources, states, source_tag)
 
     # -- queries -------------------------------------------------------------
 
@@ -693,10 +683,14 @@ class ListEdgeRead:
         name = self.info.name
         return [EdgeRecord(src, st, name) for src, st in zip(sources, states)]
 
+    def target_ids(self) -> np.ndarray:
+        """The target id of every stored edge, in target order."""
+        return _index_targets(self.indptr)
+
     def edge_endpoints(self):
         if self.sources is None:
             return None
-        return _index_targets(self.indptr), self.source_ids()
+        return self.target_ids(), self.source_ids()
 
     # -- buffer form -------------------------------------------------------
 
@@ -742,6 +736,15 @@ class ExistenceEdgeRead:
         self.info = info
         self.buckets = buckets
 
+    @classmethod
+    def from_targets(cls, info: EdgeTypeInfo, ids: np.ndarray) -> "ExistenceEdgeRead":
+        """The bitmap with the bit of each target id in ``ids`` set."""
+        buckets = {}
+        for tag, _, slots in split_by_tag(ids):
+            bits = buckets[tag] = np.zeros(int(slots.max()) + 1, dtype=np.uint8)
+            bits[slots] = 1
+        return cls(info, buckets)
+
     @property
     def plan(self):
         return self.info.plan
@@ -765,6 +768,10 @@ class ExistenceEdgeRead:
             out[inside] = bucket[slots[inside]] != 0
         return out
 
+    def target_ids(self) -> np.ndarray:
+        """The id of every target whose bit is set, ascending."""
+        return _concat([slot_ids(tag, np.flatnonzero(bits)) for tag, bits in self.buckets.items()])
+
     def edge_endpoints(self):
         return None
 
@@ -784,23 +791,19 @@ def drop_dead_edges(container, alive_fn):
     dead (``alive_fn`` maps an id array to a mask); ``container`` itself
     when none is.
 
-    Targets are looked up per slot and their verdicts applied to the
-    bitmap, or spread over each slot's run of edges; the new index counts
-    the edges kept before each run start. Each type's array is then cut
-    after its last slot with an edge, and a type left without edges is
-    dropped, which is the form a build of the surviving edges gives.
+    A bitmap is rebuilt from its live targets by its one constructor. A
+    CSR container's targets are looked up per slot and their verdicts
+    spread over each slot's run of edges; the new index counts the edges
+    kept before each run start. Each type's array is then cut after its
+    last slot with an edge, and a type left without edges is dropped,
+    which is the form a build of the surviving edges gives.
     """
     if isinstance(container, ExistenceEdgeRead):
-        buckets, kept = {}, 0
-        for tag, bits in container.buckets.items():
-            bits = bits * alive_fn(slot_ids(tag, np.arange(bits.size)))
-            set_slots = np.flatnonzero(bits)
-            kept += set_slots.size
-            if set_slots.size:
-                buckets[tag] = bits[: set_slots[-1] + 1]
-        if kept == container.n_stored():
+        ids = container.target_ids()
+        live = ids[alive_fn(ids)]
+        if live.size == ids.size:
             return container
-        return ExistenceEdgeRead(container.info, buckets)
+        return ExistenceEdgeRead.from_targets(container.info, live)
     keep = np.concatenate([np.ones(0, dtype=bool)] + [
         np.repeat(alive_fn(slot_ids(tag, np.arange(ptr.size - 1))), np.diff(ptr))
         for tag, ptr in container.indptr.items()
@@ -826,72 +829,47 @@ def drop_dead_edges(container, alive_fn):
 # ---------------------------------------------------------------------------
 
 
-def _merge_states(info: EdgeTypeInfo, chunks: list) -> tuple:
-    """The chunks' state columns, in write order; a sole chunk's as they are."""
-    if not chunks:
-        return tuple(np.empty(0, dtype=dt) for dt in info.dtypes)
-    return tuple(map(_concat, zip(*(c.states for c in chunks))))
-
-
 def _merge_chunks(info: EdgeTypeInfo, chunks: list, carryover):
     """``carryover``'s edges, then the edges of ``chunks``, every worker's
     in worker order, ordered by producer.
 
     Returns targets, sources, their tag (see :func:`narrow_sources`),
     states, the producers of the chunks' edges (None unless every chunk
-    records them) and the number of carried-over edges.
+    records them) and the number of carried-over edges. ``carryover`` is
+    either container kind; both give their targets as ``target_ids``.
     """
     targets = _concat([c.target_ids() for c in chunks])
     sources = source_tag = states = producers = None
     if info.has_source:
         sources, source_tag = _join_sources([(c.sources, c.source_tag) for c in chunks])
     if info.has_state:
-        states = _merge_states(info, chunks)
+        states = tuple(_concat([c.states[i] for c in chunks]) if chunks else np.empty(0, dt)
+                       for i, dt in enumerate(info.dtypes))
     if all(c.producers is not None for c in chunks):
         producers = _concat([c.producers for c in chunks])
         if not is_nondecreasing(producers):
             order = _stable_order(producers)
             targets, sources, states = targets[order], _take(sources, order), _take(states, order)
             producers = producers[order]
-    retained = 0
-    if carryover is not None and carryover.n_stored():
-        retained = carryover.n_stored()
-        targets = np.concatenate([_index_targets(carryover.indptr), targets])
+    retained = 0 if carryover is None else carryover.n_stored()
+    if retained:
+        targets = np.concatenate([carryover.target_ids(), targets])
         if sources is not None:
             sources, source_tag = _join_sources([
                 (carryover.sources, carryover.single_source_tag), (sources, source_tag)])
-        states = _cat(carryover.states, states)
+        if states is not None:
+            states = tuple(map(np.concatenate, zip(carryover.states, states)))
     return targets, sources, source_tag, states, producers, retained
 
 
-def build_list_read(
-    info: EdgeTypeInfo, chunks: list, carryover: ListEdgeRead | None
-) -> ListEdgeRead:
-    """A sole indexed chunk and no carried-over edge: the chunk's index and
-    columns as they are. Otherwise the merged edges, sorted by target."""
-    carried = carryover is not None and carryover.n_stored()
-    if len(chunks) == 1 and chunks[0].index is not None and not carried:
-        chunk = chunks[0]
-        states = _merge_states(info, chunks) if info.has_state else None
-        return ListEdgeRead(info, chunk.index, chunk.sources, states, chunk.source_tag)
-    targets, sources, source_tag, states, _, _ = _merge_chunks(info, chunks, carryover)
-    if not is_nondecreasing(targets):
-        order = _stable_order(targets)
-        targets, sources, states = targets[order], _take(sources, order), _take(states, order)
-    return ListEdgeRead.from_sorted(info, targets, sources, states, source_tag)
-
-
-def _single_edge_order(info, targets, producers, retained, sink):
-    """Stable-sort merged ``targets``: the ``retained`` carried-over edges
-    first, then the chunks' edges in producer order.
-
-    Returns the sort ``order`` and a mask over the sorted edges marking
-    each one a later edge to its target follows. With a ``sink``, each
-    edge beyond a target's first is reported, in target order, with its
-    producer; a retained edge counts as the earliest.
+def _single_edge_order(info, ordered, order, producers, retained, sink):
+    """Over merged targets stable-sorted by target, ``ordered``, at merge
+    positions ``order`` (the ``retained`` carried-over edges first, then
+    the chunks' edges in producer order): the mask of the edges that a
+    later edge to their target follows. With a ``sink``, each edge beyond
+    a target's first is reported, in target order, with its producer; a
+    retained edge counts as the earliest.
     """
-    order = _stable_order(targets)
-    ordered = targets[order]
     superseded = np.zeros(ordered.size, dtype=bool)
     superseded[:-1] = ordered[1:] == ordered[:-1]
     if sink is not None:
@@ -904,47 +882,7 @@ def _single_edge_order(info, targets, producers, retained, sink):
                 if order[i] < retained
                 else "second edge added to a SINGLE_EDGE target",
             )
-    return order, superseded
-
-
-def build_existence_read(
-    info: EdgeTypeInfo,
-    chunks: list,
-    carryover: ExistenceEdgeRead | None,
-    sink: ViolationSink | None,
-) -> ExistenceEdgeRead:
-    """Set the bit of every target of the chunks and of ``carryover``."""
-    targets, _, _, _, producers, _ = _merge_chunks(info, chunks, None)
-    retained = _concat([] if carryover is None else [
-        slot_ids(tag, np.flatnonzero(bits))
-        for tag, bits in carryover.buckets.items()
-    ])
-    ids = np.concatenate([retained, targets])
-    if sink is not None:
-        _single_edge_order(info, ids, producers, retained.size, sink)
-    buckets = {}
-    for tag, _, slots in split_by_tag(ids):
-        buckets[tag] = np.zeros(int(slots.max()) + 1, dtype=np.uint8)
-        buckets[tag][slots] = 1
-    return ExistenceEdgeRead(info, buckets)
-
-
-def build_single_read(
-    info: EdgeTypeInfo,
-    chunks: list,
-    carryover: ListEdgeRead | None,
-    sink: ViolationSink | None,
-) -> ListEdgeRead:
-    """Keep each target's last edge: the highest producer's last add wins,
-    and a retained edge counts as earliest. SINGLE_EDGE is checked here,
-    as :func:`_single_edge_order` says."""
-    targets, sources, source_tag, states, producers, retained = _merge_chunks(
-        info, chunks, carryover
-    )
-    order, superseded = _single_edge_order(info, targets, producers, retained, sink)
-    kept = order[~superseded]
-    return ListEdgeRead.from_sorted(info, targets[kept], _take(sources, kept),
-                                    _take(states, kept), source_tag=source_tag)
+    return superseded
 
 
 def build_read_container(
@@ -954,15 +892,40 @@ def build_read_container(
     sink: ViolationSink | None = None,
 ):
     """Merge sealed write shards, one chunk list per worker in worker
-    order, after ``carryover``'s edges, into a read container; with no
-    chunk and no carryover, the type's empty container. With a ``sink``,
-    SINGLE_EDGE breaches are reported to it."""
+    order, after ``carryover``'s edges, into the read container of the
+    type's plan; with no chunk and no carryover, the type's empty
+    container. With a ``sink``, SINGLE_EDGE breaches are reported to it.
+
+    Every plan takes one merge: :func:`_merge_chunks` puts the edges in
+    producer order, kept edges first; a stable sort orders them by
+    target; and the plan's projection keeps every edge (the list plans),
+    each target's last (SINGLE_FULL_EDGE, where the highest producer's
+    last add wins) or each target's bit (EXISTENCE_BIT). The two single
+    plans report each edge after a target's first through
+    :func:`_single_edge_order`. A sole indexed chunk of a list plan with
+    nothing carried over becomes the container as it is, and an
+    EXISTENCE_BIT merge without a sink sorts nothing.
+    """
     chunks = [c for worker in chunk_lists for c in worker]
-    if info.plan is EdgePlan.EXISTENCE_BIT:
-        return build_existence_read(info, chunks, carryover, sink)
-    if info.plan is EdgePlan.SINGLE_FULL_EDGE:
-        return build_single_read(info, chunks, carryover, sink)
-    return build_list_read(info, chunks, carryover)
+    bitmap = info.plan is EdgePlan.EXISTENCE_BIT
+    single = bitmap or info.plan is EdgePlan.SINGLE_FULL_EDGE
+    carried = carryover is not None and carryover.n_stored()
+    if not single and not carried and len(chunks) == 1 and chunks[0].index is not None:
+        chunk = chunks[0]
+        return ListEdgeRead(info, chunk.index, chunk.sources, chunk.states, chunk.source_tag)
+    targets, sources, source_tag, states, producers, retained = _merge_chunks(
+        info, chunks, carryover)
+    if bitmap and sink is None:
+        return ExistenceEdgeRead.from_targets(info, targets)
+    order = _stable_order(targets) if single or not is_nondecreasing(targets) else slice(None)
+    targets = targets[order]
+    if single:
+        last = ~_single_edge_order(info, targets, order, producers, retained, sink)
+        if bitmap:
+            return ExistenceEdgeRead.from_targets(info, targets)
+        order, targets = order[last], targets[last]
+    return ListEdgeRead(info, _build_indptr(targets), _take(sources, order),
+                        _take(states, order), source_tag)
 
 
 def rewrite_ids(chunk_lists: list, old: np.ndarray, new: np.ndarray) -> None:
@@ -1014,6 +977,25 @@ def _same_bytes(a, b) -> bool:
     return bool(np.array_equal(a.reshape(-1).view(kind), b.reshape(-1).view(kind)))
 
 
+def _largest_ids(chunk: Chunk, column: str) -> list | None:
+    """Per type, the largest id of a chunk's ``"targets"`` or ``"sources"``,
+    where that takes no look at each id: an indexed chunk's targets give
+    each type's from the index, sources held as slots give their type's,
+    and an array its largest when its smallest is of the same type. None
+    when the array's ids are of more than one type.
+
+    A tag is an id's top bits, and a type's allocated slots are 0 to its
+    count - 1, with a provisional id above them all, so the ids pass a
+    test of their tag or of their existence when these do."""
+    if column == "targets" and chunk.index is not None:
+        return [agent_id(tag, ptr.size - 2) for tag, ptr in chunk.index.items()]
+    if column == "sources" and chunk.source_tag is not None:
+        return [agent_id(chunk.source_tag, int(chunk.sources.max()))]
+    ids = getattr(chunk, column)
+    lo, hi = int(ids.min()), int(ids.max())
+    return [hi] if type_tag(lo) == type_tag(hi) else None
+
+
 def check_single_type(info: EdgeTypeInfo, chunk_lists: list, sink: ViolationSink | None) -> None:
     """Report to ``sink``, unless it is None (checks off), each edge of each
     worker's chunk list whose target is not of the agent type SINGLE_TYPE
@@ -1023,10 +1005,9 @@ def check_single_type(info: EdgeTypeInfo, chunk_lists: list, sink: ViolationSink
     edges of a chunk without producers, as during initialization, are
     producer 0's, in add order.
 
-    A tag is an id's top bits, so a chunk passes whole when its smallest
-    and largest targets carry the declared tag: an indexed chunk's target
-    tags are its index's keys, and an array's are those of its min and
-    max. Otherwise each target's tag is compared.
+    A chunk passes whole when each type's largest target
+    (:func:`_largest_ids`) carries the declared tag; otherwise each
+    target's tag is compared.
     """
     tag = info.single_type_tag
     if tag is None or sink is None:
@@ -1034,10 +1015,8 @@ def check_single_type(info: EdgeTypeInfo, chunk_lists: list, sink: ViolationSink
     targets, producers = [], []
     for chunks in chunk_lists:
         for chunk in chunks:
-            if chunk.index is not None:
-                if list(chunk.index) == [tag]:
-                    continue
-            elif type_tag(int(chunk.targets.min())) == tag == type_tag(int(chunk.targets.max())):
+            tops = _largest_ids(chunk, "targets")
+            if tops is not None and all(type_tag(top) == tag for top in tops):
                 continue
             ids = chunk.target_ids()
             bad = np.flatnonzero(type_tag(ids) != tag)
@@ -1064,37 +1043,27 @@ def validate_endpoints(info: EdgeTypeInfo, chunk_lists: list, exists_fn) -> None
     instead of sizing the merged index; carried-over edges were checked
     when they were added, and a slot once allocated stays allocated.
 
-    A type's allocated slots are 0 to its count - 1, and a provisional id
-    sorts above every slot of its type, so a column
-    passes whole when the largest id of each type in it exists: an indexed
-    chunk's targets give each type's largest from the index, and an array
-    passes on its largest when its smallest and largest share one type,
-    as slots of one type do on their largest. Otherwise each id is looked
-    up, and the first bad one, worker by worker, targets before sources,
-    is named.
+    A column of a chunk passes whole when each type's largest id in it
+    (:func:`_largest_ids`) exists; otherwise each id is looked up. The
+    error names the smallest bad target across every worker's lists or,
+    when no target is bad, the smallest bad source, so it does not depend
+    on the worker count.
     """
-    for chunks in chunk_lists:
-        for column in ("targets", "sources"):
+    for column in ("targets", "sources"):
+        bad = []
+        for chunks in chunk_lists:
             for chunk in chunks:
-                if column == "targets" and chunk.index is not None:
-                    tops = [agent_id(tag, ptr.size - 2)
-                            for tag, ptr in chunk.index.items()]
-                elif column == "sources" and chunk.source_tag is not None:
-                    tops = [agent_id(chunk.source_tag, int(chunk.sources.max()))]
-                else:
-                    arr = getattr(chunk, column)
-                    if arr is None:
-                        continue
-                    lo, hi = int(arr.min()), int(arr.max())
-                    tops = [hi] if type_tag(lo) == type_tag(hi) else []
-                if tops and bool(exists_fn(np.array(tops, dtype=_U64)).all()):
+                if column == "sources" and chunk.sources is None:
                     continue
-                arr = (chunk.target_ids() if column == "targets"
+                tops = _largest_ids(chunk, column)
+                if tops is not None and bool(exists_fn(np.array(tops, dtype=_U64)).all()):
+                    continue
+                ids = (chunk.target_ids() if column == "targets"
                        else _ids(chunk.sources, chunk.source_tag))
-                ok = exists_fn(arr)
+                ok = exists_fn(ids)
                 if not bool(ok.all()):
-                    bad = int(arr[np.flatnonzero(~ok)[0]])
-                    raise ContractViolation(
-                        f"edge of type {info.name!r} references nonexistent "
-                        f"agent {bad:#x}"
-                    )
+                    bad.append(int(ids[~ok].min()))
+        if bad:
+            raise ContractViolation(
+                f"edge of type {info.name!r} references nonexistent agent {min(bad):#x}"
+            )

@@ -3,6 +3,11 @@ from __future__ import annotations
 import multiprocessing as mp
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples, so tier-1 is deterministic.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import enum
+import itertools
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from graphabm import (
     storage_plan_for,
     type_tag,
 )
+from graphabm.checks import merge_sink
 from graphabm.ids import TAG_SHIFT, agent_id, slot_ids
 from graphabm.storage import AgentSegment, ListShard, build_read_container, run_positions
 
@@ -1133,11 +1135,11 @@ class TestRangeCheckFallbacks:
 
     @pytest.mark.parametrize("column", ["targets", "sources"])
     @pytest.mark.parametrize("ids, bad", [
-        ([0, 1, A12, 3, 2, A9, 4], A12),  # a slot >= count of the same type
+        ([0, 1, A12, 3, 2, A9, 4], A9),  # slots >= count of the same type
         ([0, 1, B0 + 5, 3, 2, B0], B0 + 5),  # a slot of another agent type
         ([B0 + 1, A9, B0], A9),  # the largest id exists, the smallest does not
     ])
-    def test_bulk_endpoint_raises_naming_the_first_bad_id(self, column, ids, bad):
+    def test_bulk_endpoint_raises_naming_the_smallest_bad_id(self, column, ids, bad):
         sim = two_type_sim(self.DECL)
         ids = np.array(ids, dtype=np.uint64)
         good = np.zeros(ids.size, dtype=np.uint64)
@@ -1154,6 +1156,31 @@ class TestRangeCheckFallbacks:
                       np.array([0], dtype=np.uint64))
         with pytest.raises(ContractViolation, match=f"agent {self.A12:#x}$"):
             sim.commit_initial()
+
+    def test_a_step_names_one_bad_id_at_any_worker_count(self):
+        """Agent 0 adds an edge from a source that does not exist, agent 6
+        one to a target that does not exist: 1, 2 and 4 workers, under
+        every partition, shuffled or not, name the target, the smallest
+        bad target of all workers."""
+        def emit(view, params, g):
+            if view.agent_id == 0:
+                view.add_edge("E", 1, source=0x1388)
+            elif view.agent_id == 6:
+                view.add_edge("E", 0xFA0)
+
+        spec = TransitionSpec(callable_types=("A",), write_types=("E",))
+        messages = set()
+        for workers, strategy, shuffle in itertools.product(
+                (1, 2, 4), ("contiguous", "round_robin", "greedy_edge_cut"),
+                (None, np.random.default_rng(3))):
+            sim = two_type_sim(self.DECL)
+            sim.commit_initial()
+            with pytest.raises(ContractViolation) as raised:
+                apply_transition(sim, emit, spec, workers=workers, shuffle=shuffle,
+                                 partition=partition_graph(sim, workers, strategy))
+            assert sim._staged is None
+            messages.add(str(raised.value))
+        assert messages == {"edge of type 'E' references nonexistent agent 0xfa0"}
 
     @pytest.mark.parametrize("target_type, targets, wrong", [
         ("A", [0, B0 + 2, 1, 2, B0, 3, B0 + 1, 7], [B0 + 2, B0, B0 + 1]),
@@ -1298,6 +1325,143 @@ class TestFiveBuilds:
                                else len(flat))
         for sim in sims[1:]:
             assert seen(sim) == expected
+
+
+PROJECTION_DECLS = [
+    EdgeTypeDecl("E", (("w", "float64"), ("k", "int64"))),
+    EdgeTypeDecl("E", (("w", "float64"), ("k", "int64")), hints=Hint.IGNORE_FROM),
+    EdgeTypeDecl("E", hints=Hint.STATELESS),
+    EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.IGNORE_FROM),
+    EdgeTypeDecl("E", (("w", "float64"), ("k", "int64")), hints=Hint.SINGLE_EDGE),
+    EdgeTypeDecl("E", hints=Hint.STATELESS | Hint.IGNORE_FROM | Hint.SINGLE_EDGE),
+]
+# sources of two types, and one whose slot needs more than 32 bits
+projection_edge = st.tuples(
+    st.sampled_from(ORACLE_TARGETS), st.sampled_from(ORACLE_SOURCES + [agent_id(0, 1 << 33)]),
+    st.floats(allow_nan=False), st.integers(-(1 << 62), 1 << 62), st.integers(0, 5),
+)
+
+
+@st.composite
+def projection_cases(draw):
+    """Edges ``(target, source, w, k, producer)`` written by 1-3 workers,
+    producer ``p`` on worker ``p % workers``, each worker's in runs of
+    per-edge or bulk adds; with producers recorded or not, and edges to
+    carry over or None."""
+    edges = draw(st.lists(projection_edge, max_size=14))
+    if draw(st.booleans()):  # sorted bulk adds are kept as their index
+        edges.sort(key=lambda e: e[0])
+    return (edges, draw(st.integers(1, 3)), draw(st.booleans()),
+            draw(st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1)),
+            draw(st.none() | st.lists(projection_edge, max_size=6)))
+
+
+def write_chunks(info, edges, recorded, runs):
+    """One shard's sealed chunks of ``edges``, added in ``runs``: (bulk,
+    length), taken in turn."""
+    shard = ListShard(info, record_producers=recorded)
+    at, turn = 0, 0
+    while at < len(edges):
+        bulk, length = runs[turn % len(runs)]
+        part, at, turn = edges[at: at + length], at + length, turn + 1
+        if bulk:
+            shard.extend(np.array([e[0] for e in part], dtype=np.uint64),
+                         np.array([e[1] for e in part], dtype=np.uint64),
+                         [[e[2] for e in part], [e[3] for e in part]] if info.has_state else None,
+                         np.array([e[4] for e in part], dtype=np.uint64))
+        else:
+            for t, src, w, k, producer in part:
+                shard.add(t, src, (w, k) if info.has_state else None, producer)
+    return shard.seal()
+
+
+def projected(plan, merged):
+    """Merged ``(edge, carried)`` pairs stable-sorted by target, then the
+    plan's projection, and the SINGLE_EDGE reports of a single plan:
+    (target, the later edge's producer, whether the earlier was carried)."""
+    ordered = sorted(merged, key=lambda pair: pair[0][0])
+    reports = []
+    if plan not in (EdgePlan.SINGLE_FULL_EDGE, EdgePlan.EXISTENCE_BIT):
+        return ordered, reports
+    kept = []
+    for pair in ordered:
+        if kept and kept[-1][0][0] == pair[0][0]:
+            reports.append((pair[0][0], pair[0][4], kept[-1][1]))
+            kept[-1] = pair
+        else:
+            kept.append(pair)
+    return kept, reports
+
+
+def expected_buffers(info, edges):
+    """The buffers of ``edges`` in target order, spelled out edge by edge."""
+    targets = [e[0] for e in edges]
+    tags = sorted({type_tag(t) for t in targets})
+    if info.plan is EdgePlan.EXISTENCE_BIT:
+        return {f"bits:{tag}": ("|u1", [int(agent_id(tag, s) in targets) for s in
+                                        range(max(local_index(t) for t in targets
+                                                  if type_tag(t) == tag) + 1)])
+                for tag in tags}
+    out = {}
+    for tag in tags:
+        size = max(local_index(t) for t in targets if type_tag(t) == tag) + 2
+        out[f"indptr:{tag}"] = ("<i8", [sum(t < agent_id(tag, s) for t in targets)
+                                         for s in range(size)])
+    if info.has_source:
+        sources = [e[1] for e in edges]
+        if sources and len({type_tag(i) for i in sources}) == 1 and all(
+                local_index(i) < 1 << 32 for i in sources):
+            out[f"source_slots:{type_tag(sources[0])}"] = ("<u4", [local_index(i) for i in sources])
+        else:
+            out["sources"] = ("<u8", sources)
+    if info.has_state:
+        out["field:w"] = ("<f8", [e[2] for e in edges])
+        out["field:k"] = ("<i8", [e[3] for e in edges])
+    return out
+
+
+class TestPlanProjectionOracle:
+    """``build_read_container`` of random chunk lists, onto carried-over
+    edges or none, equals a plain-Python reference: the edges in merge
+    order (carried first, then by producer when every chunk records them,
+    else in worker and call order), stable-sorted by target, then every
+    edge, each target's last edge or each target's bit. In warn mode a
+    single plan reports each edge after a target's first, in target
+    order; a list plan reports nothing."""
+
+    @pytest.mark.parametrize("decl", PROJECTION_DECLS,
+                             ids=lambda d: storage_plan_for(d.hints).value)
+    @settings(max_examples=40, deadline=None)
+    @given(case=projection_cases())
+    def test_build_equals_the_reference(self, decl, case):
+        edges, workers, recorded, runs, carried = case
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("A", (), immortal=True))
+        schema.register_edge_type(decl)
+        info = schema.edge_types[0]
+        carryover, merged = None, []
+        if carried is not None:
+            carryover = build_read_container(info, [write_chunks(info, carried, False, runs)])
+            merged = projected(info.plan, [(e, True) for e in carried])[0]
+        lists = [write_chunks(info, [e for e in edges if e[4] % workers == w], recorded, runs)
+                 for w in range(workers)]
+        calls = [e for w in range(workers) for e in edges if e[4] % workers == w]
+        if recorded:
+            calls.sort(key=lambda e: e[4])
+        else:  # reported as producer 0's
+            calls = [(*e[:4], 0) for e in calls]
+        kept, reports = projected(info.plan, merged + [(e, False) for e in calls])
+        expected = expected_buffers(info, [e for e, _ in kept])
+        expected_reports = [
+            ("single_edge", t, p, "SINGLE_EDGE target already had a retained edge" if carried_first
+             else "second edge added to a SINGLE_EDGE target")
+            for t, p, carried_first in reports]
+        for sink in (merge_sink("warn", 0), None):
+            c = build_read_container(info, lists, carryover, sink)
+            assert {k: _plain(v) for k, v in c.buffers().items()} == expected
+            if sink is not None:
+                assert [(v.kind, v.target, v.producer, v.message)
+                        for v in sink.reports] == expected_reports
 
 
 class TestIndexedChunks:

@@ -17,12 +17,14 @@ import graphabm
 from graphabm import (
     AgentTypeDecl,
     EdgeTypeDecl,
+    Hint,
     Schema,
     Simulation,
     TransitionSpec,
     UsageError,
     apply_transition,
     finalize_step,
+    run,
 )
 from graphabm.storage import AgentSegment
 
@@ -196,6 +198,41 @@ class TestPerRowChecks:
         with pytest.raises(UsageError):
             sim._segments[0].place(-1)
         assert sim._segments[0].count == 3
+
+
+class TestStatesThePlanDoesNotStore:
+    """States a bulk add passes to a type whose plan keeps none are not
+    held by the chunk, so they neither reach the kept-merge comparison nor
+    cross to another worker."""
+
+    SPEC = TransitionSpec(callable_types=("A",), write_types=("E",), batch=True)
+
+    def run(self, as_arrays, workers):
+        """Four steps in which each agent adds an edge to the next one,
+        with a weight drawn anew each step: the stored edges repeat."""
+        def emit(batch, params, g):
+            n = batch.slots.size
+            weights = batch.random(np.ones(n, dtype=np.int64))
+            batch.add_edges("E", (batch.ids + np.uint64(1)) % np.uint64(6),
+                            agents=np.arange(n),
+                            states=[weights if as_arrays else weights.tolist()])
+
+        schema = Schema()
+        schema.register_agent_type(AgentTypeDecl("A", (), immortal=True))
+        schema.register_edge_type(EdgeTypeDecl("E", (("w", "float64"),), hints=Hint.STATELESS))
+        sim = Simulation(schema)
+        sim.add_agents("A", 6)
+        run(sim, 4, [(emit, self.SPEC)], workers=workers)
+        assert sim.edge_container("E").n_stored() == 6
+        return [m["merges_reused"] for m in sim.step_metrics]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_list_columns_are_dropped(self, workers):
+        self.run(as_arrays=False, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_array_columns_are_dropped_so_the_merge_is_reused(self, workers):
+        assert self.run(as_arrays=True, workers=workers) == [0, 1, 1, 1]
 
 
 class TestWriteSites:
