@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOverflow
+from .errors import IndexOverflow, UsageError
 
 TYPE_BITS = 8
 TYPE_MASK = (1 << TYPE_BITS) - 1
@@ -52,12 +52,17 @@ def local_index(aid):
     return aid & SLOT_MASK
 
 
-def as_ids(values) -> np.ndarray:
+def as_ids(values, what: str = "ids") -> np.ndarray:
     """``values`` as a contiguous id array: a uint32 array as it is, since
-    its values are type-0 ids, anything else as uint64. Neither copies an
-    array that already is one."""
-    if isinstance(values, np.ndarray) and values.dtype == np.uint32:
+    its values are type-0 ids, other integers as uint64. Neither copies
+    an array that already is one. Values of any other dtype, such as
+    floats or bools, raise :class:`UsageError` naming ``what``, unless
+    there are none: the test reads the dtype, not the values."""
+    values = np.asarray(values)
+    if values.dtype == np.uint32:
         return np.ascontiguousarray(values)
+    if values.dtype.kind not in "iu" and values.size:
+        raise UsageError(f"{what} must be integer ids, got {values.dtype} values")
     return np.ascontiguousarray(values, dtype=np.uint64)
 
 

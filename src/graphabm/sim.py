@@ -15,6 +15,7 @@ A simulation is built in three phases:
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -114,11 +115,20 @@ class Simulation:
         return slot_ids(info.tag, slots)
 
     def add_edge(self, edge_type: str, target: int, source: int, state: tuple = ()) -> None:
-        """Add one edge during initialization (stored under its target)."""
+        """Add one edge during initialization (stored under its target).
+        ``target`` and ``source`` are integer ids (``operator.index``);
+        anything else, or an id outside [0, 2**64), raises
+        :class:`UsageError`."""
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)
         st = info.stored_state(state)
-        self._init_shards[info.tag].add(int(target), int(source), st, 0)
+        try:
+            ids = operator.index(target), operator.index(source)
+        except TypeError as exc:
+            raise UsageError(f"edge type {edge_type!r}: ids must be integers: {exc}") from None
+        if not all(0 <= i < 1 << 64 for i in ids):
+            raise UsageError(f"edge type {edge_type!r}: ids {ids} outside [0, 2**64)")
+        self._init_shards[info.tag].add(*ids, st, 0)
 
     def add_edges(self, edge_type: str, targets, sources=None, states=None) -> None:
         """Bulk-add edges during initialization.
@@ -126,14 +136,16 @@ class Simulation:
         ``sources`` and ``states``, when given, hold one entry per target.
         Ids may come as uint64 or as uint32 (type-0 ids, as the
         :mod:`~graphabm.models.topology` builders give), which are read as
-        they are, never widened. Only what the plan keeps is copied, once,
-        so the caller may change its arrays after the call. Targets in
-        ascending order are not copied at all: the shard keeps their CSR
-        index. When one such call adds all of a type's edges, that index
-        and the copies become the committed graph without another copy.
-        This is the fast path for large graphs: one call per edge type
-        costs a few array passes, where :meth:`add_edge` costs a Python
-        call per edge.
+        they are, never widened, or as any other integers; ids of another
+        dtype, such as floats or bools, raise :class:`UsageError`. Only
+        what the plan keeps is copied, once, so the caller may change its
+        arrays after the call. Targets in ascending order are not copied
+        at all: the shard keeps their CSR index. When one such call adds
+        all of a type's edges, that index and the copies become the
+        committed graph without another copy. This is the fast path for
+        large graphs: one call per edge type reads each id array once,
+        in cache-sized blocks, where :meth:`add_edge` costs a Python call
+        per edge.
         """
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)

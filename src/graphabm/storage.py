@@ -29,15 +29,21 @@ columns, which is moved into a chunk before the next bulk add and at the
 merge, as a bulk add's columns are. The chunk keeps one owned copy of
 each column the plan stores, sources in their stored form and states as
 columns of the declared dtypes, except targets in nondecreasing order in
-a shard that records no producers, of which it keeps only their index. A
-list plan's sole indexed chunk, with no edge carried over, becomes the
-read container as it is, so a graph added in one sorted bulk call copies
-its sources and states once and its targets never; every other merge
-rebuilds indexed targets with ``np.repeat``. Every write of agent or
-edge state passes one contract: :func:`cast_columns` for columns,
-:func:`~graphabm.schema.state_row` for one agent's or one edge's state,
-each refusing with :class:`~graphabm.errors.UsageError`. Agent slots are
-taken by :meth:`AgentSegment.place` alone. The endpoint and SINGLE_TYPE
+a shard that records no producers, of which it keeps only their index.
+A bulk add reads each id column once, in blocks of ``_BLOCK`` ids that
+stay in cache: one pass over the targets tests their order and finds
+their runs of equal targets, from which :func:`_build_indptr`, the one
+index builder of the adds and the merges, makes the index; one pass over
+the sources takes each block's range and casts it into the stored column
+(:func:`narrow_sources`). A list plan's sole indexed chunk, with no edge
+carried over, becomes the read container as it is, so a graph added in
+one sorted bulk call copies its sources and states once and its targets
+never; every other merge rebuilds indexed targets with ``np.repeat``.
+Every write of agent or edge state passes one contract:
+:func:`cast_columns` for columns, :func:`~graphabm.schema.state_row` for
+one agent's or one edge's state, each refusing with
+:class:`~graphabm.errors.UsageError`. Agent slots are taken by
+:meth:`AgentSegment.place` alone. The endpoint and SINGLE_TYPE
 checks of a chunk start from one range test on each type's largest id,
 :func:`_largest_ids`, and look at each id only when that test fails.
 
@@ -102,6 +108,10 @@ _NO_RUNS = np.zeros(1, dtype=np.int64)  # indptr of a type without edges
 # every slot is copied and rejected by the endpoint check instead of
 # sizing an index first.
 _INDEX_FLOOR = 1 << 16
+# Ids a one-pass scan takes at a time (:func:`_build_indptr`,
+# :func:`narrow_sources`): a block, and what is made of it, stay in a
+# core's cache while the scan's few operations read it.
+_BLOCK = 1 << 16
 
 
 class EdgeRecord(NamedTuple):
@@ -293,16 +303,24 @@ def narrow_sources(ids: np.ndarray):
     :func:`~graphabm.ids.as_ids`), as ``(column, tag)``: uint32 slots and
     their type tag when every id has that tag and every slot fits in 32
     bits, else uint64 ids and None, as are no ids. It depends on the ids
-    alone. Ids that need no cast are returned as they are."""
+    alone. Ids that need no cast are returned as they are.
+
+    One pass over ``_BLOCK``-id blocks takes each block's range and casts
+    it, while it is in cache, into the new slot column; the first block
+    whose range does not fit gives up on it."""
     if not ids.size:
         return _EMPTY_U64, None
     if ids.dtype == np.uint32:
         return ids, 0
-    lo, hi = int(ids.min()), int(ids.max())
-    tag = type_tag(lo)
-    if type_tag(hi) != tag or local_index(hi) >> 32:
-        return ids, None
-    return ids.astype(np.uint32), tag  # the low 32 bits of an id are its slot here
+    tag = type_tag(int(ids[0]))
+    base = _U64(agent_id(tag, 0))
+    out = np.empty(ids.size, dtype=np.uint32)
+    for lo in range(0, ids.size, _BLOCK):
+        block = ids[lo:lo + _BLOCK]
+        if (tag and block.min() < base) or (block.max() - base) >> 32:
+            return ids, None
+        out[lo:lo + _BLOCK] = block  # the low 32 bits of an id are its slot here
+    return out, tag
 
 
 def _join_sources(parts: list):
@@ -417,15 +435,16 @@ class ListShard:
                            for c, given in zip(cast_columns(self.info, states, n), states))
         if not n:
             return
-        targets = as_ids(targets)
-        index = None  # checked before the copies below, to keep the peak down
-        if self.producers is None and is_nondecreasing(targets):
+        where = f"edge type {self.info.name!r}:"
+        targets = as_ids(targets, f"{where} targets")
+        index = None  # built before the copies below, to keep the peak down
+        if self.producers is None:
             index = _build_indptr(targets, max(targets.size, _INDEX_FLOOR))
         source_tag = None
         if self.sources is None:
             sources = None
         else:
-            given = as_ids(sources)
+            given = as_ids(sources, f"{where} sources")
             sources, source_tag = narrow_sources(given)
             if sources is given:
                 sources = sources.copy()
@@ -488,37 +507,69 @@ def run_positions(pos, indptr: np.ndarray):
 
 
 def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np.ndarray] | None:
-    """Per target type, slot-indexed run starts into sorted ``targets``:
-    one entry per slot up to the type's largest target, and one more.
-    None, with nothing allocated, when that is over ``limit`` entries.
+    """Per target type, slot-indexed run starts into ``targets``: one
+    entry per slot up to the type's largest target, and one more. None
+    when ``targets`` are not in nondecreasing order, or, with nothing
+    slot-sized allocated, when the index would take over ``limit``
+    entries.
 
-    A type whose edges are fewer than its entries gets its index by
-    counting the edges per slot; any other by one search per slot, which
-    costs less there. Both give the same array."""
+    The types split by a search on tag boundaries, as if the targets were
+    in order, which gives each type's entries before anything is read;
+    then :func:`_fill_runs` reads each type's targets once. Out of order,
+    the split still partitions them, and each search ends between an id
+    below the next type's first and one at or above it, so the pair
+    across each boundary ascends and the fills, which test every other
+    pair, find every decrease."""
     spans = []
     lo, n = 0, targets.size
     last = type_tag(int(targets[-1])) if n else None
     while lo < n:
         tag = type_tag(int(targets[lo]))
-        hi = n if tag == last else int(np.searchsorted(targets, _U64(agent_id(tag + 1, 0))))
+        # a type past the last one's is out of order: its span runs to the end
+        hi = n if tag >= last else int(np.searchsorted(targets, _U64(agent_id(tag + 1, 0))))
         spans.append((tag, lo, hi, local_index(int(targets[hi - 1])) + 2))
         lo = hi
     if limit is not None and sum(span[3] for span in spans) > limit:
         return None
     indptr = {}
+    changed = np.empty(min(n, _BLOCK), dtype=bool)
     for tag, lo, hi, size in spans:
-        ptr = np.zeros(size, dtype=np.int64)
-        if hi - lo < size:
-            np.cumsum(np.bincount(slots_of(targets[lo:hi]), minlength=size - 1), out=ptr[1:])
-        else:
-            # needles of the targets' dtype, so that numpy does not widen
-            # the targets; past the last slot every target lies before
-            needles = slot_ids(tag, np.arange(size - 1)).astype(targets.dtype, copy=False)
-            ptr[:-1] = np.searchsorted(targets[lo:hi], needles)
-            ptr[-1] = hi - lo
-        ptr += lo
-        indptr[tag] = ptr
+        indptr[tag] = ptr = np.empty(size, dtype=np.int64)
+        if not _fill_runs(targets, lo, hi, ptr, changed):
+            return None
     return indptr
+
+
+def _fill_runs(targets: np.ndarray, lo: int, hi: int, ptr: np.ndarray, changed) -> bool:
+    """Fill ``ptr``, the index of one type's targets ``targets[lo:hi]``,
+    in one pass over ``_BLOCK``-id blocks; False when they are out of
+    order. Each block's compare of every target with the one before it
+    finds where runs of equal targets start; order is tested on those
+    alone, against the type's first and last targets, and each run's
+    start fills its slot and the empty slots before it. ``changed`` is
+    scratch space of at least ``_BLOCK`` flags, or of the targets'
+    size."""
+    done = local_index(int(targets[lo]))  # the last entry filled
+    ptr[:done + 1] = lo
+    for start in range(lo + 1, hi, _BLOCK):
+        end = min(start + _BLOCK, hi)
+        at = np.flatnonzero(np.not_equal(targets[start:end], targets[start - 1:end - 1],
+                                         out=changed[:end - start]))
+        if not at.size:
+            continue
+        at += start
+        head = targets[at]
+        if (head[0] < targets[at[0] - 1] or head[-1] > targets[hi - 1]
+                or bool((head[1:] < head[:-1]).any())):
+            return False
+        slots = slots_of(head)
+        fill = np.empty(at.size, dtype=np.int64)  # the entries each run start fills
+        fill[0] = slots[0] - done
+        np.subtract(slots[1:], slots[:-1], out=fill[1:])
+        ptr[done + 1:int(slots[-1]) + 1] = np.repeat(at, fill)
+        done = int(slots[-1])
+    ptr[done + 1] = hi
+    return True
 
 
 def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:

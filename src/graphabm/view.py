@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TypeNotReadable, TypeNotWritable, UnknownName, UsageError
-from .ids import provisional_id, slot_ids, split_by_tag
+from .ids import as_ids, provisional_id, slot_ids, split_by_tag
 from .philox import agent_draws, agent_generator
 from .schema import check_read, state_row
 from .storage import run_positions
@@ -348,7 +348,9 @@ class AgentBatch(_Reads):
                 f"edge type {edge_type!r} is not in this transition's write set"
             )
         shard = w[0]
-        targets = np.ascontiguousarray(targets, dtype=np.uint64)
+        targets = as_ids(targets, f"edge type {edge_type!r}: targets")
+        if sources is not None:
+            sources = as_ids(sources, f"edge type {edge_type!r}: sources")
         agents = np.asarray(agents)
         for name, column in (("targets", targets), ("agents", agents), ("sources", sources)):
             if column is not None and np.shape(column) != (targets.size,):

@@ -3,10 +3,13 @@ from __future__ import annotations
 import multiprocessing as mp
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
-# Every run draws the same examples, so tier-1 is deterministic.
-settings.register_profile("deterministic", derandomize=True)
+# Every run draws the same examples, so tier-1 is deterministic. A failing
+# example is reported as drawn, not shrunk: shrinking changes no verdict,
+# and can take minutes before a red run reports.
+settings.register_profile("deterministic", derandomize=True,
+                          phases=[phase for phase in Phase if phase is not Phase.shrink])
 settings.load_profile("deterministic")
 
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import graphabm
-from graphabm import AgentTypeDecl, IndexOverflow, agent_id, local_index, type_tag
+from graphabm import AgentTypeDecl, IndexOverflow, UsageError, agent_id, local_index, type_tag
 from graphabm.ids import (
     COUNT_BITS,
     MAX_SLOT,
@@ -18,6 +18,7 @@ from graphabm.ids import (
     TAG_SHIFT,
     TYPE_MASK,
     WORKER_BITS,
+    as_ids,
     provisional_id,
     slot_ids,
     split_by_tag,
@@ -119,6 +120,30 @@ class TestSplitByTag:
             expected = [i for t, i in pairs if t == tag]
             assert slots.tolist() == expected
             assert (ids[sel] >> np.uint64(TAG_SHIFT)).tolist() == [tag] * len(expected)
+
+
+class TestAsIds:
+    def test_uint32_and_uint64_arrays_are_not_copied(self):
+        for dtype in (np.uint32, np.uint64):
+            ids = np.arange(4, dtype=dtype)
+            assert as_ids(ids) is ids
+
+    @pytest.mark.parametrize("values", [[3, 1], np.array([3, 1], dtype=np.int32),
+                                        np.array([3, 1], dtype=np.int64)])
+    def test_other_integers_become_uint64(self, values):
+        got = as_ids(values)
+        assert got.dtype == np.uint64 and got.tolist() == [3, 1]
+
+    @pytest.mark.parametrize("values", [[0.5, 1.0], np.array([1.0]), np.array([True]),
+                                        ["1"], [1, "a"], [1 << 64]])
+    def test_other_dtypes_are_refused_naming_the_column(self, values):
+        with pytest.raises(UsageError, match="targets must be integer ids"):
+            as_ids(values, "targets")
+
+    @pytest.mark.parametrize("values", [[], np.empty(0), np.empty(0, dtype=bool)])
+    def test_no_ids_of_any_dtype_are_none(self, values):
+        got = as_ids(values)
+        assert got.dtype == np.uint64 and got.size == 0
 
 
 LAYOUT_NAMES = {"TAG_SHIFT", "SLOT_MASK", "PROVISIONAL"}

@@ -1587,9 +1587,9 @@ type_targets = st.dictionaries(
 
 
 class TestCountingIndex:
-    """``_build_indptr`` counts the edges per slot where a type has fewer
-    edges than index entries and searches elsewhere; either way the index
-    is the search's, array for array."""
+    """``_build_indptr`` builds the index, the count of edges before each
+    slot, from the runs of one blocked scan; it is the search's, array for
+    array, for merges as for bulk adds."""
 
     @staticmethod
     def targets_of(by_tag: dict) -> np.ndarray:
@@ -1612,8 +1612,8 @@ class TestCountingIndex:
         self.assert_same(self.targets_of(by_tag))
 
     @pytest.mark.parametrize("by_tag", [
-        {0: [0]},              # slot 0, one edge: two entries, dense
-        {2: [7]},              # one edge past empty slots: sparse
+        {0: [0]},              # slot 0, one edge: two entries
+        {2: [7]},              # one edge past empty slots
         {0: [0, 0, 0]},
         {0: [0], 1: [0, 900], 3: [4, 4, 4, 4, 4, 4]},
         {1: list(range(10)) * 3},
@@ -1621,22 +1621,46 @@ class TestCountingIndex:
     def test_edge_cases(self, by_tag):
         self.assert_same(self.targets_of(by_tag))
 
-    def test_both_paths_run(self, monkeypatch):
-        searched = []
-        real = np.searchsorted
+    @pytest.mark.parametrize("drop_at", [2, storage._BLOCK, storage._BLOCK + 1,
+                                         2 * storage._BLOCK + 7, None])
+    def test_the_scan_stops_at_the_first_block_out_of_order(self, monkeypatch, drop_at):
+        """Block ``k`` compares positions ``1 + k * _BLOCK`` on with the
+        target before each; a target less than the one before it at
+        ``drop_at`` ends the scan in its block, with no index."""
+        block = storage._BLOCK
+        targets = np.arange(3 * block + 5, dtype=np.uint64) // np.uint64(3) + np.uint64(1)
+        if drop_at is not None:
+            targets[drop_at] = targets[drop_at - 1] - np.uint64(1)
+        compares = []
+        real = np.not_equal
 
-        def spy(a, v, *args, **kw):
-            searched.append(np.size(v))
-            return real(a, v, *args, **kw)
+        def spy(a, b, *args, **kw):
+            compares.append(np.size(a))
+            return real(a, b, *args, **kw)
 
-        monkeypatch.setattr(storage.np, "searchsorted", spy)
-        sparse = self.targets_of({0: [3, 4000]})  # 2 edges, 4002 entries
-        storage._build_indptr(sparse)
-        assert searched == []
-        storage._build_indptr(self.targets_of({0: [1, 1, 2]}))  # 3 edges, 4 entries
-        assert searched == []
-        storage._build_indptr(self.targets_of({0: [1, 1, 2, 2]}))  # 4 edges, 4 entries
-        assert searched == [3]  # the entry after the last slot is not searched
+        monkeypatch.setattr(storage.np, "not_equal", spy)
+        got = storage._build_indptr(targets)
+        monkeypatch.undo()
+        if drop_at is None:
+            assert len(compares) == 4 and sum(compares) == targets.size - 1
+            self.assert_same(targets)
+        else:
+            assert got is None
+            assert len(compares) == (drop_at - 1) // block + 1
+
+    @pytest.mark.parametrize("block", [1, 2, 1 << 16])
+    @pytest.mark.parametrize("ids", [
+        [5, 3],
+        [agent_id(0, 5), agent_id(1, 0), agent_id(0, 7)],  # in order up to a type's last
+        [agent_id(1, 5), agent_id(0, 3)],
+        [agent_id(0, 1), agent_id(2, 0), agent_id(1, 0), agent_id(2, 1)],
+        [agent_id(0, 2), agent_id(1, 0), agent_id(0, 9), agent_id(1, 1)],
+        [agent_id(255, 0), agent_id(0, 1)],  # no type follows the last tag
+        [agent_id(1, 0), agent_id(255, 3), agent_id(0, 1), agent_id(2, 0)],
+    ])
+    def test_targets_out_of_order_give_none(self, monkeypatch, ids, block):
+        monkeypatch.setattr(storage, "_BLOCK", block)
+        assert storage._build_indptr(np.array(ids, dtype=np.uint64)) is None
 
     def test_limit_returns_none_without_allocating(self):
         """An index of 2**40 + 2 entries would fail to allocate; over the
@@ -1677,6 +1701,152 @@ class TestCountingIndex:
         assert h.hexdigest() == (
             "3a67f25ae1cb297133e571dc4d65d680ae5fa1277b86088727a70920652c01eb"
         )
+
+
+def reference_chunk(targets: np.ndarray, sources: np.ndarray, producers: bool):
+    """What a bulk add keeps, written plainly: ``(index, targets, sources,
+    source_tag)``, with the index, as the search finds it, only for targets
+    in nondecreasing order whose index takes at most ``max(targets,
+    _INDEX_FLOOR)`` entries, in a shard that records no producers, and the
+    targets as uint64 otherwise; sources as uint32 slots when one tag's
+    slots below 2**32 hold them all (by their min and max), else as uint64
+    ids. The ids here stay below 2**63, so their int64 differences are
+    exact."""
+    ids = targets.astype(np.uint64)
+    index = None
+    if not producers and bool(np.all(np.diff(ids.astype(np.int64)) >= 0)):
+        tags = type_tag(ids)
+        entries = sum(int(local_index(ids[tags == tag].max())) + 2 for tag in set(tags.tolist()))
+        if entries <= max(ids.size, storage._INDEX_FLOOR):
+            index = searched_indptr(ids) if ids.size else {}
+    if sources.dtype == np.uint32:
+        return index, ids, sources, 0
+    lo, hi = int(sources.min()), int(sources.max())
+    if type_tag(lo) == type_tag(hi) and local_index(hi) < 1 << 32:
+        return index, ids, local_index(sources).astype(np.uint32), type_tag(lo)
+    return index, ids, sources, None
+
+
+def stateless_info():
+    """A STATELESS edge type, which keeps targets and sources."""
+    schema = Schema()
+    schema.register_agent_type(AgentTypeDecl("A", ()))
+    schema.register_edge_type(EdgeTypeDecl("E", hints=Hint.STATELESS))
+    return schema.edge_types[0]
+
+# One id per edge: a type tag and a slot, the slot at times past 32 bits.
+one_pass_ids = st.lists(
+    st.tuples(st.integers(0, 3), st.one_of(st.integers(0, 40), st.just(1 << 32))),
+    max_size=40,
+)
+
+
+class TestOnePassOracle:
+    """Every chunk a bulk add makes equals :func:`reference_chunk`: the
+    index or the copied targets, the sources' stored form and its tag,
+    byte for byte; the caller's arrays are left as they were, and the
+    chunk shares no memory with them. Drawn with small ``_BLOCK`` sizes,
+    so that runs and decreases fall on every kind of block boundary."""
+
+    @staticmethod
+    def assert_chunk(targets, sources, producers=False):
+        given_targets, given_sources = targets.copy(), sources.copy()
+        shard = ListShard(stateless_info(), record_producers=producers)
+        shard.extend(targets, sources, None, 0)
+        chunks = shard.seal()
+        assert np.array_equal(targets, given_targets) and targets.dtype == given_targets.dtype
+        assert np.array_equal(sources, given_sources) and sources.dtype == given_sources.dtype
+        if not targets.size:
+            assert chunks == []
+            return None
+        (chunk,) = chunks
+        index, ids, column, tag = reference_chunk(targets, sources, producers)
+        if index is None:
+            assert chunk.index is None
+            assert chunk.targets.dtype == np.uint64 and np.array_equal(chunk.targets, ids)
+            held = [chunk.targets]
+        else:
+            assert chunk.targets is None and list(chunk.index) == list(index)
+            for key, ptr in index.items():
+                assert chunk.index[key].dtype == np.int64
+                assert np.array_equal(chunk.index[key], ptr), key
+            held = list(chunk.index.values())
+        assert chunk.source_tag == tag
+        assert chunk.sources.dtype == column.dtype and np.array_equal(chunk.sources, column)
+        for mine in held + [chunk.sources]:
+            assert not np.shares_memory(mine, targets) and not np.shares_memory(mine, sources)
+        return chunk
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=one_pass_ids, order=st.sampled_from(["drawn", "sorted", "one_moved"]),
+           moved=st.integers(0, 39), block=st.sampled_from([1, 2, 3, 7]),
+           source_pairs=one_pass_ids, uint32=st.booleans(), producers=st.booleans())
+    def test_draws(self, pairs, order, moved, block, source_pairs, uint32, producers):
+        """``one_moved`` sorts the targets, then moves one to the end."""
+        from unittest import mock
+
+        if order != "drawn":
+            pairs = sorted(pairs)
+        if order == "one_moved" and pairs:
+            pairs.append(pairs.pop(moved % len(pairs)))
+        targets = np.array([agent_id(tag, slot) for tag, slot in pairs], dtype=np.uint64)
+        cycle = source_pairs or [(0, 0)]
+        sources = np.array([agent_id(*cycle[i % len(cycle)]) for i in range(len(pairs))],
+                           dtype=np.uint64)
+        if uint32 and not (targets >> np.uint64(32)).any():
+            targets = targets.astype(np.uint32)
+        if uint32 and not (sources >> np.uint64(32)).any():
+            sources = sources.astype(np.uint32)
+        with mock.patch.object(storage, "_BLOCK", block):
+            self.assert_chunk(targets, sources, producers)
+
+    BLOCK = storage._BLOCK
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint32])
+    def test_sizes_around_the_block(self, n, dtype):
+        """Runs of 7 targets cross every block boundary; sources of one
+        type fit in uint32 slots."""
+        targets = (np.arange(n) // 7).astype(dtype)
+        chunk = self.assert_chunk(targets, (np.arange(n)[::-1] % 1000).astype(dtype))
+        if n:
+            assert chunk.index is not None and chunk.source_tag == 0
+
+    @pytest.mark.parametrize("drop_at", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 4])
+    def test_a_decrease_at_a_block_boundary_copies_the_targets(self, drop_at):
+        targets = np.arange(3 * self.BLOCK + 5, dtype=np.uint64) // np.uint64(5)
+        targets[drop_at] = targets[drop_at - 1] - np.uint64(1)
+        chunk = self.assert_chunk(targets, np.zeros(targets.size, dtype=np.uint64))
+        assert chunk.index is None
+
+    def test_one_to_three_target_tags(self):
+        for tags in ([1], [0, 2], [0, 1, 3]):
+            targets = np.sort(np.concatenate([slot_ids(tag, np.arange(self.BLOCK + 9) // 4)
+                                              for tag in tags]))
+            chunk = self.assert_chunk(targets, slot_ids(2, np.arange(targets.size)))
+            assert list(chunk.index) == tags and chunk.source_tag == 2
+
+    @pytest.mark.parametrize("where", [0, BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    def test_sources_that_do_not_fit_stay_ids(self, where):
+        """A slot of 2**32 or an id of another type, in the first block,
+        at its end, or in a later block, keeps every source as a uint64
+        id."""
+        n = 2 * self.BLOCK + 5
+        targets = np.arange(n, dtype=np.uint64)
+        for odd in (agent_id(1, 1 << 32), agent_id(0, 3), agent_id(2, 0)):
+            sources = slot_ids(1, np.arange(n) % 50)
+            sources[where] = odd
+            chunk = self.assert_chunk(targets, sources)
+            assert chunk.source_tag is None and chunk.sources.dtype == np.uint64
+
+    def test_a_far_target_is_copied_not_indexed(self):
+        """A last slot ``s`` takes ``s + 2`` entries: one past
+        ``_INDEX_FLOOR`` is copied, ``_INDEX_FLOOR`` itself indexed."""
+        last = storage._INDEX_FLOOR - 2
+        for slot, indexed in ((last + 1, False), (last, True), (1 << 40, False)):
+            chunk = self.assert_chunk(np.array([0, 1, slot], dtype=np.uint64),
+                                      np.zeros(3, dtype=np.uint64))
+            assert (chunk.index is not None) == indexed
 
 
 # ---------------------------------------------------------------------------

@@ -123,24 +123,67 @@ CASES = [(path, fault) for path in INIT_PATHS + STEP_PATHS
          for fault in [*FAULTS, *(["length"] if path in ARRAY_PATHS else [])]]
 
 
+# Writes of ids that are not integers, or not ids: none may be truncated
+# or wrapped into an edge. Each takes the simulation, committed first for
+# a step's write.
+FLOATS = np.array([0.7, 1.9]), np.array([2.2, -0.5])
+INTS = np.array([0, 1], dtype=np.uint64)
+
+
+def batch_ids(targets=None, sources=None):
+    def write(sim):
+        def fn(batch, p, g):
+            batch.add_edges("E", INTS if targets is None else targets,
+                            agents=np.zeros(2, dtype=np.int64), sources=sources,
+                            states=columns(GOOD, 2))
+            return [batch.field(name) for name in AGENT_FIELDS]
+
+        step(sim, fn, batch=True, writes=("T", "E"))
+    return write
+
+
+ID_CASES = {
+    "add_edges-floats": lambda sim: sim.add_edges("E", *FLOATS, [GOOD] * 2),
+    "add_edges-float_sources": lambda sim: sim.add_edges("E", INTS, FLOATS[1], [GOOD] * 2),
+    "add_edges-bool_targets": lambda sim: sim.add_edges(
+        "E", np.array([True, False]), INTS, [GOOD] * 2),
+    "add_edge-floats": lambda sim: sim.add_edge("E", 1.7, 0.2, GOOD),
+    "add_edge-negative": lambda sim: sim.add_edge("E", -1, 0, GOOD),
+    "add_edge-too_wide": lambda sim: sim.add_edge("E", 0, 1 << 64, GOOD),
+    "batch-float_targets": batch_ids(targets=FLOATS[0]),
+    "batch-bool_sources": batch_ids(sources=np.array([True, False])),
+}
+
+
 class TestWriteContract:
     """Every write path refuses a state of the wrong arity, a value that
     does not cast, None and, for arrays, the wrong length, with a
     ``UsageError`` naming the type and the field when there is one; it
-    leaves nothing committed or staged, and the simulation steps on."""
+    leaves nothing committed or staged, and the simulation steps on.
+    Every edge write refuses ids that are not integers, and a per-edge
+    add ids outside [0, 2**64), in the same way."""
 
     @pytest.mark.parametrize("path,fault", CASES,
                              ids=[f"{p.__name__}-{f}" for p, f in CASES])
     def test_a_bad_write_raises_and_leaves_nothing(self, path, fault):
-        sim = build()
         state, field = FAULTS.get(fault, ("length", 0))
+        kind = "E" if path.__name__.endswith(("edge", "edges", "adder")) else "T"
+        self.assert_refused(lambda sim: path(sim, state), path in STEP_PATHS, kind, field)
+
+    @pytest.mark.parametrize("case", list(ID_CASES))
+    def test_ids_that_are_not_integers_raise_and_leave_nothing(self, case):
+        sim = self.assert_refused(ID_CASES[case], case.startswith("batch"), "E", None)
+        assert sim.edge_container("E").n_stored() == 0
+
+    @staticmethod
+    def assert_refused(write, in_step, kind, field):
+        sim = build()
         before = None
-        if path in STEP_PATHS:
+        if in_step:
             sim.commit_initial()
             before = sim.state_checksum()
         with pytest.raises(UsageError) as exc:
-            path(sim, state)
-        kind = "E" if path.__name__.endswith(("edge", "edges", "adder")) else "T"
+            write(sim)
         message = str(exc.value)
         assert f"'{kind}'" in message
         if field is not None:
@@ -156,10 +199,11 @@ class TestWriteContract:
                 sim.commit_initial()
             assert not sim._initialized
             assert sim.edge_container("E").n_stored() == 0
-            return
+            return sim
         step(sim, lambda v, p, g: v.state)
         finalize_step(sim)
         assert sim.n_alive("T") == N
+        return sim
 
 
 class TestPerRowChecks:
