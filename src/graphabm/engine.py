@@ -43,9 +43,10 @@ One driver runs both forms: a worker walks its task list once, calls a
 batch ``fn`` per chunk and a per-agent ``fn`` per agent, and passes what
 the calls return, and the states of the agents they created, through the
 one write contract (:func:`~graphabm.storage.cast_columns`, after
-:func:`~graphabm.schema.state_row` for each per-agent state). It ships
-the states of the agents they re-added, per type, and the agents they
-created with their producers, beside its sealed edge write shards.
+:func:`~graphabm.schema.state_row` for each per-agent state). It ships,
+per agent type it re-adds, the delta of the states its calls returned
+(:func:`agent_delta`), and the agents they created with their
+producers, beside its sealed edge write shards.
 Every call sees only time-t data and writes are merged by producing-agent
 id: newborns take their ids at the merge, in producer order, and edges to
 or from them are rewritten to those ids. So the outcome does not depend
@@ -70,6 +71,18 @@ and a keep_existing merge reads the old container, so those always run.
 A kept merge hides no SINGLE_TYPE breach: every merge, a reused one too,
 checks every worker's list, kept or fresh, under the checks setting of
 its transition. ``sim.step_metrics`` counts the merges reused per step.
+
+An agent type's delta holds the re-added slots whose state differs,
+byte for byte, from their time-t state, with those states; the slots the
+worker ran that died; and how many it re-added, which the immortal-type
+check sums. So an agent re-added unchanged crosses no pipe. The merge
+starts from the time-t segment that every process holds, writes the
+changed states, zeroes the fields of the dead slots, so a dead slot
+hashes alike however it died, and places the newborns; a written type
+that no transition runs to re-add loses every agent. It copies a column
+only when it writes into it (:meth:`~graphabm.storage.AgentSegment.staged`).
+At one worker no payload crosses a pipe, so nothing is compared and
+every re-added slot counts as changed: one payload form, one merge.
 
 The merge is also where the edge contracts are checked, over every
 worker's chunk lists (see :mod:`graphabm.storage`); the view and the
@@ -102,12 +115,15 @@ from .storage import (
     build_read_container,
     cast_columns,
     check_single_type,
+    differs,
     drop_dead_edges,
     rewrite_ids,
     same_edges,
     validate_endpoints,
 )
 from .view import AgentBatch, NeighborhoodView
+
+_NO_SLOTS = np.empty(0, dtype=np.int64)
 
 # Most incoming edges (summed over the readable list edge types) one batch
 # chunk may hold: it bounds the transition's temporaries per call.
@@ -268,9 +284,10 @@ class StagedCommit:
 
 def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                shuffle=None) -> dict:
-    """Run ``fn`` over this worker's agents; return its payload: the
-    states its calls returned, the agents they created, each written edge
-    type's sealed chunk list, or ``None`` for one equal to the kept one."""
+    """Run ``fn`` over this worker's agents; return its payload: per agent
+    type it re-adds, the :func:`agent_delta` of its calls, the agents they
+    created, and each written edge type's sealed chunk list, or ``None``
+    for one equal to the kept one."""
     schema = sim.schema
     batch = rt.spec.batch
     read = {name: sim._edges[etag] for name, etag in rt.readable_edges.items()}
@@ -280,6 +297,7 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
         writers[info.name] = (step_shard(info, sim.checks != "off"), info)
     args = (sim.params, rt.globals)
     tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
+    ran = dict(tasks)
     if shuffle is not None:
         flat = [(tag, slot) for tag, slots in tasks for slot in slots.tolist()]
         shuffle.shuffle(flat)
@@ -341,9 +359,11 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
             returned.setdefault(tag, []).append((done, cast_columns(info, cols, done.size)))
 
     agents = {}
-    for tag, runs in returned.items():
-        slots, cols = zip(*runs)
-        agents[tag] = (np.concatenate(slots), [np.concatenate(c) for c in zip(*cols)])
+    for tag, kept in rt.written_agent.items():
+        if not kept and tag in ran:
+            slots, cols = zip(*returned.get(tag, [(_NO_SLOTS, ())]))
+            agents[tag] = agent_delta(sim._segments[tag], ran[tag], np.concatenate(slots),
+                                      [np.concatenate(c) for c in zip(*cols)], nworkers > 1)
     births = {}
     for tag, (ids, producers, states) in ({} if batch else view._births).items():
         births[tag] = (np.array(ids, dtype=np.uint64), np.array(producers, dtype=np.uint64),
@@ -356,6 +376,26 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
                 and same_edges(chunks, kept.chunks[worker]))
         edges[info.tag] = None if same else chunks  # None: the kept chunk list
     return {"agents": agents, "births": births, "edges": edges}
+
+
+def agent_delta(seg: AgentSegment, ran: np.ndarray, slots: np.ndarray, columns: list,
+                compare: bool) -> tuple:
+    """What a worker ships of an agent type it re-adds: ``(slots, columns,
+    dead, n)``, the re-added ``slots`` whose state differs from their
+    time-t state in ``seg`` and those states, the slots it ``ran`` that
+    re-added none, ascending, and how many it re-added. States compare
+    byte for byte, as :func:`~graphabm.storage.same_edges` compares, so
+    -0.0 differs from 0.0 and two NaN payloads differ. Without
+    ``compare``, every re-added slot counts as changed: at one worker no
+    payload crosses a pipe, and the merge writes them all either way."""
+    n = slots.size
+    dead = _NO_SLOTS if n == ran.size else np.setdiff1d(ran, slots, assume_unique=True)
+    if compare:
+        changed = np.zeros(n, dtype=bool)
+        for held, column in zip(seg.fields.values(), columns):
+            changed |= differs(held[slots], column)
+        slots, columns = slots[changed], [column[changed] for column in columns]
+    return slots, columns, dead, n
 
 
 def step_shard(info, checked: bool):
@@ -486,39 +526,35 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
     for tag, kept in rt.written_agent.items():
         info = schema.agent_types[tag]
         old = sim._segments[tag]
-        buffers = old.buffers()
-        if not kept:  # all dead, zero-filled so unwritten slots hash alike
-            buffers = {name: b if name in ("count", "free") else np.zeros_like(b)
-                       for name, b in buffers.items()}
-        seg = AgentSegment.from_buffers(info, buffers)
+        deltas = [p["agents"][tag] for p in payloads if tag in p["agents"]]
+        births = [p["births"][tag] for p in payloads if tag in p["births"]]
+        if kept or tag in rt.callable_tags:
+            dead = np.sort(np.concatenate([d[2] for d in deltas])) if deltas else _NO_SLOTS
+        else:  # no agent of the type runs to re-add itself
+            dead = old.alive_slots()
+        seg = old.staged(fields=bool(births or dead.size or any(d[0].size for d in deltas)),
+                         alive=bool(births or dead.size))
 
         n_returned = 0
-        for p in payloads:
-            if tag in p["agents"]:
-                slots, columns = p["agents"][tag]
-                n_returned += slots.size
-                seg.write(slots, columns)
-                if seg.alive is not None:
-                    seg.alive[slots] = True
+        for slots, columns, _dead, n in deltas:
+            seg.write(slots, columns)
+            n_returned += n
         if info.immortal and not kept and tag in rt.callable_tags:
             if n_returned != old.n_alive:
                 raise UsageError(
                     f"immortal agent type {info.name!r}: {n_returned} of "
                     f"{old.n_alive} agents returned a state"
                 )
+        if dead.size:  # zeroed, so a dead slot hashes alike however it died
+            deaths_occurred = True
+            seg.write(dead, [0] * len(seg.fields))
+            seg.alive[dead] = False
 
-        births = [p["births"][tag] for p in payloads if tag in p["births"]]
         if births:
             ids, slots = _place_births(seg, births)
             provisional.append(ids)
             final.append(slot_ids(tag, slots))
-
-        if seg.alive is not None and not kept:
-            limit = old.count
-            freed = np.flatnonzero(old.alive[:limit] & ~seg.alive[:limit])
-            if freed.size:
-                deaths_occurred = True
-                seg.free.extend(freed.tolist())
+        seg.free.extend(dead.tolist())
         staged_segments[tag] = seg
 
     segments = [staged_segments.get(tag, seg) for tag, seg in enumerate(sim._segments)]
@@ -684,7 +720,9 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
     its transitions ran, summed over them: the alive agents of each
     transition's callable types, at any worker count, and
     ``merges_reused``, the edge-type merges that staged their kept
-    container (:class:`KeptMerge`). With ``workers > 1``
+    container (:class:`KeptMerge`), and ``bytes_sent`` and
+    ``bytes_received``, the bytes the control wrote to and read from its
+    workers' pipes, 0 at one worker. With ``workers > 1``
     the workers are forked once, after partitioning, and ended before
     ``run`` returns or raises (see :mod:`graphabm.parallel`).
     """
@@ -713,6 +751,7 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
         for index in range(steps):
             t0 = time.perf_counter()
             agents_run = reused = 0
+            sent, received = sim._pipe_bytes
             for kind, a, b in items:
                 if kind == "t":
                     apply_transition(sim, a, b, workers=workers, partition=partition)
@@ -729,6 +768,8 @@ def run(sim: Simulation, steps: int, program, *, workers: int = 1,
                 "wall_ms": (time.perf_counter() - t0) * 1e3,
                 "agents_run": agents_run,
                 "merges_reused": reused,
+                "bytes_sent": sim._pipe_bytes[0] - sent,
+                "bytes_received": sim._pipe_bytes[1] - received,
             })
             if on_step is not None:
                 on_step(sim)

@@ -57,12 +57,17 @@ def as_ids(values, what: str = "ids") -> np.ndarray:
     its values are type-0 ids, other integers as uint64. Neither copies
     an array that already is one. Values of any other dtype, such as
     floats or bools, raise :class:`UsageError` naming ``what``, unless
-    there are none: the test reads the dtype, not the values."""
+    there are none, and so do negative values of a signed dtype, which
+    would wrap to ids of type tag 255. Only that test reads the values:
+    an unsigned array is taken at the cost of its dtype test."""
     values = np.asarray(values)
     if values.dtype == np.uint32:
         return np.ascontiguousarray(values)
-    if values.dtype.kind not in "iu" and values.size:
-        raise UsageError(f"{what} must be integer ids, got {values.dtype} values")
+    if values.size and values.dtype.kind != "u":
+        if values.dtype.kind != "i":
+            raise UsageError(f"{what} must be integer ids, got {values.dtype} values")
+        if values.min() < 0:
+            raise UsageError(f"{what} must be non-negative ids, got {int(values.min())}")
     return np.ascontiguousarray(values, dtype=np.uint64)
 
 

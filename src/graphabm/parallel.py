@@ -12,10 +12,11 @@ each worker the transition's index in the program, the globals, for a
 shuffled transition one seed per worker, and ``sim.checks``, which the
 worker takes as its own. Every worker runs the transition over its own
 agents against its copy of the time-t state (which doubles as the ghost
-copies of remote agents) and sends back its payload: the states its
-agents returned, the agents they created and, per edge type written, its
-write shard sealed into a list of chunks (the shard object never leaves
-its worker). The control runs worker 0's share
+copies of remote agents) and sends back its payload: per agent type its
+agents re-add, the states that changed since time t, the agents that
+died and how many were re-added (``engine.agent_delta``); the agents
+they created; and, per edge type written, its write shard sealed into a
+list of chunks (the shard object never leaves its worker). The control runs worker 0's share
 meanwhile, then forwards to each worker of the run's pool the other workers'
 payloads, as the bytes it received (its own pickled once). Every process
 then merges the same payloads in worker order and commits the result
@@ -41,7 +42,10 @@ and every process merges its own copy of the kept list instead; when
 every worker sent ``None``, it stages the kept container. So edges
 re-emitted unchanged cross no pipe after the step that first wrote them.
 A chunk list is only compared with the kept list of the same worker of a
-merge over as many workers.
+merge over as many workers. Agent states are compared likewise, with the
+time-t segment every process holds, so an agent re-added unchanged
+crosses no pipe either. The control counts the bytes it writes to and
+reads from the pipes, which ``engine.run`` reports per step.
 
 A worker's exception reaches the control with its own type. A worker that
 dies without a result raises :class:`~graphabm.errors.WorkerError` with
@@ -354,6 +358,7 @@ class WorkerPool:
         except OSError:
             self._reply(w)
             raise
+        self.sim._pipe_bytes[0] += len(blob)
 
     def broadcast(self, blob: bytes) -> None:
         """Send the same bytes to every worker."""
@@ -370,6 +375,7 @@ class WorkerPool:
         except (EOFError, OSError):
             proc.join()
             raise WorkerError(w, proc.exitcode) from None
+        self.sim._pipe_bytes[1] += len(blob)
         status, value = pickle.loads(blob)
         if status != "ok":
             raise value

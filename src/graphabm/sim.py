@@ -62,6 +62,7 @@ class Simulation:
         self._in_transition = False
         self._staged = None
         self._pool = None  # the resident worker pool while engine.run steps
+        self._pipe_bytes = [0, 0]  # bytes the control sent to workers and received
         self._plans: dict = {}  # TransitionSpec -> engine.ReadPlan of its batch reads
         self._specs: dict = {}  # TransitionSpec -> engine.RuntimeSpec
         self._kept: dict = {}  # edge tag -> engine.KeptMerge, its last merge

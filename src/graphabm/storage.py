@@ -112,6 +112,8 @@ _INDEX_FLOOR = 1 << 16
 # :func:`narrow_sources`): a block, and what is made of it, stay in a
 # core's cache while the scan's few operations read it.
 _BLOCK = 1 << 16
+# Ids the first block of an index scan takes (:func:`_blocks`)
+_PROBE = 1 << 10
 
 
 class EdgeRecord(NamedTuple):
@@ -257,6 +259,19 @@ class AgentSegment:
         if not info.immortal:
             seg.alive = buffers["alive"].copy()
         seg.free = buffers["free"].tolist()
+        return seg
+
+    def staged(self, fields: bool, alive: bool) -> "AgentSegment":
+        """A segment of this one's agents for a merge to write into: with
+        ``fields`` a copy of each field column, with ``alive`` of the
+        liveness mask, and this segment's own arrays otherwise, which the
+        merge must then leave as they are. The free list is always a copy."""
+        seg = AgentSegment.__new__(AgentSegment)
+        seg.count, seg.immortal, seg.free = self.count, self.immortal, list(self.free)
+        n = self.count
+        seg.fields = {name: arr[:n].copy() if fields else arr
+                      for name, arr in self.fields.items()}
+        seg.alive = self.alive[:n].copy() if alive and self.alive is not None else self.alive
         return seg
 
 
@@ -542,8 +557,8 @@ def _build_indptr(targets: np.ndarray, limit: int | None = None) -> dict[int, np
 
 def _fill_runs(targets: np.ndarray, lo: int, hi: int, ptr: np.ndarray, changed) -> bool:
     """Fill ``ptr``, the index of one type's targets ``targets[lo:hi]``,
-    in one pass over ``_BLOCK``-id blocks; False when they are out of
-    order. Each block's compare of every target with the one before it
+    in one pass over the blocks of :func:`_blocks`; False when they are
+    out of order. Each block's compare of every target with the one before it
     finds where runs of equal targets start; order is tested on those
     alone, against the type's first and last targets, and each run's
     start fills its slot and the empty slots before it. ``changed`` is
@@ -551,8 +566,7 @@ def _fill_runs(targets: np.ndarray, lo: int, hi: int, ptr: np.ndarray, changed) 
     size."""
     done = local_index(int(targets[lo]))  # the last entry filled
     ptr[:done + 1] = lo
-    for start in range(lo + 1, hi, _BLOCK):
-        end = min(start + _BLOCK, hi)
+    for start, end in _blocks(lo + 1, hi):
         at = np.flatnonzero(np.not_equal(targets[start:end], targets[start - 1:end - 1],
                                          out=changed[:end - start]))
         if not at.size:
@@ -570,6 +584,17 @@ def _fill_runs(targets: np.ndarray, lo: int, hi: int, ptr: np.ndarray, changed) 
         done = int(slots[-1])
     ptr[done + 1] = hi
     return True
+
+
+def _blocks(lo: int, hi: int):
+    """``(start, end)`` of the blocks of ids ``lo..hi`` a scan reads: a
+    first one of ``_PROBE`` ids (``_BLOCK`` if fewer), so a scan that
+    stops at targets out of order, as a merge of unsorted edges does,
+    reads few of them, then ``_BLOCK`` ids each."""
+    start, end = lo, min(lo + min(_PROBE, _BLOCK), hi)
+    while start < hi:
+        yield start, end
+        start, end = end, min(end + _BLOCK, hi)
 
 
 def _index_targets(indptr: dict[int, np.ndarray]) -> np.ndarray:
@@ -949,9 +974,11 @@ def build_read_container(
 
     Every plan takes one merge: :func:`_merge_chunks` puts the edges in
     producer order, kept edges first; a stable sort orders them by
-    target; and the plan's projection keeps every edge (the list plans),
-    each target's last (SINGLE_FULL_EDGE, where the highest producer's
-    last add wins) or each target's bit (EXISTENCE_BIT). The two single
+    target, unless they are in order already, which a list plan learns
+    from building their index (:func:`_build_indptr`); and the plan's
+    projection keeps every edge (the list plans), each target's last
+    (SINGLE_FULL_EDGE, where the highest producer's last add wins) or
+    each target's bit (EXISTENCE_BIT). The two single
     plans report each edge after a target's first through
     :func:`_single_edge_order`. A sole indexed chunk of a list plan with
     nothing carried over becomes the container as it is, and an
@@ -968,15 +995,18 @@ def build_read_container(
         info, chunks, carryover)
     if bitmap and sink is None:
         return ExistenceEdgeRead.from_targets(info, targets)
-    order = _stable_order(targets) if single or not is_nondecreasing(targets) else slice(None)
-    targets = targets[order]
-    if single:
-        last = ~_single_edge_order(info, targets, order, producers, retained, sink)
-        if bitmap:
-            return ExistenceEdgeRead.from_targets(info, targets)
-        order, targets = order[last], targets[last]
-    return ListEdgeRead(info, _build_indptr(targets), _take(sources, order),
-                        _take(states, order), source_tag)
+    # a list plan's targets in order need no sort: their index is built at once
+    order, indptr = slice(None), None if single else _build_indptr(targets)
+    if indptr is None:
+        order = _stable_order(targets)
+        targets = targets[order]
+        if single:
+            last = ~_single_edge_order(info, targets, order, producers, retained, sink)
+            if bitmap:
+                return ExistenceEdgeRead.from_targets(info, targets)
+            order, targets = order[last], targets[last]
+        indptr = _build_indptr(targets)
+    return ListEdgeRead(info, indptr, _take(sources, order), _take(states, order), source_tag)
 
 
 def rewrite_ids(chunk_lists: list, old: np.ndarray, new: np.ndarray) -> None:
@@ -1026,6 +1056,13 @@ def _same_bytes(a, b) -> bool:
         return False
     kind = _UINTS.get(a.itemsize, np.uint8)
     return bool(np.array_equal(a.reshape(-1).view(kind), b.reshape(-1).view(kind)))
+
+
+def differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where two columns of one dtype and length differ, item by item,
+    compared as :func:`_same_bytes` compares them."""
+    kind = _UINTS[a.itemsize]
+    return a.view(kind) != b.view(kind)
 
 
 def _largest_ids(chunk: Chunk, column: str) -> list | None:

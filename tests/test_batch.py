@@ -581,6 +581,24 @@ class TestRandom:
             assert got.dtype == np.float64
             assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
+    @pytest.mark.parametrize("slice_blocks", [1, 3, 4096])
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 - 0x9E3779B97F4A7C15 * 3 // 2, 7])
+    def test_draws_across_slices_equal_numpy_philox(self, seed, slice_blocks, monkeypatch):
+        """Blocks are drawn a slice at a time, a slice boundary falling
+        inside an agent's blocks and between two agents'; near 2**64 the
+        seed's key word wraps within the ten rounds."""
+        from graphabm import philox
+
+        monkeypatch.setattr(philox, "_SLICE", slice_blocks)
+        ids = np.array([5, 2**63 + 1, 0, 77], dtype=np.uint64)
+        counts = np.array([4 * 2000 + 3, 0, 4 * 2097 + 2, 9])  # 4,100 blocks
+        assert int(((counts + 3) // 4).sum()) > 4096
+        expected = [np.random.Generator(np.random.Philox(
+            counter=[11, 0, 0, 0], key=np.array([seed, aid], dtype=np.uint64))).random(count)
+            for aid, count in zip(ids.tolist(), counts.tolist())]
+        got = philox.agent_draws(seed, 11, ids, counts)
+        assert got.tobytes() == np.concatenate(expected).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 987654321, 2**63 + 5])
     def test_batch_random_equals_view_rng(self, seed):
         # 130 agent types: the last has tag 129, so its ids are >= 2**63

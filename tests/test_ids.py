@@ -140,6 +140,18 @@ class TestAsIds:
         with pytest.raises(UsageError, match="targets must be integer ids"):
             as_ids(values, "targets")
 
+    @pytest.mark.parametrize("values", [[-1, 0], np.array([3, -2], dtype=np.int32),
+                                        np.array([0, -(1 << 63)], dtype=np.int64),
+                                        np.array([-1], dtype=np.int8)])
+    def test_negative_ids_are_refused_naming_the_column(self, values):
+        with pytest.raises(UsageError, match="targets must be non-negative ids"):
+            as_ids(values, "targets")
+
+    def test_unsigned_ids_are_taken_whatever_their_values(self):
+        ids = np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+        assert as_ids(ids, "targets") is ids
+        assert as_ids(np.array([7, 0], dtype=np.uint8)).tolist() == [7, 0]
+
     @pytest.mark.parametrize("values", [[], np.empty(0), np.empty(0, dtype=bool)])
     def test_no_ids_of_any_dtype_are_none(self, values):
         got = as_ids(values)

@@ -701,8 +701,12 @@ class TestPoolOracle:
         merge = engine._merge_and_stage
 
         def spy(sim, rt, payloads):
-            # contiguous: worker w owns slots 2w and 2w + 1
-            owners = [int(p["agents"][0][0][0]) // 2 for p in payloads]
+            # contiguous: worker w owns slots 2w and 2w + 1; each re-adds
+            # both, changed, and none dies
+            deltas = [p["agents"][0] for p in payloads]
+            assert [(n, dead.size, slots.size) for slots, _states, dead, n in deltas] == [
+                (2, 0, 2)] * workers
+            owners = [int(slots[0]) // 2 for slots, _states, _dead, _n in deltas]
             with open(log, "a") as f:
                 f.write(f"{os.getpid()} {owners}\n")
             merge(sim, rt, payloads)

@@ -1621,13 +1621,16 @@ class TestCountingIndex:
     def test_edge_cases(self, by_tag):
         self.assert_same(self.targets_of(by_tag))
 
-    @pytest.mark.parametrize("drop_at", [2, storage._BLOCK, storage._BLOCK + 1,
+    @pytest.mark.parametrize("drop_at", [2, storage._PROBE, storage._PROBE + 1,
+                                         storage._BLOCK, storage._BLOCK + 1,
                                          2 * storage._BLOCK + 7, None])
     def test_the_scan_stops_at_the_first_block_out_of_order(self, monkeypatch, drop_at):
-        """Block ``k`` compares positions ``1 + k * _BLOCK`` on with the
-        target before each; a target less than the one before it at
-        ``drop_at`` ends the scan in its block, with no index."""
-        block = storage._BLOCK
+        """Block 0 compares positions 1 to ``_PROBE`` with the target
+        before each, and block ``k > 0`` the ``_BLOCK`` positions from
+        ``1 + _PROBE + (k - 1) * _BLOCK`` on; a target less than the one
+        before it at ``drop_at`` ends the scan in its block, with no
+        index. So unsorted targets cost a scan of ``_PROBE`` ids."""
+        block, probe = storage._BLOCK, storage._PROBE
         targets = np.arange(3 * block + 5, dtype=np.uint64) // np.uint64(3) + np.uint64(1)
         if drop_at is not None:
             targets[drop_at] = targets[drop_at - 1] - np.uint64(1)
@@ -1646,7 +1649,8 @@ class TestCountingIndex:
             self.assert_same(targets)
         else:
             assert got is None
-            assert len(compares) == (drop_at - 1) // block + 1
+            first = drop_at <= probe
+            assert len(compares) == (1 if first else 2 + (drop_at - 1 - probe) // block)
 
     @pytest.mark.parametrize("block", [1, 2, 1 << 16])
     @pytest.mark.parametrize("ids", [

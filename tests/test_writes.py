@@ -128,6 +128,7 @@ CASES = [(path, fault) for path in INIT_PATHS + STEP_PATHS
 # a step's write.
 FLOATS = np.array([0.7, 1.9]), np.array([2.2, -0.5])
 INTS = np.array([0, 1], dtype=np.uint64)
+NEGATIVE = np.array([-1, 0])
 
 
 def batch_ids(targets=None, sources=None):
@@ -152,6 +153,11 @@ ID_CASES = {
     "add_edge-too_wide": lambda sim: sim.add_edge("E", 0, 1 << 64, GOOD),
     "batch-float_targets": batch_ids(targets=FLOATS[0]),
     "batch-bool_sources": batch_ids(sources=np.array([True, False])),
+    # signed ids below 0 would wrap to type tag 255
+    "add_edges-negative_targets": lambda sim: sim.add_edges("E", NEGATIVE, INTS, [GOOD] * 2),
+    "add_edges-negative_sources": lambda sim: sim.add_edges("E", INTS, NEGATIVE, [GOOD] * 2),
+    "batch-negative_targets": batch_ids(targets=NEGATIVE),
+    "batch-negative_sources": batch_ids(sources=NEGATIVE.astype(np.int32)),
 }
 
 
@@ -160,8 +166,8 @@ class TestWriteContract:
     does not cast, None and, for arrays, the wrong length, with a
     ``UsageError`` naming the type and the field when there is one; it
     leaves nothing committed or staged, and the simulation steps on.
-    Every edge write refuses ids that are not integers, and a per-edge
-    add ids outside [0, 2**64), in the same way."""
+    Every edge write refuses ids that are not integers or lie outside
+    [0, 2**64), in the same way."""
 
     @pytest.mark.parametrize("path,fault", CASES,
                              ids=[f"{p.__name__}-{f}" for p, f in CASES])
