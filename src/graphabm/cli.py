@@ -30,6 +30,7 @@ from .checks import MODES
 from .errors import ContractViolation, EngineError
 from .models import episim, hk
 from .models.topology import Cliques, Complete, Regular
+from .parallel import STRATEGIES
 from .schema import AgentTypeDecl, EdgeTypeDecl, Hint, Schema
 from .sim import Simulation
 
@@ -126,10 +127,17 @@ def _hk_topology(cfg: RunConfig):
     raise ConfigError(f"unknown topology {cfg.topology!r}")
 
 
-def _open_out(path: str):
-    if path:
-        return open(path, "w", newline="")
-    return sys.stdout
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV to ``path``, or to standard
+    output when ``path`` is empty."""
+    out = open(path, "w", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _run_model(cfg: RunConfig, workers: int, collect_metrics: bool = True):
@@ -197,14 +205,7 @@ def cmd_run(args) -> int:
     cfg = build_run_config(args)
     header, rows, storage = _model_rows(cfg)
     print(storage_table(storage), file=sys.stderr)
-    out = _open_out(cfg.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(cfg.out, header, rows)
     return 0
 
 
@@ -224,14 +225,7 @@ def cmd_scale(args) -> int:
         if base_wall is None:
             base_wall = wall
         rows.append([w, f"{wall * 1e3:.3f}", f"{base_wall / wall:.4f}", result.checksum])
-    out = _open_out(cfg.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["workers", "wall_ms", "speedup", "checksum"])
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(cfg.out, ["workers", "wall_ms", "speedup", "checksum"], rows)
     return 0
 
 
@@ -338,15 +332,8 @@ def cmd_microbench(args) -> int:
     if calls < 1:
         raise ConfigError("calls must be >= 1")
     results = measure_edge_adds(calls)
-    out = _open_out(args.out or "")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["edge_plan", "ns_per_add"])
-        for plan_name, ns in results.items():
-            writer.writerow([plan_name, f"{ns:.2f}"])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.out or "", ["edge_plan", "ns_per_add"],
+               [[plan_name, f"{ns:.2f}"] for plan_name, ns in results.items()])
     return 0
 
 
@@ -369,8 +356,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--locations", type=int, default=None)
     p.add_argument("--schedule", default=None, help="visit schedule CSV")
-    p.add_argument("--strategy", choices=("contiguous", "round_robin", "greedy_edge_cut"),
-                   default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--config", default=None, help="key=value config file")
 

@@ -10,8 +10,7 @@ A transition function takes one of two forms. The per-agent form,
 ``fn(view, params, globals) -> state | None``, runs once per agent through a
 :class:`~graphabm.view.NeighborhoodView`. Returning a state tuple re-adds
 the agent with that state; returning None drops it (for mortal, written,
-non-retained types) or is a no-op otherwise. New agents and edges are
-created through the view.
+non-retained types) or is a no-op otherwise.
 
 The batch form (``TransitionSpec(batch=True)``), ``fn(batch, params,
 globals) -> columns``, runs once per chunk of agents through an
@@ -19,10 +18,10 @@ globals) -> columns``, runs once per chunk of agents through an
 neighbourhood at once over the read containers' CSR index; ``columns``
 holds one array per state field, aligned with ``batch.slots``. A chunk
 holds agents of one type and at most ``BATCH_EDGE_LIMIT``
-incoming edges (an agent with more gets a chunk of its own). A batch may
-write edge types, through ``batch.add_edges``, and agent types it calls,
-re-adding every agent it runs of those; for a callable type it does not
-write it returns None.
+incoming edges (an agent with more gets a chunk of its own). It re-adds
+every agent it runs of a type it writes, so it cannot write a callable
+type under keep_existing; for a callable type it does not write it
+returns None.
 
 A worker finds a batch transition's chunks, and each chunk's runs of edges
 in every readable list container, once, in a :class:`ReadPlan` kept on its
@@ -41,12 +40,14 @@ one-agent chunk as it runs and keeps no plan.
 
 One driver runs both forms: a worker walks its task list once, calls a
 batch ``fn`` per chunk and a per-agent ``fn`` per agent, and passes what
-the calls return, and the states of the agents they created, through the
-one write contract (:func:`~graphabm.storage.cast_columns`, after
-:func:`~graphabm.schema.state_row` for each per-agent state). It ships,
+the calls return through the one write contract
+(:func:`~graphabm.storage.cast_columns`, after
+:func:`~graphabm.schema.state_row` for each per-agent state). In either
+form the calls create agents and edges of any type the spec writes, into
+births and write shards they share (see :mod:`graphabm.view`). It ships,
 per agent type it re-adds, the delta of the states its calls returned
-(:func:`agent_delta`), and the agents they created with their
-producers, beside its sealed edge write shards.
+(:func:`agent_delta`), the agents they created with their producers, and
+its sealed edge write shards.
 Every call sees only time-t data and writes are merged by producing-agent
 id: newborns take their ids at the merge, in producer order, and edges to
 or from them are rewritten to those ids. So the outcome does not depend
@@ -73,14 +74,14 @@ checks every worker's list, kept or fresh, under the checks setting of
 its transition. ``sim.step_metrics`` counts the merges reused per step.
 
 An agent type's delta holds the re-added slots whose state differs,
-byte for byte, from their time-t state, with those states; the slots the
-worker ran that died; and how many it re-added, which the immortal-type
-check sums. So an agent re-added unchanged crosses no pipe. The merge
-starts from the time-t segment that every process holds, writes the
-changed states, zeroes the fields of the dead slots, so a dead slot
-hashes alike however it died, and places the newborns; a written type
-that no transition runs to re-add loses every agent. It copies a column
-only when it writes into it (:meth:`~graphabm.storage.AgentSegment.staged`).
+byte for byte, from their time-t state, with those states, and the slots
+the worker ran that died. So an agent re-added unchanged crosses no pipe.
+The merge starts from the time-t segment that every process holds,
+writes the changed states, zeroes the fields of the dead slots, so a
+dead slot hashes alike however it died, and places the newborns; a
+written type that no transition runs to re-add loses every agent. It
+copies a column only when it writes into it
+(:meth:`~graphabm.storage.AgentSegment.staged`).
 At one worker no payload crosses a pipe, so nothing is compared and
 every re-added slot counts as changed: one payload form, one merge.
 
@@ -220,13 +221,6 @@ class RuntimeSpec:
                     f"immortal agent type {info.name!r} is written without "
                     "keep_existing but has no transition to re-create it"
                 )
-        if spec.batch and (
-            spec.keep_existing or not set(self.written_agent) <= set(self.callable_tags)
-        ):
-            raise UsageError(
-                "a batch transition writes edge types and agent types it calls "
-                "only, and no keep_existing"
-            )
         self.globals = None  # snapshot installed per call by runtime_spec
 
 
@@ -296,6 +290,8 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
         info = schema.edge_types[etag]
         writers[info.name] = (step_shard(info, sim.checks != "off"), info)
     args = (sim.params, rt.globals)
+    born: dict = {}  # tag -> [(provisional ids, producers, columns)], in call order
+    shared = (sim, rt, read, writers, worker, born)  # what every call reads and writes
     tasks = _agent_tasks(sim, rt, partition, worker, nworkers)
     ran = dict(tasks)
     if shuffle is not None:
@@ -317,10 +313,10 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
             chunked = plan.chunks
 
         def call(tag, seg, slots, runs):
-            ret = fn(AgentBatch(sim, rt, read, writers, tag, seg, slots, runs), *args)
+            ret = fn(AgentBatch(*shared, tag, seg, slots, runs), *args)
             return (slots, ret) if ret is not None else (slots[:0], None)
     else:
-        view = NeighborhoodView(sim, rt, read, writers, worker)
+        view = NeighborhoodView(*shared)
         chunked = [[(0, slots.size, None)] for _tag, slots in tasks]
 
         def call(tag, seg, slots, _runs):
@@ -365,9 +361,10 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
             agents[tag] = agent_delta(sim._segments[tag], ran[tag], np.concatenate(slots),
                                       [np.concatenate(c) for c in zip(*cols)], nworkers > 1)
     births = {}
-    for tag, (ids, producers, states) in ({} if batch else view._births).items():
-        births[tag] = (np.array(ids, dtype=np.uint64), np.array(producers, dtype=np.uint64),
-                       cast_columns(schema.agent_types[tag], list(zip(*states)), len(ids)))
+    for tag, made in born.items():
+        ids, producers, columns = zip(*made)
+        births[tag] = (np.concatenate(ids), np.concatenate(producers),
+                       [np.concatenate(c) for c in zip(*columns)])
     edges = {}
     for shard, info in writers.values():
         chunks = shard.seal()  # casts per-edge states here, before they ship
@@ -381,21 +378,21 @@ def _run_shard(sim, fn, rt: RuntimeSpec, partition, worker: int, nworkers: int,
 def agent_delta(seg: AgentSegment, ran: np.ndarray, slots: np.ndarray, columns: list,
                 compare: bool) -> tuple:
     """What a worker ships of an agent type it re-adds: ``(slots, columns,
-    dead, n)``, the re-added ``slots`` whose state differs from their
-    time-t state in ``seg`` and those states, the slots it ``ran`` that
-    re-added none, ascending, and how many it re-added. States compare
-    byte for byte, as :func:`~graphabm.storage.same_edges` compares, so
-    -0.0 differs from 0.0 and two NaN payloads differ. Without
-    ``compare``, every re-added slot counts as changed: at one worker no
-    payload crosses a pipe, and the merge writes them all either way."""
-    n = slots.size
-    dead = _NO_SLOTS if n == ran.size else np.setdiff1d(ran, slots, assume_unique=True)
+    dead)``, the re-added ``slots`` whose state differs from their time-t
+    state in ``seg`` and those states, and the slots it ``ran`` that
+    re-added none, ascending. States compare byte for byte, as
+    :func:`~graphabm.storage.same_edges` compares, so -0.0 differs from
+    0.0 and two NaN payloads differ. Without ``compare``, every re-added
+    slot counts as changed: at one worker no payload crosses a pipe, and
+    the merge writes them all either way."""
+    dead = (_NO_SLOTS if slots.size == ran.size
+            else np.setdiff1d(ran, slots, assume_unique=True))
     if compare:
-        changed = np.zeros(n, dtype=bool)
+        changed = np.zeros(slots.size, dtype=bool)
         for held, column in zip(seg.fields.values(), columns):
             changed |= differs(held[slots], column)
         slots, columns = slots[changed], [column[changed] for column in columns]
-    return slots, columns, dead, n
+    return slots, columns, dead
 
 
 def step_shard(info, checked: bool):
@@ -524,7 +521,6 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
     provisional, final = [], []
     deaths_occurred = False
     for tag, kept in rt.written_agent.items():
-        info = schema.agent_types[tag]
         old = sim._segments[tag]
         deltas = [p["agents"][tag] for p in payloads if tag in p["agents"]]
         births = [p["births"][tag] for p in payloads if tag in p["births"]]
@@ -535,16 +531,8 @@ def _merge_and_stage(sim, rt: RuntimeSpec, payloads: list) -> None:
         seg = old.staged(fields=bool(births or dead.size or any(d[0].size for d in deltas)),
                          alive=bool(births or dead.size))
 
-        n_returned = 0
-        for slots, columns, _dead, n in deltas:
+        for slots, columns, _dead in deltas:
             seg.write(slots, columns)
-            n_returned += n
-        if info.immortal and not kept and tag in rt.callable_tags:
-            if n_returned != old.n_alive:
-                raise UsageError(
-                    f"immortal agent type {info.name!r}: {n_returned} of "
-                    f"{old.n_alive} agents returned a state"
-                )
         if dead.size:  # zeroed, so a dead slot hashes alike however it died
             deaths_occurred = True
             seg.write(dead, [0] * len(seg.fields))

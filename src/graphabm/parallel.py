@@ -13,9 +13,9 @@ shuffled transition one seed per worker, and ``sim.checks``, which the
 worker takes as its own. Every worker runs the transition over its own
 agents against its copy of the time-t state (which doubles as the ghost
 copies of remote agents) and sends back its payload: per agent type its
-agents re-add, the states that changed since time t, the agents that
-died and how many were re-added (``engine.agent_delta``); the agents
-they created; and, per edge type written, its write shard sealed into a
+agents re-add, the states that changed since time t and the agents that
+died (``engine.agent_delta``); the agents they created, in either form;
+and, per edge type written, its write shard sealed into a
 list of chunks (the shard object never leaves its worker). The control runs worker 0's share
 meanwhile, then forwards to each worker of the run's pool the other workers'
 payloads, as the bytes it received (its own pickled once). Every process

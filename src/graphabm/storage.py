@@ -1047,20 +1047,20 @@ def _same_chunk(a: Chunk, b: Chunk) -> bool:
     return all(x is y or _same_bytes(x, y) for x, y in pairs)
 
 
-_UINTS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+# Every stored item is 1, 4 or 8 bytes: bools, uint32 sources and the
+# 8-byte declared kinds, ids and indexes
+_UINTS = {1: np.uint8, 4: np.uint32, 8: np.uint64}
 
 
 def _same_bytes(a, b) -> bool:
-    if a is None or b is None or a.dtype != b.dtype or a.shape != b.shape or not (
-            a.flags.c_contiguous and b.flags.c_contiguous):
-        return False
-    kind = _UINTS.get(a.itemsize, np.uint8)
-    return bool(np.array_equal(a.reshape(-1).view(kind), b.reshape(-1).view(kind)))
+    return (a is not None and b is not None and a.dtype == b.dtype
+            and a.shape == b.shape and not differs(a, b).any())
 
 
 def differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where two columns of one dtype and length differ, item by item,
-    compared as :func:`_same_bytes` compares them."""
+    """Where two arrays of one dtype and shape differ, item by item,
+    compared as unsigned integers of the item size, without a copy, so
+    -0.0 differs from 0.0 and two NaN payloads differ."""
     kind = _UINTS[a.itemsize]
     return a.view(kind) != b.view(kind)
 

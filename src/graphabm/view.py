@@ -15,6 +15,9 @@ every edge read enters through ``_Reads._container``, which refuses a type
 outside the transition's read set and, through
 :func:`~graphabm.schema.check_read`, a read the type's hints refuse, and
 then asks the read container by the agents' type tag and slots.
+Both write through ``_Reads`` too: it refuses a type outside the write
+set, and ``_Reads._born`` casts and numbers every newborn, the view's one
+at a time and a batch's in bulk, in the births its worker's shard shares.
 """
 
 from __future__ import annotations
@@ -25,17 +28,27 @@ from .errors import TypeNotReadable, TypeNotWritable, UnknownName, UsageError
 from .ids import as_ids, provisional_id, slot_ids, split_by_tag
 from .philox import agent_draws, agent_generator
 from .schema import check_read, state_row
-from .storage import run_positions
+from .storage import cast_columns, run_positions
+
+_NO_IDS = np.empty(0, dtype=np.uint64)
 
 
 class _Reads:
-    """Read checks and source-state gathers shared by view and batch.
-
-    Subclasses hold ``_sim``, ``_rt`` and ``_read`` (edge type name ->
-    read container).
+    """Read and write checks, source-state gathers and births, shared by
+    view and batch. ``read`` maps edge type names to read containers,
+    ``writers`` to write shards and types, and ``born`` agent type tags to
+    the shard's ``[(provisional ids, producers, columns)]``, in call order.
     """
 
-    __slots__ = ()
+    __slots__ = ("_sim", "_rt", "_read", "_writers", "_worker", "_newborns")
+
+    def __init__(self, sim, rt, read, writers, worker: int, born: dict):
+        self._sim = sim
+        self._rt = rt
+        self._read = read
+        self._writers = writers
+        self._worker = worker
+        self._newborns = born
 
     def _container(self, edge_type: str, kind: str):
         """The read container of ``edge_type``, for a read of ``kind`` (see
@@ -79,21 +92,46 @@ class _Reads:
             out[sel] = arr[slots]
         return out
 
+    def _writer(self, edge_type: str) -> tuple:
+        """The write shard and type of a written edge type."""
+        w = self._writers.get(edge_type)
+        if w is None:
+            raise TypeNotWritable(f"edge type {edge_type!r} is not in this transition's "
+                                  "write set")
+        return w
+
+    def _writable(self, type_name: str):
+        """The type of a written agent type."""
+        info = self._sim.schema.agent_type(type_name)
+        if info.tag not in self._rt.written_agent:
+            raise TypeNotWritable(f"agent type {type_name!r} is not in this transition's "
+                                  "write set")
+        return info
+
+    def _born(self, info, columns, producers: np.ndarray) -> np.ndarray:
+        """Add one newborn of type ``info`` per producer, its state cast from
+        ``columns``, to the shard's births; returns their provisional ids,
+        which number a worker's newborns of a type as one range in call order."""
+        n = producers.size
+        columns = cast_columns(info, columns, n)
+        if not n:
+            return _NO_IDS
+        made = self._newborns.setdefault(info.tag, [])
+        # the count so far: the ids made so far are one range from the first
+        first = int(made[-1][0][-1] - made[0][0][0]) + 1 if made else 0
+        # the last id checks the COUNT_BITS bound for the whole range
+        last = provisional_id(info.tag, self._sim.step, self._worker, first + n - 1)
+        made.append((np.arange(last + 1 - n, last + 1, dtype=np.uint64), producers, columns))
+        return made[-1][0]
+
 
 class NeighborhoodView(_Reads):
     __slots__ = (
-        "_sim", "_rt", "_worker", "_read", "_writers", "_births", "_step",
-        "_fields", "_field_list", "_tag", "_slot", "_aid", "_rng", "_gather_cache",
+        "_step", "_fields", "_field_list", "_tag", "_slot", "_aid", "_rng", "_gather_cache",
     )
 
-    def __init__(self, sim, rt, read_containers, writers, worker: int):
-        self._sim = sim
-        self._rt = rt
-        self._worker = worker
-        self._read = read_containers  # name -> read container
-        # name -> (the shard's add, EdgeTypeInfo)
-        self._writers = {name: (shard.add, info) for name, (shard, info) in writers.items()}
-        self._births: dict[int, tuple] = {}  # tag -> (ids, producer ids, states)
+    def __init__(self, sim, rt, read, writers, worker: int, born: dict):
+        super().__init__(sim, rt, read, writers, worker, born)
         self._step = sim.step
         self._gather_cache: dict = {}
         self._rng = None
@@ -195,32 +233,16 @@ class NeighborhoodView(_Reads):
 
         The agent takes its id at the merge, which orders every newborn of
         a type by producing agent (each producer's in call order) and gives
-        them free slots, then fresh ones. So the ids do not depend on the
-        worker count or the order in which agents run. The provisional id
-        is valid as an edge endpoint (target or ``source=``) in this
-        transition only: the merge rewrites it there to the final id. An id
-        kept past its transition, in a state column or elsewhere, is not
-        rewritten, and a later transition rejects it as no agent, until
-        its step field wraps (``2**STEP_BITS`` transitions, see
-        :mod:`graphabm.ids`). A contract report on an edge to the newborn,
-        made at the merge after that rewrite, names the final id.
+        them free slots, then fresh ones, so the ids do not depend on the
+        worker count or the run order. The provisional id is valid as an
+        edge endpoint (target or ``source=``) in this transition only,
+        where the merge rewrites it, and so a contract report names the
+        final id. Kept past its transition, it is no agent until its step
+        field wraps (``2**STEP_BITS`` transitions, see :mod:`graphabm.ids`).
         """
-        info = self._sim.schema.agent_type(type_name)
-        tag = info.tag
-        if tag not in self._rt.written_agent:
-            raise TypeNotWritable(
-                f"agent type {type_name!r} is not in this transition's write set"
-            )
-        state = state_row(info, state)
-        births = self._births.get(tag)
-        if births is None:
-            births = self._births[tag] = ([], [], [])
-        ids, producers, states = births
-        # the worker's births of this type, numbered in call order
-        ids.append(provisional_id(tag, self._step, self._worker, len(ids)))
-        producers.append(self._aid)
-        states.append(state)
-        return ids[-1]
+        info = self._writable(type_name)
+        columns = [[value] for value in state_row(info, state)]
+        return int(self._born(info, columns, np.array([self._aid], dtype=np.uint64))[0])
 
     def add_edge(self, edge_type: str, target: int, state: tuple = (), source=None) -> None:
         """Add an edge to the graph under construction.
@@ -229,14 +251,9 @@ class NeighborhoodView(_Reads):
         edge type's hints retain is stored; the merge checks the type's
         contracts.
         """
-        w = self._writers.get(edge_type)
-        if w is None:
-            raise TypeNotWritable(
-                f"edge type {edge_type!r} is not in this transition's write set"
-            )
-        adder, info = w
-        adder(target, self._aid if source is None else source,
-              info.stored_state(state), self._aid)
+        shard, info = self._writer(edge_type)
+        shard.add(target, self._aid if source is None else source,
+                  info.stored_state(state), self._aid)
 
     # -- randomness ---------------------------------------------------------------
 
@@ -264,13 +281,11 @@ class AgentBatch(_Reads):
     container from the engine's read plan.
     """
 
-    __slots__ = ("_sim", "_rt", "_read", "_writers", "_seg", "_tag", "_runs", "_ids", "slots")
+    __slots__ = ("_seg", "_tag", "_runs", "_ids", "slots")
 
-    def __init__(self, sim, rt, read_containers, writers, tag: int, seg, slots, runs):
-        self._sim = sim
-        self._rt = rt
-        self._read = read_containers
-        self._writers = writers  # name -> (shard, EdgeTypeInfo)
+    def __init__(self, sim, rt, read, writers, worker: int, born: dict, tag: int, seg,
+                 slots, runs):
+        super().__init__(sim, rt, read, writers, worker, born)
         self._seg = seg
         self._tag = tag
         self.slots = slots
@@ -331,6 +346,28 @@ class AgentBatch(_Reads):
 
     # -- write effects ----------------------------------------------------------
 
+    def _producers(self, agents: np.ndarray) -> np.ndarray:
+        """The ids of the agents at positions ``agents`` of ``slots``."""
+        if agents.ndim != 1 or agents.size and (
+            agents.dtype.kind not in "iu"
+            or agents.min() < 0 or agents.max() >= self.slots.size
+        ):
+            raise UsageError(
+                f"agents must be positions in this batch's {self.slots.size} slots"
+            )
+        return self.ids[agents.astype(np.intp, copy=False)]
+
+    def add_agents(self, type_name: str, columns, *, agents) -> np.ndarray:
+        """Create agents of a writable type, alive at t+1; returns their
+        provisional ids (uint64), valid as ``add_edges`` targets or
+        ``sources`` in this transition only. Newborn ``i`` is produced by
+        the agent at position ``agents[i]`` of ``slots``, and ``columns``
+        holds one column per declared field. The merge gives them ids as it
+        gives ``NeighborhoodView.add_agent``'s, each agent's in call order.
+        """
+        info = self._writable(type_name)
+        return self._born(info, columns, self._producers(np.asarray(agents)))
+
     def add_edges(self, edge_type: str, targets, *, agents, states=None,
                   sources=None) -> None:
         """Add edges to the graph under construction.
@@ -342,12 +379,7 @@ class AgentBatch(_Reads):
         stored, and each agent's edges keep their order in the arrays. The
         states are checked and cast by the shard (``ListShard.extend``).
         """
-        w = self._writers.get(edge_type)
-        if w is None:
-            raise TypeNotWritable(
-                f"edge type {edge_type!r} is not in this transition's write set"
-            )
-        shard = w[0]
+        shard = self._writer(edge_type)[0]
         targets = as_ids(targets, f"edge type {edge_type!r}: targets")
         if sources is not None:
             sources = as_ids(sources, f"edge type {edge_type!r}: sources")
@@ -358,14 +390,7 @@ class AgentBatch(_Reads):
                     f"edge type {edge_type!r}: {name} of shape "
                     f"{np.shape(column)} for {targets.size} targets"
                 )
-        if agents.size and (
-            agents.dtype.kind not in "iu"
-            or agents.min() < 0 or agents.max() >= self.slots.size
-        ):
-            raise UsageError(
-                f"agents must be positions in this batch's {self.slots.size} slots"
-            )
-        producers = self.ids[agents.astype(np.intp, copy=False)]
+        producers = self._producers(agents)
         shard.extend(targets, producers if sources is None else sources,
                      states, producers)
 

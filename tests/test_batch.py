@@ -283,15 +283,38 @@ class TestBatchContract:
         k = sim.field_array("P", "k")
         assert k.dtype == np.int64 and k.tolist() == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("spec_kw", [
-        {"write_types": ("P", "Q")},
-        {"write_types": ("P",), "keep_existing": ("P",)},
-    ], ids=["other-agent-type", "keep-existing"])
-    def test_spec_not_writing_exactly_its_callable_types_is_rejected(self, spec_kw):
+    def test_states_returned_for_a_retained_type_are_rejected(self):
+        """A batch re-adds every agent of a type it writes, so it cannot
+        write a callable type under keep_existing."""
         sim, _ids = small_sim()
-        with pytest.raises(UsageError):
-            apply_transition(sim, identity, batch_spec(**spec_kw))
+        with pytest.raises(UsageError, match="retained"):
+            apply_transition(sim, identity,
+                             batch_spec(write_types=("P",), keep_existing=("P",)))
         assert sim._staged is None
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["per-agent", "batch"])
+    def test_spec_writing_another_agent_type_is_accepted(self, batch):
+        """Either form writes an agent type it does not call, and creates
+        agents of it with edges to them (see ``test_births`` for the
+        oracle of both forms)."""
+        def spawn_agent(view, params, glob):
+            if view.field("k") % 2:
+                view.add_edge("F", view.add_agent("Q", view.field("x")))
+            return view.state
+
+        def spawn_batch(b, params, glob):
+            odd = np.flatnonzero(b.field("k") % 2)
+            b.add_edges("F", b.add_agents("Q", [b.field("x")[odd]], agents=odd), agents=odd)
+            return identity(b, params, glob)
+
+        sim, ids = small_sim()
+        apply_transition(sim, spawn_batch if batch else spawn_agent,
+                         TransitionSpec(callable_types=("P",), write_types=("P", "Q", "F"),
+                                        batch=batch))
+        finalize_step(sim)
+        assert sim.field_array("Q", "y").tolist() == [1.0, 3.0]
+        sources = sim.edge_container("F").sources_at(type_tag(sim.agent_ids("Q")[0]), 1)
+        assert sources.tolist() == [int(ids[3])]
 
     @pytest.mark.parametrize("write_types, fn", [
         (("P", "E"), identity),

@@ -539,6 +539,23 @@ class TestSameEdges:
         assert same_edges(tail.seal(), twin.seal())  # per-edge states are cast when sealed
         assert same_edges(ListShard(info, True).seal(), ListShard(info, True).seal())
 
+    def test_states_compare_byte_for_byte(self):
+        """-0.0 differs from 0.0, and two NaN payloads differ while one
+        NaN payload equals itself, although float compares say otherwise."""
+        from graphabm.storage import same_edges
+
+        info = self.info()
+        zero, negative, nan, other_nan = np.array(
+            [0x0, 0x8000000000000000, 0x7FF8000000000001, 0x7FF8000000000002],
+            dtype=np.uint64).view(np.float64)
+
+        def seal(w):
+            return shard_of(info, [1], [0], np.array([w]), 0).seal()
+
+        assert same_edges(seal(nan), seal(nan))
+        assert not same_edges(seal(zero), seal(negative))
+        assert not same_edges(seal(nan), seal(other_nan))
+
     def test_rewrite_replaces_newborn_sources_and_leaves_slots(self):
         """A newborn's provisional id needs more than 32 bits of slot, so
         a chunk of sources that holds one keeps ids, which the rewrite

@@ -21,6 +21,7 @@ from graphabm import (
     Schema,
     Simulation,
     TransitionSpec,
+    TypeNotWritable,
     UsageError,
     apply_transition,
     finalize_step,
@@ -108,6 +109,15 @@ def batch_add_edges(sim, state):
     step(sim, fn, batch=True, writes=("T", "E"))
 
 
+def batch_add_agents(sim, state):
+    def fn(batch, p, g):
+        n = batch.slots.size
+        batch.add_agents("T", columns(state, n), agents=np.arange(n))
+        return [batch.field(name) for name in AGENT_FIELDS]
+
+    step(sim, fn, batch=True)
+
+
 def per_agent_return(sim, state):
     step(sim, lambda v, p, g: state)
 
@@ -117,8 +127,9 @@ def batch_return(sim, state):
 
 
 INIT_PATHS = [sim_add_agent, sim_add_agents, sim_add_edge, sim_edge_adder, sim_add_edges]
-STEP_PATHS = [view_add_agent, view_add_edge, batch_add_edges, per_agent_return, batch_return]
-ARRAY_PATHS = {sim_add_agents, sim_add_edges, batch_add_edges, batch_return}
+STEP_PATHS = [view_add_agent, view_add_edge, batch_add_edges, batch_add_agents,
+              per_agent_return, batch_return]
+ARRAY_PATHS = {sim_add_agents, sim_add_edges, batch_add_edges, batch_add_agents, batch_return}
 CASES = [(path, fault) for path in INIT_PATHS + STEP_PATHS
          for fault in [*FAULTS, *(["length"] if path in ARRAY_PATHS else [])]]
 
@@ -180,6 +191,22 @@ class TestWriteContract:
     def test_ids_that_are_not_integers_raise_and_leave_nothing(self, case):
         sim = self.assert_refused(ID_CASES[case], case.startswith("batch"), "E", None)
         assert sim.edge_container("E").n_stored() == 0
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["view", "batch"])
+    def test_a_birth_of_an_unwritten_type_raises_and_leaves_nothing(self, batch):
+        def view_birth(view, p, g):
+            view.add_agent("T", *GOOD)
+
+        def batch_births(b, p, g):
+            b.add_agents("T", columns(GOOD, b.slots.size), agents=np.arange(b.slots.size))
+
+        sim = build()
+        sim.commit_initial()
+        before = sim.state_checksum()
+        with pytest.raises(TypeNotWritable, match="agent type 'T'"):
+            step(sim, batch_births if batch else view_birth, batch=batch, writes=())
+        assert sim._staged is None and not sim._in_transition
+        assert sim.state_checksum() == before
 
     @staticmethod
     def assert_refused(write, in_step, kind, field):
