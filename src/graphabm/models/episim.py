@@ -133,15 +133,9 @@ def build_epi(config: EpiConfig, checks="on") -> EpiModel:
         AgentTypeDecl(PERSON, (("status", Status),), immortal=True)
     )
     schema.register_agent_type(AgentTypeDecl(LOCATION, (), immortal=True))
-    visit_layout = (("start", "int64"), ("end", "int64"))
-    if config.hints:
-        schema.register_edge_type(EdgeTypeDecl(VISIT, visit_layout))
-        schema.register_edge_type(
-            EdgeTypeDecl(INFECTION, hints=Hint.STATELESS | Hint.IGNORE_FROM)
-        )
-    else:
-        schema.register_edge_type(EdgeTypeDecl(VISIT, visit_layout))
-        schema.register_edge_type(EdgeTypeDecl(INFECTION))
+    schema.register_edge_type(EdgeTypeDecl(VISIT, (("start", "int64"), ("end", "int64"))))
+    schema.register_edge_type(EdgeTypeDecl(
+        INFECTION, hints=Hint.STATELESS | Hint.IGNORE_FROM if config.hints else Hint.NONE))
 
     sim = Simulation(
         schema, seed=config.seed, params={"theta": config.theta}, checks=checks

@@ -227,12 +227,6 @@ class EdgeTypeInfo:
     def hints(self) -> Hint:
         return self.decl.hints
 
-    def stored_state(self, state) -> tuple | None:
-        """One edge's ``state`` as this type keeps it until its write shard
-        casts it: a tuple of the layout's arity, or None when no state is
-        kept."""
-        return state_row(self, state) if self.has_state else None
-
 
 def state_row(info: AgentTypeInfo | EdgeTypeInfo, state) -> tuple:
     """One agent's or one edge's ``state`` as a tuple of its type's arity,

@@ -15,7 +15,6 @@ A simulation is built in three phases:
 from __future__ import annotations
 
 import hashlib
-import operator
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .storage import (
     ListShard,
     build_read_container,
     cast_columns,
+    check_edge_row,
     check_single_type,
     validate_endpoints,
 )
@@ -118,18 +118,13 @@ class Simulation:
     def add_edge(self, edge_type: str, target: int, source: int, state: tuple = ()) -> None:
         """Add one edge during initialization (stored under its target).
         ``target`` and ``source`` are integer ids (``operator.index``);
-        anything else, or an id outside [0, 2**64), raises
-        :class:`UsageError`."""
+        anything else, an id outside [0, 2**64) or a state of another
+        arity raises :class:`UsageError`
+        (:func:`~graphabm.storage.check_edge_row`)."""
         self._require_init_phase()
         info = self.schema.edge_type(edge_type)
-        st = info.stored_state(state)
-        try:
-            ids = operator.index(target), operator.index(source)
-        except TypeError as exc:
-            raise UsageError(f"edge type {edge_type!r}: ids must be integers: {exc}") from None
-        if not all(0 <= i < 1 << 64 for i in ids):
-            raise UsageError(f"edge type {edge_type!r}: ids {ids} outside [0, 2**64)")
-        self._init_shards[info.tag].add(*ids, st, 0)
+        self._init_shards[info.tag].add(target, source,
+                                        check_edge_row(info, target, source, state))
 
     def add_edges(self, edge_type: str, targets, sources=None, states=None) -> None:
         """Bulk-add edges during initialization.
@@ -138,11 +133,12 @@ class Simulation:
         Ids may come as uint64 or as uint32 (type-0 ids, as the
         :mod:`~graphabm.models.topology` builders give), which are read as
         they are, never widened, or as any other integers; ids of another
-        dtype, such as floats or bools, raise :class:`UsageError`. Only
-        what the plan keeps is copied, once, so the caller may change its
-        arrays after the call. Targets in ascending order are not copied
-        at all: the shard keeps their CSR index. When one such call adds
-        all of a type's edges, that index and the copies become the
+        dtype, such as floats or bools, or arrays of another shape raise
+        :class:`UsageError` (the shard's bulk check, ``ListShard.extend``).
+        Only what the plan keeps is copied, once, so the caller may change
+        its arrays after the call. Targets in ascending order are not
+        copied at all: the shard keeps their CSR index. When one such call
+        adds all of a type's edges, that index and the copies become the
         committed graph without another copy. This is the fast path for
         large graphs: one call per edge type reads each id array once,
         in cache-sized blocks, where :meth:`add_edge` costs a Python call
@@ -154,10 +150,6 @@ class Simulation:
             raise UsageError(f"edge type {edge_type!r} stores sources; pass them")
         if info.has_state and states is None:
             raise UsageError(f"edge type {edge_type!r} stores states; pass them")
-        if sources is not None and len(sources) != len(targets):
-            raise UsageError(
-                f"edge type {edge_type!r}: {len(sources)} sources for {len(targets)} targets"
-            )
         columns = None
         if info.has_state:
             rows = [state_row(info, st) for st in states]
@@ -165,16 +157,23 @@ class Simulation:
         self._init_shards[info.tag].extend(targets, sources, columns)
 
     def edge_adder(self, edge_type: str):
-        """The bound low-level add for an edge type during initialization.
+        """The bound per-edge add for an edge type during initialization.
 
-        Returns a callable ``add(target, source, state=None, producer=0)``,
-        the shard's add, which appends only the columns the storage plan
-        keeps (an EXISTENCE_BIT type keeps targets, whose bits are set at
-        commit). The contracts, and the states' arity and casts, are
+        Returns a callable ``add(target, source, state=None, producer=0)``
+        that checks the edge as :meth:`add_edge` does and appends only the
+        columns the storage plan keeps (an EXISTENCE_BIT type keeps
+        targets, whose bits are set at commit); ``producer`` is not kept
+        during initialization. The contracts and the states' casts are
         checked at commit, as for every add.
         """
         self._require_init_phase()
-        return self._init_shards[self.schema.edge_type(edge_type).tag].add
+        info = self.schema.edge_type(edge_type)
+        shard_add = self._init_shards[info.tag].add
+
+        def add(target, source, state=None, producer=0):
+            shard_add(target, source, check_edge_row(info, target, source, state), producer)
+
+        return add
 
     def commit_initial(self) -> None:
         """Seal the initial graph; runs implicitly before the first step.

@@ -42,10 +42,15 @@ never; every other merge rebuilds indexed targets with ``np.repeat``.
 Every write of agent or edge state passes one contract:
 :func:`cast_columns` for columns, :func:`~graphabm.schema.state_row` for
 one agent's or one edge's state, each refusing with
-:class:`~graphabm.errors.UsageError`. Agent slots are taken by
-:meth:`AgentSegment.place` alone. The endpoint and SINGLE_TYPE
-checks of a chunk start from one range test on each type's largest id,
-:func:`_largest_ids`, and look at each id only when that test fails.
+:class:`~graphabm.errors.UsageError`. Each rule of an edge write is
+checked in one place: :func:`check_edge_row` checks the ids and state of
+every per-edge add before it reaches a shard's tail, and
+``ListShard._add_chunk`` the ids, lengths and states of every bulk add,
+so its callers check none of them. Agent slots are taken by
+:meth:`AgentSegment.place` alone. The endpoint and SINGLE_TYPE checks
+share one scan of the chunks, :func:`_failing_ids`, which starts from
+one range test on each type's largest id, :func:`_largest_ids`, and
+looks at each id only when that test fails.
 
 Read containers are read by target slot, ``(tag, slot)``, and answer
 every read they are asked. Which reads a plan refuses is decided in one
@@ -89,6 +94,7 @@ give the same order.
 from __future__ import annotations
 
 import array
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -142,15 +148,16 @@ def cast_columns(info, columns, n: int | None = None) -> tuple:
         )
     out = []
     for name, dt, values in zip(info.field_names, info.dtypes, columns):
-        where = f"{info.kind} type {info.name!r}, field {name!r}"
         try:
             if _holds_none(values):
                 raise TypeError("None is not a value")
             arr = np.asarray(values, dtype=dt)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"{where}: a value does not cast to {dt}: {exc}") from None
+            raise UsageError(f"{info.kind} type {info.name!r}, field {name!r}: "
+                             f"a value does not cast to {dt}: {exc}") from None
         if n is not None and arr.shape != (n,):
-            raise UsageError(f"{where}: expected {n} values, got an array of shape {arr.shape}")
+            raise UsageError(f"{info.kind} type {info.name!r}, field {name!r}: "
+                             f"expected {n} values, got an array of shape {arr.shape}")
         out.append(arr)
     return tuple(out)
 
@@ -158,7 +165,27 @@ def cast_columns(info, columns, n: int | None = None) -> tuple:
 def _holds_none(values) -> bool:
     if isinstance(values, np.ndarray):
         return values.dtype == object and any(v is None for v in values.flat)
-    return isinstance(values, (list, tuple)) and any(v is None for v in values)
+    if isinstance(values, (list, tuple)):
+        # one value, as a per-agent or per-edge write gives, takes no generator
+        return values[0] is None if len(values) == 1 else any(v is None for v in values)
+    return False
+
+
+def check_edge_row(info: EdgeTypeInfo, target, source, state):
+    """The check of every per-edge add: ``target`` and ``source`` must be
+    integers (``operator.index``) in [0, 2**64) and ``state`` a tuple of
+    the type's arity (:func:`~graphabm.schema.state_row`); anything else
+    raises :class:`UsageError` naming the type. Returns the state as a
+    write shard's ``add`` keeps it, None when the type keeps no state.
+    Its values are cast when the shard is sealed."""
+    try:
+        # two ints or'ed keep bits from 64 up when either is negative or past 2**64
+        if (operator.index(target) | operator.index(source)) >> 64:
+            raise UsageError(f"edge type {info.name!r}: ids {(target, source)} "
+                             "outside [0, 2**64)")
+    except TypeError as exc:
+        raise UsageError(f"edge type {info.name!r}: ids must be integers: {exc}") from None
+    return state_row(info, state) if info.has_state else None
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +200,10 @@ class AgentSegment:
     slots and a LIFO free list recycles them.
     """
 
-    __slots__ = ("count", "fields", "alive", "free", "immortal")
+    __slots__ = ("count", "fields", "alive", "free")
 
     def __init__(self, info: AgentTypeInfo):
         self.count = 0
-        self.immortal = info.immortal
         self.fields = {name: np.empty(0, dtype=dt)
                        for name, dt in zip(info.field_names, info.dtypes)}
         self.alive = None if info.immortal else np.zeros(0, dtype=bool)
@@ -267,7 +293,7 @@ class AgentSegment:
         liveness mask, and this segment's own arrays otherwise, which the
         merge must then leave as they are. The free list is always a copy."""
         seg = AgentSegment.__new__(AgentSegment)
-        seg.count, seg.immortal, seg.free = self.count, self.immortal, list(self.free)
+        seg.count, seg.free = self.count, list(self.free)
         n = self.count
         seg.fields = {name: arr[:n].copy() if fields else arr
                       for name, arr in self.fields.items()}
@@ -365,8 +391,9 @@ class ListShard:
     them; nondecreasing targets in a shard that records no producers are
     kept as their index instead (see ``_INDEX_FLOOR``), so the caller's
     array is neither copied nor referenced. ``add``, the per-edge write
-    path, appends to the tail: ``array.array`` columns ``targets``,
-    ``sources`` and ``producers`` and a list of state tuples, ``states``.
+    path, appends a row that :func:`check_edge_row` has checked to the tail:
+    ``array.array`` columns ``targets``, ``sources`` and ``producers`` and
+    a list of state tuples, ``states``.
     A bulk add, and :meth:`seal`, first move the tail through the same
     constructor, then empty it in place, never swapping in a new object,
     since every adder binds the tail's appends once. So the chunks hold
@@ -414,17 +441,12 @@ class ListShard:
     def seal(self) -> list[Chunk]:
         """The shard's chunks, after moving a non-empty tail into one as
         :meth:`extend` adds one. The tail is emptied once the chunk holds
-        its copies, so a state that does not cast raises with it intact."""
+        its copies, so a state that does not cast raises with it intact.
+        Its rows passed :func:`check_edge_row`, so its states are of one arity."""
         if self.targets:
-            states = None
-            if self.states is not None:
-                try:
-                    states = tuple(zip(*self.states, strict=True))
-                except (TypeError, ValueError):  # a state of another arity
-                    for state in self.states:
-                        state_row(self.info, state)  # raises at the first
-                    raise
-            self._add_chunk(self.targets, self.sources, states, self.producers)
+            states = None if self.states is None else tuple(zip(*self.states, strict=True))
+            self._add_chunk(self.targets, self.sources, states,
+                            0 if self.producers is None else self.producers)
             for tail in (self.targets, self.sources, self.states, self.producers):
                 if tail is not None:
                     del tail[:]
@@ -438,10 +460,23 @@ class ListShard:
         self._add_chunk(targets, sources, states, producers)
 
     def _add_chunk(self, targets, sources, states, producers):
-        """Keep a copy of each column the plan stores as one chunk, casting
-        the states before any id array is read; the columns may be the
-        tail's, which the chunk never references."""
-        n = len(targets)
+        """Keep a copy of each column the plan stores as one chunk, after
+        the check of every bulk add, whose refusals name the type: ids by
+        :func:`~graphabm.ids.as_ids`, one source (when given) and one
+        producer (unless one for all) per one-dimensional target, and the
+        states by :func:`cast_columns`. The columns may be the tail's,
+        which the chunk never references."""
+        where = f"edge type {self.info.name!r}:"
+        targets = as_ids(targets, f"{where} targets")
+        if sources is not None:
+            sources = as_ids(sources, f"{where} sources")
+        producers = np.asarray(producers, dtype=_U64)
+        n = targets.size
+        for name, column in (("targets", targets),
+                             ("producers", producers if producers.ndim else None),
+                             ("sources", sources)):
+            if column is not None and column.shape != (n,):
+                raise UsageError(f"{where} {name} of shape {column.shape} for {n} targets")
         if self.states is None:
             states = None
         else:
@@ -450,25 +485,21 @@ class ListShard:
                            for c, given in zip(cast_columns(self.info, states, n), states))
         if not n:
             return
-        where = f"edge type {self.info.name!r}:"
-        targets = as_ids(targets, f"{where} targets")
         index = None  # built before the copies below, to keep the peak down
         if self.producers is None:
-            index = _build_indptr(targets, max(targets.size, _INDEX_FLOOR))
+            index = _build_indptr(targets, max(n, _INDEX_FLOOR))
         source_tag = None
         if self.sources is None:
             sources = None
         else:
-            given = as_ids(sources, f"{where} sources")
-            sources, source_tag = narrow_sources(given)
-            if sources is given:
-                sources = sources.copy()
+            column, source_tag = narrow_sources(sources)
+            sources = column.copy() if column is sources else column
         self.chunks.append(Chunk(
             _owned_u64(targets) if index is None else None,
             sources,
             states,
             None if self.producers is None
-            else _owned_u64(np.broadcast_to(np.asarray(producers, dtype=_U64), targets.shape)),
+            else _owned_u64(np.broadcast_to(producers, targets.shape)),
             index,
             source_tag=source_tag,
         ))
@@ -1084,6 +1115,27 @@ def _largest_ids(chunk: Chunk, column: str) -> list | None:
     return [hi] if type_tag(lo) == type_tag(hi) else None
 
 
+def _failing_ids(chunk_lists: list, column: str, good):
+    """The scan of both contract checks: ``(chunk, ids, bad)`` for each
+    chunk of each worker's list, in order, with ids in ``column``
+    (``"targets"`` or ``"sources"``) that ``good``, an id array -> a mask,
+    fails: those ids and the positions of the failing ones. A chunk
+    passes whole, unread, when each type's largest id in it
+    (:func:`_largest_ids`) passes."""
+    for chunks in chunk_lists:
+        for chunk in chunks:
+            if column == "sources" and chunk.sources is None:
+                continue
+            tops = _largest_ids(chunk, column)
+            if tops is not None and bool(good(np.array(tops, dtype=_U64)).all()):
+                continue
+            ids = chunk.target_ids() if column == "targets" else _ids(chunk.sources,
+                                                                       chunk.source_tag)
+            bad = np.flatnonzero(~good(ids))
+            if bad.size:
+                yield chunk, ids, bad
+
+
 def check_single_type(info: EdgeTypeInfo, chunk_lists: list, sink: ViolationSink | None) -> None:
     """Report to ``sink``, unless it is None (checks off), each edge of each
     worker's chunk list whose target is not of the agent type SINGLE_TYPE
@@ -1091,26 +1143,17 @@ def check_single_type(info: EdgeTypeInfo, chunk_lists: list, sink: ViolationSink
     producer runs on one worker, whose chunks hold its edges in call order,
     so a stable sort of the breaches by producer gives that order. The
     edges of a chunk without producers, as during initialization, are
-    producer 0's, in add order.
-
-    A chunk passes whole when each type's largest target
-    (:func:`_largest_ids`) carries the declared tag; otherwise each
-    target's tag is compared.
+    producer 0's, in add order. The chunks are scanned by
+    :func:`_failing_ids`.
     """
     tag = info.single_type_tag
     if tag is None or sink is None:
         return
     targets, producers = [], []
-    for chunks in chunk_lists:
-        for chunk in chunks:
-            tops = _largest_ids(chunk, "targets")
-            if tops is not None and all(type_tag(top) == tag for top in tops):
-                continue
-            ids = chunk.target_ids()
-            bad = np.flatnonzero(type_tag(ids) != tag)
-            targets.append(ids[bad])
-            producers.append(np.zeros(bad.size, dtype=_U64) if chunk.producers is None
-                             else chunk.producers[bad])
+    for chunk, ids, bad in _failing_ids(chunk_lists, "targets", lambda ids: type_tag(ids) == tag):
+        targets.append(ids[bad])
+        producers.append(np.zeros(bad.size, dtype=_U64) if chunk.producers is None
+                         else chunk.producers[bad])
     if not targets:
         return
     producers = _concat(producers)
@@ -1131,26 +1174,13 @@ def validate_endpoints(info: EdgeTypeInfo, chunk_lists: list, exists_fn) -> None
     instead of sizing the merged index; carried-over edges were checked
     when they were added, and a slot once allocated stays allocated.
 
-    A column of a chunk passes whole when each type's largest id in it
-    (:func:`_largest_ids`) exists; otherwise each id is looked up. The
-    error names the smallest bad target across every worker's lists or,
-    when no target is bad, the smallest bad source, so it does not depend
-    on the worker count.
+    The chunks are scanned by :func:`_failing_ids`. The error names the
+    smallest bad target across every worker's lists or, when no target is
+    bad, the smallest bad source, so it does not depend on the worker
+    count.
     """
     for column in ("targets", "sources"):
-        bad = []
-        for chunks in chunk_lists:
-            for chunk in chunks:
-                if column == "sources" and chunk.sources is None:
-                    continue
-                tops = _largest_ids(chunk, column)
-                if tops is not None and bool(exists_fn(np.array(tops, dtype=_U64)).all()):
-                    continue
-                ids = (chunk.target_ids() if column == "targets"
-                       else _ids(chunk.sources, chunk.source_tag))
-                ok = exists_fn(ids)
-                if not bool(ok.all()):
-                    bad.append(int(ids[~ok].min()))
+        bad = [int(ids[at].min()) for _, ids, at in _failing_ids(chunk_lists, column, exists_fn)]
         if bad:
             raise ContractViolation(
                 f"edge of type {info.name!r} references nonexistent agent {min(bad):#x}"

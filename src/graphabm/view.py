@@ -25,10 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TypeNotReadable, TypeNotWritable, UnknownName, UsageError
-from .ids import as_ids, provisional_id, slot_ids, split_by_tag
+from .ids import provisional_id, slot_ids, split_by_tag
 from .philox import agent_draws, agent_generator
 from .schema import check_read, state_row
-from .storage import cast_columns, run_positions
+from .storage import cast_columns, check_edge_row, run_positions
 
 _NO_IDS = np.empty(0, dtype=np.uint64)
 
@@ -248,12 +248,15 @@ class NeighborhoodView(_Reads):
         """Add an edge to the graph under construction.
 
         ``source`` defaults to the executing agent. Only information the
-        edge type's hints retain is stored; the merge checks the type's
-        contracts.
+        edge type's hints retain is stored. The ids and the state's arity
+        are checked here (:func:`~graphabm.storage.check_edge_row`), the casts
+        when the shard is sealed, and the type's contracts by the merge.
         """
         shard, info = self._writer(edge_type)
-        shard.add(target, self._aid if source is None else source,
-                  info.stored_state(state), self._aid)
+        aid = self._aid
+        if source is None:
+            source = aid
+        shard.add(target, source, check_edge_row(info, target, source, state), aid)
 
     # -- randomness ---------------------------------------------------------------
 
@@ -377,22 +380,12 @@ class AgentBatch(_Reads):
         holds one column per declared field. As in
         ``NeighborhoodView.add_edge``, only what the type's hints retain is
         stored, and each agent's edges keep their order in the arrays. The
-        states are checked and cast by the shard (``ListShard.extend``).
+        shard checks the ids, the lengths and the states
+        (``ListShard.extend``); the ``agents`` positions are checked here.
         """
         shard = self._writer(edge_type)[0]
-        targets = as_ids(targets, f"edge type {edge_type!r}: targets")
-        if sources is not None:
-            sources = as_ids(sources, f"edge type {edge_type!r}: sources")
-        agents = np.asarray(agents)
-        for name, column in (("targets", targets), ("agents", agents), ("sources", sources)):
-            if column is not None and np.shape(column) != (targets.size,):
-                raise UsageError(
-                    f"edge type {edge_type!r}: {name} of shape "
-                    f"{np.shape(column)} for {targets.size} targets"
-                )
-        producers = self._producers(agents)
-        shard.extend(targets, producers if sources is None else sources,
-                     states, producers)
+        producers = self._producers(np.asarray(agents))
+        shard.extend(targets, producers if sources is None else sources, states, producers)
 
     # -- randomness ---------------------------------------------------------------
 

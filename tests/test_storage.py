@@ -29,7 +29,9 @@ from graphabm import (
 )
 from graphabm.checks import merge_sink
 from graphabm.ids import TAG_SHIFT, agent_id, slot_ids
-from graphabm.storage import AgentSegment, ListShard, build_read_container, run_positions
+from graphabm.storage import (
+    AgentSegment, ListShard, build_read_container, check_edge_row, run_positions,
+)
 
 from edge_reads import edge_read, slots_read
 from test_schema import all_hint_sets, is_legal
@@ -907,7 +909,7 @@ class TestSweepOracle:
         shard = ListShard(info)
         for t, s, st in stored:
             if t not in dead and not (info.has_source and s in dead):
-                shard.add(t, s, info.stored_state(st))
+                shard.add(t, s, check_edge_row(info, t, s, st))
         expected = build_read_container(info, [shard.seal()])
         assert expected.n_stored() < sim.edge_container("E").n_stored()
 
@@ -1076,11 +1078,9 @@ class TestMixedPerEdgeAndBulkAdds:
     def test_adder_captured_before_add_edges(self, decl):
         sim = build_sim(decl)
         add = sim.edge_adder("E")
-        info = sim.schema.edge_type("E")
-        (t1, s1, st1), (t4, s4, st4) = self.EDGES[0], self.EDGES[3]
-        add(t1, s1, info.stored_state(st1))
+        add(*self.EDGES[0])
         self.bulk_middle(sim)
-        add(t4, s4, info.stored_state(st4))
+        add(*self.EDGES[3])
         sim.commit_initial()
         self.assert_like_one_at_a_time(sim, decl)
 
@@ -1907,6 +1907,16 @@ def give_birth(view, _params, _g):
         view.add_edge("E", view.agent_id, source=agent_id(1, 0))
 
 
+def give_birth_batch(batch, _params, _g):
+    """``give_birth`` for a chunk of agents at once."""
+    bearers = np.flatnonzero(batch.ids % 2 == 0)
+    children = batch.add_agents("B", [np.full(bearers.size, 7)], agents=bearers)
+    agents = np.repeat(bearers, 2)
+    sources = np.full(agents.size, agent_id(1, 0), dtype=np.uint64)
+    sources[0::2] = children
+    batch.add_edges("E", batch.ids[agents], agents=agents, sources=sources)
+
+
 def die(_view, _params, _g):
     return None  # a per-agent call that returns no state drops its agent
 
@@ -1920,7 +1930,7 @@ class TestSourceForms:
 
     RUNS = [(w, batch, shuffled) for w in (1, 2, 4) for batch in (False, True)
             for shuffled in (False, True)]
-    # births, keep_existing and deaths are written by per-agent transitions only
+    # keep_existing and deaths are written by per-agent transitions only
     PER_AGENT = [run for run in RUNS if not run[1]]
 
     @staticmethod
@@ -1973,10 +1983,13 @@ class TestSourceForms:
             assert np.array_equal(read.source_slots(slice(None)), local_index(ids).astype(np.intp))
 
     def test_newborn_sources_are_rewritten_and_narrowed(self):
-        spec = TransitionSpec(callable_types=("A",), write_types=("B", "E"),
-                              keep_existing=("B",))
-        assert self.run_all(forms_sim, lambda _batch: [(give_birth, spec)], self.PER_AGENT) == (
-            1, ("source_slots:1",))
+        def steps(batch):
+            spec = TransitionSpec(callable_types=("A",), write_types=("B", "E"),
+                                  keep_existing=("B",), batch=batch)
+            return [(give_birth_batch if batch else give_birth, spec)]
+
+        assert self.run_all(forms_sim, steps) == (1, ("source_slots:1",))
+        spec = steps(False)[0][1]
         sim = forms_sim()
         apply_transition(sim, give_birth, spec)
         finalize_step(sim)

@@ -1,8 +1,9 @@
 """One write contract for agent and edge state, and one placement of slots.
 
 Every write of agent or edge state passes ``storage.cast_columns`` (columns)
-or ``schema.state_row`` (one agent's or one edge's state), and every agent
-slot is taken by ``AgentSegment.place``.
+or ``schema.state_row`` (one agent's or one edge's state), every per-edge
+add ``storage.check_edge_row`` and every bulk add the shard's own check,
+and every agent slot is taken by ``AgentSegment.place``.
 """
 
 from __future__ import annotations
@@ -154,6 +155,13 @@ def batch_ids(targets=None, sources=None):
     return write
 
 
+def view_ids(target, source=None):
+    def write(sim):
+        step(sim, lambda v, p, g: (v.add_edge("E", target, GOOD, source=source), v.state)[1],
+             writes=("T", "E"))
+    return write
+
+
 ID_CASES = {
     "add_edges-floats": lambda sim: sim.add_edges("E", *FLOATS, [GOOD] * 2),
     "add_edges-float_sources": lambda sim: sim.add_edges("E", INTS, FLOATS[1], [GOOD] * 2),
@@ -169,6 +177,16 @@ ID_CASES = {
     "add_edges-negative_sources": lambda sim: sim.add_edges("E", INTS, NEGATIVE, [GOOD] * 2),
     "batch-negative_targets": batch_ids(targets=NEGATIVE),
     "batch-negative_sources": batch_ids(sources=NEGATIVE.astype(np.int32)),
+    "view-negative": view_ids(-1),
+    "view-float": view_ids(1.5),
+    "view-too_wide": view_ids(1 << 64),
+    "view-negative_source": view_ids(0, source=-5),
+    "edge_adder-negative": lambda sim: sim.edge_adder("E")(-1, 0, GOOD),
+    "edge_adder-float": lambda sim: sim.edge_adder("E")(1.5, 0, GOOD),
+    "edge_adder-too_wide": lambda sim: sim.edge_adder("E")(1 << 64, 0, GOOD),
+    "edge_adder-negative_source": lambda sim: sim.edge_adder("E")(0, -5, GOOD),
+    "add_edges-2d_ids": lambda sim: sim.add_edges("E", INTS[None], INTS[None] + 1, [GOOD]),
+    "add_edges-2d_sources": lambda sim: sim.add_edges("E", INTS, INTS[:, None], [GOOD] * 2),
 }
 
 
@@ -189,7 +207,7 @@ class TestWriteContract:
 
     @pytest.mark.parametrize("case", list(ID_CASES))
     def test_ids_that_are_not_integers_raise_and_leave_nothing(self, case):
-        sim = self.assert_refused(ID_CASES[case], case.startswith("batch"), "E", None)
+        sim = self.assert_refused(ID_CASES[case], case.startswith(("batch", "view")), "E", None)
         assert sim.edge_container("E").n_stored() == 0
 
     @pytest.mark.parametrize("batch", [False, True], ids=["view", "batch"])
@@ -243,19 +261,22 @@ class TestPerRowChecks:
     @pytest.mark.parametrize("states", [
         [(1.0,)], [(1.0, 2.0, 3.0)], [(1.0, 2.0), (1.0, 2.0, 3.0)], [(1.0, 2.0), 5.0],
     ], ids=["short", "long", "ragged", "bare"])
-    def test_edge_adder_rows_of_another_arity_fail_the_commit(self, states):
+    def test_edge_adder_rows_of_another_arity_are_refused_at_the_add(self, states):
+        """The add refuses the row, so nothing of it is stored and the
+        rows before it commit."""
         schema = Schema()
         schema.register_agent_type(AgentTypeDecl("A", ()))
         schema.register_edge_type(EdgeTypeDecl("E", (("a", "float64"), ("b", "float64"))))
         sim = Simulation(schema)
         sim.add_agents("A", 3, {})
         add = sim.edge_adder("E")
-        for target, state in enumerate(states):
+        *good, bad = states
+        for target, state in enumerate(good):
             add(target, 2, state)
         with pytest.raises(UsageError, match="edge type 'E'"):
-            sim.commit_initial()
-        assert not sim._initialized
-        assert sim.edge_container("E").n_stored() == 0
+            add(len(good), 2, bad)
+        sim.commit_initial()
+        assert sim.edge_container("E").n_stored() == len(good)
 
     def test_a_bare_return_raises_naming_the_type(self):
         sim = build()
@@ -312,26 +333,50 @@ class TestStatesThePlanDoesNotStore:
         assert self.run(as_arrays=True, workers=workers) == [0, 1, 1, 1]
 
 
+def sites(matches) -> list:
+    """``(module, innermost function)`` of each node of graphabm's source
+    for which ``matches`` holds."""
+    root = Path(graphabm.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if matches(node):
+                inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.add((path.relative_to(root).as_posix(),
+                           max(inside, key=lambda f: f.lineno).name))
+    return sorted(found)
+
+
+def raises(text):
+    """Whether a node raises a message whose constant parts hold ``text``."""
+    def matches(node):
+        return isinstance(node, ast.Raise) and text in "".join(
+            c.value for c in ast.walk(node)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return matches
+
+
 class TestWriteSites:
     def test_only_the_contract_counts_state_fields(self):
         """Only ``storage.cast_columns`` and ``schema.state_row`` raise the
         "takes N state fields" message."""
-        root = Path(graphabm.__file__).parent
-        raisers = set()
-        for path in sorted(root.rglob("*.py")):
-            tree = ast.parse(path.read_text(), str(path))
-            functions = [node for node in ast.walk(tree)
-                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Raise):
-                    continue
-                text = "".join(c.value for c in ast.walk(node)
-                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
-                if "state fields" in text:
-                    inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-                    raisers.add((path.relative_to(root).as_posix(),
-                                 max(inside, key=lambda f: f.lineno).name))
-        assert sorted(raisers) == [("schema.py", "state_row"), ("storage.py", "cast_columns")]
+        assert sites(raises("state fields")) == [
+            ("schema.py", "state_row"), ("storage.py", "cast_columns")]
+
+    def test_only_the_row_check_refuses_per_edge_ids(self):
+        """Only ``storage.check_edge_row`` raises the per-edge "ids must be
+        integers" message."""
+        assert sites(raises("ids must be integers")) == [("storage.py", "check_edge_row")]
+
+    def test_only_the_shared_scan_takes_the_largest_ids(self):
+        """Both contract checks reach ``_largest_ids`` through one scan,
+        ``storage._failing_ids``."""
+        assert sites(lambda node: isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_largest_ids") == [
+            ("storage.py", "_failing_ids")]
 
 
 class TestPlace:
